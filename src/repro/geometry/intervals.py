@@ -31,8 +31,17 @@ class Interval:
     convention that intervals are closed or unbounded.
     """
 
+    # Hand-written slots (``dataclass(slots=True)`` needs Python 3.10):
+    # intervals are the most-allocated object of the geometry layer.
+    __slots__ = ("lo", "hi")
+
     lo: float
     hi: float
+
+    def __reduce__(self) -> Tuple[type, Tuple[float, float]]:
+        # Default slot pickling restores state with ``setattr``, which a
+        # frozen dataclass refuses; rebuild through the constructor.
+        return (Interval, (self.lo, self.hi))
 
     def __post_init__(self) -> None:
         if math.isnan(self.lo) or math.isnan(self.hi):

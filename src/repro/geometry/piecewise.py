@@ -20,11 +20,18 @@ The module also supplies the two analyses the sweep engine is built on:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.geometry.intervals import Interval
-from repro.geometry.poly import Polynomial, as_polynomial
-from repro.geometry.roots import real_roots
+from repro.geometry.poly import (
+    Polynomial,
+    _derivative,
+    _difference,
+    _horner,
+    as_polynomial,
+)
+from repro.geometry.roots import _quadratic_roots, real_roots
 from repro.geometry.tolerance import DEFAULT_ATOL, approx_eq
 
 Piece = Tuple[Interval, Polynomial]
@@ -32,6 +39,17 @@ Piece = Tuple[Interval, Polynomial]
 #: Function values with magnitude at or below this are treated as an
 #: exact tie when classifying signs of difference curves.
 _SIGN_ATOL = 1e-11
+
+
+def _probe_point(lo: float, hi: float) -> float:
+    """An interior point of ``[lo, hi]``; unbounded ends step one unit."""
+    if math.isinf(lo) and math.isinf(hi):
+        return 0.0
+    if math.isinf(lo):
+        return hi - 1.0
+    if math.isinf(hi):
+        return lo + 1.0
+    return (lo + hi) / 2.0
 
 
 class PiecewiseFunction:
@@ -43,7 +61,7 @@ class PiecewiseFunction:
     for evaluation, which is immaterial for continuous functions).
     """
 
-    __slots__ = ("_pieces",)
+    __slots__ = ("_pieces", "_domain", "_his", "_cuts")
 
     def __init__(self, pieces: Iterable[Piece]) -> None:
         items = list(pieces)
@@ -55,8 +73,19 @@ class PiecewiseFunction:
                     f"pieces must be contiguous: {iv_a} then {iv_b}"
                 )
         self._pieces: Tuple[Piece, ...] = tuple(
-            (iv, as_polynomial(p)) for iv, p in items
+            [(iv, as_polynomial(p)) for iv, p in items]
         )
+        intervals = [iv for iv, _ in items]
+        self._domain = (
+            intervals[0]
+            if len(intervals) == 1
+            else Interval(intervals[0].lo, intervals[-1].hi)
+        )
+        #: Piece upper bounds, the key of every piece lookup.
+        self._his: Tuple[float, ...] = tuple([iv.hi for iv in intervals])
+        #: Interior breakpoints, sorted (contiguity is only approximate,
+        #: so the piece order does not guarantee it).
+        self._cuts: Tuple[float, ...] = tuple(sorted([iv.lo for iv in intervals[1:]]))
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -83,7 +112,7 @@ class PiecewiseFunction:
     @property
     def domain(self) -> Interval:
         """The contiguous domain covered by all pieces."""
-        return Interval(self._pieces[0][0].lo, self._pieces[-1][0].hi)
+        return self._domain
 
     @property
     def breakpoints(self) -> List[float]:
@@ -97,16 +126,17 @@ class PiecewiseFunction:
 
     def piece_at(self, t: float) -> Piece:
         """The authoritative piece containing ``t`` (earliest on ties)."""
-        if not self.domain.contains(t, atol=DEFAULT_ATOL):
-            raise ValueError(f"{t} outside domain {self.domain}")
-        lo, hi = 0, len(self._pieces) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._pieces[mid][0].hi < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self._pieces[lo]
+        if not self._domain.contains(t, atol=DEFAULT_ATOL):
+            raise ValueError(f"{t} outside domain {self._domain}")
+        return self._pieces[self._index(t)]
+
+    def _index(self, t: float, forward: bool = False) -> int:
+        """Index of the piece at ``t``: the earliest whose upper bound
+        reaches ``t``, or with ``forward`` the earliest whose upper
+        bound lies beyond it (the last piece when none does)."""
+        his = self._his
+        search = bisect_right if forward else bisect_left
+        return search(his, t, 0, len(his) - 1)
 
     def __call__(self, t: float) -> float:
         _, poly = self.piece_at(t)
@@ -151,27 +181,23 @@ class PiecewiseFunction:
         holds just *after* ``t``, or the first-nonzero-sign convention
         used for intersection scheduling silently inverts.
         """
-        poly = self._forward_piece(t)[1]
+        coeffs = self._forward_piece(t)[1].coeffs
         out: List[float] = []
-        current = poly
         for _ in range(terms):
-            out.append(current(t))
-            current = current.derivative()
+            out.append(_horner(coeffs, t))
+            if len(coeffs) == 1:
+                # Every further derivative is the zero polynomial.
+                out.extend([0.0 * t + 0.0] * (terms - len(out)))
+                break
+            coeffs = _derivative(coeffs)
         return tuple(out)
 
     def _forward_piece(self, t: float) -> Piece:
         """The piece governing ``[t, t+eps)`` (last piece at domain end)."""
-        lo, hi = 0, len(self._pieces) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._pieces[mid][0].hi <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        iv, poly = self._pieces[lo]
-        if not iv.contains(t, atol=DEFAULT_ATOL):
+        piece = self._pieces[self._index(t, forward=True)]
+        if not piece[0].contains(t, atol=DEFAULT_ATOL):
             return self.piece_at(t)
-        return (iv, poly)
+        return piece
 
     def value_after(self, t: float) -> float:
         """The right-limit value at ``t``.
@@ -179,17 +205,7 @@ class PiecewiseFunction:
         Differs from ``self(t)`` only at a discontinuity, where plain
         evaluation is authoritative for the *earlier* piece.
         """
-        lo, hi = 0, len(self._pieces) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._pieces[mid][0].hi <= t:
-                lo = mid + 1
-            else:
-                hi = mid
-        iv, poly = self._pieces[lo]
-        if not iv.contains(t, atol=DEFAULT_ATOL):
-            return self(t)
-        return poly(t)
+        return self._forward_piece(t)[1](t)
 
     def sample(self, times: Sequence[float]) -> List[float]:
         """Evaluate at several times (test/baseline helper)."""
@@ -264,21 +280,11 @@ class PiecewiseFunction:
             _, pb = other.piece_at(domain.lo)
             return PiecewiseFunction([(domain, op(pa, pb))])
         for lo, hi in zip(bounds, bounds[1:]):
-            probe = self._probe_point(lo, hi)
+            probe = _probe_point(lo, hi)
             _, pa = self.piece_at(probe)
             _, pb = other.piece_at(probe)
             out.append((Interval(lo, hi), op(pa, pb)))
         return PiecewiseFunction(out)
-
-    @staticmethod
-    def _probe_point(lo: float, hi: float) -> float:
-        if math.isinf(lo) and math.isinf(hi):
-            return 0.0
-        if math.isinf(lo):
-            return hi - 1.0
-        if math.isinf(hi):
-            return lo + 1.0
-        return (lo + hi) / 2.0
 
     # -- algebra --------------------------------------------------------------
     def __add__(self, other: "PiecewiseFunction") -> "PiecewiseFunction":
@@ -333,7 +339,7 @@ class PiecewiseFunction:
         bounds = [domain.lo, *sorted(set(cuts)), domain.hi]
         out: List[Piece] = []
         for lo, hi in zip(bounds, bounds[1:]):
-            probe = self._probe_point(lo, hi)
+            probe = _probe_point(lo, hi)
             image = time_term(probe)
             if not self.domain.contains(image, atol=DEFAULT_ATOL):
                 raise ValueError(
@@ -404,7 +410,7 @@ def _poly_sign_segments(poly: Polynomial, interval: Interval) -> List[Tuple[Inte
     bounds = [interval.lo, *roots, interval.hi]
     out: List[Tuple[Interval, int]] = []
     for lo, hi in zip(bounds, bounds[1:]):
-        probe = PiecewiseFunction._probe_point(lo, hi)
+        probe = _probe_point(lo, hi)
         v = poly(probe)
         sign = 0 if abs(v) <= _SIGN_ATOL else (1 if v > 0 else -1)
         out.append((Interval(lo, hi), sign))
@@ -485,36 +491,119 @@ def first_order_flip_after(
     Never pass it when rescheduling the pair a swap was just processed
     for: the sliver of old-sign left by root rounding would re-fire the
     same event forever.
+
+    The function is a scalar kernel: it walks the cells of ``f - g``'s
+    partition forward from ``t0`` on coefficient tuples and stops at the
+    first admissible flip, building no :class:`PiecewiseFunction`,
+    :class:`Polynomial` or :class:`Interval` (a cell of degree three or
+    more hands one polynomial to :func:`real_roots`).  It performs the
+    float operations of the composition
+    ``(f - g).restrict(window).sign_segments()`` followed by the
+    baseline scan, in the same order, and returns the same float for
+    every input that composition accepts — there is no other path.
+    That composition lives on as ``tests/_oracle.reference_flip_after``,
+    and ``tests/geometry/test_flip_kernel.py`` holds the two equal.
     """
-    domain = f.domain.intersect(g.domain)
-    if domain is None or domain.hi <= t0:
+    # ``b if b > a else a`` is ``max(a, b)`` and ``b if b < a else a``
+    # is ``min(a, b)``, without the call.
+    f_domain, g_domain = f._domain, g._domain
+    dlo, dhi = f_domain.lo, f_domain.hi
+    if g_domain.lo > dlo:
+        dlo = g_domain.lo
+    if g_domain.hi < dhi:
+        dhi = g_domain.hi
+    if dlo > dhi or dhi <= t0:
         return None
-    lo = max(t0, domain.lo)
-    hi = min(horizon, domain.hi)
-    if lo > hi:
+    wlo = dlo if dlo > t0 else t0
+    whi = dhi if dhi < horizon else horizon
+    if wlo > whi:
         return None
-    window = domain.intersect(Interval(lo, hi))
-    if window is None:
-        return None
-    diff = (f - g).restrict(window)
-    segments = diff.sign_segments()
+    point_window = wlo == whi
     base_sign = 0 if assume_sign is None else assume_sign
-    for iv, sign in segments:
-        if sign == 0:
-            continue
-        if base_sign == 0:
-            base_sign = sign
-            continue
-        if sign != base_sign:
-            flip_at = iv.lo
-            if flip_at > t0 + min_gap:
-                return flip_at
-            if allow_immediate:
-                return max(flip_at, t0)
-            # The flip sits at/behind the guard band: keep scanning with
-            # the *new* sign as the baseline.
-            base_sign = sign
-    return None
+
+    # The partition of ``f - g``: the common domain cut at every interior
+    # breakpoint of either curve.  Start at the first cell that meets
+    # the window: for a point window the earliest cell containing the
+    # instant, otherwise the cell holding the window's first stretch (a
+    # cell that only touches ``wlo`` with its upper end meets the window
+    # in a single instant and is not part of the restriction).
+    f_cuts, g_cuts = f._cuts, g._cuts
+    nf, ng = len(f_cuts), len(g_cuts)
+    multi_piece = nf > 0 or ng > 0
+    a = dlo
+    kf = kg = 0
+    if multi_piece:
+        locate = bisect_left if point_window else bisect_right
+        kf, kg = locate(f_cuts, wlo), locate(g_cuts, wlo)
+        if kf and f_cuts[kf - 1] > a:
+            a = f_cuts[kf - 1]
+        if kg and g_cuts[kg - 1] > a:
+            a = g_cuts[kg - 1]
+    while True:
+        b = dhi
+        if multi_piece:
+            while kf < nf and f_cuts[kf] <= a:
+                kf += 1
+            while kg < ng and g_cuts[kg] <= a:
+                kg += 1
+            if kf < nf and f_cuts[kf] < b:
+                b = f_cuts[kf]
+            if kg < ng and g_cuts[kg] < b:
+                b = g_cuts[kg]
+            # Each curve's piece on the cell [a, b], looked up at the
+            # probe the object pipeline builds the difference from.
+            probe = _probe_point(a, b)
+            diff = _difference(
+                f._pieces[f._index(probe)][1].coeffs,
+                g._pieces[g._index(probe)][1].coeffs,
+            )
+        else:
+            diff = _difference(f._pieces[0][1].coeffs, g._pieces[0][1].coeffs)
+        lo = wlo if wlo > a else a
+        hi = whi if whi < b else b
+        degree = len(diff) - 1
+        if degree > 0 or diff[0] != 0.0:
+            # Sign runs of the cell's polynomial on [lo, hi], split at
+            # its interior roots; a coincidence stretch (zero
+            # difference) has no run to report.  The runs are scanned
+            # unmerged: the scan below only reacts to a nonzero sign
+            # that differs from the baseline, and that is always the
+            # first run of its merged stretch, so merging equal
+            # neighbours (or dropping tangency points) changes nothing
+            # it sees.
+            if degree == 0 or point_window:
+                roots: Sequence[float] = ()
+            elif degree == 2:
+                roots = _quadratic_roots(diff[0], diff[1], diff[2])
+            elif degree == 1:
+                roots = (-diff[0] / diff[1],)
+            else:
+                roots = real_roots(Polynomial(diff))
+            stops = []
+            for r in roots:
+                if lo < r < hi:
+                    stops.append(r)
+            stops.append(hi)
+            run_lo = lo
+            for run_hi in stops:
+                t = lo if point_window else _probe_point(run_lo, run_hi)
+                v = _horner(diff, t)
+                if not abs(v) <= _SIGN_ATOL:
+                    sign = 1 if v > 0 else -1
+                    if base_sign == 0:
+                        base_sign = sign
+                    elif sign != base_sign:
+                        if run_lo > t0 + min_gap:
+                            return run_lo
+                        if allow_immediate:
+                            return t0 if t0 > run_lo else run_lo
+                        # The flip sits at/behind the guard band: keep
+                        # scanning with the *new* sign as the baseline.
+                        base_sign = sign
+                run_lo = run_hi
+        if point_window or b >= whi:
+            return None
+        a = b
 
 
 def minimum(f: PiecewiseFunction, g: PiecewiseFunction) -> PiecewiseFunction:
@@ -537,7 +626,7 @@ def _envelope(f: PiecewiseFunction, g: PiecewiseFunction, lower: bool) -> Piecew
             continue
         pick_f = (sign <= 0) if lower else (sign >= 0)
         source = f if pick_f else g
-        probe = PiecewiseFunction._probe_point(iv.lo, iv.hi)
+        probe = _probe_point(iv.lo, iv.hi)
         sub = source.restrict(iv) if not iv.is_point else None
         if sub is None:
             _, poly = source.piece_at(probe)

@@ -17,17 +17,88 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
-#: Coefficients with absolute value below this are trimmed from the
-#: high-degree end.  Chosen well below any coefficient magnitude a sane
-#: workload produces but above accumulated rounding noise.
+#: Coefficients with absolute value at or below this are trimmed from
+#: the high-degree end.  Chosen well below any coefficient magnitude a
+#: sane workload produces but above accumulated rounding noise.  The
+#: threshold only ever scales *down*: a polynomial whose largest
+#: coefficient is below 1 trims relative to it (so ``9e-13 * t^16`` keeps
+#: its degree), one with a coefficient of 1 or more trims at exactly
+#: this value.
 _TRIM_EPS = 1e-12
 
 
 def _trimmed(coeffs: Sequence[float]) -> Tuple[float, ...]:
+    """``coeffs`` without its negligible high-degree tail.
+
+    The one trim rule of the package: :class:`Polynomial` and the scalar
+    kernels in :mod:`repro.geometry.piecewise` both go through it.
+    """
     end = len(coeffs)
-    while end > 1 and abs(coeffs[end - 1]) <= _TRIM_EPS:
+    eps = None
+    while end > 1:
+        size = abs(coeffs[end - 1])
+        if size > _TRIM_EPS:
+            break
+        if size > 0.0:
+            # Small but not zero: only now does the scale matter (a zero
+            # goes under any threshold, anything above ``_TRIM_EPS``
+            # stays under any).
+            if eps is None:
+                eps = _TRIM_EPS * min(1.0, max(map(abs, coeffs)))
+            if size > eps:
+                break
         end -= 1
     return tuple(coeffs[:end])
+
+
+# -- coefficient-tuple forms of three Polynomial operations ---------------------
+# The scalar kernels of :mod:`repro.geometry.piecewise` run on trimmed
+# coefficient tuples.  Each function below performs the float operations
+# of the method it names, in the same order, without the intermediate
+# objects; the methods themselves stay as they are so the object
+# pipeline remains an independent oracle (``tests/_oracle.py``).
+
+
+def _horner(coeffs: Sequence[float], t: float) -> float:
+    """``Polynomial(coeffs)(t)``."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _difference(a: Sequence[float], b: Sequence[float]) -> Tuple[float, ...]:
+    """Coefficients of ``Polynomial(a) - Polynomial(b)``.
+
+    ``__sub__`` accumulates ``a`` and then ``-b`` into a list of
+    ``0.0``: every term is ``(0.0 + a_i) + (-b_i)``, which differs from
+    ``a_i - b_i`` in the sign of a zero.
+    """
+    na, nb = len(a), len(b)
+    if na == 3 and nb == 3:
+        # Two quadratics (squared distances of linear motion), unrolled:
+        # this is the sweep's pair test and a comprehension costs more
+        # than the arithmetic.
+        a0, a1, a2 = a
+        b0, b1, b2 = b
+        lead = (0.0 + a2) + (-b2)
+        if abs(lead) > _TRIM_EPS:  # ``_trimmed`` would return it whole
+            return ((0.0 + a0) + (-b0), (0.0 + a1) + (-b1), lead)
+        out = [(0.0 + a0) + (-b0), (0.0 + a1) + (-b1), lead]
+    else:
+        out = [(0.0 + x) + (-y) for x, y in zip(a, b)]
+        if na > nb:
+            out.extend(0.0 + x for x in a[nb:])
+        elif nb > na:
+            out.extend(0.0 + (-y) for y in b[na:])
+    return _trimmed(out)
+
+
+def _derivative(coeffs: Sequence[float]) -> Tuple[float, ...]:
+    """Coefficients of ``Polynomial(coeffs).derivative()``."""
+    if len(coeffs) == 1:
+        return (0.0,)
+    return _trimmed([i * coeffs[i] for i in range(1, len(coeffs))])
 
 
 class Polynomial:

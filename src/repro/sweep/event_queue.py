@@ -36,10 +36,12 @@ class IntersectionEvent:
     #: Monotone tiebreak so equal-time events pop deterministically in
     #: scheduling order.
     order: int = field(default_factory=lambda: next(_EVENT_SEQ))
+    #: ``(time, order)``, the heap order.  Stored once: every sift step
+    #: compares two of these.
+    sort_key: Tuple[float, int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def sort_key(self) -> Tuple[float, int]:
-        return (self.time, self.order)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "sort_key", (self.time, self.order))
 
 
 class IndexedEventQueue:

@@ -29,12 +29,15 @@ against bit-identical constants (no squaring on one side only).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.baselines.naive import naive_knn_answer, naive_within_answer
 from repro.geometry.intervals import Interval
+from repro.geometry.piecewise import PiecewiseFunction
+from repro.geometry.tolerance import DEFAULT_ATOL
 from repro.geometry.vectors import Vector
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.mod.database import MovingObjectDatabase
@@ -555,3 +558,64 @@ def assert_probes_equal(
     for (t1, m1), (t2, m2) in zip(got, expected):
         assert t1 == t2, f"{label}: probe schedule diverged ({t1} vs {t2})"
         assert m1 == m2, f"{label}: instant answer at t={t1}: {m1} != {m2}"
+
+
+# -- geometry oracles -----------------------------------------------------
+# The object pipeline the scalar kernels of ``repro.geometry.piecewise``
+# replaced, kept verbatim: ``tests/geometry/test_flip_kernel.py`` holds
+# the kernels to exact equality with these.
+
+
+def reference_flip_after(
+    f: PiecewiseFunction,
+    g: PiecewiseFunction,
+    t0: float,
+    horizon: float = math.inf,
+    min_gap: float = DEFAULT_ATOL,
+    assume_sign: Optional[int] = None,
+    allow_immediate: bool = False,
+) -> Optional[float]:
+    """``first_order_flip_after`` as the composition
+    ``(f - g).restrict(window).sign_segments()`` plus the baseline scan."""
+    domain = f.domain.intersect(g.domain)
+    if domain is None or domain.hi <= t0:
+        return None
+    lo = max(t0, domain.lo)
+    hi = min(horizon, domain.hi)
+    if lo > hi:
+        return None
+    window = domain.intersect(Interval(lo, hi))
+    if window is None:
+        return None
+    diff = (f - g).restrict(window)
+    segments = diff.sign_segments()
+    base_sign = 0 if assume_sign is None else assume_sign
+    for iv, sign in segments:
+        if sign == 0:
+            continue
+        if base_sign == 0:
+            base_sign = sign
+            continue
+        if sign != base_sign:
+            flip_at = iv.lo
+            if flip_at > t0 + min_gap:
+                return flip_at
+            if allow_immediate:
+                return max(flip_at, t0)
+            # The flip sits at/behind the guard band: keep scanning with
+            # the *new* sign as the baseline.
+            base_sign = sign
+    return None
+
+
+def reference_forward_taylor(
+    f: PiecewiseFunction, t: float, terms: int = 8
+) -> Tuple[float, ...]:
+    """``PiecewiseFunction.forward_taylor`` through ``terms`` successive
+    ``Polynomial.derivative()`` objects."""
+    current = f._forward_piece(t)[1]
+    out: List[float] = []
+    for _ in range(terms):
+        out.append(current(t))
+        current = current.derivative()
+    return tuple(out)

@@ -33,7 +33,7 @@ def random_trajectory(rng, legs=3):
 
 class TestClosestApproachProperty:
     @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_no_sample_beats_the_closed_form(self, seed):
         rng = random.Random(seed)
         a = random_trajectory(rng)
@@ -46,7 +46,7 @@ class TestClosestApproachProperty:
             assert sampled >= result.distance - 1e-6
 
     @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_reported_minimum_is_attained(self, seed):
         rng = random.Random(seed)
         a = random_trajectory(rng)
@@ -61,7 +61,7 @@ class TestViolationIntervalsProperty:
         st.integers(min_value=0, max_value=10**6),
         st.floats(min_value=2.0, max_value=25.0),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_sampling_agrees_with_intervals(self, seed, separation):
         rng = random.Random(seed)
         # Histories are fully known: the clock sits past every turn.
@@ -90,7 +90,7 @@ class TestViolationIntervalsProperty:
 
 class TestResidenceProperty:
     @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_membership_matches_geometry(self, seed):
         rng = random.Random(seed)
         traj = random_trajectory(rng)

@@ -1,10 +1,14 @@
 """Tests for closed/unbounded intervals and interval sets."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
 from repro.geometry.intervals import Interval, IntervalSet, interval_set_from_pairs
+from repro.geometry.piecewise import PiecewiseFunction
+from repro.geometry.poly import Polynomial
 
 
 class TestIntervalConstruction:
@@ -41,6 +45,41 @@ class TestIntervalConstruction:
         iv = Interval.point(2.0)
         assert iv.is_point
         assert iv.length == 0.0
+
+
+class TestIntervalSlots:
+    """``Interval`` is a frozen dataclass with hand-written slots; the
+    process-pool backend ships intervals (and curves holding them) to
+    workers, so they must survive pickling."""
+
+    def test_no_instance_dict(self):
+        iv = Interval(1.0, 2.0)
+        assert not hasattr(iv, "__dict__")
+        with pytest.raises(AttributeError):
+            iv.lo = 0.0
+
+    @pytest.mark.parametrize(
+        "iv", [Interval(1.0, 2.5), Interval.point(3.0), Interval.all_time()]
+    )
+    def test_pickle_and_deepcopy_round_trip(self, iv):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(iv, protocol)) == iv
+        assert copy.deepcopy(iv) == iv
+        assert copy.copy(iv) == iv
+        assert hash(copy.deepcopy(iv)) == hash(iv)
+
+    def test_curve_round_trip_keeps_lookup_state(self):
+        f = PiecewiseFunction(
+            [
+                (Interval(0.0, 2.0), Polynomial([1.0, 1.0])),
+                (Interval(2.0, math.inf), Polynomial([3.0])),
+            ]
+        )
+        for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert clone == f
+            assert clone.domain == f.domain
+            assert clone.piece_at(2.5) == f.piece_at(2.5)
+            assert clone.forward_taylor(2.0) == f.forward_taylor(2.0)
 
 
 class TestIntervalPredicates:

@@ -36,7 +36,7 @@ from repro.server import (
 )
 from tests._oracle import answers_equal
 
-SETTINGS = settings(max_examples=40, deadline=None)
+SETTINGS = settings(max_examples=40)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,19 @@ class TestPairKey:
         assert pair_key(7, 3) == (3, 7)
 
 
+class TestEventOrder:
+    def test_sort_key_is_time_then_scheduling_order(self):
+        first, second = ev(2.0, 1, 2), ev(2.0, 3, 4)
+        assert first.sort_key == (2.0, first.order)
+        assert first.sort_key < second.sort_key
+        assert ev(1.0, 5, 6).sort_key < first.sort_key
+
+    def test_sort_key_is_not_part_of_identity(self):
+        event = IntersectionEvent(1.0, pair_key(1, 2), order=7)
+        assert event == IntersectionEvent(1.0, pair_key(1, 2), order=7)
+        assert "sort_key" not in repr(event)
+
+
 class TestBasicOperations:
     def test_push_pop_ordered(self):
         q = IndexedEventQueue()

@@ -62,7 +62,7 @@ def apply_random_updates(db, rng, count, horizon):
 
 class TestFuzzKNN:
     @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_knn_with_update_bursts(self, seed):
         db, rng = seeded_db(seed)
         horizon = 25.0
@@ -78,7 +78,7 @@ class TestFuzzKNN:
         assert view.answer().approx_equals(truth, atol=1e-5)
 
     @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_jumpy_gdistance_with_updates(self, seed):
         db, rng = seeded_db(seed, objects=5)
         horizon = 20.0
@@ -99,7 +99,7 @@ class TestFuzzWithin:
         st.integers(min_value=0, max_value=10**6),
         st.floats(min_value=25.0, max_value=2500.0),
     )
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_within_random_thresholds(self, seed, threshold):
         db, rng = seeded_db(seed)
         horizon = 20.0

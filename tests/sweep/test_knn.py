@@ -181,7 +181,7 @@ class TestAgainstNaive:
         assert view.answer().approx_equals(naive, atol=1e-6)
 
     @given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=1, max_value=3))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_property_random_seeds(self, seed, k):
         db = random_linear_mod(6, seed=seed, extent=25.0, speed=7.0)
         gd = origin_distance()

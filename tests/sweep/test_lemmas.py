@@ -73,7 +73,7 @@ class TestLemma7:
 
 class TestLemma8:
     @given(st.integers(min_value=0, max_value=10_000))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_equal_orders_imply_equal_answers(self, seed):
         db = random_linear_mod(8, seed=seed, extent=30.0, speed=6.0)
         gd = origin_distance()

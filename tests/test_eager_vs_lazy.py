@@ -100,7 +100,7 @@ class TestEagerEqualsLazy:
         assert eager.approx_equals(lazy, atol=1e-6)
 
     @given(st.integers(min_value=0, max_value=100_000))
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     def test_property_over_random_streams(self, seed):
         db, stream, updates = build_workload(seed, objects=5, updates=12)
         horizon = 30.0

@@ -65,7 +65,7 @@ def gd():
 
 class TestValidAnswersAreImmutable:
     @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     def test_knn_valid_survives_any_updates(self, seed):
         db, rng = random_db(seed)
         query = knn_query(Interval(1.0, 30.0), 1)
@@ -78,7 +78,7 @@ class TestValidAnswersAreImmutable:
         )
 
     @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_within_valid_survives_any_updates(self, seed):
         db, rng = random_db(seed)
         query = within_query(Interval(1.0, 30.0), 400.0)
@@ -122,7 +122,7 @@ class TestPredictionsAreRevocable:
 
 class TestClassificationStability:
     @given(st.integers(min_value=0, max_value=10**6))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=15)
     def test_past_queries_are_fixed_points(self, seed):
         """A query classified PAST keeps its exact answer under any
         update sequence (the definition of past: Q(D) = Q^v(D))."""
