@@ -78,8 +78,8 @@ def test_ingest_overhead(benchmark, tmp_path):
         pipe.flush()
         return pipe
 
-    def run_repair_wal(fsync, directory):
-        with WriteAheadLog(directory, fsync=fsync) as wal:
+    def run_repair_wal(sync, directory):
+        with WriteAheadLog(directory, sync=sync) as wal:
             pipe = IngestPipeline(
                 _fresh_db(), policy="repair", window=window, wal=wal
             )
@@ -97,11 +97,11 @@ def test_ingest_overhead(benchmark, tmp_path):
             ("repair", run_repair),
             (
                 "repair+wal",
-                lambda: run_repair_wal(False, str(tmp_path / "wal-nofsync")),
+                lambda: run_repair_wal("flush", str(tmp_path / "wal-nofsync")),
             ),
             (
                 "repair+fsync",
-                lambda: run_repair_wal(True, str(tmp_path / "wal-fsync")),
+                lambda: run_repair_wal("fsync", str(tmp_path / "wal-fsync")),
             ),
         ):
             per_update = _time(fn) / len(clean)

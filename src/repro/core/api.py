@@ -11,11 +11,11 @@ arrive (*future* and *continuing* queries).
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Set, Union
+from typing import Dict, Optional, Sequence, Set
 
+from repro.core.spec import QueryLike, QuerySpec, _as_gdistance  # noqa: F401
 from repro.geometry.intervals import Interval
 from repro.gdist.base import GDistance
-from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId
 from repro.obs.instrument import as_instrumentation
@@ -24,18 +24,6 @@ from repro.query.answers import SnapshotAnswer
 from repro.query.query import Query
 from repro.sweep.engine import SweepEngine
 from repro.sweep.evaluator import GenericFOEvaluator
-from repro.sweep.knn import ContinuousKNN
-from repro.sweep.multiknn import MultiKNN
-from repro.sweep.within import ContinuousWithin
-from repro.trajectory.trajectory import Trajectory
-
-QueryLike = Union[Trajectory, Sequence[float], GDistance]
-
-
-def _as_gdistance(query: QueryLike) -> GDistance:
-    if isinstance(query, GDistance):
-        return query
-    return SquaredEuclideanDistance(query)
 
 
 def _profile_of(observe):
@@ -48,44 +36,70 @@ def _stage(profile, name: str):
     return NULL_STAGE if profile is None else profile.stage(name)
 
 
-def _sharded_evaluator(
-    mode: str,
+def open_engine(
     db: MovingObjectDatabase,
-    query: QueryLike,
-    interval: Interval,
-    shards: int,
-    backend,
-    batch_size: int,
-    observe,
+    spec: QuerySpec,
+    observe=None,
     curve_store=None,
-    **params,
+    shards: Optional[int] = None,
+    **sharding,
 ):
-    """Build a one-shot sharded evaluator over ``interval``.
+    """An ``(engine, view)`` pair sweeping ``spec``'s window over ``db``.
 
-    Imported lazily so ``repro.core`` has no hard dependency on
-    ``repro.parallel`` (which itself imports this module).
+    One :class:`~repro.sweep.engine.SweepEngine` with the spec's view;
+    with ``shards``, a
+    :class:`~repro.parallel.evaluator.ShardedSweepEvaluator` (which
+    speaks the engine facade and reads as its own view) built with the
+    remaining ``sharding`` options.  Imported lazily so ``repro.core``
+    has no hard dependency on ``repro.parallel`` (which itself imports
+    this module).
+    """
+    if shards is not None:
+        from repro.parallel.evaluator import ShardedSweepEvaluator
+
+        evaluator = ShardedSweepEvaluator(
+            db,
+            spec,
+            shards=shards,
+            observe=observe,
+            curve_store=curve_store,
+            **sharding,
+        )
+        return evaluator, evaluator
+    engine = SweepEngine(
+        db,
+        spec.gdistance,
+        Interval(spec.lo, spec.hi),
+        constants=spec.constants,
+        observe=observe,
+        curve_store=curve_store,
+    )
+    return engine, spec.view(engine)
+
+
+def _sharded_sweep(
+    db: MovingObjectDatabase,
+    spec: QuerySpec,
+    interval: Interval,
+    observe,
+    curve_store,
+    **options,
+):
+    """One-shot evaluation on a sharded evaluator over ``interval``.
 
     When the ``observe`` bundle carries a profile, the three phases
     land in top-level stages (``shards.init`` / ``shards.sweep`` /
     ``shards.finalize``) with the evaluator's per-shard and merge
     stages nested inside.
     """
-    from repro.parallel.evaluator import ShardedSweepEvaluator
-
     profile = _profile_of(observe)
-    factory = getattr(ShardedSweepEvaluator, mode)
     with _stage(profile, "shards.init"):
-        evaluator = factory(
+        evaluator, _ = open_engine(
             db,
-            query,
-            until=interval.hi,
-            start=interval.lo,
-            shards=shards,
-            backend=backend,
-            batch_size=batch_size,
-            observe=observe,
-            curve_store=curve_store,
-            **params,
+            spec.over(interval.lo, interval.hi),
+            observe,
+            curve_store,
+            **options,
         )
     with _stage(profile, "shards.sweep"):
         evaluator.advance_to(interval.hi)
@@ -93,93 +107,107 @@ def _sharded_evaluator(
         evaluator.finalize()
         if profile is not None:
             st.annotate(ops=evaluator.primitive_ops())
-    return evaluator
-
-
-def _cached_sweep(
-    cache,
-    db: MovingObjectDatabase,
-    gdistance: GDistance,
-    interval: Interval,
-    kind: str,
-    view_factory,
-    observe,
-    constants: Sequence[float] = (),
-    **params,
-):
-    """Evaluate one query on a *continuation* engine and cache it.
-
-    The engine's horizon is left open (``[lo, +inf)``) so the very
-    engine that answered this query stays extensible: a later query
-    over a longer interval continues the sweep from ``interval.hi``
-    (Theorem 5's per-update maintenance) instead of re-running the
-    ``O(N log N)`` initialization.  The answer over ``interval`` is
-    read off non-destructively with a timeline snapshot; it is
-    identical to the finalized answer of a ``[lo, hi]`` engine (events
-    beyond ``hi`` are scheduled but never processed).
-    """
-    profile = _profile_of(observe)
-    with _stage(profile, "init") as st:
-        engine = SweepEngine(
-            db,
-            gdistance,
-            Interval.at_least(interval.lo),
-            constants=constants,
-            observe=observe,
-            curve_store=cache.curves,
-        )
-        view = view_factory(engine)
-        if profile is not None:
-            st.annotate(ops=engine.primitive_ops())
-    init_ops = engine.primitive_ops() if profile is not None else 0
-    with _stage(profile, "sweep") as st:
-        engine.advance_to(interval.hi)
-        if profile is not None:
-            st.annotate(ops=engine.primitive_ops() - init_ops)
-    with _stage(profile, "answer"):
-        if hasattr(view, "partial_answers"):
-            payload = view.partial_answers(interval.hi)
-        else:
-            payload = view.partial_answer(interval.hi)
-    with _stage(profile, "cache.store"):
-        cache.store(
-            kind,
-            gdistance,
-            interval,
-            payload,
-            engine=engine,
-            view=view,
-            **params,
-        )
-    return payload
+    return spec.answer(evaluator)
 
 
 def _single_sweep(
     db: MovingObjectDatabase,
-    gdistance: GDistance,
+    spec: QuerySpec,
     interval: Interval,
-    view_factory,
     observe,
-    constants: Sequence[float] = (),
+    cache,
 ):
-    """One plain (uncached, unsharded) sweep with stage attribution."""
+    """One unsharded sweep with stage attribution.
+
+    With a ``cache`` the engine's horizon is left open (``[lo, +inf)``)
+    so the very engine that answered this query stays extensible: a
+    later query over a longer interval continues the sweep from
+    ``interval.hi`` (Theorem 5's per-update maintenance) instead of
+    re-running the ``O(N log N)`` initialization.  The answer over
+    ``interval`` is then read off non-destructively with a timeline
+    snapshot; it is identical to the finalized answer of a ``[lo, hi]``
+    engine (events beyond ``hi`` are scheduled but never processed).
+    """
     profile = _profile_of(observe)
     with _stage(profile, "init") as st:
-        engine = SweepEngine(
-            db, gdistance, interval, constants=constants, observe=observe
+        engine, view = open_engine(
+            db,
+            spec.over(interval.lo, interval.hi if cache is None else math.inf),
+            observe,
+            None if cache is None else cache.curves,
         )
-        view = view_factory(engine)
         if profile is not None:
             st.annotate(ops=engine.primitive_ops())
     init_ops = engine.primitive_ops() if profile is not None else 0
     with _stage(profile, "sweep") as st:
-        engine.run_to_end()
+        if cache is None:
+            engine.run_to_end()
+        else:
+            engine.advance_to(interval.hi)
         if profile is not None:
             st.annotate(ops=engine.primitive_ops() - init_ops)
     with _stage(profile, "answer"):
-        if hasattr(view, "answers"):
-            return view.answers()
-        return view.answer()
+        if cache is None:
+            return spec.answer(view)
+        payload = spec.partial(view, interval.hi)
+    with _stage(profile, "cache.store"):
+        cache.store(
+            spec.kind,
+            spec.gdistance,
+            interval,
+            payload,
+            engine=engine,
+            view=view,
+            **spec.params,
+        )
+    return payload
+
+
+def _evaluate(
+    db: MovingObjectDatabase,
+    spec: QuerySpec,
+    interval: Interval,
+    observe,
+    shards: Optional[int],
+    backend,
+    batch_size: int,
+    cache,
+):
+    """The one body behind :func:`evaluate_knn`, :func:`evaluate_within`
+    and :func:`evaluate_multiknn`: cache probe, then a sharded or a
+    single sweep, depositing what it computed."""
+    observe = as_instrumentation(observe)
+    profile = _profile_of(observe)
+    caching = cache is not None and interval.is_bounded
+    if caching:
+        cache.bind(db)
+        with _stage(profile, "cache.probe") as st:
+            hit = cache.lookup(
+                spec.kind, spec.gdistance, interval, profile=profile, **spec.params
+            )
+            st.annotate(hit=hit is not None)
+        if hit is not None:
+            return hit
+    if shards is None:
+        return _single_sweep(
+            db, spec, interval, observe, cache if caching else None
+        )
+    answer = _sharded_sweep(
+        db,
+        spec,
+        interval,
+        observe,
+        None if cache is None else cache.curves,
+        shards=shards,
+        backend=backend,
+        batch_size=batch_size,
+    )
+    if caching:
+        with _stage(profile, "cache.store"):
+            cache.store(
+                spec.kind, spec.gdistance, interval, answer, **spec.params
+            )
+    return answer
 
 
 def evaluate_knn(
@@ -213,50 +241,15 @@ def evaluate_knn(
     original sweep, cold queries by a cached-curve engine build.  The
     cache binds to ``db`` and invalidates itself on every update.
     """
-    gdistance = _as_gdistance(query)
-    observe = as_instrumentation(observe)
-    profile = _profile_of(observe)
-    if cache is not None and interval.is_bounded:
-        cache.bind(db)
-        with _stage(profile, "cache.probe") as st:
-            hit = cache.lookup("knn", gdistance, interval, profile=profile, k=k)
-            st.annotate(hit=hit is not None)
-        if hit is not None:
-            return hit
-        if shards is None:
-            return _cached_sweep(
-                cache,
-                db,
-                gdistance,
-                interval,
-                "knn",
-                lambda engine: ContinuousKNN(engine, k),
-                observe,
-                k=k,
-            )
-    if shards is not None:
-        answer = _sharded_evaluator(
-            "knn",
-            db,
-            query,
-            interval,
-            shards,
-            backend,
-            batch_size,
-            observe,
-            curve_store=None if cache is None else cache.curves,
-            k=k,
-        ).answer()
-        if cache is not None and interval.is_bounded:
-            with _stage(profile, "cache.store"):
-                cache.store("knn", gdistance, interval, answer, k=k)
-        return answer
-    return _single_sweep(
+    return _evaluate(
         db,
-        gdistance,
+        QuerySpec.knn(query, k),
         interval,
-        lambda engine: ContinuousKNN(engine, k),
         observe,
+        shards,
+        backend,
+        batch_size,
+        cache,
     )
 
 
@@ -280,63 +273,15 @@ def evaluate_within(
     :func:`evaluate_knn`; ``cache`` serves repeated and overlapping
     queries as in :func:`evaluate_knn`.
     """
-    gdistance = _as_gdistance(query)
-    threshold = (
-        distance * distance if not isinstance(query, GDistance) else float(distance)
-    )
-    observe = as_instrumentation(observe)
-    profile = _profile_of(observe)
-    if cache is not None and interval.is_bounded:
-        cache.bind(db)
-        with _stage(profile, "cache.probe") as st:
-            hit = cache.lookup(
-                "within",
-                gdistance,
-                interval,
-                profile=profile,
-                threshold=threshold,
-            )
-            st.annotate(hit=hit is not None)
-        if hit is not None:
-            return hit
-        if shards is None:
-            return _cached_sweep(
-                cache,
-                db,
-                gdistance,
-                interval,
-                "within",
-                lambda engine: ContinuousWithin(engine, threshold),
-                observe,
-                constants=[threshold],
-                threshold=threshold,
-            )
-    if shards is not None:
-        answer = _sharded_evaluator(
-            "within",
-            db,
-            query,
-            interval,
-            shards,
-            backend,
-            batch_size,
-            observe,
-            curve_store=None if cache is None else cache.curves,
-            distance=distance,
-        ).answer()
-        if cache is not None and interval.is_bounded:
-            with _stage(profile, "cache.store"):
-                cache.store(
-                    "within", gdistance, interval, answer, threshold=threshold
-                )
-        return answer
-    return _single_sweep(
+    return _evaluate(
         db,
-        gdistance,
+        QuerySpec.within(query, distance),
         interval,
-        lambda engine: ContinuousWithin(engine, threshold),
         observe,
-        constants=[threshold],
+        shards,
+        backend,
+        batch_size,
+        cache,
     )
 
 
@@ -359,52 +304,15 @@ def evaluate_multiknn(
     :func:`evaluate_knn`; ``cache`` serves repeated and overlapping
     queries as in :func:`evaluate_knn`.
     """
-    gdistance = _as_gdistance(query)
-    observe = as_instrumentation(observe)
-    profile = _profile_of(observe)
-    if cache is not None and interval.is_bounded:
-        cache.bind(db)
-        with _stage(profile, "cache.probe") as st:
-            hit = cache.lookup(
-                "multiknn", gdistance, interval, profile=profile, ks=ks
-            )
-            st.annotate(hit=hit is not None)
-        if hit is not None:
-            return hit
-        if shards is None:
-            return _cached_sweep(
-                cache,
-                db,
-                gdistance,
-                interval,
-                "multiknn",
-                lambda engine: MultiKNN(engine, ks),
-                observe,
-                ks=ks,
-            )
-    if shards is not None:
-        answers = _sharded_evaluator(
-            "multiknn",
-            db,
-            query,
-            interval,
-            shards,
-            backend,
-            batch_size,
-            observe,
-            curve_store=None if cache is None else cache.curves,
-            ks=ks,
-        ).answers()
-        if cache is not None and interval.is_bounded:
-            with _stage(profile, "cache.store"):
-                cache.store("multiknn", gdistance, interval, answers, ks=ks)
-        return answers
-    return _single_sweep(
+    return _evaluate(
         db,
-        gdistance,
+        QuerySpec.multiknn(query, ks),
         interval,
-        lambda engine: MultiKNN(engine, ks),
         observe,
+        shards,
+        backend,
+        batch_size,
+        cache,
     )
 
 
@@ -509,13 +417,28 @@ class ContinuousQuerySession:
         self._engine = engine
         self._view = view
         self._closed = False
-        # (kind, gdistance, params) for depositing the final answer
-        # into the cache at close time.
+        # The QuerySpec the final answer is deposited under at close.
         self._cache = cache
         self._cache_query = cache_query
         db.subscribe(engine.on_update)
 
     # -- constructors -----------------------------------------------------
+    @classmethod
+    def _open(
+        cls, db, spec: QuerySpec, until, start, observe, cache, **sharding
+    ) -> "ContinuousQuerySession":
+        if cache is not None:
+            cache.bind(db)
+        lo = db.last_update_time if start is None else start
+        engine, view = open_engine(
+            db,
+            spec.over(lo, until),
+            observe,
+            None if cache is None else cache.curves,
+            **sharding,
+        )
+        return cls(db, engine, view, cache, spec)
+
     @classmethod
     def knn(
         cls,
@@ -541,36 +464,17 @@ class ContinuousQuerySession:
         builds the engine over shared memoized curves and deposits the
         session's final answer at :meth:`close` for later reuse.
         """
-        gdistance = _as_gdistance(query)
-        if cache is not None:
-            cache.bind(db)
-        cache_query = ("knn", gdistance, {"k": k})
-        if shards is not None:
-            from repro.parallel.evaluator import ShardedSweepEvaluator
-
-            evaluator = ShardedSweepEvaluator.knn(
-                db,
-                query,
-                k=k,
-                until=until,
-                start=start,
-                shards=shards,
-                backend=backend,
-                batch_size=batch_size,
-                observe=observe,
-                curve_store=None if cache is None else cache.curves,
-            )
-            return cls(db, evaluator, evaluator, cache, cache_query)
-        lo = db.last_update_time if start is None else start
-        engine = SweepEngine(
+        return cls._open(
             db,
-            gdistance,
-            Interval(lo, until),
-            observe=observe,
-            curve_store=None if cache is None else cache.curves,
+            QuerySpec.knn(query, k),
+            until,
+            start,
+            observe,
+            cache,
+            shards=shards,
+            backend=backend,
+            batch_size=batch_size,
         )
-        view = ContinuousKNN(engine, k)
-        return cls(db, engine, view, cache, cache_query)
 
     @classmethod
     def within(
@@ -590,42 +494,17 @@ class ContinuousQuerySession:
         ``start``).  ``observe`` optionally wires telemetry into the
         underlying engine; ``shards`` selects sharded maintenance and
         ``cache`` shared curve memoization as in :meth:`knn`."""
-        gdistance = _as_gdistance(query)
-        threshold = (
-            distance * distance
-            if not isinstance(query, GDistance)
-            else float(distance)
-        )
-        if cache is not None:
-            cache.bind(db)
-        cache_query = ("within", gdistance, {"threshold": threshold})
-        if shards is not None:
-            from repro.parallel.evaluator import ShardedSweepEvaluator
-
-            evaluator = ShardedSweepEvaluator.within(
-                db,
-                query,
-                distance,
-                until=until,
-                start=start,
-                shards=shards,
-                backend=backend,
-                batch_size=batch_size,
-                observe=observe,
-                curve_store=None if cache is None else cache.curves,
-            )
-            return cls(db, evaluator, evaluator, cache, cache_query)
-        lo = db.last_update_time if start is None else start
-        engine = SweepEngine(
+        return cls._open(
             db,
-            gdistance,
-            Interval(lo, until),
-            constants=[threshold],
-            observe=observe,
-            curve_store=None if cache is None else cache.curves,
+            QuerySpec.within(query, distance),
+            until,
+            start,
+            observe,
+            cache,
+            shards=shards,
+            backend=backend,
+            batch_size=batch_size,
         )
-        view = ContinuousWithin(engine, threshold)
-        return cls(db, engine, view, cache, cache_query)
 
     # -- live inspection ------------------------------------------------------
     @property
@@ -689,8 +568,8 @@ class ContinuousQuerySession:
         end = self._engine.current_time
         lo = answer.interval.lo
         if self._cache is not None and math.isfinite(lo) and math.isfinite(end):
-            kind, gdistance, params = self._cache_query
+            spec = self._cache_query
             self._cache.store(
-                kind, gdistance, Interval(lo, end), answer, **params
+                spec.kind, spec.gdistance, Interval(lo, end), answer, **spec.params
             )
         return answer

@@ -490,7 +490,13 @@ class RemoteQueryClient:
         return drained
 
     # -- session verbs -----------------------------------------------------
-    def _open(self, args: dict) -> "RemoteQuerySession":
+    def _open(
+        self, args: dict, priority: int, shards: Optional[int]
+    ) -> "RemoteQuerySession":
+        if priority:
+            args["priority"] = int(priority)
+        if shards is not None:
+            args["shards"] = int(shards)
         result = self.request("open", args)
         return RemoteQuerySession(
             self,
@@ -509,12 +515,8 @@ class RemoteQueryClient:
     ) -> "RemoteQuerySession":
         """Register a continuous k-NN query at the fixed point
         ``query`` (coordinates)."""
-        args: dict = {"kind": "knn", "query": list(query), "k": int(k)}
-        if priority:
-            args["priority"] = int(priority)
-        if shards is not None:
-            args["shards"] = int(shards)
-        return self._open(args)
+        args = {"kind": "knn", "query": list(query), "k": int(k)}
+        return self._open(args, priority, shards)
 
     def open_within(
         self,
@@ -537,11 +539,7 @@ class RemoteQueryClient:
             args["distance"] = float(distance)
         else:
             args["threshold"] = float(threshold)
-        if priority:
-            args["priority"] = int(priority)
-        if shards is not None:
-            args["shards"] = int(shards)
-        return self._open(args)
+        return self._open(args, priority, shards)
 
     def open_multiknn(
         self,
@@ -556,11 +554,7 @@ class RemoteQueryClient:
             "query": list(query),
             "ks": [int(k) for k in ks],
         }
-        if priority:
-            args["priority"] = int(priority)
-        if shards is not None:
-            args["shards"] = int(shards)
-        return self._open(args)
+        return self._open(args, priority, shards)
 
     # -- service verbs -----------------------------------------------------
     def ping(self) -> float:

@@ -735,39 +735,37 @@ class QueryNetServer:
             raise ProtocolError(
                 "open needs 'query': the fixed query point's coordinates"
             )
-        gdistance = SquaredEuclideanDistance([float(c) for c in coords])
-        priority = int(request.get("priority", 0))
+        point = [float(c) for c in coords]
         shards = request.get("shards")
-        shards = None if shards is None else int(shards)
+        options = {
+            "priority": int(request.get("priority", 0)),
+            "shards": None if shards is None else int(shards),
+        }
         server = self._server
         if kind == "knn":
             session = server.register_knn(
-                gdistance,
-                k=int(request.get("k", 1)),
-                priority=priority,
-                shards=shards,
+                point, k=int(request.get("k", 1)), **options
             )
         elif kind == "within":
             if "threshold" in request:
-                # g-distance units, compared as-is.
-                threshold = float(request["threshold"])
+                # g-distance units: a GDistance query compares as-is.
+                session = server.register_within(
+                    SquaredEuclideanDistance(point),
+                    float(request["threshold"]),
+                    **options,
+                )
             elif "distance" in request:
-                distance = float(request["distance"])
-                threshold = distance * distance
+                session = server.register_within(
+                    point, float(request["distance"]), **options
+                )
             else:
                 raise ProtocolError(
                     "within needs 'distance' (Euclidean) or "
                     "'threshold' (g-distance units)"
                 )
-            session = server.register_within(
-                gdistance, threshold, priority=priority, shards=shards
-            )
         elif kind == "multiknn":
             session = server.register_multiknn(
-                gdistance,
-                [int(k) for k in request.get("ks", ())],
-                priority=priority,
-                shards=shards,
+                point, [int(k) for k in request.get("ks", ())], **options
             )
         else:
             raise ProtocolError(f"unknown query kind {kind!r}")
@@ -807,10 +805,7 @@ class QueryNetServer:
         meta = {
             "session": session.session_id,
             "shards": session.shards,
-            **{
-                key: list(value) if isinstance(value, tuple) else value
-                for key, value in session.params.items()
-            },
+            **session.query.params,
         }
         profiler = QueryProfiler()
         with profiler.profile(
@@ -1124,7 +1119,10 @@ class QueryNetServer:
                     force=True,
                 )
         # Stream the drain's close records before saying goodbye, so a
-        # standby mirrors the drained (terminal) state.
+        # standby mirrors the drained (terminal) state.  Attached
+        # replicas must ack them; one that left cannot come back (the
+        # listener closed above), so its reconnect grace is over.
+        self._repl_grace_until = 0.0
         self._flush_repl()
         await self._repl_barrier()
         if self._heartbeat_task is not None:

@@ -163,18 +163,13 @@ def explain(
     id sequence, slow-query log, and workload attribution across many
     explains; otherwise a throwaway profiler is used.
     """
-    from repro.core.api import (
-        evaluate_knn,
-        evaluate_multiknn,
-        evaluate_within,
-    )
+    from repro.core.api import _evaluate
+    from repro.core.spec import KNN, MULTIKNN, WITHIN, QuerySpec
 
-    if kind == "within" and distance is None:
+    if kind == WITHIN and distance is None:
         raise ValueError("within queries need a distance")
-    if kind == "multiknn" and not ks:
+    if kind == MULTIKNN and not ks:
         raise ValueError("multiknn queries need ks")
-    if kind not in ("knn", "within", "multiknn"):
-        raise ValueError(f"unknown query kind {kind!r}")
     if profiler is None:
         profiler = QueryProfiler()
     meta = {
@@ -183,27 +178,20 @@ def explain(
         "backend": backend if shards is not None else None,
         "cache": cache is not None,
     }
-    if kind == "knn":
+    if kind == KNN:
+        spec = QuerySpec.knn(query, k)
         meta["k"] = k
-    elif kind == "within":
+    elif kind == WITHIN:
+        spec = QuerySpec.within(query, distance)
         meta["distance"] = distance
-    else:
+    elif kind == MULTIKNN:
+        spec = QuerySpec.multiknn(query, ks)
         meta["ks"] = list(ks)
+    else:
+        raise ValueError(f"unknown query kind {kind!r}")
     with profiler.profile(kind, query_id=query_id, **meta) as prof:
-        common = dict(
-            observe=prof.observe,
-            shards=shards,
-            backend=backend,
-            batch_size=batch_size,
-            cache=cache,
+        answer = _evaluate(
+            db, spec, interval, prof.observe, shards, backend, batch_size, cache
         )
-        if kind == "knn":
-            answer = evaluate_knn(db, query, interval, k=k, **common)
-        elif kind == "within":
-            answer = evaluate_within(
-                db, query, interval, distance=distance, **common
-            )
-        else:
-            answer = evaluate_multiknn(db, query, interval, ks=ks, **common)
         prof.record_answer(answer)
     return ExplainReport(prof, answer)

@@ -1,8 +1,12 @@
-"""Execution backends hosting shard sweep engines.
+"""The engine host, and the execution backends that run one per shard.
 
-A *shard host* owns one shard's state — the shard database, its
-:class:`~repro.sweep.engine.SweepEngine`, and the view — and exposes a
-small op protocol the evaluator drives:
+An *engine host* (:class:`ShardRuntime`) owns one database's sweep
+state and is the one place a broken engine is healed: salvage what it
+accumulated, re-run Theorem 5 initialization from the database, stitch
+the pieces at the end.  A
+:class:`~repro.resilience.supervisor.SupervisedQuerySession` holds one
+over the caller's MOD; a sharded evaluator holds one per shard,
+through a backend, and drives it with a small op protocol:
 
 ``apply(updates)``
     One chronological sub-batch of this shard's updates.
@@ -10,16 +14,15 @@ small op protocol the evaluator drives:
     Clock ticks and instant answers (members paired with their current
     g-distance values, the inputs to the ``O(k * shards)`` merge).
 ``finalize(end)``
-    Finish the shard sweep and return its snapshot answer (a dict of
-    answers per ``k`` in multiknn mode).
+    Finish the sweep and return the stitched snapshot answer (a dict
+    of answers per ``k`` in multiknn mode).
 ``rebuild()``
-    Theorem 5 re-initialization of just this shard from its own
-    database state, salvaging the answer accumulated so far — the
-    shard-granular version of the supervisor's recovery step.
+    Theorem 5 re-initialization from the host's own database state,
+    salvaging the answer accumulated so far.
 
 Two backends implement the protocol:
 
-- :class:`SequentialBackend` — shard state lives in-process;
+- :class:`SequentialBackend` — the host itself, in-process;
   deterministic, zero serialization, the default.
 - :class:`ProcessPoolBackend` — each shard is pinned to its own
   single-worker :class:`concurrent.futures.ProcessPoolExecutor`.  Only
@@ -32,27 +35,19 @@ Two backends implement the protocol:
 
 from __future__ import annotations
 
-import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from contextlib import nullcontext
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core.api import open_engine
+from repro.core.spec import Answer, QuerySpec
 from repro.geometry.intervals import Interval
-from repro.gdist.base import GDistance
 from repro.io import database_from_dict, database_to_dict
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId, Update
-from repro.parallel.merge import clip_answer, union_answers
-from repro.query.answers import SnapshotAnswer
-from repro.sweep.engine import SweepEngine
-from repro.sweep.knn import ContinuousKNN
-from repro.sweep.multiknn import MultiKNN
-from repro.sweep.within import ContinuousWithin
+from repro.parallel.merge import clip_answer, stitch_answers
 
 __all__ = [
-    "KNN",
-    "MULTIKNN",
-    "WITHIN",
     "ProcessPoolBackend",
     "QuerySpec",
     "SequentialBackend",
@@ -60,145 +55,89 @@ __all__ = [
     "resolve_backend",
 ]
 
-KNN = "knn"
-WITHIN = "within"
-MULTIKNN = "multiknn"
-MODES = (KNN, WITHIN, MULTIKNN)
-
-ShardAnswer = Union[SnapshotAnswer, Dict[int, SnapshotAnswer]]
-
-
-@dataclass(frozen=True)
-class QuerySpec:
-    """Everything a backend needs to build one shard's engine + view."""
-
-    gdistance: GDistance
-    lo: float
-    hi: float
-    mode: str
-    k: Optional[int] = None
-    ks: Optional[Tuple[int, ...]] = None
-    threshold: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.mode == KNN and (self.k is None or self.k < 1):
-            raise ValueError("knn mode needs a positive k")
-        if self.mode == MULTIKNN and not self.ks:
-            raise ValueError("multiknn mode needs at least one k")
-        if self.mode == WITHIN and self.threshold is None:
-            raise ValueError("within mode needs a threshold")
-
-    @property
-    def constants(self) -> Tuple[float, ...]:
-        """Sentinel constants the shard engines must carry."""
-        return (float(self.threshold),) if self.mode == WITHIN else ()
-
-    def build(
-        self,
-        db: MovingObjectDatabase,
-        start: float,
-        observe=None,
-        curve_store=None,
-    ) -> Tuple[SweepEngine, object]:
-        """Build one shard engine + view sweeping ``[start, hi]``."""
-        engine = SweepEngine(
-            db,
-            self.gdistance,
-            Interval(start, self.hi),
-            constants=self.constants,
-            observe=observe,
-            curve_store=curve_store,
-        )
-        if self.mode == KNN:
-            view: object = ContinuousKNN(engine, self.k)
-        elif self.mode == WITHIN:
-            view = ContinuousWithin(engine, float(self.threshold))
-        else:
-            view = MultiKNN(engine, self.ks)
-        return engine, view
-
 
 class ShardRuntime:
-    """One shard's database, engine, view, and salvage segments.
+    """One database's engine, view, and salvaged answer segments.
 
-    Used directly by the sequential backend and as the per-process
-    state of the process backend's workers.  The engine is subscribed
-    to the shard database, so ``db.apply`` drives eager maintenance;
-    :meth:`rebuild` replaces a broken engine with a fresh Theorem 5
-    initialization from current shard-database state, salvaging the
-    answer accumulated up to the shard's ``tau``.
+    The host — not the engine — subscribes to the database, so an
+    engine that throws on an update cannot stay wedged in the listener
+    list.  With ``heal`` the failure is answered by :meth:`rebuild`;
+    without, it propagates (the engine-facade contract an outer
+    supervisor relies on).
+
+    ``spec`` carries the sweep window; ``sharding`` (``shards=`` and
+    friends) makes every engine the host builds a sharded evaluator
+    instead of a single :class:`~repro.sweep.engine.SweepEngine`.
+    ``healing`` is a context-manager factory entered around each
+    rebuild — the owner's span and counters.
     """
 
     def __init__(
         self,
         db: MovingObjectDatabase,
         spec: QuerySpec,
+        heal: bool = False,
         observe=None,
         curve_store=None,
+        healing=nullcontext,
+        **sharding,
     ) -> None:
         self._db = db
         self._spec = spec
-        self._observe = observe
-        self._curve_store = curve_store
-        self._segments: List[ShardAnswer] = []
-        self._segment_start = spec.lo
-        self._engine, self._view = spec.build(
-            db, spec.lo, observe=observe, curve_store=curve_store
+        self._heal = heal
+        self._healing = healing
+        self._engine_options = dict(
+            observe=observe, curve_store=curve_store, **sharding
         )
-        db.subscribe(self._engine.on_update)
+        self._segments: List[Answer] = []
+        self._segment_start = spec.lo
+        self.failures = 0
+        self.salvage_losses = 0  # views too broken to contribute a segment
+        self.engine, self.view = self._build(spec.lo)
+        db.subscribe(self.on_update)
+
+    def _build(self, start: float):
+        return open_engine(
+            self._db, self._spec.over(start, self._spec.hi), **self._engine_options
+        )
 
     # -- inspection ---------------------------------------------------------
     @property
-    def db(self) -> MovingObjectDatabase:
-        """The shard's database."""
-        return self._db
-
-    @property
-    def engine(self) -> SweepEngine:
-        """The engine currently in force (changes across rebuilds)."""
-        return self._engine
-
-    @property
     def current_time(self) -> float:
-        """The shard sweep's position."""
-        return self._engine.current_time
-
-    def primitive_ops(self) -> int:
-        """Primitive operations of the current engine (Corollary 6)."""
-        return self._engine.primitive_ops()
+        """The sweep's position."""
+        return self.engine.current_time
 
     def operation_counts(self) -> Dict[str, int]:
         """The current engine's primitive-op breakdown."""
-        return self._engine.operation_counts()
+        return self.engine.operation_counts()
 
     # -- the op protocol ----------------------------------------------------
-    def apply(self, updates: Sequence[Update], heal: bool = False) -> int:
-        """Apply one chronological sub-batch through the shard database.
+    def on_update(self, update: Update) -> None:
+        """The guarding database listener."""
+        try:
+            self.engine.on_update(update)
+        except Exception:
+            if not self._heal:
+                raise
+            self.rebuild()
 
-        With ``heal`` set, an engine failure on one update triggers
-        :meth:`rebuild` and the rest of the sub-batch is still applied
-        — one poisoned update cannot wedge the shard or lose its
-        neighbors.  Returns the number of healed failures.  Without
-        ``heal`` the first failure propagates (the engine-facade
-        contract a supervisor relies on).
+    def apply(self, updates: Sequence[Update]) -> int:
+        """Apply one chronological sub-batch through the database.
+
+        A healing host rebuilds on an engine failure and still applies
+        the rest of the sub-batch — one poisoned update cannot wedge
+        the shard or lose its neighbors.  Returns the number of healed
+        failures.
         """
-        failures = 0
+        before = self.failures
         for update in updates:
-            try:
-                self._db.apply(update)
-            except Exception:
-                if not heal:
-                    raise
-                failures += 1
-                self.rebuild()
-        return failures
+            self._db.apply(update)
+        return self.failures - before
 
     def advance_to(self, t: float) -> None:
-        """Advance the shard sweep (idempotent at the current time)."""
-        if t > self._engine.current_time:
-            self._engine.advance_to(t)
+        """Advance the sweep (idempotent at the current time)."""
+        if t > self.engine.current_time:
+            self.engine.advance_to(t)
 
     def members_with_values(self, t: float) -> List[Tuple[ObjectId, float]]:
         """Current answer members paired with their g-distance at ``t``.
@@ -207,116 +146,57 @@ class ShardRuntime:
         returned; any smaller k's global answer selects from them.
         """
         self.advance_to(t)
-        if self._spec.mode == MULTIKNN:
-            members = self._view.members(max(self._spec.ks))
+        if self._spec.multi:
+            members = self.view.members(self._spec.maintained_k)
         else:
-            members = self._view.members
-        out: List[Tuple[ObjectId, float]] = []
-        for oid in members:
-            entry = self._engine.entry_for(oid)
-            out.append((oid, entry.curve(t)))
-        return out
+            members = self.view.members
+        return [
+            (oid, self.engine.entry_for(oid).curve(t)) for oid in members
+        ]
 
-    def finalize(self, end: float) -> ShardAnswer:
-        """Finish the sweep at ``end`` and return the stitched answer."""
+    def finalize(self, end: float) -> Answer:
+        """Finish the sweep at ``end`` and return the answer over the
+        whole window, stitched across every rebuild."""
         self.advance_to(end)
-        self._engine.finalize()
-        if self._spec.mode == MULTIKNN:
-            live: ShardAnswer = self._view.answers()
-        else:
-            live = self._view.answer()
-        if not self._segments:
-            return live
-        window = Interval(self._spec.lo, end)
-        segments = self._segments + [live]
-        if self._spec.mode == MULTIKNN:
-            return {
-                k: union_answers(
-                    [seg[k] for seg in segments if k in seg], window
-                )
-                for k in self._spec.ks
-            }
-        return union_answers(segments, window)
+        self.engine.finalize()
+        live = self._spec.answer(self.view)
+        return stitch_answers(
+            self._segments + [live], Interval(self._spec.lo, end)
+        )
 
     def rebuild(self) -> None:
         """Replace a broken engine: salvage, then re-initialize.
 
-        The salvaged segment is clipped at the shard database's ``tau``
-        — beyond the last applied update the broken engine's answer is
-        unreliable — and the fresh engine re-reads authoritative shard
-        state (the Theorem 5 ``O(n log n)`` step, at shard size ``n``).
+        The salvaged segment is clipped at the database's ``tau`` — the
+        failed engine may have swept past it, but beyond the last
+        applied update its answer is unreliable — and the fresh engine
+        re-reads authoritative database state (the Theorem 5
+        ``O(n log n)`` step, at the host's size ``n``).
         """
+        self.failures += 1
         now = self._db.last_update_time
-        self._salvage(upto=now)
-        self._db.unsubscribe(self._engine.on_update)
-        self._engine, self._view = self._spec.build(
-            self._db,
-            now,
-            observe=self._observe,
-            curve_store=self._curve_store,
-        )
-        self._db.subscribe(self._engine.on_update)
+        with self._healing():
+            self._salvage(upto=now)
+            self.engine, self.view = self._build(now)
         self._segment_start = now
 
     def _salvage(self, upto: float) -> None:
         try:
-            self._engine.finalize()
-            if self._spec.mode == MULTIKNN:
-                raw = self._view.answers()
-                salvaged: ShardAnswer = {
-                    k: clip_answer(a, self._segment_start, upto)
-                    for k, a in raw.items()
-                }
-            else:
-                salvaged = clip_answer(
-                    self._view.answer(), self._segment_start, upto
-                )
+            self.engine.finalize()
+            answer = self._spec.answer(self.view)
         except Exception:
-            return  # segment lost; the rebuild re-reads shard state
-        self._segments.append(salvaged)
+            # The view is broken beyond salvage; the segment is lost
+            # but the host survives — the rebuild re-reads database
+            # state, which is authoritative.
+            self.salvage_losses += 1
+            return
+        self._segments.append(
+            clip_answer(answer, self._segment_start, upto)
+        )
 
     def close(self) -> None:
-        """Detach the engine from the shard database."""
-        self._db.unsubscribe(self._engine.on_update)
-
-
-# ---------------------------------------------------------------------------
-# Sequential backend
-# ---------------------------------------------------------------------------
-class SequentialShardHost:
-    """In-process host: direct calls into a :class:`ShardRuntime`."""
-
-    def __init__(self, runtime: ShardRuntime) -> None:
-        self.runtime = runtime
-
-    def apply(self, updates: Sequence[Update], heal: bool = False) -> int:
-        return self.runtime.apply(updates, heal=heal)
-
-    def advance_to(self, t: float) -> None:
-        self.runtime.advance_to(t)
-
-    def members_with_values(self, t: float) -> List[Tuple[ObjectId, float]]:
-        return self.runtime.members_with_values(t)
-
-    def finalize(self, end: float) -> ShardAnswer:
-        return self.runtime.finalize(end)
-
-    def rebuild(self) -> None:
-        self.runtime.rebuild()
-
-    def primitive_ops(self) -> int:
-        return self.runtime.primitive_ops()
-
-    def operation_counts(self) -> Dict[str, int]:
-        return self.runtime.operation_counts()
-
-    def profile_snapshot(self) -> Optional[dict]:
-        """Sequential shards share the caller's registry in-process;
-        there is nothing separate to absorb."""
-        return None
-
-    def close(self) -> None:
-        self.runtime.close()
+        """Detach from the database."""
+        self._db.unsubscribe(self.on_update)
 
 
 class SequentialBackend:
@@ -329,15 +209,16 @@ class SequentialBackend:
         shard_id: int,
         db: MovingObjectDatabase,
         spec: QuerySpec,
+        heal: bool = False,
         observe=None,
         curve_store=None,
-    ) -> SequentialShardHost:
+    ) -> ShardRuntime:
         """Host one shard in-process (``observe`` and ``curve_store``
         are threaded through to the shard engine; counters aggregate
         across shards, and a shared store lets a rebuilt shard re-hit
         every curve its objects already paid for)."""
-        return SequentialShardHost(
-            ShardRuntime(db, spec, observe=observe, curve_store=curve_store)
+        return ShardRuntime(
+            db, spec, heal=heal, observe=observe, curve_store=curve_store
         )
 
 
@@ -356,11 +237,10 @@ _WORKER_OBS: Optional[tuple] = None
 
 
 def _w_build(
-    db_dict: dict, spec_bytes: bytes, context: Optional[dict] = None
+    db_dict: dict, spec: QuerySpec, heal: bool, context: Optional[dict] = None
 ) -> bool:
     global _WORKER_RUNTIME, _WORKER_OBS
     db = database_from_dict(db_dict)
-    spec = pickle.loads(spec_bytes)
     observe = None
     if context is not None:
         from repro.obs.instrument import Instrumentation
@@ -378,36 +258,13 @@ def _w_build(
         _WORKER_OBS = (observe, sink)
     else:
         _WORKER_OBS = None
-    _WORKER_RUNTIME = ShardRuntime(db, spec, observe=observe)
+    _WORKER_RUNTIME = ShardRuntime(db, spec, heal=heal, observe=observe)
     return True
 
 
-def _w_apply(updates: Sequence[Update], heal: bool) -> int:
-    return _WORKER_RUNTIME.apply(updates, heal=heal)
-
-
-def _w_advance(t: float) -> None:
-    _WORKER_RUNTIME.advance_to(t)
-
-
-def _w_members(t: float) -> List[Tuple[ObjectId, float]]:
-    return _WORKER_RUNTIME.members_with_values(t)
-
-
-def _w_finalize(end: float) -> ShardAnswer:
-    return _WORKER_RUNTIME.finalize(end)
-
-
-def _w_rebuild() -> None:
-    _WORKER_RUNTIME.rebuild()
-
-
-def _w_ops() -> int:
-    return _WORKER_RUNTIME.primitive_ops()
-
-
-def _w_op_counts() -> Dict[str, int]:
-    return _WORKER_RUNTIME.operation_counts()
+def _w_op(method: str, *args):
+    """Run one op-protocol method on the worker's host."""
+    return getattr(_WORKER_RUNTIME, method)(*args)
 
 
 def _w_profile() -> Optional[dict]:
@@ -435,39 +292,37 @@ class ProcessShardHost:
         shard_id: int,
         db: MovingObjectDatabase,
         spec: QuerySpec,
+        heal: bool = False,
         context: Optional[dict] = None,
     ) -> None:
         self.shard_id = shard_id
         self._pool = ProcessPoolExecutor(max_workers=1)
         self._closed = False
         self._profiled = context is not None
-        self._call(_w_build, database_to_dict(db), pickle.dumps(spec), context)
+        self._call(_w_build, database_to_dict(db), spec, heal, context)
 
     def _call(self, fn, *args):
         if self._closed:
             raise RuntimeError("shard host is closed")
         return self._pool.submit(fn, *args).result()
 
-    def apply(self, updates: Sequence[Update], heal: bool = False) -> int:
-        return self._call(_w_apply, list(updates), heal)
+    def apply(self, updates: Sequence[Update]) -> int:
+        return self._call(_w_op, "apply", list(updates))
 
     def advance_to(self, t: float) -> None:
-        self._call(_w_advance, t)
+        self._call(_w_op, "advance_to", t)
 
     def members_with_values(self, t: float) -> List[Tuple[ObjectId, float]]:
-        return self._call(_w_members, t)
+        return self._call(_w_op, "members_with_values", t)
 
-    def finalize(self, end: float) -> ShardAnswer:
-        return self._call(_w_finalize, end)
+    def finalize(self, end: float) -> Answer:
+        return self._call(_w_op, "finalize", end)
 
     def rebuild(self) -> None:
-        self._call(_w_rebuild)
-
-    def primitive_ops(self) -> int:
-        return self._call(_w_ops)
+        self._call(_w_op, "rebuild")
 
     def operation_counts(self) -> Dict[str, int]:
-        return self._call(_w_op_counts)
+        return self._call(_w_op, "operation_counts")
 
     def profile_snapshot(self) -> Optional[dict]:
         """The worker's exported telemetry (metrics snapshot + trace
@@ -502,6 +357,7 @@ class ProcessPoolBackend:
         shard_id: int,
         db: MovingObjectDatabase,
         spec: QuerySpec,
+        heal: bool = False,
         observe=None,
         curve_store=None,
     ) -> ProcessShardHost:
@@ -517,7 +373,7 @@ class ProcessPoolBackend:
         context = None
         if instr is not None and instr.context is not None:
             context = instr.context.to_dict()
-        return ProcessShardHost(shard_id, db, spec, context=context)
+        return ProcessShardHost(shard_id, db, spec, heal=heal, context=context)
 
 
 def resolve_backend(backend):

@@ -20,8 +20,8 @@ The evaluator deliberately speaks the *engine facade* — ``on_update``,
 - :class:`~repro.core.api.ContinuousQuerySession` accepts it as both
   engine and view;
 - a :class:`~repro.resilience.supervisor.SupervisedQuerySession`
-  factory may return ``(evaluator, evaluator)``, making whole-session
-  recovery front shard-level parallelism.  Orthogonally,
+  opened with ``shards=`` hosts one, making whole-session recovery
+  front shard-level parallelism.  Orthogonally,
   ``self_heal=True`` enables *shard-granular* recovery: a failed shard
   salvages its own answer and rebuilds from shard-local state while
   the other ``S - 1`` shards keep their engines untouched.
@@ -37,23 +37,16 @@ sweep over only the accumulated candidates for interval answers.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.api import QueryLike, _as_gdistance
-from repro.gdist.base import GDistance
+from repro.core.spec import WITHIN, QueryLike, QuerySpec
 from repro.geometry.intervals import Interval
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId, Update
 from repro.obs.instrument import as_instrumentation
 from repro.obs.metrics import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
 from repro.obs.profile import NULL_STAGE
-from repro.parallel.backends import (
-    KNN,
-    MULTIKNN,
-    WITHIN,
-    QuerySpec,
-    resolve_backend,
-)
+from repro.parallel.backends import resolve_backend
 from repro.parallel.batching import BatchedUpdateApplier
 from repro.parallel.merge import (
     candidate_oids,
@@ -133,6 +126,7 @@ class ShardedSweepEvaluator:
                         i,
                         part,
                         spec,
+                        heal=self._self_heal,
                         observe=self._instr,
                         curve_store=curve_store,
                     )
@@ -197,6 +191,13 @@ class ShardedSweepEvaluator:
 
     # -- constructors -------------------------------------------------------
     @classmethod
+    def _open(
+        cls, db, spec: QuerySpec, until: float, start: Optional[float], **options
+    ) -> "ShardedSweepEvaluator":
+        lo = db.last_update_time if start is None else start
+        return cls(db, spec.over(lo, until), **options)
+
+    @classmethod
     def knn(
         cls,
         db: MovingObjectDatabase,
@@ -213,11 +214,11 @@ class ShardedSweepEvaluator:
     ) -> "ShardedSweepEvaluator":
         """A sharded continuous k-NN evaluator starting now (or at
         ``start``)."""
-        lo = db.last_update_time if start is None else start
-        spec = QuerySpec(_as_gdistance(query), lo, until, KNN, k=int(k))
-        return cls(
+        return cls._open(
             db,
-            spec,
+            QuerySpec.knn(query, k),
+            until,
+            start,
             shards=shards,
             backend=backend,
             batch_size=batch_size,
@@ -247,18 +248,11 @@ class ShardedSweepEvaluator:
         point query squares the threshold internally; a custom
         g-distance is compared against ``distance`` as-is.
         """
-        lo = db.last_update_time if start is None else start
-        threshold = (
-            distance * distance
-            if not isinstance(query, GDistance)
-            else float(distance)
-        )
-        spec = QuerySpec(
-            _as_gdistance(query), lo, until, WITHIN, threshold=threshold
-        )
-        return cls(
+        return cls._open(
             db,
-            spec,
+            QuerySpec.within(query, distance),
+            until,
+            start,
             shards=shards,
             backend=backend,
             batch_size=batch_size,
@@ -284,17 +278,11 @@ class ShardedSweepEvaluator:
     ) -> "ShardedSweepEvaluator":
         """A sharded evaluator maintaining k-NN answers for several k
         values at once (shards sweep at ``max(ks)``)."""
-        lo = db.last_update_time if start is None else start
-        spec = QuerySpec(
-            _as_gdistance(query),
-            lo,
-            until,
-            MULTIKNN,
-            ks=tuple(sorted({int(k) for k in ks})),
-        )
-        return cls(
+        return cls._open(
             db,
-            spec,
+            QuerySpec.multiknn(query, ks),
+            until,
+            start,
             shards=shards,
             backend=backend,
             batch_size=batch_size,
@@ -336,10 +324,7 @@ class ShardedSweepEvaluator:
 
     def primitive_ops(self) -> int:
         """Total primitive sweep operations across shard engines."""
-        counts = self.operation_counts()
-        if "total" in counts:
-            return counts["total"]
-        return sum(counts.values())
+        return _ops_total(self.operation_counts())
 
     def operation_counts(self) -> Dict[str, int]:
         """Aggregated primitive-op breakdown across shard engines."""
@@ -356,7 +341,7 @@ class ShardedSweepEvaluator:
         return shard_of(update.oid, self._shards)
 
     def _apply_shard(self, shard: int, updates: List[Update]) -> None:
-        healed = self._hosts[shard].apply(updates, heal=self._self_heal)
+        healed = self._hosts[shard].apply(updates)
         if healed:
             self.rebuilds += healed
             self._c_rebuilds.inc(healed)
@@ -393,21 +378,23 @@ class ShardedSweepEvaluator:
         return n
 
     # -- probing ------------------------------------------------------------
-    def _heal_or_raise(self, host) -> None:
-        if not self._self_heal:
-            raise
-        host.rebuild()
-        self.rebuilds += 1
-        self._c_rebuilds.inc()
+    def _healing(self, host, op, *args):
+        """Run one host op; a self-healing evaluator answers a failure
+        by rebuilding that shard alone and retrying once."""
+        try:
+            return op(*args)
+        except Exception:
+            if not self._self_heal:
+                raise
+            host.rebuild()
+            self.rebuilds += 1
+            self._c_rebuilds.inc()
+            return op(*args)
 
     def _advance_hosts(self, t: float) -> None:
         for i, host in enumerate(self._hosts):
             with self._stage("shard.sweep", shard=i):
-                try:
-                    host.advance_to(t)
-                except Exception:
-                    self._heal_or_raise(host)
-                    host.advance_to(t)
+                self._healing(host, host.advance_to, t)
 
     def advance_to(self, t: float) -> Set[ObjectId]:
         """Advance every shard sweep to ``t`` (never backwards) and
@@ -426,11 +413,9 @@ class ShardedSweepEvaluator:
         self._advance_hosts(self._clock)
         gathered: List[Tuple[ObjectId, float]] = []
         for host in self._hosts:
-            try:
-                gathered.extend(host.members_with_values(self._clock))
-            except Exception:
-                self._heal_or_raise(host)
-                gathered.extend(host.members_with_values(self._clock))
+            gathered.extend(
+                self._healing(host, host.members_with_values, self._clock)
+            )
         return gathered
 
     @property
@@ -441,10 +426,9 @@ class ShardedSweepEvaluator:
         contributes its current members with their g-distance values
         and a single selection yields the global answer.
         """
-        if self._spec.mode == WITHIN:
+        if self._spec.kind == WITHIN:
             return {oid for oid, _ in self._gather()}
-        k = self._spec.k if self._spec.mode == KNN else max(self._spec.ks)
-        return self.members_for(k)
+        return self.members_for(self._spec.maintained_k)
 
     def members_for(self, k: int) -> Set[ObjectId]:
         """The current global k-NN answer for ``k``.
@@ -453,11 +437,9 @@ class ShardedSweepEvaluator:
         top-k object is top-k in its own shard, and shard members are
         maintained at the spec's k (multiknn: ``max(ks)``).
         """
-        if self._spec.mode == WITHIN:
+        if self._spec.kind == WITHIN:
             raise ValueError("members_for(k) is for knn/multiknn modes")
-        maintained = (
-            self._spec.k if self._spec.mode == KNN else max(self._spec.ks)
-        )
+        maintained = self._spec.maintained_k
         if k > maintained:
             raise ValueError(
                 f"k={k} exceeds the maintained k={maintained}"
@@ -482,49 +464,29 @@ class ShardedSweepEvaluator:
         shard_counts: List[Dict[str, int]] = []
         for i, host in enumerate(self._hosts):
             with self._stage("shard.finalize", shard=i) as st:
-                try:
-                    per_shard.append(host.finalize(end))
-                except Exception:
-                    self._heal_or_raise(host)
-                    per_shard.append(host.finalize(end))
+                per_shard.append(self._healing(host, host.finalize, end))
                 counts = host.operation_counts()
                 shard_counts.append(counts)
                 st.annotate(ops=_ops_total(counts))
         window = Interval(self._spec.lo, end)
         spec = self._spec
         with self._stage("merge") as st:
-            if spec.mode == WITHIN:
+            if spec.kind == WITHIN:
                 self._results = {None: union_answers(per_shard, window)}
-            elif spec.mode == KNN:
-                n_candidates = len(candidate_oids(per_shard))
-                self._h_candidates.observe(n_candidates)
-                st.annotate(candidates=n_candidates)
-                merged = merge_knn_answers(
-                    self._mirror,
-                    spec.gdistance,
-                    window,
-                    spec.k,
-                    per_shard,
-                    observe=self._instr,
-                    curve_store=self._curve_store,
-                )
-                self._results = {None: merged, spec.k: merged}
-            else:
-                top = [answers[max(spec.ks)] for answers in per_shard]
-                n_candidates = len(candidate_oids(top))
-                self._h_candidates.observe(n_candidates)
-                st.annotate(candidates=n_candidates)
+            elif spec.multi:
+                # Shards maintain every k at max(ks): those answers hold
+                # the candidates of each smaller k too.
+                top = [answers[spec.maintained_k] for answers in per_shard]
                 self._results = dict(
-                    merge_multiknn_answers(
-                        self._mirror,
-                        spec.gdistance,
-                        window,
-                        spec.ks,
-                        top,
-                        observe=self._instr,
-                        curve_store=self._curve_store,
+                    self._merge_sweep(
+                        st, merge_multiknn_answers, window, spec.ks, top
                     )
                 )
+            else:
+                merged = self._merge_sweep(
+                    st, merge_knn_answers, window, spec.k, per_shard
+                )
+                self._results = {None: merged, spec.k: merged}
         self._final_ops = {}
         for i, counts in enumerate(shard_counts):
             for op, n in counts.items():
@@ -538,6 +500,21 @@ class ShardedSweepEvaluator:
                 snapshot = getattr(host, "profile_snapshot", lambda: None)()
                 self._profile.absorb_shard(i, snapshot)
         self.shutdown()
+
+    def _merge_sweep(self, stage, merge, window: Interval, k, answers):
+        """The second-level sweep over the shards' candidate union."""
+        n_candidates = len(candidate_oids(answers))
+        self._h_candidates.observe(n_candidates)
+        stage.annotate(candidates=n_candidates)
+        return merge(
+            self._mirror,
+            self._spec.gdistance,
+            window,
+            k,
+            answers,
+            observe=self._instr,
+            curve_store=self._curve_store,
+        )
 
     def run_to_end(self) -> None:
         """Sweep to the end of the query interval and finalize."""
@@ -556,19 +533,15 @@ class ShardedSweepEvaluator:
             raise RuntimeError(
                 "the sweep has not been finalized; call finalize() first"
             )
-        if self._spec.mode == MULTIKNN:
-            if k is None:
-                raise ValueError("multiknn mode: pass answer(k)")
-            if k not in self._results:
-                raise KeyError(f"k={k} was not maintained")
-            return self._results[k]
-        if k is not None and k not in self._results:
+        if self._spec.multi and k is None:
+            raise ValueError("multiknn mode: pass answer(k)")
+        if k not in self._results:
             raise KeyError(f"k={k} was not maintained")
-        return self._results[None if k not in self._results else k]
+        return self._results[k]
 
     def answers(self) -> Dict[int, SnapshotAnswer]:
         """All maintained multiknn answers keyed by k (after finalize)."""
-        if self._spec.mode != MULTIKNN:
+        if not self._spec.multi:
             raise ValueError("answers() is for multiknn mode")
         if self._results is None:
             raise RuntimeError(

@@ -16,6 +16,11 @@ Correctness rests on two observations:
   selection: pick the ``k`` smallest of the shards' current top-k
   values.
 
+The same union also stitches *time*: the answer segments an engine
+host salvaged before each rebuild cover disjoint spans of one session's
+window, so :func:`stitch_answers` is exact for the same reason the
+within-range merge is.
+
 The instant selection breaks exact value ties by ``str(oid)`` — the
 same deterministic tie-break the naive baseline uses — so merged
 answers are reproducible even on adversarial tied workloads.
@@ -24,8 +29,9 @@ answers are reproducible even on adversarial tied workloads.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from repro.core.spec import Answer
 from repro.geometry.intervals import Interval, IntervalSet
 from repro.gdist.base import GDistance
 from repro.mod.database import MovingObjectDatabase
@@ -42,6 +48,7 @@ __all__ = [
     "merge_multiknn_answers",
     "merge_within_answers",
     "select_top_k",
+    "stitch_answers",
     "union_answers",
 ]
 
@@ -86,13 +93,28 @@ def merge_within_answers(
     return union_answers(answers, interval)
 
 
-def clip_answer(answer: SnapshotAnswer, lo: float, hi: float) -> SnapshotAnswer:
-    """Restrict an answer's memberships to the window ``[lo, hi]``.
+def stitch_answers(segments: Sequence[Answer], window: Interval) -> Answer:
+    """One session's answer over ``window`` from its pieces: the
+    segments salvaged before each engine rebuild plus the live engine's
+    answer, unioned (per k when the pieces are multiknn dicts)."""
+    if isinstance(segments[-1], dict):
+        return {
+            k: union_answers([segment[k] for segment in segments], window)
+            for k in segments[-1]
+        }
+    return union_answers(segments, window)
 
-    Used when salvaging a failed shard engine: only the span up to the
-    shard database's ``tau`` is trustworthy, and a rebuilt engine will
+
+def clip_answer(answer: Answer, lo: float, hi: float) -> Answer:
+    """Restrict an answer's memberships (each k's, for a multiknn dict)
+    to the window ``[lo, hi]``.
+
+    Used when salvaging a failed engine: only the span up to the
+    database's ``tau`` is trustworthy, and a rebuilt engine will
     re-cover the remainder.
     """
+    if isinstance(answer, dict):
+        return {k: clip_answer(a, lo, hi) for k, a in answer.items()}
     if hi < lo:
         lo = hi
     window = IntervalSet([Interval(lo, hi)])
@@ -112,14 +134,27 @@ def candidate_oids(answers: Sequence[SnapshotAnswer]) -> List[ObjectId]:
     return sorted(seen, key=str)
 
 
-def _candidate_database(
-    source: MovingObjectDatabase, oids: Sequence[ObjectId]
-) -> MovingObjectDatabase:
-    """A MOD holding only the candidate objects (trajectories shared)."""
+def _candidate_engine(
+    source: MovingObjectDatabase,
+    gdistance: GDistance,
+    interval: Interval,
+    answers: Sequence[SnapshotAnswer],
+    observe,
+    curve_store,
+) -> Optional[SweepEngine]:
+    """The second-level sweep's engine: a MOD holding only the
+    candidate objects (none: ``None``).  It shares the source's
+    trajectory instances, so a shared ``curve_store`` lets the merge
+    sweep reuse curves already built elsewhere."""
+    oids = candidate_oids(answers)
+    if not oids:
+        return None
     db = MovingObjectDatabase(initial_time=source.last_update_time)
     for oid in oids:
         db.install(oid, source.trajectory(oid))
-    return db
+    return SweepEngine(
+        db, gdistance, interval, observe=observe, curve_store=curve_store
+    )
 
 
 def merge_knn_answers(
@@ -135,20 +170,13 @@ def merge_knn_answers(
 
     Runs the second-level sweep over the candidate union — cost
     ``O((m_c + C) log C)`` for ``C`` candidates, independent of the
-    total object count ``N``.  The candidate database shares the
-    source's trajectory instances, so a shared ``curve_store`` lets the
-    merge sweep reuse curves already built elsewhere.
+    total object count ``N``.
     """
-    oids = candidate_oids(answers)
-    if not oids:
-        return SnapshotAnswer({}, interval)
-    engine = SweepEngine(
-        _candidate_database(source, oids),
-        gdistance,
-        interval,
-        observe=observe,
-        curve_store=curve_store,
+    engine = _candidate_engine(
+        source, gdistance, interval, answers, observe, curve_store
     )
+    if engine is None:
+        return SnapshotAnswer({}, interval)
     view = ContinuousKNN(engine, k)
     engine.run_to_end()
     return view.answer()
@@ -165,16 +193,11 @@ def merge_multiknn_answers(
 ) -> Dict[int, SnapshotAnswer]:
     """Exact global answers for several k values from shard answers
     maintained at ``max(ks)``."""
-    oids = candidate_oids(answers)
-    if not oids:
-        return {int(k): SnapshotAnswer({}, interval) for k in ks}
-    engine = SweepEngine(
-        _candidate_database(source, oids),
-        gdistance,
-        interval,
-        observe=observe,
-        curve_store=curve_store,
+    engine = _candidate_engine(
+        source, gdistance, interval, answers, observe, curve_store
     )
+    if engine is None:
+        return {int(k): SnapshotAnswer({}, interval) for k in ks}
     view = MultiKNN(engine, ks)
     engine.run_to_end()
     return view.answers()

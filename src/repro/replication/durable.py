@@ -20,6 +20,7 @@ at all times a recovered-equivalent mirror, promotable in O(1).
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
 from dataclasses import asdict
 from typing import Dict, List, Optional
@@ -51,18 +52,19 @@ __all__ = ["DurableQueryServer", "recover_server"]
 REPLY_RETENTION = 512
 
 
-def _params_to_json(params: dict) -> dict:
+def _session_record(session: ServerSession) -> dict:
+    """What the journal's ``open`` record and a snapshot's session entry
+    both say about a live session (key order is part of the format)."""
+    spec = session.query
     return {
-        key: list(value) if isinstance(value, tuple) else value
-        for key, value in params.items()
+        "sid": session.session_id,
+        "kind": spec.kind,
+        "gd": gdistance_to_record(spec.gdistance),
+        "params": spec.params,
+        "constants": list(spec.constants),
+        "priority": session.priority,
+        "shards": session.shards,
     }
-
-
-def _params_from_json(kind: str, params: dict) -> dict:
-    out = dict(params)
-    if kind == "multiknn" and "ks" in out:
-        out["ks"] = tuple(int(k) for k in out["ks"])
-    return out
 
 
 class DurableQueryServer(QueryServer):
@@ -113,6 +115,17 @@ class DurableQueryServer(QueryServer):
         self._replies: "OrderedDict[str, dict]" = OrderedDict()
         self.recovered_tail = 0  # tail records replayed to build this server
         super().__init__(db, config, observe, cache)
+        if (
+            journal is None
+            and directory is not None
+            and db.object_count > 0
+            and not os.path.exists(self._wal.checkpoint_path)
+        ):
+            # What the MOD held before this server subscribed (objects
+            # placed by ``install()``, say) is in no journal record:
+            # until a snapshot holds it, recovery would rebuild an empty
+            # MOD.  The baseline snapshot consumes no seq.
+            self.checkpoint()
 
     # -- journal plumbing ---------------------------------------------------
     @property
@@ -151,34 +164,14 @@ class DurableQueryServer(QueryServer):
         sessions: List[dict] = []
         terminal: List[dict] = []
         for session in self.sessions():
-            if session.state == ACTIVE:
+            if session.state in (ACTIVE, QUEUED):
+                active = session.state == ACTIVE
                 sessions.append(
                     {
-                        "sid": session.session_id,
-                        "kind": session.kind,
-                        "gd": gdistance_to_record(session.gdistance),
-                        "params": _params_to_json(session.params),
-                        "constants": list(session._constants),
-                        "priority": session.priority,
-                        "shards": session.shards,
-                        "state": ACTIVE,
+                        **_session_record(session),
+                        "state": session.state,
                         "start": session.start,
-                        "clock": session.group.current_time,
-                    }
-                )
-            elif session.state == QUEUED:
-                sessions.append(
-                    {
-                        "sid": session.session_id,
-                        "kind": session.kind,
-                        "gd": gdistance_to_record(session.gdistance),
-                        "params": _params_to_json(session.params),
-                        "constants": list(session._constants),
-                        "priority": session.priority,
-                        "shards": session.shards,
-                        "state": QUEUED,
-                        "start": None,
-                        "clock": None,
+                        "clock": session.group.current_time if active else None,
                     }
                 )
             else:
@@ -212,27 +205,17 @@ class DurableQueryServer(QueryServer):
             self._journal("update", update=update_to_dict(update))
         super()._on_update(update)
 
-    def _register(
-        self, kind, gdistance, params, constants, priority, shards
-    ) -> ServerSession:
+    def _register(self, spec, priority, shards) -> ServerSession:
         replaying = self._recovering or self._replaying
         if not replaying:
             # Serialize first: a non-durable g-distance must fail
             # before the server mutates anything.
-            gd_record = gdistance_to_record(gdistance)
-        session = super()._register(
-            kind, gdistance, params, constants, priority, shards
-        )
+            gdistance_to_record(spec.gdistance)
+        session = super()._register(spec, priority, shards)
         if not replaying:
             self._journal(
                 "open",
-                sid=session.session_id,
-                kind=session.kind,
-                gd=gd_record,
-                params=_params_to_json(session.params),
-                constants=list(session._constants),
-                priority=session.priority,
-                shards=session.shards,
+                **_session_record(session),
                 state=session.state,
                 start=session.start,
             )
@@ -332,17 +315,7 @@ class DurableQueryServer(QueryServer):
         if op == "update":
             self._db.apply(update_from_dict(record["update"]))
         elif op == "open":
-            self._register_replayed(
-                int(record["sid"]),
-                record["kind"],
-                gdistance_from_record(record["gd"]),
-                _params_from_json(record["kind"], record["params"]),
-                tuple(record.get("constants", ())),
-                int(record.get("priority", 0)),
-                int(record["shards"]),
-                record["state"],
-                record.get("start"),
-            )
+            self._replay_session(record, record["state"], record.get("start"))
         elif op == "advance":
             self._advance(
                 self._sessions[int(record["sid"])], float(record["to"])
@@ -360,6 +333,23 @@ class DurableQueryServer(QueryServer):
         else:
             raise ValueError(f"unknown journal op {op!r}")
 
+    def _replay_session(
+        self, data: dict, state: str, start: Optional[float]
+    ) -> ServerSession:
+        """Re-create the session one ``open`` record or snapshot entry
+        describes."""
+        return self._register_replayed(
+            int(data["sid"]),
+            data["kind"],
+            gdistance_from_record(data["gd"]),
+            data["params"],
+            tuple(data.get("constants", ())),
+            int(data.get("priority", 0)),
+            int(data["shards"]),
+            state,
+            start,
+        )
+
     def _restore_snapshot(self, snapshot: dict) -> None:
         """Re-create the snapshot's sessions on this (fresh) server."""
         self._next_sid = int(snapshot.get("next_sid", 1))
@@ -373,17 +363,7 @@ class DurableQueryServer(QueryServer):
         # sid order alone is not enough.
         clocks: Dict[int, tuple] = {}  # gid -> (group, max stored clock)
         for data in sorted(actives, key=lambda d: (d["start"], d["sid"])):
-            session = self._register_replayed(
-                int(data["sid"]),
-                data["kind"],
-                gdistance_from_record(data["gd"]),
-                _params_from_json(data["kind"], data["params"]),
-                tuple(data.get("constants", ())),
-                int(data.get("priority", 0)),
-                int(data["shards"]),
-                ACTIVE,
-                data["start"],
-            )
+            session = self._replay_session(data, ACTIVE, data["start"])
             clock = data.get("clock")
             if clock is not None and session.group is not None:
                 group = session.group
@@ -405,26 +385,13 @@ class DurableQueryServer(QueryServer):
         for data in sorted(
             queued, key=lambda d: rank.get(int(d["sid"]), int(d["sid"]))
         ):
-            self._register_replayed(
-                int(data["sid"]),
-                data["kind"],
-                gdistance_from_record(data["gd"]),
-                _params_from_json(data["kind"], data["params"]),
-                tuple(data.get("constants", ())),
-                int(data.get("priority", 0)),
-                int(data["shards"]),
-                QUEUED,
-                None,
-            )
+            self._replay_session(data, QUEUED, None)
         for stub in snapshot.get("terminal", ()):
             session = ServerSession(
                 self,
                 self._take_sid(int(stub["sid"])),
-                stub.get("kind", "knn"),
                 None,
-                {},
-                0,
-                1,
+                kind=stub.get("kind", "knn"),
             )
             session.state = stub["state"]
             self._sessions[session.session_id] = session

@@ -31,7 +31,12 @@ from repro.io import trajectory_from_dict, trajectory_to_dict
 from repro.obs.instrument import as_instrumentation
 from repro.obs.metrics import NULL_COUNTER
 from repro.replication.errors import NotDurableError
-from repro.resilience.wal import read_jsonl_records
+from repro.resilience.wal import (
+    append_jsonl,
+    check_sync,
+    read_jsonl_records,
+    replace_json,
+)
 
 __all__ = [
     "SERVER_WAL_FILENAME",
@@ -133,12 +138,8 @@ class ServerWal:
         observe=None,
         start_seq: int = 0,
     ) -> None:
-        if sync not in ("none", "flush", "fsync"):
-            raise ValueError(
-                f"sync must be none/flush/fsync, got {sync!r}"
-            )
         self._directory = None if directory is None else str(directory)
-        self._sync = sync
+        self._sync = check_sync(sync)
         self._seq = int(start_seq)
         self._snapshot_seq = 0
         self._records: List[dict] = []  # retained for replica resume
@@ -249,13 +250,7 @@ class ServerWal:
         self._seq += 1
         record = {"seq": self._seq, "op": op, **fields}
         if self._handle is not None:
-            self._handle.write(
-                json.dumps(record, separators=(",", ":")) + "\n"
-            )
-            if self._sync != "none":
-                self._handle.flush()
-            if self._sync == "fsync":
-                os.fsync(self._handle.fileno())
+            append_jsonl(self._handle, record, self._sync)
         self._records.append(record)
         self._c_records(op).inc()
         for listener in list(self._listeners):
@@ -284,12 +279,7 @@ class ServerWal:
         if self._handle is not None and self._sync != "fsync":
             self._handle.flush()
             os.fsync(self._handle.fileno())
-        tmp_path = self.checkpoint_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(snapshot, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self.checkpoint_path)
+        replace_json(self.checkpoint_path, snapshot)
         self._c_checkpoints.inc()
 
     def close(self) -> None:

@@ -10,38 +10,36 @@ answer "now", then an update arrives with a timestamp behind the
 advanced sweep line — valid for the database, in the past for the
 engine.
 
-:class:`SupervisedQuerySession` interposes a guard listener instead.
-When the engine throws, the supervisor detaches it, salvages the
+:class:`SupervisedQuerySession` puts an engine host
+(:class:`~repro.parallel.backends.ShardRuntime`) between the database
+and the engine instead.  When the engine throws, the host salvages the
 answer accumulated up to the last database timestamp (everything after
-it is unreliable — the engine advanced without the update), and builds
+it is unreliable — the engine advanced without the update) and builds
 a fresh engine and view from current database state.  That rebuild is
 exactly the paper's Theorem 5 initialization step — ``O(N log N)`` —
 so a continuous query degrades to a re-initialization instead of
 dying.  Segment answers are stitched back together at :meth:`close`,
 so the session's final :class:`SnapshotAnswer` covers the whole
-session interval as if nothing had failed.
+session interval as if nothing had failed.  The session itself adds
+only what an operator sees of a heal: the counters in :attr:`stats`,
+the ``supervisor_*_total`` metrics and the ``supervisor.rebuild`` span.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Optional, Set
 
-from repro.core.api import QueryLike, _as_gdistance
-from repro.gdist.base import GDistance
-from repro.geometry.intervals import Interval, IntervalSet
+from repro.core.spec import QueryLike, QuerySpec
 from repro.mod.database import MovingObjectDatabase
-from repro.mod.updates import ObjectId, Update
+from repro.mod.updates import ObjectId
 from repro.obs.instrument import as_instrumentation
 from repro.obs.metrics import NULL_COUNTER
 from repro.obs.tracing import NULL_TRACER
+from repro.parallel.backends import ShardRuntime
 from repro.query.answers import SnapshotAnswer
-from repro.sweep.engine import SweepEngine
-from repro.sweep.knn import ContinuousKNN
-from repro.sweep.within import ContinuousWithin
-
-EngineFactory = Callable[[float], Tuple[SweepEngine, object]]
 
 
 @dataclass
@@ -53,42 +51,28 @@ class SupervisorStats:
     salvage_losses: int = 0  # views too broken to contribute a segment
 
 
-def _clip(answer: SnapshotAnswer, lo: float, hi: float) -> SnapshotAnswer:
-    """Restrict an answer to ``[lo, hi]``."""
-    window = IntervalSet([Interval(lo, hi)])
-    return SnapshotAnswer(
-        {
-            oid: answer.intervals_for(oid).intersect(window)
-            for oid in answer.objects
-        },
-        Interval(lo, hi),
-    )
-
-
 class SupervisedQuerySession:
     """A continuous k-NN / within-range session that survives engine
     failures by rebuilding from database state.
 
     Construct with :meth:`knn` or :meth:`within` (mirroring
-    :class:`~repro.core.api.ContinuousQuerySession`).  The supervisor —
-    not the engine — subscribes to the database; engine exceptions are
-    caught, counted in :attr:`stats`, and answered with a rebuild.
+    :class:`~repro.core.api.ContinuousQuerySession`).  The session's
+    engine host — not the engine — subscribes to the database; engine
+    exceptions are caught, counted in :attr:`stats`, and answered with
+    a rebuild.
     """
 
     def __init__(
         self,
         db: MovingObjectDatabase,
-        factory: EngineFactory,
+        spec: QuerySpec,
         until: float = math.inf,
         start: Optional[float] = None,
         observe=None,
+        cache=None,
+        **sharding,
     ) -> None:
         self._db = db
-        self._factory = factory
-        self._until = until
-        t0 = db.last_update_time if start is None else start
-        self._origin = t0
-        self._segments: List[SnapshotAnswer] = []
         self.stats = SupervisorStats()
         self.observe = as_instrumentation(observe)
         if self.observe is None:
@@ -111,10 +95,18 @@ class SupervisedQuerySession:
                 "supervisor_salvage_losses_total",
                 "Segments lost because the view was too broken to answer.",
             )
-        self._engine, self._view = factory(t0)
-        self._segment_start = t0
+        if cache is not None:
+            cache.bind(db)
         self._closed = False
-        db.subscribe(self._guard)
+        self._host = ShardRuntime(
+            db,
+            spec.over(db.last_update_time if start is None else start, until),
+            heal=True,
+            observe=self.observe,
+            curve_store=None if cache is None else cache.curves,
+            healing=self._healing,
+            **sharding,
+        )
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -145,48 +137,22 @@ class SupervisedQuerySession:
         themselves without involving the supervisor at all.
 
         ``cache`` (a :class:`repro.cache.QueryCache`) shares its curve
-        store with every engine the factory builds, so a rebuild's
+        store with every engine the host builds, so a rebuild's
         Theorem 5 re-initialization re-hits the curves of untouched
         objects instead of reconstructing all ``N``.
         """
-        gdistance = _as_gdistance(query)
-        observe = as_instrumentation(observe)
-        if cache is not None:
-            cache.bind(db)
-        curve_store = None if cache is None else cache.curves
-
-        if shards is not None:
-            from repro.parallel.evaluator import ShardedSweepEvaluator
-
-            def factory(t: float) -> Tuple[SweepEngine, object]:
-                evaluator = ShardedSweepEvaluator.knn(
-                    db,
-                    query,
-                    k=k,
-                    until=until,
-                    start=t,
-                    shards=shards,
-                    backend=backend,
-                    batch_size=batch_size,
-                    self_heal=self_heal,
-                    observe=observe,
-                    curve_store=curve_store,
-                )
-                return evaluator, evaluator
-
-        else:
-
-            def factory(t: float) -> Tuple[SweepEngine, object]:
-                engine = SweepEngine(
-                    db,
-                    gdistance,
-                    Interval(t, until),
-                    observe=observe,
-                    curve_store=curve_store,
-                )
-                return engine, ContinuousKNN(engine, k)
-
-        return cls(db, factory, until=until, start=start, observe=observe)
+        return cls(
+            db,
+            QuerySpec.knn(query, k),
+            until,
+            start,
+            observe,
+            cache,
+            shards=shards,
+            backend=backend,
+            batch_size=batch_size,
+            self_heal=self_heal,
+        )
 
     @classmethod
     def within(
@@ -208,109 +174,63 @@ class SupervisedQuerySession:
         ``shards`` selects a sharded evaluator and ``cache`` shares a
         curve store across rebuilds, both as in :meth:`knn`.
         """
-        gdistance = _as_gdistance(query)
-        observe = as_instrumentation(observe)
-        if cache is not None:
-            cache.bind(db)
-        curve_store = None if cache is None else cache.curves
-        threshold = (
-            distance * distance
-            if not isinstance(query, GDistance)
-            else float(distance)
+        return cls(
+            db,
+            QuerySpec.within(query, distance),
+            until,
+            start,
+            observe,
+            cache,
+            shards=shards,
+            backend=backend,
+            batch_size=batch_size,
+            self_heal=self_heal,
         )
-
-        if shards is not None:
-            from repro.parallel.evaluator import ShardedSweepEvaluator
-
-            def factory(t: float) -> Tuple[SweepEngine, object]:
-                evaluator = ShardedSweepEvaluator.within(
-                    db,
-                    query,
-                    distance,
-                    until=until,
-                    start=t,
-                    shards=shards,
-                    backend=backend,
-                    batch_size=batch_size,
-                    self_heal=self_heal,
-                    observe=observe,
-                    curve_store=curve_store,
-                )
-                return evaluator, evaluator
-
-        else:
-
-            def factory(t: float) -> Tuple[SweepEngine, object]:
-                engine = SweepEngine(
-                    db,
-                    gdistance,
-                    Interval(t, until),
-                    constants=[threshold],
-                    observe=observe,
-                    curve_store=curve_store,
-                )
-                return engine, ContinuousWithin(engine, threshold)
-
-        return cls(db, factory, until=until, start=start, observe=observe)
 
     # -- live inspection ----------------------------------------------------
     @property
-    def engine(self) -> SweepEngine:
+    def engine(self):
         """The engine currently in force (changes across rebuilds)."""
-        return self._engine
+        return self._host.engine
 
     @property
     def current_time(self) -> float:
         """The current sweep position."""
-        return self._engine.current_time
+        return self._host.current_time
 
     @property
     def members(self) -> Set[ObjectId]:
         """The current answer set."""
-        return self._view.members
+        return self._host.view.members
 
-    # -- the guard ----------------------------------------------------------
-    def _guard(self, update: Update) -> None:
-        if self._closed:  # pragma: no cover - defensive; close() detaches
-            return
-        try:
-            self._engine.on_update(update)
-        except Exception:
-            self.stats.failures += 1
-            self._c_failures.inc()
-            self._rebuild()
+    # The engine and view in force live on the host; the fault-injection
+    # tests reach them (and swap the view) under their old names.
+    _engine = engine
+    _view = property(
+        lambda self: self._host.view,
+        lambda self, view: setattr(self._host, "view", view),
+    )
 
-    def _rebuild(self) -> None:
-        """Detach the broken engine, salvage its answer, start fresh.
-
-        The salvaged segment ends at the database's ``tau``: the failed
-        engine may have swept past it (a probe/update race), but its
-        answer beyond the last applied update is unreliable.  The new
-        engine re-initializes from current database state — the
-        Theorem 5 ``O(N log N)`` step.
-        """
-        now = self._db.last_update_time
+    # -- the heal, as an operator sees it -------------------------------------
+    @contextmanager
+    def _healing(self):
+        """Entered by the host around each rebuild: one failure, one
+        ``supervisor.rebuild`` span, and the loss of the broken
+        engine's segment when its view could not be salvaged."""
+        self.stats.failures += 1
+        self._c_failures.inc()
+        lost = self._host.salvage_losses
         with self._tracer.span(
-            "supervisor.rebuild", at=now, objects=self._db.object_count
+            "supervisor.rebuild",
+            at=self._db.last_update_time,
+            objects=self._db.object_count,
         ):
-            self._salvage(upto=now)
-            self._engine, self._view = self._factory(now)
-        self._segment_start = now
+            yield
         self.stats.rebuilds += 1
         self._c_rebuilds.inc()
-
-    def _salvage(self, upto: float) -> None:
-        try:
-            self._engine.finalize()
-            answer = self._view.answer()
-        except Exception:
-            # The view is broken beyond salvage; the segment is lost
-            # but the session survives — the rebuild re-reads database
-            # state, which is authoritative.
+        if self._host.salvage_losses > lost:
             self.stats.salvage_losses += 1
             self._c_salvage_losses.inc()
-            return
-        self._segments.append(_clip(answer, self._segment_start, upto))
 
     # -- probing ------------------------------------------------------------
     def advance_to(self, t: float) -> Set[ObjectId]:
@@ -321,12 +241,10 @@ class SupervisedQuerySession:
         ``t`` before returning.
         """
         try:
-            self._engine.advance_to(max(t, self._engine.current_time))
+            self._host.advance_to(t)
         except Exception:
-            self.stats.failures += 1
-            self._c_failures.inc()
-            self._rebuild()
-            self._engine.advance_to(max(t, self._engine.current_time))
+            self._host.rebuild()
+            self._host.advance_to(t)
         return self.members
 
     # -- teardown -----------------------------------------------------------
@@ -344,22 +262,7 @@ class SupervisedQuerySession:
         self._closed = True
         try:
             if at is not None:
-                self._engine.advance_to(max(at, self._engine.current_time))
-            end = self._engine.current_time
-            self._engine.finalize()
-            self._segments.append(
-                _clip(self._view.answer(), self._segment_start, end)
-            )
+                self._host.advance_to(at)
+            return self._host.finalize(self._host.current_time)
         finally:
-            self._db.unsubscribe(self._guard)
-        return self._merged(end)
-
-    def _merged(self, end: float) -> SnapshotAnswer:
-        memberships: Dict[ObjectId, IntervalSet] = {}
-        for segment in self._segments:
-            for oid in segment.objects:
-                ivs = segment.intervals_for(oid)
-                memberships[oid] = (
-                    memberships[oid].union(ivs) if oid in memberships else ivs
-                )
-        return SnapshotAnswer(memberships, Interval(self._origin, end))
+            self._host.close()

@@ -50,18 +50,11 @@ class WalCorruptionError(RuntimeError):
 SYNC_POLICIES = ("none", "flush", "fsync")
 
 
-def resolve_sync(sync, fsync) -> str:
-    """Fold the legacy ``fsync=`` bool and the ``sync=`` policy into
-    one policy name (``sync`` wins when both are given)."""
-    if sync is not None:
-        if sync not in SYNC_POLICIES:
-            raise ValueError(
-                f"sync must be one of {SYNC_POLICIES}, got {sync!r}"
-            )
-        return sync
-    if fsync is None or fsync:
-        return "fsync"
-    return "flush"
+def check_sync(sync: str) -> str:
+    """Validate a per-append durability policy name."""
+    if sync not in SYNC_POLICIES:
+        raise ValueError(f"sync must be one of {SYNC_POLICIES}, got {sync!r}")
+    return sync
 
 
 class WriteAheadLog:
@@ -78,21 +71,17 @@ class WriteAheadLog:
     fsyncs — both the snapshot and, under the weaker policies, the WAL
     itself — so a checkpoint is a durability boundary regardless of
     the per-append policy.
-
-    The legacy ``fsync=`` bool is still honoured (``True`` →
-    ``"fsync"``, ``False`` → ``"flush"``) when ``sync`` is not given.
     """
 
     def __init__(
         self,
         directory: str,
-        fsync: Optional[bool] = None,
         observe=None,
         sync: Optional[str] = None,
     ) -> None:
         self._directory = str(directory)
         os.makedirs(self._directory, exist_ok=True)
-        self._sync = resolve_sync(sync, fsync)
+        self._sync = check_sync("fsync" if sync is None else sync)
         self._handle = open(self.wal_path, "a", encoding="utf-8")
         self._appended = 0
         self._closed = False
@@ -148,12 +137,7 @@ class WriteAheadLog:
             raise RuntimeError("write-ahead log is closed")
         timed = self._h_append_seconds is not None
         started = _time.perf_counter() if timed else 0.0
-        line = json.dumps(update_to_dict(update), separators=(",", ":"))
-        self._handle.write(line + "\n")
-        if self._sync != "none":
-            self._handle.flush()
-        if self._sync == "fsync":
-            os.fsync(self._handle.fileno())
+        append_jsonl(self._handle, update_to_dict(update), self._sync)
         self._appended += 1
         self._c_appends.inc()
         if timed:
@@ -172,12 +156,7 @@ class WriteAheadLog:
         if not self._closed and self._sync != "fsync":
             self._handle.flush()
             os.fsync(self._handle.fileno())
-        tmp_path = self.checkpoint_path + ".tmp"
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            json.dump(database_to_dict(db), handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self.checkpoint_path)
+        replace_json(self.checkpoint_path, database_to_dict(db))
         self._c_checkpoints.inc()
 
     def close(self) -> None:
@@ -191,6 +170,40 @@ class WriteAheadLog:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def append_jsonl(handle, record: dict, sync: str) -> None:
+    """Write ``record`` as one compact JSON line, then flush (and
+    fsync) as the ``sync`` policy demands — what both the database WAL
+    and the server journal mean by an append."""
+    handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+    if sync != "none":
+        handle.flush()
+    if sync == "fsync":
+        os.fsync(handle.fileno())
+
+
+def replace_json(path: str, data: dict) -> None:
+    """Atomically replace ``path`` with ``data`` as JSON: written to a
+    temporary file, fsynced, then ``os.replace``d, so a crash
+    mid-checkpoint leaves the previous file intact."""
+    tmp_path = path + ".tmp"
+    with open(tmp_path, "w", encoding="utf-8") as handle:
+        json.dump(data, handle)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp_path, path)
+
+
+# What a line that is not one intact record raises: undecodable bytes,
+# malformed JSON, or a ``decode`` rejecting the parsed value.
+_BAD_LINE = (
+    UnicodeDecodeError,
+    json.JSONDecodeError,
+    KeyError,
+    ValueError,
+    TypeError,
+)
 
 
 def read_jsonl_records(
@@ -223,13 +236,7 @@ def read_jsonl_records(
             continue
         try:
             records.append(decode(json.loads(raw.decode("utf-8"))))
-        except (
-            UnicodeDecodeError,
-            json.JSONDecodeError,
-            KeyError,
-            ValueError,
-            TypeError,
-        ) as exc:
+        except _BAD_LINE as exc:
             for later in lines[index + 1 :]:
                 if _parses_as_record(later, decode):
                     raise WalCorruptionError(
@@ -246,24 +253,12 @@ def read_jsonl_records(
     return records
 
 
-def _read_wal(path: str, repair: bool) -> List[Update]:
-    return read_jsonl_records(
-        path, repair, lambda data: update_from_dict(data)
-    )
-
-
 def _parses_as_record(raw: bytes, decode) -> bool:
     if not raw.strip():
         return False
     try:
         decode(json.loads(raw.decode("utf-8")))
-    except (
-        UnicodeDecodeError,
-        json.JSONDecodeError,
-        KeyError,
-        ValueError,
-        TypeError,
-    ):
+    except _BAD_LINE:
         return False
     return True
 
@@ -314,7 +309,7 @@ def recover(
             db = MovingObjectDatabase(initial_time=float("-inf"))
         updates: List[Update] = []
         if os.path.exists(wal_path):
-            updates = _read_wal(wal_path, repair=repair)
+            updates = read_jsonl_records(wal_path, repair, update_from_dict)
         replayed = 0
         for update in updates:
             if update.time > db.last_update_time:

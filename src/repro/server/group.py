@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.core.spec import KNN, WITHIN, QuerySpec
 from repro.geometry.intervals import Interval
 from repro.gdist.base import GDistance
 from repro.mod.database import MovingObjectDatabase
@@ -39,9 +40,6 @@ from repro.parallel.merge import (
 from repro.parallel.sharding import partition_database
 from repro.query.answers import SnapshotAnswer
 from repro.sweep.engine import SweepEngine
-from repro.sweep.knn import ContinuousKNN
-from repro.sweep.multiknn import MultiKNN
-from repro.sweep.within import ContinuousWithin
 
 __all__ = ["EngineGroup"]
 
@@ -54,15 +52,6 @@ class _Slot:
     def __init__(self, db: MovingObjectDatabase, engine: SweepEngine) -> None:
         self.db = db
         self.engine = engine
-
-
-def _make_view(engine: SweepEngine, key: Tuple):
-    kind = key[0]
-    if kind == "knn":
-        return ContinuousKNN(engine, key[1])
-    if kind == "within":
-        return ContinuousWithin(engine, key[1])
-    return MultiKNN(engine, list(key[1]))
 
 
 class EngineGroup:
@@ -89,8 +78,11 @@ class EngineGroup:
         self._observe = observe
         self._curve_store = curve_store
         self._slots: List[_Slot] = []
+        # Per view family (``QuerySpec.view_key``): one view per slot,
+        # the attached-session count, and the spec that rebuilds them.
         self._views: Dict[Tuple, List] = {}
         self._refs: Dict[Tuple, int] = {}
+        self._specs: Dict[Tuple, QuerySpec] = {}
         # ``start`` back-dates the sweep window below the source ``tau``
         # (recovery rebuilding a group whose tenants opened before the
         # checkpoint).  The MOD keeps every object's full piecewise
@@ -124,25 +116,27 @@ class EngineGroup:
         self._slots = slots
 
     # -- shared-view refcounting ------------------------------------------
-    def acquire(self, key: Tuple) -> None:
-        """Attach one more session to the ``key`` view family, building
+    def acquire(self, spec: QuerySpec) -> None:
+        """Attach one more session to ``spec``'s view family, building
         it (one view per slot, bootstrapped mid-sweep) on first use."""
+        key = spec.view_key
         if key not in self._views:
-            self._views[key] = [
-                _make_view(slot.engine, key) for slot in self._slots
-            ]
+            self._views[key] = [spec.view(slot.engine) for slot in self._slots]
             self._refs[key] = 0
+            self._specs[key] = spec
         self._refs[key] += 1
 
-    def release(self, key: Tuple) -> None:
+    def release(self, spec: QuerySpec) -> None:
         """Detach one session; the last detach unhooks the views from
         the engines so they stop paying per-event bookkeeping."""
+        key = spec.view_key
         self._refs[key] -= 1
         if self._refs[key] <= 0:
             for slot, view in zip(self._slots, self._views[key]):
                 slot.engine.remove_listener(view)
             del self._views[key]
             del self._refs[key]
+            del self._specs[key]
 
     @property
     def tenant_count(self) -> int:
@@ -180,43 +174,40 @@ class EngineGroup:
                 slot.engine.advance_to(self.clock)
 
     # -- instant answers ---------------------------------------------------
-    def members(self, key: Tuple):
+    def members(self, spec: QuerySpec):
         """The current answer of one view family at the group clock."""
         self.advance_to(self.clock)
-        kind = key[0]
-        views = self._views[key]
-        if kind == "within":
+        views = self._views[spec.view_key]
+        if spec.kind == WITHIN:
             out: Set[ObjectId] = set()
             for view in views:
                 out |= view.members
             return out
-        if kind == "knn":
+        if spec.kind == KNN:
             if len(views) == 1:
                 return views[0].members
-            return set(select_top_k(self._candidates(key, views), key[1]))
-        ks = key[1]
+            return set(select_top_k(self._candidates(views), spec.k))
         if len(views) == 1:
-            return {k: views[0].members(k) for k in ks}
-        t = self.clock
-        out = {}
-        for k in ks:
-            cands = []
-            for slot, view in zip(self._slots, views):
-                for oid in view.members(k):
-                    cands.append((oid, slot.engine.entry_for(oid).curve(t)))
-            out[k] = set(select_top_k(cands, k))
-        return out
+            return {k: views[0].members(k) for k in spec.ks}
+        return {
+            k: set(select_top_k(self._candidates(views, k), k))
+            for k in spec.ks
+        }
 
-    def _candidates(self, key: Tuple, views) -> List[Tuple[ObjectId, float]]:
+    def _candidates(
+        self, views, k: Optional[int] = None
+    ) -> List[Tuple[ObjectId, float]]:
+        """Each slot's current members (at ``k`` for multiknn views)
+        paired with their g-distance at the group clock."""
         t = self.clock
         cands: List[Tuple[ObjectId, float]] = []
         for slot, view in zip(self._slots, views):
-            for oid in view.members:
+            for oid in view.members if k is None else view.members(k):
                 cands.append((oid, slot.engine.entry_for(oid).curve(t)))
         return cands
 
     # -- windowed answers --------------------------------------------------
-    def partial(self, key: Tuple, t0: float, end: float):
+    def partial(self, spec: QuerySpec, t0: float, end: float):
         """The exact answer of one view family over ``[t0, end]``,
         read non-destructively off the current epoch's timelines.
 
@@ -225,52 +216,42 @@ class EngineGroup:
         merge (within = disjoint union, knn/multiknn = second-level
         sweep), identical to the sharded evaluator's finalize path.
         """
-        kind = key[0]
-        views = self._views[key]
+        parts = [spec.partial(v, end) for v in self._views[spec.view_key]]
+        if len(parts) == 1:
+            return clip_answer(parts[0], t0, end)
         window = Interval(t0, end)
-        if kind == "within":
-            parts = [v.partial_answer(end) for v in views]
-            if len(parts) == 1:
-                return clip_answer(parts[0], t0, end)
+        if spec.kind == WITHIN:
             return clip_answer(union_answers(parts, window), t0, end)
-        if kind == "knn":
-            parts = [v.partial_answer(end) for v in views]
-            if len(parts) == 1:
-                return clip_answer(parts[0], t0, end)
-            clipped = [clip_answer(p, t0, end) for p in parts]
+        merge_options = dict(
+            observe=self._observe, curve_store=self._curve_store
+        )
+        if spec.kind == KNN:
             return merge_knn_answers(
                 self._source,
                 self.gdistance,
                 window,
-                key[1],
-                clipped,
-                observe=self._observe,
-                curve_store=self._curve_store,
+                spec.k,
+                [clip_answer(p, t0, end) for p in parts],
+                **merge_options,
             )
-        ks = list(key[1])
-        parts = [v.partial_answers(end) for v in views]
-        if len(parts) == 1:
-            return {k: clip_answer(parts[0][k], t0, end) for k in ks}
-        top = max(ks)
-        clipped = [clip_answer(p[top], t0, end) for p in parts]
+        top = spec.maintained_k
         return merge_multiknn_answers(
             self._source,
             self.gdistance,
             window,
-            ks,
-            clipped,
-            observe=self._observe,
-            curve_store=self._curve_store,
+            spec.ks,
+            [clip_answer(p[top], t0, end) for p in parts],
+            **merge_options,
         )
 
-    def salvage(self, key: Tuple, t0: float, upto: float):
+    def salvage(self, spec: QuerySpec, t0: float, upto: float):
         """Best-effort partial answer for a failing group, or ``None``.
 
         Timeline snapshots touch no engine structures, so they usually
         survive a poisoned engine; anything that still raises means the
         span is lost (the caller counts it)."""
         try:
-            return self.partial(key, t0, upto)
+            return self.partial(spec, t0, upto)
         except Exception:
             return None
 
@@ -284,12 +265,9 @@ class EngineGroup:
         are immediately re-advanced to the group clock so tenants keep
         their monotone view of time."""
         now = self._source.last_update_time
-        keys = list(self._views)
         self._build(now)
-        for key in keys:
-            self._views[key] = [
-                _make_view(slot.engine, key) for slot in self._slots
-            ]
+        for key, spec in self._specs.items():
+            self._views[key] = [spec.view(slot.engine) for slot in self._slots]
         self.epoch_start = now
         self.rebuilds += 1
         if self.clock > now:
@@ -309,3 +287,4 @@ class EngineGroup:
         self._slots = []
         self._views = {}
         self._refs = {}
+        self._specs = {}

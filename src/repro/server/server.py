@@ -39,6 +39,7 @@ from repro.cache.fingerprint import (
     gdistance_fingerprint,
     is_identity_fingerprint,
 )
+from repro.core.spec import QuerySpec
 from repro.geometry.intervals import Interval
 from repro.gdist.base import GDistance
 from repro.mod.database import MovingObjectDatabase
@@ -47,7 +48,7 @@ from repro.obs.instrument import as_instrumentation
 from repro.obs.metrics import NULL_COUNTER, NULL_HISTOGRAM
 from repro.obs.profile import NULL_STAGE
 from repro.parallel.batching import BatchedUpdateApplier
-from repro.parallel.merge import clip_answer, union_answers
+from repro.parallel.merge import clip_answer, stitch_answers
 from repro.parallel.sharding import shard_of
 from repro.server.config import ServerConfig
 from repro.server.errors import (
@@ -222,11 +223,7 @@ class QueryServer:
         shards: Optional[int] = None,
     ) -> ServerSession:
         """Register a continuous k-NN session starting now."""
-        from repro.core.api import _as_gdistance
-
-        return self._register(
-            "knn", _as_gdistance(query), {"k": int(k)}, (), priority, shards
-        )
+        return self._register(QuerySpec.knn(query, k), priority, shards)
 
     def register_within(
         self,
@@ -241,21 +238,8 @@ class QueryServer:
         point query squares ``distance`` internally; a custom
         g-distance is compared against it as-is.
         """
-        from repro.core.api import _as_gdistance
-
-        gdistance = _as_gdistance(query)
-        threshold = (
-            float(distance)
-            if isinstance(query, GDistance)
-            else float(distance) * float(distance)
-        )
         return self._register(
-            "within",
-            gdistance,
-            {"threshold": threshold},
-            (threshold,),
-            priority,
-            shards,
+            QuerySpec.within(query, distance), priority, shards
         )
 
     def register_multiknn(
@@ -267,64 +251,37 @@ class QueryServer:
     ) -> ServerSession:
         """Register a multi-k k-NN session starting now (per-k answers
         from one shared sweep)."""
-        from repro.core.api import _as_gdistance
-
-        values = tuple(sorted(set(int(k) for k in ks)))
-        if not values:
-            raise ValueError("need at least one k")
-        return self._register(
-            "multiknn", _as_gdistance(query), {"ks": values}, (), priority, shards
-        )
+        return self._register(QuerySpec.multiknn(query, ks), priority, shards)
 
     def _register(
-        self,
-        kind: str,
-        gdistance: GDistance,
-        params: dict,
-        constants: Tuple[float, ...],
-        priority: int,
-        shards: Optional[int],
+        self, spec: QuerySpec, priority: int, shards: Optional[int]
     ) -> ServerSession:
         if self._shutdown:
             raise ServerClosedError("server is shut down")
         with _stage(self._profile, "server.register"):
-            # New groups clone the MOD's *current* state, so nothing may
-            # still be buffered when one is built.
-            self._applier.flush()
-            session = ServerSession(
-                self,
-                self._take_sid(),
-                kind,
-                gdistance,
-                params,
+            session = self._new_session(
+                None,
+                spec,
                 priority,
                 self._config.shards if shards is None else int(shards),
             )
-            session._constants = constants
-            self.stats.registered += 1
-            self._c_session("register").inc()
             budget = self._config.max_sessions
-            if budget is not None and self._active_count() >= budget:
-                if self._config.admission_policy == "reject":
-                    self.stats.rejected += 1
-                    self._c_session("reject").inc()
-                    raise AdmissionError(
-                        f"session budget ({budget}) exhausted"
-                    )
-                if len(self._pending) >= self._config.max_queued:
-                    self.stats.rejected += 1
-                    self._c_session("reject").inc()
-                    raise AdmissionError(
-                        f"admission queue full ({self._config.max_queued})"
-                    )
-                self._sessions[session.session_id] = session
-                self._pending.append(session)
-                self.stats.queued += 1
-                self._c_session("queue").inc()
-                return session
-            self._sessions[session.session_id] = session
-            self._activate(session)
+            if budget is None or self._active_count() < budget:
+                self._admit(session, ACTIVE)
+            elif self._config.admission_policy == "reject":
+                self._reject(f"session budget ({budget}) exhausted")
+            elif len(self._pending) >= self._config.max_queued:
+                self._reject(
+                    f"admission queue full ({self._config.max_queued})"
+                )
+            else:
+                self._admit(session, QUEUED)
             return session
+
+    def _reject(self, reason: str) -> None:
+        self.stats.rejected += 1
+        self._c_session("reject").inc()
+        raise AdmissionError(reason)
 
     def _take_sid(self, forced: Optional[int] = None) -> int:
         """Allot the next session id, or honour a forced one (recovery
@@ -338,6 +295,33 @@ class QueryServer:
         if sid >= self._next_sid:
             self._next_sid = sid + 1
         return sid
+
+    def _new_session(
+        self, sid: Optional[int], spec: QuerySpec, priority: int, shards: int
+    ) -> ServerSession:
+        """The one place a session is created (not yet admitted)."""
+        # New groups clone the MOD's *current* state, so nothing may
+        # still be buffered when one is built.
+        self._applier.flush()
+        session = ServerSession(
+            self, self._take_sid(sid), spec, priority, shards
+        )
+        self.stats.registered += 1
+        self._c_session("register").inc()
+        return session
+
+    def _admit(
+        self, session: ServerSession, state: str, start: Optional[float] = None
+    ) -> None:
+        """Enter an accepted session: into the FIFO when ``queued``,
+        otherwise straight into its engine group."""
+        self._sessions[session.session_id] = session
+        if state == QUEUED:
+            self._pending.append(session)
+            self.stats.queued += 1
+            self._c_session("queue").inc()
+        else:
+            self._activate(session, start=start)
 
     def _register_replayed(
         self,
@@ -358,39 +342,25 @@ class QueryServer:
         activated at its original ``start`` (back-dating the group's
         sweep window when the group does not exist yet) and a journaled
         ``queued`` session re-enters the FIFO in replay order.
+        ``constants`` is what the record carries for readers that
+        predate :class:`QuerySpec`; the spec derives its own.
         """
-        self._applier.flush()
-        session = ServerSession(
-            self,
-            self._take_sid(sid),
-            kind,
-            gdistance,
-            dict(params),
-            priority,
-            int(shards),
-        )
-        session._constants = tuple(float(c) for c in constants)
-        self.stats.registered += 1
-        self._c_session("register").inc()
-        self._sessions[session.session_id] = session
-        if state == QUEUED:
-            self._pending.append(session)
-            self.stats.queued += 1
-            self._c_session("queue").inc()
-        else:
-            self._activate(session, start=start)
+        spec = QuerySpec(gdistance, kind, **params)
+        session = self._new_session(sid, spec, priority, int(shards))
+        self._admit(session, state, start)
         return session
 
     def _active_count(self) -> int:
         return sum(1 for s in self._sessions.values() if s.state == ACTIVE)
 
     def _group_key(self, session: ServerSession) -> Tuple:
-        fp = gdistance_fingerprint(session.gdistance)
+        spec = session.query
+        fp = gdistance_fingerprint(spec.gdistance)
         if is_identity_fingerprint(fp):
             # Identity fingerprints key on id(); pin the object so the
             # key cannot be recycled while the server lives.
-            self._pinned[fp] = session.gdistance
-        return (fp, session.shards, session._constants)
+            self._pinned[fp] = spec.gdistance
+        return (fp, session.shards, spec.constants)
 
     def _activate(
         self, session: ServerSession, start: Optional[float] = None
@@ -401,9 +371,9 @@ class QueryServer:
             group = EngineGroup(
                 next(self._next_gid),
                 self._db,
-                session.gdistance,
+                session.query.gdistance,
                 session.shards,
-                constants=session._constants,
+                constants=session.query.constants,
                 observe=self._observe,
                 curve_store=self._curve_store,
                 start=start,
@@ -412,7 +382,7 @@ class QueryServer:
             self._groups[key] = group
             self._groups_by_id[group.gid] = group
             self._ops_marker = self._total_ops()
-        group.acquire(session.view_key)
+        group.acquire(session.query)
         session.group = group
         session.start = session.segment_start = (
             group.current_time if start is None else float(start)
@@ -535,7 +505,7 @@ class QueryServer:
         session.group = None
         session.state = state
         if group is not None:
-            group.release(session.view_key)
+            group.release(session.query)
             if group.tenant_count == 0:
                 self._retire(group)
 
@@ -546,32 +516,31 @@ class QueryServer:
         self._ops_marker = self._total_ops()
         self._window.clear()
 
-    def _members(self, session: ServerSession):
-        self._applier.flush()
-        session._check_readable()
-        group = session.group
+    def _healing(self, session: ServerSession, op):
+        """Run ``op`` on the session's group; an engine fault heals the
+        group and — when the session survived — retries once on the
+        rebuilt one."""
         try:
-            return group.members(session.view_key)
+            return op(session.group)
         except Exception as exc:
             if not _is_engine_fault(exc):
                 raise
-            self._heal(group, exc)
+            self._heal(session.group, exc)
             session._check_readable()
-            return session.group.members(session.view_key)
+            return op(session.group)
+
+    def _members(self, session: ServerSession):
+        self._applier.flush()
+        session._check_readable()
+        return self._healing(
+            session, lambda group: group.members(session.query)
+        )
 
     def _advance(self, session: ServerSession, t: float):
         self._applier.flush()
         session._check_readable()
         with _stage(self._profile, "server.advance"):
-            group = session.group
-            try:
-                group.advance_to(t)
-            except Exception as exc:
-                if not _is_engine_fault(exc):
-                    raise
-                self._heal(group, exc)
-                session._check_readable()
-                session.group.advance_to(t)
+            self._healing(session, lambda group: group.advance_to(t))
         return self._members(session)
 
     def _close(self, session: ServerSession, at: Optional[float]):
@@ -587,14 +556,7 @@ class QueryServer:
                     f"the answer window [start, at] would be empty"
                 )
             if end > group.current_time:
-                try:
-                    group.advance_to(end)
-                except Exception as exc:
-                    if not _is_engine_fault(exc):
-                        raise
-                    self._heal(group, exc)
-                    session._check_readable()
-                    session.group.advance_to(end)
+                self._healing(session, lambda g: g.advance_to(end))
             # The answer covers exactly [start, at]: a close at a time
             # the group's shared clock has already passed (a co-tenant
             # advanced it) clips the shared timelines down to the
@@ -602,28 +564,14 @@ class QueryServer:
             group = session.group
             sweep_end = max(end, group.current_time)
             live = group.partial(
-                session.view_key, session.segment_start, sweep_end
+                session.query, session.segment_start, sweep_end
             )
             window = Interval(session.start, end)
-            if session.kind == "multiknn":
-                ks = list(session.params["ks"])
-                answer = {
-                    k: clip_answer(
-                        union_answers(
-                            [seg[k] for seg in session.segments] + [live[k]],
-                            window,
-                        ),
-                        session.start,
-                        end,
-                    )
-                    for k in ks
-                }
-            else:
-                answer = clip_answer(
-                    union_answers(session.segments + [live], window),
-                    session.start,
-                    end,
-                )
+            answer = clip_answer(
+                stitch_answers(session.segments + [live], window),
+                session.start,
+                end,
+            )
             if st is not NULL_STAGE:
                 st.annotate(
                     session=session.session_id,
@@ -644,20 +592,15 @@ class QueryServer:
             return
         if not (math.isfinite(window.lo) and math.isfinite(window.hi)):
             return
+        spec = session.query
         self._cache.store(
-            session.kind,
-            session.gdistance,
-            window,
-            answer,
-            **session.params,
+            spec.kind, spec.gdistance, window, answer, **spec.params
         )
 
     # -- heal path (supervisor pattern at group granularity) ---------------
-    def _heal(
-        self, group: EngineGroup, cause: Optional[BaseException] = None
-    ) -> None:
-        error = type(cause).__name__ if cause is not None else "unknown"
-        message = "" if cause is None else str(cause)
+    def _heal(self, group: EngineGroup, cause: BaseException) -> None:
+        error = type(cause).__name__
+        message = str(cause)
         with _stage(self._profile, "server.heal") as st:
             if st is not NULL_STAGE:
                 st.annotate(group=group.gid, error=error)
@@ -674,7 +617,7 @@ class QueryServer:
                 if upto <= session.segment_start:
                     continue
                 segment = group.salvage(
-                    session.view_key, session.segment_start, upto
+                    session.query, session.segment_start, upto
                 )
                 if segment is None:
                     session.lost_spans += 1
@@ -701,24 +644,16 @@ class QueryServer:
             self._window.clear()
 
     def _quarantine(
-        self,
-        group: EngineGroup,
-        tenants,
-        error: str = "unknown",
-        message: str = "",
+        self, group: EngineGroup, tenants, error: str, message: str
     ) -> None:
         for session in tenants:
             session.group = None
             session.state = QUARANTINED
-        self._groups.pop(group.key, None)
-        self._groups_by_id.pop(group.gid, None)
-        group.shutdown()
+        self._retire(group)
         self.stats.quarantines += 1
         self._c_session("quarantine").inc()
         self._c_heal(error, "quarantined").inc()
         self._trace_heal("quarantined", group, error, message)
-        self._ops_marker = self._total_ops()
-        self._window.clear()
 
     def _trace_heal(
         self, outcome: str, group: EngineGroup, error: str, message: str
@@ -807,8 +742,7 @@ class QueryServer:
         meta = {
             "session": session.session_id,
             "shards": session.shards,
-            **{k: list(v) if isinstance(v, tuple) else v
-               for k, v in session.params.items()},
+            **session.query.params,
         }
         with profiler.profile(
             f"server.{session.kind}", query_id=query_id, **meta

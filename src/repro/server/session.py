@@ -1,8 +1,8 @@
 """One tenant's handle on a shared engine group.
 
-A :class:`ServerSession` owns no sweep state of its own: it names a
-shared per-group view (``(kind, params)``) plus the time its answer
-window opened, and the server clips the shared view's timeline to that
+A :class:`ServerSession` owns no sweep state of its own: it carries
+the :class:`~repro.core.spec.QuerySpec` naming a shared per-group view
+plus the time its answer window opened, and the server clips the shared view's timeline to that
 window on every read.  The session's lifecycle is a small state
 machine::
 
@@ -16,11 +16,10 @@ Reads in any state but ``active`` raise the matching typed error from
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Union
+from typing import Dict, Optional, Set, Union
 
-from repro.gdist.base import GDistance
+from repro.core.spec import Answer, QuerySpec
 from repro.mod.updates import ObjectId
-from repro.query.answers import SnapshotAnswer
 from repro.server.errors import (
     SessionClosedError,
     SessionQuarantinedError,
@@ -36,7 +35,6 @@ CLOSED = "closed"
 SHED = "shed"
 QUARANTINED = "quarantined"
 
-Answer = Union[SnapshotAnswer, Dict[int, SnapshotAnswer]]
 Members = Union[Set[ObjectId], Dict[int, Set[ObjectId]]]
 
 
@@ -54,17 +52,17 @@ class ServerSession:
         self,
         server,
         session_id: int,
-        kind: str,
-        gdistance: GDistance,
-        params: dict,
-        priority: int,
-        shards: int,
+        query: Optional[QuerySpec],
+        priority: int = 0,
+        shards: int = 1,
+        kind: Optional[str] = None,
     ) -> None:
         self._server = server
         self.session_id = session_id
-        self.kind = kind
-        self.gdistance = gdistance
-        self.params = dict(params)
+        # None only for a terminal stub restored from a snapshot, which
+        # journals a finished session's kind and state and nothing else.
+        self.query = query
+        self.kind = query.kind if kind is None else kind
         self.priority = priority
         self.shards = shards
         self.state = QUEUED
@@ -82,20 +80,16 @@ class ServerSession:
     def view_key(self):
         """The shared-view key: sessions with equal keys (and equal
         groups) read the very same timelines."""
-        if self.kind == "knn":
-            return ("knn", self.params["k"])
-        if self.kind == "within":
-            return ("within", self.params["threshold"])
-        return ("multiknn", tuple(self.params["ks"]))
+        return self.query.view_key
 
     def spec(self) -> dict:
         """Enough to re-register an equivalent session (WAL rebuilds)."""
         return {
             "kind": self.kind,
-            "query": self.gdistance,
+            "query": self.query.gdistance,
             "priority": self.priority,
             "shards": self.shards,
-            **self.params,
+            **self.query.params,
         }
 
     # -- state gates ------------------------------------------------------

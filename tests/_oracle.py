@@ -2,7 +2,7 @@
 
 One seeded scenario — an initial MOD population plus a chronological
 ``new``/``terminate``/``chdir`` update stream — is driven identically
-through four evaluation paths:
+through these evaluation paths:
 
 - the **naive baseline** (O(N^2) recomputation from trajectories),
 - a **single** :class:`~repro.sweep.engine.SweepEngine`,
@@ -11,6 +11,9 @@ through four evaluation paths:
 - a shared :class:`~repro.server.QueryServer` hosting the probed
   session *alongside co-tenant sessions of every other kind* (so the
   server path also checks that fan-out sharing never perturbs answers),
+- a :class:`~repro.resilience.supervisor.SupervisedQuerySession` (and a
+  bare self-healing sharded evaluator) hit by a forced probe/update
+  race mid-stream, so the heal path is held to the same answers,
 
 and each path reports the same two artifacts: the final snapshot
 answer over the whole session and the instant answer sets at a fixed
@@ -293,6 +296,96 @@ def run_sharded(
     finally:
         db.unsubscribe(evaluator.on_update)
         evaluator.shutdown()
+    return final, probes
+
+
+# Fraction of the gap after the raced update at which the forced
+# probe/update race parks the sweep: past the update's own timestamp
+# (so the update lands in the engine's past) but short of the probe
+# that follows it (so the probe schedule stays monotone for paths that
+# cannot sweep backwards).
+RACE_FRACTION = 0.2
+
+
+def _run_raced(sc: Scenario, db: MovingObjectDatabase, advance, close):
+    """Drive the schedule with one forced probe/update race mid-stream:
+    just before the middle update is applied the sweep is advanced
+    past that update's timestamp, so the update — valid for the
+    database — arrives in the engine's past."""
+    schedule = sc.schedule()
+    race_index = len(schedule) // 2
+    probes: List[ProbeRecord] = []
+    for i, (update, probe) in enumerate(schedule):
+        if i == race_index:
+            nxt = (
+                schedule[i + 1][0].time if i + 1 < len(schedule) else sc.horizon
+            )
+            advance(update.time + RACE_FRACTION * (nxt - update.time))
+        db.apply(update)
+        if probe is not None:
+            probes.append((probe, set(advance(probe))))
+    return close(sc.horizon), probes
+
+
+def run_supervised(
+    sc: Scenario,
+    mode: str,
+    shards: Optional[int] = None,
+    stats_out: Optional[dict] = None,
+) -> Tuple[SnapshotAnswer, List[ProbeRecord]]:
+    """Final answer + probe answers from a SupervisedQuerySession that
+    is hit by a forced probe/update race mid-stream (kNN and within;
+    ``shards`` fronts a sharded evaluator).  ``stats_out`` receives the
+    session's ``failures`` / ``rebuilds`` / ``salvage_losses``."""
+    from repro.resilience.supervisor import SupervisedQuerySession
+
+    db = sc.build_db()
+    if mode == KNN:
+        session = SupervisedQuerySession.knn(
+            db, sc.gdistance(), k=sc.k, until=sc.horizon, shards=shards
+        )
+    else:
+        session = SupervisedQuerySession.within(
+            db, sc.gdistance(), sc.threshold, until=sc.horizon, shards=shards
+        )
+    final, probes = _run_raced(sc, db, session.advance_to, session.close)
+    if stats_out is not None:
+        stats_out.update(vars(session.stats))
+    return final, probes
+
+
+def run_self_healing_sharded(
+    sc: Scenario, mode: str, shards: int, stats_out: Optional[dict] = None
+) -> Tuple[SnapshotAnswer, List[ProbeRecord]]:
+    """The same forced race against a bare ``self_heal=True`` sharded
+    evaluator: only the raced update's shard rebuilds.  ``stats_out``
+    receives the evaluator's ``rebuilds``."""
+    db = sc.build_db()
+    factory = (
+        ShardedSweepEvaluator.knn if mode == KNN else ShardedSweepEvaluator.within
+    )
+    evaluator = factory(
+        db,
+        sc.gdistance(),
+        sc.k if mode == KNN else sc.threshold,
+        until=sc.horizon,
+        shards=shards,
+        self_heal=True,
+    )
+    db.subscribe(evaluator.on_update)
+
+    def close(at: float) -> SnapshotAnswer:
+        evaluator.advance_to(at)
+        evaluator.finalize()
+        return evaluator.answer()
+
+    try:
+        final, probes = _run_raced(sc, db, evaluator.advance_to, close)
+    finally:
+        db.unsubscribe(evaluator.on_update)
+        evaluator.shutdown()
+    if stats_out is not None:
+        stats_out["rebuilds"] = evaluator.rebuilds
     return final, probes
 
 

@@ -154,3 +154,34 @@ class TestCheckpointing:
         assert final.approx_equals(replayed.answer, atol=1e-6)
         recovered.shutdown()
         server.shutdown()
+
+    def test_installed_mod_recovers_before_the_first_checkpoint(
+        self, tmp_path
+    ):
+        """Objects placed by ``install()`` are in no journal record: a
+        fresh durable server snapshots them as its baseline (consuming
+        no seq), so a crash before any checkpoint still recovers."""
+        from repro.io import database_to_dict
+        from repro.workloads.generator import UpdateStream
+
+        db = random_linear_mod(6, seed=11, extent=20.0, speed=3.0)
+        server = DurableQueryServer(
+            db, directory=str(tmp_path), checkpoint_interval=None
+        )
+        assert server.journal.seq == 0 and server.journal.tail_length == 0
+        session = server.register_knn([0.0, 0.0], k=2)
+        stream = UpdateStream(db, seed=11, extent=20.0, speed=3.0)
+        for _ in range(5):
+            stream.step()  # chdirs of installed objects among them
+        assert server.journal.tail_length == 6
+        # Crash: no shutdown, no further checkpoint.
+        recovered = recover_server(str(tmp_path))
+        assert recovered.recovered_tail == 6
+        assert database_to_dict(recovered.db) == database_to_dict(db)
+        at = db.last_update_time
+        assert answers_equal(
+            recovered.session(session.session_id).close(at=at),
+            session.close(at=at),
+        )
+        recovered.shutdown()
+        server.shutdown()

@@ -166,3 +166,30 @@ class TestPrimaryLoss:
         finally:
             client.close()
             sb.close()
+
+
+class TestDrainAfterStandbyLeft:
+    def test_close_does_not_wait_out_the_reconnect_grace(self):
+        """A draining primary waits for attached replicas' acks, not
+        for a departed one to re-attach: its listener is closed, so the
+        reconnect grace (one ``repl_ack_timeout``) has nothing left to
+        wait for."""
+        db = random_linear_mod(6, seed=13, extent=20.0, speed=3.0)
+        server = DurableQueryServer(db, checkpoint_interval=8)
+        net = QueryNetServer(
+            server, NetConfig(heartbeat_interval=0.05, repl_ack_timeout=5.0)
+        ).start(port=0)
+        try:
+            with StandbyReplica(net.address, poll_interval=0.01).start() as sb:
+                stream = UpdateStream(db, seed=13, extent=20.0, speed=3.0)
+                for _ in range(3):
+                    stream.step()
+                assert sb.applied_seq == server.journal.seq
+            # The standby closed: the reconnect grace is armed.
+            assert _wait(lambda: not net._replica_conns())
+            started = time.monotonic()
+            net.close()
+            assert time.monotonic() - started < 1.0
+        finally:
+            if not net._closed:
+                net.close()

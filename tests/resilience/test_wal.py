@@ -75,7 +75,7 @@ class TestAppendAndRecover:
 
     def test_no_fsync_mode_still_recovers(self, tmp_path):
         db = MovingObjectDatabase(initial_time=-math.inf)
-        with WriteAheadLog(str(tmp_path), fsync=False) as wal:
+        with WriteAheadLog(str(tmp_path), sync="flush") as wal:
             for update in sample_updates():
                 wal.append(update)
                 db.apply(update)

@@ -155,7 +155,7 @@ class TestWalRecovery:
     def test_recovered_server_tracks_the_original(self, tmp_path):
         gd = _gd()
         db = MovingObjectDatabase(initial_time=0.0)
-        wal = WriteAheadLog(str(tmp_path), fsync=False)
+        wal = WriteAheadLog(str(tmp_path), sync="flush")
         rng = random.Random(3)
         for i in range(8):
             update = New(
