@@ -34,35 +34,18 @@ gauges.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Optional
 
-from repro.geometry.intervals import Interval, IntervalSet
+from repro.geometry.intervals import Interval
 from repro.geometry.tolerance import DEFAULT_ATOL
-from repro.mod.updates import ObjectId, Update
+from repro.mod.updates import Update
 from repro.obs.instrument import as_instrumentation
 from repro.obs.metrics import NULL_COUNTER
-from repro.obs.profile import NULL_STAGE
-from repro.query.answers import SnapshotAnswer
+from repro.obs.profile import _stage
+from repro.query.answers import Answer as Payload
+from repro.query.answers import SnapshotAnswer, per_k
 
 __all__ = ["AnswerCache", "clip_payload", "restrict_payload"]
-
-
-def _stage(profile, name: str):
-    return NULL_STAGE if profile is None else profile.stage(name)
-
-Payload = Union[SnapshotAnswer, Dict[int, SnapshotAnswer]]
-
-
-def _restrict_answer(
-    answer: SnapshotAnswer, interval: Interval, atol: float
-) -> SnapshotAnswer:
-    window = IntervalSet([interval])
-    memberships: Dict[ObjectId, IntervalSet] = {}
-    for oid in answer.objects:
-        clipped = answer.intervals_for(oid).intersect(window, atol=atol)
-        if not clipped.is_empty:
-            memberships[oid] = clipped
-    return SnapshotAnswer(memberships, interval)
 
 
 def restrict_payload(
@@ -70,29 +53,22 @@ def restrict_payload(
 ) -> Payload:
     """Restrict a cached answer (or per-k dict of answers) to a
     sub-interval of its span — the exact-hit path."""
-    if isinstance(payload, SnapshotAnswer):
-        return _restrict_answer(payload, interval, atol)
-    return {
-        k: _restrict_answer(answer, interval, atol)
-        for k, answer in payload.items()
-    }
+    return per_k(lambda answer: answer.restrict(interval, atol), payload)
 
 
 def clip_payload(payload: Payload, lo: float, hi: float) -> Payload:
-    """Clip a cached answer to ``[lo, hi]`` — the straddling-update
-    invalidation path."""
+    """Clip a cached answer to ``[lo, hi]`` (an inverted window
+    collapses to ``[lo, lo]``) — the straddling-update invalidation
+    path."""
     return restrict_payload(payload, Interval(lo, max(lo, hi)))
 
 
 def _payload_nbytes(payload: Payload) -> int:
-    answers = (
-        [payload] if isinstance(payload, SnapshotAnswer) else list(payload.values())
+    answers: List[SnapshotAnswer] = []
+    per_k(answers.append, payload)
+    return 128 + sum(
+        72 * len(a.objects) + 48 * a.segment_count() for a in answers
     )
-    total = 128
-    for answer in answers:
-        for oid in answer.objects:
-            total += 72 + 48 * len(answer.intervals_for(oid))
-    return total
 
 
 class _Entry:

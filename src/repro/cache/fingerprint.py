@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence, Tuple
 
+from repro.core.spec import KNN, MULTIKNN, WITHIN, QuerySpec
 from repro.gdist.base import GDistance
 
 __all__ = [
@@ -42,29 +43,20 @@ def is_identity_fingerprint(fingerprint: Tuple) -> bool:
 
 def knn_fingerprint(gdistance: GDistance, k: int) -> Tuple:
     """Fingerprint of a k-NN query."""
-    return ("knn", gdistance_fingerprint(gdistance), int(k))
+    return query_fingerprint(KNN, gdistance, k=k)
 
 
 def within_fingerprint(gdistance: GDistance, threshold: float) -> Tuple:
     """Fingerprint of a within-range query (g-distance units)."""
-    return ("within", gdistance_fingerprint(gdistance), float(threshold))
+    return query_fingerprint(WITHIN, gdistance, threshold=threshold)
 
 
 def multiknn_fingerprint(gdistance: GDistance, ks: Sequence[int]) -> Tuple:
     """Fingerprint of a multi-k k-NN query."""
-    return (
-        "multiknn",
-        gdistance_fingerprint(gdistance),
-        tuple(sorted({int(k) for k in ks})),
-    )
+    return query_fingerprint(MULTIKNN, gdistance, ks=ks)
 
 
 def query_fingerprint(kind: str, gdistance: GDistance, **params) -> Tuple:
-    """Dispatch on ``kind`` (``knn`` / ``within`` / ``multiknn``)."""
-    if kind == "knn":
-        return knn_fingerprint(gdistance, params["k"])
-    if kind == "within":
-        return within_fingerprint(gdistance, params["threshold"])
-    if kind == "multiknn":
-        return multiknn_fingerprint(gdistance, params["ks"])
-    raise ValueError(f"unknown query kind {kind!r}")
+    """Fingerprint of the query that ``kind`` and its ``params`` name:
+    :attr:`repro.core.spec.QuerySpec.fingerprint`."""
+    return QuerySpec(gdistance, kind, **params).fingerprint

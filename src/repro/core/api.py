@@ -19,21 +19,11 @@ from repro.gdist.base import GDistance
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId
 from repro.obs.instrument import as_instrumentation
-from repro.obs.profile import NULL_STAGE
+from repro.obs.profile import _stage
 from repro.query.answers import SnapshotAnswer
 from repro.query.query import Query
 from repro.sweep.engine import SweepEngine
 from repro.sweep.evaluator import GenericFOEvaluator
-
-
-def _profile_of(observe):
-    """The query profile riding an ``observe=`` bundle, or None."""
-    return None if observe is None else observe.profile
-
-
-def _stage(profile, name: str):
-    """A profile stage, or the free null stage when unprofiled."""
-    return NULL_STAGE if profile is None else profile.stage(name)
 
 
 def open_engine(
@@ -92,7 +82,7 @@ def _sharded_sweep(
     ``shards.finalize``) with the evaluator's per-shard and merge
     stages nested inside.
     """
-    profile = _profile_of(observe)
+    profile = getattr(observe, "profile", None)
     with _stage(profile, "shards.init"):
         evaluator, _ = open_engine(
             db,
@@ -128,7 +118,7 @@ def _single_sweep(
     snapshot; it is identical to the finalized answer of a ``[lo, hi]``
     engine (events beyond ``hi`` are scheduled but never processed).
     """
-    profile = _profile_of(observe)
+    profile = getattr(observe, "profile", None)
     with _stage(profile, "init") as st:
         engine, view = open_engine(
             db,
@@ -177,7 +167,7 @@ def _evaluate(
     and :func:`evaluate_multiknn`: cache probe, then a sharded or a
     single sweep, depositing what it computed."""
     observe = as_instrumentation(observe)
-    profile = _profile_of(observe)
+    profile = getattr(observe, "profile", None)
     caching = cache is not None and interval.is_bounded
     if caching:
         cache.bind(db)

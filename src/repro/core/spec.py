@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from repro.gdist.base import GDistance
 from repro.gdist.euclidean import SquaredEuclideanDistance
-from repro.query.answers import SnapshotAnswer
+from repro.query.answers import Answer, Members
 from repro.sweep.knn import ContinuousKNN
 from repro.sweep.multiknn import MultiKNN
 from repro.sweep.within import ContinuousWithin
@@ -35,7 +35,6 @@ KINDS = (KNN, WITHIN, MULTIKNN)
 _PARAM = {KNN: "k", WITHIN: "threshold", MULTIKNN: "ks"}
 
 QueryLike = Union[Trajectory, Sequence[float], GDistance]
-Answer = Union[SnapshotAnswer, Dict[int, SnapshotAnswer]]
 
 
 def _as_gdistance(query: QueryLike) -> GDistance:
@@ -141,9 +140,33 @@ class QuerySpec:
         return self.kind == MULTIKNN
 
     @property
+    def ranks(self) -> Tuple[int, ...]:
+        """The rank boundaries this query reads, ascending (a range
+        reading has none)."""
+        return (self.k,) if self.kind == KNN else self.ks or ()
+
+    @property
     def maintained_k(self) -> int:
         """The largest rank a view of this query keeps current."""
-        return self.k if self.kind == KNN else max(self.ks)
+        return self.ranks[-1]
+
+    @property
+    def fingerprint(self) -> Tuple:
+        """The cache key: kind, g-distance value fingerprint and the
+        normalized parameter — never the window (the answer cache
+        matches spans separately)."""
+        kind, value = self.view_key
+        return (kind, self.gdistance.cache_fingerprint(), value)
+
+    def shaped(self, per_k: Dict[int, Any]):
+        """Per-k values as this query reads them: the dict itself for
+        multiknn, its single value for knn."""
+        return per_k if self.multi else per_k[self.k]
+
+    def widest(self, reading):
+        """Of a members / answer reading, the part at the widest rank
+        (a one-reading query: the reading itself)."""
+        return reading[self.maintained_k] if self.multi else reading
 
     def view(self, engine):
         """Attach this query's answer view to ``engine``."""
@@ -152,6 +175,12 @@ class QuerySpec:
         if self.kind == WITHIN:
             return ContinuousWithin(engine, self.threshold)
         return MultiKNN(engine, self.ks)
+
+    def members(self, view) -> Members:
+        """A view's current answer set (per k for multiknn)."""
+        if self.multi:
+            return {k: view.members(k) for k in self.ks}
+        return view.members
 
     def answer(self, view) -> Answer:
         """The finalized answer of a view (or sharded evaluator)."""

@@ -214,37 +214,48 @@ def database_from_dict(data: Dict[str, Any]) -> MovingObjectDatabase:
 # ---------------------------------------------------------------------------
 # Snapshot answers
 # ---------------------------------------------------------------------------
-def answer_to_dict(answer: SnapshotAnswer) -> Dict[str, Any]:
-    """Serialize a snapshot answer (per-object membership intervals)."""
+def _answer_to_json(answer: SnapshotAnswer, oid_key) -> Dict[str, Any]:
+    """The membership-JSON shape, with object ids keyed by ``oid_key``
+    (``str`` here; the wire protocol passes :func:`oid_to_key`)."""
     return {
         "interval": [
             _bound_to_json(answer.interval.lo),
             _bound_to_json(answer.interval.hi),
         ],
         "memberships": {
-            str(oid): [
+            oid_key(oid): [
                 [_bound_to_json(iv.lo), _bound_to_json(iv.hi)]
                 for iv in answer.intervals_for(oid)
             ]
-            for oid in sorted(answer.objects, key=str)
+            for oid in sorted(answer.objects, key=oid_key)
         },
     }
 
 
-def answer_from_dict(data: Dict[str, Any]) -> SnapshotAnswer:
-    """Deserialize a snapshot answer (object ids become strings)."""
+def _answer_from_json(data: Dict[str, Any], key_oid) -> SnapshotAnswer:
+    """Read :func:`_answer_to_json` back, object ids through ``key_oid``."""
     interval = Interval(
         _bound_from_json(data["interval"][0]),
         _bound_from_json(data["interval"][1]),
     )
     memberships = {
-        oid: IntervalSet(
+        key_oid(key): IntervalSet(
             Interval(_bound_from_json(lo), _bound_from_json(hi))
             for lo, hi in pairs
         )
-        for oid, pairs in data["memberships"].items()
+        for key, pairs in data["memberships"].items()
     }
     return SnapshotAnswer(memberships, interval)
+
+
+def answer_to_dict(answer: SnapshotAnswer) -> Dict[str, Any]:
+    """Serialize a snapshot answer (per-object membership intervals)."""
+    return _answer_to_json(answer, str)
+
+
+def answer_from_dict(data: Dict[str, Any]) -> SnapshotAnswer:
+    """Deserialize a snapshot answer (object ids become strings)."""
+    return _answer_from_json(data, lambda key: key)
 
 
 # ---------------------------------------------------------------------------

@@ -323,52 +323,35 @@ class RemoteQueryClient:
             raise NetError("client is closed")
         rid = self._new_id()
         payload = {"id": rid, "verb": verb, **(args or {})}
-        attempts = self._retries + 1
-        delay = self._backoff
-        last_exc: Optional[BaseException] = None
-        for attempt in range(attempts):
+
+        def attempt() -> dict:
+            if self._sock is None:
+                self._connect()
+            if timeout is not None:
+                self._sock.settimeout(timeout)
             try:
-                if self._sock is None:
-                    self._connect()
-                if timeout is not None:
-                    self._sock.settimeout(timeout)
-                try:
-                    self._send_payload(payload)
-                    frame = self._await_response(rid)
-                finally:
-                    if timeout is not None and self._sock is not None:
-                        self._sock.settimeout(self._timeout)
-            except TimeoutError as exc:
-                # A half-read frame can't be resynchronized: the socket
-                # is dead to us.  The retry resends the same id.
-                self._drop_socket()
-                last_exc = exc
-            except NotPrimaryError as exc:
-                # Raised while reconnecting (re-subscribe hit a
-                # standby): probe the next endpoint.
-                self._drop_socket()
-                self._advance_endpoint()
-                last_exc = exc
-            except (ConnectionError, OSError) as exc:
-                self._drop_socket()
-                self._advance_endpoint()
-                last_exc = exc
-            else:
-                if frame.get("ok"):
-                    self._note_success(verb, args)
-                    return frame.get("result")
-                error = frame.get("error") or {}
-                if error.get("type") == "NotPrimaryError":
-                    # A standby answered: retryable — the promoted
-                    # primary is (or will be) at another endpoint.
-                    self._drop_socket()
-                    self._advance_endpoint()
-                    last_exc = NotPrimaryError(str(error.get("message", "")))
-                else:
-                    raise_from_wire(error)
-            if attempt + 1 < attempts:
-                time.sleep(self._sleep_for(delay))
-                delay = min(delay * 2, self._max_backoff)
+                self._send_payload(payload)
+                frame = self._await_response(rid)
+            finally:
+                if timeout is not None and self._sock is not None:
+                    self._sock.settimeout(self._timeout)
+            error = frame.get("error") or {}
+            if not frame.get("ok") and error.get("type") == "NotPrimaryError":
+                # A standby answered: retryable — the promoted
+                # primary is (or will be) at another endpoint.
+                raise NotPrimaryError(str(error.get("message", "")))
+            return frame
+
+        # A timed-out read leaves a half-read frame that can't be
+        # resynchronized, but the endpoint may be fine: the retry
+        # resends the same id to it on a fresh socket.
+        frame, last_exc = self._retrying(attempt, timeouts_advance=False)
+        if frame is not None:
+            if frame.get("ok"):
+                self._note_success(verb, args)
+                return frame.get("result")
+            raise_from_wire(frame.get("error") or {})
+        attempts = self._retries + 1
         if isinstance(last_exc, TimeoutError):
             raise RequestTimeoutError(
                 f"{verb!r} got no response within {timeout or self._timeout}s "
@@ -381,6 +364,31 @@ class RemoteQueryClient:
         raise ConnectionLostError(
             f"{verb!r} failed after {attempts} attempt(s): {last_exc}"
         ) from last_exc
+
+    def _retrying(self, attempt, timeouts_advance: bool):
+        """The one retry loop: run ``attempt`` until it returns, at most
+        ``retries + 1`` times.  A transport failure — or a standby's
+        ``NotPrimaryError``, raised while reconnecting or by the
+        attempt itself — drops the socket, moves to the next endpoint
+        (a timeout only when ``timeouts_advance``) and backs off:
+        jittered, doubling, capped at ``max_backoff``.  Returns
+        ``(result, None)``, or ``(None, last_exc)`` once every attempt
+        has failed."""
+        attempts = self._retries + 1
+        delay = self._backoff
+        last_exc: Optional[BaseException] = None
+        for n in range(attempts):
+            try:
+                return attempt(), None
+            except (NotPrimaryError, ConnectionError, OSError) as exc:
+                self._drop_socket()
+                if timeouts_advance or not isinstance(exc, TimeoutError):
+                    self._advance_endpoint()
+                last_exc = exc
+            if n + 1 < attempts:
+                time.sleep(self._sleep_for(delay))
+                delay = min(delay * 2, self._max_backoff)
+        return None, last_exc
 
     def _note_success(self, verb: str, args: Optional[dict]) -> None:
         """Track push subscriptions so reconnects can re-arm them."""
@@ -454,30 +462,15 @@ class RemoteQueryClient:
     def _recover_stream(self) -> None:
         """Reconnect (and re-subscribe) after a dead push stream,
         probing endpoints round-robin with jittered backoff."""
-        attempts = self._retries + 1
-        delay = self._backoff
-        last_exc: Optional[BaseException] = None
-        for attempt in range(attempts):
-            try:
-                self._connect()
-            except (
-                NotPrimaryError,
-                TimeoutError,
-                ConnectionError,
-                OSError,
-            ) as exc:
-                self._drop_socket()
-                self._advance_endpoint()
-                last_exc = exc
-            else:
-                return
-            if attempt + 1 < attempts:
-                time.sleep(self._sleep_for(delay))
-                delay = min(delay * 2, self._max_backoff)
-        raise ConnectionLostError(
-            f"push stream stalled past {self._heartbeat_timeout}s and "
-            f"reconnection failed after {attempts} attempt(s): {last_exc}"
-        ) from last_exc
+        connected, last_exc = self._retrying(
+            lambda: self._connect() or True, timeouts_advance=True
+        )
+        if not connected:
+            raise ConnectionLostError(
+                f"push stream stalled past {self._heartbeat_timeout}s and "
+                f"reconnection failed after {self._retries + 1} attempt(s): "
+                f"{last_exc}"
+            ) from last_exc
 
     def events_for(self, sid: Optional[int]) -> List[dict]:
         """Drain (and return) the buffered events for one session, or

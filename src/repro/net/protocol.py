@@ -27,12 +27,16 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Optional, Set, Union
+from typing import Optional, Union
 
-from repro.geometry.intervals import Interval, IntervalSet
-from repro.io import _bound_from_json, _bound_to_json, oid_from_key, oid_to_key
+from repro.io import (
+    _answer_from_json,
+    _answer_to_json,
+    oid_from_key,
+    oid_to_key,
+)
 from repro.net.errors import FrameTooLargeError, ProtocolError
-from repro.query.answers import SnapshotAnswer
+from repro.query.answers import Answer, Members
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -49,9 +53,6 @@ __all__ = [
 PROTOCOL_VERSION = 1
 MAX_FRAME = 8 * 1024 * 1024
 HEADER = struct.Struct(">I")
-
-Members = Union[Set[Any], Dict[int, Set[Any]]]
-Answer = Union[SnapshotAnswer, Dict[int, SnapshotAnswer]]
 
 
 def encode_frame(payload: dict, max_frame: int = MAX_FRAME) -> bytes:
@@ -104,37 +105,6 @@ def members_from_wire(wire: Union[list, dict]) -> Members:
 # ---------------------------------------------------------------------------
 # Snapshot answers
 # ---------------------------------------------------------------------------
-def _single_answer_to_wire(answer: SnapshotAnswer) -> dict:
-    return {
-        "interval": [
-            _bound_to_json(answer.interval.lo),
-            _bound_to_json(answer.interval.hi),
-        ],
-        "memberships": {
-            oid_to_key(oid): [
-                [_bound_to_json(iv.lo), _bound_to_json(iv.hi)]
-                for iv in answer.intervals_for(oid)
-            ]
-            for oid in sorted(answer.objects, key=oid_to_key)
-        },
-    }
-
-
-def _single_answer_from_wire(wire: dict) -> SnapshotAnswer:
-    interval = Interval(
-        _bound_from_json(wire["interval"][0]),
-        _bound_from_json(wire["interval"][1]),
-    )
-    memberships = {
-        oid_from_key(key): IntervalSet(
-            Interval(_bound_from_json(lo), _bound_from_json(hi))
-            for lo, hi in pairs
-        )
-        for key, pairs in wire["memberships"].items()
-    }
-    return SnapshotAnswer(memberships, interval)
-
-
 def answer_to_wire(answer: Optional[Answer]) -> Optional[dict]:
     """Encode a snapshot answer (or a multiknn per-k dict of them)."""
     if answer is None:
@@ -142,11 +112,11 @@ def answer_to_wire(answer: Optional[Answer]) -> Optional[dict]:
     if isinstance(answer, dict):
         return {
             "ks": {
-                str(int(k)): _single_answer_to_wire(v)
+                str(int(k)): _answer_to_json(v, oid_to_key)
                 for k, v in answer.items()
             }
         }
-    return _single_answer_to_wire(answer)
+    return _answer_to_json(answer, oid_to_key)
 
 
 def answer_from_wire(wire: Optional[dict]) -> Optional[Answer]:
@@ -155,7 +125,7 @@ def answer_from_wire(wire: Optional[dict]) -> Optional[Answer]:
         return None
     if "ks" in wire:
         return {
-            int(k): _single_answer_from_wire(v)
+            int(k): _answer_from_json(v, oid_from_key)
             for k, v in wire["ks"].items()
         }
-    return _single_answer_from_wire(wire)
+    return _answer_from_json(wire, oid_from_key)

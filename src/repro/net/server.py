@@ -714,11 +714,16 @@ class QueryNetServer:
         while len(self._replies) > self._config.idempotency_cache:
             self._replies.popitem(last=False)
 
-    def _get_session(self, conn: _Connection, request: dict):
+    @staticmethod
+    def _session_id(request: dict) -> int:
+        """The session id every session verb must carry."""
         try:
-            sid = int(request["session"])
+            return int(request["session"])
         except (KeyError, TypeError, ValueError):
             raise ProtocolError("request needs an integer 'session'")
+
+    def _get_session(self, conn: _Connection, request: dict):
+        sid = self._session_id(request)
         session = self._sessions.get(sid)
         if session is None:
             raise KeyError(f"unknown session {sid}")
@@ -826,10 +831,7 @@ class QueryNetServer:
             with prof.stage("net.encode") as stage:
                 wire = answer_to_wire(answer)
                 stage.annotate(bytes=len(json.dumps(wire)))
-            recorded = (
-                answer[max(answer)] if isinstance(answer, dict) else answer
-            )
-            prof.record_answer(recorded)
+            prof.record_answer(answer)
         report = ExplainReport(prof, answer)
         self._drop_subscriptions(session.session_id)
         return {
@@ -845,7 +847,7 @@ class QueryNetServer:
         return {"subscribed": session.session_id, "members": baseline}
 
     def _verb_unsubscribe(self, conn: _Connection, request: dict) -> dict:
-        sid = int(request["session"])
+        sid = self._session_id(request)
         conn.subscriptions.pop(sid, None)
         return {"unsubscribed": sid}
 

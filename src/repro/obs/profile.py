@@ -249,6 +249,14 @@ class _NullStage:
 NULL_STAGE = _NullStage()
 
 
+def _stage(profile, name: str, shard: Optional[int] = None):
+    """Stage ``(name, shard)`` of ``profile`` (a :class:`QueryProfile`),
+    or the free null stage when the query is unprofiled."""
+    if profile is None:
+        return NULL_STAGE
+    return profile.stage(name, shard=shard)
+
+
 class QueryProfile:
     """The profile of one query evaluation.
 

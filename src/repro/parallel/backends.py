@@ -45,7 +45,7 @@ from repro.geometry.intervals import Interval
 from repro.io import database_from_dict, database_to_dict
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId, Update
-from repro.parallel.merge import clip_answer, stitch_answers
+from repro.parallel.merge import clip_answer, shard_candidates, stitch_answers
 
 __all__ = [
     "ProcessPoolBackend",
@@ -140,19 +140,12 @@ class ShardRuntime:
             self.engine.advance_to(t)
 
     def members_with_values(self, t: float) -> List[Tuple[ObjectId, float]]:
-        """Current answer members paired with their g-distance at ``t``.
-
-        In multiknn mode the members of the *largest* maintained k are
-        returned; any smaller k's global answer selects from them.
-        """
+        """This shard's candidates for the instant merge at ``t``:
+        current members paired with their g-distance values (a rank
+        view's at its widest k; any smaller k's global answer selects
+        from them — :func:`~repro.parallel.merge.shard_candidates`)."""
         self.advance_to(t)
-        if self._spec.multi:
-            members = self.view.members(self._spec.maintained_k)
-        else:
-            members = self.view.members
-        return [
-            (oid, self.engine.entry_for(oid).curve(t)) for oid in members
-        ]
+        return shard_candidates(self._spec, self.engine, self.view, t)
 
     def finalize(self, end: float) -> Answer:
         """Finish the sweep at ``end`` and return the answer over the

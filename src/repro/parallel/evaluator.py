@@ -39,24 +39,23 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.spec import WITHIN, QueryLike, QuerySpec
+from repro.core.spec import QueryLike, QuerySpec
 from repro.geometry.intervals import Interval
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId, Update
 from repro.obs.instrument import as_instrumentation
 from repro.obs.metrics import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
-from repro.obs.profile import NULL_STAGE
+from repro.obs.profile import _stage
 from repro.parallel.backends import resolve_backend
 from repro.parallel.batching import BatchedUpdateApplier
 from repro.parallel.merge import (
     candidate_oids,
-    merge_knn_answers,
-    merge_multiknn_answers,
+    merge_answers,
+    merge_members,
     select_top_k,
-    union_answers,
 )
-from repro.parallel.sharding import shard_of
-from repro.query.answers import SnapshotAnswer
+from repro.parallel.sharding import partition_database, shard_of
+from repro.query.answers import Answer, SnapshotAnswer
 
 
 def _ops_total(counts: Dict[str, int]) -> int:
@@ -115,12 +114,9 @@ class ShardedSweepEvaluator:
         self._instr = as_instrumentation(observe)
         self._profile = None if self._instr is None else self._instr.profile
         self._bind_metrics()
-        from repro.parallel.sharding import partition_database
-
-        parts = partition_database(db, self._shards)
         self._hosts = []
-        for i, part in enumerate(parts):
-            with self._stage("shard.init", shard=i):
+        for i, part in enumerate(partition_database(db, self._shards)):
+            with _stage(self._profile, "shard.init", shard=i):
                 self._hosts.append(
                     self._backend.spawn(
                         i,
@@ -139,16 +135,10 @@ class ShardedSweepEvaluator:
         self._clock = spec.lo
         self._finalized = False
         self._shutdown = False
-        self._results: Optional[Dict[Optional[int], SnapshotAnswer]] = None
+        self._merged: Optional[Answer] = None
         self._final_ops: Optional[Dict[str, int]] = None
         self.rebuilds = 0
         self._g_shards.set(self._shards)
-
-    def _stage(self, name: str, shard: Optional[int] = None):
-        """The profiled query's stage hook, or the free null stage."""
-        if self._profile is None:
-            return NULL_STAGE
-        return self._profile.stage(name, shard=shard)
 
     def _bind_metrics(self) -> None:
         if self._instr is None:
@@ -393,7 +383,7 @@ class ShardedSweepEvaluator:
 
     def _advance_hosts(self, t: float) -> None:
         for i, host in enumerate(self._hosts):
-            with self._stage("shard.sweep", shard=i):
+            with _stage(self._profile, "shard.sweep", shard=i):
                 self._healing(host, host.advance_to, t)
 
     def advance_to(self, t: float) -> Set[ObjectId]:
@@ -426,9 +416,8 @@ class ShardedSweepEvaluator:
         contributes its current members with their g-distance values
         and a single selection yields the global answer.
         """
-        if self._spec.kind == WITHIN:
-            return {oid for oid, _ in self._gather()}
-        return self.members_for(self._spec.maintained_k)
+        spec = self._spec
+        return spec.widest(merge_members(spec, self._gather()))
 
     def members_for(self, k: int) -> Set[ObjectId]:
         """The current global k-NN answer for ``k``.
@@ -437,7 +426,7 @@ class ShardedSweepEvaluator:
         top-k object is top-k in its own shard, and shard members are
         maintained at the spec's k (multiknn: ``max(ks)``).
         """
-        if self._spec.kind == WITHIN:
+        if not self._spec.ranks:
             raise ValueError("members_for(k) is for knn/multiknn modes")
         maintained = self._spec.maintained_k
         if k > maintained:
@@ -463,30 +452,29 @@ class ShardedSweepEvaluator:
         per_shard = []
         shard_counts: List[Dict[str, int]] = []
         for i, host in enumerate(self._hosts):
-            with self._stage("shard.finalize", shard=i) as st:
+            with _stage(self._profile, "shard.finalize", shard=i) as st:
                 per_shard.append(self._healing(host, host.finalize, end))
                 counts = host.operation_counts()
                 shard_counts.append(counts)
                 st.annotate(ops=_ops_total(counts))
-        window = Interval(self._spec.lo, end)
         spec = self._spec
-        with self._stage("merge") as st:
-            if spec.kind == WITHIN:
-                self._results = {None: union_answers(per_shard, window)}
-            elif spec.multi:
-                # Shards maintain every k at max(ks): those answers hold
-                # the candidates of each smaller k too.
-                top = [answers[spec.maintained_k] for answers in per_shard]
-                self._results = dict(
-                    self._merge_sweep(
-                        st, merge_multiknn_answers, window, spec.ks, top
-                    )
+        with _stage(self._profile, "merge") as st:
+            if spec.ranks:
+                # The second-level sweep over the shards' candidate
+                # union (a range merge needs none).
+                n_candidates = len(
+                    candidate_oids([spec.widest(a) for a in per_shard])
                 )
-            else:
-                merged = self._merge_sweep(
-                    st, merge_knn_answers, window, spec.k, per_shard
-                )
-                self._results = {None: merged, spec.k: merged}
+                self._h_candidates.observe(n_candidates)
+                st.annotate(candidates=n_candidates)
+            self._merged = merge_answers(
+                spec,
+                self._mirror,
+                Interval(spec.lo, end),
+                per_shard,
+                observe=self._instr,
+                curve_store=self._curve_store,
+            )
         self._final_ops = {}
         for i, counts in enumerate(shard_counts):
             for op, n in counts.items():
@@ -501,21 +489,6 @@ class ShardedSweepEvaluator:
                 self._profile.absorb_shard(i, snapshot)
         self.shutdown()
 
-    def _merge_sweep(self, stage, merge, window: Interval, k, answers):
-        """The second-level sweep over the shards' candidate union."""
-        n_candidates = len(candidate_oids(answers))
-        self._h_candidates.observe(n_candidates)
-        stage.annotate(candidates=n_candidates)
-        return merge(
-            self._mirror,
-            self._spec.gdistance,
-            window,
-            k,
-            answers,
-            observe=self._instr,
-            curve_store=self._curve_store,
-        )
-
     def run_to_end(self) -> None:
         """Sweep to the end of the query interval and finalize."""
         if not math.isfinite(self._spec.hi):
@@ -529,25 +502,28 @@ class ShardedSweepEvaluator:
         knn/within modes take no argument; multiknn mode requires one
         of the maintained k values.
         """
-        if self._results is None:
+        if self._merged is None:
             raise RuntimeError(
                 "the sweep has not been finalized; call finalize() first"
             )
-        if self._spec.multi and k is None:
-            raise ValueError("multiknn mode: pass answer(k)")
-        if k not in self._results:
+        if self._spec.multi:
+            if k is None:
+                raise ValueError("multiknn mode: pass answer(k)")
+        elif k is None or k in self._spec.ranks:
+            return self._merged
+        if k not in self._spec.ranks:
             raise KeyError(f"k={k} was not maintained")
-        return self._results[k]
+        return self._merged[k]
 
     def answers(self) -> Dict[int, SnapshotAnswer]:
         """All maintained multiknn answers keyed by k (after finalize)."""
         if not self._spec.multi:
             raise ValueError("answers() is for multiknn mode")
-        if self._results is None:
+        if self._merged is None:
             raise RuntimeError(
                 "the sweep has not been finalized; call finalize() first"
             )
-        return dict(self._results)
+        return dict(self._merged)
 
     def shutdown(self) -> None:
         """Release shard hosts (worker processes, db subscriptions).

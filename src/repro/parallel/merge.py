@@ -29,16 +29,15 @@ answers are reproducible even on adversarial tied workloads.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.core.spec import Answer
+from repro.core.spec import WITHIN, QuerySpec
 from repro.geometry.intervals import Interval, IntervalSet
 from repro.gdist.base import GDistance
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId
-from repro.query.answers import SnapshotAnswer
+from repro.query.answers import Answer, Members, SnapshotAnswer, per_k
 from repro.sweep.engine import SweepEngine
-from repro.sweep.knn import ContinuousKNN
 from repro.sweep.multiknn import MultiKNN
 
 __all__ = [
@@ -64,6 +63,59 @@ def select_top_k(
     """
     best = heapq.nsmallest(k, candidates, key=lambda kv: (kv[1], str(kv[0])))
     return [oid for oid, _ in best]
+
+
+def shard_candidates(
+    spec: QuerySpec, engine, view, t: float
+) -> List[Tuple[ObjectId, float]]:
+    """One shard's contribution to :func:`merge_members`: its current
+    members (a rank view's at the widest maintained k, from which every
+    smaller k selects) paired with their g-distance at ``t``."""
+    return [
+        (oid, engine.entry_for(oid).curve(t))
+        for oid in spec.widest(spec.members(view))
+    ]
+
+
+def merge_members(
+    spec: QuerySpec, candidates: Sequence[Tuple[ObjectId, float]]
+) -> Members:
+    """The instant merge: ``spec``'s global answer set from the shards'
+    pooled :func:`shard_candidates`.  A range reading takes the oids as
+    they are; a rank reading selects the nearest k, once per k."""
+    if spec.kind == WITHIN:
+        return {oid for oid, _ in candidates}
+    return spec.shaped(
+        {k: set(select_top_k(candidates, k)) for k in spec.ranks}
+    )
+
+
+def merge_answers(
+    spec: QuerySpec,
+    source: MovingObjectDatabase,
+    window: Interval,
+    parts: Sequence[Answer],
+    observe=None,
+    curve_store=None,
+) -> Answer:
+    """The window merge: ``spec``'s exact global answer over ``window``
+    from each shard's answer over it.  A range reading is the disjoint
+    union; a rank reading runs one candidate sweep at all of its k,
+    seeded by the shards' widest-k answers (which hold the candidates
+    of every smaller k too)."""
+    if spec.kind == WITHIN:
+        return union_answers(parts, window)
+    return spec.shaped(
+        merge_multiknn_answers(
+            source,
+            spec.gdistance,
+            window,
+            spec.ranks,
+            [spec.widest(part) for part in parts],
+            observe=observe,
+            curve_store=curve_store,
+        )
+    )
 
 
 def union_answers(
@@ -97,33 +149,20 @@ def stitch_answers(segments: Sequence[Answer], window: Interval) -> Answer:
     """One session's answer over ``window`` from its pieces: the
     segments salvaged before each engine rebuild plus the live engine's
     answer, unioned (per k when the pieces are multiknn dicts)."""
-    if isinstance(segments[-1], dict):
-        return {
-            k: union_answers([segment[k] for segment in segments], window)
-            for k in segments[-1]
-        }
-    return union_answers(segments, window)
+    return per_k(lambda *pieces: union_answers(pieces, window), *segments)
 
 
 def clip_answer(answer: Answer, lo: float, hi: float) -> Answer:
     """Restrict an answer's memberships (each k's, for a multiknn dict)
-    to the window ``[lo, hi]``.
+    to the window ``[lo, hi]`` (an inverted one collapses to
+    ``[hi, hi]``).
 
     Used when salvaging a failed engine: only the span up to the
     database's ``tau`` is trustworthy, and a rebuilt engine will
     re-cover the remainder.
     """
-    if isinstance(answer, dict):
-        return {k: clip_answer(a, lo, hi) for k, a in answer.items()}
-    if hi < lo:
-        lo = hi
-    window = IntervalSet([Interval(lo, hi)])
-    memberships: Dict[ObjectId, IntervalSet] = {}
-    for oid in answer.objects:
-        clipped = answer.intervals_for(oid).intersect(window)
-        if not clipped.is_empty:
-            memberships[oid] = clipped
-    return SnapshotAnswer(memberships, Interval(lo, hi))
+    window = Interval(min(lo, hi), hi)
+    return per_k(lambda a: a.restrict(window), answer)
 
 
 def candidate_oids(answers: Sequence[SnapshotAnswer]) -> List[ObjectId]:
@@ -132,29 +171,6 @@ def candidate_oids(answers: Sequence[SnapshotAnswer]) -> List[ObjectId]:
     for answer in answers:
         seen.update(answer.objects)
     return sorted(seen, key=str)
-
-
-def _candidate_engine(
-    source: MovingObjectDatabase,
-    gdistance: GDistance,
-    interval: Interval,
-    answers: Sequence[SnapshotAnswer],
-    observe,
-    curve_store,
-) -> Optional[SweepEngine]:
-    """The second-level sweep's engine: a MOD holding only the
-    candidate objects (none: ``None``).  It shares the source's
-    trajectory instances, so a shared ``curve_store`` lets the merge
-    sweep reuse curves already built elsewhere."""
-    oids = candidate_oids(answers)
-    if not oids:
-        return None
-    db = MovingObjectDatabase(initial_time=source.last_update_time)
-    for oid in oids:
-        db.install(oid, source.trajectory(oid))
-    return SweepEngine(
-        db, gdistance, interval, observe=observe, curve_store=curve_store
-    )
 
 
 def merge_knn_answers(
@@ -166,20 +182,17 @@ def merge_knn_answers(
     observe=None,
     curve_store=None,
 ) -> SnapshotAnswer:
-    """Exact global k-NN answer from per-shard top-k answers.
-
-    Runs the second-level sweep over the candidate union — cost
-    ``O((m_c + C) log C)`` for ``C`` candidates, independent of the
-    total object count ``N``.
-    """
-    engine = _candidate_engine(
-        source, gdistance, interval, answers, observe, curve_store
-    )
-    if engine is None:
-        return SnapshotAnswer({}, interval)
-    view = ContinuousKNN(engine, k)
-    engine.run_to_end()
-    return view.answer()
+    """Exact global k-NN answer from per-shard top-k answers: the
+    one-k case of :func:`merge_multiknn_answers`."""
+    return merge_multiknn_answers(
+        source,
+        gdistance,
+        interval,
+        [k],
+        answers,
+        observe=observe,
+        curve_store=curve_store,
+    )[int(k)]
 
 
 def merge_multiknn_answers(
@@ -192,12 +205,24 @@ def merge_multiknn_answers(
     curve_store=None,
 ) -> Dict[int, SnapshotAnswer]:
     """Exact global answers for several k values from shard answers
-    maintained at ``max(ks)``."""
-    engine = _candidate_engine(
-        source, gdistance, interval, answers, observe, curve_store
-    )
-    if engine is None:
+    maintained at ``max(ks)``.
+
+    Runs the second-level sweep over the candidate union — a MOD
+    holding only the candidate objects — at cost
+    ``O((m_c + C) log C)`` for ``C`` candidates, independent of the
+    total object count ``N``.  The candidate MOD shares the source's
+    trajectory instances, so a shared ``curve_store`` lets the sweep
+    reuse curves already built elsewhere.
+    """
+    oids = candidate_oids(answers)
+    if not oids:
         return {int(k): SnapshotAnswer({}, interval) for k in ks}
+    db = MovingObjectDatabase(initial_time=source.last_update_time)
+    for oid in oids:
+        db.install(oid, source.trajectory(oid))
+    engine = SweepEngine(
+        db, gdistance, interval, observe=observe, curve_store=curve_store
+    )
     view = MultiKNN(engine, ks)
     engine.run_to_end()
     return view.answers()

@@ -14,7 +14,7 @@ sweep end.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Set
+from typing import Callable, Dict, Iterable, List, Set, Union
 
 from repro.geometry.intervals import Interval, IntervalSet
 from repro.geometry.tolerance import DEFAULT_ATOL
@@ -48,6 +48,24 @@ class SnapshotAnswer:
     def intervals_for(self, oid: ObjectId) -> IntervalSet:
         """Times at which ``oid`` is in the answer (empty set if never)."""
         return self._memberships.get(oid, IntervalSet())
+
+    def restrict(self, interval: Interval, atol: float = 0.0) -> "SnapshotAnswer":
+        """This answer over the sub-window ``interval``: every
+        membership intersected with it (exact, by Section 4's finite
+        representation).  With ``atol``, memberships touching the
+        window within tolerance keep their boundary sliver."""
+        window = IntervalSet([interval])
+        return SnapshotAnswer(
+            {
+                oid: ivs.intersect(window, atol=atol)
+                for oid, ivs in self._memberships.items()
+            },
+            interval,
+        )
+
+    def segment_count(self) -> int:
+        """Total membership intervals across all objects."""
+        return sum(len(ivs) for ivs in self._memberships.values())
 
     def holds_at(self, oid: ObjectId, t: float, atol: float = DEFAULT_ATOL) -> bool:
         """Whether ``(oid, t)`` is in the snapshot answer."""
@@ -190,6 +208,20 @@ class AnswerTimeline:
             {oid: IntervalSet(ivs) for oid, ivs in memberships.items()},
             Interval(self._interval.lo, end),
         )
+
+
+# A rank query read at several k answers with one value per k.
+Answer = Union[SnapshotAnswer, Dict[int, SnapshotAnswer]]
+Members = Union[Set[ObjectId], Dict[int, Set[ObjectId]]]
+
+
+def per_k(fn: Callable, *answers: Answer):
+    """Apply ``fn`` across same-shaped answers: to the snapshot answers
+    themselves, or — for per-k dicts — to each k's in turn (the result
+    keeps the shape)."""
+    if isinstance(answers[-1], dict):
+        return {k: fn(*(a[k] for a in answers)) for k in answers[-1]}
+    return fn(*answers)
 
 
 def snapshot_from_segments(

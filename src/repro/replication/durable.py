@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from dataclasses import asdict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from repro.io import (
     database_from_dict,
@@ -398,6 +398,68 @@ class DurableQueryServer(QueryServer):
         for rid, response in snapshot.get("replies", {}).items():
             self._remember_reply(rid, response)
 
+    @classmethod
+    def restore(
+        cls,
+        snapshot: Optional[dict],
+        tail: Sequence[dict],
+        directory: Optional[str],
+        config: Optional[ServerConfig] = None,
+        observe=None,
+        cache=None,
+        sync: str = "flush",
+        checkpoint_interval: Optional[int] = 64,
+        checkpoint: bool = True,
+    ) -> "DurableQueryServer":
+        """The one restore path — crash recovery and standby bootstrap.
+
+        Restores ``snapshot``'s MOD (none: an empty one) and every live
+        session (engine groups rebuilt back-dated to their earliest
+        tenant's start — Theorem 5 re-initialization with the Theorem 4
+        past-query bootstrap), then replays the journal ``tail`` in
+        sequence order.  The server journals into ``directory`` with an
+        uninterrupted sequence and — with ``checkpoint`` — persists the
+        restored state at once, so the *next* crash replays only what
+        happens after this restore.
+
+        ``config`` overrides the snapshot's journaled config (the
+        snapshot's wins by default, so a restored server keeps its
+        admission/shedding behaviour).
+        """
+        if snapshot is not None:
+            db = database_from_dict(snapshot["db"])
+            if config is None:
+                config = ServerConfig(**snapshot["config"])
+        else:
+            db = MovingObjectDatabase(initial_time=float("-inf"))
+        covered = 0 if snapshot is None else int(snapshot.get("seq", 0))
+        journal = ServerWal(
+            directory,
+            sync=sync,
+            observe=observe,
+            start_seq=tail[-1]["seq"] if tail else covered,
+        )
+        server = cls(
+            db,
+            config,
+            observe=observe,
+            cache=cache,
+            checkpoint_interval=checkpoint_interval,
+            journal=journal,
+        )
+        server._recovering = True
+        try:
+            if snapshot is not None:
+                server._restore_snapshot(snapshot)
+            for record in tail:
+                server.apply_record(record)
+        finally:
+            server._recovering = False
+        server.recovered_tail = len(tail)
+        if checkpoint:
+            server.checkpoint()
+        return server
+
     # -- lifecycle ----------------------------------------------------------
     def shutdown(self) -> None:
         """Detach from the database and checkpoint the journal (a clean
@@ -420,52 +482,25 @@ def recover_server(
     repair: bool = True,
     checkpoint_on_recover: bool = True,
 ) -> DurableQueryServer:
-    """Rebuild an equivalent :class:`DurableQueryServer` from disk.
+    """Rebuild an equivalent :class:`DurableQueryServer` from disk:
+    :meth:`DurableQueryServer.restore` over ``directory``'s snapshot (if
+    any) and journal tail (``repair`` truncates a torn one), journaling
+    back into the same directory.
 
-    Loads the snapshot (if any), restores the MOD and every live
-    session (engine groups rebuilt back-dated to their earliest
-    tenant's start — Theorem 5 re-initialization with the Theorem 4
-    past-query bootstrap), then replays the journal tail in sequence
-    order.  The rebuilt server continues journaling into the same
-    directory with an uninterrupted sequence, and — by default —
-    checkpoints immediately so the *next* crash replays only what
-    happens after this recovery.
-
-    ``config`` overrides the snapshot's journaled config (pass one for
-    a fresh directory; the snapshot's wins by default so a recovered
-    server keeps its admission/shedding behaviour).
+    Pass ``config`` for a fresh directory (a snapshot's own wins by
+    default); ``checkpoint_on_recover=False`` skips the immediate
+    checkpoint, leaving the replayed tail on disk.  The server's
+    ``recovered_tail`` counts the records replayed.
     """
     snapshot, tail = load_server_state(directory, repair=repair)
-    if snapshot is not None:
-        db = database_from_dict(snapshot["db"])
-        cfg = (
-            ServerConfig(**snapshot["config"]) if config is None else config
-        )
-    else:
-        db = MovingObjectDatabase(initial_time=float("-inf"))
-        cfg = config if config is not None else ServerConfig()
-    covered = 0 if snapshot is None else int(snapshot.get("seq", 0))
-    last_seq = tail[-1]["seq"] if tail else covered
-    journal = ServerWal(
-        directory, sync=sync, observe=observe, start_seq=last_seq
-    )
-    server = DurableQueryServer(
-        db,
-        cfg,
+    return DurableQueryServer.restore(
+        snapshot,
+        tail,
+        directory,
+        config=config,
         observe=observe,
         cache=cache,
+        sync=sync,
         checkpoint_interval=checkpoint_interval,
-        journal=journal,
+        checkpoint=checkpoint_on_recover,
     )
-    server._recovering = True
-    try:
-        if snapshot is not None:
-            server._restore_snapshot(snapshot)
-        for record in tail:
-            server.apply_record(record)
-    finally:
-        server._recovering = False
-    server.recovered_tail = len(tail)
-    if checkpoint_on_recover:
-        server.checkpoint()
-    return server

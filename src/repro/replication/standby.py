@@ -35,15 +35,12 @@ import socket
 import threading
 from typing import Optional, Tuple
 
-from repro.io import database_from_dict
 from repro.net.client import RemoteQueryClient
 from repro.net.config import NetConfig
 from repro.net.errors import NetError, ProtocolError
 from repro.net.server import QueryNetServer
 from repro.replication.durable import DurableQueryServer
 from repro.replication.errors import ReplicationError
-from repro.replication.journal import ServerWal
-from repro.server.config import ServerConfig
 
 __all__ = ["StandbyReplica"]
 
@@ -191,32 +188,18 @@ class StandbyReplica:
         return self
 
     def _bootstrap(self, snapshot: dict) -> None:
-        """Rebuild the mirror server from one primary snapshot."""
-        seq = int(snapshot["seq"])
-        journal = ServerWal(
+        """Rebuild the mirror server from one primary snapshot,
+        persisted at once: a standby crash before the first periodic
+        checkpoint must not lose the snapshot it was built from."""
+        self._applied_seq = int(snapshot["seq"])
+        self._server = DurableQueryServer.restore(
+            snapshot,
+            (),
             self._directory,
+            observe=self._observe,
             sync=self._sync,
-            observe=self._observe,
-            start_seq=seq,
-        )
-        server = DurableQueryServer(
-            database_from_dict(snapshot["db"]),
-            config=ServerConfig(**snapshot["config"]),
-            observe=self._observe,
             checkpoint_interval=self._checkpoint_interval,
-            journal=journal,
         )
-        server._recovering = True
-        try:
-            server._restore_snapshot(snapshot)
-        finally:
-            server._recovering = False
-        # Persist the bootstrap state immediately: a standby crash
-        # before the first periodic checkpoint must not lose the
-        # snapshot it was built from.
-        server.checkpoint()
-        self._server = server
-        self._applied_seq = seq
 
     # -- the pump -----------------------------------------------------------
     def _pump_loop(self) -> None:
@@ -258,16 +241,8 @@ class StandbyReplica:
     def _handle_frame(self, frame: dict) -> None:
         event = frame.get("event")
         if event == "repl.append":
-            applied = self._applied_seq
-            for record in frame.get("records", ()):
-                seq = int(record["seq"])
-                if seq <= applied:
-                    continue  # duplicate after a resume overlap
-                self._apply(record)
-                applied = seq
-            if applied > self._applied_seq:
-                self._applied_seq = applied
-                self._client.request("repl.ack", {"seq": applied})
+            if self._apply_records(frame.get("records", ())):
+                self._client.request("repl.ack", {"seq": self._applied_seq})
         elif event == "repl.dropped":
             raise _ReplicaDropped(str(frame.get("reason", "")))
         elif event == "goodbye":
@@ -275,6 +250,19 @@ class StandbyReplica:
             # close records replicated before this frame, so the
             # mirror is final.  Treat as a (clean) primary loss.
             raise ConnectionResetError("primary drained")
+
+    def _apply_records(self, records) -> bool:
+        """Apply the primary records past the applied watermark, in
+        order, advancing it one record at a time; returns whether it
+        moved (a resume overlap re-sends records already applied)."""
+        before = self._applied_seq
+        for record in records:
+            seq = int(record["seq"])
+            if seq <= self._applied_seq:
+                continue
+            self._apply(record)
+            self._applied_seq = seq
+        return self._applied_seq > before
 
     def _apply(self, record: dict) -> None:
         """Apply one primary record on the standby's loop thread (the
@@ -299,12 +287,7 @@ class StandbyReplica:
             "repl.subscribe", {"from": self._applied_seq}
         )
         if result.get("mode") == "records":
-            for record in result.get("records", ()):
-                seq = int(record["seq"])
-                if seq <= self._applied_seq:
-                    continue
-                self._apply(record)
-                self._applied_seq = seq
+            self._apply_records(result.get("records", ()))
             self._client.request("repl.ack", {"seq": self._applied_seq})
         else:
             # Snapshot fallback: our suffix fell off retention.  The

@@ -23,22 +23,20 @@ group per threshold.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.spec import KNN, WITHIN, QuerySpec
+from repro.core.spec import QuerySpec
 from repro.geometry.intervals import Interval
 from repro.gdist.base import GDistance
 from repro.mod.database import MovingObjectDatabase
-from repro.mod.updates import ObjectId, Update
+from repro.mod.updates import Update
 from repro.parallel.merge import (
     clip_answer,
-    merge_knn_answers,
-    merge_multiknn_answers,
-    select_top_k,
-    union_answers,
+    merge_answers,
+    merge_members,
+    shard_candidates,
 )
 from repro.parallel.sharding import partition_database
-from repro.query.answers import SnapshotAnswer
 from repro.sweep.engine import SweepEngine
 
 __all__ = ["EngineGroup"]
@@ -175,36 +173,17 @@ class EngineGroup:
 
     # -- instant answers ---------------------------------------------------
     def members(self, spec: QuerySpec):
-        """The current answer of one view family at the group clock."""
+        """The current answer of one view family at the group clock: a
+        single slot's view read directly, several slots' candidates
+        through the instant merge."""
         self.advance_to(self.clock)
         views = self._views[spec.view_key]
-        if spec.kind == WITHIN:
-            out: Set[ObjectId] = set()
-            for view in views:
-                out |= view.members
-            return out
-        if spec.kind == KNN:
-            if len(views) == 1:
-                return views[0].members
-            return set(select_top_k(self._candidates(views), spec.k))
         if len(views) == 1:
-            return {k: views[0].members(k) for k in spec.ks}
-        return {
-            k: set(select_top_k(self._candidates(views, k), k))
-            for k in spec.ks
-        }
-
-    def _candidates(
-        self, views, k: Optional[int] = None
-    ) -> List[Tuple[ObjectId, float]]:
-        """Each slot's current members (at ``k`` for multiknn views)
-        paired with their g-distance at the group clock."""
-        t = self.clock
-        cands: List[Tuple[ObjectId, float]] = []
+            return spec.members(views[0])
+        candidates = []
         for slot, view in zip(self._slots, views):
-            for oid in view.members if k is None else view.members(k):
-                cands.append((oid, slot.engine.entry_for(oid).curve(t)))
-        return cands
+            candidates += shard_candidates(spec, slot.engine, view, self.clock)
+        return merge_members(spec, candidates)
 
     # -- windowed answers --------------------------------------------------
     def partial(self, spec: QuerySpec, t0: float, end: float):
@@ -212,36 +191,23 @@ class EngineGroup:
         read non-destructively off the current epoch's timelines.
 
         Single-slot groups clip the shared timeline directly; sharded
-        groups clip per-slot partials and run the standard candidate
-        merge (within = disjoint union, knn/multiknn = second-level
-        sweep), identical to the sharded evaluator's finalize path.
+        groups clip per-slot partials and run the window merge (within
+        = disjoint union, knn/multiknn = second-level sweep), identical
+        to the sharded evaluator's finalize path.
         """
-        parts = [spec.partial(v, end) for v in self._views[spec.view_key]]
+        parts = [
+            clip_answer(spec.partial(view, end), t0, end)
+            for view in self._views[spec.view_key]
+        ]
         if len(parts) == 1:
-            return clip_answer(parts[0], t0, end)
-        window = Interval(t0, end)
-        if spec.kind == WITHIN:
-            return clip_answer(union_answers(parts, window), t0, end)
-        merge_options = dict(
-            observe=self._observe, curve_store=self._curve_store
-        )
-        if spec.kind == KNN:
-            return merge_knn_answers(
-                self._source,
-                self.gdistance,
-                window,
-                spec.k,
-                [clip_answer(p, t0, end) for p in parts],
-                **merge_options,
-            )
-        top = spec.maintained_k
-        return merge_multiknn_answers(
+            return parts[0]
+        return merge_answers(
+            spec,
             self._source,
-            self.gdistance,
-            window,
-            spec.ks,
-            [clip_answer(p[top], t0, end) for p in parts],
-            **merge_options,
+            Interval(t0, end),
+            parts,
+            observe=self._observe,
+            curve_store=self._curve_store,
         )
 
     def salvage(self, spec: QuerySpec, t0: float, upto: float):

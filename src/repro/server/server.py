@@ -46,7 +46,7 @@ from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import Update
 from repro.obs.instrument import as_instrumentation
 from repro.obs.metrics import NULL_COUNTER, NULL_HISTOGRAM
-from repro.obs.profile import NULL_STAGE
+from repro.obs.profile import NULL_STAGE, _stage
 from repro.parallel.batching import BatchedUpdateApplier
 from repro.parallel.merge import clip_answer, stitch_answers
 from repro.parallel.sharding import shard_of
@@ -84,10 +84,6 @@ class ServerStats:
     rebuilds: int = 0
     quarantines: int = 0
     salvage_losses: int = 0
-
-
-def _stage(profile, name: str):
-    return NULL_STAGE if profile is None else profile.stage(name)
 
 
 # Exception types a failing sweep engine legitimately surfaces — only
@@ -748,10 +744,7 @@ class QueryServer:
             f"server.{session.kind}", query_id=query_id, **meta
         ) as prof:
             answer = self.close_with_profile(session, at, prof)
-            recorded = (
-                answer[max(answer)] if isinstance(answer, dict) else answer
-            )
-            prof.record_answer(recorded)
+            prof.record_answer(answer)
         return ExplainReport(prof, answer)
 
     def close_with_profile(

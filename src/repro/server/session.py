@@ -16,10 +16,10 @@ Reads in any state but ``active`` raise the matching typed error from
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Union
+from typing import Optional
 
-from repro.core.spec import Answer, QuerySpec
-from repro.mod.updates import ObjectId
+from repro.core.spec import QuerySpec
+from repro.query.answers import Answer, Members
 from repro.server.errors import (
     SessionClosedError,
     SessionQuarantinedError,
@@ -34,8 +34,6 @@ ACTIVE = "active"
 CLOSED = "closed"
 SHED = "shed"
 QUARANTINED = "quarantined"
-
-Members = Union[Set[ObjectId], Dict[int, Set[ObjectId]]]
 
 
 class ServerSession:

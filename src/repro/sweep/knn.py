@@ -1,4 +1,4 @@
-"""The continuous k-NN view (Example 6 / Example 12).
+"""The rank-boundary views: continuous k-NN (Example 6 / Example 12).
 
 The answer to k-NN at any instant is the set of objects whose curves
 are the ``k`` lowest — the first ``k`` entries of the precedence
@@ -7,11 +7,16 @@ membership changes only when the transposition straddles the rank-k
 boundary, detectable in O(1) via the current membership set; inserts
 and removals use one O(log N) ``at_rank`` probe to find the displaced
 or promoted entry.
+
+Several ``k`` at once is the same boundary drawn more than once over
+the one order, so the bookkeeping lives once, in :class:`RankView`:
+:class:`ContinuousKNN` is its one-k reading and
+:class:`~repro.sweep.multiknn.MultiKNN` its several-k reading.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import Dict, List, Set, Tuple
 
 from repro.mod.updates import ObjectId
 from repro.obs.metrics import NULL_COUNTER
@@ -42,7 +47,97 @@ def bind_support_counters(engine: SweepEngine, view: str):
     )
 
 
-class ContinuousKNN:
+class RankView:
+    """Rank boundaries ``ks`` (ascending) drawn over one sweep: per
+    boundary, the set of objects currently ranked below it and the
+    timeline of their memberships.
+
+    Requires an engine with no constant sentinels and a single time
+    term, so that full-order ranks coincide with object ranks.  The
+    public readings validate their own ``k`` / ``ks`` first.
+    """
+
+    def __init__(
+        self,
+        engine: SweepEngine,
+        ks: Tuple[int, ...],
+        label: str,
+        advice: str = "",
+    ) -> None:
+        if engine.object_count != len(engine.order):
+            raise ValueError(
+                f"{type(self).__name__} requires an engine without "
+                f"constant sentinels{advice}"
+            )
+        self._engine = engine
+        self._ks = ks
+        self._members: Dict[int, Set[ObjectId]] = {k: set() for k in ks}
+        # The (k, member set) pairs as a tuple: what the per-swap loop
+        # walks, without a dict view per event.
+        self._boundaries = tuple(self._members.items())
+        self._timelines: Dict[int, AnswerTimeline] = {
+            k: AnswerTimeline(engine.interval) for k in ks
+        }
+        self._results: Dict[int, SnapshotAnswer] = {}
+        self._c_enter, self._c_leave = bind_support_counters(engine, label)
+        engine.add_listener(self)
+        t = engine.current_time
+        for rank, entry in enumerate(engine.order):
+            if rank >= ks[-1]:
+                break
+            for k in ks:
+                if rank < k:
+                    self._enter(k, entry.oid, t)
+
+    # -- listener protocol -----------------------------------------------------
+    def on_swap(self, time: float, lower: CurveEntry, upper: CurveEntry) -> None:
+        # lower just moved below upper.  Membership changes only where
+        # the pair straddles a boundary, i.e. exactly one is a member;
+        # the member was at rank k-1 and they exchanged ranks.
+        for k, members in self._boundaries:
+            if upper.oid in members and lower.oid not in members:
+                self._leave(k, upper.oid, time)
+                self._enter(k, lower.oid, time)
+
+    def on_insert(self, time: float, entry: CurveEntry) -> None:
+        rank = self._engine.rank_of(entry)
+        order = self._engine.order
+        for k, members in self._boundaries:
+            if rank >= k:
+                continue
+            if len(order) > k:
+                displaced = order.at_rank(k)
+                if displaced.oid in members:
+                    self._leave(k, displaced.oid, time)
+            self._enter(k, entry.oid, time)
+
+    def on_remove(self, time: float, entry: CurveEntry) -> None:
+        order = self._engine.order
+        for k, members in self._boundaries:
+            if entry.oid not in members:
+                continue
+            self._leave(k, entry.oid, time)
+            if len(order) >= k:
+                self._enter(k, order.at_rank(k - 1).oid, time)
+
+    def on_finalize(self, time: float) -> None:
+        for k, timeline in self._timelines.items():
+            timeline.finalize(time)
+            self._results[k] = timeline.result()
+
+    # -- membership bookkeeping ---------------------------------------------------
+    def _enter(self, k: int, oid: ObjectId, time: float) -> None:
+        self._members[k].add(oid)
+        self._timelines[k].open(oid, time)
+        self._c_enter.inc()
+
+    def _leave(self, k: int, oid: ObjectId, time: float) -> None:
+        self._members[k].discard(oid)
+        self._timelines[k].close(oid, time)
+        self._c_leave.inc()
+
+
+class ContinuousKNN(RankView):
     """Maintain the k nearest objects (by g-distance) over the sweep.
 
     Requires an engine with no constant sentinels and a single time
@@ -52,26 +147,13 @@ class ContinuousKNN:
     def __init__(self, engine: SweepEngine, k: int) -> None:
         if k < 1:
             raise ValueError("k must be positive")
-        if any(e.is_constant for e in engine.order):
-            raise ValueError(
-                "ContinuousKNN requires an engine without constant "
-                "sentinels; use the generic evaluator for mixed queries"
-            )
-        self._engine = engine
+        super().__init__(
+            engine,
+            (k,),
+            "knn",
+            "; use the generic evaluator for mixed queries",
+        )
         self._k = k
-        self._members: Set[ObjectId] = set()
-        self._timeline = AnswerTimeline(engine.interval)
-        self._result: Optional[SnapshotAnswer] = None
-        self._c_enter, self._c_leave = bind_support_counters(engine, "knn")
-        engine.add_listener(self)
-        self._bootstrap()
-
-    def _bootstrap(self) -> None:
-        t = self._engine.current_time
-        for rank, entry in enumerate(self._engine.order):
-            if rank >= self._k:
-                break
-            self._enter(entry.oid, t)
 
     # -- current answer ----------------------------------------------------
     @property
@@ -82,73 +164,28 @@ class ContinuousKNN:
     @property
     def members(self) -> Set[ObjectId]:
         """The current k-NN answer set."""
-        return set(self._members)
+        return set(self._members[self._k])
 
     def members_in_order(self) -> List[ObjectId]:
         """The current answer, nearest first."""
+        members = self._members[self._k]
         out: List[ObjectId] = []
         for entry in self._engine.order:
-            if entry.oid in self._members:
+            if entry.oid in members:
                 out.append(entry.oid)
-            if len(out) == len(self._members):
+            if len(out) == len(members):
                 break
         return out
-
-    # -- listener protocol -----------------------------------------------------
-    def on_swap(self, time: float, lower: CurveEntry, upper: CurveEntry) -> None:
-        # lower just moved below upper.  Membership changes only when
-        # the pair straddles the k boundary, i.e. exactly one is a member.
-        lower_in = lower.oid in self._members
-        upper_in = upper.oid in self._members
-        if lower_in == upper_in:
-            return
-        # The member of the pair was at rank k-1; they exchanged ranks.
-        if upper_in:
-            self._leave(upper.oid, time)
-            self._enter(lower.oid, time)
-
-    def on_insert(self, time: float, entry: CurveEntry) -> None:
-        rank = self._engine.rank_of(entry)
-        if rank >= self._k:
-            return
-        if len(self._engine.order) > self._k:
-            displaced = self._engine.order.at_rank(self._k)
-            if displaced.oid in self._members:
-                self._leave(displaced.oid, time)
-        self._enter(entry.oid, time)
-
-    def on_remove(self, time: float, entry: CurveEntry) -> None:
-        if entry.oid not in self._members:
-            return
-        self._leave(entry.oid, time)
-        if len(self._engine.order) >= self._k:
-            promoted = self._engine.order.at_rank(self._k - 1)
-            self._enter(promoted.oid, time)
-
-    def on_finalize(self, time: float) -> None:
-        self._timeline.finalize(time)
-        self._result = self._timeline.result()
-
-    # -- membership bookkeeping ---------------------------------------------------
-    def _enter(self, oid: ObjectId, time: float) -> None:
-        self._members.add(oid)
-        self._timeline.open(oid, time)
-        self._c_enter.inc()
-
-    def _leave(self, oid: ObjectId, time: float) -> None:
-        self._members.discard(oid)
-        self._timeline.close(oid, time)
-        self._c_leave.inc()
 
     # -- results ---------------------------------------------------------------
     def answer(self) -> SnapshotAnswer:
         """The snapshot answer (after the engine has been finalized)."""
-        if self._result is None:
+        if not self._results:
             raise RuntimeError(
                 "the sweep has not been finalized; call engine.run_to_end()"
                 " or engine.finalize() first"
             )
-        return self._result
+        return self._results[self._k]
 
     def partial_answer(self, time: float) -> SnapshotAnswer:
         """The answer accumulated up to ``time``, without finalizing.
@@ -158,4 +195,4 @@ class ContinuousKNN:
         can keep running; the answer cache uses this to snapshot a
         continuation engine it will extend later.
         """
-        return self._timeline.snapshot(time)
+        return self._timelines[self._k].snapshot(time)

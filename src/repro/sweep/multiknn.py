@@ -13,13 +13,12 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Set
 
 from repro.mod.updates import ObjectId
-from repro.query.answers import AnswerTimeline, SnapshotAnswer
-from repro.sweep.curves import CurveEntry
+from repro.query.answers import SnapshotAnswer
 from repro.sweep.engine import SweepEngine
-from repro.sweep.knn import bind_support_counters
+from repro.sweep.knn import RankView
 
 
-class MultiKNN:
+class MultiKNN(RankView):
     """Maintain k-NN answers for several values of k over one sweep.
 
     Requires an engine with no constant sentinels and a single time
@@ -27,34 +26,12 @@ class MultiKNN:
     """
 
     def __init__(self, engine: SweepEngine, ks: Sequence[int]) -> None:
-        values = sorted(set(int(k) for k in ks))
+        values = tuple(sorted(set(int(k) for k in ks)))
         if not values:
             raise ValueError("need at least one k")
         if values[0] < 1:
             raise ValueError("every k must be positive")
-        if any(e.is_constant for e in engine.order):
-            raise ValueError(
-                "MultiKNN requires an engine without constant sentinels"
-            )
-        self._engine = engine
-        self._ks = values
-        self._members: Dict[int, Set[ObjectId]] = {k: set() for k in values}
-        self._timelines: Dict[int, AnswerTimeline] = {
-            k: AnswerTimeline(engine.interval) for k in values
-        }
-        self._results: Dict[int, SnapshotAnswer] = {}
-        self._c_enter, self._c_leave = bind_support_counters(
-            engine, "multiknn"
-        )
-        engine.add_listener(self)
-        self._bootstrap()
-
-    def _bootstrap(self) -> None:
-        t = self._engine.current_time
-        for rank, entry in enumerate(self._engine.order):
-            for k in self._ks:
-                if rank < k:
-                    self._enter(k, entry.oid, t)
+        super().__init__(engine, values, "multiknn")
 
     @property
     def ks(self) -> List[int]:
@@ -64,56 +41,6 @@ class MultiKNN:
     def members(self, k: int) -> Set[ObjectId]:
         """The current k-NN answer for one maintained k."""
         return set(self._members[k])
-
-    # -- listener protocol --------------------------------------------------
-    def on_swap(self, time: float, lower: CurveEntry, upper: CurveEntry) -> None:
-        for k in self._ks:
-            members = self._members[k]
-            lower_in = lower.oid in members
-            upper_in = upper.oid in members
-            if lower_in == upper_in:
-                continue
-            if upper_in:
-                self._leave(k, upper.oid, time)
-                self._enter(k, lower.oid, time)
-
-    def on_insert(self, time: float, entry: CurveEntry) -> None:
-        rank = self._engine.rank_of(entry)
-        size = len(self._engine.order)
-        for k in self._ks:
-            if rank >= k:
-                continue
-            if size > k:
-                displaced = self._engine.order.at_rank(k)
-                if displaced.oid in self._members[k]:
-                    self._leave(k, displaced.oid, time)
-            self._enter(k, entry.oid, time)
-
-    def on_remove(self, time: float, entry: CurveEntry) -> None:
-        size = len(self._engine.order)
-        for k in self._ks:
-            if entry.oid not in self._members[k]:
-                continue
-            self._leave(k, entry.oid, time)
-            if size >= k:
-                promoted = self._engine.order.at_rank(k - 1)
-                self._enter(k, promoted.oid, time)
-
-    def on_finalize(self, time: float) -> None:
-        for k in self._ks:
-            self._timelines[k].finalize(time)
-            self._results[k] = self._timelines[k].result()
-
-    # -- bookkeeping ------------------------------------------------------------
-    def _enter(self, k: int, oid: ObjectId, time: float) -> None:
-        self._members[k].add(oid)
-        self._timelines[k].open(oid, time)
-        self._c_enter.inc()
-
-    def _leave(self, k: int, oid: ObjectId, time: float) -> None:
-        self._members[k].discard(oid)
-        self._timelines[k].close(oid, time)
-        self._c_leave.inc()
 
     # -- results ------------------------------------------------------------------
     def answer(self, k: int) -> SnapshotAnswer:

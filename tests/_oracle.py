@@ -8,6 +8,9 @@ through these evaluation paths:
 - a **single** :class:`~repro.sweep.engine.SweepEngine`,
 - a :class:`~repro.parallel.evaluator.ShardedSweepEvaluator` at any
   shard count / backend / batch size,
+- a bare :class:`~repro.server.group.EngineGroup` (the server's shard
+  pool without the server around it), so both sharded pools are held
+  to the one shard merge they share,
 - a shared :class:`~repro.server.QueryServer` hosting the probed
   session *alongside co-tenant sessions of every other kind* (so the
   server path also checks that fan-out sharing never perturbs answers),
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.baselines.naive import naive_knn_answer, naive_within_answer
-from repro.geometry.intervals import Interval
+from repro.geometry.intervals import Interval, IntervalSet
 from repro.geometry.piecewise import PiecewiseFunction
 from repro.geometry.tolerance import DEFAULT_ATOL
 from repro.geometry.vectors import Vector
@@ -296,6 +299,39 @@ def run_sharded(
     finally:
         db.unsubscribe(evaluator.on_update)
         evaluator.shutdown()
+    return final, probes
+
+
+def run_group(
+    sc: Scenario, mode: str, shards: int
+) -> Tuple[
+    Union[SnapshotAnswer, Dict[int, SnapshotAnswer]], List[ProbeRecord]
+]:
+    """Final answer + probe answers from a bare EngineGroup: the
+    server's shard pool driven directly, one spec attached."""
+    from repro.core.spec import QuerySpec
+    from repro.parallel.sharding import shard_of
+    from repro.server.group import EngineGroup
+
+    db = sc.build_db()
+    param = {KNN: {"k": sc.k}, WITHIN: {"threshold": sc.threshold}}.get(
+        mode, {"ks": sc.ks}
+    )
+    spec = QuerySpec(sc.gdistance(), mode, **param)
+    group = EngineGroup(
+        1, db, spec.gdistance, shards, constants=spec.constants
+    )
+    group.acquire(spec)
+    probes: List[ProbeRecord] = []
+    for update, probe in sc.schedule():
+        db.apply(update)
+        group.apply(shard_of(update.oid, shards), [update])
+        if probe is not None:
+            group.advance_to(probe)
+            probes.append((probe, group.members(spec)))
+    group.advance_to(sc.horizon)
+    final = group.partial(spec, sc.start, sc.horizon)
+    group.shutdown()
     return final, probes
 
 
@@ -651,6 +687,45 @@ def assert_probes_equal(
     for (t1, m1), (t2, m2) in zip(got, expected):
         assert t1 == t2, f"{label}: probe schedule diverged ({t1} vs {t2})"
         assert m1 == m2, f"{label}: instant answer at t={t1}: {m1} != {m2}"
+
+
+# -- answer-algebra oracles -----------------------------------------------
+# The two membership clips ``SnapshotAnswer.restrict`` replaced, kept
+# verbatim from the commit before it (``parallel.merge.clip_answer`` at
+# ``atol=0`` and ``cache.answer_cache.restrict_payload`` at
+# ``DEFAULT_ATOL``): ``tests/query/test_answer_algebra.py`` holds the
+# one restriction to exact equality with both.
+
+
+def reference_clip_answer(answer, lo: float, hi: float):
+    if isinstance(answer, dict):
+        return {k: reference_clip_answer(a, lo, hi) for k, a in answer.items()}
+    if hi < lo:
+        lo = hi
+    window = IntervalSet([Interval(lo, hi)])
+    memberships = {}
+    for oid in answer.objects:
+        clipped = answer.intervals_for(oid).intersect(window)
+        if not clipped.is_empty:
+            memberships[oid] = clipped
+    return SnapshotAnswer(memberships, Interval(lo, hi))
+
+
+def reference_restrict_payload(
+    payload, interval: Interval, atol: float = DEFAULT_ATOL
+):
+    def restrict(answer: SnapshotAnswer) -> SnapshotAnswer:
+        window = IntervalSet([interval])
+        memberships = {}
+        for oid in answer.objects:
+            clipped = answer.intervals_for(oid).intersect(window, atol=atol)
+            if not clipped.is_empty:
+                memberships[oid] = clipped
+        return SnapshotAnswer(memberships, interval)
+
+    if isinstance(payload, SnapshotAnswer):
+        return restrict(payload)
+    return {k: restrict(answer) for k, answer in payload.items()}
 
 
 # -- geometry oracles -----------------------------------------------------

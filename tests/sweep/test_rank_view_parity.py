@@ -1,0 +1,183 @@
+"""The rank-boundary bookkeeping exists once: its readings agree.
+
+``ContinuousKNN(k)``, ``MultiKNN([k])`` and ``MultiKNN([k, k + 2])``
+read the same boundary off the same precedence order, so over random
+MODs with ``new`` / ``terminate`` / ``chdir`` streams they must agree
+*exactly* — member sets at every probe (irrational instants and exact
+update timestamps, where curves may tie), final answers, and the
+engines' primitive-op counts, pinned from the commit that still kept
+two bodies.  ``repro.baselines.naive`` stays the independent oracle:
+wherever an answer is unambiguous it must say the same.
+
+Every third scenario carries *twins* — distinct objects on one exact
+trajectory, a persistent tie in the order.  A tie is broken by sweep
+history, which the naive baseline does not have, so twin scenarios are
+compared reading against reading only.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines.naive import naive_knn_answer
+from repro.geometry.intervals import Interval
+from repro.mod.updates import New
+from repro.sweep.engine import SweepEngine
+from repro.sweep.knn import ContinuousKNN
+from repro.sweep.multiknn import MultiKNN
+from repro.sweep.object_list import SweepOrder
+
+from tests._oracle import ANSWER_ATOL, generate_scenario
+
+# seed -> ``engine.operation_counts()["total"]`` under (ContinuousKNN(k),
+# MultiKNN([k]), MultiKNN([k, k + 2])), measured at the commit before
+# the two bodies were folded.  The views' rank probes are counted order
+# operations, so a second boundary costs more; the one-k readings must
+# cost the same, operation by operation.
+PINNED_OPS = {
+    0: (456, 456, 463),
+    1: (116, 116, 119),
+    2: (109, 109, 113),
+    3: (120, 120, 123),
+    4: (117, 117, 126),
+    5: (148, 148, 148),
+    6: (213, 213, 229),
+    7: (166, 166, 166),
+    8: (239, 239, 244),
+    9: (513, 513, 513),
+    10: (146, 146, 153),
+    11: (276, 276, 281),
+    12: (275, 275, 290),
+    13: (234, 234, 241),
+    14: (86, 86, 91),
+    15: (74, 74, 75),
+    16: (267, 267, 278),
+    17: (264, 264, 268),
+    18: (106, 106, 109),
+    19: (102, 102, 103),
+    20: (176, 176, 177),
+    21: (121, 121, 121),
+    22: (144, 144, 152),
+    23: (183, 183, 188),
+}
+
+
+def _scenario(seed):
+    sc = generate_scenario(seed)
+    if seed % 3 == 0:
+        # A twin of the first object: same creation state, later oid.
+        first = sc.initial[0]
+        sc.initial.append(
+            New(
+                "twin",
+                sc.start + 0.001,
+                velocity=first.velocity,
+                position=first.position + first.velocity * (
+                    sc.start + 0.001 - first.time
+                ),
+            )
+        )
+        sc.start += 0.001
+    return sc
+
+
+def _drive(sc, build):
+    """Run the scenario under one reading; ``build(engine)`` returns
+    ``(read_members, read_answer)`` closures for the boundary ``k``."""
+    db = sc.build_db()
+    engine = SweepEngine(db, sc.gdistance(), Interval(sc.start, sc.horizon))
+    members, answer = build(engine)
+    db.subscribe(engine.on_update)
+    probes = []
+    for update, probe in sc.schedule():
+        db.apply(update)
+        # The update's own timestamp: curves may tie here.
+        probes.append((update.time, members()))
+        if probe is not None:
+            engine.advance_to(probe)
+            probes.append((probe, members()))
+    engine.advance_to(sc.horizon)
+    engine.finalize()
+    return db, answer(), probes, engine.operation_counts()
+
+
+def _readings(k):
+    def one_k(engine):
+        view = ContinuousKNN(engine, k)
+        return (lambda: view.members), view.answer
+
+    def multi(ks):
+        def build(engine):
+            view = MultiKNN(engine, ks)
+            return (lambda: view.members(k)), (lambda: view.answer(k))
+
+        return build
+
+    return one_k, multi([k]), multi([k, k + 2])
+
+
+def _check(seed, pinned=None):
+    sc = _scenario(seed)
+    runs = [_drive(sc, build) for build in _readings(sc.k)]
+    db, answer, probes, _ = runs[0]
+    for _, other_answer, other_probes, _ in runs[1:]:
+        assert other_probes == probes, f"seed {seed}: member sets diverged"
+        assert other_answer == answer, f"seed {seed}: answers diverged"
+    assert runs[0][3] == runs[1][3], f"seed {seed}: one-k readings cost apart"
+    ops = tuple(run[3]["total"] for run in runs)
+    if pinned is not None:
+        assert ops == pinned, f"seed {seed}: primitive ops moved: {ops}"
+    if seed % 3:
+        window = Interval(sc.start, sc.horizon)
+        truth = naive_knn_answer(db, sc.gdistance(), window, sc.k)
+        assert answer.approx_equals(truth, atol=ANSWER_ATOL), f"seed {seed}"
+        update_times = {update.time for update in sc.stream}
+        for t, members in probes:
+            if t not in update_times:
+                instant = naive_knn_answer(
+                    db, sc.gdistance(), Interval(t, t), sc.k
+                )
+                assert members == instant.at(t), f"seed {seed} t={t}"
+    return ops
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_OPS))
+def test_readings_agree_and_ops_are_pinned(seed):
+    _check(seed, PINNED_OPS[seed])
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=100, max_value=10**6))
+def test_readings_agree_on_random_scenarios(seed):
+    _check(seed)
+
+
+def test_bootstrap_stops_at_the_widest_boundary(monkeypatch):
+    """Building a rank view reads the order's first ``max(ks)`` entries
+    (one more ends the scan), not the whole order once per k."""
+    from repro.gdist.euclidean import SquaredEuclideanDistance
+    from repro.workloads.generator import random_linear_mod
+
+    db = random_linear_mod(200, seed=3)
+    engine = SweepEngine(
+        db,
+        SquaredEuclideanDistance([0.0, 0.0]),
+        Interval(db.last_update_time, 10.0),
+    )
+    expected = [entry.oid for entry in engine.order][:3]
+    ops_before = engine.operation_counts()
+    drawn = []
+    walk = SweepOrder.__iter__
+
+    def counting(order):
+        for entry in walk(order):
+            drawn.append(entry)
+            yield entry
+
+    monkeypatch.setattr(SweepOrder, "__iter__", counting)
+    view = MultiKNN(engine, [1, 3])
+    monkeypatch.undo()
+    assert len(drawn) <= 4
+    assert view.members(1) == set(expected[:1])
+    assert view.members(3) == set(expected)
+    assert engine.operation_counts() == ops_before
