@@ -39,8 +39,7 @@ from typing import List, Optional
 from repro.geometry.intervals import Interval
 from repro.geometry.tolerance import DEFAULT_ATOL
 from repro.mod.updates import Update
-from repro.obs.instrument import as_instrumentation
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 from repro.obs.profile import _stage
 from repro.query.answers import Answer as Payload
 from repro.query.answers import SnapshotAnswer, per_k
@@ -145,51 +144,41 @@ class AnswerCache:
         self.evictions = 0
         self.invalidations = 0
         self.replayed_updates = 0
-        obs = as_instrumentation(observe)
-        if obs is None:
-            self._c_hit_exact = NULL_COUNTER
-            self._c_hit_extension = NULL_COUNTER
-            self._c_misses = NULL_COUNTER
-            self._c_inv_clip = NULL_COUNTER
-            self._c_inv_drop = NULL_COUNTER
-            self._c_evictions = NULL_COUNTER
-            self._c_replayed = NULL_COUNTER
-        else:
-            metrics = obs.metrics
-            hits = metrics.counter(
-                "cache_answer_hits_total",
-                "Answer-cache hits, by kind (exact restriction vs "
-                "Theorem 5 sweep continuation).",
-                labels=("kind",),
-            )
-            self._c_hit_exact = hits.labels(kind="exact")
-            self._c_hit_extension = hits.labels(kind="extension")
-            self._c_misses = metrics.counter(
-                "cache_answer_misses_total",
-                "Answer-cache lookups that fell through to a cold sweep.",
-            )
-            invalidations = metrics.counter(
-                "cache_answer_invalidations_total",
-                "Update-driven invalidations, by kind (clip keeps the "
-                "prefix; drop removes the entry).",
-                labels=("kind",),
-            )
-            self._c_inv_clip = invalidations.labels(kind="clip")
-            self._c_inv_drop = invalidations.labels(kind="drop")
-            self._c_evictions = metrics.counter(
-                "cache_answer_evictions_total",
-                "Entries evicted by the LRU byte budget.",
-            )
-            self._c_replayed = metrics.counter(
-                "cache_answer_replayed_updates_total",
-                "Buffered updates replayed into continuation engines.",
-            )
-            metrics.gauge(
-                "cache_answer_entries", "Answer spans currently cached."
-            ).set_function(lambda: len(self._entries))
-            metrics.gauge(
-                "cache_answer_bytes", "Estimated resident answer bytes."
-            ).set_function(lambda: self._nbytes)
+        metrics = (as_instrumentation(observe) or NULL_INSTRUMENTATION).metrics
+        hits = metrics.counter(
+            "cache_answer_hits_total",
+            "Answer-cache hits, by kind (exact restriction vs "
+            "Theorem 5 sweep continuation).",
+            labels=("kind",),
+        )
+        self._c_hit_exact = hits.labels(kind="exact")
+        self._c_hit_extension = hits.labels(kind="extension")
+        self._c_misses = metrics.counter(
+            "cache_answer_misses_total",
+            "Answer-cache lookups that fell through to a cold sweep.",
+        )
+        invalidations = metrics.counter(
+            "cache_answer_invalidations_total",
+            "Update-driven invalidations, by kind (clip keeps the "
+            "prefix; drop removes the entry).",
+            labels=("kind",),
+        )
+        self._c_inv_clip = invalidations.labels(kind="clip")
+        self._c_inv_drop = invalidations.labels(kind="drop")
+        self._c_evictions = metrics.counter(
+            "cache_answer_evictions_total",
+            "Entries evicted by the LRU byte budget.",
+        )
+        self._c_replayed = metrics.counter(
+            "cache_answer_replayed_updates_total",
+            "Buffered updates replayed into continuation engines.",
+        )
+        metrics.gauge(
+            "cache_answer_entries", "Answer spans currently cached."
+        ).set_function(lambda: len(self._entries))
+        metrics.gauge(
+            "cache_answer_bytes", "Estimated resident answer bytes."
+        ).set_function(lambda: self._nbytes)
 
     # -- inspection ---------------------------------------------------------
     def __len__(self) -> int:

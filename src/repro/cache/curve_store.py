@@ -24,8 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.gdist.base import GDistance
 from repro.geometry.piecewise import PiecewiseFunction
 from repro.mod.updates import ObjectId
-from repro.obs.instrument import as_instrumentation
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 from repro.trajectory.trajectory import Trajectory
 
 from repro.cache.fingerprint import (
@@ -72,29 +71,25 @@ class CurveStore:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        obs = as_instrumentation(observe)
-        if obs is None:
-            self._c_hits = self._c_misses = self._c_evictions = NULL_COUNTER
-        else:
-            metrics = obs.metrics
-            self._c_hits = metrics.counter(
-                "cache_curve_hits_total",
-                "Curve constructions served from the store.",
-            )
-            self._c_misses = metrics.counter(
-                "cache_curve_misses_total",
-                "Curve constructions that had to run the g-distance.",
-            )
-            self._c_evictions = metrics.counter(
-                "cache_curve_evictions_total",
-                "Curves evicted by the LRU byte budget.",
-            )
-            metrics.gauge(
-                "cache_curve_entries", "Curves currently stored."
-            ).set_function(lambda: len(self._entries))
-            metrics.gauge(
-                "cache_curve_bytes", "Estimated resident curve bytes."
-            ).set_function(lambda: self._nbytes)
+        metrics = (as_instrumentation(observe) or NULL_INSTRUMENTATION).metrics
+        self._c_hits = metrics.counter(
+            "cache_curve_hits_total",
+            "Curve constructions served from the store.",
+        )
+        self._c_misses = metrics.counter(
+            "cache_curve_misses_total",
+            "Curve constructions that had to run the g-distance.",
+        )
+        self._c_evictions = metrics.counter(
+            "cache_curve_evictions_total",
+            "Curves evicted by the LRU byte budget.",
+        )
+        metrics.gauge(
+            "cache_curve_entries", "Curves currently stored."
+        ).set_function(lambda: len(self._entries))
+        metrics.gauge(
+            "cache_curve_bytes", "Estimated resident curve bytes."
+        ).set_function(lambda: self._nbytes)
 
     # -- inspection ---------------------------------------------------------
     def __len__(self) -> int:

@@ -22,8 +22,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from repro.geometry.tolerance import DEFAULT_ATOL
 from repro.geometry.vectors import Vector
 from repro.mod.updates import ChangeDirection, New, ObjectId, Terminate, Update
-from repro.obs.instrument import as_instrumentation
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 from repro.trajectory.builder import linear_from
 from repro.trajectory.trajectory import Trajectory
 
@@ -46,26 +45,23 @@ class MovingObjectDatabase:
         self._listeners: List[UpdateListener] = []
         self._dimension: Optional[int] = None
         self.observe = as_instrumentation(observe)
-        if self.observe is None:
-            self._c_new = self._c_terminate = self._c_chdir = NULL_COUNTER
-        else:
-            metrics = self.observe.metrics
-            family = metrics.counter(
-                "mod_updates_total",
-                "Updates applied to the moving object database, by kind.",
-                labels=("kind",),
-            )
-            self._c_new = family.labels(kind="new")
-            self._c_terminate = family.labels(kind="terminate")
-            self._c_chdir = family.labels(kind="chdir")
-            metrics.gauge(
-                "mod_live_objects",
-                "Live (non-terminated) objects in the MOD — |O|.",
-            ).set_function(lambda: len(self._trajectories))
-            metrics.gauge(
-                "mod_tau",
-                "The MOD's tau: the time of the last applied update.",
-            ).set_function(lambda: self._last_update_time)
+        metrics = (self.observe or NULL_INSTRUMENTATION).metrics
+        family = metrics.counter(
+            "mod_updates_total",
+            "Updates applied to the moving object database, by kind.",
+            labels=("kind",),
+        )
+        self._c_new = family.labels(kind="new")
+        self._c_terminate = family.labels(kind="terminate")
+        self._c_chdir = family.labels(kind="chdir")
+        metrics.gauge(
+            "mod_live_objects",
+            "Live (non-terminated) objects in the MOD — |O|.",
+        ).set_function(lambda: len(self._trajectories))
+        metrics.gauge(
+            "mod_tau",
+            "The MOD's tau: the time of the last applied update.",
+        ).set_function(lambda: self._last_update_time)
 
     # -- the (O, T, tau) triple ---------------------------------------------
     @property

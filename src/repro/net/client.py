@@ -48,9 +48,9 @@ from uuid import uuid4
 
 from repro.net.errors import (
     ConnectionLostError,
+    FrameTooLargeError,
     NetError,
     NotPrimaryError,
-    ProtocolError,
     RequestTimeoutError,
     raise_from_wire,
 )
@@ -285,7 +285,12 @@ class RemoteQueryClient:
         header = self._recv_exact(HEADER.size)
         (length,) = HEADER.unpack(header)
         if length > self._max_frame:
-            raise ProtocolError(
+            # The announced body is still in flight: drop the socket so
+            # the next request reconnects on clean framing (session ids
+            # survive a reconnect) instead of parsing body bytes as a
+            # header.  The offending request is not retried.
+            self._drop_socket()
+            raise FrameTooLargeError(
                 f"server announced a {length}-byte frame beyond the "
                 f"{self._max_frame}-byte cap"
             )

@@ -69,7 +69,9 @@ def decode_payload(body: bytes) -> dict:
     """The JSON object inside one frame body."""
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        # RecursionError: nesting past the parser's depth, well under
+        # the frame cap in bytes.
         raise ProtocolError(f"undecodable frame: {exc}") from None
     if not isinstance(payload, dict):
         raise ProtocolError(

@@ -61,7 +61,7 @@ from repro.net.protocol import (
     encode_frame,
     members_to_wire,
 )
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.instrument import NULL_INSTRUMENTATION
 from repro.server.errors import ServerClosedError, ServerError
 from repro.server.server import QueryServer
 from repro.server.session import ACTIVE, QUEUED
@@ -193,13 +193,7 @@ class QueryNetServer:
 
     # -- instruments ------------------------------------------------------
     def _bind_instruments(self) -> None:
-        obs = self._server.observe
-        if obs is None:
-            self._c_request = lambda verb: NULL_COUNTER
-            self._c_event = lambda event: NULL_COUNTER
-            self._c_bytes = lambda direction: NULL_COUNTER
-            return
-        m = obs.metrics
+        m = (self._server.observe or NULL_INSTRUMENTATION).metrics
         requests = m.counter(
             "net_requests_total", "Requests dispatched, by verb.",
             labels=("verb",),
@@ -646,14 +640,7 @@ class QueryNetServer:
         while not conn.closing:
             try:
                 request = await self._read_frame(conn)
-            except FrameTooLargeError as exc:
-                self._send(
-                    conn,
-                    {"id": None, "ok": False, "error": error_to_wire(exc)},
-                    force=True,
-                )
-                continue
-            except ProtocolError as exc:
+            except ProtocolError as exc:  # an oversized frame included
                 self._send(
                     conn,
                     {"id": None, "ok": False, "error": error_to_wire(exc)},

@@ -29,13 +29,23 @@ package makes them *observable*:
 
 Everything is pure-Python stdlib; enabling metrics on the sweep hot
 path costs a bound-counter increment per event, and passing
-``observe=None`` (the default) binds no-op instruments.
+``observe=None`` (the default) binds no-op instruments: a component
+keeps ``.observe`` at ``None`` and runs its one binder against
+:data:`NULL_INSTRUMENTATION` — :data:`NULL_REGISTRY` (every declaration
+returns a shared no-op singleton, each its own ``.labels(...)`` child)
+plus :data:`NULL_TRACER` — so "telemetry off" is one null object, not a
+second arm in every binder.
 """
 
 from repro.obs.audit import AuditResult, ComplexityAudit, fit_envelope
 from repro.obs.explain import ExplainReport, explain, render_report
-from repro.obs.instrument import Instrumentation, as_instrumentation
+from repro.obs.instrument import (
+    NULL_INSTRUMENTATION,
+    Instrumentation,
+    as_instrumentation,
+)
 from repro.obs.metrics import (
+    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -72,6 +82,8 @@ __all__ = [
     "JsonlSink",
     "MetricError",
     "MetricsRegistry",
+    "NULL_INSTRUMENTATION",
+    "NULL_REGISTRY",
     "NULL_STAGE",
     "NULL_TRACER",
     "NullTracer",

@@ -9,8 +9,13 @@ Every instrumentable component — :class:`~repro.sweep.engine.SweepEngine`,
 :class:`~repro.workloads.faults.FaultInjector`,
 :class:`~repro.mod.database.MovingObjectDatabase` — takes an optional
 ``observe=`` argument.  ``None`` (the default) disables telemetry
-entirely: hot paths bind no-op instruments and pay one cheap call per
-event.  Otherwise the argument is coerced by :func:`as_instrumentation`:
+entirely: the component's public ``.observe`` stays ``None`` and its
+one binder runs against :data:`NULL_INSTRUMENTATION` — the null
+bundle, whose registry hands out the shared no-op instruments and
+whose tracer is :data:`~repro.obs.tracing.NULL_TRACER` — so hot paths
+pay one cheap call per event and no binder carries a second "off" arm
+(``obs = self.observe or NULL_INSTRUMENTATION``).  Otherwise the
+argument is coerced by :func:`as_instrumentation`:
 
 - an :class:`Instrumentation` is used as-is;
 - a bare :class:`~repro.obs.metrics.MetricsRegistry` enables metrics
@@ -40,10 +45,10 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracing import NULL_TRACER, NullTracer, Tracer
 
-__all__ = ["Instrumentation", "as_instrumentation"]
+__all__ = ["Instrumentation", "NULL_INSTRUMENTATION", "as_instrumentation"]
 
 
 class Instrumentation:
@@ -80,6 +85,11 @@ class Instrumentation:
             f"Instrumentation(metrics={len(self.metrics.families())} "
             f"families, tracing {tracing}{profiled})"
         )
+
+
+# Telemetry off, as a bundle: what every binder binds against when its
+# component's ``.observe`` is ``None``.
+NULL_INSTRUMENTATION = Instrumentation(metrics=NULL_REGISTRY)
 
 
 def as_instrumentation(observe) -> Optional[Instrumentation]:

@@ -28,9 +28,11 @@ Prometheus text (:meth:`~MetricsRegistry.to_prometheus`) or JSON
 (:meth:`~MetricsRegistry.to_json`).
 
 The module also defines no-op instrument singletons
-(:data:`NULL_COUNTER`, :data:`NULL_GAUGE`, :data:`NULL_HISTOGRAM`);
-instrumented code binds these when observability is disabled so the
-hot path stays one cheap no-op call, with no conditionals.
+(:data:`NULL_COUNTER`, :data:`NULL_GAUGE`, :data:`NULL_HISTOGRAM`) and
+the :data:`NULL_REGISTRY` that hands them out: instrumented code runs
+its one binder against it when observability is disabled, so the hot
+path stays one cheap no-op call, with no conditionals — and no second
+"telemetry off" arm in any binder.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
+    "NULL_REGISTRY",
 ]
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -236,7 +239,17 @@ class Histogram:
         yield "_sum", self.sum
 
 
-class _NullCounter:
+class _NullInstrument:
+    """What every no-op instrument shares: it is its own labeled child."""
+
+    __slots__ = ()
+
+    def labels(self, **labels: object):
+        """A null family's every child is the family itself."""
+        return self
+
+
+class _NullCounter(_NullInstrument):
     """No-op counter bound when observability is disabled."""
 
     kind = "counter"
@@ -247,7 +260,7 @@ class _NullCounter:
         """Discard the increment."""
 
 
-class _NullGauge:
+class _NullGauge(_NullInstrument):
     """No-op gauge bound when observability is disabled."""
 
     kind = "gauge"
@@ -267,7 +280,7 @@ class _NullGauge:
         """Discard the function."""
 
 
-class _NullHistogram:
+class _NullHistogram(_NullInstrument):
     """No-op histogram bound when observability is disabled."""
 
     kind = "histogram"
@@ -282,6 +295,36 @@ class _NullHistogram:
 NULL_COUNTER = _NullCounter()
 NULL_GAUGE = _NullGauge()
 NULL_HISTOGRAM = _NullHistogram()
+
+
+class _NullRegistry:
+    """The registry of a component whose telemetry is off.
+
+    Declaring an instrument returns the matching no-op singleton
+    whatever the name, help or labels, so a binder written once against
+    a :class:`MetricsRegistry` is also the "off" binder; nothing is
+    recorded and :meth:`snapshot` is always empty.
+    """
+
+    __slots__ = ()
+
+    def counter(self, name: str, help: str = "", labels=()):
+        return NULL_COUNTER
+
+    def gauge(self, name: str, help: str = "", labels=()):
+        return NULL_GAUGE
+
+    def histogram(self, name: str, help: str = "", labels=(), **buckets):
+        return NULL_HISTOGRAM
+
+    def families(self) -> list:
+        return []
+
+    def snapshot(self) -> dict:
+        return {}
+
+
+NULL_REGISTRY = _NullRegistry()
 
 
 def _escape_label_value(value: str) -> str:

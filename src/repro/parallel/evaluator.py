@@ -43,8 +43,7 @@ from repro.core.spec import QueryLike, QuerySpec
 from repro.geometry.intervals import Interval
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId, Update
-from repro.obs.instrument import as_instrumentation
-from repro.obs.metrics import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
+from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 from repro.obs.profile import _stage
 from repro.parallel.backends import resolve_backend
 from repro.parallel.batching import BatchedUpdateApplier
@@ -141,16 +140,7 @@ class ShardedSweepEvaluator:
         self._g_shards.set(self._shards)
 
     def _bind_metrics(self) -> None:
-        if self._instr is None:
-            self._c_updates = NULL_COUNTER
-            self._c_batches = NULL_COUNTER
-            self._c_rebuilds = NULL_COUNTER
-            self._h_batch = NULL_HISTOGRAM
-            self._h_candidates = NULL_HISTOGRAM
-            self._g_shards = NULL_GAUGE
-            self._g_shard_ops = None
-            return
-        metrics = self._instr.metrics
+        metrics = (self._instr or NULL_INSTRUMENTATION).metrics
         self._c_updates = metrics.counter(
             "sharded_updates_total",
             "Updates applied to shard engines.",
@@ -335,8 +325,7 @@ class ShardedSweepEvaluator:
         if healed:
             self.rebuilds += healed
             self._c_rebuilds.inc(healed)
-        if self._instr is not None:
-            self._c_updates.labels(shard=str(shard)).inc(len(updates))
+        self._c_updates.labels(shard=str(shard)).inc(len(updates))
 
     def _sync_batch_metrics(self) -> None:
         stats = self._applier.stats
@@ -479,10 +468,7 @@ class ShardedSweepEvaluator:
         for i, counts in enumerate(shard_counts):
             for op, n in counts.items():
                 self._final_ops[op] = self._final_ops.get(op, 0) + n
-            if self._g_shard_ops is not None:
-                self._g_shard_ops.labels(shard=str(i)).set(
-                    _ops_total(counts)
-                )
+            self._g_shard_ops.labels(shard=str(i)).set(_ops_total(counts))
         if self._profile is not None:
             for i, host in enumerate(self._hosts):
                 snapshot = getattr(host, "profile_snapshot", lambda: None)()

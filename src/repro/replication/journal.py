@@ -1,10 +1,12 @@
 """The server-level write-ahead log: sequenced records + snapshots.
 
-Where :class:`repro.resilience.WriteAheadLog` journals the *database*
-(one update per line), :class:`ServerWal` journals the whole serving
-layer: applied updates **and** session lifecycle ops (open / advance /
-close / cancel / shed) plus the net frontend's idempotent-reply cache
-entries.  Every record carries a monotone ``seq``; a snapshot records
+The sequenced reading of :class:`repro.resilience.wal.Journal` (which
+owns the files, the ``sync`` policy, the durability boundary and the
+tolerant reader).  Where :class:`repro.resilience.WriteAheadLog`
+journals the *database* (one update per line), :class:`ServerWal`
+journals the whole serving layer: applied updates **and** session
+lifecycle ops (open / advance / close / cancel / shed) plus the net
+frontend's idempotent-reply cache entries.  Every record carries a monotone ``seq``; a snapshot records
 the seq it covers, so recovery replays exactly the tail — Theorem 5's
 (checkpoint, suffix-of-updates) reconstruction discipline applied to
 the server's entire answer state.
@@ -21,22 +23,14 @@ replication without local disk.
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.gdist.base import GDistance
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.io import trajectory_from_dict, trajectory_to_dict
-from repro.obs.instrument import as_instrumentation
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 from repro.replication.errors import NotDurableError
-from repro.resilience.wal import (
-    append_jsonl,
-    check_sync,
-    read_jsonl_records,
-    replace_json,
-)
+from repro.resilience.wal import Journal
 
 __all__ = [
     "SERVER_WAL_FILENAME",
@@ -111,7 +105,7 @@ def _decode_record(data: dict) -> dict:
     return data
 
 
-class ServerWal:
+class ServerWal(Journal):
     """Sequenced server journal with atomic snapshot checkpoints.
 
     Parameters
@@ -131,6 +125,10 @@ class ServerWal:
         journaled seq so appends continue the sequence.
     """
 
+    log_filename = SERVER_WAL_FILENAME
+    checkpoint_filename = SERVER_CHECKPOINT_FILENAME
+    not_durable = NotDurableError
+
     def __init__(
         self,
         directory: Optional[str] = None,
@@ -138,57 +136,27 @@ class ServerWal:
         observe=None,
         start_seq: int = 0,
     ) -> None:
-        self._directory = None if directory is None else str(directory)
-        self._sync = check_sync(sync)
+        super().__init__(directory, sync)
         self._seq = int(start_seq)
         self._snapshot_seq = 0
         self._records: List[dict] = []  # retained for replica resume
         self._retain_floor: Optional[int] = None
         self._listeners: List[Callable[[dict], None]] = []
-        self._handle = None
-        self._closed = False
-        if self._directory is not None:
-            os.makedirs(self._directory, exist_ok=True)
-            self._handle = open(self.wal_path, "a", encoding="utf-8")
-        obs = as_instrumentation(observe)
-        if obs is None:
-            self._c_records = lambda op: NULL_COUNTER
-            self._c_checkpoints = NULL_COUNTER
-        else:
-            m = obs.metrics
-            records = m.counter(
-                "repl_journal_records_total",
-                "Server-journal records appended, by op.",
-                labels=("op",),
-            )
-            self._c_records = lambda op: records.labels(op=op)
-            self._c_checkpoints = m.counter(
-                "repl_checkpoints_total",
-                "Server snapshots checkpointed.",
-            )
-            m.gauge(
-                "repl_journal_seq",
-                "Last sequence number appended to the server journal.",
-            ).set_function(lambda: self._seq)
-
-    # -- paths --------------------------------------------------------------
-    @property
-    def directory(self) -> Optional[str]:
-        return self._directory
-
-    @property
-    def wal_path(self) -> str:
-        if self._directory is None:
-            raise NotDurableError("memory-only journal has no WAL path")
-        return os.path.join(self._directory, SERVER_WAL_FILENAME)
-
-    @property
-    def checkpoint_path(self) -> str:
-        if self._directory is None:
-            raise NotDurableError(
-                "memory-only journal has no checkpoint path"
-            )
-        return os.path.join(self._directory, SERVER_CHECKPOINT_FILENAME)
+        m = (as_instrumentation(observe) or NULL_INSTRUMENTATION).metrics
+        records = m.counter(
+            "repl_journal_records_total",
+            "Server-journal records appended, by op.",
+            labels=("op",),
+        )
+        self._c_records = lambda op: records.labels(op=op)
+        self._c_checkpoints = m.counter(
+            "repl_checkpoints_total",
+            "Server snapshots checkpointed.",
+        )
+        m.gauge(
+            "repl_journal_seq",
+            "Last sequence number appended to the server journal.",
+        ).set_function(lambda: self._seq)
 
     # -- sequence and retention --------------------------------------------
     @property
@@ -243,14 +211,11 @@ class ServerWal:
 
     def append(self, op: str, **fields) -> dict:
         """Stamp, persist, retain, and broadcast one record."""
-        if self._closed:
-            raise RuntimeError("server journal is closed")
         if op not in RECORD_OPS:
             raise ValueError(f"unknown journal op {op!r}")
+        record = {"seq": self._seq + 1, "op": op, **fields}
+        self._write_record(record)  # raises, seq unmoved, when closed
         self._seq += 1
-        record = {"seq": self._seq, "op": op, **fields}
-        if self._handle is not None:
-            append_jsonl(self._handle, record, self._sync)
         self._records.append(record)
         self._c_records(op).inc()
         for listener in list(self._listeners):
@@ -276,23 +241,8 @@ class ServerWal:
             self._records = [r for r in self._records if r["seq"] > floor]
         if self._directory is None:
             return
-        if self._handle is not None and self._sync != "fsync":
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        replace_json(self.checkpoint_path, snapshot)
+        self._write_checkpoint(snapshot)
         self._c_checkpoints.inc()
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            if self._handle is not None:
-                self._handle.close()
-
-    def __enter__(self) -> "ServerWal":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def load_server_state(
@@ -306,17 +256,6 @@ def load_server_state(
     crash-truncated journal tail is skipped — and truncated away under
     ``repair`` — by the same tolerant reader the database WAL uses.
     """
-    checkpoint_path = os.path.join(
-        str(directory), SERVER_CHECKPOINT_FILENAME
-    )
-    wal_path = os.path.join(str(directory), SERVER_WAL_FILENAME)
-    snapshot: Optional[dict] = None
-    if os.path.exists(checkpoint_path):
-        with open(checkpoint_path, "r", encoding="utf-8") as handle:
-            snapshot = json.load(handle)
-    records: List[dict] = []
-    if os.path.exists(wal_path):
-        records = read_jsonl_records(wal_path, repair, _decode_record)
+    snapshot, records = ServerWal.load(directory, repair, _decode_record)
     covered = 0 if snapshot is None else int(snapshot.get("seq", 0))
-    tail = [r for r in records if r["seq"] > covered]
-    return snapshot, tail
+    return snapshot, [r for r in records if r["seq"] > covered]

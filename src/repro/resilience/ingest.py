@@ -41,8 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.io import update_to_dict
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ChangeDirection, New, Terminate, Update
-from repro.obs.instrument import as_instrumentation
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 
 # Admission policies.
 STRICT = "strict"
@@ -211,15 +210,9 @@ class IngestPipeline:
 
     def _bind_instruments(self) -> None:
         """Bind admission counters (no-ops when telemetry is off)."""
-        if self.observe is None:
-            self._c_received = NULL_COUNTER
-            self._c_accepted = NULL_COUNTER
-            self._c_reordered = NULL_COUNTER
-            self._c_deduped = NULL_COUNTER
-            self._c_checkpoints = NULL_COUNTER
-            self._f_quarantined = None
-            return
-        metrics = self.observe.metrics
+        obs = self.observe or NULL_INSTRUMENTATION
+        self._tracer = obs.tracer
+        metrics = obs.metrics
         self._c_received = metrics.counter(
             "ingest_received_total", "Updates submitted to the pipeline."
         )
@@ -427,11 +420,8 @@ class IngestPipeline:
     def _quarantine(self, update: object, reason: str, detail: str) -> None:
         self.stats.quarantined += 1
         self.stats._count_reason(reason)
-        if self._f_quarantined is not None:
-            self._f_quarantined.labels(reason=reason).inc()
-            self.observe.tracer.event(
-                "ingest.quarantine", reason=reason, detail=detail
-            )
+        self._f_quarantined.labels(reason=reason).inc()
+        self._tracer.event("ingest.quarantine", reason=reason, detail=detail)
         self.rejected.append(
             RejectedUpdate(update, reason, detail, self._seq)
         )

@@ -35,9 +35,7 @@ from typing import Optional, Set
 from repro.core.spec import QueryLike, QuerySpec
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId
-from repro.obs.instrument import as_instrumentation
-from repro.obs.metrics import NULL_COUNTER
-from repro.obs.tracing import NULL_TRACER
+from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 from repro.parallel.backends import ShardRuntime
 from repro.query.answers import SnapshotAnswer
 
@@ -75,26 +73,20 @@ class SupervisedQuerySession:
         self._db = db
         self.stats = SupervisorStats()
         self.observe = as_instrumentation(observe)
-        if self.observe is None:
-            self._tracer = NULL_TRACER
-            self._c_failures = NULL_COUNTER
-            self._c_rebuilds = NULL_COUNTER
-            self._c_salvage_losses = NULL_COUNTER
-        else:
-            metrics = self.observe.metrics
-            self._tracer = self.observe.tracer
-            self._c_failures = metrics.counter(
-                "supervisor_failures_total",
-                "Engine exceptions caught by the supervising guard.",
-            )
-            self._c_rebuilds = metrics.counter(
-                "supervisor_rebuilds_total",
-                "Engine rebuilds (Theorem 5 re-initializations).",
-            )
-            self._c_salvage_losses = metrics.counter(
-                "supervisor_salvage_losses_total",
-                "Segments lost because the view was too broken to answer.",
-            )
+        obs = self.observe or NULL_INSTRUMENTATION
+        self._tracer = obs.tracer
+        self._c_failures = obs.metrics.counter(
+            "supervisor_failures_total",
+            "Engine exceptions caught by the supervising guard.",
+        )
+        self._c_rebuilds = obs.metrics.counter(
+            "supervisor_rebuilds_total",
+            "Engine rebuilds (Theorem 5 re-initializations).",
+        )
+        self._c_salvage_losses = obs.metrics.counter(
+            "supervisor_salvage_losses_total",
+            "Segments lost because the view was too broken to answer.",
+        )
         if cache is not None:
             cache.bind(db)
         self._closed = False

@@ -1,6 +1,14 @@
-"""Write-ahead logging and crash recovery for a MOD.
+"""The journal — a JSONL log beside a checkpoint — and crash recovery
+for a MOD.
 
-Durability layout (one directory per database):
+:class:`Journal` is the one class that knows the on-disk layout of a
+durability directory: an append-only JSONL log, one checkpoint file
+replaced atomically, the per-append ``sync`` policy, and the tolerant
+reader :meth:`Journal.load`.  This module also holds its *database*
+reading, :class:`WriteAheadLog`; the serving layer's sequenced reading
+is :class:`repro.replication.ServerWal`.
+
+Database layout (one directory per database):
 
 - ``wal.jsonl`` — one JSON line per accepted update, appended in apply
   order via the :mod:`repro.io` update codecs and flushed (optionally
@@ -9,14 +17,16 @@ Durability layout (one directory per database):
   (:func:`repro.io.database_to_dict`), written atomically via a
   temporary file and ``os.replace``.
 
-:func:`recover` rebuilds the database after a crash: load the
-checkpoint (if any), then replay the WAL tail — every logged update
-with a timestamp after the checkpoint's ``tau``.  A process killed
-mid-``append`` leaves a truncated final line; recovery detects it,
-skips it, and (by default) truncates the file back to the last intact
-line so subsequent appends produce a clean log.  Corruption anywhere
-*before* the final line is not a crash artifact and raises
-:class:`WalCorruptionError`.
+:func:`recover` rebuilds the database after a crash — Theorem 5's
+(snapshot, suffix of updates) reconstruction: load the checkpoint (if
+any), then replay the WAL tail — every logged update with a timestamp
+after the checkpoint's ``tau``.  A record is committed by its newline:
+a process killed mid-``append`` leaves an unterminated or garbled
+final line; recovery skips it and (by default) truncates the file back
+to the last intact line, and opening the log for append cuts an
+unterminated tail off regardless, so later appends always start a
+clean line.  Corruption anywhere *before* the tail, or in a checkpoint,
+is not a crash artifact and raises :class:`WalCorruptionError`.
 """
 
 from __future__ import annotations
@@ -30,9 +40,7 @@ from repro.io import database_to_dict, database_from_dict, update_from_dict, upd
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.log import UpdateLog
 from repro.mod.updates import Update
-from repro.obs.instrument import as_instrumentation
-from repro.obs.metrics import NULL_COUNTER
-from repro.obs.tracing import NULL_TRACER
+from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 
 WAL_FILENAME = "wal.jsonl"
 CHECKPOINT_FILENAME = "checkpoint.json"
@@ -57,8 +65,142 @@ def check_sync(sync: str) -> str:
     return sync
 
 
-class WriteAheadLog:
-    """Append-only durable log of accepted updates, plus checkpoints.
+class Journal:
+    """One durability directory: a JSONL log beside one checkpoint file.
+
+    The one class that knows the on-disk layout.  Its two readings —
+    :class:`WriteAheadLog` (one database update per line) and
+    :class:`repro.replication.ServerWal` (sequenced serving-layer
+    records) — name the two files and own what a record *means*; the
+    file handling is here, once:
+
+    - **a record is committed by its newline**: an append returns only
+      after ``line + "\n"`` is written, so an unterminated final line
+      was never acknowledged.  :func:`read_jsonl_records` treats one as
+      torn whatever it parses as, and opening for append cuts it off
+      before the first write — reader and appender agree, with or
+      without ``repair``;
+    - ``sync`` picks the per-append policy (:data:`SYNC_POLICIES`);
+    - **a checkpoint is a durability boundary**: the log is flushed and
+      fsynced first under the weaker policies, then the checkpoint
+      lands via a temporary file and ``os.replace`` — so the
+      (checkpoint, log tail) pair on disk is always consistent and a
+      crash mid-checkpoint leaves the previous one intact;
+    - ``directory=None`` keeps nothing on disk (appends and checkpoints
+      only run the subclass's bookkeeping);
+    - :meth:`load` is the one tolerant reader of the pair.
+    """
+
+    log_filename: str
+    checkpoint_filename: str
+    # What asking a memory-only journal for a path raises.
+    not_durable = RuntimeError
+
+    def __init__(self, directory: Optional[str], sync: str) -> None:
+        self._directory = None if directory is None else str(directory)
+        self._sync = check_sync(sync)
+        self._handle = None
+        self._closed = False
+        if self._directory is not None:
+            os.makedirs(self._directory, exist_ok=True)
+            _drop_torn_tail(self.wal_path)
+            self._handle = open(self.wal_path, "a", encoding="utf-8")
+
+    # -- layout -------------------------------------------------------------
+    @property
+    def directory(self) -> Optional[str]:
+        """The durability directory (``None`` when memory-only)."""
+        return self._directory
+
+    def _path(self, filename: str) -> str:
+        if self._directory is None:
+            raise self.not_durable(f"memory-only journal has no {filename}")
+        return os.path.join(self._directory, filename)
+
+    @property
+    def wal_path(self) -> str:
+        """Path of the JSONL log."""
+        return self._path(self.log_filename)
+
+    @property
+    def checkpoint_path(self) -> str:
+        """Path of the checkpoint file."""
+        return self._path(self.checkpoint_filename)
+
+    @property
+    def sync(self) -> str:
+        """The per-append durability policy (``none``/``flush``/``fsync``)."""
+        return self._sync
+
+    # -- writing ------------------------------------------------------------
+    def _write_record(self, record: dict) -> None:
+        """Append one record as a JSON line, durably per ``sync``."""
+        if self._closed:
+            raise RuntimeError(f"{type(self).__name__} is closed")
+        if self._handle is not None:
+            append_jsonl(self._handle, record, self._sync)
+
+    def _write_checkpoint(self, data: dict) -> None:
+        """Atomically replace the checkpoint, the log made durable first."""
+        if self._handle is not None and self._sync != "fsync":
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+        replace_json(self.checkpoint_path, data)
+
+    def close(self) -> None:
+        """Close the log's file handle (idempotent)."""
+        self._closed = True
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- reading ------------------------------------------------------------
+    @classmethod
+    def load(
+        cls, directory: str, repair: bool, decode: Callable[[dict], object]
+    ) -> Tuple[Optional[dict], List[object]]:
+        """Read ``(checkpoint, records)`` from a durability directory.
+
+        The checkpoint is ``None`` when none was ever written; the
+        records are every intact log line, decoded, in order (empty
+        when there is no log).  A torn log tail is skipped — and
+        truncated away under ``repair`` — by
+        :func:`read_jsonl_records`; damage before the tail raises
+        :class:`WalCorruptionError`, and so does a checkpoint that is
+        not one JSON object: checkpoints land by atomic replace, so a
+        damaged one is never a crash artifact.
+        """
+        path = os.path.join(str(directory), cls.checkpoint_filename)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                checkpoint = json.load(handle)
+            if not isinstance(checkpoint, dict):
+                raise ValueError("not a JSON object")
+        except FileNotFoundError:
+            checkpoint = None
+        except (ValueError, RecursionError) as exc:
+            raise WalCorruptionError(
+                f"{path}: corrupt checkpoint ({exc})"
+            ) from exc
+        try:
+            records = read_jsonl_records(
+                os.path.join(str(directory), cls.log_filename), repair, decode
+            )
+        except FileNotFoundError:
+            records = []
+        return checkpoint, records
+
+
+class WriteAheadLog(Journal):
+    """The database reading of a :class:`Journal`: one accepted update
+    per line (the :mod:`repro.io` update codec), checkpoints of the
+    whole database.
 
     ``sync`` picks the per-append durability policy: ``"fsync"`` (the
     default) forces every appended line to stable storage before
@@ -67,11 +209,12 @@ class WriteAheadLog:
     trading the durability of the last few updates under an *OS* crash
     for throughput; ``"none"`` leaves lines in the process buffer (a
     process crash can lose the buffered tail — ``recover()`` tolerates
-    the resulting truncation either way).  :meth:`checkpoint` always
-    fsyncs — both the snapshot and, under the weaker policies, the WAL
-    itself — so a checkpoint is a durability boundary regardless of
-    the per-append policy.
+    the resulting truncation either way).  :meth:`checkpoint` is a
+    durability boundary regardless of the per-append policy.
     """
+
+    log_filename = WAL_FILENAME
+    checkpoint_filename = CHECKPOINT_FILENAME
 
     def __init__(
         self,
@@ -79,97 +222,45 @@ class WriteAheadLog:
         observe=None,
         sync: Optional[str] = None,
     ) -> None:
-        self._directory = str(directory)
-        os.makedirs(self._directory, exist_ok=True)
-        self._sync = check_sync("fsync" if sync is None else sync)
-        self._handle = open(self.wal_path, "a", encoding="utf-8")
+        super().__init__(directory, "fsync" if sync is None else sync)
         self._appended = 0
-        self._closed = False
         self.observe = as_instrumentation(observe)
-        if self.observe is None:
-            self._c_appends = self._c_checkpoints = NULL_COUNTER
-            self._h_append_seconds = None
-        else:
-            metrics = self.observe.metrics
-            self._c_appends = metrics.counter(
-                "wal_appends_total", "Updates durably appended to the WAL."
-            )
-            self._c_checkpoints = metrics.counter(
-                "wal_checkpoints_total", "Atomic snapshots written."
-            )
-            self._h_append_seconds = metrics.histogram(
-                "wal_append_seconds",
-                "Wall-clock latency of one durable append "
-                "(write + flush + optional fsync).",
-            )
-
-    # -- paths --------------------------------------------------------------
-    @property
-    def directory(self) -> str:
-        """The durability directory."""
-        return self._directory
-
-    @property
-    def wal_path(self) -> str:
-        """Path of the JSONL update log."""
-        return os.path.join(self._directory, WAL_FILENAME)
-
-    @property
-    def checkpoint_path(self) -> str:
-        """Path of the snapshot file."""
-        return os.path.join(self._directory, CHECKPOINT_FILENAME)
+        metrics = (self.observe or NULL_INSTRUMENTATION).metrics
+        self._c_appends = metrics.counter(
+            "wal_appends_total", "Updates durably appended to the WAL."
+        )
+        self._c_checkpoints = metrics.counter(
+            "wal_checkpoints_total", "Atomic snapshots written."
+        )
+        self._h_append_seconds = metrics.histogram(
+            "wal_append_seconds",
+            "Wall-clock latency of one durable append "
+            "(write + flush + optional fsync).",
+        )
 
     @property
     def appended(self) -> int:
         """Updates appended through this handle."""
         return self._appended
 
-    @property
-    def sync(self) -> str:
-        """The per-append durability policy (``none``/``flush``/``fsync``)."""
-        return self._sync
-
-    # -- writing ------------------------------------------------------------
     def append(self, update: Update) -> None:
         """Append one update as a JSON line, durably per the ``sync``
         policy."""
-        if self._closed:
-            raise RuntimeError("write-ahead log is closed")
-        timed = self._h_append_seconds is not None
+        # An off WAL makes no clock call.
+        timed = self.observe is not None
         started = _time.perf_counter() if timed else 0.0
-        append_jsonl(self._handle, update_to_dict(update), self._sync)
+        self._write_record(update_to_dict(update))
         self._appended += 1
         self._c_appends.inc()
         if timed:
             self._h_append_seconds.observe(_time.perf_counter() - started)
 
     def checkpoint(self, db: MovingObjectDatabase) -> None:
-        """Atomically snapshot the database next to the WAL.
-
-        The snapshot lands via a temporary file and ``os.replace`` so a
-        crash mid-checkpoint leaves the previous checkpoint intact.
-        Checkpoints are durability boundaries: under the ``none`` /
-        ``flush`` append policies the WAL itself is flushed and fsynced
-        here, so everything the snapshot does not cover is on stable
-        storage the moment the snapshot is.
-        """
-        if not self._closed and self._sync != "fsync":
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        replace_json(self.checkpoint_path, database_to_dict(db))
+        """Atomically snapshot the database next to the WAL — a
+        durability boundary: everything the snapshot does not cover is
+        on stable storage the moment the snapshot is."""
+        self._write_checkpoint(database_to_dict(db))
         self._c_checkpoints.inc()
-
-    def close(self) -> None:
-        """Close the underlying file handle (idempotent)."""
-        if not self._closed:
-            self._closed = True
-            self._handle.close()
-
-    def __enter__(self) -> "WriteAheadLog":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def append_jsonl(handle, record: dict, sync: str) -> None:
@@ -195,15 +286,10 @@ def replace_json(path: str, data: dict) -> None:
     os.replace(tmp_path, path)
 
 
-# What a line that is not one intact record raises: undecodable bytes,
-# malformed JSON, or a ``decode`` rejecting the parsed value.
-_BAD_LINE = (
-    UnicodeDecodeError,
-    json.JSONDecodeError,
-    KeyError,
-    ValueError,
-    TypeError,
-)
+# What a line that is not one intact record raises: undecodable bytes
+# or malformed JSON (both ``ValueError``s), JSON nested past the
+# parser's depth, or a ``decode`` rejecting the parsed value.
+_BAD_LINE = (ValueError, RecursionError, KeyError, TypeError)
 
 
 def read_jsonl_records(
@@ -211,56 +297,52 @@ def read_jsonl_records(
 ) -> List[object]:
     """Parse a JSONL log, handling a crash-truncated or garbled tail.
 
-    The generic engine behind :func:`recover` — the server-level WAL of
-    :mod:`repro.replication` reuses it with its own record codec.
+    The generic engine behind :meth:`Journal.load`, shared by both
+    journals through their own record codecs.
 
     The file is read as *bytes*: a crash mid-append can leave arbitrary
     garbage (including invalid UTF-8) in the tail, and a text-mode read
     would raise ``UnicodeDecodeError`` before any repair logic runs.
-    Each line is decoded individually via ``decode`` (which may raise
-    ``KeyError``/``ValueError``/``TypeError`` on malformed records); a
-    tail of lines that all fail to decode or parse is one
-    partially-written append (garbage bytes may contain newlines, so
-    the artifact is not necessarily a single line) and is skipped — and
-    truncated away under ``repair``.  A corrupt line *followed by an
-    intact one* cannot be a crash artifact and raises
+    A line is a record only if it is newline-terminated — an
+    unterminated final line was never acknowledged and is torn whatever
+    it parses as.  Each line is decoded individually via ``decode``
+    (which may raise ``KeyError``/``ValueError``/``TypeError`` on
+    malformed records); a tail of lines that all fail to decode or
+    parse is one partially-written append (garbage bytes may contain
+    newlines, so the artifact is not necessarily a single line) and is
+    skipped — and truncated away under ``repair``.  A corrupt line
+    *followed by an intact one* cannot be a crash artifact and raises
     :class:`WalCorruptionError`.
     """
-    records: List[object] = []
-    good_offset = 0
     with open(path, "rb") as handle:
         lines = handle.readlines()
-    for index, raw in enumerate(lines):
-        if not raw.strip():
+    torn = bool(lines) and not lines[-1].endswith(b"\n")
+    if torn:
+        lines.pop()
+    records: List[object] = []
+    good_offset = 0
+    bad = None  # (line number, error) of the first line that is no record
+    for number, raw in enumerate(lines, 1):
+        if raw.strip():
+            try:
+                record = decode(json.loads(raw.decode("utf-8")))
+            except _BAD_LINE as exc:
+                # A process killed mid-append leaves exactly this: a
+                # corrupt tail (truncated or garbled, possibly spanning
+                # several newline-split chunks) — unless a record follows.
+                bad = bad or (number, exc)
+                continue
+            if bad is not None:
+                raise WalCorruptionError(
+                    f"{path}: line {bad[0]} is corrupt but intact entries "
+                    f"follow — not a crash artifact ({bad[1]})"
+                ) from bad[1]
+            records.append(record)
+        if bad is None:
             good_offset += len(raw)
-            continue
-        try:
-            records.append(decode(json.loads(raw.decode("utf-8"))))
-        except _BAD_LINE as exc:
-            for later in lines[index + 1 :]:
-                if _parses_as_record(later, decode):
-                    raise WalCorruptionError(
-                        f"{path}: line {index + 1} is corrupt but intact "
-                        f"entries follow — not a crash artifact ({exc})"
-                    ) from exc
-            # A process killed mid-append leaves exactly this: a
-            # corrupt tail (truncated or garbled, possibly spanning
-            # several newline-split chunks).  Skip it.
-            if repair:
-                _truncate_file(path, good_offset)
-            return records
-        good_offset += len(raw)
+    if (torn or bad is not None) and repair:
+        _truncate_file(path, good_offset)
     return records
-
-
-def _parses_as_record(raw: bytes, decode) -> bool:
-    if not raw.strip():
-        return False
-    try:
-        decode(json.loads(raw.decode("utf-8")))
-    except _BAD_LINE:
-        return False
-    return True
 
 
 def _truncate_file(path: str, offset: int) -> None:
@@ -268,6 +350,21 @@ def _truncate_file(path: str, offset: int) -> None:
         handle.truncate(offset)
         handle.flush()
         os.fsync(handle.fileno())
+
+
+def _drop_torn_tail(path: str) -> None:
+    """Cut an unterminated final line off the log at ``path`` (if there
+    is one), so the next append starts a line of its own."""
+    try:
+        with open(path, "rb") as handle:
+            handle.seek(max(os.path.getsize(path) - 1, 0))
+            if handle.read() in (b"", b"\n"):
+                return  # the usual case, without reading the log
+            handle.seek(0)
+            data = handle.read()
+    except FileNotFoundError:
+        return
+    _truncate_file(path, data.rfind(b"\n") + 1)
 
 
 def recover(
@@ -296,34 +393,28 @@ def recover(
     post-recovery query skips the per-object construction work of its
     Theorem 5 initialization.
     """
-    obs = as_instrumentation(observe)
-    tracer = obs.tracer if obs is not None else NULL_TRACER
-    checkpoint_path = os.path.join(str(directory), CHECKPOINT_FILENAME)
-    wal_path = os.path.join(str(directory), WAL_FILENAME)
-    with tracer.span("wal.recover", directory=str(directory)) as span:
-        had_checkpoint = os.path.exists(checkpoint_path)
-        if had_checkpoint:
-            with open(checkpoint_path, "r", encoding="utf-8") as handle:
-                db = database_from_dict(json.load(handle))
-        else:
+    obs = as_instrumentation(observe) or NULL_INSTRUMENTATION
+    with obs.tracer.span("wal.recover", directory=str(directory)) as span:
+        checkpoint, updates = WriteAheadLog.load(
+            directory, repair, update_from_dict
+        )
+        if checkpoint is None:
             db = MovingObjectDatabase(initial_time=float("-inf"))
-        updates: List[Update] = []
-        if os.path.exists(wal_path):
-            updates = read_jsonl_records(wal_path, repair, update_from_dict)
+        else:
+            db = database_from_dict(checkpoint)
         replayed = 0
         for update in updates:
             if update.time > db.last_update_time:
                 db.apply(update)
                 replayed += 1
-        if obs is not None:
-            obs.metrics.counter(
-                "wal_recovered_updates_total",
-                "Intact WAL entries read during recovery.",
-            ).inc(len(updates))
-            obs.metrics.counter(
-                "wal_replayed_updates_total",
-                "WAL entries replayed past the checkpoint during recovery.",
-            ).inc(replayed)
+        obs.metrics.counter(
+            "wal_recovered_updates_total",
+            "Intact WAL entries read during recovery.",
+        ).inc(len(updates))
+        obs.metrics.counter(
+            "wal_replayed_updates_total",
+            "WAL entries replayed past the checkpoint during recovery.",
+        ).inc(replayed)
         warmed = 0
         if cache is not None:
             cache.bind(db)
@@ -331,7 +422,7 @@ def recover(
                 for oid, trajectory in db:
                     cache.curves.curve(gdistance, oid, trajectory)
                     warmed += 1
-        span.set_attribute("checkpoint", had_checkpoint)
+        span.set_attribute("checkpoint", checkpoint is not None)
         span.set_attribute("recovered", len(updates))
         span.set_attribute("replayed", replayed)
         span.set_attribute("warmed_curves", warmed)

@@ -44,8 +44,7 @@ from repro.geometry.intervals import Interval
 from repro.gdist.base import GDistance
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import Update
-from repro.obs.instrument import as_instrumentation
-from repro.obs.metrics import NULL_COUNTER, NULL_HISTOGRAM
+from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 from repro.obs.profile import NULL_STAGE, _stage
 from repro.parallel.batching import BatchedUpdateApplier
 from repro.parallel.merge import clip_answer, stitch_answers
@@ -164,14 +163,7 @@ class QueryServer:
 
     # -- instruments ------------------------------------------------------
     def _bind_instruments(self) -> None:
-        obs = self._observe
-        if obs is None:
-            self._c_session = lambda event: NULL_COUNTER
-            self._c_heal = lambda error, outcome: NULL_COUNTER
-            self._h_fanout = NULL_HISTOGRAM
-            self._h_update_ops = NULL_HISTOGRAM
-            return
-        m = obs.metrics
+        m = (self._observe or NULL_INSTRUMENTATION).metrics
         sessions = m.counter(
             "server_sessions_total",
             "Session lifecycle events, by kind.",
@@ -690,18 +682,6 @@ class QueryServer:
     def session(self, sid: int) -> ServerSession:
         """Look up one session by id (KeyError when unknown)."""
         return self._sessions[sid]
-
-    @classmethod
-    def recover(cls, directory: str, **kwargs) -> "QueryServer":
-        """Rebuild an equivalent server from a durability directory
-        (checkpoint + server-WAL tail — Theorem 5 re-initialization at
-        server granularity).  Returns a
-        :class:`~repro.replication.DurableQueryServer` journaling back
-        into the same directory; see :func:`repro.replication.recover_server`
-        for the knobs."""
-        from repro.replication.durable import recover_server
-
-        return recover_server(directory, **kwargs)
 
     @property
     def group_count(self) -> int:

@@ -33,9 +33,7 @@ from repro.geometry.poly import Polynomial
 from repro.gdist.base import GDistance
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ChangeDirection, New, ObjectId, Terminate, Update
-from repro.obs.instrument import as_instrumentation
-from repro.obs.metrics import NULL_COUNTER, NULL_HISTOGRAM
-from repro.obs.tracing import NULL_TRACER as _NULL_TRACER
+from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 from repro.sweep.curves import IDENTITY_TIME_TERM, CurveEntry
 from repro.sweep.event_queue import IndexedEventQueue, IntersectionEvent, pair_key
 from repro.sweep.object_list import SweepOrder
@@ -203,27 +201,14 @@ class SweepEngine:
     def _bind_instruments(self) -> None:
         """Resolve metric children once so hot paths pay one bound call.
 
-        With ``observe=None`` every instrument is a shared no-op
-        singleton.  Counters are registered idempotently, so engines
-        sharing a registry aggregate into the same series; the
-        collection-time gauges describe whichever engine bound them
+        With ``observe=None`` the null bundle binds every instrument to
+        a shared no-op singleton.  Counters are registered idempotently,
+        so engines sharing a registry aggregate into the same series;
+        the collection-time gauges describe whichever engine bound them
         last.
         """
-        obs = self.observe
-        self._profile = None if obs is None else obs.profile
-        if obs is None:
-            self._tracer = _NULL_TRACER
-            self._c_ev_intersection = NULL_COUNTER
-            self._c_ev_membership = NULL_COUNTER
-            self._c_ev_update = NULL_COUNTER
-            self._c_swap = NULL_COUNTER
-            self._c_insert = NULL_COUNTER
-            self._c_remove = NULL_COUNTER
-            self._c_reinsert = NULL_COUNTER
-            self._c_flips = NULL_COUNTER
-            self._c_listener_errors = NULL_COUNTER
-            self._h_update_ops = NULL_HISTOGRAM
-            return
+        obs = self.observe or NULL_INSTRUMENTATION
+        self._profile = obs.profile
         self._tracer = obs.tracer
         m = obs.metrics
         events = m.counter(

@@ -24,7 +24,7 @@ from repro.geometry.intervals import Interval, IntervalSet
 from repro.mod.updates import ObjectId
 from repro.query.answers import SnapshotAnswer
 from repro.query.query import Query
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.instrument import NULL_INSTRUMENTATION
 from repro.sweep.curves import CurveEntry
 from repro.sweep.engine import SweepEngine
 
@@ -40,21 +40,18 @@ class GenericFOEvaluator:
         self._change_times: List[float] = []
         self._gdistance_replaced = False
         self._result: Optional[SnapshotAnswer] = None
-        if engine.observe is None:
-            self._c_change = self._c_segments = NULL_COUNTER
-        else:
-            metrics = engine.observe.metrics
-            self._c_change = metrics.counter(
-                "view_support_changes_total",
-                "Answer-set support changes emitted by continuous views "
-                "(Lemma 8: answers change only at support changes).",
-                labels=("view", "kind"),
-            ).labels(view="generic", kind="change")
-            self._c_segments = metrics.counter(
-                "evaluator_segments_total",
-                "Constant-order segments the generic FO(f) evaluator "
-                "probed (one formula evaluation each, Lemma 8).",
-            )
+        metrics = (engine.observe or NULL_INSTRUMENTATION).metrics
+        self._c_change = metrics.counter(
+            "view_support_changes_total",
+            "Answer-set support changes emitted by continuous views "
+            "(Lemma 8: answers change only at support changes).",
+            labels=("view", "kind"),
+        ).labels(view="generic", kind="change")
+        self._c_segments = metrics.counter(
+            "evaluator_segments_total",
+            "Constant-order segments the generic FO(f) evaluator "
+            "probed (one formula evaluation each, Lemma 8).",
+        )
         engine.add_listener(self)
 
     # -- listener protocol -------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from repro.mod.updates import ObjectId
-from repro.obs.metrics import NULL_COUNTER
+from repro.obs.instrument import NULL_INSTRUMENTATION
 from repro.query.answers import AnswerTimeline, SnapshotAnswer
 from repro.sweep.curves import CurveEntry
 from repro.sweep.engine import SweepEngine
@@ -31,11 +31,9 @@ def bind_support_counters(engine: SweepEngine, view: str):
     Shared by every continuous view: when the engine carries an
     ``observe=`` instrumentation, each answer-set entry/exit increments
     ``view_support_changes_total{view=...,kind=enter|leave}``; otherwise
-    both slots are the no-op counter.
+    both slots are the null bundle's no-op counter.
     """
-    if engine.observe is None:
-        return NULL_COUNTER, NULL_COUNTER
-    family = engine.observe.metrics.counter(
+    family = (engine.observe or NULL_INSTRUMENTATION).metrics.counter(
         "view_support_changes_total",
         "Answer-set support changes emitted by continuous views "
         "(Lemma 8: answers change only at support changes).",

@@ -41,7 +41,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.geometry.vectors import Vector
 from repro.mod.updates import ChangeDirection, New, Terminate, Update
-from repro.obs.instrument import as_instrumentation
+from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 
 
 @dataclass
@@ -120,14 +120,12 @@ class FaultInjector:
         self._corrupt_rate = corrupt_rate
         self._spurious_rate = spurious_rate
         self.observe = as_instrumentation(observe)
-        if self.observe is None:
-            self._f_injected = None
-        else:
-            self._f_injected = self.observe.metrics.counter(
-                "faults_injected_total",
-                "Faults injected into perturbed streams, by kind.",
-                labels=("kind",),
-            )
+        metrics = (self.observe or NULL_INSTRUMENTATION).metrics
+        self._f_injected = metrics.counter(
+            "faults_injected_total",
+            "Faults injected into perturbed streams, by kind.",
+            labels=("kind",),
+        )
 
     # -- corruption variants ------------------------------------------------
     def _corrupt(
@@ -232,17 +230,16 @@ class FaultInjector:
             else:
                 high = t
         report.max_time_displacement = worst
-        if self._f_injected is not None:
-            for kind, count in (
-                ("drop", report.dropped),
-                ("duplicate", report.duplicated),
-                ("reorder", report.reordered),
-                ("jitter", report.jittered),
-                ("corrupt", report.corrupted),
-                ("spurious", report.spurious),
-            ):
-                if count:
-                    self._f_injected.labels(kind=kind).inc(count)
+        for kind, count in (
+            ("drop", report.dropped),
+            ("duplicate", report.duplicated),
+            ("reorder", report.reordered),
+            ("jitter", report.jittered),
+            ("corrupt", report.corrupted),
+            ("spurious", report.spurious),
+        ):
+            if count:
+                self._f_injected.labels(kind=kind).inc(count)
         return arrival, report
 
 
