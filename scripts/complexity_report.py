@@ -16,6 +16,14 @@ computations) — never wall-clock time:
 - **Cached lookups** — a warm answer cache serves an exact repeat
   with O(1) sweep work: the hit path must count *zero* new primitive
   operations regardless of N.
+- **Theorem 4 on the one-shot path** — ``evaluate_knn`` sweeps only the
+  curves its interval bounds cannot rule out (``repro.sweep.prune``),
+  so its primitive operations are linear in ``(C + m_C) log C`` — ``C``
+  the curve entries its slice engines initialise, ``m_C`` the order
+  changes among them — and not in the inversions of the full order,
+  which the table prints beside them.  (The bounds pass itself is one
+  closed-form evaluation per curve, ``O(N)``, and counts no primitive
+  operation.)
 
 Also measures the overhead of the *enabled* metrics path (engine built
 with ``observe=``) against the disabled path on the Theorem 5 workload;
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 import time
@@ -156,6 +165,59 @@ def audit_cached_hits(sizes) -> list:
     return rows
 
 
+PRUNED_QUANTITY = "Thm 4 one-shot ops vs (C + m_C) log C"
+PRUNED_WINDOW = Interval(0.0, 10.0)
+PRUNED_K = 5
+
+
+def audit_pruned_one_shot(audit: ComplexityAudit, sizes) -> list:
+    """Record the one-shot path's ops against ``(C + m_C) log C``.
+
+    Read off one EXPLAIN per N: ``prune`` names the candidates and
+    slices, the profile's registry counts the slice engines' order
+    changes, ``init`` + ``sweep`` carry their summed primitive ops.
+    Returns ``(n, candidates, slices, changes, ops, full_order_swaps)``
+    rows; the last column is one raw engine over every curve, for
+    contrast.
+    """
+    from repro.obs.explain import explain
+
+    rows = []
+    for n in sizes:
+        db = random_linear_mod(n, seed=n, extent=200.0, speed=5.0)
+        data = explain(
+            db, [0.0, 0.0], PRUNED_WINDOW, "knn", k=PRUNED_K
+        ).to_dict()
+        stages = {
+            stage["name"]: stage.get("attrs", {}) for stage in data["stages"]
+        }
+        samples = data["metrics"]["samples"]
+
+        def changed(kind):
+            return samples.get(
+                f'sweep_order_changes_total{{kind="{kind}"}}', 0
+            )
+
+        changes = (
+            changed("swap") + changed("insert") + changed("remove")
+            - changed("reinsert")
+        )
+        candidates = stages["prune"]["candidates"]
+        slices = stages["prune"]["slices"]
+        ops = stages["init"]["ops"] + stages["sweep"]["ops"]
+        audit.record(
+            PRUNED_QUANTITY,
+            (candidates + changes) * math.log2(candidates / slices + 1),
+            ops,
+        )
+        full = SweepEngine(
+            db, SquaredEuclideanDistance([0.0, 0.0]), PRUNED_WINDOW
+        )
+        full.run_to_end()
+        rows.append((n, candidates, slices, changes, ops, full.stats.swaps))
+    return rows
+
+
 def measure_overhead(n=512, updates=50, repeats=3):
     """Median wall-clock of the update loop, observed vs unobserved."""
 
@@ -219,6 +281,8 @@ def main(argv=None) -> int:
     init_result = audit.check("Thm 5 init ops", "n log n")
     update_result = audit.check("Cor 6 per-update ops", "log n")
     sharded_result = audit.check("Sharded per-update ops", "log n")
+    pruned_rows = audit_pruned_one_shot(audit, init_sizes)
+    pruned_result = audit.check(PRUNED_QUANTITY, "n")
     cached_rows = audit_cached_hits(init_sizes)
     cached_ok = all(ops == 0 for _, ops in cached_rows)
 
@@ -247,6 +311,16 @@ def main(argv=None) -> int:
             "cached_hit_ops": [
                 {"n": n, "ops": ops} for n, ops in cached_rows
             ],
+            "pruned_one_shot": [
+                dict(
+                    zip(
+                        ("n", "candidates", "slices", "order_changes",
+                         "ops", "full_order_swaps"),
+                        row,
+                    )
+                )
+                for row in pruned_rows
+            ],
             "cached_hits_free": cached_ok,
             "overhead": overhead,
             "passed": not failed,
@@ -258,6 +332,16 @@ def main(argv=None) -> int:
         print(init_result.describe())
         print(update_result.describe())
         print(sharded_result.describe())
+        print(pruned_result.describe())
+        print(
+            "one-shot knn over "
+            f"[{PRUNED_WINDOW.lo:g}, {PRUNED_WINDOW.hi:g}], k={PRUNED_K}: "
+            + "; ".join(
+                f"N={n}: {c} candidates in {s} slices, {m} order changes, "
+                f"{ops} ops (full order: {full} swaps)"
+                for n, c, s, m, ops, full in pruned_rows
+            )
+        )
         print(
             "cached exact-repeat hit ops: "
             + ", ".join(f"N={n}: {ops}" for n, ops in cached_rows)

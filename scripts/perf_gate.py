@@ -10,7 +10,13 @@ compares each metric against the committed baselines under
   maintenance, hash-partitioned);
 - **E-AC** (``BENCH_EAC.json``) — answer-cache hit rate and the
   cached-pass op fraction on a repeated/overlapping kNN workload
-  (Theorem 5 init amortization);
+  (Theorem 5 init amortization).  The cold pass is the uncached
+  one-shot path, which sweeps only its candidates
+  (``repro.sweep.prune``), while a cache miss still builds a
+  full-order continuation engine — so ``cached_ops_fraction`` compares
+  a pruned cold pass with an unpruned cached one and reads far above 1
+  (re-baselined in PR 17: 0.35 -> 64.2); it guards against either side
+  drifting, not "the cache does less sweep work";
 - **T5** (``BENCH_T5.json``) — Theorem 5 initialization ops at fixed N
   and Corollary 6 per-update maintenance ops on a banded workload;
 - **E-MQ** (``BENCH_EMQ.json``) — multi-tenant server fan-out: the

@@ -61,9 +61,9 @@ def _segment_bounds(
 
 
 def _alive(curves: Dict[ObjectId, PiecewiseFunction], t: float) -> List[ObjectId]:
-    return sorted(
-        (oid for oid, f in curves.items() if f.domain.contains(t)), key=str
-    )
+    """Objects defined at ``t``, in database insertion order (the order
+    ``_collect_curves`` met them in)."""
+    return [oid for oid, f in curves.items() if f.domain.contains(t)]
 
 
 def naive_knn_answer(
@@ -84,7 +84,9 @@ def naive_knn_answer(
     for lo, hi in segments:
         probe = _probe_point(lo, hi)
         alive = _alive(curves, probe)
-        ranked = sorted(alive, key=lambda oid: (curves[oid](probe), str(oid)))
+        # Stable: exact ties (identical curves) rank in database
+        # insertion order, as a sweep engine breaks them.
+        ranked = sorted(alive, key=lambda oid: curves[oid](probe))
         for oid in ranked[:k]:
             per_object.setdefault(oid, []).append(Interval(lo, hi))
     return SnapshotAnswer(

@@ -18,12 +18,13 @@ from repro.geometry.intervals import Interval
 from repro.gdist.base import GDistance
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId
-from repro.obs.instrument import as_instrumentation
+from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 from repro.obs.profile import _stage
-from repro.query.answers import SnapshotAnswer
+from repro.query.answers import SnapshotAnswer, snapshot_from_segments
 from repro.query.query import Query
 from repro.sweep.engine import SweepEngine
 from repro.sweep.evaluator import GenericFOEvaluator
+from repro.sweep.prune import candidate_mod, plan_sweep
 
 
 def open_engine(
@@ -105,40 +106,107 @@ def _single_sweep(
     spec: QuerySpec,
     interval: Interval,
     observe,
+    _slices: int = 1,
+):
+    """The uncached one-shot sweep: prune, sweep the survivors, stitch.
+
+    :func:`~repro.sweep.prune.plan_sweep` cuts ``interval`` into slices
+    and names each slice's candidates — the curves whose interval
+    bounds do not already rule them out of the reading; one engine per
+    slice sweeps a candidate MOD over ``[a, b]`` and its view decides
+    every membership; the slice answers (and, for a range reading, the
+    memberships the bounds settled) are joined — touching closed
+    intervals coalesce, so the cuts leave no trace.  "One slice, every
+    object" is a value of the plan, not another path: it is the one
+    engine over the window this function used to be.  The engines
+    share one curve store, so a curve is built once however many
+    slices hold it.  ``_slices`` is the planner's (tests only).
+
+    Stage attribution keeps ``init`` / ``sweep`` / ``answer`` (their
+    ``ops`` summed over the slice engines) and adds ``prune``.
+    """
+    # Both import this module (through ``repro.core``).
+    from repro.cache.curve_store import CurveStore
+    from repro.parallel.merge import stitch_answers
+
+    profile = getattr(observe, "profile", None)
+    metrics = (observe or NULL_INSTRUMENTATION).metrics
+    curves = CurveStore()
+    with _stage(profile, "prune") as st:
+        plan = plan_sweep(db, spec, interval, curves, _slices)
+        st.annotate(
+            objects=plan.objects,
+            candidates=plan.candidates,
+            slices=len(plan.slices),
+            overlap_pairs=plan.overlap_pairs,
+        )
+    metrics.counter(
+        "sweep_prune_objects_total",
+        "Curves one-shot sweeps bounded (every curve meeting the window).",
+    ).inc(plan.objects)
+    metrics.counter(
+        "sweep_prune_candidates_total",
+        "Curve entries one-shot sweeps handed to their slice engines.",
+    ).inc(plan.candidates)
+    metrics.counter(
+        "sweep_prune_slices_total",
+        "Window slices (one engine each) one-shot sweeps ran.",
+    ).inc(len(plan.slices))
+    parts = []
+    for piece in plan.slices:
+        with _stage(profile, "init") as st:
+            engine, view = open_engine(
+                candidate_mod(db, piece.candidates),
+                spec.over(piece.lo, piece.hi),
+                observe,
+                curves,
+            )
+            init_ops = engine.primitive_ops() if profile is not None else 0
+            st.annotate(ops=init_ops)
+        with _stage(profile, "sweep") as st:
+            engine.run_to_end()
+            if profile is not None:
+                st.annotate(ops=engine.primitive_ops() - init_ops)
+        with _stage(profile, "answer"):
+            parts.append(spec.answer(view))
+    with _stage(profile, "answer"):
+        if plan.settled:
+            parts.append(snapshot_from_segments(plan.settled, interval))
+        return stitch_answers(parts, interval)
+
+
+def _continued_sweep(
+    db: MovingObjectDatabase,
+    spec: QuerySpec,
+    interval: Interval,
+    observe,
     cache,
 ):
-    """One unsharded sweep with stage attribution.
+    """One full-order sweep that stays extensible, for ``cache`` callers.
 
-    With a ``cache`` the engine's horizon is left open (``[lo, +inf)``)
-    so the very engine that answered this query stays extensible: a
-    later query over a longer interval continues the sweep from
-    ``interval.hi`` (Theorem 5's per-update maintenance) instead of
-    re-running the ``O(N log N)`` initialization.  The answer over
-    ``interval`` is then read off non-destructively with a timeline
-    snapshot; it is identical to the finalized answer of a ``[lo, hi]``
-    engine (events beyond ``hi`` are scheduled but never processed).
+    The engine's horizon is left open (``[lo, +inf)``) so the very
+    engine that answered this query can continue: a later query over a
+    longer interval resumes the sweep from ``interval.hi`` (Theorem 5's
+    per-update maintenance) instead of re-running the ``O(N log N)``
+    initialization.  The answer over ``interval`` is read off
+    non-destructively with a timeline snapshot; it is identical to the
+    finalized answer of a ``[lo, hi]`` engine (events beyond ``hi`` are
+    scheduled but never processed).  Extension is the contract, and a
+    per-window candidate set cannot serve it, so this engine keeps the
+    full order (see :mod:`repro.sweep.prune`).
     """
     profile = getattr(observe, "profile", None)
     with _stage(profile, "init") as st:
         engine, view = open_engine(
-            db,
-            spec.over(interval.lo, interval.hi if cache is None else math.inf),
-            observe,
-            None if cache is None else cache.curves,
+            db, spec.over(interval.lo, math.inf), observe, cache.curves
         )
-        if profile is not None:
-            st.annotate(ops=engine.primitive_ops())
-    init_ops = engine.primitive_ops() if profile is not None else 0
+        init_ops = engine.primitive_ops() if profile is not None else 0
+        st.annotate(ops=init_ops)
     with _stage(profile, "sweep") as st:
-        if cache is None:
-            engine.run_to_end()
-        else:
-            engine.advance_to(interval.hi)
+        engine.advance_to(interval.hi)
         if profile is not None:
             st.annotate(ops=engine.primitive_ops() - init_ops)
     with _stage(profile, "answer"):
-        if cache is None:
-            return spec.answer(view)
         payload = spec.partial(view, interval.hi)
     with _stage(profile, "cache.store"):
         cache.store(
@@ -179,9 +247,9 @@ def _evaluate(
         if hit is not None:
             return hit
     if shards is None:
-        return _single_sweep(
-            db, spec, interval, observe, cache if caching else None
-        )
+        if caching:
+            return _continued_sweep(db, spec, interval, observe, cache)
+        return _single_sweep(db, spec, interval, observe)
     answer = _sharded_sweep(
         db,
         spec,

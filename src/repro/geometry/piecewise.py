@@ -211,6 +211,73 @@ class PiecewiseFunction:
         """Evaluate at several times (test/baseline helper)."""
         return [self(t) for t in times]
 
+    def bounds(self, lo: float, hi: float) -> Optional[Tuple[float, float, float]]:
+        """``(minimum, maximum, magnitude)`` of the function over
+        ``[lo, hi]`` cut to the domain (which must leave a bounded
+        stretch); ``None`` when the two do not meet.
+
+        Piece by piece: the values at the piece's ends of the stretch
+        and at the stationary points strictly between them — closed
+        form up to degree two on the coefficient tuple (no
+        :class:`Polynomial` or :class:`Interval` is built), the real
+        roots of the derivative above that.  A breakpoint inside the
+        stretch is visited from both sides, so a value jump contributes
+        its left and its right limit.
+
+        ``magnitude`` is the largest ``sum_i |c_i| |t|^i`` over the
+        visited pieces at the stretch's larger ``|t|``: every value
+        above was computed to within a few ulps *of that*, not of
+        itself (a squared distance near its closest approach is a
+        cancellation of far larger terms), so it is the scale a strict
+        comparison of two bounds must leave as margin.
+        """
+        domain = self._domain
+        a = lo if lo > domain.lo else domain.lo
+        b = hi if hi < domain.hi else domain.hi
+        if a > b:
+            return None
+        if math.isinf(a) or math.isinf(b):
+            raise ValueError(f"bounds need a bounded stretch, got [{a}, {b}]")
+        reach = abs(a) if abs(a) > abs(b) else abs(b)
+        vmin, vmax, magnitude = math.inf, -math.inf, 0.0
+        pieces = self._pieces
+        for index in range(self._index(a), len(pieces)):
+            iv, poly = pieces[index]
+            if iv.lo > b:
+                break
+            coeffs = poly.coeffs
+            p_lo = a if a > iv.lo else iv.lo
+            p_hi = b if b < iv.hi else iv.hi
+            degree = len(coeffs) - 1
+            if degree == 2:
+                c0, c1, c2 = coeffs
+                values = [(c2 * p_lo + c1) * p_lo + c0, (c2 * p_hi + c1) * p_hi + c0]
+                turn = -c1 / (2.0 * c2)
+                if p_lo < turn < p_hi:
+                    values.append((c2 * turn + c1) * turn + c0)
+                size = (abs(c2) * reach + abs(c1)) * reach + abs(c0)
+            elif degree == 1:
+                c0, c1 = coeffs
+                values = [c1 * p_lo + c0, c1 * p_hi + c0]
+                size = abs(c1) * reach + abs(c0)
+            elif degree == 0:
+                values = [coeffs[0]]
+                size = abs(coeffs[0])
+            else:
+                values = [_horner(coeffs, p_lo), _horner(coeffs, p_hi)]
+                for turn in real_roots(Polynomial(_derivative(coeffs))):
+                    if p_lo < turn < p_hi:
+                        values.append(_horner(coeffs, turn))
+                size = _horner([abs(c) for c in coeffs], reach)
+            for v in values:
+                if v < vmin:
+                    vmin = v
+                if v > vmax:
+                    vmax = v
+            if size > magnitude:
+                magnitude = size
+        return vmin, vmax, magnitude
+
     # -- restructuring ---------------------------------------------------
     def restrict(self, interval: Interval) -> "PiecewiseFunction":
         """Restriction to ``interval`` (must overlap the domain)."""

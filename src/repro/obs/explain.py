@@ -18,7 +18,8 @@ stage                     paper cost term
 ``cache.probe``           answer reuse — avoids both Theorem 5 halves
 ``clip``                  Section 4 finite representation: exact restriction
 ``cache.extend``          Theorem 5 maintenance: ``O(m log N)`` continuation
-``init`` / ``curves``     Theorem 5 initialization: ``O(N log N)``
+``prune``                 one-shot queries: bound every curve, keep candidates
+``init`` / ``curves``     Theorem 5 initialization: ``O(N log N)`` (per slice)
 ``sweep``                 Theorem 4 event loop: ``O((m + N) log N)``
 ``shards.*`` / ``shard.*``  the same terms at shard size ``N/S``
 ``merge``                 second-level sweep over accumulated candidates

@@ -18,6 +18,7 @@ from repro.parallel.backends import (
 from repro.parallel.batching import BatchedUpdateApplier, BatchStats
 from repro.parallel.evaluator import ShardedSweepEvaluator
 from repro.parallel.merge import (
+    candidate_mod,
     candidate_oids,
     clip_answer,
     merge_knn_answers,
@@ -36,6 +37,7 @@ __all__ = [
     "SequentialBackend",
     "ShardRuntime",
     "ShardedSweepEvaluator",
+    "candidate_mod",
     "candidate_oids",
     "clip_answer",
     "merge_knn_answers",

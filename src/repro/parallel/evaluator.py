@@ -406,7 +406,7 @@ class ShardedSweepEvaluator:
         and a single selection yields the global answer.
         """
         spec = self._spec
-        return spec.widest(merge_members(spec, self._gather()))
+        return spec.widest(merge_members(spec, self._gather(), self._mirror))
 
     def members_for(self, k: int) -> Set[ObjectId]:
         """The current global k-NN answer for ``k``.
@@ -422,7 +422,7 @@ class ShardedSweepEvaluator:
             raise ValueError(
                 f"k={k} exceeds the maintained k={maintained}"
             )
-        return set(select_top_k(self._gather(), k))
+        return set(select_top_k(self._gather(), k, self._mirror))
 
     # -- teardown and answers -----------------------------------------------
     def finalize(self) -> None:

@@ -21,15 +21,19 @@ host salvaged before each rebuild cover disjoint spans of one session's
 window, so :func:`stitch_answers` is exact for the same reason the
 within-range merge is.
 
-The instant selection breaks exact value ties by ``str(oid)`` — the
-same deterministic tie-break the naive baseline uses — so merged
-answers are reproducible even on adversarial tied workloads.
+Exact ties (identical curves) have one rule everywhere: *database
+insertion order*, the order a single engine meets the objects in
+(``SweepEngine._all_oids``).  The window merge gets it from
+:func:`~repro.sweep.prune.candidate_mod`, the instant selection from
+the source database when a tie straddles the k boundary, and the naive
+baseline ranks the same way — so sharded ≡ single ≡ naive holds on
+twins too.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.spec import WITHIN, QuerySpec
 from repro.geometry.intervals import Interval, IntervalSet
@@ -39,8 +43,10 @@ from repro.mod.updates import ObjectId
 from repro.query.answers import Answer, Members, SnapshotAnswer, per_k
 from repro.sweep.engine import SweepEngine
 from repro.sweep.multiknn import MultiKNN
+from repro.sweep.prune import candidate_mod
 
 __all__ = [
+    "candidate_mod",
     "candidate_oids",
     "clip_answer",
     "merge_knn_answers",
@@ -53,16 +59,28 @@ __all__ = [
 
 
 def select_top_k(
-    candidates: Iterable[Tuple[ObjectId, float]], k: int
+    candidates: Iterable[Tuple[ObjectId, float]],
+    k: int,
+    source: MovingObjectDatabase,
 ) -> List[ObjectId]:
     """The ``k`` nearest of ``(oid, value)`` candidates, nearest first.
 
     This is the instant-query merge: each shard contributes its current
     top-k members with their curve values, and a single
-    ``O(k * shards)``-sized selection yields the global answer.
+    ``O(k * shards)``-sized selection yields the global answer.  When
+    an exact tie straddles the k boundary the tied run is taken in the
+    order ``source`` inserted it (one scan, on such ties only), which
+    is how a single engine over ``source`` breaks it.
     """
-    best = heapq.nsmallest(k, candidates, key=lambda kv: (kv[1], str(kv[0])))
-    return [oid for oid, _ in best]
+    pool = list(candidates)
+    best = heapq.nsmallest(k + 1, pool, key=lambda kv: kv[1])
+    if len(best) > k > 0 and best[k - 1][1] == best[k][1]:
+        bar = best[k][1]
+        tied = {oid for oid, value in pool if value == bar}
+        below = [oid for oid, value in best if value < bar]
+        run = [oid for oid, _ in source.all_items() if oid in tied]
+        return (below + run)[:k]
+    return [oid for oid, _ in best[:k]]
 
 
 def shard_candidates(
@@ -78,15 +96,18 @@ def shard_candidates(
 
 
 def merge_members(
-    spec: QuerySpec, candidates: Sequence[Tuple[ObjectId, float]]
+    spec: QuerySpec,
+    candidates: Sequence[Tuple[ObjectId, float]],
+    source: Optional[MovingObjectDatabase] = None,
 ) -> Members:
     """The instant merge: ``spec``'s global answer set from the shards'
     pooled :func:`shard_candidates`.  A range reading takes the oids as
-    they are; a rank reading selects the nearest k, once per k."""
+    they are and needs no ``source``; a rank reading selects the
+    nearest k, once per k (:func:`select_top_k`)."""
     if spec.kind == WITHIN:
         return {oid for oid, _ in candidates}
     return spec.shaped(
-        {k: set(select_top_k(candidates, k)) for k in spec.ranks}
+        {k: set(select_top_k(candidates, k, source)) for k in spec.ranks}
     )
 
 
@@ -165,12 +186,13 @@ def clip_answer(answer: Answer, lo: float, hi: float) -> Answer:
     return per_k(lambda a: a.restrict(window), answer)
 
 
-def candidate_oids(answers: Sequence[SnapshotAnswer]) -> List[ObjectId]:
-    """Accumulative union of per-shard answers, sorted for determinism."""
+def candidate_oids(answers: Sequence[SnapshotAnswer]) -> Set[ObjectId]:
+    """Accumulative union of per-shard answers: the window merge's
+    candidates (:func:`~repro.sweep.prune.candidate_mod` orders them)."""
     seen: Set[ObjectId] = set()
     for answer in answers:
         seen.update(answer.objects)
-    return sorted(seen, key=str)
+    return seen
 
 
 def merge_knn_answers(
@@ -217,11 +239,12 @@ def merge_multiknn_answers(
     oids = candidate_oids(answers)
     if not oids:
         return {int(k): SnapshotAnswer({}, interval) for k in ks}
-    db = MovingObjectDatabase(initial_time=source.last_update_time)
-    for oid in oids:
-        db.install(oid, source.trajectory(oid))
     engine = SweepEngine(
-        db, gdistance, interval, observe=observe, curve_store=curve_store
+        candidate_mod(source, oids),
+        gdistance,
+        interval,
+        observe=observe,
+        curve_store=curve_store,
     )
     view = MultiKNN(engine, ks)
     engine.run_to_end()

@@ -183,7 +183,7 @@ class EngineGroup:
         candidates = []
         for slot, view in zip(self._slots, views):
             candidates += shard_candidates(spec, slot.engine, view, self.clock)
-        return merge_members(spec, candidates)
+        return merge_members(spec, candidates, self._source)
 
     # -- windowed answers --------------------------------------------------
     def partial(self, spec: QuerySpec, t0: float, end: float):

@@ -23,7 +23,9 @@ Modules:
 - :mod:`repro.sweep.within` — the continuous range ("within distance")
   view;
 - :mod:`repro.sweep.evaluator` — the exact generic FO(f) evaluator
-  driven by support changes (Lemma 8).
+  driven by support changes (Lemma 8);
+- :mod:`repro.sweep.prune` — which curves a one-shot sweep has to
+  order at all: per-slice candidates from interval bounds.
 """
 
 from repro.sweep.engine import SweepEngine

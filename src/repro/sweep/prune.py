@@ -1,0 +1,263 @@
+"""Sweep only what the reading needs: interval-bound candidate pruning.
+
+Theorem 4 prices a past query at ``O((m + N) log N)`` with ``m`` the
+*support changes of the query*, and Lemma 8 says only those move the
+answer.  A sweep over every curve of the database instead pays for
+every inversion of the full order.  This module decides, from each
+curve's ``[min, max]`` over a slice ``[a, b]`` of the window
+(:meth:`~repro.geometry.piecewise.PiecewiseFunction.bounds`), which
+curves a slice's engine has to order at all; the engine that exists
+then sweeps those and still decides every membership.
+
+**Rank reading** (k-NN at ``K`` = the widest maintained k).  Let ``T``
+be the K-th smallest ``max`` among the curves that cover the whole
+slice.  A curve with ``min > T`` lies *strictly* above K curves at every
+instant of the slice, so it is never among the K lowest and ties never
+involve it: the top-K of ``{o : min_o <= T}`` is the top-K of the
+database.  With fewer than K covering curves everything is a candidate.
+
+**Range reading** (within a threshold ``c``).  Membership involves one
+curve at a time: ``max_o < c`` is in for its whole life in the slice,
+``min_o > c`` is out, and only the curves that straddle ``c`` are swept
+against its sentinel.
+
+**The margin.**  Bounds are floats, each within a few ulps of the
+*magnitude* ``bounds`` reports (not of the value: a squared distance is
+a cancellation of larger terms).  Every strict comparison above
+therefore leaves ``_REL_MARGIN`` times the operands' magnitudes — many
+orders above that rounding, relative so no scale breaks it — and a
+curve inside the margin is a candidate: the margin can only *add*
+curves to a sweep, never decide a membership.
+
+**Slices.**  Pruning over a long window is loose (``T`` is a maximum
+over it), so a slice is halved while Theorem 4's own bound says the
+halves are cheaper: a slice of ``C`` candidates of which ``P`` pairs
+have overlapping ``[min, max]`` ranges — an upper bound on its swaps —
+is priced ``(P + C) log2(C + 1)`` plus a constant for the engine
+itself, and a curve that is no candidate of a slice is none of its
+halves, so each level only looks at the survivors.  Adjacent slices that end up with equal candidate sets are
+one slice again (the same curves swap the same number of times either
+way; the cut would only re-initialise them).  When nothing prunes, the
+plan is one slice holding every object: today's one engine over the
+window.
+
+Out of scope here, on purpose: live sessions, the sharded pools and the
+answer cache's continuation engine keep the full order (an update to a
+non-candidate would have to re-test its bound — Theorem-5 maintenance
+under pruning is the next step), and so does the generic FO(f)
+evaluator, whose formulas may read any rank.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+from bisect import bisect_right
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+
+from repro.geometry.intervals import Interval
+from repro.geometry.piecewise import PiecewiseFunction
+from repro.mod.database import MovingObjectDatabase
+from repro.mod.updates import ObjectId
+
+__all__ = ["Plan", "Slice", "candidate_mod", "plan_sweep"]
+
+#: Strict bound comparisons leave this fraction of the operands'
+#: evaluation magnitudes as margin (see the module docstring).
+_REL_MARGIN = 1e-9
+
+#: Building one more engine — its candidate MOD, queue, order and view —
+#: in the unit of Theorem 4's bound, one queue or order step: measured
+#: at 60-100 us against 2-4 us a step (EXPERIMENTS.md).  Without it the
+#: bound alone would cut a range reading into one slice per straddler.
+_ENGINE_STEPS = 32
+
+#: One curve a slice may have to sweep (unbuilt only in the plan that
+#: bounds nothing).  Lists of them stay in database insertion order.
+_Item = Tuple[ObjectId, Optional[PiecewiseFunction]]
+#: Memberships the bounds settle without a sweep: ``(oid, lo, hi)``.
+Segment = Tuple[ObjectId, float, float]
+
+
+class Slice(NamedTuple):
+    """One engine's worth of work: the curves of ``items`` (in database
+    insertion order) swept over ``[lo, hi]``; ``overlap_pairs`` bounds
+    the swaps that takes."""
+
+    lo: float
+    hi: float
+    items: List[_Item]
+    overlap_pairs: int
+
+    @property
+    def candidates(self) -> Tuple[ObjectId, ...]:
+        return tuple(oid for oid, _ in self.items)
+
+    @property
+    def cost(self) -> float:
+        """Theorem 4's bound with the overlap pairs standing in for
+        ``m``, plus what standing up the slice's engine costs before
+        its first curve."""
+        count = len(self.items)
+        steps = (self.overlap_pairs + count) * math.log2(count + 1)
+        return _ENGINE_STEPS + steps
+
+
+class Plan(NamedTuple):
+    """What :func:`plan_sweep` decided.  ``objects`` counts the curves
+    that meet the window; ``settled`` holds the range reading's
+    memberships no engine has to find."""
+
+    objects: int
+    slices: List[Slice]
+    settled: List[Segment]
+
+    @property
+    def candidates(self) -> int:
+        """Curve entries the slices' engines initialise, in total."""
+        return sum(len(s.items) for s in self.slices)
+
+    @property
+    def overlap_pairs(self) -> int:
+        """Upper bound on the swaps the slices' engines process."""
+        return sum(s.overlap_pairs for s in self.slices)
+
+
+def candidate_mod(
+    source: MovingObjectDatabase, oids: Iterable[ObjectId]
+) -> MovingObjectDatabase:
+    """A MOD holding only ``oids`` of ``source`` — the database a
+    candidate sweep runs over (the shard merge's and the pruned
+    slices').
+
+    Objects are installed in *source insertion order* whatever order
+    ``oids`` came in: an engine breaks exact ties (identical curves)
+    by the order it met the objects, so a candidate sweep must meet
+    them as a sweep over ``source`` would.  Trajectories are immutable
+    values and are shared, so a shared curve store keeps hitting.
+    """
+    wanted = set(oids)
+    db = MovingObjectDatabase(initial_time=source.last_update_time)
+    if wanted:
+        for oid, trajectory in source.all_items():
+            if oid in wanted:
+                db.install(oid, trajectory)
+    return db
+
+
+def _overlap_pairs(ranges: List[Tuple[float, float]]) -> int:
+    """Pairs of ``(min, max)`` ranges that intersect."""
+    ranges.sort()
+    lows = [lo for lo, _ in ranges]
+    return sum(
+        bisect_right(lows, hi, i + 1) - (i + 1)
+        for i, (_, hi) in enumerate(ranges)
+    )
+
+
+def _classify(
+    spec, items: Sequence[_Item], a: float, b: float
+) -> Tuple[Slice, List[Segment]]:
+    """The slice ``[a, b]`` read off the bounds of ``items``, and (range
+    reading) the memberships settled outright."""
+    rows = []
+    for item in items:
+        found = item[1].bounds(a, b)
+        if found is not None:
+            rows.append((item, found))
+    settled: List[Segment] = []
+    if spec.ranks:
+        k = spec.maintained_k
+        covering = []
+        for item, (_, vmax, magnitude) in rows:
+            domain = item[1].domain
+            if domain.lo <= a and domain.hi >= b:
+                covering.append((vmax, magnitude))
+        if len(covering) >= k:
+            lowest = heapq.nsmallest(k, covering)
+            bar = lowest[-1][0]
+            slack = max(magnitude for _, magnitude in lowest)
+            rows = [
+                row
+                for row in rows
+                if row[1][0] <= bar + _REL_MARGIN * (slack + row[1][2])
+            ]
+        pairs = 0
+    else:
+        threshold = spec.threshold
+        straddling = []
+        for row in rows:
+            item, (vmin, vmax, magnitude) = row
+            margin = _REL_MARGIN * (magnitude + abs(threshold))
+            if vmax < threshold - margin:
+                domain = item[1].domain
+                settled.append(
+                    (item[0], max(a, domain.lo), min(b, domain.hi))
+                )
+            elif vmin <= threshold + margin:
+                straddling.append(row)
+        rows = straddling
+        pairs = len(rows)  # each straddler against the sentinel
+    pairs += _overlap_pairs([(vmin, vmax) for _, (vmin, vmax, _) in rows])
+    return Slice(a, b, [item for item, _ in rows], pairs), settled
+
+
+def _halve(spec, piece: Slice, settled: List[Segment]) -> List[Slice]:
+    """``piece`` or, while it pays, the leaves of its halves;
+    memberships a kept half settles join ``settled``."""
+    mid = piece.lo + (piece.hi - piece.lo) / 2.0
+    if not piece.overlap_pairs or not piece.lo < mid < piece.hi:
+        return [piece]
+    left, left_settled = _classify(spec, piece.items, piece.lo, mid)
+    right, right_settled = _classify(spec, piece.items, mid, piece.hi)
+    if left.cost + right.cost >= piece.cost:
+        return [piece]
+    settled += left_settled + right_settled
+    return _halve(spec, left, settled) + _halve(spec, right, settled)
+
+
+def plan_sweep(
+    db: MovingObjectDatabase,
+    spec,
+    window: Interval,
+    curve_store,
+    _slices: int = 1,
+) -> Plan:
+    """Cut ``window`` into slices and pick each slice's candidates for
+    ``spec`` (a :class:`~repro.core.spec.QuerySpec`) over ``db``.
+
+    Curves are built through ``curve_store``, which the slices' engines
+    must share: a curve is built once however many slices hold it.
+    ``_slices`` is for tests: the planner starts from that many equal
+    slices of the window instead of the window itself.
+    """
+    if not (window.is_bounded and spec.gdistance.is_polynomial):
+        # Nothing to bound — and the engine refuses both; let it.
+        everything = [(oid, None) for oid, _ in db.all_items()]
+        return Plan(
+            len(everything), [Slice(window.lo, window.hi, everything, 0)], []
+        )
+    gdistance = spec.gdistance
+    items: List[_Item] = []
+    for oid, trajectory in db.all_items():
+        domain = trajectory.domain
+        if domain.hi < window.lo or domain.lo > window.hi:
+            continue
+        items.append((oid, curve_store.curve(gdistance, oid, trajectory)))
+    cuts = [window.lo + i * window.length / _slices for i in range(_slices)]
+    cuts.append(window.hi)
+    settled: List[Segment] = []
+    slices: List[Slice] = []
+    for a, b in zip(cuts, cuts[1:]):
+        piece, fixed = _classify(spec, items, a, b)
+        settled += fixed
+        for leaf in _halve(spec, piece, settled):
+            last = slices[-1] if slices else None
+            if last is not None and last.candidates == leaf.candidates:
+                slices[-1] = last._replace(
+                    hi=leaf.hi,
+                    overlap_pairs=last.overlap_pairs + leaf.overlap_pairs,
+                )
+            else:
+                slices.append(leaf)
+    return Plan(len(items), slices, settled)

@@ -17,6 +17,10 @@ through these evaluation paths:
 - a :class:`~repro.resilience.supervisor.SupervisedQuerySession` (and a
   bare self-healing sharded evaluator) hit by a forced probe/update
   race mid-stream, so the heal path is held to the same answers,
+- the **one-shot past path** (:func:`run_past`): the stream replayed
+  into a MOD first, then the whole session window evaluated at once
+  through the pruned sweep of ``repro.core.api`` (final answer only —
+  there is no live session to probe),
 
 and each path reports the same two artifacts: the final snapshot
 answer over the whole session and the instant answer sets at a fixed
@@ -239,6 +243,38 @@ def run_single(
     return final, probes
 
 
+def run_past(
+    sc: Scenario, mode: str, slices: int = 1
+) -> Union[SnapshotAnswer, Dict[int, SnapshotAnswer]]:
+    """Final answer from the one-shot past path: every update applied
+    first, then ``[start, horizon]`` evaluated at once by the body
+    behind ``evaluate_knn`` / ``evaluate_within`` / ``evaluate_multiknn``
+    (prune, sweep the candidates, stitch).  ``slices`` starts the planner
+    from that many equal slices of the window instead of the window."""
+    from repro.core.api import _single_sweep
+
+    db = sc.build_db()
+    for update in sc.stream:
+        db.apply(update)
+    return _single_sweep(
+        db,
+        _scenario_spec(sc, mode),
+        Interval(sc.start, sc.horizon),
+        None,
+        _slices=slices,
+    )
+
+
+def _scenario_spec(sc: Scenario, mode: str):
+    """The scenario's query of kind ``mode`` as a ``QuerySpec``."""
+    from repro.core.spec import QuerySpec
+
+    param = {KNN: {"k": sc.k}, WITHIN: {"threshold": sc.threshold}}.get(
+        mode, {"ks": sc.ks}
+    )
+    return QuerySpec(sc.gdistance(), mode, **param)
+
+
 def run_sharded(
     sc: Scenario,
     mode: str,
@@ -309,15 +345,11 @@ def run_group(
 ]:
     """Final answer + probe answers from a bare EngineGroup: the
     server's shard pool driven directly, one spec attached."""
-    from repro.core.spec import QuerySpec
     from repro.parallel.sharding import shard_of
     from repro.server.group import EngineGroup
 
     db = sc.build_db()
-    param = {KNN: {"k": sc.k}, WITHIN: {"threshold": sc.threshold}}.get(
-        mode, {"ks": sc.ks}
-    )
-    spec = QuerySpec(sc.gdistance(), mode, **param)
+    spec = _scenario_spec(sc, mode)
     group = EngineGroup(
         1, db, spec.gdistance, shards, constants=spec.constants
     )
