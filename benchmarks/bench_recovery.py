@@ -12,14 +12,17 @@ history, and reports per tail length:
 - total recovery primitive sweep ops, and their ratio to what the
   uninterrupted live server paid ingesting the same 64 updates.
 
-The measured shape is itself the finding: because recovered sessions
-rebuild their engine groups *back-dated* to session start (Theorem 4
-past-query bootstrap), the sweep re-covers the whole trajectory
-history no matter where the checkpoint fell — recovery ops stay within
-a few percent of live-ingestion ops for any tail, while the work that
-does scale with checkpoint placement is exactly the journal records
-replayed.  Every metric is an op or record count, never wall-clock,
-so the table is bit-stable across machines.  Correctness rides along:
+The measured shape is itself the finding: a recovered server builds
+its engine groups *at the snapshot's clock* (one Theorem 5
+initialization per group) and replays the tail — it never re-sweeps
+the history before the snapshot, so recovery ops grow with the tail and
+stay below what live ingestion of the whole stream cost.  What a
+session's answer window holds before the snapshot's clock is a pruned
+past query (Theorem 4) paid by that session's close, if it closes;
+``scripts/perf_gate.py`` prices it next to these numbers
+(``close_past_ops_*``).  Every metric is an op or record count, never
+wall-clock, so the table is bit-stable across machines.  Correctness
+rides along:
 each recovered server's sessions must close to the same answers as an
 uninterrupted in-process mirror of the full history.
 """
@@ -162,9 +165,10 @@ def test_recovery_replay_scales_with_tail(benchmark, tmp_path):
             ),
         ),
     )
-    # The back-dated rebuild re-sweeps the full history wherever the
-    # checkpoint fell: any tail's recovery stays near live-ingest cost
-    # (the zero-tail restore defers its sweep to first service).
-    for tail, _, ops, ratio in rows:
-        if tail:
-            assert 0.5 <= ratio <= 1.5, (tail, ratio)
+    # Recovery is initialization at the snapshot's clock plus the
+    # tail's maintenance: it grows with the tail and never reaches the
+    # cost of having ingested the whole history.
+    ops = [row[2] for row in rows]
+    assert ops == sorted(ops), ops
+    for tail, _, _, ratio in rows:
+        assert ratio <= 1.0, (tail, ratio)

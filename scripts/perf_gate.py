@@ -28,10 +28,10 @@ compares each metric against the committed baselines under
   session mix over loopback (remote answers are asserted equal to an
   in-process twin inside the measure);
 - **E-REC** (``BENCH_EREC.json``) — crash-recovery cost: journal
-  records replayed at two checkpoint placements (exact counts) and
-  recovery sweep ops relative to uninterrupted live ingestion
-  (recovered answers are asserted equal to a live mirror inside the
-  measure).
+  records replayed at two checkpoint placements (exact counts),
+  recovery sweep ops relative to uninterrupted live ingestion, and the
+  past-query ops recovery defers to the sessions' closes (recovered
+  answers are asserted equal to a live mirror inside the measure).
 
 Every measure counts *primitive sweep operations*, hit rates, or wire
 frames/bytes — never wall-clock — so the gate is deterministic across
@@ -505,7 +505,15 @@ def measure_erec() -> dict:
         recovered = recover_server(directory, checkpoint_on_recover=False)
         replayed = recovered.recovered_tail
         ops = recovered.primitive_ops()
-        got = close_all(recovered.sessions())
+        # Recovery re-sweeps no history; what it defers is each
+        # session's past query over [start, snapshot clock], paid only
+        # at its close.  Priced here so the moved cost stays visible.
+        reports = [
+            recovered.explain_close(s, at=horizon)
+            for s in recovered.sessions()
+        ]
+        past_ops = sum(_stage_ops(r, "init", "sweep") for r in reports)
+        got = [r.answer for r in reports]
         for g, w in zip(got, want):
             if isinstance(w, dict):
                 assert set(g) == set(w)
@@ -514,17 +522,17 @@ def measure_erec() -> dict:
             else:
                 assert answer_to_dict(g) == answer_to_dict(w)
         recovered.shutdown()
-        return replayed, ops
+        return replayed, ops, past_ops
 
     workdir = tempfile.mkdtemp(prefix="erec-gate-")
     try:
-        _, restore_ops = recover_with_tail(
+        _, restore_ops, _ = recover_with_tail(
             0, os.path.join(workdir, "tail-0")
         )
-        tail_short, ops_short = recover_with_tail(
+        tail_short, ops_short, past_short = recover_with_tail(
             EREC_TAIL_SHORT, os.path.join(workdir, "tail-short")
         )
-        tail_long, ops_long = recover_with_tail(
+        tail_long, ops_long, past_long = recover_with_tail(
             EREC_TAIL_LONG, os.path.join(workdir, "tail-long")
         )
     finally:
@@ -537,6 +545,8 @@ def measure_erec() -> dict:
         "recovery_ops_short": float(ops_short),
         "recovery_ops_long": float(ops_long),
         "recovery_vs_live_ratio": ops_long / live_ops,
+        "close_past_ops_short": float(past_short),
+        "close_past_ops_long": float(past_long),
     }
 
 
@@ -591,9 +601,14 @@ POLICY = {
         "restore_only_ops": ("max", 0.15),
         "recovery_ops_short": ("max", 0.15),
         "recovery_ops_long": ("max", 0.15),
-        # Recovery must keep costing ~live ingestion, not multiples
-        # of it (the back-dated rebuild re-sweeps history once).
+        # Recovery is one initialization per group at the snapshot's
+        # clock plus the tail's maintenance: below live ingestion of
+        # the whole stream, and never a re-sweep of history.
         "recovery_vs_live_ratio": ("max", 0.15),
+        # The past queries recovery defers to the sessions' closes
+        # (pruned one-shot sweeps over [start, snapshot clock]).
+        "close_past_ops_short": ("max", 0.15),
+        "close_past_ops_long": ("max", 0.15),
     },
 }
 

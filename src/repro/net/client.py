@@ -19,7 +19,9 @@ Typed errors mirror the in-process API: a remote ``AdmissionError`` /
 / ``members`` / ``close`` / ``explain_close`` — plus ``subscribe`` and
 :meth:`RemoteQuerySession.changes` for the continuous-query push
 stream (pushed events are read either as a by-product of any request,
-or explicitly via :meth:`RemoteQueryClient.poll_events`).
+or explicitly via :meth:`RemoteQueryClient.wait_events` — return on
+the first arrival — and :meth:`RemoteQueryClient.poll_events`, which
+keeps reading to its deadline).
 
 **Failover.**  The client optionally holds a *list* of endpoints
 (primary first, warm standbys after).  Transport failures and
@@ -39,6 +41,7 @@ every endpoint is gone.
 from __future__ import annotations
 
 import random
+import select
 import socket
 import time
 from collections import deque
@@ -132,7 +135,7 @@ class RemoteQueryClient:
     heartbeat_timeout:
         Seconds of push-stream silence (no frame of any kind — the
         server's ``heartbeat`` events count) before
-        :meth:`poll_events` declares the connection dead, fails over,
+        :meth:`wait_events` declares the connection dead, fails over,
         and re-subscribes; :class:`ConnectionLostError` surfaces only
         when every endpoint is unreachable.  Requires a server with
         ``heartbeat_interval`` set.  ``None`` disables the watchdog.
@@ -270,11 +273,14 @@ class RemoteQueryClient:
         self._sock.sendall(encode_frame(payload, self._max_frame))
 
     def _recv_exact(self, n: int) -> bytes:
-        assert self._sock is not None
+        sock = self._sock
+        if sock is None:
+            # ``close()`` from another thread got here first.
+            raise ConnectionError("not connected")
         chunks = []
         remaining = n
         while remaining > 0:
-            chunk = self._sock.recv(remaining)
+            chunk = sock.recv(remaining)
             if not chunk:
                 raise ConnectionError("connection closed by server")
             chunks.append(chunk)
@@ -415,10 +421,20 @@ class RemoteQueryClient:
             for shed_sid in frame.get("sessions", ()):
                 self._events.setdefault(shed_sid, deque()).append(frame)
 
-    def poll_events(self, timeout: float = 0.05) -> int:
-        """Read pushed frames for up to ``timeout`` seconds; returns
-        how many events were routed.  Responses to requests are only
-        read during :meth:`request`, so this never steals them.
+    def wait_events(self, timeout: float = 0.05) -> int:
+        """Wait up to ``timeout`` seconds for pushed frames and return
+        as soon as some arrived; returns how many events were routed.
+
+        The one socket-read loop outside :meth:`request`: ``select``
+        until the socket is readable or ``timeout`` passes, then read
+        that frame and every frame already buffered behind it (zero
+        wait).  A frame once begun is read *whole* under the
+        connection's ordinary ``timeout`` — the wait bounds how long
+        the caller idles, never how long a frame may take — and a
+        stall inside one drops the socket (a half-read frame cannot be
+        resynchronized; the next :meth:`request` reconnects).
+        Responses to requests are only read during :meth:`request`, so
+        this never steals them.
 
         With ``heartbeat_timeout`` set and live subscriptions, a push
         stream silent past the deadline (or a dead socket) triggers
@@ -429,27 +445,40 @@ class RemoteQueryClient:
         if self._closed:
             return 0
         routed = 0
-        if self._sock is not None:
-            deadline = time.monotonic() + timeout
-            while True:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
+        wait = max(float(timeout), 0.0)
+        while True:
+            sock = self._sock
+            if sock is None:
+                break
+            try:
+                if not select.select([sock], [], [], wait)[0]:
                     break
-                try:
-                    self._sock.settimeout(max(remaining, 0.001))
-                    frame = self._read_frame()
-                except TimeoutError:
-                    break
-                except (ConnectionError, OSError):
-                    self._drop_socket()
-                    break
-                finally:
-                    if self._sock is not None:
-                        self._sock.settimeout(self._timeout)
-                if "event" in frame:
-                    self._route_event(frame)
-                    routed += 1
+                frame = self._read_frame()
+            except (ConnectionError, OSError, ValueError):
+                # Includes a timeout mid-frame and a socket closed
+                # under the select by another thread.
+                self._drop_socket()
+                break
+            if "event" in frame:
+                self._route_event(frame)
+                routed += 1
+            wait = 0.0
         self._check_watchdog()
+        return routed
+
+    def poll_events(self, timeout: float = 0.05) -> int:
+        """Read pushed frames for up to ``timeout`` seconds — repeated
+        :meth:`wait_events` to the deadline, so events that trickle in
+        accumulate; returns how many were routed.  Callers that want
+        the first arrival, not the full window, call
+        :meth:`wait_events`."""
+        deadline = time.monotonic() + timeout
+        routed = self.wait_events(timeout)
+        while self.connected:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            routed += self.wait_events(remaining)
         return routed
 
     def _check_watchdog(self) -> None:

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import threading
 import time
 from collections import OrderedDict, deque
@@ -67,6 +68,10 @@ from repro.server.server import QueryServer
 from repro.server.session import ACTIVE, QUEUED
 
 __all__ = ["NetStats", "QueryNetServer"]
+
+# One line per replication state transition an operator would page on
+# (replica drop, barrier degrade, promotion); silent unless configured.
+_LOG = logging.getLogger(__name__)
 
 SERVER_SOFTWARE = "repro-net/1"
 
@@ -211,6 +216,17 @@ class QueryNetServer:
             labels=("direction",),
         )
         self._c_bytes = lambda direction: nbytes.labels(direction=direction)
+        self._h_repl_ack = m.histogram(
+            "repl_ack_seconds",
+            "Sync-replication barrier: journal flush to the last "
+            "attached replica's ack (or to the ack timeout that dropped "
+            "it), per barrier that waited on a replica.",
+        )
+        self._c_repl_degraded = m.counter(
+            "repl_barrier_degraded_total",
+            "Times the sync barrier stopped waiting for a departed "
+            "replica to re-attach and fell back to async replication.",
+        )
         m.gauge(
             "net_connections_open", "Currently accepted connections."
         ).set_function(lambda: len(self._connections))
@@ -348,6 +364,12 @@ class QueryNetServer:
         self._standby = False
         self._adopt_server_state()
         self._c_event("promote").inc()
+        journal = self._journal_of()
+        _LOG.warning(
+            "standby promoted to primary at journal seq %s with %d session(s)",
+            None if journal is None else journal.seq,
+            len(self._sessions),
+        )
 
     def __enter__(self) -> "QueryNetServer":
         return self
@@ -458,7 +480,8 @@ class QueryNetServer:
             return
         target = journal.seq
         loop = asyncio.get_event_loop()
-        deadline = loop.time() + self._config.repl_ack_timeout
+        began = loop.time()
+        deadline = began + self._config.repl_ack_timeout
         while True:
             replicas = self._replica_conns()
             for conn in replicas:
@@ -478,9 +501,11 @@ class QueryNetServer:
                         self._drop_replica(conn, "ack timeout")
                         break
             if replicas:
+                self._h_repl_ack.observe(loop.time() - began)
                 return
             remaining = min(deadline, self._repl_grace_until) - loop.time()
             if remaining <= 0:
+                self._note_barrier_degraded()
                 return
             self._repl_attach_event.clear()
             if self._replica_conns():
@@ -490,7 +515,23 @@ class QueryNetServer:
                     self._repl_attach_event.wait(), remaining
                 )
             except asyncio.TimeoutError:
+                self._note_barrier_degraded()
                 return
+
+    def _note_barrier_degraded(self) -> None:
+        """The barrier is returning with no replica attached.  Once per
+        departure — when the reconnect grace it armed has run out — that
+        is the degrade to async replication; a server that never had a
+        replica (or already reported this one) has nothing to report."""
+        grace = self._repl_grace_until
+        if grace and self._loop.time() >= grace:
+            self._repl_grace_until = 0.0
+            self._c_repl_degraded.inc()
+            _LOG.warning(
+                "sync replication degraded to async: no replica "
+                "re-attached within %.3gs of the last one leaving",
+                self._config.repl_ack_timeout,
+            )
 
     def _arm_repl_grace(self) -> None:
         """A replica just went away: open the reconnect window the ack
@@ -503,6 +544,10 @@ class QueryNetServer:
     def _drop_replica(self, conn: _Connection, reason: str) -> None:
         conn.replica = False
         self._c_event("replica_drop").inc()
+        _LOG.warning(
+            "replica dropped (connection %d, acked seq %d): %s",
+            conn.cid, conn.acked_seq, reason,
+        )
         self._arm_repl_grace()
         self._send(
             conn,

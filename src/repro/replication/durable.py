@@ -7,10 +7,13 @@ advances, closes (with the *resolved* end time), cancels, sheds, and
 the net frontend's idempotent replies — and periodically snapshots the
 whole serving state.  :func:`recover_server` then rebuilds an
 equivalent server from (checkpoint, WAL tail): restore the MOD and the
-live sessions (back-dating each engine group's sweep window to its
-earliest tenant — the Theorem 4 past-query path over the MOD's full
-trajectory history), then re-apply the tail records in journal order.
-Replay cost is proportional to the *tail*, never the full history.
+live sessions (each engine group is initialized *at the snapshot's
+clock* — Theorem 5 — and no history is re-swept), then re-apply the
+tail records in journal order.  Recovery cost is snapshot + one
+initialization per group + the *tail*, never the full history: what a
+restored session's window holds before the snapshot's clock is a past
+query over the MOD's kept trajectories (Theorem 4), answered once, by
+:meth:`~repro.server.QueryServer._close`, if that session closes.
 
 The same :meth:`~DurableQueryServer.apply_record` entry point feeds a
 warm standby: the primary's journal records stream over the wire and
@@ -156,9 +159,10 @@ class DurableQueryServer(QueryServer):
 
         Engine-group internals are deliberately *not* captured: the MOD
         keeps every object's full trajectory history, so groups rebuild
-        from (db, tenant starts) alone — snapshots stay proportional to
-        data + sessions, and a recovered group's timelines equal the
-        originals by the Theorem 4/5 equivalence.
+        from the db alone and a tenant's earlier span is a past query
+        over it — snapshots stay proportional to data + sessions, and a
+        recovered session's answer equals the original by the
+        Theorem 4/5 equivalence.
         """
         self._applier.flush()
         sessions: List[dict] = []
@@ -356,11 +360,11 @@ class DurableQueryServer(QueryServer):
         live = snapshot.get("sessions", [])
         actives = [s for s in live if s["state"] == ACTIVE]
         queued = [s for s in live if s["state"] == QUEUED]
-        # Earliest start first: the first tenant to touch a group key
-        # sets the group's (back-dated) sweep window, and it must reach
-        # back to the group's earliest answer window.  Queued sessions
-        # can out-rank later actives by sid (they activated late), so
-        # sid order alone is not enough.
+        # In activation order (a queued session can out-rank later
+        # actives by sid), so groups are re-created in the order the
+        # live server made them.  Every group is built at the restored
+        # MOD's tau — no engine is back-dated; a session that opened
+        # earlier carries the unswept span ``[start, tau]`` to its close.
         clocks: Dict[int, tuple] = {}  # gid -> (group, max stored clock)
         for data in sorted(actives, key=lambda d: (d["start"], d["sid"])):
             session = self._replay_session(data, ACTIVE, data["start"])
@@ -372,7 +376,7 @@ class DurableQueryServer(QueryServer):
                     clocks[group.gid] = (group, float(clock))
         # Group clocks restore only after *every* tenant's views have
         # attached: advancing earlier would sweep the shared engines
-        # past a co-tenant's start and truncate its answer timeline.
+        # past tau before a co-tenant's view could record ``[tau, clock]``.
         # A tenant that had advanced the shared sweep beyond tau must
         # still see the same default close windows post-recovery.
         for group, clock in clocks.values():
@@ -414,9 +418,9 @@ class DurableQueryServer(QueryServer):
         """The one restore path — crash recovery and standby bootstrap.
 
         Restores ``snapshot``'s MOD (none: an empty one) and every live
-        session (engine groups rebuilt back-dated to their earliest
-        tenant's start — Theorem 5 re-initialization with the Theorem 4
-        past-query bootstrap), then replays the journal ``tail`` in
+        session (engine groups built at the MOD's tau — Theorem 5
+        initialization; a session's earlier span stays an unswept past
+        query until it closes), then replays the journal ``tail`` in
         sequence order.  The server journals into ``directory`` with an
         uninterrupted sequence and — with ``checkpoint`` — persists the
         restored state at once, so the *next* crash replays only what

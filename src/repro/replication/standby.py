@@ -18,8 +18,12 @@ flips it into a primary.  Because every applied record is re-journaled
 locally, the standby is itself crash-recoverable and — once promoted —
 replicable to the next standby down the chain.
 
-Failure detection is pull-based: the pump thread polls the
-replication link; when the link dies it re-subscribes with
+The pump thread blocks on the replication link
+(:meth:`~repro.net.RemoteQueryClient.wait_events`) and applies and
+acks each batch on receipt, so a sync primary's ack barrier costs a
+round trip plus the standby's own apply (its journal append and its
+engine groups' maintenance), not a poll period.  Failure detection is
+pull-based: when the link dies the pump re-subscribes with
 ``from=<last applied seq>`` (resuming from the record suffix, or a
 fresh snapshot when retention moved on).  When the primary stays dead
 past the configured retries the standby records the loss
@@ -69,8 +73,11 @@ class StandbyReplica:
         Journal knobs for the mirror, as on
         :class:`~repro.replication.DurableQueryServer`.
     poll_interval:
-        Seconds per replication-link poll (bounds promotion-detection
-        latency, not correctness).
+        The pump's *idle* period: with nothing arriving, how often it
+        re-checks its stop flag and the link (so it bounds how long
+        ``close`` / ``promote`` wait for an idle pump).  Not a latency
+        knob — a ``repl.append`` is applied and acked the moment it
+        lands, and a closed link wakes the pump at once.
     reconnect_retries, backoff:
         Resume policy when the replication link drops: how many
         re-subscribe attempts (each with jittered exponential backoff)
@@ -163,7 +170,7 @@ class StandbyReplica:
             raise ReplicationError("standby already started")
         self._started = True
         # The replication link: plain client, jittered retries.  No
-        # heartbeat watchdog — the pump's own poll loop is the
+        # heartbeat watchdog — the pump's own read loop is the
         # liveness check for this connection.
         self._client = RemoteQueryClient(
             self._primary[0],
@@ -206,7 +213,7 @@ class StandbyReplica:
         client = self._client
         while not self._stop.is_set():
             try:
-                client.poll_events(self._poll_interval)
+                client.wait_events(self._poll_interval)
                 for frame in client.events_for(None):
                     self._handle_frame(frame)
                 if not client.connected:

@@ -23,7 +23,7 @@ group per threshold.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.spec import QuerySpec
 from repro.geometry.intervals import Interval
@@ -65,7 +65,6 @@ class EngineGroup:
         constants: Sequence[float] = (),
         observe=None,
         curve_store=None,
-        start: Optional[float] = None,
     ) -> None:
         self.gid = gid
         self.key = None  # set by the owning server (its group-map key)
@@ -81,21 +80,13 @@ class EngineGroup:
         self._views: Dict[Tuple, List] = {}
         self._refs: Dict[Tuple, int] = {}
         self._specs: Dict[Tuple, QuerySpec] = {}
-        # ``start`` back-dates the sweep window below the source ``tau``
-        # (recovery rebuilding a group whose tenants opened before the
-        # checkpoint).  The MOD keeps every object's full piecewise
-        # history, so a back-dated engine is the paper's past-query
-        # path: Theorem 4 evaluation over ``[start, tau]`` followed by
-        # ordinary Theorem 5 maintenance — identical timelines to a
-        # group that had lived through those updates.
+        # A group is born at the source ``tau`` (all turns are at or
+        # before it, so Theorem 5 initialization applies verbatim).
         self.clock = source.last_update_time
-        bootstrap = self.clock if start is None else float(start)
-        if bootstrap > self.clock:
-            self.clock = bootstrap
-        self.epoch_start = bootstrap
+        self.epoch_start = self.clock
         self.failures = 0
         self.rebuilds = 0
-        self._build(bootstrap)
+        self._build(self.clock)
 
     # -- construction -----------------------------------------------------
     def _build(self, start: float) -> None:

@@ -39,6 +39,7 @@ from repro.cache.fingerprint import (
     gdistance_fingerprint,
     is_identity_fingerprint,
 )
+from repro.core.api import _single_sweep
 from repro.core.spec import QuerySpec
 from repro.geometry.intervals import Interval
 from repro.gdist.base import GDistance
@@ -327,8 +328,9 @@ class QueryServer:
 
         Admission was decided (and journaled) on the original run, so
         no budget checks re-run here: a journaled ``active`` session is
-        activated at its original ``start`` (back-dating the group's
-        sweep window when the group does not exist yet) and a journaled
+        activated with its original ``start`` (engines are never
+        back-dated: what precedes the group's birth stays an unswept
+        span the close answers as a past query) and a journaled
         ``queued`` session re-enters the FIFO in replay order.
         ``constants`` is what the record carries for readers that
         predate :class:`QuerySpec`; the spec derives its own.
@@ -364,7 +366,6 @@ class QueryServer:
                 constants=session.query.constants,
                 observe=self._observe,
                 curve_store=self._curve_store,
-                start=start,
             )
             group.key = key
             self._groups[key] = group
@@ -372,9 +373,15 @@ class QueryServer:
             self._ops_marker = self._total_ops()
         group.acquire(session.query)
         session.group = group
-        session.start = session.segment_start = (
-            group.current_time if start is None else float(start)
-        )
+        session.start = group.current_time if start is None else float(start)
+        session.segment_start = max(session.start, group.epoch_start)
+        if session.start < group.epoch_start:
+            # A restored session opened before its group's engines were
+            # born (restore builds groups at the snapshot's clock).  The
+            # MOD keeps every trajectory's history, so that span is a
+            # past query (Theorem 4) — answered only if the session
+            # closes, never re-swept to recover.
+            session.unswept = Interval(session.start, group.epoch_start)
         session.state = ACTIVE
         self.stats.activated += 1
         self._c_session("activate").inc()
@@ -555,15 +562,27 @@ class QueryServer:
                 session.query, session.segment_start, sweep_end
             )
             window = Interval(session.start, end)
+            segments = session.segments + [live]
+            span = session.unswept
+            if span is not None:
+                # Under EXPLAIN the past query's prune / init / sweep
+                # stages belong to the closing profile.
+                observe = (
+                    self._observe
+                    if self._profile is None
+                    else self._profile.observe
+                )
+                past = Interval(span.lo, min(span.hi, end))
+                segments.insert(
+                    0, _single_sweep(self._db, session.query, past, observe)
+                )
             answer = clip_answer(
-                stitch_answers(session.segments + [live], window),
-                session.start,
-                end,
+                stitch_answers(segments, window), session.start, end
             )
             if st is not NULL_STAGE:
                 st.annotate(
                     session=session.session_id,
-                    segments=len(session.segments) + 1,
+                    segments=len(segments),
                 )
         self._detach(session, CLOSED)
         session._answer = answer

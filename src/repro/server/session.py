@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.spec import QuerySpec
+from repro.geometry.intervals import Interval
 from repro.query.answers import Answer, Members
 from repro.server.errors import (
     SessionClosedError,
@@ -68,6 +69,9 @@ class ServerSession:
         # Start of the current engine epoch's answer span; advances past
         # ``start`` when the group is rebuilt after a failure.
         self.segment_start: Optional[float] = None
+        # ``[start, group birth]`` of a restored session: the part of
+        # its window no engine swept, answered as a past query at close.
+        self.unswept: Optional[Interval] = None
         self.group = None
         self.segments: list = []  # salvaged pre-rebuild answer pieces
         self.lost_spans = 0
