@@ -2,26 +2,20 @@
 
 A monitoring dashboard asks the same continuous queries again and
 again, nudging the window: refresh the last answer, zoom into a
-sub-interval, extend the horizon a bit.  Cold evaluation pays the
-Theorem 5 ``O(N log N)`` initialization every time; the answer cache
-pays it once, serves repeats and zooms by interval restriction, and
-extends horizons by continuing the cached sweep (the theorem's
-per-update maintenance step).
+sub-interval, extend the horizon a bit.  Cold evaluation bounds every
+curve and sweeps the window's candidates every time; the answer cache
+sweeps a window once, serves repeats and zooms by interval
+restriction, and extends a horizon by sweeping only the gap beyond the
+cached span and unioning it on (Section 4's finite representation).
 
 The workload issues, per query point, one repeated full-window query,
 one random sub-interval query, and one horizon extension, over several
 query points against one N-object MOD.  What is asserted is the
 deterministic part — the workload is hit-dominated and the curve store
-fully populated; the three wall-clock rows and the cached/cold ratio
-are reported, not gated: since the uncached one-shot path prunes
-(``repro.sweep.prune``) the cold pass is as cheap as the cached one
-(1-2x), and the deterministic guard on the cache's work is E-AC in
-``scripts/perf_gate.py`` (op counts and hit rate).
-
-A third, reported-only row runs every query on its own full-order
-engine — what a cache miss still costs (its continuation engine keeps
-the full order so that it can be extended) and what the cold pass cost
-before the uncached one-shot path pruned (``repro.sweep.prune``).
+fully populated; the two wall-clock rows and the cold/cached ratio
+are reported, not gated: both passes run the one pruned one-shot body
+(``repro.sweep.prune``), and the deterministic guard on the cache's
+work is E-AC in ``scripts/perf_gate.py`` (op counts and hit rate).
 """
 
 import random
@@ -29,8 +23,7 @@ import time
 
 from repro.bench.harness import format_table
 from repro.cache import QueryCache
-from repro.core.api import evaluate_knn, open_engine
-from repro.core.spec import QuerySpec
+from repro.core.api import evaluate_knn
 from repro.geometry.intervals import Interval
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.obs import Instrumentation
@@ -72,37 +65,24 @@ def _run(db, schedule, cache):
     return time.perf_counter() - t0
 
 
-def _run_full_order(db, schedule):
-    """Every query on its own full-order engine: a cache miss's cost."""
-    t0 = time.perf_counter()
-    for gd, interval in schedule:
-        spec = QuerySpec.knn(gd, K)
-        engine, view = open_engine(db, spec.over(interval.lo, interval.hi))
-        engine.run_to_end()
-        spec.answer(view)
-    return time.perf_counter() - t0
-
-
 def test_cache_speedup_on_repeated_queries(benchmark):
     db = random_linear_mod(N, seed=N, extent=200.0, speed=3.0)
     schedule = _workload()
     instr = Instrumentation()
 
     def passes():
-        full = _run_full_order(db, schedule)
         cold = _run(db, schedule, cache=None)
         cache = QueryCache(observe=instr)
         warm = _run(db, schedule, cache=cache)
-        return full, cold, warm, cache
+        return cold, warm, cache
 
-    full, cold, warm, cache = benchmark.pedantic(
+    cold, warm, cache = benchmark.pedantic(
         passes, rounds=1, iterations=1
     )
     stats = cache.stats()
     speedup = cold / warm
 
     rows = [
-        ("full order (a miss's cost)", f"{full:8.3f}", "", ""),
         ("cold (no cache)", f"{cold:8.3f}", "", ""),
         (
             "cached",
@@ -128,7 +108,6 @@ def test_cache_speedup_on_repeated_queries(benchmark):
         extra={
             "n": N,
             "queries": len(schedule),
-            "full_order_seconds": full,
             "cold_seconds": cold,
             "cached_seconds": warm,
             "speedup": speedup,

@@ -1,8 +1,8 @@
 """Incremental result caching for moving-object queries.
 
-The paper's Theorem 5 splits future-query evaluation into an
-``O(N log N)`` initialization and cheap per-update maintenance; this
-package makes both halves reusable across queries:
+A sweep pays an ``O(N log N)`` initialization (Theorem 5) before its
+event loop (Theorem 4); this package makes what both produce reusable
+across queries, and holds results only — never an engine:
 
 - :class:`CurveStore` memoizes the per-object g-distance curves the
   initialization builds, keyed by g-distance fingerprint and validated
@@ -10,14 +10,14 @@ package makes both halves reusable across queries:
   object's curves;
 - :class:`AnswerCache` memoizes whole snapshot answers per query
   fingerprint and interval, serving sub-intervals by restriction and
-  *extending* cached spans forward by continuing the original sweep
-  (Theorem 5's maintenance step) instead of re-initializing;
+  the covered prefix of a longer interval, so the caller sweeps only
+  the gap and stores the union (Section 4's finite representation);
 - :class:`QueryCache` bundles both behind one object that the query
   API accepts as ``cache=`` and that subscribes itself to the database
   for fine-grained update-driven invalidation.
 
 See ``docs/paper_mapping.md`` ("Result caching") for the mapping onto
-Theorem 5 and Corollary 6.
+Theorems 4 and 5 and Section 4.
 """
 
 from __future__ import annotations
@@ -135,11 +135,26 @@ class QueryCache:
         """The cached answer for one query over ``interval``, or None.
 
         ``profile`` (a :class:`~repro.obs.profile.QueryProfile`)
-        attributes hit-path work — restriction clips, Theorem 5 sweep
-        continuations — to the owning query's stage tree.
+        attributes the restriction clip to the owning query's stage
+        tree.
         """
         fp = query_fingerprint(kind, gdistance, **params)
         return self.answers.get(fp, interval, profile=profile)
+
+    def prefix(
+        self,
+        kind: str,
+        gdistance,
+        interval: Interval,
+        profile=None,
+        **params,
+    ) -> Optional[Tuple[float, Payload]]:
+        """``(c, cached answer over [interval.lo, c])`` for the longest
+        covered prefix of ``interval``, or None
+        (:meth:`AnswerCache.prefix`); :meth:`lookup` is its
+        ``c == interval.hi`` case."""
+        fp = query_fingerprint(kind, gdistance, **params)
+        return self.answers.prefix(fp, interval, profile=profile)
 
     def store(
         self,
@@ -147,8 +162,6 @@ class QueryCache:
         gdistance,
         interval: Interval,
         payload: Payload,
-        engine=None,
-        view=None,
         **params,
     ) -> Tuple:
         """Cache one query's answer; returns the fingerprint used.
@@ -159,7 +172,7 @@ class QueryCache:
         fp = query_fingerprint(kind, gdistance, **params)
         if is_identity_fingerprint(gdistance.cache_fingerprint()):
             self._pinned[fp] = gdistance
-        self.answers.put(fp, interval, payload, engine=engine, view=view)
+        self.answers.put(fp, interval, payload)
         return fp
 
     # -- bookkeeping --------------------------------------------------------
@@ -180,7 +193,6 @@ class QueryCache:
             "answer_bytes": self.answers.nbytes,
             "answer_evictions": self.answers.evictions,
             "answer_invalidations": self.answers.invalidations,
-            "answer_replayed_updates": self.answers.replayed_updates,
             "curve_hits": self.curves.hits,
             "curve_misses": self.curves.misses,
             "curve_hit_rate": self.curves.hit_rate,

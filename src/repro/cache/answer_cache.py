@@ -1,40 +1,39 @@
-"""Interval-indexed snapshot-answer cache with incremental extension.
+"""Interval-indexed snapshot-answer cache: a span -> answer store.
 
 An entry maps ``(query fingerprint, [lo, hi])`` to the query's
 :class:`~repro.query.answers.SnapshotAnswer` over that span (a dict of
-answers per k in multiknn mode), optionally together with the live
-sweep engine + view that produced it.  Three ways a lookup is served:
+answers per k in multiknn mode) and nothing else: a sweep's state
+lives with whoever runs the sweep, never here.  The one lookup,
+:meth:`AnswerCache.prefix`, returns the cached answer over the longest
+covered prefix ``[lo, c]`` of the requested interval, restricted by
+interval-set intersection (Section 4's finite representation makes
+this exact):
 
-- **exact sub-interval hit** — a cached span contains the requested
-  interval; the answer is restricted by interval-set intersection
-  (Section 4's finite representation makes this exact);
-- **extension hit** — the cached span starts at (or before) the
-  requested start but ends short, and the entry still holds its
-  engine: pending updates are replayed and the sweep *continues* from
-  ``hi`` to the requested end — Theorem 5's incremental maintenance —
-  instead of a fresh ``O(N log N)`` initialization;
-- **miss** — the caller evaluates from scratch and :meth:`put`\\ s the
-  result back.
+- **exact hit** — ``c == hi``: a cached span contains the interval
+  (:meth:`AnswerCache.get` is this case alone);
+- **extension hit** — ``lo < c < hi``: the caller sweeps only the gap
+  ``[c, hi]`` (Theorem 4 over the gap), unions it onto the prefix and
+  :meth:`put`\\ s the longer span back.  Every entry extends this way,
+  whoever deposited it — a one-shot sweep, a sharded one, a closed
+  session;
+- **miss** — nothing covers ``lo``: the caller sweeps the whole
+  interval and :meth:`put`\\ s the result.
 
-Update-driven invalidation is fine-grained (the tentpole's bugfix
-semantics): an update at time ``t`` *preserves* every cached answer
-whose span ends at or before ``t``, *clips* (does not drop) answers
-straddling ``t`` back to ``[lo, t]``, and only drops answers lying
-entirely after ``t``.  Entries whose engine has already swept past
-``t`` keep the engine by buffering the update for replay-on-extension;
-otherwise the engine is stale (a sweep cannot rewind) and only the
-clipped answer survives.
+Update-driven invalidation is fine-grained: an update at time ``t``
+*preserves* every cached answer whose span ends at or before ``t``,
+*clips* (does not drop) answers straddling ``t`` back to ``[lo, t]``,
+and only drops answers lying entirely after ``t``.  A clipped span is
+extended from ``t`` like any other.
 
 Entries are LRU-evicted against an optional byte budget.  ``observe=``
 exports ``cache_answer_*`` counters (hits by kind, misses,
-invalidations by kind, evictions, replayed updates) and entry/byte
-gauges.
+invalidations by kind, evictions) and entry/byte gauges.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.geometry.intervals import Interval
 from repro.geometry.tolerance import DEFAULT_ATOL
@@ -71,50 +70,20 @@ def _payload_nbytes(payload: Payload) -> int:
 
 
 class _Entry:
-    """One cached span, with optional continuation state."""
+    """One cached span and its answer."""
 
-    __slots__ = (
-        "fingerprint",
-        "lo",
-        "hi",
-        "payload",
-        "engine",
-        "view",
-        "pending",
-        "nbytes",
-    )
+    __slots__ = ("fingerprint", "lo", "hi", "payload", "nbytes")
 
-    def __init__(self, fingerprint, lo, hi, payload, engine, view) -> None:
+    def __init__(self, fingerprint, lo, hi, payload) -> None:
         self.fingerprint = fingerprint
         self.lo = float(lo)
         self.hi = float(hi)
         self.payload = payload
-        self.engine = engine
-        self.view = view
-        self.pending: List[Update] = []
-        self.nbytes = 0
-        self.recount()
-
-    def recount(self) -> None:
-        nbytes = _payload_nbytes(self.payload)
-        if self.engine is not None:
-            nbytes += 1024 + 256 * len(self.engine.all_entries())
-        self.nbytes = nbytes
-
-    def drop_engine(self) -> None:
-        self.engine = None
-        self.view = None
-        self.pending = []
-        self.recount()
-
-    def snapshot(self, time: float) -> Payload:
-        if hasattr(self.view, "partial_answers"):
-            return self.view.partial_answers(time)
-        return self.view.partial_answer(time)
+        self.nbytes = _payload_nbytes(payload)
 
 
 class AnswerCache:
-    """LRU cache of snapshot answers with Theorem 5 continuation.
+    """LRU cache of snapshot answers, extendable span by span.
 
     Not bound to a database by itself: feed updates through
     :meth:`on_update` (the :class:`~repro.cache.QueryCache` facade
@@ -143,12 +112,11 @@ class AnswerCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self.replayed_updates = 0
         metrics = (as_instrumentation(observe) or NULL_INSTRUMENTATION).metrics
         hits = metrics.counter(
             "cache_answer_hits_total",
-            "Answer-cache hits, by kind (exact restriction vs "
-            "Theorem 5 sweep continuation).",
+            "Answer-cache hits, by kind (exact restriction vs a "
+            "covered prefix the caller extends by sweeping the gap).",
             labels=("kind",),
         )
         self._c_hit_exact = hits.labels(kind="exact")
@@ -168,10 +136,6 @@ class AnswerCache:
         self._c_evictions = metrics.counter(
             "cache_answer_evictions_total",
             "Entries evicted by the LRU byte budget.",
-        )
-        self._c_replayed = metrics.counter(
-            "cache_answer_replayed_updates_total",
-            "Buffered updates replayed into continuation engines.",
         )
         metrics.gauge(
             "cache_answer_entries", "Answer spans currently cached."
@@ -204,74 +168,57 @@ class AnswerCache:
         ]
 
     # -- lookups ------------------------------------------------------------
+    def prefix(
+        self, fingerprint, interval: Interval, profile=None
+    ) -> Optional[Tuple[float, Payload]]:
+        """``(c, answer over [interval.lo, c])`` for the longest prefix
+        of ``interval`` a cached span covers, or None on a miss.
+
+        ``c == interval.hi`` is an exact hit; a shorter prefix is an
+        extension hit — the caller owes the gap ``[c, interval.hi]``.
+        ``profile`` (a :class:`~repro.obs.profile.QueryProfile`)
+        attributes the restriction clip to its stage.
+        """
+        return self._serve(fingerprint, interval, profile, partial=True)
+
     def get(
         self, fingerprint, interval: Interval, profile=None
     ) -> Optional[Payload]:
-        """The answer over ``interval``, or None on a miss.
+        """The answer over ``interval``, or None on a miss: the
+        full-coverage case of :meth:`prefix` (a span that ends short
+        of ``interval.hi`` is a miss here)."""
+        covered = self._serve(fingerprint, interval, profile, partial=False)
+        return None if covered is None else covered[1]
 
-        Serves exact sub-interval hits by restriction and forward
-        extensions by sweep continuation; either way the returned
-        payload covers exactly ``interval``.  ``profile`` (a
-        :class:`~repro.obs.profile.QueryProfile`) attributes the
-        restriction clip and any sweep continuation to their stages.
-        """
+    def _serve(self, fingerprint, interval: Interval, profile, partial: bool):
+        """The one scan: the most recent span of ``fingerprint``
+        containing ``interval``, else — when ``partial`` cover counts
+        as a hit — the one reaching furthest into it from its start."""
         atol = self._atol
-        best_ext: Optional[_Entry] = None
+        best, reach = None, interval.lo
         for key in reversed(self._entries):
             entry = self._entries[key]
-            if entry.fingerprint != fingerprint:
+            if entry.fingerprint != fingerprint or entry.lo - atol > interval.lo:
                 continue
-            if (
-                entry.lo - atol <= interval.lo
-                and interval.hi <= entry.hi + atol
-            ):
-                self._entries.move_to_end(key)
-                self.hits += 1
-                self._c_hit_exact.inc()
-                with _stage(profile, "clip"):
-                    return restrict_payload(entry.payload, interval, atol)
-            if (
-                entry.engine is not None
-                and entry.lo - atol <= interval.lo
-                and interval.hi > entry.hi
-                and best_ext is None
-            ):
-                best_ext = entry
-        if best_ext is not None:
-            engine = best_ext.engine
-            with _stage(profile, "cache.extend") as st:
-                ops_before = engine.primitive_ops()
-                payload = self._extend(best_ext, interval.hi)
-                st.annotate(ops=engine.primitive_ops() - ops_before)
-            self.hits += 1
+            if entry.hi + atol >= interval.hi:
+                best, reach = key, interval.hi
+                break
+            if partial and entry.hi > reach:
+                best, reach = key, entry.hi
+        if best is None:
+            self.misses += 1
+            self._c_misses.inc()
+            return None
+        self._entries.move_to_end(best)
+        self.hits += 1
+        if reach == interval.hi:
+            self._c_hit_exact.inc()
+        else:
             self._c_hit_extension.inc()
-            with _stage(profile, "clip"):
-                return restrict_payload(payload, interval, atol)
-        self.misses += 1
-        self._c_misses.inc()
-        return None
-
-    def _extend(self, entry: _Entry, target: float) -> Payload:
-        """Continue the entry's sweep to ``target`` (Theorem 5's
-        incremental step: replay buffered updates, then advance)."""
-        engine = entry.engine
-        replayed = len(entry.pending)
-        for update in entry.pending:
-            engine.on_update(update)
-        entry.pending = []
-        if replayed:
-            self.replayed_updates += replayed
-            self._c_replayed.inc(replayed)
-        if engine.current_time < target:
-            engine.advance_to(target)
-        new_hi = max(target, engine.current_time)
-        entry.payload = entry.snapshot(new_hi)
-        entry.hi = new_hi
-        self._nbytes -= entry.nbytes
-        entry.recount()
-        self._nbytes += entry.nbytes
-        self._evict()
-        return entry.payload
+        with _stage(profile, "clip"):
+            return reach, restrict_payload(
+                self._entries[best].payload, Interval(interval.lo, reach), atol
+            )
 
     # -- insertion ----------------------------------------------------------
     def put(
@@ -279,25 +226,14 @@ class AnswerCache:
         fingerprint,
         interval: Interval,
         payload: Payload,
-        engine=None,
-        view=None,
     ) -> None:
-        """Cache an answer over ``interval``.
-
-        Pass the (still-live, un-finalized) ``engine`` and ``view``
-        that produced it to enable extension hits; without them the
-        entry serves sub-interval restrictions only.  Spans of the same
-        fingerprint contained in the new one (and holding no engine)
-        are superseded.
-        """
-        if engine is not None and view is None:
-            raise ValueError("an engine needs its view for continuation")
+        """Cache an answer over ``interval``.  Spans of the same
+        fingerprint contained in the new one are superseded."""
         atol = self._atol
         for key in [
             k
             for k, e in self._entries.items()
             if e.fingerprint == fingerprint
-            and e.engine is None
             and interval.lo - atol <= e.lo
             and e.hi <= interval.hi + atol
         ]:
@@ -311,9 +247,7 @@ class AnswerCache:
             self._drop(same.pop(0))
             self.evictions += 1
             self._c_evictions.inc()
-        entry = _Entry(
-            fingerprint, interval.lo, interval.hi, payload, engine, view
-        )
+        entry = _Entry(fingerprint, interval.lo, interval.hi, payload)
         key = self._next_id
         self._next_id += 1
         self._entries[key] = entry
@@ -327,22 +261,12 @@ class AnswerCache:
         An update at ``t`` changes trajectories only from ``t`` onward
         (Definition 3), so a cached span ending at or before ``t`` is
         untouched; a span straddling ``t`` keeps its valid prefix
-        ``[lo, t]``; a span starting after ``t`` is dropped.  A live
-        continuation engine that has not yet swept past ``t`` keeps
-        working by buffering the update for replay; one that has is
-        stale (sweeps cannot rewind) and is released.
+        ``[lo, t]``; a span starting after ``t`` is dropped.
         """
         t = update.time
         atol = self._atol
         for key in list(self._entries):
             entry = self._entries[key]
-            if entry.engine is not None and t >= entry.engine.current_time:
-                entry.pending.append(update)
-                continue
-            if entry.engine is not None:
-                # The engine swept past t (probe/extension race): the
-                # answer prefix survives, the engine cannot.
-                entry.drop_engine()
             if entry.hi <= t + atol:
                 continue
             if t <= entry.lo + atol:
@@ -350,11 +274,14 @@ class AnswerCache:
                 self.invalidations += 1
                 self._c_inv_drop.inc()
                 continue
-            self._nbytes -= entry.nbytes
-            entry.payload = clip_payload(entry.payload, entry.lo, t)
-            entry.hi = t
-            entry.recount()
-            self._nbytes += entry.nbytes
+            clipped = _Entry(
+                entry.fingerprint,
+                entry.lo,
+                t,
+                clip_payload(entry.payload, entry.lo, t),
+            )
+            self._nbytes += clipped.nbytes - entry.nbytes
+            self._entries[key] = clipped
             self.invalidations += 1
             self._c_inv_clip.inc()
 

@@ -106,9 +106,10 @@ def _single_sweep(
     spec: QuerySpec,
     interval: Interval,
     observe,
+    curves=None,
     _slices: int = 1,
 ):
-    """The uncached one-shot sweep: prune, sweep the survivors, stitch.
+    """The one-shot sweep: prune, sweep the survivors, stitch.
 
     :func:`~repro.sweep.prune.plan_sweep` cuts ``interval`` into slices
     and names each slice's candidates — the curves whose interval
@@ -119,8 +120,9 @@ def _single_sweep(
     intervals coalesce, so the cuts leave no trace.  "One slice, every
     object" is a value of the plan, not another path: it is the one
     engine over the window this function used to be.  The engines
-    share one curve store, so a curve is built once however many
-    slices hold it.  ``_slices`` is the planner's (tests only).
+    share one curve store (``curves``: a caller's cache's, else a
+    private one), so a curve is built once however many slices hold
+    it.  ``_slices`` is the planner's (tests only).
 
     Stage attribution keeps ``init`` / ``sweep`` / ``answer`` (their
     ``ops`` summed over the slice engines) and adds ``prune``.
@@ -131,7 +133,8 @@ def _single_sweep(
 
     profile = getattr(observe, "profile", None)
     metrics = (observe or NULL_INSTRUMENTATION).metrics
-    curves = CurveStore()
+    if curves is None:
+        curves = CurveStore()
     with _stage(profile, "prune") as st:
         plan = plan_sweep(db, spec, interval, curves, _slices)
         st.annotate(
@@ -175,96 +178,71 @@ def _single_sweep(
         return stitch_answers(parts, interval)
 
 
-def _continued_sweep(
-    db: MovingObjectDatabase,
-    spec: QuerySpec,
-    interval: Interval,
-    observe,
-    cache,
-):
-    """One full-order sweep that stays extensible, for ``cache`` callers.
-
-    The engine's horizon is left open (``[lo, +inf)``) so the very
-    engine that answered this query can continue: a later query over a
-    longer interval resumes the sweep from ``interval.hi`` (Theorem 5's
-    per-update maintenance) instead of re-running the ``O(N log N)``
-    initialization.  The answer over ``interval`` is read off
-    non-destructively with a timeline snapshot; it is identical to the
-    finalized answer of a ``[lo, hi]`` engine (events beyond ``hi`` are
-    scheduled but never processed).  Extension is the contract, and a
-    per-window candidate set cannot serve it, so this engine keeps the
-    full order (see :mod:`repro.sweep.prune`).
-    """
-    profile = getattr(observe, "profile", None)
-    with _stage(profile, "init") as st:
-        engine, view = open_engine(
-            db, spec.over(interval.lo, math.inf), observe, cache.curves
-        )
-        init_ops = engine.primitive_ops() if profile is not None else 0
-        st.annotate(ops=init_ops)
-    with _stage(profile, "sweep") as st:
-        engine.advance_to(interval.hi)
-        if profile is not None:
-            st.annotate(ops=engine.primitive_ops() - init_ops)
-    with _stage(profile, "answer"):
-        payload = spec.partial(view, interval.hi)
-    with _stage(profile, "cache.store"):
-        cache.store(
-            spec.kind,
-            spec.gdistance,
-            interval,
-            payload,
-            engine=engine,
-            view=view,
-            **spec.params,
-        )
-    return payload
-
-
 def _evaluate(
     db: MovingObjectDatabase,
     spec: QuerySpec,
     interval: Interval,
     observe,
-    shards: Optional[int],
-    backend,
-    batch_size: int,
-    cache,
+    shards: Optional[int] = None,
+    backend="sequential",
+    batch_size: int = 1,
+    cache=None,
 ):
     """The one body behind :func:`evaluate_knn`, :func:`evaluate_within`
-    and :func:`evaluate_multiknn`: cache probe, then a sharded or a
-    single sweep, depositing what it computed."""
+    and :func:`evaluate_multiknn`: probe, sweep what is not covered,
+    stitch, store.
+
+    The probe returns the cached answer over the longest covered prefix
+    ``[lo, c]`` of ``interval``; the remainder ``[c, hi]`` — the whole
+    window on a miss, nothing on an exact hit — is a sharded or a
+    single sweep like any uncached call's, over the cache's curves.
+    Section 4's finite representation makes the answer over
+    ``[lo, hi]`` the union of the two, and that union is what is
+    stored: the cache holds answers, the engines die with the call.
+    """
     observe = as_instrumentation(observe)
     profile = getattr(observe, "profile", None)
-    caching = cache is not None and interval.is_bounded
-    if caching:
-        cache.bind(db)
-        with _stage(profile, "cache.probe") as st:
-            hit = cache.lookup(
-                spec.kind, spec.gdistance, interval, profile=profile, **spec.params
-            )
-            st.annotate(hit=hit is not None)
-        if hit is not None:
-            return hit
-    if shards is None:
-        if caching:
-            return _continued_sweep(db, spec, interval, observe, cache)
-        return _single_sweep(db, spec, interval, observe)
-    answer = _sharded_sweep(
-        db,
-        spec,
-        interval,
-        observe,
-        None if cache is None else cache.curves,
-        shards=shards,
-        backend=backend,
-        batch_size=batch_size,
-    )
-    if caching:
-        with _stage(profile, "cache.store"):
-            cache.store(
-                spec.kind, spec.gdistance, interval, answer, **spec.params
-            )
+    curves = None if cache is None else cache.curves
+
+    def sweep(window: Interval):
+        if shards is None:
+            return _single_sweep(db, spec, window, observe, curves)
+        return _sharded_sweep(
+            db,
+            spec,
+            window,
+            observe,
+            curves,
+            shards=shards,
+            backend=backend,
+            batch_size=batch_size,
+        )
+
+    if cache is None or not interval.is_bounded:
+        return sweep(interval)
+    cache.bind(db)
+    with _stage(profile, "cache.probe") as st:
+        covered = cache.prefix(
+            spec.kind, spec.gdistance, interval, profile=profile, **spec.params
+        )
+        st.annotate(hit=covered is not None)
+    if covered is None:
+        answer = sweep(interval)
+    else:
+        reach, answer = covered
+        if reach >= interval.hi:
+            return answer
+        from repro.parallel.merge import stitch_answers  # imports this module
+
+        with _stage(profile, "cache.extend") as st:
+            gap = sweep(Interval(reach, interval.hi))
+            answer = stitch_answers([answer, gap], interval)
+            if profile is not None:
+                st.annotate(
+                    ops=sum(c.attrs.get("ops", 0) for c in st.children.values())
+                )
+    with _stage(profile, "cache.store"):
+        cache.store(spec.kind, spec.gdistance, interval, answer, **spec.params)
     return answer
 
 

@@ -15,9 +15,9 @@ The stages map onto the paper's cost terms (see
 ========================  ====================================================
 stage                     paper cost term
 ========================  ====================================================
-``cache.probe``           answer reuse — avoids both Theorem 5 halves
+``cache.probe``           answer reuse: the longest cached prefix of the window
 ``clip``                  Section 4 finite representation: exact restriction
-``cache.extend``          Theorem 5 maintenance: ``O(m log N)`` continuation
+``cache.extend``          the gap beyond the prefix: its own one-shot stages
 ``prune``                 one-shot queries: bound every curve, keep candidates
 ``init`` / ``curves``     Theorem 5 initialization: ``O(N log N)`` (per slice)
 ``sweep``                 Theorem 4 event loop: ``O((m + N) log N)``

@@ -39,7 +39,7 @@ from repro.cache.fingerprint import (
     gdistance_fingerprint,
     is_identity_fingerprint,
 )
-from repro.core.api import _single_sweep
+from repro.core.api import _evaluate
 from repro.core.spec import QuerySpec
 from repro.geometry.intervals import Interval
 from repro.gdist.base import GDistance
@@ -565,8 +565,10 @@ class QueryServer:
             segments = session.segments + [live]
             span = session.unswept
             if span is not None:
-                # Under EXPLAIN the past query's prune / init / sweep
-                # stages belong to the closing profile.
+                # The unswept past is a one-shot query like any other
+                # (sessions of one fingerprint share it through the
+                # cache); under EXPLAIN its stages belong to the
+                # closing profile.
                 observe = (
                     self._observe
                     if self._profile is None
@@ -574,7 +576,14 @@ class QueryServer:
                 )
                 past = Interval(span.lo, min(span.hi, end))
                 segments.insert(
-                    0, _single_sweep(self._db, session.query, past, observe)
+                    0,
+                    _evaluate(
+                        self._db,
+                        session.query,
+                        past,
+                        observe,
+                        cache=self._cache,
+                    ),
                 )
             answer = clip_answer(
                 stitch_answers(segments, window), session.start, end

@@ -41,11 +41,12 @@ way; the cut would only re-initialise them).  When nothing prunes, the
 plan is one slice holding every object: today's one engine over the
 window.
 
-Out of scope here, on purpose: live sessions, the sharded pools and the
-answer cache's continuation engine keep the full order (an update to a
-non-candidate would have to re-test its bound — Theorem-5 maintenance
-under pruning is the next step), and so does the generic FO(f)
-evaluator, whose formulas may read any rank.
+Out of scope here, on purpose: live sessions and the sharded pools
+keep the full order (an update to a non-candidate would have to re-test
+its bound — Theorem-5 maintenance under pruning is the next step), and
+so does the generic FO(f) evaluator, whose formulas may read any rank.
+A ``cache=`` caller is in scope: the cache holds answers, never an
+engine, and sweeps what it lacks through this plan.
 """
 
 from __future__ import annotations

@@ -712,6 +712,20 @@ def answers_equal(a, b, atol: float = ANSWER_ATOL) -> bool:
     return a.approx_equals(b, atol=atol)
 
 
+def sweep_ops(report) -> int:
+    """Summed ``init`` / ``sweep`` ops of an EXPLAIN report, at any
+    depth (a gap sweep nests under ``cache.extend``, a restored
+    session's past under ``server.close``)."""
+
+    def walk(stages):
+        for stage in stages:
+            if stage["name"] in ("init", "sweep"):
+                yield stage.get("attrs", {}).get("ops", 0)
+            yield from walk(stage.get("children", []))
+
+    return sum(walk(report.to_dict()["stages"]))
+
+
 def assert_probes_equal(
     got: List[ProbeRecord], expected: List[ProbeRecord], label: str
 ) -> None:

@@ -1,5 +1,7 @@
 """Unit tests for the answer cache: hits, extension, invalidation."""
 
+import inspect
+
 import pytest
 
 from repro.cache import AnswerCache, QueryCache, knn_fingerprint
@@ -10,10 +12,11 @@ from repro.geometry.intervals import Interval, IntervalSet
 from repro.geometry.vectors import Vector
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ChangeDirection, New
+from repro.obs.explain import explain
 from repro.obs.instrument import Instrumentation
 from repro.query.answers import SnapshotAnswer
-from repro.sweep.engine import SweepEngine
-from repro.sweep.knn import ContinuousKNN
+
+from tests._oracle import sweep_ops
 
 
 def make_db(n=6):
@@ -37,12 +40,22 @@ def answer(memberships, lo, hi):
     )
 
 
-def continuation(db, gd, k, lo, hi):
-    """A live engine + view swept over [lo, hi] with an open horizon."""
-    engine = SweepEngine(db, gd, Interval.at_least(lo))
-    view = ContinuousKNN(engine, k)
-    engine.advance_to(hi)
-    return engine, view, view.partial_answer(hi)
+WINDOW = Interval(0.01, 5.0)
+WIDER = Interval(0.01, 12.0)
+
+
+def cached_setup(window=WINDOW):
+    """A MOD and a cache holding the 2-NN answer over ``window``."""
+    db = make_db()
+    gd = SquaredEuclideanDistance([0.0, 0.0])
+    obs = Instrumentation()
+    cache = QueryCache(observe=obs)
+    evaluate_knn(db, gd, window, k=2, cache=cache)
+    return db, gd, cache, knn_fingerprint(gd, 2), obs
+
+
+def extension_hits(obs):
+    return obs.snapshot()['cache_answer_hits_total{kind="extension"}']
 
 
 class TestPayloadHelpers:
@@ -103,56 +116,57 @@ class TestExactHits:
 
 class TestExtension:
     def test_extension_continues_the_sweep(self):
-        db = make_db()
-        gd = SquaredEuclideanDistance([0.0, 0.0])
-        cache = AnswerCache()
-        fp = knn_fingerprint(gd, 2)
-        engine, view, payload = continuation(db, gd, 2, 0.01, 5.0)
-        cache.put(fp, Interval(0.01, 5.0), payload, engine=engine, view=view)
-        got = cache.get(fp, Interval(0.01, 12.0))
-        assert got is not None
-        cold = evaluate_knn(db, gd, k=2, interval=Interval(0.01, 12.0))
-        assert got.approx_equals(cold, atol=1e-6)
-        assert cache.hits == 1
+        db, gd, cache, fp, obs = cached_setup()
+        got = evaluate_knn(db, gd, WIDER, k=2, cache=cache)
+        assert got.approx_equals(evaluate_knn(db, gd, WIDER, k=2), atol=1e-6)
+        assert cache.answers.hits == 1 and extension_hits(obs) == 1
         # The extended span now serves longer sub-intervals exactly.
-        assert cache.spans(fp) == [Interval(0.01, 12.0)]
-        again = cache.get(fp, Interval(3.0, 11.0))
-        assert again.approx_equals(
-            evaluate_knn(db, gd, k=2, interval=Interval(3.0, 11.0)), atol=1e-6
-        )
+        assert cache.answers.spans(fp) == [WIDER]
+        sub = Interval(3.0, 11.0)
+        again = evaluate_knn(db, gd, sub, k=2, cache=cache)
+        assert again.approx_equals(evaluate_knn(db, gd, sub, k=2), atol=1e-6)
+        assert cache.answers.hits == 2 and extension_hits(obs) == 1
 
-    def test_engineless_entry_cannot_extend(self):
-        cache = AnswerCache()
-        fp = ("knn", ("x",), 1)
-        cache.put(fp, Interval(0.0, 5.0), answer({}, 0.0, 5.0))
-        assert cache.get(fp, Interval(0.0, 9.0)) is None
-
-    def test_engine_requires_view(self):
-        cache = AnswerCache()
-        with pytest.raises(ValueError):
-            cache.put(
-                ("knn", ("x",), 1),
-                Interval(0.0, 1.0),
-                answer({}, 0.0, 1.0),
-                engine=object(),
-            )
-
-    def test_pending_update_replayed_before_extension(self):
+    def test_deposited_entry_extends(self):
+        """An answer nobody swept through the cache (a session's or a
+        server's deposit) is a prefix like any other; ``get`` keeps its
+        full-coverage contract beside it."""
         db = make_db()
         gd = SquaredEuclideanDistance([0.0, 0.0])
-        cache = AnswerCache()
-        fp = knn_fingerprint(gd, 2)
-        engine, view, payload = continuation(db, gd, 2, 0.01, 5.0)
-        cache.put(fp, Interval(0.01, 5.0), payload, engine=engine, view=view)
-        # Update beyond the cached span: the entry buffers it.
-        update = ChangeDirection("o0", 7.0, Vector.of(-3.0, 1.0))
-        db.apply(update)
-        cache.on_update(update)
-        assert cache.spans(fp) == [Interval(0.01, 5.0)]
-        got = cache.get(fp, Interval(0.01, 12.0))
-        cold = evaluate_knn(db, gd, k=2, interval=Interval(0.01, 12.0))
-        assert got.approx_equals(cold, atol=1e-6)
-        assert cache.replayed_updates == 1
+        cache = QueryCache()
+        cache.bind(db)
+        fp = cache.store("knn", gd, WINDOW, evaluate_knn(db, gd, WINDOW, k=2), k=2)
+        assert cache.answers.get(fp, WIDER) is None
+        assert cache.answers.misses == 1
+        reach, prefix = cache.answers.prefix(fp, WIDER)
+        assert reach == WINDOW.hi and prefix.interval == WINDOW
+        got = evaluate_knn(db, gd, WIDER, k=2, cache=cache)
+        assert got.approx_equals(evaluate_knn(db, gd, WIDER, k=2), atol=1e-6)
+        assert cache.answers.spans(fp) == [WIDER]
+
+    def test_entries_hold_answers_only(self):
+        assert list(inspect.signature(AnswerCache.put).parameters) == [
+            "self",
+            "fingerprint",
+            "interval",
+            "payload",
+        ]
+        assert not {"engine", "view"} & set(
+            inspect.signature(QueryCache.store).parameters
+        )
+        db, gd, cache, fp, obs = cached_setup()
+        (entry,) = cache.answers._entries.values()
+        assert entry.__slots__ == ("fingerprint", "lo", "hi", "payload", "nbytes")
+
+    def test_update_beyond_span_then_wider_query(self):
+        db, gd, cache, fp, obs = cached_setup()
+        # Update beyond the cached span: the entry is untouched.
+        db.apply(ChangeDirection("o0", 7.0, Vector.of(-3.0, 1.0)))
+        assert cache.answers.spans(fp) == [WINDOW]
+        assert cache.answers.invalidations == 0
+        got = evaluate_knn(db, gd, WIDER, k=2, cache=cache)
+        assert got.approx_equals(evaluate_knn(db, gd, WIDER, k=2), atol=1e-6)
+        assert extension_hits(obs) == 1
 
 
 class TestInvalidation:
@@ -182,33 +196,28 @@ class TestInvalidation:
         assert cache.spans(fp) == []
         assert cache.invalidations == 1
 
-    def test_update_behind_live_engine_drops_engine_keeps_prefix(self):
-        db = make_db()
-        gd = SquaredEuclideanDistance([0.0, 0.0])
-        cache = AnswerCache()
-        fp = knn_fingerprint(gd, 2)
-        engine, view, payload = continuation(db, gd, 2, 0.01, 8.0)
-        cache.put(fp, Interval(0.01, 8.0), payload, engine=engine, view=view)
-        # t=3 is behind the engine's sweep line (8): the engine cannot
-        # rewind, but the [0.01, 3] prefix is still valid.
-        cache.on_update(ChangeDirection("o1", 3.0, Vector.of(1.0, 1.0)))
-        assert cache.spans(fp) == [Interval(0.01, 3.0)]
-        # No extension possible any more.
-        assert cache.get(fp, Interval(0.01, 12.0)) is None
+    def test_update_inside_span_clips_then_extends(self):
+        db, gd, cache, fp, obs = cached_setup(Interval(0.01, 8.0))
+        # t=3 is inside the cached span: [0.01, 3] is still valid and
+        # the next wider query sweeps [3, 12] only.
+        db.apply(ChangeDirection("o1", 3.0, Vector.of(1.0, 1.0)))
+        assert cache.answers.spans(fp) == [Interval(0.01, 3.0)]
+        report = explain(db, gd, WIDER, "knn", k=2, cache=cache)
+        assert report.answer.approx_equals(
+            evaluate_knn(db, gd, WIDER, k=2), atol=1e-6
+        )
+        assert extension_hits(obs) == 1
+        assert cache.answers.spans(fp) == [WIDER]
+        gap = explain(db, gd, Interval(3.0, 12.0), "knn", k=2)
+        assert sweep_ops(report) == sweep_ops(gap) > 0
 
     def test_cached_prefix_stays_correct_after_clip(self):
-        db = make_db()
-        gd = SquaredEuclideanDistance([0.0, 0.0])
-        cache = AnswerCache()
-        fp = knn_fingerprint(gd, 2)
-        engine, view, payload = continuation(db, gd, 2, 0.01, 8.0)
-        cache.put(fp, Interval(0.01, 8.0), payload, engine=engine, view=view)
-        update = ChangeDirection("o1", 3.0, Vector.of(4.0, 4.0))
-        db.apply(update)
-        cache.on_update(update)
-        got = cache.get(fp, Interval(0.01, 3.0))
-        cold = evaluate_knn(db, gd, k=2, interval=Interval(0.01, 3.0))
-        assert got.approx_equals(cold, atol=1e-6)
+        db, gd, cache, fp, obs = cached_setup(Interval(0.01, 8.0))
+        db.apply(ChangeDirection("o1", 3.0, Vector.of(4.0, 4.0)))
+        clipped = Interval(0.01, 3.0)
+        got = evaluate_knn(db, gd, clipped, k=2, cache=cache)
+        assert got.approx_equals(evaluate_knn(db, gd, clipped, k=2), atol=1e-6)
+        assert cache.answers.hits == 1 and extension_hits(obs) == 0
 
 
 class TestEvictionAndMetrics:

@@ -209,12 +209,16 @@ class TestCacheStages:
             if s["name"] == "cache.probe"
         )
         assert probe["attrs"]["hit"] is True
+        # The gap's one-shot sweep, stages and all, nests under it.
         extend = next(
-            c
-            for c in probe.get("children", [])
-            if c["name"] == "cache.extend"
+            s
+            for s in wider.to_dict()["stages"]
+            if s["name"] == "cache.extend"
         )
         assert extend["attrs"]["ops"] > 0
+        assert {"prune", "init", "sweep"} <= {
+            c["name"] for c in extend["children"]
+        }
 
     def test_sharded_with_cache(self):
         db = _db()
