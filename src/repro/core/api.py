@@ -273,9 +273,10 @@ def evaluate_knn(
 
     Pass ``cache`` (a :class:`~repro.cache.QueryCache`) to serve
     repeated or overlapping-interval queries from cached answers:
-    sub-intervals by restriction, forward extensions by continuing the
-    original sweep, cold queries by a cached-curve engine build.  The
-    cache binds to ``db`` and invalidates itself on every update.
+    sub-intervals by restriction, forward extensions by sweeping only
+    the uncovered gap and storing the union, cold queries by a sweep
+    over the cache's curves.  The cache binds to ``db`` and trims
+    itself on every update.
     """
     return _evaluate(
         db,

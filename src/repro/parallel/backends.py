@@ -1,9 +1,11 @@
 """The engine host, and the execution backends that run one per shard.
 
 An *engine host* (:class:`ShardRuntime`) owns one database's sweep
-state and is the one place a broken engine is healed: salvage what it
-accumulated, re-run Theorem 5 initialization from the database, stitch
-the pieces at the end.  A
+state and is the one place a broken engine is healed: re-run Theorem 5
+initialization from the database, remember where the new engine began,
+and answer what precedes it as a past query (Theorem 4) at the end —
+the database keeps every trajectory's history, so no engine's
+timelines are ever needed back.  A
 :class:`~repro.resilience.supervisor.SupervisedQuerySession` holds one
 over the caller's MOD; a sharded evaluator holds one per shard,
 through a backend, and drives it with a small op protocol:
@@ -17,8 +19,7 @@ through a backend, and drives it with a small op protocol:
     Finish the sweep and return the stitched snapshot answer (a dict
     of answers per ``k`` in multiknn mode).
 ``rebuild()``
-    Theorem 5 re-initialization from the host's own database state,
-    salvaging the answer accumulated so far.
+    Theorem 5 re-initialization from the host's own database state.
 
 Two backends implement the protocol:
 
@@ -35,21 +36,23 @@ Two backends implement the protocol:
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.api import open_engine
+from repro.core.api import _single_sweep, open_engine
 from repro.core.spec import Answer, QuerySpec
 from repro.geometry.intervals import Interval
 from repro.io import database_from_dict, database_to_dict
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId, Update
-from repro.parallel.merge import clip_answer, shard_candidates, stitch_answers
+from repro.parallel.merge import shard_candidates, stitch_answers
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "ProcessPoolBackend",
-    "QuerySpec",
     "SequentialBackend",
     "ShardRuntime",
     "resolve_backend",
@@ -57,7 +60,7 @@ __all__ = [
 
 
 class ShardRuntime:
-    """One database's engine, view, and salvaged answer segments.
+    """One database's engine and view, and the time they began.
 
     The host — not the engine — subscribes to the database, so an
     engine that throws on an update cannot stay wedged in the listener
@@ -89,10 +92,9 @@ class ShardRuntime:
         self._engine_options = dict(
             observe=observe, curve_store=curve_store, **sharding
         )
-        self._segments: List[Answer] = []
-        self._segment_start = spec.lo
         self.failures = 0
-        self.salvage_losses = 0  # views too broken to contribute a segment
+        # Where the engine in force began: all a heal remembers.
+        self._live_from = spec.lo
         self.engine, self.view = self._build(spec.lo)
         db.subscribe(self.on_update)
 
@@ -149,43 +151,47 @@ class ShardRuntime:
 
     def finalize(self, end: float) -> Answer:
         """Finish the sweep at ``end`` and return the answer over the
-        whole window, stitched across every rebuild."""
+        whole window.
+
+        The engine in force answers ``[live_from, end]``.  After a
+        rebuild, what precedes it is a past query over the database's
+        recorded history (Theorem 4) — the same pruned one-shot sweep
+        behind ``evaluate_*``, over the host's curve store."""
         self.advance_to(end)
         self.engine.finalize()
-        live = self._spec.answer(self.view)
-        return stitch_answers(
-            self._segments + [live], Interval(self._spec.lo, end)
-        )
+        pieces = []
+        lo = self._spec.lo
+        if self._live_from > lo:
+            pieces.append(
+                _single_sweep(
+                    self._db,
+                    self._spec,
+                    Interval(lo, self._live_from),
+                    self._engine_options["observe"],
+                    self._engine_options["curve_store"],
+                )
+            )
+        pieces.append(self._spec.answer(self.view))
+        return stitch_answers(pieces, Interval(lo, end))
 
     def rebuild(self) -> None:
-        """Replace a broken engine: salvage, then re-initialize.
+        """Replace a broken engine by Theorem 5 initialization at the
+        database's ``tau`` (``O(n log n)`` at the host's size ``n``).
 
-        The salvaged segment is clipped at the database's ``tau`` — the
-        failed engine may have swept past it, but beyond the last
-        applied update its answer is unreliable — and the fresh engine
-        re-reads authoritative database state (the Theorem 5
-        ``O(n log n)`` step, at the host's size ``n``).
-        """
+        Nothing is read back from the failed engine: it may have swept
+        past ``tau`` without the update that broke it, and the database
+        — which is authoritative — still holds everything before."""
         self.failures += 1
         now = self._db.last_update_time
-        with self._healing():
-            self._salvage(upto=now)
-            self.engine, self.view = self._build(now)
-        self._segment_start = now
-
-    def _salvage(self, upto: float) -> None:
-        try:
-            self.engine.finalize()
-            answer = self._spec.answer(self.view)
-        except Exception:
-            # The view is broken beyond salvage; the segment is lost
-            # but the host survives — the rebuild re-reads database
-            # state, which is authoritative.
-            self.salvage_losses += 1
-            return
-        self._segments.append(
-            clip_answer(answer, self._segment_start, upto)
+        log.warning(
+            "engine rebuilt at tau=%s over %d objects", now, self._db.object_count
         )
+        with self._healing():
+            abandon = getattr(self.engine, "shutdown", None)
+            if abandon is not None:  # a sharded evaluator holds shard hosts
+                abandon()
+            self.engine, self.view = self._build(now)
+        self._live_from = now
 
     def close(self) -> None:
         """Detach from the database."""

@@ -23,8 +23,9 @@ The evaluator deliberately speaks the *engine facade* — ``on_update``,
   opened with ``shards=`` hosts one, making whole-session recovery
   front shard-level parallelism.  Orthogonally,
   ``self_heal=True`` enables *shard-granular* recovery: a failed shard
-  salvages its own answer and rebuilds from shard-local state while
-  the other ``S - 1`` shards keep their engines untouched.
+  rebuilds from shard-local state (and answers its own earlier span as
+  a past query over that state) while the other ``S - 1`` shards keep
+  their engines untouched.
 
 Why this is fast: a pair of objects generates intersection events only
 when co-sharded, so a uniform partition removes roughly a ``1 - 1/S``

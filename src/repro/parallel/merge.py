@@ -16,10 +16,11 @@ Correctness rests on two observations:
   selection: pick the ``k`` smallest of the shards' current top-k
   values.
 
-The same union also stitches *time*: the answer segments an engine
-host salvaged before each rebuild cover disjoint spans of one session's
-window, so :func:`stitch_answers` is exact for the same reason the
-within-range merge is.
+The same union also stitches *time*: a past query over the span
+before an engine was (re)built and the live engine's answer since
+cover abutting spans of one session's window, so
+:func:`stitch_answers` is exact for the same reason the within-range
+merge is.
 
 Exact ties (identical curves) have one rule everywhere: *database
 insertion order*, the order a single engine meets the objects in
@@ -145,9 +146,9 @@ def union_answers(
     """Union several snapshot answers over a common window.
 
     Used both for the within-range merge (per-shard answers are
-    disjoint, so union is exact) and for stitching one shard's salvaged
-    answer segments across rebuilds (segments cover disjoint time
-    ranges, so union is again exact).
+    disjoint, so union is exact) and for stitching one window's answer
+    from pieces over abutting time ranges (touching closed intervals
+    coalesce, so union is again exact).
     """
     memberships: Dict[ObjectId, IntervalSet] = {}
     for answer in answers:
@@ -167,9 +168,9 @@ def merge_within_answers(
 
 
 def stitch_answers(segments: Sequence[Answer], window: Interval) -> Answer:
-    """One session's answer over ``window`` from its pieces: the
-    segments salvaged before each engine rebuild plus the live engine's
-    answer, unioned (per k when the pieces are multiknn dicts)."""
+    """One answer over ``window`` from its pieces — a past query's
+    slices, or the past before an engine's birth plus the live engine's
+    answer — unioned (per k when the pieces are multiknn dicts)."""
     return per_k(lambda *pieces: union_answers(pieces, window), *segments)
 
 
@@ -178,9 +179,9 @@ def clip_answer(answer: Answer, lo: float, hi: float) -> Answer:
     to the window ``[lo, hi]`` (an inverted one collapses to
     ``[hi, hi]``).
 
-    Used when salvaging a failed engine: only the span up to the
-    database's ``tau`` is trustworthy, and a rebuilt engine will
-    re-cover the remainder.
+    Used to cut one tenant's window out of timelines it shares: a
+    group's view may have opened earlier, and swept further, than the
+    session reading it.
     """
     window = Interval(min(lo, hi), hi)
     return per_k(lambda a: a.restrict(window), answer)

@@ -12,15 +12,17 @@ engine.
 
 :class:`SupervisedQuerySession` puts an engine host
 (:class:`~repro.parallel.backends.ShardRuntime`) between the database
-and the engine instead.  When the engine throws, the host salvages the
-answer accumulated up to the last database timestamp (everything after
-it is unreliable — the engine advanced without the update) and builds
-a fresh engine and view from current database state.  That rebuild is
+and the engine instead.  When the engine throws, the host builds a
+fresh engine and view from current database state, at the last
+database timestamp (the broken engine is dropped whole — it advanced
+without the update, so nothing it holds is trusted).  That rebuild is
 exactly the paper's Theorem 5 initialization step — ``O(N log N)`` —
 so a continuous query degrades to a re-initialization instead of
-dying.  Segment answers are stitched back together at :meth:`close`,
-so the session's final :class:`SnapshotAnswer` covers the whole
-session interval as if nothing had failed.  The session itself adds
+dying.  At :meth:`close` the span before the rebuild is answered as a
+past query over the database's recorded history (Theorem 4) and
+stitched to the live engine's answer, so the session's final
+:class:`SnapshotAnswer` covers the whole session interval as if
+nothing had failed.  The session itself adds
 only what an operator sees of a heal: the counters in :attr:`stats`,
 the ``supervisor_*_total`` metrics and the ``supervisor.rebuild`` span.
 """
@@ -46,7 +48,6 @@ class SupervisorStats:
 
     failures: int = 0
     rebuilds: int = 0
-    salvage_losses: int = 0  # views too broken to contribute a segment
 
 
 class SupervisedQuerySession:
@@ -82,10 +83,6 @@ class SupervisedQuerySession:
         self._c_rebuilds = obs.metrics.counter(
             "supervisor_rebuilds_total",
             "Engine rebuilds (Theorem 5 re-initializations).",
-        )
-        self._c_salvage_losses = obs.metrics.counter(
-            "supervisor_salvage_losses_total",
-            "Segments lost because the view was too broken to answer.",
         )
         if cache is not None:
             cache.bind(db)
@@ -207,11 +204,9 @@ class SupervisedQuerySession:
     @contextmanager
     def _healing(self):
         """Entered by the host around each rebuild: one failure, one
-        ``supervisor.rebuild`` span, and the loss of the broken
-        engine's segment when its view could not be salvaged."""
+        ``supervisor.rebuild`` span."""
         self.stats.failures += 1
         self._c_failures.inc()
-        lost = self._host.salvage_losses
         with self._tracer.span(
             "supervisor.rebuild",
             at=self._db.last_update_time,
@@ -220,16 +215,13 @@ class SupervisedQuerySession:
             yield
         self.stats.rebuilds += 1
         self._c_rebuilds.inc()
-        if self._host.salvage_losses > lost:
-            self.stats.salvage_losses += 1
-            self._c_salvage_losses.inc()
 
     # -- probing ------------------------------------------------------------
     def advance_to(self, t: float) -> Set[ObjectId]:
         """Advance the sweep (never backwards) and return the answer.
 
-        A failure during event processing triggers the same salvage and
-        rebuild as an update failure; the rebuilt engine is advanced to
+        A failure during event processing triggers the same rebuild as
+        an update failure; the rebuilt engine is advanced to
         ``t`` before returning.
         """
         try:
@@ -244,8 +236,9 @@ class SupervisedQuerySession:
         """Detach and return the stitched whole-session answer.
 
         The result covers ``[session start, end]`` across every rebuild:
-        per object, the union of the membership intervals of all
-        salvaged segments plus the live one.  The session is always
+        per object, the union of its membership intervals before the
+        last rebuild (a past query) and since (the live engine's).  The
+        session is always
         detached from the database on return, even if finalization
         fails.
         """

@@ -201,17 +201,6 @@ class EngineGroup:
             curve_store=self._curve_store,
         )
 
-    def salvage(self, spec: QuerySpec, t0: float, upto: float):
-        """Best-effort partial answer for a failing group, or ``None``.
-
-        Timeline snapshots touch no engine structures, so they usually
-        survive a poisoned engine; anything that still raises means the
-        span is lost (the caller counts it)."""
-        try:
-            return self.partial(spec, t0, upto)
-        except Exception:
-            return None
-
     # -- heal (Theorem 5 re-initialization) --------------------------------
     def rebuild(self) -> None:
         """Rebuild every slot and view from the source MOD's current

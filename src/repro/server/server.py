@@ -21,14 +21,15 @@ Degradation is layered on top:
   moving window exceeds a configured ceiling, the lowest-priority
   active session is shed (typed error on its next read);
 - **fault isolation** — an engine-group failure is healed by the
-  supervisor pattern (salvage the tenants' answer spans up to ``tau``,
-  Theorem 5 re-initialize from the MOD state, stitch at close); groups
+  supervisor pattern (Theorem 5 re-initialize from the MOD state at
+  ``tau``; a tenant's span before it is a past query at close); groups
   that fail beyond ``quarantine_after`` are quarantined without
   touching co-tenant groups.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -68,6 +69,8 @@ from repro.server.session import (
 
 __all__ = ["QueryServer", "ServerStats"]
 
+log = logging.getLogger(__name__)
+
 
 @dataclass
 class ServerStats:
@@ -83,7 +86,6 @@ class ServerStats:
     updates: int = 0
     rebuilds: int = 0
     quarantines: int = 0
-    salvage_losses: int = 0
 
 
 # Exception types a failing sweep engine legitimately surfaces — only
@@ -374,14 +376,12 @@ class QueryServer:
         group.acquire(session.query)
         session.group = group
         session.start = group.current_time if start is None else float(start)
+        # A restored session opened before its group's engines were
+        # born (restore builds groups at the snapshot's clock).  The
+        # MOD keeps every trajectory's history, so ``[start,
+        # segment_start]`` is a past query (Theorem 4) — answered only
+        # if the session closes, never re-swept to recover.
         session.segment_start = max(session.start, group.epoch_start)
-        if session.start < group.epoch_start:
-            # A restored session opened before its group's engines were
-            # born (restore builds groups at the snapshot's clock).  The
-            # MOD keeps every trajectory's history, so that span is a
-            # past query (Theorem 4) — answered only if the session
-            # closes, never re-swept to recover.
-            session.unswept = Interval(session.start, group.epoch_start)
         session.state = ACTIVE
         self.stats.activated += 1
         self._c_session("activate").inc()
@@ -562,10 +562,11 @@ class QueryServer:
                 session.query, session.segment_start, sweep_end
             )
             window = Interval(session.start, end)
-            segments = session.segments + [live]
+            segments = [live]
             span = session.unswept
             if span is not None:
-                # The unswept past is a one-shot query like any other
+                # What no live engine covers — the session predates a
+                # restore or a heal — is a one-shot query like any other
                 # (sessions of one fingerprint share it through the
                 # cache); under EXPLAIN its stages belong to the
                 # closing profile.
@@ -626,20 +627,6 @@ class QueryServer:
                 for s in self._sessions.values()
                 if s.group is group and s.state == ACTIVE
             ]
-            # Only the span up to the MOD's tau is trustworthy; the
-            # rebuilt engines re-cover everything after it.
-            upto = min(group.current_time, self._db.last_update_time)
-            for session in tenants:
-                if upto <= session.segment_start:
-                    continue
-                segment = group.salvage(
-                    session.query, session.segment_start, upto
-                )
-                if segment is None:
-                    session.lost_spans += 1
-                    self.stats.salvage_losses += 1
-                else:
-                    session.segments.append(segment)
             if group.failures > self._config.quarantine_after:
                 self._quarantine(group, tenants, error, message)
                 return
@@ -652,6 +639,8 @@ class QueryServer:
             self._c_session("rebuild").inc()
             self._c_heal(error, "rebuilt").inc()
             self._trace_heal("rebuilt", group, error, message)
+            # The rebuilt engines cover ``[tau, ...)``; each tenant's
+            # span before it becomes part of its unswept past.
             for session in tenants:
                 session.segment_start = max(
                     session.start, group.epoch_start
@@ -675,7 +664,16 @@ class QueryServer:
         self, outcome: str, group: EngineGroup, error: str, message: str
     ) -> None:
         """Record one heal/quarantine outcome — with the triggering
-        exception's type and message — in the trace stream."""
+        exception's type and message — in the log and the trace
+        stream."""
+        log.warning(
+            "engine group %d %s after failure %d (%s: %s)",
+            group.gid,
+            outcome,
+            group.failures,
+            error,
+            message,
+        )
         if self._observe is not None:
             self._observe.tracer.event(
                 "server.heal",

@@ -66,16 +66,21 @@ class ServerSession:
         self.shards = shards
         self.state = QUEUED
         self.start: Optional[float] = None
-        # Start of the current engine epoch's answer span; advances past
-        # ``start`` when the group is rebuilt after a failure.
+        # Where the engines in force began covering this session: past
+        # ``start`` when its group was restored or rebuilt after it
+        # opened.
         self.segment_start: Optional[float] = None
-        # ``[start, group birth]`` of a restored session: the part of
-        # its window no engine swept, answered as a past query at close.
-        self.unswept: Optional[Interval] = None
         self.group = None
-        self.segments: list = []  # salvaged pre-rebuild answer pieces
-        self.lost_spans = 0
         self._answer: Optional[Answer] = None
+
+    @property
+    def unswept(self) -> Optional[Interval]:
+        """``[start, segment_start]``: the part of the window no live
+        engine covers, answered as a past query at close (``None`` when
+        the engines cover it all)."""
+        if self.segment_start is None or self.segment_start <= self.start:
+            return None
+        return Interval(self.start, self.segment_start)
 
     # -- identity ---------------------------------------------------------
     @property

@@ -375,23 +375,48 @@ def run_group(
 RACE_FRACTION = 0.2
 
 
-def _run_raced(sc: Scenario, db: MovingObjectDatabase, advance, close):
-    """Drive the schedule with one forced probe/update race mid-stream:
-    just before the middle update is applied the sweep is advanced
-    past that update's timestamp, so the update — valid for the
-    database — arrives in the engine's past."""
+class BrokenView:
+    """A view whose accumulated timelines are gone: instant reads pass
+    through to the real view, every windowed reading raises."""
+
+    def __init__(self, view) -> None:
+        self._view = view
+
+    def __getattr__(self, name):
+        if name.startswith(("answer", "partial")):
+            raise RuntimeError("view corrupted")
+        return getattr(self._view, name)
+
+
+def _run_raced(
+    sc: Scenario,
+    db: MovingObjectDatabase,
+    advance,
+    close,
+    races: int = 1,
+    sabotage=None,
+):
+    """Drive the schedule with ``races`` forced probe/update races
+    spread evenly mid-stream (one: at the middle update): just before
+    a raced update is applied the sweep is advanced past that update's
+    timestamp, so the update — valid for the database — arrives in the
+    engine's past.  ``sabotage()`` runs right before the first race."""
     schedule = sc.schedule()
-    race_index = len(schedule) // 2
+    raced = [
+        len(schedule) * (i + 1) // (races + 1) for i in range(races)
+    ]
     probes: List[ProbeRecord] = []
     for i, (update, probe) in enumerate(schedule):
-        if i == race_index:
+        if i in raced:
+            if sabotage is not None and i == raced[0]:
+                sabotage()
             nxt = (
                 schedule[i + 1][0].time if i + 1 < len(schedule) else sc.horizon
             )
             advance(update.time + RACE_FRACTION * (nxt - update.time))
         db.apply(update)
         if probe is not None:
-            probes.append((probe, set(advance(probe))))
+            probes.append((probe, advance(probe)))
     return close(sc.horizon), probes
 
 
@@ -400,11 +425,14 @@ def run_supervised(
     mode: str,
     shards: Optional[int] = None,
     stats_out: Optional[dict] = None,
+    races: int = 1,
+    break_view: bool = False,
 ) -> Tuple[SnapshotAnswer, List[ProbeRecord]]:
     """Final answer + probe answers from a SupervisedQuerySession that
-    is hit by a forced probe/update race mid-stream (kNN and within;
-    ``shards`` fronts a sharded evaluator).  ``stats_out`` receives the
-    session's ``failures`` / ``rebuilds`` / ``salvage_losses``."""
+    is hit by forced probe/update races mid-stream (kNN and within;
+    ``shards`` fronts a sharded evaluator).  ``break_view`` swaps in a :class:`BrokenView` before the first
+    race.  ``stats_out`` receives the session's ``failures`` /
+    ``rebuilds``."""
     from repro.resilience.supervisor import SupervisedQuerySession
 
     db = sc.build_db()
@@ -416,44 +444,122 @@ def run_supervised(
         session = SupervisedQuerySession.within(
             db, sc.gdistance(), sc.threshold, until=sc.horizon, shards=shards
         )
-    final, probes = _run_raced(sc, db, session.advance_to, session.close)
+
+    def sabotage():
+        session._view = BrokenView(session._view)
+
+    final, probes = _run_raced(
+        sc,
+        db,
+        session.advance_to,
+        session.close,
+        races,
+        sabotage if break_view else None,
+    )
     if stats_out is not None:
         stats_out.update(vars(session.stats))
     return final, probes
 
 
 def run_self_healing_sharded(
-    sc: Scenario, mode: str, shards: int, stats_out: Optional[dict] = None
-) -> Tuple[SnapshotAnswer, List[ProbeRecord]]:
-    """The same forced race against a bare ``self_heal=True`` sharded
-    evaluator: only the raced update's shard rebuilds.  ``stats_out``
-    receives the evaluator's ``rebuilds``."""
+    sc: Scenario,
+    mode: str,
+    shards: int,
+    stats_out: Optional[dict] = None,
+    races: int = 1,
+    break_view: bool = False,
+    backend="sequential",
+) -> Tuple[
+    Union[SnapshotAnswer, Dict[int, SnapshotAnswer]], List[ProbeRecord]
+]:
+    """The same forced races against a bare ``self_heal=True`` sharded
+    evaluator: only the raced update's shard rebuilds.  ``break_view``
+    breaks every (in-process) shard's view before the first race, so
+    the shards no update heals are healed by their own finalize.
+    ``stats_out`` receives the evaluator's ``rebuilds``."""
     db = sc.build_db()
-    factory = (
-        ShardedSweepEvaluator.knn if mode == KNN else ShardedSweepEvaluator.within
-    )
+    factory, param = {
+        KNN: (ShardedSweepEvaluator.knn, sc.k),
+        WITHIN: (ShardedSweepEvaluator.within, sc.threshold),
+        MULTIKNN: (ShardedSweepEvaluator.multiknn, sc.ks),
+    }[mode]
     evaluator = factory(
         db,
         sc.gdistance(),
-        sc.k if mode == KNN else sc.threshold,
+        param,
         until=sc.horizon,
         shards=shards,
         self_heal=True,
+        backend=backend,
     )
     db.subscribe(evaluator.on_update)
 
-    def close(at: float) -> SnapshotAnswer:
+    def sabotage():
+        for host in evaluator._hosts:
+            host.view = BrokenView(host.view)
+
+    def advance(t: float):
+        members = evaluator.advance_to(t)
+        if mode == MULTIKNN:
+            return {k: evaluator.members_for(k) for k in sc.ks}
+        return members
+
+    def close(at: float):
         evaluator.advance_to(at)
         evaluator.finalize()
-        return evaluator.answer()
+        return evaluator.answers() if mode == MULTIKNN else evaluator.answer()
 
     try:
-        final, probes = _run_raced(sc, db, evaluator.advance_to, close)
+        final, probes = _run_raced(
+            sc, db, advance, close, races, sabotage if break_view else None
+        )
     finally:
         db.unsubscribe(evaluator.on_update)
         evaluator.shutdown()
     if stats_out is not None:
         stats_out["rebuilds"] = evaluator.rebuilds
+    return final, probes
+
+
+def run_healed_server(
+    sc: Scenario,
+    mode: str,
+    shards: int = 1,
+    stats_out: Optional[dict] = None,
+    races: int = 1,
+    break_view: bool = False,
+) -> Tuple[
+    Union[SnapshotAnswer, Dict[int, SnapshotAnswer]], List[ProbeRecord]
+]:
+    """The same forced races against one ``QueryServer`` session: each
+    raced update fails the session's engine group, which the server
+    heals.  ``break_view`` breaks the group's views before the first
+    race.  ``stats_out`` receives the server's ``rebuilds``."""
+    from repro.core.api import serve
+    from repro.server import ServerConfig
+
+    db = sc.build_db()
+    server = serve(db, ServerConfig(shards=shards))
+    session = server._register(_scenario_spec(sc, mode), 0, None)
+
+    def sabotage():
+        views = session.group._views
+        for key in views:
+            views[key] = [BrokenView(view) for view in views[key]]
+
+    try:
+        final, probes = _run_raced(
+            sc,
+            db,
+            session.advance_to,
+            session.close,
+            races,
+            sabotage if break_view else None,
+        )
+    finally:
+        server.shutdown()
+    if stats_out is not None:
+        stats_out["rebuilds"] = server.stats.rebuilds
     return final, probes
 
 

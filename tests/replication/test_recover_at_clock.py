@@ -206,7 +206,7 @@ def test_a_queued_then_activated_session_survives_recovery(tmp_path):
 def test_a_heal_after_a_recovery_keeps_the_answer(tmp_path):
     seed = 9
     updates = _stream(seed)
-    mirror, live, _ = _mirror_run(seed, "knn", 1, updates[:CRASH2 + 1])
+    mirror, live, clocks = _mirror_run(seed, "knn", 1, updates[:CRASH2 + 1])
     server, sessions = _recovered_run(
         seed, "knn", 1, updates[:CRASH2 + 1], str(tmp_path)
     )
@@ -217,14 +217,18 @@ def test_a_heal_after_a_recovery_keeps_the_answer(tmp_path):
     group = sessions[0].group
     server._heal(group, RuntimeError("forced"))
     assert server.stats.rebuilds == 1
+    heal_tau = server.db.last_update_time
     for db in (mirror.db, server.db):
         for update in rest[2:]:
             db.apply(update)
     horizon = mirror.db.last_update_time + 1.0
     for session, twin in zip(sessions, live):
         assert session.unswept is not None
-        # The third session (another kind) lives in a group of its own.
-        assert bool(session.segments) == (session.group is group)
+        # The third session (another kind) lives in a group of its own,
+        # which no heal touched: its engines still date from the restore.
+        assert session.unswept.hi == (
+            heal_tau if session.group is group else clocks[CKPT2]
+        )
         assert _dump(session.close(at=horizon)) == _dump(twin.close(at=horizon))
     mirror.shutdown()
     server.journal.close()
