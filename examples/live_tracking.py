@@ -28,19 +28,21 @@ def figure2_live() -> None:
     session = ContinuousQuerySession.knn(
         sc.db, sc.query, k=1, start=0.0, until=sc.interval.hi
     )
-    engine = session.engine
+    # The session's live host keeps one candidate engine in force (a
+    # re-plan may replace it): with two objects, both are candidates.
+    live = session.engine
 
     print("Figure 2, live:")
     print(f"  t=0: nearest={sorted(session.members)}; "
-          f"exchange predicted at D={engine._queue.peek_time():g}")
+          f"exchange predicted at D={live.engine._queue.peek_time():g}")
 
     sc.db.apply(sc.update_a)  # o1 stops: the predicted exchange vanishes
     print(f"  t={sc.update_a.time:g}: o1 stops; queued events: "
-          f"{engine.queue_length}")
+          f"{live.engine.queue_length}")
 
     sc.db.apply(sc.update_b)  # o2 flees: a new, earlier exchange appears
     print(f"  t={sc.update_b.time:g}: o2 flees; exchange now at "
-          f"C={engine._queue.peek_time():g}")
+          f"C={live.engine._queue.peek_time():g}")
 
     session.advance_to(9.0)
     print(f"  t=9: nearest={sorted(session.members)} (exchanged at C=8.4)")
@@ -70,9 +72,9 @@ def randomized_stream(n_objects: int = 40, n_updates: int = 60) -> None:
     print(f"  support changes processed: {stats.support_changes} "
           f"(swaps={stats.swaps}, inserts={stats.insertions}, "
           f"removals={stats.removals})")
-    print(f"  event-queue high-water mark: "
-          f"{session.engine.max_queue_length} (Lemma 9 bound: "
-          f"#objects = {n_objects + n_updates})")
+    print(f"  candidates ordered at the close: {session.engine.candidates} "
+          f"of {db.object_count} objects, after {session.engine.replans} "
+          f"re-plans")
 
     exact = naive_knn_answer(
         db, SquaredEuclideanDistance(depot), Interval(0.0, end), 3

@@ -16,6 +16,10 @@ computations) — never wall-clock time:
 - **Cached lookups** — a warm answer cache serves an exact repeat
   with O(1) sweep work: the hit path must count *zero* new primitive
   operations regardless of N.
+- **Theorem 5 on the live path** — a session's host orders only the
+  candidates of a horizon (``repro.sweep.live``), so its per-update
+  primitive operations — every bound check of every re-plan included —
+  stay within O(log N) as the database grows at constant density;
 - **Theorem 4 on the one-shot path** — ``evaluate_knn`` sweeps only the
   curves its interval bounds cannot rule out (``repro.sweep.prune``),
   so its primitive operations are linear in ``(C + m_C) log C`` — ``C``
@@ -218,6 +222,52 @@ def audit_pruned_one_shot(audit: ComplexityAudit, sizes) -> list:
     return rows
 
 
+LIVE_QUANTITY = "Thm 5 live per-update ops (bound checks included)"
+LIVE_SIZES = [100, 200, 400, 800]
+LIVE_K = 3
+
+
+def audit_live_updates(audit: ComplexityAudit, sizes=LIVE_SIZES) -> list:
+    """Record a live session's per-update ops per N (O(log N) envelope).
+
+    A session's host (``repro.sweep.live``) orders the candidates of a
+    horizon, so what an update costs follows the candidates, not the
+    database: N grows at constant density (extent ~ sqrt N) with every
+    object reporting at one rate (N updates over ten time units), and
+    the count includes every bound check of every re-plan.  Returns
+    ``(n, mean candidates, re-plans, engine ops, bound checks)`` rows,
+    the last two per update.
+    """
+    from repro.core.api import ContinuousQuerySession
+
+    rows = []
+    for n in sizes:
+        extent = 100.0 * math.sqrt(n / 200.0)
+        db = random_linear_mod(n, seed=n, extent=extent, speed=5.0)
+        session = ContinuousQuerySession.knn(db, [0.0, 0.0], k=LIVE_K)
+        host = session.engine
+        stream = UpdateStream(
+            db,
+            seed=n + 1,
+            mean_gap=10.0 / n,
+            extent=extent,
+            speed=5.0,
+            weights=(0.1, 0.1, 0.8),
+        )
+        ops, checks, candidates = host.primitive_ops(), host.bound_checks, 0
+        for _ in range(n):
+            stream.step()
+            candidates += host.candidates
+        ops = host.primitive_ops() - ops
+        checks = host.bound_checks - checks
+        session.close()
+        audit.record(LIVE_QUANTITY, n, ops / n)
+        rows.append(
+            (n, candidates / n, host.replans, (ops - checks) / n, checks / n)
+        )
+    return rows
+
+
 def measure_overhead(n=512, updates=50, repeats=3):
     """Median wall-clock of the update loop, observed vs unobserved."""
 
@@ -283,6 +333,8 @@ def main(argv=None) -> int:
     sharded_result = audit.check("Sharded per-update ops", "log n")
     pruned_rows = audit_pruned_one_shot(audit, init_sizes)
     pruned_result = audit.check(PRUNED_QUANTITY, "n")
+    live_rows = audit_live_updates(audit)
+    live_result = audit.check(LIVE_QUANTITY, "log n")
     cached_rows = audit_cached_hits(init_sizes)
     cached_ok = all(ops == 0 for _, ops in cached_rows)
 
@@ -321,6 +373,16 @@ def main(argv=None) -> int:
                 )
                 for row in pruned_rows
             ],
+            "live_updates": [
+                dict(
+                    zip(
+                        ("n", "mean_candidates", "replans",
+                         "engine_ops_per_update", "bound_checks_per_update"),
+                        row,
+                    )
+                )
+                for row in live_rows
+            ],
             "cached_hits_free": cached_ok,
             "overhead": overhead,
             "passed": not failed,
@@ -340,6 +402,15 @@ def main(argv=None) -> int:
                 f"N={n}: {c} candidates in {s} slices, {m} order changes, "
                 f"{ops} ops (full order: {full} swaps)"
                 for n, c, s, m, ops, full in pruned_rows
+            )
+        )
+        print(live_result.describe())
+        print(
+            f"live knn session, k={LIVE_K}, N updates over ten time units: "
+            + "; ".join(
+                f"N={n}: {c:.1f} candidates, {r} re-plans, "
+                f"{e:.1f} engine ops + {b:.1f} bound checks per update"
+                for n, c, r, e, b in live_rows
             )
         )
         print(

@@ -10,6 +10,13 @@ so an update naturally invalidates only the touched object's entry —
 every other object re-hits, and a rebuild touches exactly the changed
 curves instead of all ``N``.
 
+One entry per object holds either the trajectory's whole history (what
+a past query sweeps, :meth:`CurveStore.curve`) or its *tail* from some
+instant on (what a live engine at that instant orders,
+:meth:`CurveStore.tail`): a live open never builds the pieces behind
+its clock, a whole-history entry serves every tail, and a whole-history
+request rebuilds over a tail.
+
 Entries are LRU-evicted against an optional byte budget (sizes are
 estimated from piece counts).  ``observe=`` exports
 ``cache_curve_{hits,misses,evictions}_total`` counters and entry/byte
@@ -18,6 +25,7 @@ gauges through the standard instrumentation hook.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -60,7 +68,7 @@ class CurveStore:
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive (or None)")
         self._max_bytes = max_bytes
-        self._entries: "OrderedDict[Tuple, Tuple[Trajectory, PiecewiseFunction, int]]" = (
+        self._entries: "OrderedDict[Tuple, Tuple[Trajectory, PiecewiseFunction, int, float]]" = (
             OrderedDict()
         )
         self._by_oid: Dict[ObjectId, List[Tuple]] = {}
@@ -110,30 +118,55 @@ class CurveStore:
     def curve(
         self, gdistance: GDistance, oid: ObjectId, trajectory: Trajectory
     ) -> PiecewiseFunction:
-        """The image ``gdistance(trajectory)``, memoized.
+        """The image ``gdistance(trajectory)`` over the trajectory's
+        whole history, memoized (what a past query sweeps)."""
+        return self.tail(gdistance, oid, trajectory, -math.inf)
+
+    def tail(
+        self,
+        gdistance: GDistance,
+        oid: ObjectId,
+        trajectory: Trajectory,
+        since: float,
+    ) -> PiecewiseFunction:
+        """The image of ``trajectory`` from ``since`` on, memoized:
+        what a live engine at ``since`` orders (it never looks before
+        its own clock, so the turns behind it need no curve pieces).
 
         A hit requires the cached entry to hold the *same trajectory
         instance* — the database replaces an object's trajectory on
         every structural update, so a changed object can never serve a
-        stale curve.
+        stale curve — and to reach back at least to ``since``: a
+        whole-history curve serves every tail, a tail serves the later
+        ones.  The returned curve may start before ``since``.
         """
         fp = gdistance_fingerprint(gdistance)
         key = (fp, oid)
         entry = self._entries.get(key)
-        if entry is not None and entry[0] is trajectory:
+        if entry is not None and entry[0] is trajectory and entry[3] <= since:
             self._entries.move_to_end(key)
             self.hits += 1
             self._c_hits.inc()
             return entry[1]
         self.misses += 1
         self._c_misses.inc()
-        curve = gdistance(trajectory)
+        pieces = trajectory.pieces
+        first = len(pieces) - 1
+        while first and pieces[first - 1].interval.hi > since:
+            first -= 1
+        if first and pieces[-1].interval.hi > since:
+            # The pieces that end at or before ``since`` are dropped; the
+            # first one kept is not cut (a curve may start earlier).
+            curve = gdistance(Trajectory(pieces[first:]))
+        else:  # nothing behind ``since`` to drop
+            since = -math.inf
+            curve = gdistance(trajectory)
         nbytes = _curve_nbytes(curve)
         if entry is not None:
             self._nbytes -= entry[2]
         else:
             self._by_oid.setdefault(oid, []).append(key)
-        self._entries[key] = (trajectory, curve, nbytes)
+        self._entries[key] = (trajectory, curve, nbytes, since)
         self._entries.move_to_end(key)
         self._nbytes += nbytes
         if is_identity_fingerprint(fp):
@@ -168,7 +201,7 @@ class CurveStore:
         if self._max_bytes is None:
             return
         while self._nbytes > self._max_bytes and len(self._entries) > 1:
-            key, (_, _, nbytes) = self._entries.popitem(last=False)
+            key, (_, _, nbytes, _) = self._entries.popitem(last=False)
             self._nbytes -= nbytes
             self.evictions += 1
             self._c_evictions.inc()

@@ -5,7 +5,10 @@ so a caller only states the query.  The one-shot functions run the
 whole sweep immediately (appropriate when the trajectory history over
 the interval is already known, i.e. *past* queries); the session class
 subscribes to the database and maintains answers eagerly as updates
-arrive (*future* and *continuing* queries).
+arrive (*future* and *continuing* queries).  Both order only the curves
+the reading can reach: a one-shot sweep per slice of its window
+(:mod:`repro.sweep.prune`), a live one per horizon of its clock
+(:mod:`repro.sweep.live`).
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from repro.query.answers import SnapshotAnswer, snapshot_from_segments
 from repro.query.query import Query
 from repro.sweep.engine import SweepEngine
 from repro.sweep.evaluator import GenericFOEvaluator
+from repro.sweep.live import LiveSweep
 from repro.sweep.prune import candidate_mod, plan_sweep
 
 
@@ -35,10 +39,12 @@ def open_engine(
     shards: Optional[int] = None,
     **sharding,
 ):
-    """An ``(engine, view)`` pair sweeping ``spec``'s window over ``db``.
+    """A live ``(engine, view)`` pair maintaining ``spec`` over its
+    window on ``db``.
 
-    One :class:`~repro.sweep.engine.SweepEngine` with the spec's view;
-    with ``shards``, a
+    One :class:`~repro.sweep.live.LiveSweep` — the candidate host: it
+    orders only the curves ``spec``'s reading can reach before its next
+    re-plan — with ``spec`` attached; with ``shards``, a
     :class:`~repro.parallel.evaluator.ShardedSweepEvaluator` (which
     speaks the engine facade and reads as its own view) built with the
     remaining ``sharding`` options.  Imported lazily so ``repro.core``
@@ -57,7 +63,7 @@ def open_engine(
             **sharding,
         )
         return evaluator, evaluator
-    engine = SweepEngine(
+    host = LiveSweep(
         db,
         spec.gdistance,
         Interval(spec.lo, spec.hi),
@@ -65,7 +71,7 @@ def open_engine(
         observe=observe,
         curve_store=curve_store,
     )
-    return engine, spec.view(engine)
+    return host, host.attach(spec)
 
 
 def _sharded_sweep(
@@ -158,12 +164,15 @@ def _single_sweep(
     parts = []
     for piece in plan.slices:
         with _stage(profile, "init") as st:
-            engine, view = open_engine(
+            engine = SweepEngine(
                 candidate_mod(db, piece.candidates),
-                spec.over(piece.lo, piece.hi),
-                observe,
-                curves,
+                spec.gdistance,
+                Interval(piece.lo, piece.hi),
+                constants=spec.constants,
+                observe=observe,
+                curve_store=curves,
             )
+            view = spec.view(engine)
             init_ops = engine.primitive_ops() if profile is not None else 0
             st.annotate(ops=init_ops)
         with _stage(profile, "sweep") as st:
@@ -437,15 +446,16 @@ class ContinuousQuerySession:
 
     Construct with one of :meth:`knn` or :meth:`within`; the session
     subscribes to the database, processes each update as it arrives
-    (Theorem 5's per-update maintenance), and exposes the *current*
-    answer at all times.  Call :meth:`close` to detach and obtain the
-    accumulated snapshot answer.
+    (Theorem 5's per-update maintenance, over the candidates of the
+    current horizon: most updates cost one bound check), and exposes
+    the *current* answer at all times.  Call :meth:`close` to detach
+    and obtain the accumulated snapshot answer.
     """
 
     def __init__(
         self,
         db: MovingObjectDatabase,
-        engine: SweepEngine,
+        engine: LiveSweep,
         view,
         cache=None,
         cache_query=None,
@@ -545,8 +555,10 @@ class ContinuousQuerySession:
 
     # -- live inspection ------------------------------------------------------
     @property
-    def engine(self) -> SweepEngine:
-        """The underlying sweep engine (stats, order, queue)."""
+    def engine(self) -> LiveSweep:
+        """The session's live sweep: the candidate host (stats, op
+        counts, re-plans; ``.engine`` is the candidate engine in force)
+        or, with ``shards=``, the sharded evaluator."""
         return self._engine
 
     @property

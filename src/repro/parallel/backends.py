@@ -68,9 +68,11 @@ class ShardRuntime:
     without, it propagates (the engine-facade contract an outer
     supervisor relies on).
 
-    ``spec`` carries the sweep window; ``sharding`` (``shards=`` and
-    friends) makes every engine the host builds a sharded evaluator
-    instead of a single :class:`~repro.sweep.engine.SweepEngine`.
+    ``spec`` carries the sweep window; the engine is a
+    :class:`~repro.sweep.live.LiveSweep` (one candidate engine per
+    horizon; a re-plan and a heal are the same Theorem-5
+    re-initialisation, but only a heal distrusts the old timeline), or
+    with ``sharding`` (``shards=`` and friends) a sharded evaluator.
     ``healing`` is a context-manager factory entered around each
     rebuild — the owner's span and counters.
     """

@@ -1,9 +1,8 @@
 """Sharded plane-sweep evaluation with batched update application.
 
 :class:`ShardedSweepEvaluator` hash-partitions a MOD's objects across
-``S`` shard engines — each a standard
-:class:`~repro.sweep.engine.SweepEngine` advancing its own precedence
-order — batches incoming updates per shard
+``S`` shard engines — each a :class:`~repro.sweep.live.LiveSweep`
+ordering the candidates of its own shard — batches incoming updates per shard
 (:class:`~repro.parallel.batching.BatchedUpdateApplier`), and merges the
 per-shard partial answers into exact global answers
 (:mod:`repro.parallel.merge`).  Semantics are identical to the

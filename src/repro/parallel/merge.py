@@ -87,12 +87,12 @@ def select_top_k(
 def shard_candidates(
     spec: QuerySpec, engine, view, t: float
 ) -> List[Tuple[ObjectId, float]]:
-    """One shard's contribution to :func:`merge_members`: its current
+    """One shard's contribution to :func:`merge_members` (``engine`` is
+    the shard's :class:`~repro.sweep.live.LiveSweep`): its current
     members (a rank view's at the widest maintained k, from which every
     smaller k selects) paired with their g-distance at ``t``."""
     return [
-        (oid, engine.entry_for(oid).curve(t))
-        for oid in spec.widest(spec.members(view))
+        (oid, engine.value(oid, t)) for oid in spec.widest(spec.members(view))
     ]
 
 

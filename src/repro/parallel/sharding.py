@@ -64,6 +64,8 @@ def partition_database(
     """
     if shards < 1:
         raise ValueError("need at least one shard")
+    if shards == 1:
+        return [db.clone()]
     tau = db.last_update_time
     parts = [MovingObjectDatabase(initial_time=tau) for _ in range(shards)]
     for oid, traj in db.all_items():

@@ -2,11 +2,14 @@
 
 Sessions grouped by (g-distance fingerprint, shard count, sentinel
 constants) share *everything* below the answer-view layer: the shard
-databases, the sweep engines, and — for sessions with identical
+databases, the live sweeps, and — for sessions with identical
 ``(kind, params)`` — the views and answer timelines themselves.  Each
 incoming update is therefore swept **once per group**, not once per
 session: Theorem 5's ``O(m log N)`` maintenance cost is paid by the
-group and amortized over all its tenants.
+group and amortized over all its tenants.  Each slot's sweep is a
+:class:`~repro.sweep.live.LiveSweep`: it orders the candidates of the
+widest k any tenant reads, for a horizon at a time, so ``m`` counts the
+support changes among those and most updates are one bound check.
 
 Per-session answers fall out by clipping: a session that joined at
 ``t0`` owns the shared timeline restricted to ``[t0, close]``, which
@@ -37,17 +40,18 @@ from repro.parallel.merge import (
     shard_candidates,
 )
 from repro.parallel.sharding import partition_database
-from repro.sweep.engine import SweepEngine
+from repro.sweep.live import LiveSweep
 
 __all__ = ["EngineGroup"]
 
 
 class _Slot:
-    """One shard: a private sub-database with its subscribed engine."""
+    """One shard: a private sub-database with its subscribed live
+    candidate host."""
 
     __slots__ = ("db", "engine")
 
-    def __init__(self, db: MovingObjectDatabase, engine: SweepEngine) -> None:
+    def __init__(self, db: MovingObjectDatabase, engine: LiveSweep) -> None:
         self.db = db
         self.engine = engine
 
@@ -92,7 +96,7 @@ class EngineGroup:
     def _build(self, start: float) -> None:
         slots: List[_Slot] = []
         for part in partition_database(self._source, self.shards):
-            engine = SweepEngine(
+            engine = LiveSweep(
                 part,
                 self.gdistance,
                 Interval.at_least(start),
@@ -107,22 +111,23 @@ class EngineGroup:
     # -- shared-view refcounting ------------------------------------------
     def acquire(self, spec: QuerySpec) -> None:
         """Attach one more session to ``spec``'s view family, building
-        it (one view per slot, bootstrapped mid-sweep) on first use."""
+        it (one view per slot, bootstrapped mid-sweep; a wider k than
+        the slots' plans cover re-plans them) on first use."""
         key = spec.view_key
         if key not in self._views:
-            self._views[key] = [spec.view(slot.engine) for slot in self._slots]
+            self._views[key] = [slot.engine.attach(spec) for slot in self._slots]
             self._refs[key] = 0
             self._specs[key] = spec
         self._refs[key] += 1
 
     def release(self, spec: QuerySpec) -> None:
         """Detach one session; the last detach unhooks the views from
-        the engines so they stop paying per-event bookkeeping."""
+        the slots' sweeps so they stop paying per-event bookkeeping."""
         key = spec.view_key
         self._refs[key] -= 1
         if self._refs[key] <= 0:
-            for slot, view in zip(self._slots, self._views[key]):
-                slot.engine.remove_listener(view)
+            for slot in self._slots:
+                slot.engine.detach(spec)
             del self._views[key]
             del self._refs[key]
             del self._specs[key]
@@ -213,7 +218,7 @@ class EngineGroup:
         now = self._source.last_update_time
         self._build(now)
         for key, spec in self._specs.items():
-            self._views[key] = [spec.view(slot.engine) for slot in self._slots]
+            self._views[key] = [slot.engine.attach(spec) for slot in self._slots]
         self.epoch_start = now
         self.rebuilds += 1
         if self.clock > now:
@@ -223,9 +228,20 @@ class EngineGroup:
             self.clock = now
 
     def primitive_ops(self) -> int:
-        """Summed primitive sweep operations across the group's slots
-        (resets on rebuild; consumers must clamp deltas)."""
+        """Summed primitive operations — engine steps and the planner's
+        bound checks — across the group's slots (resets on rebuild;
+        consumers must clamp deltas)."""
         return sum(slot.engine.primitive_ops() for slot in self._slots)
+
+    @property
+    def replans(self) -> int:
+        """Re-plans the slots' hosts have made since they were built."""
+        return sum(slot.engine.replans for slot in self._slots)
+
+    @property
+    def candidates(self) -> int:
+        """Objects the slots' engines in force order, in total."""
+        return sum(slot.engine.candidates for slot in self._slots)
 
     def shutdown(self) -> None:
         """Drop all slots and views (quarantine/retire path).  The slot

@@ -558,9 +558,14 @@ class QueryServer:
             # requested window rather than widening the answer.
             group = session.group
             sweep_end = max(end, group.current_time)
-            live = group.partial(
-                session.query, session.segment_start, sweep_end
-            )
+            with _stage(self._profile, "server.live") as live_stage:
+                live = group.partial(
+                    session.query, session.segment_start, sweep_end
+                )
+                if live_stage is not NULL_STAGE:
+                    live_stage.annotate(
+                        replans=group.replans, candidates=group.candidates
+                    )
             window = Interval(session.start, end)
             segments = [live]
             span = session.unswept

@@ -24,12 +24,16 @@ Modules:
   view;
 - :mod:`repro.sweep.evaluator` — the exact generic FO(f) evaluator
   driven by support changes (Lemma 8);
-- :mod:`repro.sweep.prune` — which curves a one-shot sweep has to
-  order at all: per-slice candidates from interval bounds.
+- :mod:`repro.sweep.prune` — which curves a sweep has to order at
+  all: per-slice candidates from interval bounds;
+- :mod:`repro.sweep.live` — the live candidate host: one engine over
+  the candidates of a horizon, re-planned as the clock and the updates
+  require (what every session, shard host and server group builds).
 """
 
 from repro.sweep.engine import SweepEngine
 from repro.sweep.knn import ContinuousKNN
+from repro.sweep.live import LiveSweep
 from repro.sweep.multiknn import MultiKNN
 from repro.sweep.support import SupportTracker
 from repro.sweep.within import ContinuousWithin
@@ -37,6 +41,7 @@ from repro.sweep.within import ContinuousWithin
 __all__ = [
     "ContinuousKNN",
     "ContinuousWithin",
+    "LiveSweep",
     "MultiKNN",
     "SupportTracker",
     "SweepEngine",

@@ -41,11 +41,15 @@ way; the cut would only re-initialise them).  When nothing prunes, the
 plan is one slice holding every object: today's one engine over the
 window.
 
-Out of scope here, on purpose: live sessions and the sharded pools
-keep the full order (an update to a non-candidate would have to re-test
-its bound — Theorem-5 maintenance under pruning is the next step), and
-so does the generic FO(f) evaluator, whose formulas may read any rank.
-A ``cache=`` caller is in scope: the cache holds answers, never an
+Live sessions, shard hosts and server groups prune too, one horizon of
+their clock at a time: :mod:`repro.sweep.live` bounds every curve over
+``[tau, tau + H]`` with this module's ``_classify`` / ``_reaches`` /
+``_side`` and margin, orders ``candidate_mod`` of the survivors, re-tests
+a non-candidate's bound when it updates and re-plans when the horizon
+or a witness of ``T`` lapses.  What keeps the full order is the generic
+FO(f) evaluator, whose formulas may read any rank, and the window
+merge's second-level sweep, whose input is a candidate set already.  A
+``cache=`` caller is in scope: the cache holds answers, never an
 engine, and sweeps what it lacks through this plan.
 """
 
@@ -156,65 +160,93 @@ def _overlap_pairs(ranges: List[Tuple[float, float]]) -> int:
     )
 
 
+def _rank_bar(rows, k: int, a: float, b: float) -> Optional[Tuple[float, float]]:
+    """The rank reading's ``T`` over ``[a, b]`` — the k-th smallest
+    ``max`` among the bounded curves that cover the whole stretch — and
+    the magnitude its margin scales with; ``None`` with fewer than
+    ``k`` covering curves (then nothing can be ruled out)."""
+    covering = []
+    for item, (_, vmax, magnitude) in rows:
+        domain = item[1].domain
+        if domain.lo <= a and domain.hi >= b:
+            covering.append((vmax, magnitude))
+    if len(covering) < k:
+        return None
+    lowest = heapq.nsmallest(k, covering)
+    return lowest[-1][0], max(magnitude for _, magnitude in lowest)
+
+
+def _reaches(bound, bar: float, slack: float) -> bool:
+    """Whether a curve bounded by ``bound`` may dip to the rank bar."""
+    return bound[0] <= bar + _REL_MARGIN * (slack + bound[2])
+
+
+def _side(bound, threshold: float) -> int:
+    """Where a curve bounded by ``bound`` lies against the range
+    threshold: ``-1`` below it throughout (in), ``1`` above it
+    throughout (out), ``0`` straddling (or within the margin)."""
+    vmin, vmax, magnitude = bound
+    margin = _REL_MARGIN * (magnitude + abs(threshold))
+    if vmax < threshold - margin:
+        return -1
+    return 0 if vmin <= threshold + margin else 1
+
+
 def _classify(
-    spec, items: Sequence[_Item], a: float, b: float
-) -> Tuple[Slice, List[Segment]]:
-    """The slice ``[a, b]`` read off the bounds of ``items``, and (range
-    reading) the memberships settled outright."""
+    k: Optional[int],
+    threshold: Optional[float],
+    items: Sequence[_Item],
+    a: float,
+    b: float,
+) -> Tuple[Slice, List[Segment], Optional[Tuple[float, float]]]:
+    """The slice ``[a, b]`` read off the bounds of ``items`` — at rank
+    ``k``, or (``k`` None) against the range ``threshold`` — with the
+    memberships a range reading settles outright and the rank
+    reading's ``(T, margin scale)`` where it has one."""
     rows = []
     for item in items:
         found = item[1].bounds(a, b)
         if found is not None:
             rows.append((item, found))
     settled: List[Segment] = []
-    if spec.ranks:
-        k = spec.maintained_k
-        covering = []
-        for item, (_, vmax, magnitude) in rows:
-            domain = item[1].domain
-            if domain.lo <= a and domain.hi >= b:
-                covering.append((vmax, magnitude))
-        if len(covering) >= k:
-            lowest = heapq.nsmallest(k, covering)
-            bar = lowest[-1][0]
-            slack = max(magnitude for _, magnitude in lowest)
-            rows = [
-                row
-                for row in rows
-                if row[1][0] <= bar + _REL_MARGIN * (slack + row[1][2])
-            ]
+    bar = None
+    if k is not None:
+        bar = _rank_bar(rows, k, a, b)
+        if bar is not None:
+            rows = [row for row in rows if _reaches(row[1], *bar)]
         pairs = 0
     else:
-        threshold = spec.threshold
         straddling = []
         for row in rows:
-            item, (vmin, vmax, magnitude) = row
-            margin = _REL_MARGIN * (magnitude + abs(threshold))
-            if vmax < threshold - margin:
+            side = _side(row[1], threshold)
+            if side < 0:
+                item = row[0]
                 domain = item[1].domain
                 settled.append(
                     (item[0], max(a, domain.lo), min(b, domain.hi))
                 )
-            elif vmin <= threshold + margin:
+            elif side == 0:
                 straddling.append(row)
         rows = straddling
         pairs = len(rows)  # each straddler against the sentinel
     pairs += _overlap_pairs([(vmin, vmax) for _, (vmin, vmax, _) in rows])
-    return Slice(a, b, [item for item, _ in rows], pairs), settled
+    return Slice(a, b, [item for item, _ in rows], pairs), settled, bar
 
 
-def _halve(spec, piece: Slice, settled: List[Segment]) -> List[Slice]:
+def _halve(k, threshold, piece: Slice, settled: List[Segment]) -> List[Slice]:
     """``piece`` or, while it pays, the leaves of its halves;
     memberships a kept half settles join ``settled``."""
     mid = piece.lo + (piece.hi - piece.lo) / 2.0
     if not piece.overlap_pairs or not piece.lo < mid < piece.hi:
         return [piece]
-    left, left_settled = _classify(spec, piece.items, piece.lo, mid)
-    right, right_settled = _classify(spec, piece.items, mid, piece.hi)
+    left, left_settled, _ = _classify(k, threshold, piece.items, piece.lo, mid)
+    right, right_settled, _ = _classify(k, threshold, piece.items, mid, piece.hi)
     if left.cost + right.cost >= piece.cost:
         return [piece]
     settled += left_settled + right_settled
-    return _halve(spec, left, settled) + _halve(spec, right, settled)
+    return _halve(k, threshold, left, settled) + _halve(
+        k, threshold, right, settled
+    )
 
 
 def plan_sweep(
@@ -249,10 +281,11 @@ def plan_sweep(
     cuts.append(window.hi)
     settled: List[Segment] = []
     slices: List[Slice] = []
+    k = spec.maintained_k if spec.ranks else None
     for a, b in zip(cuts, cuts[1:]):
-        piece, fixed = _classify(spec, items, a, b)
+        piece, fixed, _ = _classify(k, spec.threshold, items, a, b)
         settled += fixed
-        for leaf in _halve(spec, piece, settled):
+        for leaf in _halve(k, spec.threshold, piece, settled):
             last = slices[-1] if slices else None
             if last is not None and last.candidates == leaf.candidates:
                 slices[-1] = last._replace(

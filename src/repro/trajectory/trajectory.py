@@ -173,6 +173,12 @@ class Trajectory:
             raise ValueError(
                 f"domains {self.domain} and {other.domain} do not overlap"
             )
+        if len(self._pieces) == 1 and len(other._pieces) == 1 and not domain.is_point:
+            # One cell, no cuts to collect or probe (a live object from
+            # its last turn on, against a fixed query point).
+            return PiecewiseFunction(
+                [(domain, _squared_gap(self._pieces[0], other._pieces[0]))]
+            )
         cuts = sorted(
             {
                 b
@@ -188,15 +194,8 @@ class Trajectory:
             return PiecewiseFunction.constant(delta.norm_squared(), domain)
         for lo, hi in zip(bounds, bounds[1:]):
             probe = _probe(lo, hi)
-            a = self.piece_at(probe)
-            b = other.piece_at(probe)
-            dv = a.velocity - b.velocity
-            dp = a.offset - b.offset
-            # |dv t + dp|^2 = (dv.dv) t^2 + 2 (dv.dp) t + dp.dp
-            poly = Polynomial(
-                [dp.norm_squared(), 2.0 * dv.dot(dp), dv.norm_squared()]
-            )
-            out.append((Interval(lo, hi), poly))
+            gap = _squared_gap(self.piece_at(probe), other.piece_at(probe))
+            out.append((Interval(lo, hi), gap))
         return PiecewiseFunction(out)
 
     def distance_at(self, other: "Trajectory", t: float) -> float:
@@ -252,6 +251,14 @@ class Trajectory:
         if not out:
             out = [self.piece_at(cap.lo).restricted(Interval.point(cap.lo))]
         return Trajectory(out)
+
+
+def _squared_gap(a: LinearPiece, b: LinearPiece) -> Polynomial:
+    """``|dv t + dp|^2 = (dv.dv) t^2 + 2 (dv.dp) t + dp.dp`` for two
+    linear laws."""
+    dv = a.velocity - b.velocity
+    dp = a.offset - b.offset
+    return Polynomial([dp.norm_squared(), 2.0 * dv.dot(dp), dv.norm_squared()])
 
 
 def _probe(lo: float, hi: float) -> float:

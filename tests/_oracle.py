@@ -8,6 +8,12 @@ through these evaluation paths:
 - a **single** :class:`~repro.sweep.engine.SweepEngine`,
 - a :class:`~repro.parallel.evaluator.ShardedSweepEvaluator` at any
   shard count / backend / batch size,
+- a plain :class:`~repro.core.api.ContinuousQuerySession`
+  (:func:`run_session`): one live candidate host
+  (:class:`~repro.sweep.live.LiveSweep`) with nothing around it, which
+  also reports what its planner did (plan windows, candidates,
+  re-plans by reason) so a test can assert the edge it engineered
+  really occurred,
 - a bare :class:`~repro.server.group.EngineGroup` (the server's shard
   pool without the server around it), so both sharded pools are held
   to the one shard merge they share,
@@ -240,6 +246,60 @@ def run_single(
     engine.advance_to(sc.horizon)
     engine.finalize()
     final = view.answers() if mode == MULTIKNN else view.answer()
+    return final, probes
+
+
+def run_session(
+    sc: Scenario, mode: str, facts_out: Optional[dict] = None
+) -> Tuple[SnapshotAnswer, List[ProbeRecord]]:
+    """Final answer + probe answers from a plain ContinuousQuerySession
+    (kNN and within: the kinds it opens).  ``facts_out`` receives what
+    the session's live host planned: ``windows`` (the plan window in
+    force at the open and after every update and probe), ``candidates``
+    (the engine's candidate count at the same points), ``replans`` (by
+    reason, from ``sweep_replans_total``) and ``bound_checks``."""
+    from repro.core.api import ContinuousQuerySession
+    from repro.obs.metrics import MetricsRegistry
+
+    db = sc.build_db()
+    registry = MetricsRegistry()
+    options = dict(until=sc.horizon, start=sc.start, observe=registry)
+    if mode == KNN:
+        session = ContinuousQuerySession.knn(db, sc.gdistance(), k=sc.k, **options)
+    else:
+        session = ContinuousQuerySession.within(
+            db, sc.gdistance(), sc.threshold, **options
+        )
+    host = session.engine
+    windows, candidates = [], []
+
+    def note():
+        window = host.plan_window
+        windows.append((window.lo, window.hi))
+        candidates.append(host.candidates)
+
+    note()
+    probes: List[ProbeRecord] = []
+    for update, probe in sc.schedule():
+        db.apply(update)
+        note()
+        if probe is not None:
+            probes.append((probe, session.advance_to(probe)))
+            note()
+    final = session.close(at=sc.horizon)
+    if facts_out is not None:
+        snapshot = registry.snapshot()
+        facts_out.update(
+            windows=windows,
+            candidates=candidates,
+            bound_checks=host.bound_checks,
+            replans={
+                reason: int(
+                    snapshot.get(f'sweep_replans_total{{reason="{reason}"}}', 0)
+                )
+                for reason in ("horizon", "witness", "tenant")
+            },
+        )
     return final, probes
 
 

@@ -131,3 +131,67 @@ class TestMetrics:
         assert snap["cache_curve_misses_total"] == 1
         assert snap["cache_curve_entries"] == 1
         assert snap["cache_curve_bytes"] == store.nbytes
+
+
+class TestTails:
+    """A live engine's curves start at its clock (DESIGN decision 17):
+    one entry per object, whole-history or a tail."""
+
+    def turned(self):
+        db = make_db(1)
+        for i in range(1, 6):
+            db.apply(ChangeDirection("o0", float(i), Vector.of(1.0, float(i))))
+        return db, SquaredEuclideanDistance([0.0, 0.0])
+
+    def test_a_tail_drops_the_pieces_behind_it_and_only_those(self):
+        db, gd = self.turned()
+        trajectory = db.trajectory("o0")
+        store = CurveStore()
+        tail = store.tail(gd, "o0", trajectory, 3.5)
+        whole = gd(trajectory)
+        assert whole.piece_count == 6 and tail.piece_count == 3
+        assert tail.domain.lo == 3.0, "the first piece kept is not cut"
+        assert tail.pieces == whole.pieces[3:], "bitwise the same polynomials"
+        assert CurveStore().tail(gd, "o0", trajectory, 5.0).piece_count == 1
+        assert CurveStore().tail(gd, "o0", trajectory, 0.0005) == whole
+
+    def test_an_earlier_entry_serves_every_later_tail(self):
+        db, gd = self.turned()
+        trajectory = db.trajectory("o0")
+        store = CurveStore()
+        first = store.tail(gd, "o0", trajectory, 2.5)
+        assert store.tail(gd, "o0", trajectory, 4.5) is first
+        assert store.tail(gd, "o0", trajectory, 2.5) is first
+        assert (store.hits, store.misses, len(store)) == (2, 1, 1)
+        earlier = store.tail(gd, "o0", trajectory, 1.5)  # reaches further back
+        assert earlier is not first and earlier.piece_count == 5
+        assert (store.misses, len(store)) == (2, 1), "rebuilt in place"
+
+    def test_whole_history_serves_tails_and_is_never_served_by_one(self):
+        db, gd = self.turned()
+        trajectory = db.trajectory("o0")
+        store = CurveStore()
+        tail = store.tail(gd, "o0", trajectory, 4.5)
+        whole = store.curve(gd, "o0", trajectory)  # a past query's curve
+        assert whole is not tail and whole.piece_count == 6
+        assert store.tail(gd, "o0", trajectory, 4.5) is whole
+        assert store.curve(gd, "o0", trajectory) is whole
+        assert (store.hits, store.misses, len(store)) == (2, 2, 1)
+
+    def test_a_replaced_trajectory_misses(self):
+        db, gd = self.turned()
+        store = CurveStore()
+        before = store.tail(gd, "o0", db.trajectory("o0"), 5.5)
+        db.apply(ChangeDirection("o0", 6.0, Vector.of(0.0, 0.0)))
+        after = store.tail(gd, "o0", db.trajectory("o0"), 6.0)
+        assert after is not before and after.piece_count == 1
+
+    def test_nothing_to_drop_is_the_whole_curve(self):
+        db = make_db(1)
+        gd = SquaredEuclideanDistance([0.0, 0.0])
+        store = CurveStore()
+        tail = store.tail(gd, "o0", db.trajectory("o0"), 7.0)
+        assert store.curve(gd, "o0", db.trajectory("o0")) is tail
+        db.terminate("o0", 8.0)  # ended before the clock: no tail to cut
+        ended = db.trajectory("o0")
+        assert store.tail(gd, "o0", ended, 9.0) is store.curve(gd, "o0", ended)

@@ -90,3 +90,26 @@ class TestComplexityAudit:
         assert not audit.all_passed
         assert "FAIL" in result.describe()
         assert "FAIL" in audit.report()
+
+
+def test_live_per_update_ops_follow_the_candidates_not_n():
+    """Theorem 5 under pruning: over N in {100, 200, 400, 800} at
+    constant density a live session's ops per update — bound checks
+    included — fit O(log N) or flatter, at an order of ten candidates
+    (``scripts/complexity_report.py::audit_live_updates``)."""
+    import importlib.util
+    import os
+
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "..", "scripts", "complexity_report.py"
+    )
+    spec = importlib.util.spec_from_file_location("complexity_report", path)
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    audit = ComplexityAudit()
+    rows = report.audit_live_updates(audit)
+    assert [n for n, *_ in rows] == [100, 200, 400, 800]
+    result = audit.check(report.LIVE_QUANTITY, "log n")
+    assert result.passed, result.describe()
+    for n, candidates, _, engine_ops, bound_checks in rows:
+        assert candidates < 40 and engine_ops + bound_checks < 40, (n, rows)

@@ -20,6 +20,7 @@ import sys
 
 from repro.cache import QueryCache
 from repro.core.api import evaluate_knn, evaluate_within
+from repro.core.spec import QuerySpec
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.geometry.intervals import Interval
 from repro.mod.database import MovingObjectDatabase
@@ -40,6 +41,7 @@ from repro.resilience.wal import WriteAheadLog, recover
 from repro.server.server import QueryServer
 from repro.sweep.engine import SweepEngine
 from repro.sweep.knn import ContinuousKNN
+from repro.sweep.live import LiveSweep
 from repro.workloads.faults import FaultInjector
 from repro.workloads.generator import random_linear_mod, recorded_future_workload
 
@@ -90,6 +92,14 @@ class TestOffStateBindsTheSameSingletons:
         assert engine._profile is None
         view = ContinuousKNN(engine, 2)
         assert view._c_enter is NULL_COUNTER and view._c_leave is NULL_COUNTER
+
+    def test_live_host(self):
+        gd = SquaredEuclideanDistance([0.0, 0.0])
+        host = LiveSweep(random_linear_mod(6, seed=1), gd, Interval.at_least(0.0))
+        host.attach(QuerySpec.knn(gd, 2))
+        assert host.observe is None and host.engine.observe is None
+        assert host._c_replans["horizon"] is NULL_COUNTER
+        assert host._c_updates is NULL_COUNTER
 
     def test_every_other_binder(self, tmp_path):
         db = MovingObjectDatabase()

@@ -31,21 +31,29 @@ def t5_current(perf_gate):
     return perf_gate.measure_t5()
 
 
+# T5's live-session metrics (PR 21), held equal on both sides here.
+LIVE = {"live_open_ops": 500, "live_update_ops_per_update": 1.0}
+
+
 class TestCompare:
     def test_within_band_passes(self, perf_gate):
-        baseline = {"metrics": {"init_ops": 1000, "update_ops_per_update": 6.0}}
+        baseline = {
+            "metrics": {"init_ops": 1000, "update_ops_per_update": 6.0, **LIVE}
+        }
         rows = perf_gate.compare(
             "t5",
-            {"init_ops": 1040, "update_ops_per_update": 6.2},
+            {"init_ops": 1040, "update_ops_per_update": 6.2, **LIVE},
             baseline,
         )
         assert all(r["ok"] for r in rows)
 
     def test_max_direction_fails_above_limit(self, perf_gate):
-        baseline = {"metrics": {"init_ops": 1000, "update_ops_per_update": 6.0}}
+        baseline = {
+            "metrics": {"init_ops": 1000, "update_ops_per_update": 6.0, **LIVE}
+        }
         rows = perf_gate.compare(
             "t5",
-            {"init_ops": 1200, "update_ops_per_update": 6.0},
+            {"init_ops": 1200, "update_ops_per_update": 6.0, **LIVE},
             baseline,
         )
         bad = {r["metric"] for r in rows if not r["ok"]}

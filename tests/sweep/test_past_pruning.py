@@ -24,7 +24,6 @@ from repro.baselines.naive import naive_knn_answer, naive_within_answer
 from repro.cache.curve_store import CurveStore
 from repro.core.api import (
     _single_sweep,
-    open_engine,
     evaluate_knn,
     evaluate_multiknn,
     evaluate_within,
@@ -40,6 +39,7 @@ from repro.geometry.vectors import Vector
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import New
 from repro.obs import Instrumentation, explain
+from repro.sweep.engine import SweepEngine
 from repro.sweep.prune import candidate_mod, plan_sweep
 from repro.trajectory.builder import from_waypoints, linear_from, stationary
 from repro.workloads.generator import crossing_rich_mod, random_linear_mod
@@ -67,7 +67,8 @@ FAR_EXTRAS = 12
 def full_order(db, spec, window):
     """The answer of one full-order engine over ``window``: what the
     one-shot path was before it pruned."""
-    engine, view = open_engine(db, spec.over(window.lo, window.hi))
+    engine = SweepEngine(db, spec.gdistance, window, constants=spec.constants)
+    view = spec.view(engine)
     engine.run_to_end()
     return spec.answer(view), engine
 
