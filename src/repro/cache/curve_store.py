@@ -142,9 +142,10 @@ class CurveStore:
         """
         fp = gdistance_fingerprint(gdistance)
         key = (fp, oid)
-        entry = self._entries.get(key)
+        entries = self._entries
+        entry = entries.get(key)
         if entry is not None and entry[0] is trajectory and entry[3] <= since:
-            self._entries.move_to_end(key)
+            entries.move_to_end(key)
             self.hits += 1
             self._c_hits.inc()
             return entry[1]
@@ -152,26 +153,31 @@ class CurveStore:
         self._c_misses.inc()
         pieces = trajectory.pieces
         first = len(pieces) - 1
-        while first and pieces[first - 1].interval.hi > since:
+        while first and (
+            pieces[first - 1].interval.hi > since
+            or pieces[first].interval.is_point  # owns no stretch of the curve
+        ):
             first -= 1
-        if first and pieces[-1].interval.hi > since:
-            # The pieces that end at or before ``since`` are dropped; the
+        if first:
+            # The pieces that end at or before ``since`` are dropped (of
+            # a trajectory that ended by then, all but the last); the
             # first one kept is not cut (a curve may start earlier).
-            curve = gdistance(Trajectory(pieces[first:]))
+            curve = gdistance(Trajectory._trusted(pieces[first:]))
         else:  # nothing behind ``since`` to drop
             since = -math.inf
             curve = gdistance(trajectory)
         nbytes = _curve_nbytes(curve)
         if entry is not None:
             self._nbytes -= entry[2]
+            entries.move_to_end(key)
         else:
             self._by_oid.setdefault(oid, []).append(key)
-        self._entries[key] = (trajectory, curve, nbytes, since)
-        self._entries.move_to_end(key)
+        entries[key] = (trajectory, curve, nbytes, since)
         self._nbytes += nbytes
         if is_identity_fingerprint(fp):
             self._pinned[fp] = gdistance
-        self._evict()
+        if self._max_bytes is not None:
+            self._evict()
         return curve
 
     # -- invalidation -------------------------------------------------------

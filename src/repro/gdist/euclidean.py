@@ -34,6 +34,7 @@ class SquaredEuclideanDistance(GDistance):
             self._query = query
         else:
             self._query = stationary(query)
+        self._fingerprint = None
 
     @property
     def query_trajectory(self) -> Trajectory:
@@ -44,7 +45,10 @@ class SquaredEuclideanDistance(GDistance):
         return trajectory.squared_distance_to(self._query)
 
     def cache_fingerprint(self) -> tuple:
-        return ("sqeuclid", self._query.fingerprint())
+        # The query never changes: built once, the same tuple per lookup.
+        if self._fingerprint is None:
+            self._fingerprint = ("sqeuclid", self._query.fingerprint())
+        return self._fingerprint
 
     def with_query(self, query: Trajectory) -> "SquaredEuclideanDistance":
         """A copy measuring distance to a different query trajectory.

@@ -87,6 +87,19 @@ class PiecewiseFunction:
         #: so the piece order does not guarantee it).
         self._cuts: Tuple[float, ...] = tuple(sorted([iv.lo for iv in intervals[1:]]))
 
+    @classmethod
+    def _trusted(cls, pieces: Tuple[Piece, ...], domain: Interval) -> "PiecewiseFunction":
+        """``PiecewiseFunction(pieces)`` for pieces that are contiguous
+        by construction — each interval starts on the float the one
+        before it ends on, ``domain`` spans them — and already hold
+        :class:`Polynomial` objects: nothing to check, coerce or sort."""
+        self = object.__new__(cls)
+        self._pieces = pieces
+        self._domain = domain
+        self._his = tuple([iv.hi for iv, _ in pieces])
+        self._cuts = self._his[:-1]
+        return self
+
     # -- constructors -----------------------------------------------------
     @staticmethod
     def from_polynomial(poly: Polynomial, domain: Interval = Interval.all_time()) -> "PiecewiseFunction":

@@ -57,6 +57,13 @@ def _trimmed(coeffs: Sequence[float]) -> Tuple[float, ...]:
 # of the method it names, in the same order, without the intermediate
 # objects; the methods themselves stay as they are so the object
 # pipeline remains an independent oracle (``tests/_oracle.py``).
+#
+# The curve kernel (``Trajectory.squared_distance_to``) is the same
+# bargain one layer up: it computes a cell's three coefficients on the
+# component tuples and hands them to :meth:`Polynomial._trusted`, and
+# the ``Vector`` / ``Polynomial`` / ``PiecewiseFunction`` composition it
+# replaced is ``tests/_oracle.reference_squared_distance`` — again the
+# object methods stay untouched, as that oracle.
 
 
 def _horner(coeffs: Sequence[float], t: float) -> float:
@@ -113,6 +120,18 @@ class Polynomial:
         if any(math.isnan(c) or math.isinf(c) for c in comps):
             raise ValueError("polynomial coefficients must be finite")
         self._coeffs = _trimmed(comps)
+
+    @classmethod
+    def _trusted(cls, coeffs: Tuple[float, ...]) -> "Polynomial":
+        """``Polynomial(coeffs)`` for a non-empty tuple of floats (the
+        curve kernel's): nothing to coerce, the rest as the
+        constructor."""
+        for c in coeffs:
+            if not math.isfinite(c):
+                raise ValueError("polynomial coefficients must be finite")
+        self = object.__new__(cls)
+        self._coeffs = _trimmed(coeffs)
+        return self
 
     # -- constructors -----------------------------------------------------
     @staticmethod

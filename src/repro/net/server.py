@@ -1064,7 +1064,7 @@ class QueryNetServer:
             conn.subscriptions.pop(sid, None)
             session = self._sessions.get(sid)
             if session is not None and session.state == ACTIVE:
-                self._server.shed(session)
+                self._server.shed(session, by="slow-consumer policy")
                 shed_sids.append(sid)
         self.stats.sheds += 1
         self._c_event("shed").inc()

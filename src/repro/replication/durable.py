@@ -254,10 +254,10 @@ class DurableQueryServer(QueryServer):
         if was_queued:
             self._journal("cancel", sid=session.session_id)
 
-    def shed(self, session: ServerSession) -> None:
+    def shed(self, session: ServerSession, by: str = "caller") -> None:
         if session.state != ACTIVE:
             return
-        super().shed(session)
+        super().shed(session, by)
         self._journal("shed", sid=session.session_id)
 
     def _shed_lowest(self) -> None:
@@ -331,7 +331,7 @@ class DurableQueryServer(QueryServer):
         elif op == "cancel":
             self._cancel_queued(self._sessions[int(record["sid"])])
         elif op == "shed":
-            self.shed(self._sessions[int(record["sid"])])
+            self.shed(self._sessions[int(record["sid"])], by="journal replay")
         elif op == "reply":
             self._remember_reply(record["rid"], record["response"])
         else:

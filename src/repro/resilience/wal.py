@@ -32,6 +32,7 @@ is not a crash artifact and raises :class:`WalCorruptionError`.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time as _time
 from typing import Callable, List, Optional, Tuple
@@ -41,6 +42,8 @@ from repro.mod.database import MovingObjectDatabase
 from repro.mod.log import UpdateLog
 from repro.mod.updates import Update
 from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
+
+log = logging.getLogger(__name__)
 
 WAL_FILENAME = "wal.jsonl"
 CHECKPOINT_FILENAME = "checkpoint.json"
@@ -341,8 +344,26 @@ def read_jsonl_records(
         if bad is None:
             good_offset += len(raw)
     if (torn or bad is not None) and repair:
-        _truncate_file(path, good_offset)
+        _cut_tail(path, b"".join(lines)[:good_offset])
     return records
+
+
+def _cut_tail(path: str, kept: bytes) -> None:
+    """Truncate the log at ``path`` to its first ``len(kept)`` bytes —
+    the intact records — and say what went."""
+    dropped = os.path.getsize(path) - len(kept)
+    _truncate_file(path, len(kept))
+    lines = kept.splitlines()
+    try:
+        seq = json.loads(lines[-1])["seq"] if lines else 0
+    except _BAD_LINE:  # the database log numbers its records by line
+        seq = len(lines)
+    log.warning(
+        "%s: torn tail repaired, %d bytes dropped, last good seq %s",
+        path,
+        dropped,
+        seq,
+    )
 
 
 def _truncate_file(path: str, offset: int) -> None:
@@ -364,7 +385,7 @@ def _drop_torn_tail(path: str) -> None:
             data = handle.read()
     except FileNotFoundError:
         return
-    _truncate_file(path, data.rfind(b"\n") + 1)
+    _cut_tail(path, data[: data.rfind(b"\n") + 1])
 
 
 def recover(

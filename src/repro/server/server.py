@@ -477,22 +477,33 @@ class QueryServer:
             return
         # Lowest priority first; among equals, the youngest session
         # (most recently registered) is the least-sunk-cost victim.
-        self.shed(min(actives, key=lambda s: (s.priority, -s.session_id)))
+        self.shed(
+            min(actives, key=lambda s: (s.priority, -s.session_id)),
+            by="op-rate controller",
+        )
 
-    def shed(self, session: ServerSession) -> None:
+    def shed(self, session: ServerSession, by: str = "caller") -> None:
         """Forcibly load-shed one active session.
 
         The op-rate controller sheds the lowest-priority victim through
         here; the networked frontend routes its slow-consumer policy
         through the same path, so a shed session always carries the
         same typed :class:`~repro.server.SessionShedError` state no
-        matter which controller pulled the trigger.
+        matter which controller pulled the trigger — ``by`` names it in
+        the log line.
         """
         if session.state != ACTIVE:
             return
         self._detach(session, SHED)
         self.stats.shed += 1
         self._c_session("shed").inc()
+        log.warning(
+            "session %d (%s, priority %d) shed by %s",
+            session.session_id,
+            session.kind,
+            session.priority,
+            by,
+        )
 
     # -- session operations (called through ServerSession) ----------------
     def _detach(self, session: ServerSession, state: str) -> None:

@@ -10,7 +10,6 @@ lives in :class:`repro.mod.database.MovingObjectDatabase`).
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, List, Optional, Tuple
 
 from repro.geometry.intervals import Interval
@@ -28,7 +27,7 @@ _CONTINUITY_ATOL = 1e-6
 class Trajectory:
     """A continuous piecewise-linear function from time to ``R^n``."""
 
-    __slots__ = ("_pieces",)
+    __slots__ = ("_pieces", "_domain", "_fingerprint")
 
     def __init__(self, pieces: Iterable[LinearPiece]) -> None:
         items = list(pieces)
@@ -50,7 +49,22 @@ class Trajectory:
                 raise ValueError(
                     f"discontinuity at t={boundary}: {pos_a!r} vs {pos_b!r}"
                 )
-        self._pieces: Tuple[LinearPiece, ...] = tuple(items)
+        self._set(tuple(items))
+
+    def _set(self, pieces: Tuple[LinearPiece, ...]) -> None:
+        self._pieces = pieces
+        first, last = pieces[0].interval, pieces[-1].interval
+        self._domain = first if first is last else Interval(first.lo, last.hi)
+        self._fingerprint: Optional[Tuple] = None
+
+    @classmethod
+    def _trusted(cls, pieces: Tuple[LinearPiece, ...]) -> "Trajectory":
+        """``Trajectory(pieces)`` for a non-empty contiguous run of an
+        already-validated trajectory's pieces (the tail a live engine
+        orders): continuity was proved when that trajectory was built."""
+        self = object.__new__(cls)
+        self._set(pieces)
+        return self
 
     # -- inspection -----------------------------------------------------
     @property
@@ -66,7 +80,7 @@ class Trajectory:
     @property
     def domain(self) -> Interval:
         """Time interval on which the trajectory is defined."""
-        return Interval(self._pieces[0].interval.lo, self._pieces[-1].interval.hi)
+        return self._domain
 
     @property
     def turns(self) -> List[float]:
@@ -91,7 +105,7 @@ class Trajectory:
 
     def defined_at(self, t: float) -> bool:
         """Whether the trajectory is defined at time ``t``."""
-        return self.domain.contains(t, atol=DEFAULT_ATOL)
+        return self._domain.contains(t, atol=DEFAULT_ATOL)
 
     def piece_at(self, t: float) -> LinearPiece:
         """The authoritative piece at time ``t`` (earlier piece on ties)."""
@@ -137,15 +151,17 @@ class Trajectory:
         g-distance image, coordinate function — may be shared between
         them.
         """
-        return tuple(
-            (
-                p.interval.lo,
-                p.interval.hi,
-                p.velocity.components,
-                p.offset.components,
+        if self._fingerprint is None:
+            self._fingerprint = tuple(
+                (
+                    p.interval.lo,
+                    p.interval.hi,
+                    p.velocity.components,
+                    p.offset.components,
+                )
+                for p in self._pieces
             )
-            for p in self._pieces
-        )
+        return self._fingerprint
 
     def __repr__(self) -> str:
         body = " v ".join(repr(p) for p in self._pieces)
@@ -165,38 +181,76 @@ class Trajectory:
         the squared distance is a quadratic polynomial — the canonical
         "polynomial g-distance" of Example 8.  Domains must overlap; the
         result lives on the intersection.
+
+        This is a scalar kernel: one walk over both piece lists finds
+        the cells, three dot products on the component tuples
+        (:func:`_squared_gap`) give each cell's coefficients, and the
+        result is assembled through the trusted constructors — no
+        :class:`Vector`, no cut set, no probe and piece lookup per cell,
+        and a cell that *is* a piece's interval (every cell, against a
+        fixed query point) reuses that :class:`Interval`.  For
+        trajectories whose pieces meet exactly (all that the update
+        operations, the builders and the database produce) on cells
+        wider than an ulp, the pieces equal those of the object
+        composition it replaced — ``tests/_oracle.
+        reference_squared_distance`` — coefficient bits included, and
+        ``tests/trajectory/test_curve_kernel.py`` holds the two equal.
+        Where a hand-built trajectory's pieces meet only within the
+        constructor's tolerance, that composition cut a sliver cell at
+        the joint and this walk does not: the same function.
         """
-        if other.dimension != self.dimension:
+        ps, qs = self._pieces, other._pieces
+        if len(qs[0].velocity.components) != len(ps[0].velocity.components):
             raise ValueError("trajectories must share a dimension")
-        domain = self.domain.intersect(other.domain)
-        if domain is None:
-            raise ValueError(
-                f"domains {self.domain} and {other.domain} do not overlap"
+        mine, theirs = self._domain, other._domain
+        lo = theirs.lo if theirs.lo > mine.lo else mine.lo
+        hi = theirs.hi if theirs.hi < mine.hi else mine.hi
+        if lo > hi:
+            raise ValueError(f"domains {mine} and {theirs} do not overlap")
+        if lo == hi:
+            delta = self.position(lo) - other.position(lo)
+            return PiecewiseFunction.constant(
+                delta.norm_squared(), Interval(lo, hi)
             )
-        if len(self._pieces) == 1 and len(other._pieces) == 1 and not domain.is_point:
-            # One cell, no cuts to collect or probe (a live object from
-            # its last turn on, against a fixed query point).
-            return PiecewiseFunction(
-                [(domain, _squared_gap(self._pieces[0], other._pieces[0]))]
+        if lo == mine.lo and hi == mine.hi:
+            domain = mine
+        elif lo == theirs.lo and hi == theirs.hi:
+            domain = theirs
+        else:
+            domain = Interval(lo, hi)
+        if len(ps) == 1 and len(qs) == 1:
+            # A live object from its last turn on, against a fixed point.
+            return PiecewiseFunction._trusted(
+                ((domain, _squared_gap(ps[0], qs[0])),), domain
             )
-        cuts = sorted(
-            {
-                b
-                for piece in (*self._pieces, *other._pieces)
-                for b in (piece.interval.lo, piece.interval.hi)
-                if domain.lo < b < domain.hi and math.isfinite(b)
-            }
-        )
-        bounds = [domain.lo, *cuts, domain.hi]
-        out: List[Tuple[Interval, Polynomial]] = []
-        if domain.is_point:
-            delta = self.position(domain.lo) - other.position(domain.lo)
-            return PiecewiseFunction.constant(delta.norm_squared(), domain)
-        for lo, hi in zip(bounds, bounds[1:]):
-            probe = _probe(lo, hi)
-            gap = _squared_gap(self.piece_at(probe), other.piece_at(probe))
-            out.append((Interval(lo, hi), gap))
-        return PiecewiseFunction(out)
+        # Each cell runs from ``a`` to the nearest piece end beyond it;
+        # ``p`` and ``q`` are the pieces that reach past ``a`` (a piece
+        # of no length never does).
+        cells: List[Tuple[Interval, Polynomial]] = []
+        i = j = 0
+        a = lo
+        while True:
+            while ps[i].interval.hi <= a:
+                i += 1
+            while qs[j].interval.hi <= a:
+                j += 1
+            p, q = ps[i], qs[j]
+            p_iv, q_iv = p.interval, q.interval
+            b = hi
+            if p_iv.hi < b:
+                b = p_iv.hi
+            if q_iv.hi < b:
+                b = q_iv.hi
+            if p_iv.lo == a and p_iv.hi == b:
+                cell = p_iv
+            elif q_iv.lo == a and q_iv.hi == b:
+                cell = q_iv
+            else:
+                cell = Interval(a, b)
+            cells.append((cell, _squared_gap(p, q)))
+            if b == hi:
+                return PiecewiseFunction._trusted(tuple(cells), domain)
+            a = b
 
     def distance_at(self, other: "Trajectory", t: float) -> float:
         """Euclidean distance between the objects at one instant."""
@@ -255,17 +309,32 @@ class Trajectory:
 
 def _squared_gap(a: LinearPiece, b: LinearPiece) -> Polynomial:
     """``|dv t + dp|^2 = (dv.dv) t^2 + 2 (dv.dp) t + dp.dp`` for two
-    linear laws."""
-    dv = a.velocity - b.velocity
-    dp = a.offset - b.offset
-    return Polynomial([dp.norm_squared(), 2.0 * dv.dot(dp), dv.norm_squared()])
+    linear laws of one dimension.
 
-
-def _probe(lo: float, hi: float) -> float:
-    if math.isinf(lo) and math.isinf(hi):
-        return 0.0
-    if math.isinf(lo):
-        return hi - 1.0
-    if math.isinf(hi):
-        return lo + 1.0
-    return (lo + hi) / 2.0
+    The float operations of ``dv = a.velocity - b.velocity``,
+    ``dp = a.offset - b.offset`` and ``Polynomial([dp.norm_squared(),
+    2.0 * dv.dot(dp), dv.norm_squared()])`` in the same order, on the
+    component tuples.  ``Vector`` sums with ``sum()``, which starts from
+    int ``0`` (so a ``-0.0`` product does not survive it) and, from
+    Python 3.12 on, compensates: two terms come out the same either
+    way and are written out, three or more go through ``sum()`` itself.
+    """
+    av, ao = a.velocity.components, a.offset.components
+    bv, bo = b.velocity.components, b.offset.components
+    if len(av) == 2:
+        vx, vy = av[0] - bv[0], av[1] - bv[1]
+        px, py = ao[0] - bo[0], ao[1] - bo[1]
+        c0 = px * px + py * py
+        c1 = 2.0 * (0 + vx * px + vy * py)
+        c2 = vx * vx + vy * vy
+    else:
+        dv = [x - y for x, y in zip(av, bv)]
+        dp = [x - y for x, y in zip(ao, bo)]
+        c0 = sum([x * x for x in dp])
+        c1 = 2.0 * sum([x * y for x, y in zip(dv, dp)])
+        c2 = sum([x * x for x in dv])
+    if c0 != c0 or c2 != c2:
+        # A sum of squares is NaN exactly when a component is (``inf -
+        # inf``): what ``Vector`` refuses.
+        raise ValueError("vector components must not be NaN")
+    return Polynomial._trusted((c0, c1, c2))

@@ -53,6 +53,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from repro.baselines.naive import naive_knn_answer, naive_within_answer
 from repro.geometry.intervals import Interval, IntervalSet
 from repro.geometry.piecewise import PiecewiseFunction
+from repro.geometry.poly import Polynomial
 from repro.geometry.tolerance import DEFAULT_ATOL
 from repro.geometry.vectors import Vector
 from repro.gdist.euclidean import SquaredEuclideanDistance
@@ -64,6 +65,8 @@ from repro.sweep.engine import SweepEngine
 from repro.sweep.knn import ContinuousKNN
 from repro.sweep.multiknn import MultiKNN
 from repro.sweep.within import ContinuousWithin
+from repro.trajectory.linearpiece import LinearPiece
+from repro.trajectory.trajectory import Trajectory
 
 # Fraction of the gap between consecutive update times at which instant
 # probes are placed: sqrt(2) - 1, irrational, so probes never land on
@@ -999,3 +1002,62 @@ def reference_forward_taylor(
         out.append(current(t))
         current = current.derivative()
     return tuple(out)
+
+
+# -- curve-construction oracle ---------------------------------------------
+# ``Trajectory.squared_distance_to`` as it stood before the scalar curve
+# kernel, kept verbatim (``self`` spelled ``a``): the ``Vector`` /
+# ``Polynomial`` / ``PiecewiseFunction`` composition over the cut set,
+# one probe and one ``piece_at`` per cell, every public constructor
+# validating.  ``tests/trajectory/test_curve_kernel.py`` holds the kernel
+# to exact equality with it.
+
+
+def reference_squared_distance(a: Trajectory, b: Trajectory) -> PiecewiseFunction:
+    """Squared Euclidean distance between two trajectories over time,
+    through the object pipeline."""
+    if b.dimension != a.dimension:
+        raise ValueError("trajectories must share a dimension")
+    domain = a.domain.intersect(b.domain)
+    if domain is None:
+        raise ValueError(f"domains {a.domain} and {b.domain} do not overlap")
+    if len(a.pieces) == 1 and len(b.pieces) == 1 and not domain.is_point:
+        return PiecewiseFunction(
+            [(domain, _reference_squared_gap(a.pieces[0], b.pieces[0]))]
+        )
+    cuts = sorted(
+        {
+            boundary
+            for piece in (*a.pieces, *b.pieces)
+            for boundary in (piece.interval.lo, piece.interval.hi)
+            if domain.lo < boundary < domain.hi and math.isfinite(boundary)
+        }
+    )
+    bounds = [domain.lo, *cuts, domain.hi]
+    out: List[Tuple[Interval, Polynomial]] = []
+    if domain.is_point:
+        delta = a.position(domain.lo) - b.position(domain.lo)
+        return PiecewiseFunction.constant(delta.norm_squared(), domain)
+    for lo, hi in zip(bounds, bounds[1:]):
+        probe = _reference_probe(lo, hi)
+        gap = _reference_squared_gap(a.piece_at(probe), b.piece_at(probe))
+        out.append((Interval(lo, hi), gap))
+    return PiecewiseFunction(out)
+
+
+def _reference_squared_gap(a: LinearPiece, b: LinearPiece) -> Polynomial:
+    """``|dv t + dp|^2 = (dv.dv) t^2 + 2 (dv.dp) t + dp.dp`` for two
+    linear laws."""
+    dv = a.velocity - b.velocity
+    dp = a.offset - b.offset
+    return Polynomial([dp.norm_squared(), 2.0 * dv.dot(dp), dv.norm_squared()])
+
+
+def _reference_probe(lo: float, hi: float) -> float:
+    if math.isinf(lo) and math.isinf(hi):
+        return 0.0
+    if math.isinf(lo):
+        return hi - 1.0
+    if math.isinf(hi):
+        return lo + 1.0
+    return (lo + hi) / 2.0

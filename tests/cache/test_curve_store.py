@@ -195,3 +195,27 @@ class TestTails:
         db.terminate("o0", 8.0)  # ended before the clock: no tail to cut
         ended = db.trajectory("o0")
         assert store.tail(gd, "o0", ended, 9.0) is store.curve(gd, "o0", ended)
+
+    def test_an_ended_trajectory_needs_its_last_piece_only(self):
+        db, gd = self.turned()
+        db.terminate("o0", 5.5)
+        ended = db.trajectory("o0")
+        assert len(ended.pieces) == 6 and ended.domain.hi == 5.5
+        whole = gd(ended)
+        for since in (5.5, 9.0):  # a clock at its end, or past it
+            store = CurveStore()
+            tail = store.tail(gd, "o0", ended, since)
+            assert tail.piece_count == 1, "not its whole history"
+            assert tail.pieces == whole.pieces[-1:]
+            assert store.tail(gd, "o0", ended, since + 1.0) is tail
+            assert store.curve(gd, "o0", ended).piece_count == 6
+
+    def test_an_end_of_no_length_is_read_off_the_piece_before_it(self):
+        # Cut at its last turn, a trajectory ends on a piece [5, 5]; the
+        # curve's value there belongs to the piece that reaches it.
+        db, gd = self.turned()
+        ended = db.trajectory("o0").truncated_at(5.0)
+        assert ended.pieces[-1].interval.is_point
+        tail = CurveStore().tail(gd, "o0", ended, 5.0)
+        assert tail.pieces == gd(ended).pieces[-1:]
+        assert tail.domain.lo == 4.0
