@@ -9,8 +9,12 @@ followed by that many bytes of UTF-8 JSON.  Three frame shapes exist:
 - **responses** — ``{"id": <hex>, "ok": true, "result": {...}}`` or
   ``{"id": <hex>, "ok": false, "error": {"type", "message"}}``;
 - **events** — ``{"event": <name>, ...}``, pushed server→client with
-  no id (continuous-query answer changes, shed notices, drain
-  deliveries).
+  no id: ``answer_change`` (a subscribed session's members moved),
+  ``shed`` (a slow consumer's sessions were load-shed), ``drain`` (a
+  final answer at shutdown) and ``lost`` — ``{"event": "lost",
+  "session": <id>, "error": {"type", "message"}}``, the one last frame
+  of a subscription whose session was shed or quarantined, carrying the
+  typed error its next read would raise.
 
 The first request on a connection must be the ``hello`` handshake
 carrying :data:`PROTOCOL_VERSION`; mismatches are rejected before any
@@ -54,10 +58,13 @@ PROTOCOL_VERSION = 1
 MAX_FRAME = 8 * 1024 * 1024
 HEADER = struct.Struct(">I")
 
+# ``json.dumps`` with non-default separators builds an encoder per call.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
+
 
 def encode_frame(payload: dict, max_frame: int = MAX_FRAME) -> bytes:
     """One message as ``len || utf-8 json`` bytes."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    body = _ENCODE(payload).encode("utf-8")
     if len(body) > max_frame:
         raise FrameTooLargeError(
             f"frame of {len(body)} bytes exceeds the {max_frame}-byte cap"

@@ -35,6 +35,7 @@ Robustness is built in rather than bolted on:
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import json
 import logging
 import threading
@@ -65,7 +66,7 @@ from repro.net.protocol import (
 from repro.obs.instrument import NULL_INSTRUMENTATION
 from repro.server.errors import ServerClosedError, ServerError
 from repro.server.server import QueryServer
-from repro.server.session import ACTIVE, QUEUED
+from repro.server.session import ACTIVE, CLOSED, QUEUED
 
 __all__ = ["NetStats", "QueryNetServer"]
 
@@ -138,7 +139,7 @@ class _Connection:
         self.writer = writer
         self.queue: deque = deque()
         self.wake = asyncio.Event()
-        # sid -> last pushed members wire (the change-detection baseline)
+        # sid -> the members last sent (the change-detection baseline)
         self.subscriptions: Dict[int, object] = {}
         self.sessions: Set[int] = set()
         self.closing = False
@@ -193,6 +194,8 @@ class QueryNetServer:
         # degrading to async (loop clock; 0.0 = no grace pending).
         self._repl_grace_until = 0.0
         self._repl_attach_event = asyncio.Event()
+        # Ack barriers of in-flight ingests (the loop holds tasks weakly).
+        self._ingest_barriers: Set[asyncio.Task] = set()
         self.stats = NetStats()
         self._bind_instruments()
 
@@ -385,15 +388,40 @@ class QueryNetServer:
             )
         if threading.get_ident() == self._thread_ident:
             self._ingest_on_loop(update)
-        else:
-            self._call(self._aingest(update))
+            return
+        # One plain callback across the thread hop; the applying thread
+        # parks on ``done`` until the loop thread settles it.
+        done: concurrent.futures.Future = concurrent.futures.Future()
+        self._loop.call_soon_threadsafe(self._ingest_then_settle, update, done)
+        done.result(30.0)
 
-    async def _aingest(self, update) -> None:
-        self._ingest_on_loop(update)
-        # db.apply's synchronous contract now extends to replicas: the
+    def _ingest_then_settle(self, update, done) -> None:
+        try:
+            self._ingest_on_loop(update)
+        except BaseException as exc:
+            done.set_exception(exc)
+            if not isinstance(exc, Exception):
+                raise
+            return
+        if self._journal_of() is None or not self._config.repl_sync:
+            done.set_result(None)
+            return
+        # db.apply's synchronous contract extends to replicas: the
         # applying thread only unblocks once every standby acknowledged
         # the journal records this update produced.
-        await self._repl_barrier()
+        barrier = self._loop.create_task(self._repl_barrier())
+        self._ingest_barriers.add(barrier)
+
+        def settle(barrier) -> None:
+            self._ingest_barriers.discard(barrier)
+            if barrier.cancelled():
+                done.cancel()
+            elif barrier.exception() is not None:
+                done.set_exception(barrier.exception())
+            else:
+                done.set_result(None)
+
+        barrier.add_done_callback(settle)
 
     def _ingest_on_loop(self, update) -> None:
         self._server._on_update(update)
@@ -874,9 +902,12 @@ class QueryNetServer:
 
     def _verb_subscribe(self, conn: _Connection, request: dict) -> dict:
         session = self._get_session(conn, request)
-        baseline = members_to_wire(session.members)
-        conn.subscriptions[session.session_id] = baseline
-        return {"subscribed": session.session_id, "members": baseline}
+        members = session.members
+        conn.subscriptions[session.session_id] = members
+        return {
+            "subscribed": session.session_id,
+            "members": members_to_wire(members),
+        }
 
     def _verb_unsubscribe(self, conn: _Connection, request: dict) -> dict:
         sid = self._session_id(request)
@@ -988,49 +1019,89 @@ class QueryNetServer:
 
     # -- push stream --------------------------------------------------------
     def _push_answer_changes(self) -> None:
+        """Tell every subscriber whose answer moved.
+
+        Each view family — ``(engine group, view key)``: the sessions
+        that read the very same timelines — is read once per flush and
+        encoded at most once, and only when some subscriber's answer
+        differs from the one it was last sent; a subscriber costs its
+        state gate and one set comparison.  (Object-id keys are
+        injective, so equal member sets are equal wires.)
+        """
         if not any(conn.subscriptions for conn in self._connections):
             return
         tau = self._server.db.last_update_time
+        reads: Dict[Tuple, list] = {}  # family -> [members, wire or None]
         for conn in list(self._connections):
             if conn.closing:
                 continue
             for sid in list(conn.subscriptions):
                 session = self._sessions.get(sid)
-                if session is None or session.state != ACTIVE:
-                    conn.subscriptions.pop(sid, None)
+                read = self._family_answer(session, reads)
+                if read is None:
+                    self._end_subscription(conn, sid, session)
                     continue
-                try:
-                    wire = members_to_wire(session.members)
-                except ServerError as exc:
-                    # The session died under us (shed / quarantined):
-                    # one final typed notice, then the stream ends.
-                    conn.subscriptions.pop(sid, None)
-                    self._send(
-                        conn,
-                        {
-                            "event": "lost",
-                            "session": sid,
-                            "error": error_to_wire(exc),
-                        },
-                        force=True,
-                    )
+                members = read[0]
+                if members == conn.subscriptions[sid]:
                     continue
-                if wire != conn.subscriptions.get(sid):
-                    conn.subscriptions[sid] = wire
-                    delivered = self._send(
-                        conn,
-                        {
-                            "event": "answer_change",
-                            "session": sid,
-                            "time": tau,
-                            "members": wire,
-                        },
-                    )
-                    if delivered:
-                        self.stats.pushes += 1
-                        self._c_event("push").inc()
-                    else:
-                        break  # connection was just shed or closed
+                if read[1] is None:
+                    read[1] = members_to_wire(members)
+                conn.subscriptions[sid] = members
+                delivered = self._send(
+                    conn,
+                    {
+                        "event": "answer_change",
+                        "session": sid,
+                        "time": tau,
+                        "members": read[1],
+                    },
+                )
+                if delivered:
+                    self.stats.pushes += 1
+                    self._c_event("push").inc()
+                else:
+                    break  # connection was just shed or closed
+
+    def _family_answer(self, session, reads: Dict[Tuple, list]):
+        """``[members, wire or None]`` of the session's view family,
+        read on first use in this flush; ``None`` when the session is
+        not active — or no longer: the read healed an engine fault by
+        quarantining the group, and the session's own gate said so."""
+        if session is None or session.state != ACTIVE:
+            return None
+        family = (session.group.gid, session.view_key)
+        read = reads.get(family)
+        if read is None:
+            try:
+                read = reads[family] = [self._server._members(session), None]
+            except ServerError:
+                return None
+        return read
+
+    def _end_subscription(self, conn: _Connection, sid: int, session) -> None:
+        """A subscribed session stopped being readable.  One that was
+        shed or quarantined is told so — one final typed ``lost``
+        notice, then the stream ends; one its owner closed just ends."""
+        del conn.subscriptions[sid]
+        if session is None or session.state == CLOSED:
+            return
+        try:
+            session._check_readable()
+        except ServerError as exc:
+            self._c_event("lost").inc()
+            _LOG.warning(
+                "subscription to session %d lost (connection %d): %s",
+                sid, conn.cid, type(exc).__name__,
+            )
+            self._send(
+                conn,
+                {
+                    "event": "lost",
+                    "session": sid,
+                    "error": error_to_wire(exc),
+                },
+                force=True,
+            )
 
     def _send(
         self, conn: _Connection, payload: dict, force: bool = False

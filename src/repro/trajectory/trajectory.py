@@ -38,17 +38,7 @@ class Trajectory:
             if piece.dimension != dim:
                 raise ValueError("all pieces must share one dimension")
         for a, b in zip(items, items[1:]):
-            if not approx_eq(a.interval.hi, b.interval.lo):
-                raise ValueError(
-                    f"pieces must be contiguous: {a.interval} then {b.interval}"
-                )
-            boundary = a.interval.hi
-            pos_a = a.position_unchecked(boundary)
-            pos_b = b.position_unchecked(boundary)
-            if not pos_a.approx_equals(pos_b, atol=_CONTINUITY_ATOL):
-                raise ValueError(
-                    f"discontinuity at t={boundary}: {pos_a!r} vs {pos_b!r}"
-                )
+            _check_joint(a, b)
         self._set(tuple(items))
 
     def _set(self, pieces: Tuple[LinearPiece, ...]) -> None:
@@ -59,9 +49,12 @@ class Trajectory:
 
     @classmethod
     def _trusted(cls, pieces: Tuple[LinearPiece, ...]) -> "Trajectory":
-        """``Trajectory(pieces)`` for a non-empty contiguous run of an
-        already-validated trajectory's pieces (the tail a live engine
-        orders): continuity was proved when that trajectory was built."""
+        """``Trajectory(pieces)`` for pieces whose every joint is already
+        proved: a non-empty contiguous run of a validated trajectory's
+        pieces (the tail a live engine orders), or — the update
+        operations — such a run with its last piece's interval cut
+        short (same law, no new joint) plus at most one new piece whose
+        joint the caller checked with :func:`_check_joint`."""
         self = object.__new__(cls)
         self._set(pieces)
         return self
@@ -257,40 +250,71 @@ class Trajectory:
         return self.position(t).distance_to(other.position(t))
 
     # -- update operations (functional) ----------------------------------------
+    def _kept_until(self, tau: float) -> Tuple[LinearPiece, ...]:
+        """The pieces of the restriction to ``t <= tau``: the untouched
+        prefix (the same piece objects, found by binary search) and the
+        piece ``tau`` falls in, its interval cut at ``tau``."""
+        pieces = self._pieces
+        lo, hi = 0, len(pieces)
+        while lo < hi:  # first piece that reaches past tau
+            mid = (lo + hi) // 2
+            if pieces[mid].interval.hi <= tau:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo == len(pieces):
+            return pieces
+        piece = pieces[lo]
+        start = piece.interval.lo
+        if start <= tau:
+            cut = LinearPiece(piece.velocity, piece.offset, Interval(start, tau))
+            return (*pieces[:lo], cut)
+        if lo == 0:
+            # ``tau`` is before the domain, within ``defined_at``'s
+            # tolerance: no piece meets it, and ``restricted`` says so.
+            return (piece.restricted(Interval.point(tau)),)
+        return pieces[:lo]  # hand-built pieces with a gap around tau
+
     def truncated_at(self, tau: float) -> "Trajectory":
         """The trajectory restricted to ``t <= tau`` (Definition 3's
-        ``terminate``)."""
+        ``terminate``).
+
+        ``O(log p)`` in the number of pieces: the pieces before the cut
+        are reused as they are and no joint is created, so nothing is
+        re-proved (``tests/_oracle.reference_truncated_at`` is the walk
+        through the validating constructor this replaced;
+        ``tests/trajectory/test_update_ops.py`` holds the two equal).
+        """
         if not self.defined_at(tau):
             raise ValueError(f"cannot truncate at {tau}: outside {self.domain}")
-        out: List[LinearPiece] = []
-        for piece in self._pieces:
-            if piece.interval.hi <= tau:
-                out.append(piece)
-            elif piece.interval.lo <= tau:
-                out.append(piece.restricted(Interval(piece.interval.lo, tau)))
-                break
-        if not out:
-            first = self._pieces[0]
-            out = [first.restricted(Interval.point(tau))]
-        return Trajectory(out)
+        return Trajectory._trusted(self._kept_until(tau))
 
     def with_direction_change(self, tau: float, velocity: Vector) -> "Trajectory":
         """Apply ``chdir(o, tau, A)``: keep the past, replace the future.
 
         Per Definition 3, the result coincides with the old trajectory
         up to ``tau`` and follows ``x = A (t - tau) + B`` afterwards,
-        where ``B`` is the position at ``tau``.
+        where ``B`` is the position at ``tau``.  The one joint this
+        creates is checked like any other (``B - A tau + A tau`` can
+        round away from ``B`` by more than the continuity tolerance);
+        the joints of the past were proved when it was built.
         """
         if not self.defined_at(tau):
             raise ValueError(f"trajectory undefined at chdir time {tau}")
         if velocity.dimension != self.dimension:
             raise ValueError("velocity dimension mismatch")
-        position = self.position(tau)
-        past = self.truncated_at(tau)
-        future = LinearPiece.anchored(
-            velocity, position, tau, Interval.at_least(tau)
+        position = self.position(tau).components
+        past = self._kept_until(tau)
+        # ``LinearPiece.anchored(velocity, position, tau, ...)`` on the
+        # component tuples: the same float operations, and ``Vector``
+        # refuses a NaN here as it did there.
+        t = float(tau)
+        offset = Vector(
+            [p - v * t for p, v in zip(position, velocity.components)]
         )
-        return Trajectory([*past.pieces, future])
+        future = LinearPiece(velocity, offset, Interval.at_least(tau))
+        _check_joint(past[-1], future)
+        return Trajectory._trusted((*past, future))
 
     def restricted(self, interval: Interval) -> "Trajectory":
         """Restriction to a sub-interval of the domain."""
@@ -305,6 +329,33 @@ class Trajectory:
         if not out:
             out = [self.piece_at(cap.lo).restricted(Interval.point(cap.lo))]
         return Trajectory(out)
+
+
+def _check_joint(a: LinearPiece, b: LinearPiece) -> None:
+    """Definition 1 at one joint: ``b`` starts where and when ``a``
+    ends."""
+    if not approx_eq(a.interval.hi, b.interval.lo):
+        raise ValueError(
+            f"pieces must be contiguous: {a.interval} then {b.interval}"
+        )
+    boundary = a.interval.hi
+    t = float(boundary)
+    for va, oa, vb, ob in zip(
+        a.velocity.components,
+        a.offset.components,
+        b.velocity.components,
+        b.offset.components,
+    ):
+        if not abs((va * t + oa) - (vb * t + ob)) <= _CONTINUITY_ATOL:
+            break  # apart, or not a number: let the vectors say which
+    else:
+        return
+    pos_a = a.position_unchecked(boundary)
+    pos_b = b.position_unchecked(boundary)
+    if not pos_a.approx_equals(pos_b, atol=_CONTINUITY_ATOL):
+        raise ValueError(
+            f"discontinuity at t={boundary}: {pos_a!r} vs {pos_b!r}"
+        )
 
 
 def _squared_gap(a: LinearPiece, b: LinearPiece) -> Polynomial:

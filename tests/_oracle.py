@@ -1061,3 +1061,46 @@ def _reference_probe(lo: float, hi: float) -> float:
     if math.isinf(hi):
         return lo + 1.0
     return (lo + hi) / 2.0
+
+
+# -- update-operation oracle --------------------------------------------------
+# ``Trajectory.truncated_at`` / ``with_direction_change`` as they stood
+# before they reused the untouched prefix, kept verbatim (``self`` spelled
+# ``traj``): a walk over every piece and a public ``Trajectory(...)`` that
+# re-proves every joint — twice per ``chdir``.
+# ``tests/trajectory/test_update_ops.py`` holds the update operations to
+# exact equality with them.
+
+
+def reference_truncated_at(traj: Trajectory, tau: float) -> Trajectory:
+    """The trajectory restricted to ``t <= tau`` (Definition 3's
+    ``terminate``)."""
+    if not traj.defined_at(tau):
+        raise ValueError(f"cannot truncate at {tau}: outside {traj.domain}")
+    out: List[LinearPiece] = []
+    for piece in traj.pieces:
+        if piece.interval.hi <= tau:
+            out.append(piece)
+        elif piece.interval.lo <= tau:
+            out.append(piece.restricted(Interval(piece.interval.lo, tau)))
+            break
+    if not out:
+        first = traj.pieces[0]
+        out = [first.restricted(Interval.point(tau))]
+    return Trajectory(out)
+
+
+def reference_with_direction_change(
+    traj: Trajectory, tau: float, velocity: Vector
+) -> Trajectory:
+    """Apply ``chdir(o, tau, A)``: keep the past, replace the future."""
+    if not traj.defined_at(tau):
+        raise ValueError(f"trajectory undefined at chdir time {tau}")
+    if velocity.dimension != traj.dimension:
+        raise ValueError("velocity dimension mismatch")
+    position = traj.position(tau)
+    past = reference_truncated_at(traj, tau)
+    future = LinearPiece.anchored(
+        velocity, position, tau, Interval.at_least(tau)
+    )
+    return Trajectory([*past.pieces, future])

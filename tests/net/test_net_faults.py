@@ -5,6 +5,7 @@ mid-request (retry + idempotent replay), slow push consumers (bounded
 queues + shed-through-admission), and graceful drain under load.
 """
 
+import logging
 import socket as socketlib
 import time
 
@@ -12,14 +13,20 @@ import pytest
 
 from repro.core.api import serve_tcp
 from repro.geometry.vectors import Vector
-from repro.mod.updates import New
+from repro.mod.updates import ChangeDirection, New
 from repro.net import (
     ConnectionLostError,
     NetConfig,
     RemoteQueryClient,
     connect,
 )
-from repro.server import ServerClosedError, SessionShedError
+from repro.obs import Instrumentation
+from repro.server import (
+    ServerClosedError,
+    ServerConfig,
+    SessionQuarantinedError,
+    SessionShedError,
+)
 from repro.workloads.generator import random_linear_mod
 from tests.net._wire import raw_connect, recv_response, send_frame
 
@@ -170,6 +177,137 @@ class TestSlowConsumerShed:
             assert bystander.members is not None
             answer = bystander.close(at=10.0)
             assert answer.interval.hi == 10.0
+
+
+class _FailingView:
+    """A view whose instant read raises an engine fault."""
+
+    def __init__(self, view) -> None:
+        self._view = view
+
+    def __getattr__(self, name):
+        if name == "members":
+            raise RuntimeError("view corrupted")
+        return getattr(self._view, name)
+
+
+class TestLostNotice:
+    """A subscription whose session is shed or quarantined ends with
+    exactly one typed ``lost`` frame — however the session died."""
+
+    @staticmethod
+    def _turn(db, t):
+        db.apply(ChangeDirection("o1", t, Vector.of(1.0, -1.0)))
+
+    @staticmethod
+    def _lost(session):
+        return [e for e in session.changes() if e["event"] == "lost"]
+
+    def test_a_quarantine_during_the_update_tells_every_subscriber(self, caplog):
+        db = _db()
+        observe = Instrumentation()
+        with serve_tcp(
+            db, config=ServerConfig(quarantine_after=0), observe=observe
+        ) as net:
+            with connect(*net.address) as client:
+                a = client.open_knn([0.0, 0.0], k=2)
+                b = client.open_knn([0.0, 0.0], k=2)
+                a.subscribe()
+                b.subscribe()
+                # The shared clock runs ahead; the update lands in the
+                # engine's past, the group faults in ``group.apply`` and —
+                # no heal budget — every tenant is quarantined before the
+                # fan-out looks at it.
+                a.advance_to(50.0)
+                with caplog.at_level(logging.WARNING, logger="repro.net.server"):
+                    self._turn(db, 1.0)
+                    client.ping()
+                for session in (a, b):
+                    (event,) = session.changes()
+                    assert event["event"] == "lost"
+                    assert event["session"] == session.session_id
+                    assert event["error"]["type"] == "SessionQuarantinedError"
+                    assert str(session.session_id) in event["error"]["message"]
+                    with pytest.raises(SessionQuarantinedError):
+                        _ = session.members
+                (conn,) = net._connections
+                assert conn.subscriptions == {}
+                lines = [
+                    r.getMessage() for r in caplog.records if r.name == "repro.net.server"
+                ]
+                assert lines == [
+                    f"subscription to session {s.session_id} lost "
+                    f"(connection {conn.cid}): SessionQuarantinedError"
+                    for s in (a, b)
+                ]
+                assert (
+                    observe.snapshot()['net_events_total{event="lost"}'] == 2
+                )
+                # Told once: the next update has nobody left to tell.
+                self._turn(db, 60.0)
+                client.ping()
+                assert a.changes() == b.changes() == []
+                assert observe.snapshot()['net_events_total{event="lost"}'] == 2
+
+    def test_an_op_rate_shed_tells_the_victim_only(self):
+        db = _db()
+        with serve_tcp(
+            db, config=ServerConfig(op_rate_ceiling=1e-6, op_rate_window=1)
+        ) as net:
+            with connect(*net.address) as client:
+                vip = client.open_knn([0.0, 0.0], k=1, priority=10)
+                low = client.open_knn([0.0, 0.0], k=1, priority=1)
+                vip.subscribe()
+                low.subscribe()
+                self._turn(db, 1.0)
+                client.ping()
+                (event,) = self._lost(low)
+                assert event["error"]["type"] == "SessionShedError"
+                assert self._lost(vip) == []
+                with pytest.raises(SessionShedError):
+                    _ = low.members
+                assert vip.members is not None
+                (conn,) = net._connections
+                assert list(conn.subscriptions) == [vip.session_id]
+
+    def test_a_fault_inside_the_fan_outs_own_read_tells_every_subscriber(self):
+        db = _db()
+        with serve_tcp(db, config=ServerConfig(quarantine_after=0)) as net:
+            with connect(*net.address) as client:
+                a = client.open_knn([0.0, 0.0], k=2)
+                b = client.open_knn([0.0, 0.0], k=2)
+                bystander = client.open_knn([9.0, 9.0], k=2)  # another group
+                for session in (a, b, bystander):
+                    session.subscribe()
+                group = net.server.session(a.session_id).group
+                for key, views in group._views.items():
+                    group._views[key] = [_FailingView(view) for view in views]
+                self._turn(db, 1.0)  # group.apply is fine; the read is not
+                client.ping()
+                for session in (a, b):
+                    (event,) = self._lost(session)
+                    assert event["error"]["type"] == "SessionQuarantinedError"
+                assert self._lost(bystander) == []
+                (conn,) = net._connections
+                assert list(conn.subscriptions) == [bystander.session_id]
+                self._turn(db, 2.0)
+                client.ping()
+                assert self._lost(a) == self._lost(b) == []
+
+    def test_a_session_its_owner_closed_ends_silently(self):
+        db = _db()
+        with serve_tcp(db) as net:
+            with connect(*net.address) as client:
+                session = client.open_knn([0.0, 0.0], k=2)
+                session.subscribe()
+                # Closed behind the wire's back (in-process): the
+                # subscription is still there when the next update flushes.
+                net.server.session(session.session_id).close()
+                self._turn(db, 1.0)
+                client.ping()
+                assert session.changes() == []
+                (conn,) = net._connections
+                assert conn.subscriptions == {}
 
 
 class TestDrainUnderLoad:
