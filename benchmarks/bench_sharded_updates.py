@@ -11,7 +11,7 @@ The experiment uses the *unbounded-m* regime (crossing-rich uniform
 workload, cf. E-C6) where event processing dominates maintenance: an
 identical chdir-only stream is driven through a single
 :class:`SweepEngine` and a :class:`ShardedSweepEvaluator` (S=8,
-sequential backend, batch 32), both then advanced to the same final
+batch 32), both then advanced to the same final
 instant so each path has processed every event in the window.  Costs
 compared:
 

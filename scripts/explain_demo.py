@@ -2,13 +2,13 @@
 """CI smoke for the query profiler and EXPLAIN pipeline.
 
 Runs :func:`repro.obs.explain` across the configuration matrix — all
-three query kinds, sharded evaluation, the process-pool backend, and a
-warm answer cache — printing each EXPLAIN report and asserting the
-profiler's core invariants:
+three query kinds, sharded evaluation, and a warm answer cache —
+printing each EXPLAIN report and asserting the profiler's core
+invariants:
 
 - the answer equals the plain (unprofiled) evaluation,
 - top-level stage wall times account for >= 95% of the total,
-- every captured span (worker-side included) carries the query id.
+- every captured span carries the query id.
 
 Exit status is non-zero on any violation, so CI can run this as a
 cheap end-to-end gate on the observability layer.
@@ -44,10 +44,6 @@ def check(report, plain, min_coverage=0.95, slack_seconds=0.0005):
     for record in data["spans"]:
         if record["attrs"].get("query_id") != report.query_id:
             failures.append(f"uncorrelated span {record['name']}")
-    for shard, snapshot in data.get("shards", {}).items():
-        for record in snapshot.get("records", []):
-            if record["attrs"].get("query_id") != report.query_id:
-                failures.append(f"uncorrelated worker span (shard {shard})")
     return failures
 
 
@@ -74,10 +70,9 @@ def main() -> int:
             lambda: evaluate_within(db, [5.0, -5.0], WINDOW, distance=25.0),
         ),
         (
-            "knn, 2 shards, process backend",
+            "knn, 2 shards",
             lambda: explain(
-                db, [0.0, 0.0], WINDOW, "knn", k=2, shards=2,
-                backend="process", profiler=profiler,
+                db, [0.0, 0.0], WINDOW, "knn", k=2, shards=2, profiler=profiler
             ),
             lambda: evaluate_knn(db, [0.0, 0.0], WINDOW, k=2),
         ),

@@ -80,7 +80,7 @@ def _sharded_sweep(
     interval: Interval,
     observe,
     curve_store,
-    **options,
+    shards: int,
 ):
     """One-shot evaluation on a sharded evaluator over ``interval``.
 
@@ -96,7 +96,7 @@ def _sharded_sweep(
             spec.over(interval.lo, interval.hi),
             observe,
             curve_store,
-            **options,
+            shards=shards,
         )
     with _stage(profile, "shards.sweep"):
         evaluator.advance_to(interval.hi)
@@ -193,8 +193,6 @@ def _evaluate(
     interval: Interval,
     observe,
     shards: Optional[int] = None,
-    backend="sequential",
-    batch_size: int = 1,
     cache=None,
 ):
     """The one body behind :func:`evaluate_knn`, :func:`evaluate_within`
@@ -216,16 +214,7 @@ def _evaluate(
     def sweep(window: Interval):
         if shards is None:
             return _single_sweep(db, spec, window, observe, curves)
-        return _sharded_sweep(
-            db,
-            spec,
-            window,
-            observe,
-            curves,
-            shards=shards,
-            backend=backend,
-            batch_size=batch_size,
-        )
+        return _sharded_sweep(db, spec, window, observe, curves, shards)
 
     if cache is None or not interval.is_bounded:
         return sweep(interval)
@@ -262,8 +251,6 @@ def evaluate_knn(
     k: int = 1,
     observe=None,
     shards: Optional[int] = None,
-    backend="sequential",
-    batch_size: int = 1,
     cache=None,
 ) -> SnapshotAnswer:
     """The k nearest objects to ``query`` over ``interval``.
@@ -276,9 +263,7 @@ def evaluate_knn(
 
     Pass ``shards`` to evaluate over a hash-partitioned
     :class:`~repro.parallel.evaluator.ShardedSweepEvaluator` instead of
-    a single engine — same exact answer, smaller per-shard sweeps;
-    ``backend`` picks the execution backend (``"sequential"`` or
-    ``"process"``).
+    a single engine — same exact answer, smaller per-shard sweeps.
 
     Pass ``cache`` (a :class:`~repro.cache.QueryCache`) to serve
     repeated or overlapping-interval queries from cached answers:
@@ -293,8 +278,6 @@ def evaluate_knn(
         interval,
         observe,
         shards,
-        backend,
-        batch_size,
         cache,
     )
 
@@ -306,8 +289,6 @@ def evaluate_within(
     distance: float,
     observe=None,
     shards: Optional[int] = None,
-    backend="sequential",
-    batch_size: int = 1,
     cache=None,
 ) -> SnapshotAnswer:
     """Objects within Euclidean ``distance`` of ``query`` over ``interval``.
@@ -315,7 +296,7 @@ def evaluate_within(
     When ``query`` is a trajectory or point the threshold is squared
     internally (the g-distance is the squared Euclidean distance); a
     custom g-distance is compared against ``distance`` as-is.
-    ``shards``/``backend`` select sharded evaluation as in
+    ``shards`` selects sharded evaluation as in
     :func:`evaluate_knn`; ``cache`` serves repeated and overlapping
     queries as in :func:`evaluate_knn`.
     """
@@ -325,8 +306,6 @@ def evaluate_within(
         interval,
         observe,
         shards,
-        backend,
-        batch_size,
         cache,
     )
 
@@ -338,15 +317,13 @@ def evaluate_multiknn(
     ks: Sequence[int],
     observe=None,
     shards: Optional[int] = None,
-    backend="sequential",
-    batch_size: int = 1,
     cache=None,
 ) -> Dict[int, SnapshotAnswer]:
     """k-NN answers for several k values from one sweep.
 
     Returns a dict keyed by k.  One sweep at ``max(ks)`` serves every
     requested k (the smaller answers are prefixes of the precedence
-    order).  ``shards``/``backend`` select sharded evaluation as in
+    order).  ``shards`` selects sharded evaluation as in
     :func:`evaluate_knn`; ``cache`` serves repeated and overlapping
     queries as in :func:`evaluate_knn`.
     """
@@ -356,8 +333,6 @@ def evaluate_multiknn(
         interval,
         observe,
         shards,
-        backend,
-        batch_size,
         cache,
     )
 
@@ -496,7 +471,6 @@ class ContinuousQuerySession:
         start: Optional[float] = None,
         observe=None,
         shards: Optional[int] = None,
-        backend="sequential",
         batch_size: int = 1,
         cache=None,
     ) -> "ContinuousQuerySession":
@@ -519,7 +493,6 @@ class ContinuousQuerySession:
             observe,
             cache,
             shards=shards,
-            backend=backend,
             batch_size=batch_size,
         )
 
@@ -533,7 +506,6 @@ class ContinuousQuerySession:
         start: Optional[float] = None,
         observe=None,
         shards: Optional[int] = None,
-        backend="sequential",
         batch_size: int = 1,
         cache=None,
     ) -> "ContinuousQuerySession":
@@ -549,7 +521,6 @@ class ContinuousQuerySession:
             observe,
             cache,
             shards=shards,
-            backend=backend,
             batch_size=batch_size,
         )
 

@@ -51,8 +51,7 @@ class QuerySpec:
     Build one with :meth:`knn`, :meth:`within` or :meth:`multiknn`
     (what a caller states), or directly from ``(gdistance, kind,
     **params)`` (what the journal and the wire carry).  Picklable
-    whenever the g-distance is, so it crosses the process backend's
-    boundary as-is.
+    whenever the g-distance is.
     """
 
     gdistance: GDistance

@@ -45,6 +45,7 @@ from repro.query.answers import Answer, Members
 __all__ = [
     "PROTOCOL_VERSION",
     "MAX_FRAME",
+    "MAX_OPEN_SHARDS",
     "HEADER",
     "encode_frame",
     "decode_payload",
@@ -56,6 +57,10 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 MAX_FRAME = 8 * 1024 * 1024
+# An ``open`` may ask for its own shard count; each shard is a MOD and a
+# live sweep per engine group, so the request is bounded like a frame is
+# (measured useful to 8: EXPERIMENTS.md, "What shards= is for").
+MAX_OPEN_SHARDS = 64
 HEADER = struct.Struct(">I")
 
 # ``json.dumps`` with non-default separators builds an encoder per call.

@@ -57,6 +57,7 @@ from repro.net.errors import (
 )
 from repro.net.protocol import (
     HEADER,
+    MAX_OPEN_SHARDS,
     PROTOCOL_VERSION,
     answer_to_wire,
     decode_payload,
@@ -802,10 +803,16 @@ class QueryNetServer:
             )
         point = [float(c) for c in coords]
         shards = request.get("shards")
-        options = {
-            "priority": int(request.get("priority", 0)),
-            "shards": None if shards is None else int(shards),
-        }
+        if shards is not None and (
+            isinstance(shards, bool)
+            or not isinstance(shards, int)
+            or not 1 <= shards <= MAX_OPEN_SHARDS
+        ):
+            raise ProtocolError(
+                f"'shards' must be an integer from 1 to {MAX_OPEN_SHARDS} "
+                f"(or absent), got {shards!r}"
+            )
+        options = {"priority": int(request.get("priority", 0)), "shards": shards}
         server = self._server
         if kind == "knn":
             session = server.register_knn(

@@ -151,8 +151,6 @@ def explain(
     distance: Optional[float] = None,
     ks: Optional[Sequence[int]] = None,
     shards: Optional[int] = None,
-    backend="sequential",
-    batch_size: int = 1,
     cache=None,
     profiler: Optional[QueryProfiler] = None,
     query_id: Optional[str] = None,
@@ -177,7 +175,6 @@ def explain(
     meta = {
         "interval": [interval.lo, interval.hi],
         "shards": shards,
-        "backend": backend if shards is not None else None,
         "cache": cache is not None,
     }
     if kind == KNN:
@@ -193,7 +190,7 @@ def explain(
         raise ValueError(f"unknown query kind {kind!r}")
     with profiler.profile(kind, query_id=query_id, **meta) as prof:
         answer = _evaluate(
-            db, spec, interval, prof.observe, shards, backend, batch_size, cache
+            db, spec, interval, prof.observe, shards, cache
         )
         prof.record_answer(answer)
     return ExplainReport(prof, answer)

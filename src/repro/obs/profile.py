@@ -9,8 +9,8 @@ just in global counters.  This module supplies the machinery:
 
 - :class:`TraceContext` — the correlation token: a ``query_id`` plus
   the parent span id.  It is a plain serializable dict underneath, so
-  the process-pool backend can carry it across the pickle boundary and
-  worker-side spans still stamp the owning query.
+  it can cross a pickle or wire boundary and the spans recorded on the
+  other side still stamp the owning query.
 - :class:`ContextTracer` — wraps any tracer and stamps the context's
   ``query_id`` into every span and event it produces.  Layers that
   already accept ``observe=`` need no changes to correlate.
@@ -65,7 +65,7 @@ class TraceContext:
 
     ``query_id`` names the query; ``parent_span_id`` (optional) is the
     span under which remote work should nest when it is re-absorbed.
-    Serializes to a plain dict so it survives the process-pool pickle
+    Serializes to a plain dict so it survives a pickle or wire
     boundary.
     """
 
@@ -290,7 +290,6 @@ class QueryProfile:
         self.answer = None
         self.total_seconds = 0.0
         self._stack: List[Stage] = [self.root]
-        self._shard_snapshots: Dict[int, dict] = {}
         self._answer_oids: List[object] = []
         self._start = 0.0
         self._finished = False
@@ -331,13 +330,6 @@ class QueryProfile:
             top = self._stack.pop()
             if top is node:
                 break
-
-    # -- absorption ---------------------------------------------------------
-    def absorb_shard(self, shard: int, snapshot: Optional[dict]) -> None:
-        """Merge a worker-side telemetry snapshot (metrics + records)
-        produced in another process for ``shard``."""
-        if snapshot:
-            self._shard_snapshots[int(shard)] = snapshot
 
     def record_answer(self, answer) -> None:
         """Note the final answer, harvesting member oids for workload
@@ -414,11 +406,6 @@ class QueryProfile:
         skew = self.shard_skew()
         if skew is not None:
             out["shard_skew"] = skew
-        if self._shard_snapshots:
-            out["shards"] = {
-                str(i): snap
-                for i, snap in sorted(self._shard_snapshots.items())
-            }
         return out
 
     def summary(self) -> dict:

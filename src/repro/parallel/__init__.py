@@ -8,13 +8,8 @@ k-NN via a bounded candidate set).  See
 :class:`~repro.parallel.evaluator.ShardedSweepEvaluator`.
 """
 
-from repro.parallel.backends import (
-    ProcessPoolBackend,
-    QuerySpec,
-    SequentialBackend,
-    ShardRuntime,
-    resolve_backend,
-)
+from repro.core.spec import QuerySpec
+from repro.parallel.backends import ShardRuntime
 from repro.parallel.batching import BatchedUpdateApplier, BatchStats
 from repro.parallel.evaluator import ShardedSweepEvaluator
 from repro.parallel.merge import (
@@ -32,9 +27,7 @@ from repro.parallel.sharding import partition_database, partition_oids, shard_of
 __all__ = [
     "BatchStats",
     "BatchedUpdateApplier",
-    "ProcessPoolBackend",
     "QuerySpec",
-    "SequentialBackend",
     "ShardRuntime",
     "ShardedSweepEvaluator",
     "candidate_mod",
@@ -45,7 +38,6 @@ __all__ = [
     "merge_within_answers",
     "partition_database",
     "partition_oids",
-    "resolve_backend",
     "select_top_k",
     "shard_of",
     "union_answers",

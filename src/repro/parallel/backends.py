@@ -1,4 +1,4 @@
-"""The engine host, and the execution backends that run one per shard.
+"""The engine host: one database's sweep state, and where it is healed.
 
 An *engine host* (:class:`ShardRuntime`) owns one database's sweep
 state and is the one place a broken engine is healed: re-run Theorem 5
@@ -7,8 +7,8 @@ and answer what precedes it as a past query (Theorem 4) at the end —
 the database keeps every trajectory's history, so no engine's
 timelines are ever needed back.  A
 :class:`~repro.resilience.supervisor.SupervisedQuerySession` holds one
-over the caller's MOD; a sharded evaluator holds one per shard,
-through a backend, and drives it with a small op protocol:
+over the caller's MOD; a sharded evaluator holds one per shard and
+drives it with a small op protocol:
 
 ``apply(updates)``
     One chronological sub-batch of this shard's updates.
@@ -20,43 +20,24 @@ through a backend, and drives it with a small op protocol:
     of answers per ``k`` in multiknn mode).
 ``rebuild()``
     Theorem 5 re-initialization from the host's own database state.
-
-Two backends implement the protocol:
-
-- :class:`SequentialBackend` — the host itself, in-process;
-  deterministic, zero serialization, the default.
-- :class:`ProcessPoolBackend` — each shard is pinned to its own
-  single-worker :class:`concurrent.futures.ProcessPoolExecutor`.  Only
-  pickle-safe values cross the boundary: the shard database travels as
-  its JSON dict form (:func:`repro.io.database_to_dict`), the query
-  spec by pickle (so the g-distance must be picklable — every built-in
-  g-distance is), and updates/answers as their plain dataclass/value
-  forms.  Engines and treaps never cross process boundaries.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.api import _single_sweep, open_engine
 from repro.core.spec import Answer, QuerySpec
 from repro.geometry.intervals import Interval
-from repro.io import database_from_dict, database_to_dict
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId, Update
 from repro.parallel.merge import shard_candidates, stitch_answers
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "ProcessPoolBackend",
-    "SequentialBackend",
-    "ShardRuntime",
-    "resolve_backend",
-]
+__all__ = ["ShardRuntime"]
 
 
 class ShardRuntime:
@@ -198,194 +179,3 @@ class ShardRuntime:
     def close(self) -> None:
         """Detach from the database."""
         self._db.unsubscribe(self.on_update)
-
-
-class SequentialBackend:
-    """Deterministic in-process execution (the default)."""
-
-    name = "sequential"
-
-    def spawn(
-        self,
-        shard_id: int,
-        db: MovingObjectDatabase,
-        spec: QuerySpec,
-        heal: bool = False,
-        observe=None,
-        curve_store=None,
-    ) -> ShardRuntime:
-        """Host one shard in-process (``observe`` and ``curve_store``
-        are threaded through to the shard engine; counters aggregate
-        across shards, and a shared store lets a rebuilt shard re-hit
-        every curve its objects already paid for)."""
-        return ShardRuntime(
-            db, spec, heal=heal, observe=observe, curve_store=curve_store
-        )
-
-
-# ---------------------------------------------------------------------------
-# Process-pool backend
-# ---------------------------------------------------------------------------
-# Worker-global shard state: each shard is pinned to its own
-# single-worker executor, so exactly one ShardRuntime lives per worker
-# process and a module global is unambiguous.
-_WORKER_RUNTIME: Optional[ShardRuntime] = None
-# Worker-side telemetry bundle, built only when the parent ships a
-# serialized TraceContext: (instrumentation, ring sink).  The registry
-# and sink never cross the boundary live — _w_profile() exports them as
-# plain dicts/lists for the parent to absorb.
-_WORKER_OBS: Optional[tuple] = None
-
-
-def _w_build(
-    db_dict: dict, spec: QuerySpec, heal: bool, context: Optional[dict] = None
-) -> bool:
-    global _WORKER_RUNTIME, _WORKER_OBS
-    db = database_from_dict(db_dict)
-    observe = None
-    if context is not None:
-        from repro.obs.instrument import Instrumentation
-        from repro.obs.metrics import MetricsRegistry
-        from repro.obs.profile import ContextTracer, TraceContext
-        from repro.obs.tracing import RingBufferSink, Tracer
-
-        ctx = TraceContext.from_dict(context)
-        sink = RingBufferSink()
-        observe = Instrumentation(
-            metrics=MetricsRegistry(),
-            tracer=ContextTracer(Tracer(sink), ctx),
-            context=ctx,
-        )
-        _WORKER_OBS = (observe, sink)
-    else:
-        _WORKER_OBS = None
-    _WORKER_RUNTIME = ShardRuntime(db, spec, heal=heal, observe=observe)
-    return True
-
-
-def _w_op(method: str, *args):
-    """Run one op-protocol method on the worker's host."""
-    return getattr(_WORKER_RUNTIME, method)(*args)
-
-
-def _w_profile() -> Optional[dict]:
-    """Export the worker's telemetry as plain values for absorption."""
-    if _WORKER_OBS is None:
-        return None
-    observe, sink = _WORKER_OBS
-    return {
-        "metrics": observe.metrics.snapshot(),
-        "records": sink.records,
-    }
-
-
-class ProcessShardHost:
-    """A shard pinned to one single-worker process pool.
-
-    Pinning gives the worker process exclusive, persistent shard state
-    across batches — the property a shared pool cannot provide.  All
-    arguments and results crossing the boundary are plain picklable
-    values; the engine and its treap never leave the worker.
-    """
-
-    def __init__(
-        self,
-        shard_id: int,
-        db: MovingObjectDatabase,
-        spec: QuerySpec,
-        heal: bool = False,
-        context: Optional[dict] = None,
-    ) -> None:
-        self.shard_id = shard_id
-        self._pool = ProcessPoolExecutor(max_workers=1)
-        self._closed = False
-        self._profiled = context is not None
-        self._call(_w_build, database_to_dict(db), spec, heal, context)
-
-    def _call(self, fn, *args):
-        if self._closed:
-            raise RuntimeError("shard host is closed")
-        return self._pool.submit(fn, *args).result()
-
-    def apply(self, updates: Sequence[Update]) -> int:
-        return self._call(_w_op, "apply", list(updates))
-
-    def advance_to(self, t: float) -> None:
-        self._call(_w_op, "advance_to", t)
-
-    def members_with_values(self, t: float) -> List[Tuple[ObjectId, float]]:
-        return self._call(_w_op, "members_with_values", t)
-
-    def finalize(self, end: float) -> Answer:
-        return self._call(_w_op, "finalize", end)
-
-    def rebuild(self) -> None:
-        self._call(_w_op, "rebuild")
-
-    def operation_counts(self) -> Dict[str, int]:
-        return self._call(_w_op, "operation_counts")
-
-    def profile_snapshot(self) -> Optional[dict]:
-        """The worker's exported telemetry (metrics snapshot + trace
-        records), or ``None`` when the shard is unprofiled."""
-        if not self._profiled:
-            return None
-        return self._call(_w_profile)
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._pool.shutdown()
-
-
-class ProcessPoolBackend:
-    """One pinned single-worker process per shard.
-
-    A live registry cannot be shared across processes, so the parent's
-    ``observe`` is not threaded through as an object.  What *does*
-    cross is the query's serialized
-    :class:`~repro.obs.profile.TraceContext` (when the bundle carries
-    one): the worker builds its own registry + context tracer, stamps
-    every worker-side span with the owning ``query_id``, and the
-    evaluator re-absorbs the exported snapshot at finalize via
-    :meth:`ProcessShardHost.profile_snapshot`.
-    """
-
-    name = "process"
-
-    def spawn(
-        self,
-        shard_id: int,
-        db: MovingObjectDatabase,
-        spec: QuerySpec,
-        heal: bool = False,
-        observe=None,
-        curve_store=None,
-    ) -> ProcessShardHost:
-        """Host one shard in a dedicated worker process.
-
-        ``curve_store`` is accepted for protocol compatibility but not
-        forwarded: in-process caches cannot span the process boundary,
-        so each worker builds (and keeps) its own curves.
-        """
-        from repro.obs.instrument import as_instrumentation
-
-        instr = as_instrumentation(observe)
-        context = None
-        if instr is not None and instr.context is not None:
-            context = instr.context.to_dict()
-        return ProcessShardHost(shard_id, db, spec, heal=heal, context=context)
-
-
-def resolve_backend(backend):
-    """Coerce a backend argument: a name or an object with ``spawn``."""
-    if backend == "sequential" or backend is None:
-        return SequentialBackend()
-    if backend == "process":
-        return ProcessPoolBackend()
-    if hasattr(backend, "spawn"):
-        return backend
-    raise ValueError(
-        f"unknown backend {backend!r}; expected 'sequential', 'process', "
-        "or an object with a spawn() method"
-    )

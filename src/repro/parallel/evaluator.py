@@ -45,7 +45,7 @@ from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId, Update
 from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 from repro.obs.profile import _stage
-from repro.parallel.backends import resolve_backend
+from repro.parallel.backends import ShardRuntime
 from repro.parallel.batching import BatchedUpdateApplier
 from repro.parallel.merge import (
     candidate_oids,
@@ -86,7 +86,6 @@ class ShardedSweepEvaluator:
         db: MovingObjectDatabase,
         spec: QuerySpec,
         shards: int = 4,
-        backend="sequential",
         batch_size: int = 1,
         self_heal: bool = False,
         observe=None,
@@ -97,12 +96,10 @@ class ShardedSweepEvaluator:
         self._spec = spec
         self._shards = int(shards)
         self._self_heal = bool(self_heal)
-        self._backend = resolve_backend(backend)
         # Shared across shard engines AND the merge sweep: shards build
         # curves for disjoint object sets, while the merge layer re-hits
         # the mirror's instances when a candidate's trajectory never
-        # changed.  The process backend cannot share in-process state
-        # and ignores it (each worker pays its own construction).
+        # changed.
         self._curve_store = curve_store
         # The mirror is the evaluator's authoritative full-universe MOD:
         # it validates updates before they are routed and supplies the
@@ -117,8 +114,7 @@ class ShardedSweepEvaluator:
         for i, part in enumerate(partition_database(db, self._shards)):
             with _stage(self._profile, "shard.init", shard=i):
                 self._hosts.append(
-                    self._backend.spawn(
-                        i,
+                    ShardRuntime(
                         part,
                         spec,
                         heal=self._self_heal,
@@ -186,7 +182,6 @@ class ShardedSweepEvaluator:
         until: float = math.inf,
         start: Optional[float] = None,
         shards: int = 4,
-        backend="sequential",
         batch_size: int = 1,
         self_heal: bool = False,
         observe=None,
@@ -200,7 +195,6 @@ class ShardedSweepEvaluator:
             until,
             start,
             shards=shards,
-            backend=backend,
             batch_size=batch_size,
             self_heal=self_heal,
             observe=observe,
@@ -216,7 +210,6 @@ class ShardedSweepEvaluator:
         until: float = math.inf,
         start: Optional[float] = None,
         shards: int = 4,
-        backend="sequential",
         batch_size: int = 1,
         self_heal: bool = False,
         observe=None,
@@ -234,7 +227,6 @@ class ShardedSweepEvaluator:
             until,
             start,
             shards=shards,
-            backend=backend,
             batch_size=batch_size,
             self_heal=self_heal,
             observe=observe,
@@ -250,7 +242,6 @@ class ShardedSweepEvaluator:
         until: float = math.inf,
         start: Optional[float] = None,
         shards: int = 4,
-        backend="sequential",
         batch_size: int = 1,
         self_heal: bool = False,
         observe=None,
@@ -264,7 +255,6 @@ class ShardedSweepEvaluator:
             until,
             start,
             shards=shards,
-            backend=backend,
             batch_size=batch_size,
             self_heal=self_heal,
             observe=observe,
@@ -281,11 +271,6 @@ class ShardedSweepEvaluator:
     def shards(self) -> int:
         """The number of shard engines."""
         return self._shards
-
-    @property
-    def backend_name(self) -> str:
-        """The execution backend's name."""
-        return getattr(self._backend, "name", type(self._backend).__name__)
 
     @property
     def current_time(self) -> float:
@@ -469,10 +454,6 @@ class ShardedSweepEvaluator:
             for op, n in counts.items():
                 self._final_ops[op] = self._final_ops.get(op, 0) + n
             self._g_shard_ops.labels(shard=str(i)).set(_ops_total(counts))
-        if self._profile is not None:
-            for i, host in enumerate(self._hosts):
-                snapshot = getattr(host, "profile_snapshot", lambda: None)()
-                self._profile.absorb_shard(i, snapshot)
         self.shutdown()
 
     def run_to_end(self) -> None:
@@ -512,7 +493,7 @@ class ShardedSweepEvaluator:
         return dict(self._merged)
 
     def shutdown(self) -> None:
-        """Release shard hosts (worker processes, db subscriptions).
+        """Release shard hosts (their database subscriptions).
 
         Called automatically by :meth:`finalize`; safe to call early to
         abandon an evaluator without an answer."""

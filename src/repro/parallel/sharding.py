@@ -10,13 +10,13 @@ uniform partition drops roughly a ``1 - 1/S`` fraction of the order
 changes from the maintenance path and defers the cross-shard
 comparisons to the (much cheaper, candidates-only) merge step.
 
-The shard function must be deterministic *across processes*: the
-process-pool backend routes updates in the parent while shard state
-lives in workers, and Python's built-in ``hash`` is salted per process.
+The shard function must be deterministic *across runs*: the op-count
+baselines and the seeded differentials compare one run's partition
+with another's, and Python's built-in ``hash`` is salted per process.
 We therefore key on CRC-32 of the type-tagged oid encoding used by the
-JSON codecs (:func:`repro.io.oid_to_key`), which is stable across runs,
-processes, and platforms for every supported oid type (str, int, bool,
-float, tuple).
+JSON codecs (:func:`repro.io.oid_to_key`), which is stable across
+runs, processes, and platforms for every supported oid type (str, int,
+bool, float, tuple).
 """
 
 from __future__ import annotations

@@ -108,7 +108,6 @@ class SupervisedQuerySession:
         start: Optional[float] = None,
         observe=None,
         shards: Optional[int] = None,
-        backend="sequential",
         batch_size: int = 1,
         self_heal: bool = False,
         cache=None,
@@ -138,7 +137,6 @@ class SupervisedQuerySession:
             observe,
             cache,
             shards=shards,
-            backend=backend,
             batch_size=batch_size,
             self_heal=self_heal,
         )
@@ -153,7 +151,6 @@ class SupervisedQuerySession:
         start: Optional[float] = None,
         observe=None,
         shards: Optional[int] = None,
-        backend="sequential",
         batch_size: int = 1,
         self_heal: bool = False,
         cache=None,
@@ -171,7 +168,6 @@ class SupervisedQuerySession:
             observe,
             cache,
             shards=shards,
-            backend=backend,
             batch_size=batch_size,
             self_heal=self_heal,
         )

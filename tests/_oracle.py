@@ -7,7 +7,7 @@ through these evaluation paths:
 - the **naive baseline** (O(N^2) recomputation from trajectories),
 - a **single** :class:`~repro.sweep.engine.SweepEngine`,
 - a :class:`~repro.parallel.evaluator.ShardedSweepEvaluator` at any
-  shard count / backend / batch size,
+  shard count / batch size,
 - a plain :class:`~repro.core.api.ContinuousQuerySession`
   (:func:`run_session`): one live candidate host
   (:class:`~repro.sweep.live.LiveSweep`) with nothing around it, which
@@ -342,7 +342,6 @@ def run_sharded(
     sc: Scenario,
     mode: str,
     shards: int,
-    backend="sequential",
     batch_size: int = 1,
 ) -> Tuple[
     Union[SnapshotAnswer, Dict[int, SnapshotAnswer]], List[ProbeRecord]
@@ -356,7 +355,6 @@ def run_sharded(
             k=sc.k,
             until=sc.horizon,
             shards=shards,
-            backend=backend,
             batch_size=batch_size,
         )
     elif mode == WITHIN:
@@ -366,7 +364,6 @@ def run_sharded(
             sc.threshold,
             until=sc.horizon,
             shards=shards,
-            backend=backend,
             batch_size=batch_size,
         )
     else:
@@ -376,7 +373,6 @@ def run_sharded(
             sc.ks,
             until=sc.horizon,
             shards=shards,
-            backend=backend,
             batch_size=batch_size,
         )
     db.subscribe(evaluator.on_update)
@@ -531,13 +527,12 @@ def run_self_healing_sharded(
     stats_out: Optional[dict] = None,
     races: int = 1,
     break_view: bool = False,
-    backend="sequential",
 ) -> Tuple[
     Union[SnapshotAnswer, Dict[int, SnapshotAnswer]], List[ProbeRecord]
 ]:
     """The same forced races against a bare ``self_heal=True`` sharded
     evaluator: only the raced update's shard rebuilds.  ``break_view``
-    breaks every (in-process) shard's view before the first race, so
+    breaks every shard's view before the first race, so
     the shards no update heals are healed by their own finalize.
     ``stats_out`` receives the evaluator's ``rebuilds``."""
     db = sc.build_db()
@@ -553,7 +548,6 @@ def run_self_healing_sharded(
         until=sc.horizon,
         shards=shards,
         self_heal=True,
-        backend=backend,
     )
     db.subscribe(evaluator.on_update)
 

@@ -48,9 +48,9 @@ class TestIntervalConstruction:
 
 
 class TestIntervalSlots:
-    """``Interval`` is a frozen dataclass with hand-written slots; the
-    process-pool backend ships intervals (and curves holding them) to
-    workers, so they must survive pickling."""
+    """``Interval`` is a frozen dataclass with hand-written slots;
+    specs, curves and answers hold intervals and are picklable values,
+    so they must survive pickling."""
 
     def test_no_instance_dict(self):
         iv = Interval(1.0, 2.0)

@@ -20,6 +20,7 @@ from repro.net import (
     RemoteQueryClient,
     connect,
 )
+from repro.net.protocol import MAX_OPEN_SHARDS, answer_to_wire, members_to_wire
 from repro.obs import Instrumentation
 from repro.server import (
     ServerClosedError,
@@ -127,6 +128,49 @@ class TestRetryIdempotency:
             assert second == first
             assert net.server.stats.registered == 1  # not re-applied
             sock2.close()
+
+
+class TestOpenShardsField:
+    """``open``'s ``shards`` is outside input: an integer from 1 to
+    ``MAX_OPEN_SHARDS`` or absent, anything else a typed error — it
+    used to go through ``int()`` into ``partition_database`` (a million
+    shard MODs and a timed-out verb; ``2.7`` and ``true`` accepted)."""
+
+    @pytest.mark.parametrize(
+        "shards", [0, -1, "x", [2], 2.7, True, MAX_OPEN_SHARDS + 1, 1000000]
+    )
+    def test_bad_values_are_protocol_errors_in_ordinary_time(self, shards):
+        with serve_tcp(_db()) as net:
+            sock, _ = raw_connect(net.address)
+            began = time.perf_counter()
+            send_frame(
+                sock,
+                {"id": "o1", "verb": "open", "kind": "knn", "query": [0, 0],
+                 "shards": shards},
+            )
+            response = recv_response(sock, "o1")
+            assert time.perf_counter() - began < 2.0
+            assert response["ok"] is False
+            assert response["error"]["type"] == "ProtocolError"
+            assert "'shards'" in response["error"]["message"]
+            sock.close()
+            assert not net.server.sessions()
+
+    @pytest.mark.parametrize("shards", [None, 1, 2, MAX_OPEN_SHARDS])
+    def test_legal_values_answer_like_an_open_without_the_field(self, shards):
+        with serve_tcp(_db()) as net:
+            client = connect(*net.address)
+            plain = client.open_knn([0.0, 0.0], k=2)
+            result = client.request(
+                "open", {"kind": "knn", "query": [0.0, 0.0], "k": 2, "shards": shards}
+            )
+            sid = result["session"]
+            assert net.server.session(sid).shards == (shards or 1)
+            members = client.request("advance", {"session": sid, "to": 3.0})
+            assert members["members"] == members_to_wire(plain.advance_to(3.0))
+            closed = client.request("close", {"session": sid, "at": 6.0})
+            assert closed["answer"] == answer_to_wire(plain.close(at=6.0))
+            client.close()
 
 
 class TestSlowConsumerShed:

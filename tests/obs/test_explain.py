@@ -4,8 +4,7 @@ The contract under test: explain runs the *real* evaluation (answers
 equal the plain ``evaluate_*`` call), attributes nearly all wall time
 to stages, stamps every span and metric block with the query id, and
 does all of that across the full configuration matrix — three query
-kinds, sharded evaluation, the process-pool backend, and the answer
-cache.
+kinds, sharded evaluation, and the answer cache.
 """
 
 import json
@@ -26,16 +25,13 @@ def _db(count=24, seed=11):
 
 
 def _assert_correlated(report):
-    """Every span — local and worker-side — carries the query id."""
+    """Every span carries the query id."""
     data = report.to_dict()
     qid = report.query_id
     assert data["spans"], "expected at least one local span"
     for record in data["spans"]:
         assert record["attrs"]["query_id"] == qid
     assert data["metrics"]["query_id"] == qid
-    for snapshot in data.get("shards", {}).values():
-        for record in snapshot.get("records", []):
-            assert record["attrs"]["query_id"] == qid
 
 
 def _stage_names(report):
@@ -126,31 +122,6 @@ class TestCorrelation:
                 _db(), [0.0, 0.0], WINDOW, "within", distance=20.0, shards=3
             )
         )
-
-    def test_sharded_process_backend(self):
-        report = explain(
-            _db(16, seed=2),
-            [0.0, 0.0],
-            WINDOW,
-            "knn",
-            k=2,
-            shards=2,
-            backend="process",
-        )
-        _assert_correlated(report)
-        data = report.to_dict()
-        # Worker-side telemetry actually crossed the process boundary.
-        assert set(data["shards"]) == {"0", "1"}
-        assert any(
-            snap.get("records") for snap in data["shards"].values()
-        )
-
-    def test_process_backend_answers_match(self):
-        db = _db(16, seed=2)
-        report = explain(
-            db, [0.0, 0.0], WINDOW, "knn", k=2, shards=2, backend="process"
-        )
-        assert report.answer == evaluate_knn(db, [0.0, 0.0], WINDOW, k=2)
 
 
 class TestCacheStages:

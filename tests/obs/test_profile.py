@@ -175,13 +175,6 @@ class TestQueryProfile:
         assert report["stages"][0]["name"] == "init"
         assert report["metrics"]["query_id"] == "q-1"
 
-    def test_absorb_shard_lands_in_report(self):
-        prof = QueryProfile("q-1", "knn")
-        prof.absorb_shard(1, {"metrics": {}, "records": [{"name": "x"}]})
-        prof.absorb_shard(2, None)  # sequential hosts produce nothing
-        report = prof.report()
-        assert list(report["shards"]) == ["1"]
-
     def test_summary_flattens_top_level_stages(self):
         with QueryProfile("q-1", "knn") as prof:
             with prof.stage("sweep", shard=0):

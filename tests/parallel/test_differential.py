@@ -8,9 +8,7 @@ of every other query kind — asserting that the final snapshot answers
 and the instant answer sets at every probe time are equal across all
 four paths, for kNN, within-range, and multiknn.
 
-210 seeded cases run by default (90 kNN + 60 within + 60 multiknn);
-the process-pool backend is exercised on a smaller seed slice since
-each evaluator spawns per-shard worker processes.
+210 seeded cases run by default (90 kNN + 60 within + 60 multiknn).
 """
 
 import pytest
@@ -33,16 +31,9 @@ SHARD_COUNTS = (1, 2, 7)
 KNN_SEEDS = range(0, 90)
 WITHIN_SEEDS = range(1000, 1060)
 MULTIKNN_SEEDS = range(2000, 2060)
-PROCESS_SEEDS = (3, 1017, 2042)
 
 
-def _differential(
-    seed: int,
-    mode: str,
-    backend="sequential",
-    shard_counts=SHARD_COUNTS,
-    server=True,
-):
+def _differential(seed: int, mode: str):
     sc = generate_scenario(seed)
     naive_final, naive_probes = run_naive(sc, mode)
     single_final, single_probes = run_single(sc, mode)
@@ -50,12 +41,12 @@ def _differential(
         single_final, naive_final
     ), f"seed {seed}: single engine disagrees with naive baseline"
     assert_probes_equal(single_probes, naive_probes, f"seed {seed} single")
-    for shards in shard_counts:
+    for shards in SHARD_COUNTS:
         batch = 1 + (seed + shards) % 4  # vary batching across seeds
         sharded_final, sharded_probes = run_sharded(
-            sc, mode, shards, backend=backend, batch_size=batch
+            sc, mode, shards, batch_size=batch
         )
-        label = f"seed {seed} S={shards} batch={batch} {backend}"
+        label = f"seed {seed} S={shards} batch={batch}"
         assert answers_equal(
             sharded_final, single_final
         ), f"{label}: sharded disagrees with single engine"
@@ -63,8 +54,6 @@ def _differential(
             sharded_final, naive_final
         ), f"{label}: sharded disagrees with naive baseline"
         assert_probes_equal(sharded_probes, naive_probes, label)
-        if not server:
-            continue
         server_final, server_probes = run_server(
             sc, mode, shards=shards, batch_size=batch
         )
@@ -92,10 +81,3 @@ def test_within_differential(seed):
 def test_multiknn_differential(seed):
     _differential(seed, MULTIKNN)
 
-
-@pytest.mark.parametrize("seed", PROCESS_SEEDS)
-def test_process_backend_differential(seed):
-    """The process-pool backend produces the same answers (small seed
-    slice: every run spins up one worker process per shard)."""
-    mode = (KNN, WITHIN, MULTIKNN)[seed % 3]
-    _differential(seed, mode, backend="process", shard_counts=(2,), server=False)

@@ -18,7 +18,6 @@ from repro.core.api import (
 from repro.geometry.intervals import Interval
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.obs import Instrumentation
-from repro.parallel.backends import ProcessPoolBackend, resolve_backend
 from repro.parallel.evaluator import ShardedSweepEvaluator
 from repro.workloads.generator import UpdateStream, random_linear_mod
 
@@ -185,25 +184,6 @@ class TestMetrics:
         assert counts["total"] == sum(
             v for op, v in counts.items() if op != "total"
         )
-
-
-class TestBackends:
-    def test_resolve_known_names(self):
-        assert resolve_backend(None).name == "sequential"
-        assert resolve_backend("sequential").name == "sequential"
-        assert isinstance(resolve_backend("process"), ProcessPoolBackend)
-        custom = ProcessPoolBackend()
-        assert resolve_backend(custom) is custom
-
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_backend("threads")
-
-    def test_backend_name_property(self):
-        db = _db()
-        ev = ShardedSweepEvaluator.knn(db, ORIGIN, k=1, until=5.0, shards=2)
-        assert ev.backend_name == "sequential"
-        ev.shutdown()
 
 
 class TestPublicWiring:

@@ -22,7 +22,7 @@ class TestShardOf:
 
     def test_stable_under_subprocess_hash_salt(self):
         """CRC-based routing must not depend on Python's per-process
-        hash salt (the process backend routes in the parent)."""
+        hash salt (op counts and partitions must repeat run to run)."""
         import subprocess
         import sys
 

@@ -168,21 +168,7 @@ def test_a_tie_exactly_at_the_heal_tau(owner, twins):
     assert _dump(got) == _dump(want)
 
 
-# -- (d) a process worker answers its past over its own shard MOD ---------
-@pytest.mark.parametrize("mode", (KNN, WITHIN))
-def test_process_worker_heals_over_its_shard_mod(mode):
-    sc = generate_scenario(4)
-    clean_final, clean_probes = run_single(sc, mode)
-    stats = {}
-    final, probes = run_self_healing_sharded(
-        sc, mode, 2, stats_out=stats, backend="process"
-    )
-    assert stats == {"rebuilds": 1}
-    assert_probes_equal(probes, clean_probes, "process self_heal")
-    assert answers_equal(final, clean_final)
-
-
-# -- (e) a session older than every object: start = -inf ------------------
+# -- (d) a session older than every object: start = -inf ------------------
 def _late_comers(db, advance):
     db.create("a", 1.0, position=[3.0, 0.0], velocity=[0.0, 0.0])
     db.create("b", 2.0, position=[5.0, 0.0], velocity=[-1.0, 0.0])
@@ -205,7 +191,7 @@ def test_a_session_on_an_empty_mod_heals_from_minus_infinity(owner):
     assert got.restrict(window).approx_equals(naive, atol=1e-6)
 
 
-# -- (f) the healed past is the one Theorem-4 body, cached like any -------
+# -- (e) the healed past is the one Theorem-4 body, cached like any -------
 def _stages(report, name, under=None):
     def walk(stages, inside):
         for stage in stages:
