@@ -23,7 +23,8 @@ stage                     paper cost term
 ``sweep``                 Theorem 4 event loop: ``O((m + N) log N)``
 ``shards.*`` / ``shard.*``  the same terms at shard size ``N/S``
 ``merge``                 second-level sweep over accumulated candidates
-``server.live``           a live sweep's stitched pieces; replans, candidates
+``server.live``           a session's window off its group (the span before a
+                          rebuild a past query); replans, candidates
 ``cache.store``           deposit for later reuse
 ========================  ====================================================
 """

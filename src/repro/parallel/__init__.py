@@ -5,11 +5,11 @@ order, but disjoint object partitions have *independent* precedence
 orders: hash-sharding the MOD splits one big sweep into ``S`` small
 ones whose answers merge exactly (within-range by disjoint union,
 k-NN via a bounded candidate set).  See
-:class:`~repro.parallel.evaluator.ShardedSweepEvaluator`.
+:class:`~repro.parallel.evaluator.ShardedSweepEvaluator` (the engine
+facade over a one-tenant :class:`~repro.server.group.EngineGroup`).
 """
 
 from repro.core.spec import QuerySpec
-from repro.parallel.backends import ShardRuntime
 from repro.parallel.batching import BatchedUpdateApplier, BatchStats
 from repro.parallel.evaluator import ShardedSweepEvaluator
 from repro.parallel.merge import (
@@ -28,7 +28,6 @@ __all__ = [
     "BatchStats",
     "BatchedUpdateApplier",
     "QuerySpec",
-    "ShardRuntime",
     "ShardedSweepEvaluator",
     "candidate_mod",
     "candidate_oids",

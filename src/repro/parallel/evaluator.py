@@ -1,14 +1,17 @@
 """Sharded plane-sweep evaluation with batched update application.
 
-:class:`ShardedSweepEvaluator` hash-partitions a MOD's objects across
-``S`` shard engines — each a :class:`~repro.sweep.live.LiveSweep`
-ordering the candidates of its own shard — batches incoming updates per shard
-(:class:`~repro.parallel.batching.BatchedUpdateApplier`), and merges the
-per-shard partial answers into exact global answers
-(:mod:`repro.parallel.merge`).  Semantics are identical to the
-single-engine path: the differential suite in ``tests/parallel``
-asserts answer equality against both the naive baseline and a single
-:class:`SweepEngine` on hundreds of seeded random scenarios.
+:class:`ShardedSweepEvaluator` is the engine facade over a one-tenant
+:class:`~repro.server.group.EngineGroup`: the pool hash-partitions a
+mirror of the MOD's objects across ``S`` slots — each a
+:class:`~repro.sweep.live.LiveSweep` ordering the candidates of its own
+shard — and merges the per-slot partial answers into exact global
+answers (:mod:`repro.parallel.merge`), while the evaluator batches
+incoming updates per shard
+(:class:`~repro.parallel.batching.BatchedUpdateApplier`).  Semantics
+are identical to the single-engine path: the differential suite in
+``tests/parallel`` asserts answer equality against both the naive
+baseline and a single :class:`SweepEngine` on hundreds of seeded
+random scenarios.
 
 The evaluator deliberately speaks the *engine facade* — ``on_update``,
 ``advance_to``, ``finalize``, ``current_time``, ``members``,
@@ -17,14 +20,12 @@ The evaluator deliberately speaks the *engine facade* — ``on_update``,
 - ``db.subscribe(evaluator.on_update)`` gives eager sharded
   maintenance, exactly like subscribing a single engine;
 - :class:`~repro.core.api.ContinuousQuerySession` accepts it as both
-  engine and view;
-- a :class:`~repro.resilience.supervisor.SupervisedQuerySession`
-  opened with ``shards=`` hosts one, making whole-session recovery
-  front shard-level parallelism.  Orthogonally,
-  ``self_heal=True`` enables *shard-granular* recovery: a failed shard
-  rebuilds from shard-local state (and answers its own earlier span as
-  a past query over that state) while the other ``S - 1`` shards keep
-  their engines untouched.
+  engine and view.
+
+``self_heal=True`` enables *shard-granular* recovery: a failed shard is
+rebuilt from the mirror at its ``tau`` while the other ``S - 1`` shards
+keep their engines untouched, and the span before that rebuild is
+answered as a past query when the evaluator is finalized.
 
 Why this is fast: a pair of objects generates intersection events only
 when co-sharded, so a uniform partition removes roughly a ``1 - 1/S``
@@ -37,31 +38,17 @@ sweep over only the accumulated candidates for interval answers.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from repro.core.spec import QueryLike, QuerySpec
-from repro.geometry.intervals import Interval
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId, Update
 from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
-from repro.obs.profile import _stage
-from repro.parallel.backends import ShardRuntime
 from repro.parallel.batching import BatchedUpdateApplier
-from repro.parallel.merge import (
-    candidate_oids,
-    merge_answers,
-    merge_members,
-    select_top_k,
-)
-from repro.parallel.sharding import partition_database, shard_of
+from repro.parallel.merge import select_top_k
+from repro.parallel.sharding import shard_of
 from repro.query.answers import Answer, SnapshotAnswer
-
-
-def _ops_total(counts: Dict[str, int]) -> int:
-    """One shard's primitive-op total, tolerating a "total" rollup key."""
-    if "total" in counts:
-        return counts["total"]
-    return sum(counts.values())
+from repro.server.group import EngineGroup
 
 __all__ = ["ShardedSweepEvaluator"]
 
@@ -95,33 +82,30 @@ class ShardedSweepEvaluator:
             raise ValueError("need at least one shard")
         self._spec = spec
         self._shards = int(shards)
-        self._self_heal = bool(self_heal)
-        # Shared across shard engines AND the merge sweep: shards build
-        # curves for disjoint object sets, while the merge layer re-hits
-        # the mirror's instances when a candidate's trajectory never
-        # changed.
-        self._curve_store = curve_store
-        # The mirror is the evaluator's authoritative full-universe MOD:
-        # it validates updates before they are routed and supplies the
-        # candidate trajectories for the merge sweep.  (When the caller
-        # drives updates through a source database the mirror simply
-        # tracks it.)
-        self._mirror = db.clone()
         self._instr = as_instrumentation(observe)
-        self._profile = None if self._instr is None else self._instr.profile
         self._bind_metrics()
-        self._hosts = []
-        for i, part in enumerate(partition_database(db, self._shards)):
-            with _stage(self._profile, "shard.init", shard=i):
-                self._hosts.append(
-                    ShardRuntime(
-                        part,
-                        spec,
-                        heal=self._self_heal,
-                        observe=self._instr,
-                        curve_store=curve_store,
-                    )
-                )
+        # The mirror is the evaluator's authoritative full-universe MOD
+        # and its pool's source: it validates updates before they are
+        # routed, supplies a rebuilt shard's objects and the candidate
+        # trajectories for the merge sweep.  (When the caller drives
+        # updates through a source database the mirror simply tracks
+        # it.)  The curve store is shared across the shard engines AND
+        # the merge sweep: shards build curves for disjoint object
+        # sets, while the merge layer re-hits the mirror's instances
+        # when a candidate's trajectory never changed.
+        self._mirror = db.clone()
+        self._group = EngineGroup(
+            0,
+            self._mirror,
+            spec.gdistance,
+            self._shards,
+            spec.constants,
+            self._instr,
+            curve_store,
+            spec=spec,
+        )
+        if self_heal:
+            self._group.heal = self._heal_shard
         self._applier = BatchedUpdateApplier(
             self._route, self._apply_shard, batch_size=batch_size
         )
@@ -151,10 +135,6 @@ class ShardedSweepEvaluator:
         )
         self._h_batch = metrics.histogram(
             "sharded_batch_size", "Updates applied per batch flush."
-        )
-        self._h_candidates = metrics.histogram(
-            "sharded_merge_candidates",
-            "Candidate objects entering the merge sweep.",
         )
         self._g_shards = metrics.gauge(
             "sharded_shard_count", "Shards of the sharded evaluator."
@@ -289,28 +269,27 @@ class ShardedSweepEvaluator:
 
     def primitive_ops(self) -> int:
         """Total primitive sweep operations across shard engines."""
-        return _ops_total(self.operation_counts())
+        return self.operation_counts()["total"]
 
     def operation_counts(self) -> Dict[str, int]:
         """Aggregated primitive-op breakdown across shard engines."""
         if self._final_ops is not None:
             return dict(self._final_ops)
-        totals: Dict[str, int] = {}
-        for host in self._hosts:
-            for op, n in host.operation_counts().items():
-                totals[op] = totals.get(op, 0) + n
-        return totals
+        return _summed(e.operation_counts() for e in self._group.engines)
 
     # -- update path --------------------------------------------------------
     def _route(self, update: Update) -> int:
         return shard_of(update.oid, self._shards)
 
     def _apply_shard(self, shard: int, updates: List[Update]) -> None:
-        healed = self._hosts[shard].apply(updates)
-        if healed:
-            self.rebuilds += healed
-            self._c_rebuilds.inc(healed)
+        self._group.apply(shard, updates)
         self._c_updates.labels(shard=str(shard)).inc(len(updates))
+
+    def _heal_shard(self, shard: int, exc: BaseException) -> None:
+        """The self-healing rule: rebuild the failed shard alone."""
+        self._group.rebuild(shard)
+        self.rebuilds += 1
+        self._c_rebuilds.inc()
 
     def _sync_batch_metrics(self) -> None:
         stats = self._applier.stats
@@ -342,24 +321,6 @@ class ShardedSweepEvaluator:
         return n
 
     # -- probing ------------------------------------------------------------
-    def _healing(self, host, op, *args):
-        """Run one host op; a self-healing evaluator answers a failure
-        by rebuilding that shard alone and retrying once."""
-        try:
-            return op(*args)
-        except Exception:
-            if not self._self_heal:
-                raise
-            host.rebuild()
-            self.rebuilds += 1
-            self._c_rebuilds.inc()
-            return op(*args)
-
-    def _advance_hosts(self, t: float) -> None:
-        for i, host in enumerate(self._hosts):
-            with _stage(self._profile, "shard.sweep", shard=i):
-                self._healing(host, host.advance_to, t)
-
     def advance_to(self, t: float) -> Set[ObjectId]:
         """Advance every shard sweep to ``t`` (never backwards) and
         return the current answer set."""
@@ -369,18 +330,8 @@ class ShardedSweepEvaluator:
             )
         self.flush()
         self._clock = min(t, self._spec.hi)
-        self._advance_hosts(self._clock)
+        self._group.advance_to(self._clock)
         return self.members
-
-    def _gather(self) -> List[Tuple[ObjectId, float]]:
-        self.flush()
-        self._advance_hosts(self._clock)
-        gathered: List[Tuple[ObjectId, float]] = []
-        for host in self._hosts:
-            gathered.extend(
-                self._healing(host, host.members_with_values, self._clock)
-            )
-        return gathered
 
     @property
     def members(self) -> Set[ObjectId]:
@@ -390,8 +341,8 @@ class ShardedSweepEvaluator:
         contributes its current members with their g-distance values
         and a single selection yields the global answer.
         """
-        spec = self._spec
-        return spec.widest(merge_members(spec, self._gather(), self._mirror))
+        self.flush()
+        return self._spec.widest(self._group.members(self._spec))
 
     def members_for(self, k: int) -> Set[ObjectId]:
         """The current global k-NN answer for ``k``.
@@ -407,7 +358,9 @@ class ShardedSweepEvaluator:
             raise ValueError(
                 f"k={k} exceeds the maintained k={maintained}"
             )
-        return set(select_top_k(self._gather(), k, self._mirror))
+        self.flush()
+        ranked = self._group.ranked(self._spec)
+        return set(select_top_k(ranked, k, self._mirror))
 
     # -- teardown and answers -----------------------------------------------
     def finalize(self) -> None:
@@ -422,38 +375,12 @@ class ShardedSweepEvaluator:
             return
         self.flush()
         self._finalized = True
-        end = self._clock
-        per_shard = []
-        shard_counts: List[Dict[str, int]] = []
-        for i, host in enumerate(self._hosts):
-            with _stage(self._profile, "shard.finalize", shard=i) as st:
-                per_shard.append(self._healing(host, host.finalize, end))
-                counts = host.operation_counts()
-                shard_counts.append(counts)
-                st.annotate(ops=_ops_total(counts))
+        per_shard = self._group.finalize()
         spec = self._spec
-        with _stage(self._profile, "merge") as st:
-            if spec.ranks:
-                # The second-level sweep over the shards' candidate
-                # union (a range merge needs none).
-                n_candidates = len(
-                    candidate_oids([spec.widest(a) for a in per_shard])
-                )
-                self._h_candidates.observe(n_candidates)
-                st.annotate(candidates=n_candidates)
-            self._merged = merge_answers(
-                spec,
-                self._mirror,
-                Interval(spec.lo, end),
-                per_shard,
-                observe=self._instr,
-                curve_store=self._curve_store,
-            )
-        self._final_ops = {}
-        for i, counts in enumerate(shard_counts):
-            for op, n in counts.items():
-                self._final_ops[op] = self._final_ops.get(op, 0) + n
-            self._g_shard_ops.labels(shard=str(i)).set(_ops_total(counts))
+        self._merged = self._group.partial(spec, spec.lo, self._clock)
+        self._final_ops = _summed(per_shard)
+        for i, counts in enumerate(per_shard):
+            self._g_shard_ops.labels(shard=str(i)).set(counts["total"])
         self.shutdown()
 
     def run_to_end(self) -> None:
@@ -493,12 +420,20 @@ class ShardedSweepEvaluator:
         return dict(self._merged)
 
     def shutdown(self) -> None:
-        """Release shard hosts (their database subscriptions).
+        """Release the shard engines.
 
         Called automatically by :meth:`finalize`; safe to call early to
         abandon an evaluator without an answer."""
         if self._shutdown:
             return
         self._shutdown = True
-        for host in self._hosts:
-            host.close()
+        self._group.shutdown()
+
+
+def _summed(counts) -> Dict[str, int]:
+    """Per-op sums of several engines' op counts ("total" included)."""
+    totals: Dict[str, int] = {}
+    for engine_counts in counts:
+        for op, n in engine_counts.items():
+            totals[op] = totals.get(op, 0) + n
+    return totals

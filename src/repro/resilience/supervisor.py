@@ -10,36 +10,38 @@ answer "now", then an update arrives with a timestamp behind the
 advanced sweep line — valid for the database, in the past for the
 engine.
 
-:class:`SupervisedQuerySession` puts an engine host
-(:class:`~repro.parallel.backends.ShardRuntime`) between the database
-and the engine instead.  When the engine throws, the host builds a
-fresh engine and view from current database state, at the last
-database timestamp (the broken engine is dropped whole — it advanced
-without the update, so nothing it holds is trusted).  That rebuild is
-exactly the paper's Theorem 5 initialization step — ``O(N log N)`` —
-so a continuous query degrades to a re-initialization instead of
-dying.  At :meth:`close` the span before the rebuild is answered as a
-past query over the database's recorded history (Theorem 4) and
-stitched to the live engine's answer, so the session's final
-:class:`SnapshotAnswer` covers the whole session interval as if
-nothing had failed.  The session itself adds
-only what an operator sees of a heal: the counters in :attr:`stats`,
-the ``supervisor_*_total`` metrics and the ``supervisor.rebuild`` span.
+:class:`SupervisedQuerySession` is the one-tenant engine pool
+(:class:`~repro.server.group.EngineGroup`) behind a guard listener: the
+session — not the engine — subscribes to the database and hands each
+update to the pool, whose engine faults (the one rule,
+:func:`~repro.server.group.is_engine_fault`) the session answers by
+rebuilding the pool from current database state, at the last database
+timestamp (the broken engine is dropped whole — it advanced without the
+update, so nothing it holds is trusted).  That rebuild is exactly the
+paper's Theorem 5 initialization step — ``O(N log N)`` — so a
+continuous query degrades to a re-initialization instead of dying.  At
+:meth:`close` the pool answers the span before the rebuild as a past
+query over the database's recorded history (Theorem 4) stitched to the
+live answer, so the session's final :class:`SnapshotAnswer` covers the
+whole session window as if nothing had failed.  The session itself
+adds only what an operator sees of a heal: the counters in
+:attr:`stats`, the ``supervisor_*_total`` metrics and the
+``supervisor.rebuild`` span.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Set
 
 from repro.core.spec import QueryLike, QuerySpec
 from repro.mod.database import MovingObjectDatabase
-from repro.mod.updates import ObjectId
+from repro.mod.updates import ObjectId, Update
 from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
-from repro.parallel.backends import ShardRuntime
+from repro.parallel.sharding import shard_of
 from repro.query.answers import SnapshotAnswer
+from repro.server.group import EngineGroup
 
 
 @dataclass
@@ -56,9 +58,9 @@ class SupervisedQuerySession:
 
     Construct with :meth:`knn` or :meth:`within` (mirroring
     :class:`~repro.core.api.ContinuousQuerySession`).  The session's
-    engine host — not the engine — subscribes to the database; engine
-    exceptions are caught, counted in :attr:`stats`, and answered with
-    a rebuild.
+    guard listener — not the engine — subscribes to the database;
+    engine faults are counted in :attr:`stats` and answered with a
+    rebuild.
     """
 
     def __init__(
@@ -87,15 +89,27 @@ class SupervisedQuerySession:
         if cache is not None:
             cache.bind(db)
         self._closed = False
-        self._host = ShardRuntime(
+        lo = db.last_update_time if start is None else start
+        self._spec = spec.over(lo, until)
+        shards = sharding.get("shards")
+        self._group = EngineGroup(
+            0,
             db,
-            spec.over(db.last_update_time if start is None else start, until),
-            heal=True,
-            observe=self.observe,
-            curve_store=None if cache is None else cache.curves,
-            healing=self._healing,
-            **sharding,
+            spec.gdistance,
+            shards or 1,
+            spec.constants,
+            self.observe,
+            None if cache is None else cache.curves,
+            spec=self._spec,
         )
+        # ``self_heal`` (with ``shards``) rebuilds a failed shard alone,
+        # below the supervisor, as a self-healing evaluator does; every
+        # other engine fault is the supervisor's to heal.
+        if shards and sharding.get("self_heal"):
+            self._group.heal = lambda shard, exc: self._group.rebuild(shard)
+        else:
+            self._group.heal = self._heal
+        db.subscribe(self._guard)
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -117,15 +131,16 @@ class SupervisedQuerySession:
         ``observe`` is shared between the supervisor and every engine
         it builds, so counters keep aggregating across rebuilds.
 
-        ``shards`` fronts a
-        :class:`~repro.parallel.evaluator.ShardedSweepEvaluator`
-        instead of a single engine: the supervisor's whole-session
-        recovery then wraps shard-level parallelism, and
-        ``self_heal=True`` additionally lets individual shards rebuild
-        themselves without involving the supervisor at all.
+        ``shards`` partitions the session's pool into that many shard
+        engines (answers merged as a sharded evaluator merges them):
+        the supervisor's recovery rebuilds them all, unless
+        ``self_heal=True`` lets a failed shard rebuild alone without
+        involving the supervisor at all.  ``batch_size`` changes cost,
+        never answers; a supervised session applies each update as it
+        arrives.
 
         ``cache`` (a :class:`repro.cache.QueryCache`) shares its curve
-        store with every engine the host builds, so a rebuild's
+        store with every engine the pool builds, so a rebuild's
         Theorem 5 re-initialization re-hits the curves of untouched
         objects instead of reconstructing all ``N``.
         """
@@ -157,8 +172,8 @@ class SupervisedQuerySession:
     ) -> "SupervisedQuerySession":
         """A supervised continuous within-range session.
 
-        ``shards`` selects a sharded evaluator and ``cache`` shares a
-        curve store across rebuilds, both as in :meth:`knn`.
+        ``shards`` partitions the pool and ``cache`` shares a curve
+        store across rebuilds, both as in :meth:`knn`.
         """
         return cls(
             db,
@@ -175,32 +190,42 @@ class SupervisedQuerySession:
     # -- live inspection ----------------------------------------------------
     @property
     def engine(self):
-        """The engine currently in force (changes across rebuilds)."""
-        return self._host.engine
+        """The live sweep in force (the first shard's with ``shards``;
+        changes across rebuilds)."""
+        return self._group.engines[0]
 
     @property
     def current_time(self) -> float:
         """The current sweep position."""
-        return self._host.current_time
+        return self._group.current_time
 
     @property
     def members(self) -> Set[ObjectId]:
         """The current answer set."""
-        return self._host.view.members
+        return self._group.members(self._spec)
 
-    # The engine and view in force live on the host; the fault-injection
+    # The engine and view in force live in the pool; the fault-injection
     # tests reach them (and swap the view) under their old names.
     _engine = engine
-    _view = property(
-        lambda self: self._host.view,
-        lambda self, view: setattr(self._host, "view", view),
-    )
 
-    # -- the heal, as an operator sees it -------------------------------------
-    @contextmanager
-    def _healing(self):
-        """Entered by the host around each rebuild: one failure, one
-        ``supervisor.rebuild`` span."""
+    @property
+    def _view(self):
+        return self._group._views[self._spec.view_key][0]
+
+    @_view.setter
+    def _view(self, view) -> None:
+        self._group._views[self._spec.view_key][0] = view
+
+    # -- the guard and the heal -----------------------------------------------
+    def _guard(self, update: Update) -> None:
+        """The database listener: each update goes to its shard's slot
+        as it arrives (``batch_size`` changes cost, never answers)."""
+        self._group.apply(shard_of(update.oid, self._group.shards), [update])
+
+    def _heal(self, shard: int, exc: BaseException) -> None:
+        """The supervisor's rule for an engine fault in any shard: one
+        failure, one ``supervisor.rebuild`` span around the rebuild of
+        the whole pool at the database's ``tau``."""
         self.stats.failures += 1
         self._c_failures.inc()
         with self._tracer.span(
@@ -208,7 +233,7 @@ class SupervisedQuerySession:
             at=self._db.last_update_time,
             objects=self._db.object_count,
         ):
-            yield
+            self._group.rebuild()
         self.stats.rebuilds += 1
         self._c_rebuilds.inc()
 
@@ -217,33 +242,40 @@ class SupervisedQuerySession:
         """Advance the sweep (never backwards) and return the answer.
 
         A failure during event processing triggers the same rebuild as
-        an update failure; the rebuilt engine is advanced to
-        ``t`` before returning.
+        an update failure; the rebuilt engine is advanced to ``t``
+        before returning.
         """
-        try:
-            self._host.advance_to(t)
-        except Exception:
-            self._host.rebuild()
-            self._host.advance_to(t)
+        self._group.advance_to(t)
         return self.members
 
     # -- teardown -----------------------------------------------------------
     def close(self, at: Optional[float] = None) -> SnapshotAnswer:
-        """Detach and return the stitched whole-session answer.
+        """Detach and return the stitched answer over exactly
+        ``[session start, at]`` (default: the current sweep time).
 
-        The result covers ``[session start, end]`` across every rebuild:
-        per object, the union of its membership intervals before the
-        last rebuild (a past query) and since (the live engine's).  The
-        session is always
-        detached from the database on return, even if finalization
-        fails.
+        The answer covers the window across every rebuild: per object,
+        the union of its membership intervals before the last rebuild
+        (a past query) and since (the live engine's).  ``at`` behind
+        the sweep clips the answer to it — never silently widened —
+        and ``at`` before the session's start raises
+        :class:`ValueError`.  The session is always detached from the
+        database on return, even if finalization fails.
         """
         if self._closed:
             raise RuntimeError("session already closed")
         self._closed = True
+        group = self._group
         try:
             if at is not None:
-                self._host.advance_to(at)
-            return self._host.finalize(self._host.current_time)
+                group.advance_to(at)
+            end = group.current_time if at is None else at
+            if end < self._spec.lo:
+                raise ValueError(
+                    f"close(at={end}) precedes the session's start "
+                    f"({self._spec.lo})"
+                )
+            group.finalize()
+            return group.partial(self._spec, self._spec.lo, end)
         finally:
-            self._host.close()
+            self._db.unsubscribe(self._guard)
+            group.shutdown()

@@ -21,7 +21,7 @@ Degradation is layered on top:
   moving window exceeds a configured ceiling, the lowest-priority
   active session is shed (typed error on its next read);
 - **fault isolation** — an engine-group failure is healed by the
-  supervisor pattern (Theorem 5 re-initialize from the MOD state at
+  pool's one heal rule (Theorem 5 re-initialize from the MOD state at
   ``tau``; a tenant's span before it is a past query at close); groups
   that fail beyond ``quarantine_after`` are quarantined without
   touching co-tenant groups.
@@ -40,7 +40,6 @@ from repro.cache.fingerprint import (
     gdistance_fingerprint,
     is_identity_fingerprint,
 )
-from repro.core.api import _evaluate
 from repro.core.spec import QuerySpec
 from repro.geometry.intervals import Interval
 from repro.gdist.base import GDistance
@@ -49,15 +48,13 @@ from repro.mod.updates import Update
 from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 from repro.obs.profile import NULL_STAGE, _stage
 from repro.parallel.batching import BatchedUpdateApplier
-from repro.parallel.merge import clip_answer, stitch_answers
 from repro.parallel.sharding import shard_of
 from repro.server.config import ServerConfig
 from repro.server.errors import (
     AdmissionError,
     ServerClosedError,
-    ServerError,
 )
-from repro.server.group import EngineGroup
+from repro.server.group import ENGINE_FAULTS, EngineGroup
 from repro.server.session import (
     ACTIVE,
     CLOSED,
@@ -86,25 +83,6 @@ class ServerStats:
     updates: int = 0
     rebuilds: int = 0
     quarantines: int = 0
-
-
-# Exception types a failing sweep engine legitimately surfaces — only
-# these engage the heal/quarantine supervisor.  Anything else (e.g. a
-# ``TypeError`` raised by a user-supplied g-distance callable) is a
-# caller bug, not a group fault, and propagates unchanged; the typed
-# ``ServerError`` family is excluded explicitly because it subclasses
-# ``RuntimeError``.
-ENGINE_FAULTS = (
-    ArithmeticError,
-    AssertionError,
-    LookupError,
-    RuntimeError,
-    ValueError,
-)
-
-
-def _is_engine_fault(exc: BaseException) -> bool:
-    return isinstance(exc, ENGINE_FAULTS) and not isinstance(exc, ServerError)
 
 
 class QueryServer:
@@ -370,18 +348,13 @@ class QueryServer:
                 curve_store=self._curve_store,
             )
             group.key = key
+            group.heal = lambda slot, exc: self._heal(group, exc)
             self._groups[key] = group
             self._groups_by_id[group.gid] = group
             self._ops_marker = self._total_ops()
         group.acquire(session.query)
         session.group = group
         session.start = group.current_time if start is None else float(start)
-        # A restored session opened before its group's engines were
-        # born (restore builds groups at the snapshot's clock).  The
-        # MOD keeps every trajectory's history, so ``[start,
-        # segment_start]`` is a past query (Theorem 4) — answered only
-        # if the session closes, never re-swept to recover.
-        session.segment_start = max(session.start, group.epoch_start)
         session.state = ACTIVE
         self.stats.activated += 1
         self._c_session("activate").inc()
@@ -417,12 +390,7 @@ class QueryServer:
         group = self._groups_by_id.get(gid)
         if group is None:
             return  # group retired between buffering and flush
-        try:
-            group.apply(shard, updates)
-        except Exception as exc:
-            if not _is_engine_fault(exc):
-                raise
-            self._heal(group, exc)
+        group.apply(shard, updates)
 
     def _on_update(self, update: Update) -> None:
         if self._shutdown:
@@ -522,31 +490,27 @@ class QueryServer:
         self._ops_marker = self._total_ops()
         self._window.clear()
 
-    def _healing(self, session: ServerSession, op):
-        """Run ``op`` on the session's group; an engine fault heals the
-        group and — when the session survived — retries once on the
-        rebuilt one."""
+    def _read(self, session: ServerSession, op):
+        """Run ``op`` on the session's group, which heals its engine
+        faults by :meth:`_heal` and retries once; a fault the heal
+        answered with a quarantine reaches the caller as the session's
+        typed error."""
         try:
             return op(session.group)
-        except Exception as exc:
-            if not _is_engine_fault(exc):
-                raise
-            self._heal(session.group, exc)
+        except ENGINE_FAULTS:
             session._check_readable()
-            return op(session.group)
+            raise
 
     def _members(self, session: ServerSession):
         self._applier.flush()
         session._check_readable()
-        return self._healing(
-            session, lambda group: group.members(session.query)
-        )
+        return self._read(session, lambda group: group.members(session.query))
 
     def _advance(self, session: ServerSession, t: float):
         self._applier.flush()
         session._check_readable()
         with _stage(self._profile, "server.advance"):
-            self._healing(session, lambda group: group.advance_to(t))
+            self._read(session, lambda group: group.advance_to(t))
         return self._members(session)
 
     def _close(self, session: ServerSession, at: Optional[float]):
@@ -561,55 +525,38 @@ class QueryServer:
                     f"{session.session_id}'s start ({session.start}); "
                     f"the answer window [start, at] would be empty"
                 )
-            if end > group.current_time:
-                self._healing(session, lambda g: g.advance_to(end))
             # The answer covers exactly [start, at]: a close at a time
             # the group's shared clock has already passed (a co-tenant
             # advanced it) clips the shared timelines down to the
-            # requested window rather than widening the answer.
-            group = session.group
-            sweep_end = max(end, group.current_time)
+            # requested window rather than widening the answer.  What no
+            # live engine covers — the session predates a restore or a
+            # heal — is a one-shot query like any other (sessions of one
+            # fingerprint share it through the cache); under EXPLAIN its
+            # stages belong to the closing profile.
+            observe = (
+                self._observe if self._profile is None else self._profile.observe
+            )
             with _stage(self._profile, "server.live") as live_stage:
-                live = group.partial(
-                    session.query, session.segment_start, sweep_end
+                answer = self._read(
+                    session,
+                    lambda g: g.partial(
+                        session.query,
+                        session.start,
+                        end,
+                        cache=self._cache,
+                        observe=observe,
+                    ),
                 )
                 if live_stage is not NULL_STAGE:
                     live_stage.annotate(
                         replans=group.replans, candidates=group.candidates
                     )
-            window = Interval(session.start, end)
-            segments = [live]
-            span = session.unswept
-            if span is not None:
-                # What no live engine covers — the session predates a
-                # restore or a heal — is a one-shot query like any other
-                # (sessions of one fingerprint share it through the
-                # cache); under EXPLAIN its stages belong to the
-                # closing profile.
-                observe = (
-                    self._observe
-                    if self._profile is None
-                    else self._profile.observe
-                )
-                past = Interval(span.lo, min(span.hi, end))
-                segments.insert(
-                    0,
-                    _evaluate(
-                        self._db,
-                        session.query,
-                        past,
-                        observe,
-                        cache=self._cache,
-                    ),
-                )
-            answer = clip_answer(
-                stitch_answers(segments, window), session.start, end
-            )
             if st is not NULL_STAGE:
                 st.annotate(
                     session=session.session_id,
-                    segments=len(segments),
+                    segments=1 if session.unswept is None else 2,
                 )
+        window = Interval(session.start, end)
         self._detach(session, CLOSED)
         session._answer = answer
         self.stats.closed += 1
@@ -630,7 +577,7 @@ class QueryServer:
             spec.kind, spec.gdistance, window, answer, **spec.params
         )
 
-    # -- heal path (supervisor pattern at group granularity) ---------------
+    # -- heal path (the server's rule for its groups) ----------------------
     def _heal(self, group: EngineGroup, cause: BaseException) -> None:
         error = type(cause).__name__
         message = str(cause)
@@ -655,12 +602,6 @@ class QueryServer:
             self._c_session("rebuild").inc()
             self._c_heal(error, "rebuilt").inc()
             self._trace_heal("rebuilt", group, error, message)
-            # The rebuilt engines cover ``[tau, ...)``; each tenant's
-            # span before it becomes part of its unswept past.
-            for session in tenants:
-                session.segment_start = max(
-                    session.start, group.epoch_start
-                )
             self._ops_marker = self._total_ops()
             self._window.clear()
 

@@ -66,21 +66,20 @@ class ServerSession:
         self.shards = shards
         self.state = QUEUED
         self.start: Optional[float] = None
-        # Where the engines in force began covering this session: past
-        # ``start`` when its group was restored or rebuilt after it
-        # opened.
-        self.segment_start: Optional[float] = None
         self.group = None
         self._answer: Optional[Answer] = None
 
     @property
     def unswept(self) -> Optional[Interval]:
-        """``[start, segment_start]``: the part of the window no live
-        engine covers, answered as a past query at close (``None`` when
-        the engines cover it all)."""
-        if self.segment_start is None or self.segment_start <= self.start:
+        """``[start, group.epoch_start]``: the part of the window no
+        live engine covers — the session opened before its group's
+        engines were born (restored at a snapshot's clock, or rebuilt by
+        a heal) — answered as a past query at close (``None`` when the
+        engines cover it all).  The MOD keeps every trajectory's
+        history, so that span is never re-swept to recover."""
+        if self.group is None or self.group.epoch_start <= self.start:
             return None
-        return Interval(self.start, self.segment_start)
+        return Interval(self.start, self.group.epoch_start)
 
     # -- identity ---------------------------------------------------------
     @property

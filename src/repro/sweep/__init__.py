@@ -28,7 +28,7 @@ Modules:
   all: per-slice candidates from interval bounds;
 - :mod:`repro.sweep.live` — the live candidate host: one engine over
   the candidates of a horizon, re-planned as the clock and the updates
-  require (what every session, shard host and server group builds).
+  require (what every session and engine-pool slot builds).
 """
 
 from repro.sweep.engine import SweepEngine

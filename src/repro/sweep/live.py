@@ -5,10 +5,11 @@ Theorem 5 prices a continuing query at ``O(m log N)`` per update with
 ``m`` the support changes *of the query* (Lemma 8: nothing else moves
 the answer).  A live engine over every curve of the database pays for
 every inversion of the full order instead.  :class:`LiveSweep` is the
-one host every live construction site builds — sessions, shard hosts,
-server groups — and it keeps a :class:`~repro.sweep.engine.SweepEngine`
-over the *candidates of a horizon* only, with the bounds, the margin and
-the candidate MOD of :mod:`repro.sweep.prune`.
+one host every live construction site builds — sessions, and every
+slot of the one engine pool — and it keeps a
+:class:`~repro.sweep.engine.SweepEngine` over the *candidates of a
+horizon* only, with the bounds, the margin and the candidate MOD of
+:mod:`repro.sweep.prune`.
 
 **Plan.**  At ``tau`` every curve is bounded over ``[tau, tau + H]`` as
 it is known now.  Rank reading (``K`` = the widest k an attached view

@@ -41,7 +41,7 @@ way; the cut would only re-initialise them).  When nothing prunes, the
 plan is one slice holding every object: today's one engine over the
 window.
 
-Live sessions, shard hosts and server groups prune too, one horizon of
+Live sessions and engine-pool slots prune too, one horizon of
 their clock at a time: :mod:`repro.sweep.live` bounds every curve over
 ``[tau, tau + H]`` with this module's ``_classify`` / ``_reaches`` /
 ``_side`` and margin, orders ``candidate_mod`` of the survivors, re-tests

@@ -552,8 +552,9 @@ def run_self_healing_sharded(
     db.subscribe(evaluator.on_update)
 
     def sabotage():
-        for host in evaluator._hosts:
-            host.view = BrokenView(host.view)
+        views = evaluator._group._views
+        for key in views:
+            views[key] = [BrokenView(view) for view in views[key]]
 
     def advance(t: float):
         members = evaluator.advance_to(t)

@@ -122,9 +122,7 @@ class TestShardLocalSelfHealing:
         )
         db.subscribe(evaluator.on_update)
         evaluator.advance_to(10.0)
-        engines_before = [
-            host.engine for host in evaluator._hosts
-        ]
+        engines_before = evaluator._group.engines
         # Valid for the database (tau ~ 0.12) but in the past for every
         # shard engine (swept to t=10): a probe/update race in one shard.
         late = New(
@@ -135,7 +133,7 @@ class TestShardLocalSelfHealing:
         evaluator.flush()
         assert evaluator.rebuilds == 1
         for shard, before in enumerate(engines_before):
-            now = evaluator._hosts[shard].engine
+            now = evaluator._group.engines[shard]
             if shard == victim:
                 assert now is not before, "poisoned shard must rebuild"
             else:

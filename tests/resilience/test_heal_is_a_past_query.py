@@ -278,11 +278,11 @@ def _messages(caplog, logger):
 def test_a_host_rebuild_logs_one_line(caplog):
     db = random_linear_mod(4, seed=3)
     session = SupervisedQuerySession.knn(db, POINT, k=1)
-    with caplog.at_level(logging.WARNING, logger="repro.parallel.backends"):
+    with caplog.at_level(logging.WARNING, logger="repro.server.group"):
         session.advance_to(10.0)
         db.create("late", 5.0, position=[1.0, 0.0], velocity=[0.0, 0.0])
     session.close()
-    lines = _messages(caplog, "repro.parallel.backends")
+    lines = _messages(caplog, "repro.server.group")
     assert len(lines) == 1
     assert "tau=5.0" in lines[0] and "5 objects" in lines[0]
 
