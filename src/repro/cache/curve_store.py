@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.gdist.base import GDistance
 from repro.geometry.piecewise import PiecewiseFunction
@@ -42,15 +42,16 @@ from repro.cache.fingerprint import (
 
 __all__ = ["CurveStore"]
 
+#: Rough resident size of one cached curve: each piece carries an
+#: interval and a polynomial (a handful of boxed floats plus object
+#: headers); the constants are a measured ballpark, good enough to make
+#: the byte budget meaningful.
+_ENTRY_BYTES = 96
+_PIECE_BYTES = 160
 
-def _curve_nbytes(curve: PiecewiseFunction) -> int:
-    """Rough resident size of one cached curve.
-
-    Each piece carries an interval and a polynomial (a handful of
-    boxed floats plus object headers); the constant is a measured
-    ballpark, good enough to make the byte budget meaningful.
-    """
-    return 96 + 160 * curve.piece_count
+#: One stored curve: the trajectory it was built from, the curve, and
+#: the instant it reaches back to (``-inf``: the whole history).
+_Entry = Tuple[Trajectory, PiecewiseFunction, float]
 
 
 class CurveStore:
@@ -62,16 +63,29 @@ class CurveStore:
     merge layers, and recovery rebuilds.  Correctness never depends on
     invalidation calls — a stale entry simply misses the identity check
     and is rebuilt.
+
+    The map is one table ``oid -> (trajectory, curve, since)`` per
+    fingerprint.  A plan asks for every curve of one g-distance in a
+    row, so the table of the instance asked last is kept at hand: a
+    lookup hashes its oid, not the fingerprint (a nested tuple whose
+    hash Python never caches).  Recency is only kept, and the counters
+    only fed, where something reads them — a byte budget, an
+    ``observe=`` bundle.
     """
 
     def __init__(self, max_bytes: Optional[int] = None, observe=None) -> None:
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive (or None)")
         self._max_bytes = max_bytes
-        self._entries: "OrderedDict[Tuple, Tuple[Trajectory, PiecewiseFunction, int, float]]" = (
-            OrderedDict()
+        self._tables: Dict[Tuple, Dict[ObjectId, _Entry]] = {}
+        # The table of the g-distance instance looked up last.
+        self._gdistance: Optional[GDistance] = None
+        self._fingerprint: Tuple = ()
+        self._table: Dict[ObjectId, _Entry] = {}
+        # ``(fingerprint, oid)``, least recently used first: budget only.
+        self._recency: Optional["OrderedDict[Tuple, None]"] = (
+            None if max_bytes is None else OrderedDict()
         )
-        self._by_oid: Dict[ObjectId, List[Tuple]] = {}
         # Strong references for id-fingerprinted g-distances: the id is
         # only unique while the instance is alive.
         self._pinned: Dict[Tuple, GDistance] = {}
@@ -79,7 +93,11 @@ class CurveStore:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        metrics = (as_instrumentation(observe) or NULL_INSTRUMENTATION).metrics
+        instrumentation = as_instrumentation(observe)
+        # Whether a lookup has anything to book beyond ``hits`` /
+        # ``misses``: recency for the budget, counters for ``observe``.
+        self._books = max_bytes is not None or instrumentation is not None
+        metrics = (instrumentation or NULL_INSTRUMENTATION).metrics
         self._c_hits = metrics.counter(
             "cache_curve_hits_total",
             "Curve constructions served from the store.",
@@ -94,14 +112,14 @@ class CurveStore:
         )
         metrics.gauge(
             "cache_curve_entries", "Curves currently stored."
-        ).set_function(lambda: len(self._entries))
+        ).set_function(self.__len__)
         metrics.gauge(
             "cache_curve_bytes", "Estimated resident curve bytes."
         ).set_function(lambda: self._nbytes)
 
     # -- inspection ---------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return sum(len(table) for table in self._tables.values())
 
     @property
     def nbytes(self) -> int:
@@ -140,45 +158,68 @@ class CurveStore:
         whole-history curve serves every tail, a tail serves the later
         ones.  The returned curve may start before ``since``.
         """
-        fp = gdistance_fingerprint(gdistance)
-        key = (fp, oid)
-        entries = self._entries
-        entry = entries.get(key)
-        if entry is not None and entry[0] is trajectory and entry[3] <= since:
-            entries.move_to_end(key)
+        if gdistance is self._gdistance:
+            table = self._table
+        else:
+            table = self._select(gdistance)
+        entry = table.get(oid)
+        if entry is not None and entry[0] is trajectory and entry[2] <= since:
             self.hits += 1
-            self._c_hits.inc()
+            if self._books:
+                self._book(oid, self._c_hits)
             return entry[1]
         self.misses += 1
-        self._c_misses.inc()
-        pieces = trajectory.pieces
+        pieces = trajectory._pieces
         first = len(pieces) - 1
-        while first and (
-            pieces[first - 1].interval.hi > since
-            or pieces[first].interval.is_point  # owns no stretch of the curve
-        ):
+        while first:
+            # Drop the pieces that end at or before ``since``; a piece of
+            # no length owns no stretch of the curve.
+            iv = pieces[first].interval
+            if not (pieces[first - 1].interval.hi > since or iv.lo == iv.hi):
+                break
             first -= 1
         if first:
-            # The pieces that end at or before ``since`` are dropped (of
-            # a trajectory that ended by then, all but the last); the
-            # first one kept is not cut (a curve may start earlier).
+            # Of a trajectory that ended by then, all but the last piece
+            # go; the first one kept is not cut (a curve may start
+            # earlier).
             curve = gdistance(Trajectory._trusted(pieces[first:]))
         else:  # nothing behind ``since`` to drop
             since = -math.inf
             curve = gdistance(trajectory)
-        nbytes = _curve_nbytes(curve)
-        if entry is not None:
-            self._nbytes -= entry[2]
-            entries.move_to_end(key)
+        nbytes = _PIECE_BYTES * len(curve._pieces)
+        if entry is None:
+            nbytes += _ENTRY_BYTES
         else:
-            self._by_oid.setdefault(oid, []).append(key)
-        entries[key] = (trajectory, curve, nbytes, since)
+            nbytes -= _PIECE_BYTES * len(entry[1]._pieces)
         self._nbytes += nbytes
-        if is_identity_fingerprint(fp):
-            self._pinned[fp] = gdistance
-        if self._max_bytes is not None:
-            self._evict()
+        table[oid] = (trajectory, curve, since)
+        if self._books:
+            self._book(oid, self._c_misses)
         return curve
+
+    def _select(self, gdistance: GDistance) -> Dict[ObjectId, _Entry]:
+        """Make ``gdistance``'s table the one at hand."""
+        fp = gdistance_fingerprint(gdistance)
+        table = self._tables.get(fp)
+        if table is None:
+            table = self._tables[fp] = {}
+            if is_identity_fingerprint(fp):
+                self._pinned[fp] = gdistance
+        self._gdistance, self._fingerprint, self._table = gdistance, fp, table
+        return table
+
+    def _book(self, oid: ObjectId, counter) -> None:
+        """A lookup of ``oid`` in the table at hand, for the metrics and
+        the byte budget."""
+        counter.inc()
+        recency = self._recency
+        if recency is not None:
+            key = (self._fingerprint, oid)
+            if key in recency:
+                recency.move_to_end(key)
+            else:
+                recency[key] = None
+            self._evict()
 
     # -- invalidation -------------------------------------------------------
     def invalidate(self, oid: ObjectId) -> int:
@@ -187,36 +228,34 @@ class CurveStore:
         Optional (identity validation already guarantees freshness) —
         useful to release memory for objects known to be gone.
         """
-        keys = self._by_oid.pop(oid, [])
         dropped = 0
-        for key in keys:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self._nbytes -= entry[2]
+        for fp, table in self._tables.items():
+            if self._drop(fp, table, oid):
                 dropped += 1
         return dropped
 
     def clear(self) -> None:
         """Drop everything."""
-        self._entries.clear()
-        self._by_oid.clear()
+        self._tables = {}
+        self._gdistance, self._fingerprint, self._table = None, (), {}
+        if self._recency is not None:
+            self._recency.clear()
         self._pinned.clear()
         self._nbytes = 0
 
+    def _drop(self, fp: Tuple, table: Dict[ObjectId, _Entry], oid: ObjectId) -> bool:
+        entry = table.pop(oid, None)
+        if entry is None:
+            return False
+        self._nbytes -= _ENTRY_BYTES + _PIECE_BYTES * len(entry[1]._pieces)
+        if self._recency is not None:
+            self._recency.pop((fp, oid), None)
+        return True
+
     def _evict(self) -> None:
-        if self._max_bytes is None:
-            return
-        while self._nbytes > self._max_bytes and len(self._entries) > 1:
-            key, (_, _, nbytes, _) = self._entries.popitem(last=False)
-            self._nbytes -= nbytes
+        recency = self._recency
+        while self._nbytes > self._max_bytes and len(recency) > 1:
+            fp, oid = next(iter(recency))
+            self._drop(fp, self._tables[fp], oid)
             self.evictions += 1
             self._c_evictions.inc()
-            fp, oid = key
-            keys = self._by_oid.get(oid)
-            if keys is not None:
-                try:
-                    keys.remove(key)
-                except ValueError:  # pragma: no cover - defensive
-                    pass
-                if not keys:
-                    del self._by_oid[oid]

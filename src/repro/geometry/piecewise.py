@@ -96,7 +96,10 @@ class PiecewiseFunction:
         self = object.__new__(cls)
         self._pieces = pieces
         self._domain = domain
-        self._his = tuple([iv.hi for iv, _ in pieces])
+        if len(pieces) == 1:  # a live object's tail: no comprehension
+            self._his = (pieces[0][0].hi,)
+        else:
+            self._his = tuple([iv.hi for iv, _ in pieces])
         self._cuts = self._his[:-1]
         return self
 
@@ -143,13 +146,11 @@ class PiecewiseFunction:
             raise ValueError(f"{t} outside domain {self._domain}")
         return self._pieces[self._index(t)]
 
-    def _index(self, t: float, forward: bool = False) -> int:
+    def _index(self, t: float) -> int:
         """Index of the piece at ``t``: the earliest whose upper bound
-        reaches ``t``, or with ``forward`` the earliest whose upper
-        bound lies beyond it (the last piece when none does)."""
+        reaches ``t`` (the last piece when none does)."""
         his = self._his
-        search = bisect_right if forward else bisect_left
-        return search(his, t, 0, len(his) - 1)
+        return bisect_left(his, t, 0, len(his) - 1)
 
     def __call__(self, t: float) -> float:
         _, poly = self.piece_at(t)
@@ -193,8 +194,33 @@ class PiecewiseFunction:
         an insertion instant: the list must reflect the order that
         holds just *after* ``t``, or the first-nonzero-sign convention
         used for intersection scheduling silently inverts.
+
+        Up to degree two the key is written out: ``z = 0.0 * t`` is the
+        first product of every Horner pass, the derivatives of a
+        trimmed ``(c0, c1, c2)`` are ``(c1, 2 c2)`` and ``(2 c2,)`` —
+        neither trims, because ``2 c2`` clears any threshold ``c2``
+        cleared — and every derivative past the last is the zero
+        polynomial.  Each entry is the float operations of the loop
+        below in the same order, so the tuple is bit for bit the loop's
+        (``tests/_oracle.reference_forward_taylor``); higher degrees run
+        the loop.
         """
-        coeffs = self._forward_piece(t)[1].coeffs
+        coeffs = self._forward_piece(t)[1]._coeffs
+        degree = len(coeffs) - 1
+        if degree < 3 and terms > 0:
+            z = 0.0 * t
+            if degree == 2:
+                c0, c1, c2 = coeffs
+                d2 = 2 * c2
+                head = (((z + c2) * t + c1) * t + c0, (z + d2) * t + c1, z + d2)
+            elif degree == 1:
+                c0, c1 = coeffs
+                head = ((z + c1) * t + c0, z + c1)
+            else:
+                head = (z + coeffs[0],)
+            if terms <= degree + 1:
+                return head[:terms]
+            return head + (z + 0.0,) * (terms - degree - 1)
         out: List[float] = []
         for _ in range(terms):
             out.append(_horner(coeffs, t))
@@ -206,9 +232,14 @@ class PiecewiseFunction:
         return tuple(out)
 
     def _forward_piece(self, t: float) -> Piece:
-        """The piece governing ``[t, t+eps)`` (last piece at domain end)."""
-        piece = self._pieces[self._index(t, forward=True)]
-        if not piece[0].contains(t, atol=DEFAULT_ATOL):
+        """The piece governing ``[t, t+eps)``: the earliest whose upper
+        bound lies beyond ``t`` (the last piece at domain end).  Every
+        order key asks, so the search and the containment test are
+        written out."""
+        his = self._his
+        piece = self._pieces[bisect_right(his, t, 0, len(his) - 1)]
+        iv = piece[0]
+        if not iv.lo - DEFAULT_ATOL <= t <= iv.hi + DEFAULT_ATOL:
             return self.piece_at(t)
         return piece
 
@@ -258,7 +289,7 @@ class PiecewiseFunction:
             iv, poly = pieces[index]
             if iv.lo > b:
                 break
-            coeffs = poly.coeffs
+            coeffs = poly._coeffs
             p_lo = a if a > iv.lo else iv.lo
             p_hi = b if b < iv.hi else iv.hi
             degree = len(coeffs) - 1

@@ -130,7 +130,9 @@ class Polynomial:
             if not math.isfinite(c):
                 raise ValueError("polynomial coefficients must be finite")
         self = object.__new__(cls)
-        self._coeffs = _trimmed(coeffs)
+        # A leading coefficient above ``_TRIM_EPS`` is ``_trimmed``'s
+        # first test passing: the tuple comes back whole.
+        self._coeffs = coeffs if abs(coeffs[-1]) > _TRIM_EPS else _trimmed(coeffs)
         return self
 
     # -- constructors -----------------------------------------------------

@@ -17,6 +17,7 @@ maintenance happens eagerly (Section 5's "external events").
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.geometry.tolerance import DEFAULT_ATOL
@@ -122,10 +123,11 @@ class MovingObjectDatabase:
 
         Past queries must see terminated objects whose lifetimes
         intersect the query interval; plain iteration yields only the
-        live set ``O``.
+        live set ``O``.  (A ``chain`` of the two views, not a
+        generator: a plan walks every object, and a generator costs one
+        frame resumption per object.)
         """
-        yield from self._trajectories.items()
-        yield from self._terminated.items()
+        return chain(self._trajectories.items(), self._terminated.items())
 
 
     # -- invariant checks ----------------------------------------------------

@@ -336,6 +336,11 @@ class QueryServer:
         self, session: ServerSession, start: Optional[float] = None
     ) -> None:
         key = self._group_key(session)
+        # Whatever the acquire costs — a new group's first plan, or an
+        # existing group re-planning for a wider k — is set-up: the
+        # op-rate controller measures maintenance, so the marker moves
+        # past it and the next flush is billed for its updates only.
+        before = self._total_ops()
         group = self._groups.get(key)
         if group is None:
             group = EngineGroup(
@@ -351,8 +356,8 @@ class QueryServer:
             group.heal = lambda slot, exc: self._heal(group, exc)
             self._groups[key] = group
             self._groups_by_id[group.gid] = group
-            self._ops_marker = self._total_ops()
         group.acquire(session.query)
+        self._ops_marker += self._total_ops() - before
         session.group = group
         session.start = group.current_time if start is None else float(start)
         session.state = ACTIVE
@@ -487,8 +492,9 @@ class QueryServer:
         self._groups.pop(group.key, None)
         self._groups_by_id.pop(group.gid, None)
         group.shutdown()
+        # The window stays: a tenant that opens and closes faster than
+        # ``op_rate_window`` updates must not switch shedding off.
         self._ops_marker = self._total_ops()
-        self._window.clear()
 
     def _read(self, session: ServerSession, op):
         """Run ``op`` on the session's group, which heals its engine
@@ -612,6 +618,7 @@ class QueryServer:
             session.group = None
             session.state = QUARANTINED
         self._retire(group)
+        self._window.clear()  # a heal's outcome, like a rebuild
         self.stats.quarantines += 1
         self._c_session("quarantine").inc()
         self._c_heal(error, "quarantined").inc()

@@ -533,12 +533,14 @@ class LiveSweep:
 
     # -- planning -----------------------------------------------------------------
     def _items(self, tau: float):
+        """Every curve that meets ``[tau, until]``, from ``tau`` on."""
+        tail, gdistance, until = self._store.tail, self._gdistance, self._until
         items = []
         for oid, trajectory in self._db.all_items():
             domain = trajectory.domain
-            if domain.hi < tau or domain.lo > self._until:
+            if domain.hi < tau or domain.lo > until:
                 continue
-            items.append((oid, self.curve(self._gdistance, oid, trajectory)))
+            items.append((oid, tail(gdistance, oid, trajectory, tau)))
         return items
 
     def _seed_horizon(self, items, tau: float, k: Optional[int]) -> Optional[float]:
@@ -560,7 +562,7 @@ class LiveSweep:
             gaps = [abs(row[0] - self._constants[0]) for row in rows]
         else:
             wanted = k
-            values = sorted(row[0] for row in rows)
+            values = sorted([row[0] for row in rows])
             level = values[min(k, len(values)) - 1]
             gaps = [max(row[0] - level, 0.0) for row in rows]
         times = []

@@ -193,7 +193,7 @@ class Trajectory:
         the joint and this walk does not: the same function.
         """
         ps, qs = self._pieces, other._pieces
-        if len(qs[0].velocity.components) != len(ps[0].velocity.components):
+        if len(qs[0].velocity._components) != len(ps[0].velocity._components):
             raise ValueError("trajectories must share a dimension")
         mine, theirs = self._domain, other._domain
         lo = theirs.lo if theirs.lo > mine.lo else mine.lo
@@ -370,8 +370,8 @@ def _squared_gap(a: LinearPiece, b: LinearPiece) -> Polynomial:
     Python 3.12 on, compensates: two terms come out the same either
     way and are written out, three or more go through ``sum()`` itself.
     """
-    av, ao = a.velocity.components, a.offset.components
-    bv, bo = b.velocity.components, b.offset.components
+    av, ao = a.velocity._components, a.offset._components
+    bv, bo = b.velocity._components, b.offset._components
     if len(av) == 2:
         vx, vy = av[0] - bv[0], av[1] - bv[1]
         px, py = ao[0] - bo[0], ao[1] - bo[1]
