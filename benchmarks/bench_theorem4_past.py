@@ -7,9 +7,10 @@ time is then fitted against the claimed model ``(m + N) log N`` and the
 competing models ``N^2`` and ``m + N`` (no log); the claimed model must
 explain the data at least as well as the quadratic strawman.
 
-That series drives one raw :class:`SweepEngine` over every curve, so it
-stays the full-order Theorem-4 fit: its ``m`` is every inversion of the
-order.  A second series runs the same query through ``evaluate_knn``,
+That series drives one raw :class:`SweepEngine` over every curve, kept
+in full order by a :class:`SupportTracker` (a 2-NN view alone would cap
+it at its two lowest curves), so it stays the full-order Theorem-4 fit:
+its ``m`` is every inversion of the order.  A second series runs the same query through ``evaluate_knn``,
 which sweeps only the curves its interval bounds cannot rule out
 (``repro.sweep.prune``): there ``m`` is the order changes among the
 candidates — the support changes Lemma 8 says move the answer — and
@@ -28,6 +29,7 @@ from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.obs.explain import explain
 from repro.sweep.engine import SweepEngine
 from repro.sweep.knn import ContinuousKNN
+from repro.sweep.support import SupportTracker
 from repro.workloads.generator import random_linear_mod
 
 from _support import publish_table
@@ -39,6 +41,7 @@ SIZES = [32, 64, 128, 256]
 def run_past_query(db):
     engine = SweepEngine(db, SquaredEuclideanDistance([0.0, 0.0]), INTERVAL)
     view = ContinuousKNN(engine, 2)
+    engine.add_listener(SupportTracker())
     engine.run_to_end()
     return engine, view.answer()
 

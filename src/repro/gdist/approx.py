@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Tuple
 
-import numpy as np
-
 from repro.geometry.intervals import Interval
 from repro.geometry.piecewise import PiecewiseFunction
 from repro.geometry.poly import Polynomial
@@ -30,6 +28,8 @@ from repro.trajectory.trajectory import Trajectory
 
 def _chebyshev_fit(fn: Callable[[float], float], interval: Interval, degree: int) -> Polynomial:
     """Least-deviation polynomial interpolant on Chebyshev nodes."""
+    import numpy as np  # here, not at import: most processes never fit
+
     lo, hi = interval.lo, interval.hi
     nodes = np.cos(np.pi * (2 * np.arange(degree + 1) + 1) / (2 * (degree + 1)))
     times = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)

@@ -16,15 +16,14 @@ polynomial (Lemma 7).  Two properties matter:
 Degrees 1 and 2 use closed forms (the common case: squared Euclidean
 distance between linear trajectories is quadratic).  Higher degrees
 fall back to numpy's companion-matrix eigenvalues, polished by Newton
-iteration.
+iteration; numpy is imported there, on the first such root, so a
+process that never meets one never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from typing import List, Optional, Sequence
-
-import numpy as np
 
 from repro.geometry.intervals import Interval
 from repro.geometry.poly import Polynomial
@@ -101,6 +100,8 @@ def real_roots(poly: Polynomial, polish: bool = True) -> List[float]:
     if degree == 2:
         return _quadratic_roots(coeffs[0], coeffs[1], coeffs[2])
     # Companion matrix for degree >= 3.
+    import numpy as np
+
     complex_roots = np.roots(list(reversed(coeffs)))
     scale = max(1.0, float(np.max(np.abs(complex_roots))) if len(complex_roots) else 1.0)
     candidates = [

@@ -43,6 +43,7 @@ class CurveEntry:
         "prev",
         "next",
         "node",
+        "leaf",
     )
 
     def __init__(
@@ -64,6 +65,8 @@ class CurveEntry:
         self.next: Optional[CurveEntry] = None
         # Back-pointer into the treap, owned by the object list.
         self.node = None
+        # Leaf slot in a capped engine's kinetic tournament, owned by it.
+        self.leaf: Optional[int] = None
 
     @staticmethod
     def for_object(

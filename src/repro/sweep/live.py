@@ -321,7 +321,7 @@ class LiveSweep:
             family = self._families[key] = _Family(spec, self.current_time)
             try:
                 if self._engine is None or (
-                    spec.ranks and spec.maintained_k > self._k
+                    spec.ranks and not self._serves(spec.maintained_k)
                 ):
                     self._plan(self.current_time, "tenant")
                 else:
@@ -640,7 +640,7 @@ class LiveSweep:
         self._settle(settled, tau)
         candidates = set(piece.candidates)
         self._planned = len(candidates)
-        built = self._engine is None or candidates != {
+        built = not self._serves(widest) or candidates != {
             oid
             for oid in self._candidates
             if self._db.trajectory(oid).domain.hi >= tau
@@ -670,6 +670,15 @@ class LiveSweep:
             "built" if built else "kept",
         )
         return built
+
+    def _serves(self, k: int) -> bool:
+        """Whether the engine in force can hold a reading of ranks
+        ``< k``: a kept engine that capped its order at a narrower
+        plan's ``K`` cannot (``SweepEngine.add_listener``)."""
+        engine = self._engine
+        if engine is None or k > self._k:
+            return False
+        return engine.rank_cap is None or k <= engine.rank_cap
 
     def _settle(self, settled: List[Segment], tau: float) -> None:
         """Install the range reading's settled-in memberships of a new

@@ -111,11 +111,12 @@ class TestAgreesWithSingleK:
             assert a1 <= a2 <= a4
 
     def test_shared_sweep_processes_events_once(self):
+        # Both engines order their five lowest curves (the widest k).
         db = random_linear_mod(10, seed=15, extent=30.0, speed=7.0)
         interval = Interval(0.0, 20.0)
         engine, _ = run_multi(db, interval, [1, 2, 3, 4, 5])
         events_multi = engine.stats.intersections_processed
         solo = SweepEngine(db, gd(), interval)
-        ContinuousKNN(solo, 1)
+        ContinuousKNN(solo, 5)
         solo.run_to_end()
         assert events_multi == solo.stats.intersections_processed
