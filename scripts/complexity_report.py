@@ -20,6 +20,11 @@ computations) — never wall-clock time:
   candidates of a horizon (``repro.sweep.live``), so its per-update
   primitive operations — every bound check of every re-plan included —
   stay within O(log N) as the database grows at constant density;
+- **the live range reading** — a within session's host keeps one
+  record per curve and no order (``repro.sweep.within``): an update
+  touches one record, so at the same constant density its per-update
+  primitive operations — every crossing taken between updates included
+  — stay flat in N;
 - **Theorem 4 on the one-shot path** — ``evaluate_knn`` sweeps only the
   curves its interval bounds cannot rule out (``repro.sweep.prune``),
   so its primitive operations are linear in ``(C + m_C) log C`` — ``C``
@@ -242,18 +247,9 @@ def audit_live_updates(audit: ComplexityAudit, sizes=LIVE_SIZES) -> list:
 
     rows = []
     for n in sizes:
-        extent = 100.0 * math.sqrt(n / 200.0)
-        db = random_linear_mod(n, seed=n, extent=extent, speed=5.0)
+        db, stream = _at_constant_density(n)
         session = ContinuousQuerySession.knn(db, [0.0, 0.0], k=LIVE_K)
         host = session.engine
-        stream = UpdateStream(
-            db,
-            seed=n + 1,
-            mean_gap=10.0 / n,
-            extent=extent,
-            speed=5.0,
-            weights=(0.1, 0.1, 0.8),
-        )
         ops, checks, candidates = host.primitive_ops(), host.bound_checks, 0
         for _ in range(n):
             stream.step()
@@ -265,6 +261,52 @@ def audit_live_updates(audit: ComplexityAudit, sizes=LIVE_SIZES) -> list:
         rows.append(
             (n, candidates / n, host.replans, (ops - checks) / n, checks / n)
         )
+    return rows
+
+
+def _at_constant_density(n):
+    """``random_linear_mod(n)`` at constant density (extent ~ sqrt N)
+    and a stream of N updates over ten time units, every object
+    reporting at one rate."""
+    extent = 100.0 * math.sqrt(n / 200.0)
+    db = random_linear_mod(n, seed=n, extent=extent, speed=5.0)
+    stream = UpdateStream(
+        db,
+        seed=n + 1,
+        mean_gap=10.0 / n,
+        extent=extent,
+        speed=5.0,
+        weights=(0.1, 0.1, 0.8),
+    )
+    return db, stream
+
+
+RANGE_QUANTITY = "Live range per-update ops (crossings included)"
+RANGE_RADIUS = 40.0
+
+
+def audit_live_range(audit: ComplexityAudit, sizes=LIVE_SIZES) -> list:
+    """Record a live within session's per-update ops per N (flat).
+
+    The workload of :func:`audit_live_updates`, read within 40 of the
+    origin.  Returns ``(n, mean members, crossings, ops)`` rows, the
+    last two per update."""
+    from repro.core.api import ContinuousQuerySession
+
+    rows = []
+    for n in sizes:
+        db, stream = _at_constant_density(n)
+        session = ContinuousQuerySession.within(db, [0.0, 0.0], RANGE_RADIUS)
+        host = session.engine
+        ops, crossings, members = host.primitive_ops(), host.stats.swaps, 0
+        for _ in range(n):
+            stream.step()
+            members += len(session.members)
+        ops = host.primitive_ops() - ops
+        crossings = host.stats.swaps - crossings
+        session.close()
+        audit.record(RANGE_QUANTITY, n, ops / n)
+        rows.append((n, members / n, crossings / n, ops / n))
     return rows
 
 
@@ -335,6 +377,8 @@ def main(argv=None) -> int:
     pruned_result = audit.check(PRUNED_QUANTITY, "n")
     live_rows = audit_live_updates(audit)
     live_result = audit.check(LIVE_QUANTITY, "log n")
+    range_rows = audit_live_range(audit)
+    range_result = audit.check(RANGE_QUANTITY, "1")
     cached_rows = audit_cached_hits(init_sizes)
     cached_ok = all(ops == 0 for _, ops in cached_rows)
 
@@ -383,6 +427,16 @@ def main(argv=None) -> int:
                 )
                 for row in live_rows
             ],
+            "live_range": [
+                dict(
+                    zip(
+                        ("n", "mean_members", "crossings_per_update",
+                         "ops_per_update"),
+                        row,
+                    )
+                )
+                for row in range_rows
+            ],
             "cached_hits_free": cached_ok,
             "overhead": overhead,
             "passed": not failed,
@@ -411,6 +465,15 @@ def main(argv=None) -> int:
                 f"N={n}: {c:.1f} candidates, {r} re-plans, "
                 f"{e:.1f} engine ops + {b:.1f} bound checks per update"
                 for n, c, r, e, b in live_rows
+            )
+        )
+        print(range_result.describe())
+        print(
+            f"live within-{RANGE_RADIUS:g} session, same workload: "
+            + "; ".join(
+                f"N={n}: {m:.1f} members, {x:.2f} crossings and "
+                f"{ops:.2f} ops per update"
+                for n, m, x, ops in range_rows
             )
         )
         print(

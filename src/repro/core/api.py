@@ -5,10 +5,12 @@ so a caller only states the query.  The one-shot functions run the
 whole sweep immediately (appropriate when the trajectory history over
 the interval is already known, i.e. *past* queries); the session class
 subscribes to the database and maintains answers eagerly as updates
-arrive (*future* and *continuing* queries).  Both order only the curves
-the reading can reach: a one-shot sweep per slice of its window
+arrive (*future* and *continuing* queries).  A rank reading orders only
+the curves it can reach: a one-shot sweep per slice of its window
 (:mod:`repro.sweep.prune`), a live one per horizon of its clock
-(:mod:`repro.sweep.live`).
+(:mod:`repro.sweep.live`).  A range reading orders nothing: one record
+per curve, each with its own next crossing (:mod:`repro.sweep.within`),
+live and one-shot alike.
 """
 
 from __future__ import annotations
@@ -23,12 +25,13 @@ from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId
 from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 from repro.obs.profile import _stage
-from repro.query.answers import SnapshotAnswer, snapshot_from_segments
+from repro.query.answers import SnapshotAnswer
 from repro.query.query import Query
 from repro.sweep.engine import SweepEngine
 from repro.sweep.evaluator import GenericFOEvaluator
 from repro.sweep.live import LiveSweep
 from repro.sweep.prune import candidate_mod, plan_sweep
+from repro.sweep.within import RangeSweep
 
 
 def open_engine(
@@ -42,9 +45,8 @@ def open_engine(
     """A live ``(engine, view)`` pair maintaining ``spec`` over its
     window on ``db``.
 
-    One :class:`~repro.sweep.live.LiveSweep` — the candidate host: it
-    orders only the curves ``spec``'s reading can reach before its next
-    re-plan — with ``spec`` attached; with ``shards``, a
+    One live host (:func:`_live_host`) with ``spec`` attached; with
+    ``shards``, a
     :class:`~repro.parallel.evaluator.ShardedSweepEvaluator` (which
     speaks the engine facade and reads as its own view) built with the
     remaining ``sharding`` options.  Imported lazily so ``repro.core``
@@ -63,15 +65,28 @@ def open_engine(
             **sharding,
         )
         return evaluator, evaluator
-    host = LiveSweep(
+    host = _live_host(
         db,
         spec.gdistance,
         Interval(spec.lo, spec.hi),
-        constants=spec.constants,
-        observe=observe,
-        curve_store=curve_store,
+        spec.constants,
+        observe,
+        curve_store,
     )
     return host, host.attach(spec)
+
+
+def _live_host(db, gdistance, interval, constants, observe, curve_store):
+    """The live sweep a reading is maintained by — chosen here and
+    nowhere else (sessions and every engine-pool slot).  A range reading
+    (``constants`` holds its threshold) is one record per curve
+    (:class:`~repro.sweep.within.RangeSweep`); a rank reading is the
+    candidate host (:class:`~repro.sweep.live.LiveSweep`: it orders only
+    the curves the reading can reach before its next re-plan)."""
+    if constants:
+        (threshold,) = constants
+        return RangeSweep(db, gdistance, interval, threshold, observe, curve_store)
+    return LiveSweep(db, gdistance, interval, observe, curve_store)
 
 
 def _sharded_sweep(
@@ -115,14 +130,17 @@ def _single_sweep(
     curves=None,
     _slices: int = 1,
 ):
-    """The one-shot sweep: prune, sweep the survivors, stitch.
+    """The one-shot sweep.
 
+    A range reading is one :class:`~repro.sweep.within.RangeSweep` run
+    over ``interval`` to its end: one record per curve, no plan.
+
+    A rank reading is prune, sweep the survivors, stitch:
     :func:`~repro.sweep.prune.plan_sweep` cuts ``interval`` into slices
     and names each slice's candidates — the curves whose interval
     bounds do not already rule them out of the reading; one engine per
     slice sweeps a candidate MOD over ``[a, b]`` and its view decides
-    every membership; the slice answers (and, for a range reading, the
-    memberships the bounds settled) are joined — touching closed
+    every membership; the slice answers are joined — touching closed
     intervals coalesce, so the cuts leave no trace.  "One slice, every
     object" is a value of the plan, not another path: it is the one
     engine over the window this function used to be.  The engines
@@ -141,6 +159,8 @@ def _single_sweep(
     metrics = (observe or NULL_INSTRUMENTATION).metrics
     if curves is None:
         curves = CurveStore()
+    if not spec.ranks:
+        return _range_sweep(db, spec, interval, observe, curves)
     with _stage(profile, "prune") as st:
         plan = plan_sweep(db, spec, interval, curves, _slices)
         st.annotate(
@@ -149,18 +169,7 @@ def _single_sweep(
             slices=len(plan.slices),
             overlap_pairs=plan.overlap_pairs,
         )
-    metrics.counter(
-        "sweep_prune_objects_total",
-        "Curves one-shot sweeps bounded (every curve meeting the window).",
-    ).inc(plan.objects)
-    metrics.counter(
-        "sweep_prune_candidates_total",
-        "Curve entries one-shot sweeps handed to their slice engines.",
-    ).inc(plan.candidates)
-    metrics.counter(
-        "sweep_prune_slices_total",
-        "Window slices (one engine each) one-shot sweeps ran.",
-    ).inc(len(plan.slices))
+    _book_prune(metrics, plan.objects, plan.candidates, len(plan.slices))
     parts = []
     for piece in plan.slices:
         with _stage(profile, "init") as st:
@@ -168,7 +177,6 @@ def _single_sweep(
                 candidate_mod(db, piece.candidates),
                 spec.gdistance,
                 Interval(piece.lo, piece.hi),
-                constants=spec.constants,
                 observe=observe,
                 curve_store=curves,
             )
@@ -182,9 +190,52 @@ def _single_sweep(
         with _stage(profile, "answer"):
             parts.append(spec.answer(view))
     with _stage(profile, "answer"):
-        if plan.settled:
-            parts.append(snapshot_from_segments(plan.settled, interval))
         return stitch_answers(parts, interval)
+
+
+def _range_sweep(db, spec: QuerySpec, interval: Interval, observe, curves):
+    """A range reading's one-shot: one
+    :class:`~repro.sweep.within.RangeSweep` over ``interval``, run to
+    its end.  Its pruning is its initialisation — one pass bounds every
+    curve and computes the crossings of those that straddle — so the
+    ``prune`` stage holds the ``init`` stage."""
+    if not math.isfinite(interval.hi):
+        raise ValueError("cannot run an unbounded interval to its end")
+    profile = getattr(observe, "profile", None)
+    with _stage(profile, "prune") as pruned, _stage(profile, "init") as st:
+        host = RangeSweep(
+            db, spec.gdistance, interval, spec.threshold, observe, curves
+        )
+        init_ops = host.primitive_ops() if profile is not None else 0
+        st.annotate(ops=init_ops)
+    pruned.annotate(
+        objects=host.objects, candidates=host.candidates, slices=1, overlap_pairs=0
+    )
+    _book_prune(
+        (observe or NULL_INSTRUMENTATION).metrics, host.objects, host.candidates, 1
+    )
+    with _stage(profile, "sweep") as st:
+        host.advance_to(interval.hi)
+        host.finalize()
+        if profile is not None:
+            st.annotate(ops=host.primitive_ops() - init_ops)
+    with _stage(profile, "answer"):
+        return host.answer()
+
+
+def _book_prune(metrics, objects: int, candidates: int, slices: int) -> None:
+    metrics.counter(
+        "sweep_prune_objects_total",
+        "Curves one-shot sweeps bounded (every curve meeting the window).",
+    ).inc(objects)
+    metrics.counter(
+        "sweep_prune_candidates_total",
+        "Curve entries one-shot sweeps handed to their slice engines.",
+    ).inc(candidates)
+    metrics.counter(
+        "sweep_prune_slices_total",
+        "Window slices (one engine each) one-shot sweeps ran.",
+    ).inc(slices)
 
 
 def _evaluate(

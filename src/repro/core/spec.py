@@ -2,13 +2,14 @@
 
 Section 5 has a single evaluation technique — Theorem 5
 initialization plus per-update maintenance of one precedence order —
-and k-NN, within-range (a sentinel constant curve) and multi-k are
-three *readings* of that order.  :class:`QuerySpec` is that reading as
-a value: every front door (one-shot ``evaluate_*``, the session
-classes, the sharded evaluator, the query server, the wire ``open``
-verb, EXPLAIN) builds one and hands it down, so the layers below never
-re-decide how a threshold is squared, which view class answers, or
-what the cache and the journal call the parameters.
+and k-NN and multi-k are *readings* of that order, within-range
+(``f_o(t) <= c``) a reading of each curve on its own.
+:class:`QuerySpec` is that reading as a value: every front door
+(one-shot ``evaluate_*``, the session classes, the sharded evaluator,
+the query server, the wire ``open`` verb, EXPLAIN) builds one and
+hands it down, so the layers below never re-decide how a threshold is
+squared, which view class answers, or what the cache and the journal
+call the parameters.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.query.answers import Answer, Members
 from repro.sweep.knn import ContinuousKNN
 from repro.sweep.multiknn import MultiKNN
-from repro.sweep.within import ContinuousWithin
 from repro.trajectory.trajectory import Trajectory
 
 __all__ = ["KNN", "MULTIKNN", "WITHIN", "Answer", "QueryLike", "QuerySpec"]
@@ -168,11 +168,11 @@ class QuerySpec:
         return reading[self.maintained_k] if self.multi else reading
 
     def view(self, engine):
-        """Attach this query's answer view to ``engine``."""
+        """Attach this rank query's answer view to ``engine`` (a range
+        query is read off its own host,
+        :class:`~repro.sweep.within.RangeSweep`)."""
         if self.kind == KNN:
             return ContinuousKNN(engine, self.k)
-        if self.kind == WITHIN:
-            return ContinuousWithin(engine, self.threshold)
         return MultiKNN(engine, self.ks)
 
     def members(self, view) -> Members:

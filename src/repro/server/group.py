@@ -2,15 +2,17 @@
 server hosts.
 
 A pool partitions its *source* MOD into slots — one private shard
-database each, with a subscribed :class:`~repro.sweep.live.LiveSweep`
-that orders the candidates of the widest k any attached reading needs,
-a horizon at a time — and hosts any number of view families over them.
-A server group is the many-tenant case: sessions grouped by
-(g-distance fingerprint, shard count, sentinel constants) share
-*everything* below the answer-view layer, and sessions with identical
-``(kind, params)`` share the views and answer timelines themselves, so
-each update is swept **once per group**, not once per session.  A
-one-tenant pool (``spec=``) is what a
+database each, with a subscribed live sweep (``core.api._live_host``
+picks it: a :class:`~repro.sweep.live.LiveSweep` that orders the
+candidates of the widest k any attached rank reading needs, a horizon
+at a time, or for a range reading a
+:class:`~repro.sweep.within.RangeSweep`, one record per curve) — and
+hosts any number of view families over them.  A server group is the
+many-tenant case: sessions grouped by (g-distance fingerprint, shard
+count, range threshold) share *everything* below the answer-view
+layer, and sessions with identical ``(kind, params)`` share the views
+and answer timelines themselves, so each update is swept **once per
+group**, not once per session.  A one-tenant pool (``spec=``) is what a
 :class:`~repro.resilience.supervisor.SupervisedQuerySession` and a
 :class:`~repro.parallel.evaluator.ShardedSweepEvaluator` hold: the same
 slots over that spec's window, with the spec attached from birth.
@@ -31,11 +33,10 @@ source; the slots answer the rest.  Which faults heal is one rule
 or nothing but a quarantine — is the owner's, set as
 :attr:`EngineGroup.heal`.
 
-The knn/multiknn views require sentinel-free engines while within
-views require their threshold among the engine's constants, so the
-sentinel signature is part of a server's group key: all rank queries
-(knn + multiknn, any k) co-tenant one sentinel-free pool, and within
-queries group per threshold.
+A range host reads one threshold, so the threshold (``constants``) is
+part of a server's group key: all rank queries (knn + multiknn, any k)
+co-tenant one pool, and within queries group per threshold.  Curves are
+shared across groups by the server's one curve store, not by a host.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import logging
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.api import _evaluate
+from repro.core.api import _evaluate, _live_host
 from repro.core.spec import QuerySpec
 from repro.geometry.intervals import Interval
 from repro.gdist.base import GDistance
@@ -61,7 +62,6 @@ from repro.parallel.merge import (
 )
 from repro.parallel.sharding import partition_database
 from repro.server.errors import ServerError
-from repro.sweep.live import LiveSweep
 
 __all__ = ["ENGINE_FAULTS", "EngineGroup", "is_engine_fault"]
 
@@ -93,9 +93,7 @@ class _Slot:
 
     __slots__ = ("db", "engine", "born")
 
-    def __init__(
-        self, db: MovingObjectDatabase, engine: LiveSweep, born: float
-    ) -> None:
+    def __init__(self, db: MovingObjectDatabase, engine, born: float) -> None:
         self.db = db
         self.engine = engine
         self.born = born
@@ -170,13 +168,13 @@ class EngineGroup:
         """Slot ``i`` over ``db``: a live sweep from ``start`` to the
         window's end, subscribed, with every view family attached."""
         with _stage(self._profile, "shard.init", shard=i):
-            engine = LiveSweep(
+            engine = _live_host(
                 db,
                 self.gdistance,
                 Interval(start, self._window.hi),
-                constants=self._constants,
-                observe=self._observe,
-                curve_store=self._curve_store,
+                self._constants,
+                self._observe,
+                self._curve_store,
             )
             db.subscribe(engine.on_update)
             views = {key: engine.attach(spec) for key, spec in self._specs.items()}
@@ -223,7 +221,7 @@ class EngineGroup:
         return max((slot.born for slot in self._slots), default=self._window.lo)
 
     @property
-    def engines(self) -> List[LiveSweep]:
+    def engines(self) -> List:
         """The slots' live sweeps, in slot order (replaced by a
         rebuild)."""
         return [slot.engine for slot in self._slots]

@@ -87,6 +87,32 @@ class ListenerError:
 MAX_LISTENER_ERRORS = 64
 
 
+def next_flip(
+    below: PiecewiseFunction,
+    above: PiecewiseFunction,
+    t: float,
+    horizon: float,
+    allow_immediate: bool = True,
+) -> Optional[float]:
+    """When ``below`` first rises above ``above`` after ``t`` (up to
+    ``horizon``; at ``t`` itself only with ``allow_immediate``), or
+    ``None``.
+
+    The one call of the flip kernel in the sweep: every certificate an
+    engine schedules and every crossing a range host
+    (:class:`~repro.sweep.within.RangeSweep`) computes goes through
+    here, so the two meet the same floats and a tracer wrapping the
+    kernel's name in this module sees every flip test."""
+    return first_order_flip_after(
+        below,
+        above,
+        t,
+        horizon=horizon,
+        assume_sign=-1,
+        allow_immediate=allow_immediate,
+    )
+
+
 _MEMBERSHIP_PRIORITY = {"birth": 0, "reinsert": 1, "death": 2}
 
 
@@ -826,13 +852,8 @@ class SweepEngine:
     ) -> None:
         self.stats.flip_computations += 1
         self._c_flips.inc()
-        flip = first_order_flip_after(
-            below.curve,
-            above.curve,
-            self.current_time,
-            horizon=self._horizon,
-            assume_sign=-1,
-            allow_immediate=not just_swapped,
+        flip = next_flip(
+            below.curve, above.curve, self.current_time, self._horizon, not just_swapped
         )
         if flip is not None:
             self._queue.push(
@@ -984,12 +1005,12 @@ class SweepEngine:
             for below, above in self._adjacent_pairs():
                 self.stats.flip_computations += 1
                 self._c_flips.inc()
-                flip = first_order_flip_after(
+                flip = next_flip(
                     below.curve,
                     above.curve,
                     self.current_time,
-                    horizon=self._horizon,
-                    assume_sign=-1,
+                    self._horizon,
+                    allow_immediate=False,
                 )
                 if flip is not None:
                     events.append(

@@ -5,8 +5,8 @@ Theorem 5 prices a continuing query at ``O(m log N)`` per update with
 ``m`` the support changes *of the query* (Lemma 8: nothing else moves
 the answer).  A live engine over every curve of the database pays for
 every inversion of the full order instead.  :class:`LiveSweep` is the
-one host every live construction site builds — sessions, and every
-slot of the one engine pool — and it keeps a
+one host every live construction site builds for a rank reading —
+sessions, and every slot of the one engine pool — and it keeps a
 :class:`~repro.sweep.engine.SweepEngine` over the *candidates of a
 horizon* only, with the bounds, the margin and the candidate MOD of
 :mod:`repro.sweep.prune`.
@@ -18,24 +18,20 @@ family maintains): ``T`` is the ``(K + _SPARE_WITNESSES)``-th smallest
 are the curves at or below it — and the candidates are the curves with
 ``min <= T`` (plus the margin).  While ``K`` witnesses stand, a
 non-candidate lies strictly above ``K`` curves at every instant, so the
-top-K of the candidates is the top-K of the database.  Range reading:
-the straddlers of the threshold are the candidates; the rest are
-settled in or out for the horizon, and the settled-in memberships are
-part of ``members`` and of the timeline.  "Every object is a
-candidate" is a value of the plan — fewer covering curves than
-witnesses wanted, more than one sentinel, no time scale yet — and is
-today's one engine over everything.
+top-K of the candidates is the top-K of the database.  "Every object
+is a candidate" is a value of the plan — fewer covering curves than
+witnesses wanted, no time scale yet — and is the one engine over
+everything.  (A range reading has no plan: its host is
+:class:`~repro.sweep.within.RangeSweep`, one record per curve.)
 
 **Update at ``t`` inside the horizon.**  A candidate's update is the
 engine's Theorem-5 step.  A non-candidate's ``new`` / ``chdir`` is one
 curve build and one bound over ``[t, tau + H]``: it enters the engine
-at ``t`` iff it now reaches ``T`` (or straddles the threshold; a
-settled-in member that starts straddling closes its settled segment at
-``t`` and enters below the sentinel at ``t``, so the stitched
-membership is unbroken).  An update that breaks ``T``'s guarantee — a
-witness whose new ``max`` exceeds ``T``, or that terminates, leaving
-fewer than ``K`` — and a tenant attaching with a larger k are a
-**re-plan** at ``t``, decided *before* the engine sees the update.
+at ``t`` iff it now reaches ``T``.  An update that breaks ``T``'s
+guarantee — a witness whose new ``max`` exceeds ``T``, or that
+terminates, leaving fewer than ``K`` — and a tenant attaching with a
+larger k are a **re-plan** at ``t``, decided *before* the engine sees
+the update.
 
 **Re-plan** = bound again, and — only if the candidate set changed —
 close the engine in force into one answer piece per view family and
@@ -76,23 +72,16 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.geometry.intervals import Interval
 from repro.gdist.base import GDistance
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import New, ObjectId, Terminate, Update
 from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
-from repro.query.answers import Answer, SnapshotAnswer, snapshot_from_segments
+from repro.query.answers import Answer, SnapshotAnswer
 from repro.sweep.engine import SweepEngine, SweepStats
-from repro.sweep.prune import (
-    Segment,
-    Slice,
-    _classify,
-    _reaches,
-    _side,
-    candidate_mod,
-)
+from repro.sweep.prune import Slice, _classify, _reaches, candidate_mod
 
 __all__ = ["LiveSweep"]
 
@@ -122,7 +111,7 @@ class _Family:
 
 
 class LiveView:
-    """A one-answer reading (knn, within) of a host, stable across its
+    """A one-answer reading (knn) of a host, stable across its
     re-plans: what ``QuerySpec.members`` / ``answer`` / ``partial``
     read in place of an engine's own view."""
 
@@ -175,7 +164,7 @@ class LiveSweep:
     way they attach to an engine: :meth:`attach` a
     :class:`~repro.core.spec.QuerySpec` and read the
     :class:`LiveView` it returns — the host needs to know the widest k
-    (or the threshold) anyone reads to know what may be left out.
+    anyone reads to know what may be left out.
     """
 
     def __init__(
@@ -183,7 +172,6 @@ class LiveSweep:
         db: MovingObjectDatabase,
         gdistance: GDistance,
         interval: Interval,
-        constants: Sequence[float] = (),
         observe=None,
         curve_store=None,
     ) -> None:
@@ -198,7 +186,6 @@ class LiveSweep:
         self._gdistance = gdistance
         self._interval = interval
         self._until = interval.hi
-        self._constants = tuple(float(c) for c in constants)
         self._store = curve_store if curve_store is not None else CurveStore()
         self.observe = as_instrumentation(observe)
         self.current_time = interval.lo
@@ -222,8 +209,6 @@ class LiveSweep:
         self._planned = 0
         self._bar: Optional[Tuple[float, float]] = None
         self._witnesses: Set[ObjectId] = set()
-        self._settled: Dict[ObjectId, Tuple[float, float]] = {}
-        self._settled_done: List[Segment] = []
         metrics = (self.observe or NULL_INSTRUMENTATION).metrics
         replans = metrics.counter(
             "sweep_replans_total",
@@ -320,9 +305,7 @@ class LiveSweep:
         if family is None:
             family = self._families[key] = _Family(spec, self.current_time)
             try:
-                if self._engine is None or (
-                    spec.ranks and not self._serves(spec.maintained_k)
-                ):
+                if not self._serves(spec.maintained_k):
                     self._plan(self.current_time, "tenant")
                 else:
                     self._sync()
@@ -344,34 +327,18 @@ class LiveSweep:
 
     def _members(self, family: _Family):
         self._sync()
-        members = family.spec.members(family.view)
-        if self._settled:
-            now = self.current_time
-            members |= {
-                oid for oid, (lo, hi) in self._settled.items() if lo <= now <= hi
-            }
-        return members
+        return family.spec.members(family.view)
 
     def _window(self, family: _Family, time: float) -> Answer:
         """``family``'s answer over ``[since, time]``: one piece per
-        engine closed since it attached, the engine in force's, and
-        (range reading) the memberships the bounds settled."""
+        engine closed since it attached and the engine in force's."""
         from repro.parallel.merge import stitch_answers  # imports repro.core
 
-        window = Interval(family.since, time)
         parts = list(family.pieces)
         if family.view is not None:
             self._sync()
             parts.append(family.spec.partial(family.view, time))
-        if self._settled or self._settled_done:
-            segments = self._settled_done + [
-                (oid, lo, min(hi, time))
-                for oid, (lo, hi) in self._settled.items()
-                if lo <= time
-            ]
-            settled = snapshot_from_segments(segments, window)
-            return stitch_answers(parts + [settled], window).restrict(window)
-        return stitch_answers(parts, window)
+        return stitch_answers(parts, Interval(family.since, time))
 
     def _final(self, family: _Family) -> Answer:
         if family.final is None:
@@ -475,8 +442,6 @@ class LiveSweep:
         if isinstance(update, Terminate):
             bound = None
             if not candidate:
-                if oid in self._settled:
-                    self._unsettle(oid, t)
                 return
         else:
             trajectory = self._db.trajectory(oid)
@@ -487,19 +452,8 @@ class LiveSweep:
             # An engine the re-plan kept still has to hear of it.
             if self._keeps_bar(oid, bound) or not self._plan(t, "witness"):
                 self._forward(update)
-        elif self._bar is not None:
-            if _reaches(bound, *self._bar):
-                self._promote(oid, trajectory, t)
-        else:
-            side = _side(bound, self._constants[0])
-            if side < 0:
-                if oid not in self._settled:
-                    self._settled[oid] = (t, trajectory.domain.hi)
-                return
-            if oid in self._settled:
-                self._unsettle(oid, t)
-            if side == 0:
-                self._promote(oid, trajectory, t)
+        elif _reaches(bound, *self._bar):
+            self._promote(oid, trajectory, t)
 
     def _keeps_bar(self, oid: ObjectId, bound) -> bool:
         """Whether ``T`` still has its ``K`` witnesses once witness
@@ -527,10 +481,6 @@ class LiveSweep:
             New(oid, t, piece.velocity, piece.position_unchecked(t))
         )
 
-    def _unsettle(self, oid: ObjectId, t: float) -> None:
-        lo, hi = self._settled.pop(oid)
-        self._settled_done.append((oid, lo, min(hi, t)))
-
     # -- planning -----------------------------------------------------------------
     def _items(self, tau: float):
         """Every curve that meets ``[tau, until]``, from ``tau`` on."""
@@ -543,7 +493,7 @@ class LiveSweep:
             items.append((oid, tail(gdistance, oid, trajectory, tau)))
         return items
 
-    def _seed_horizon(self, items, tau: float, k: Optional[int]) -> Optional[float]:
+    def _seed_horizon(self, items, tau: float, k: int) -> Optional[float]:
         """The first horizon, read off the curves: the second-order time
         (value, rate and curvature at ``tau``) each curve needs to close
         its gap to the bar, and of those the one by which twice the
@@ -557,14 +507,9 @@ class LiveSweep:
                 rows.append(curve.forward_taylor(tau, 3))
         if not rows:
             return None
-        if k is None:
-            wanted = 1 + _SPARE_WITNESSES
-            gaps = [abs(row[0] - self._constants[0]) for row in rows]
-        else:
-            wanted = k
-            values = sorted([row[0] for row in rows])
-            level = values[min(k, len(values)) - 1]
-            gaps = [max(row[0] - level, 0.0) for row in rows]
+        values = sorted([row[0] for row in rows])
+        level = values[min(k, len(values)) - 1]
+        gaps = [max(row[0] - level, 0.0) for row in rows]
         times = []
         for gap, (_, rate, curvature) in zip(gaps, rows):
             # The least s with |rate| s + |curvature| s^2 / 2 = gap.
@@ -574,7 +519,7 @@ class LiveSweep:
             elif b:
                 times.append(gap / b)
         times.sort()
-        reached = [time for time in times[: 2 * wanted] if time > 0.0]
+        reached = [time for time in times[: 2 * k] if time > 0.0]
         return reached[-1] if reached else None
 
     def _plan(self, tau: float, reason: str) -> bool:
@@ -583,13 +528,10 @@ class LiveSweep:
         if self._engine is not None:
             self._engine.advance_to(tau)
         self.current_time = tau
-        ranked = not self._constants
         widest = max(
-            (f.spec.maintained_k for f in self._families.values() if f.spec.ranks),
-            default=0,
+            (f.spec.maintained_k for f in self._families.values()), default=0
         )
-        k = widest + _SPARE_WITNESSES if ranked else None
-        threshold = self._constants[0] if len(self._constants) == 1 else None
+        k = widest + _SPARE_WITNESSES
         items = self._items(tau)
         horizon = self._horizon
         if horizon is None:
@@ -597,30 +539,26 @@ class LiveSweep:
         elif reason == "horizon":
             horizon *= 2.0
         bar = None
-        settled: List[Segment] = []
         end = self._until if horizon is None else min(tau + horizon, self._until)
         everything = Slice(tau, end, items, 0)
-        if len(self._constants) > 1 or not tau < end < math.inf:
+        if not tau < end < math.inf:
             piece = everything
         else:
-            piece, settled, bar = _classify(k, threshold, items, tau, end)
+            piece, bar = _classify(k, items, tau, end)
             self.bound_checks += len(items)
             while piece.overlap_pairs:
                 mid = piece.lo + (piece.hi - piece.lo) / 2.0
                 if not piece.lo < mid < piece.hi:
                     break
-                half, fixed, half_bar = _classify(
-                    k, threshold, piece.items, piece.lo, mid
-                )
+                half, half_bar = _classify(k, piece.items, piece.lo, mid)
                 self.bound_checks += len(piece.items)
                 # Per unit of time: half the horizon is two plans (one
                 # more pass over every curve) where this one is one.
                 if 2.0 * half.cost + len(items) >= piece.cost:
                     break
                 piece, bar = half, half_bar
-                settled = [s for s in settled if s[1] <= mid] + fixed
             horizon = piece.hi - piece.lo
-            if ranked and bar is None:  # too few covering curves to rule any out
+            if bar is None:  # too few covering curves to rule any out
                 piece = everything._replace(hi=piece.hi)
         if self._engine is not None:
             self.replans += 1
@@ -628,7 +566,7 @@ class LiveSweep:
         self._horizon = horizon
         self._start, self._end = tau, piece.hi
         self._k = widest
-        self._pruned = piece is not everything and (bar is not None or not ranked)
+        self._pruned = bar is not None
         self._bar = bar
         self._witnesses = set()
         if bar is not None:
@@ -637,7 +575,6 @@ class LiveSweep:
                     if curve.bounds(tau, piece.hi)[1] <= bar[0]:
                         self._witnesses.add(oid)
             self.bound_checks += len(piece.items)
-        self._settle(settled, tau)
         candidates = set(piece.candidates)
         self._planned = len(candidates)
         built = not self._serves(widest) or candidates != {
@@ -653,7 +590,6 @@ class LiveSweep:
                 self._cands,
                 self._gdistance,
                 Interval(tau, self._until),
-                constants=self._constants,
                 observe=self.observe,
                 curve_store=self,
             )
@@ -679,24 +615,6 @@ class LiveSweep:
         if engine is None or k > self._k:
             return False
         return engine.rank_cap is None or k <= engine.rank_cap
-
-    def _settle(self, settled: List[Segment], tau: float) -> None:
-        """Install the range reading's settled-in memberships of a new
-        plan: one that was settled already keeps its start, one no
-        longer settled ends at ``tau`` (it is a candidate from there)."""
-        fresh: Dict[ObjectId, Tuple[float, float]] = {}
-        for oid, lo, _ in settled:
-            held = self._settled.pop(oid, None)
-            fresh[oid] = (
-                lo if held is None else held[0],
-                self._db.trajectory(oid).domain.hi,
-            )
-        for oid in list(self._settled):
-            self._unsettle(oid, tau)
-        self._settled = fresh
-        # No attached reading reaches behind its own start.
-        floor = min((f.since for f in self._families.values()), default=tau)
-        self._settled_done = [s for s in self._settled_done if s[2] >= floor]
 
     def _close_engine(self, tau: float) -> None:
         """Retire the engine in force at ``tau``: one answer piece per

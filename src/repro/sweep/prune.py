@@ -16,10 +16,11 @@ instant of the slice, so it is never among the K lowest and ties never
 involve it: the top-K of ``{o : min_o <= T}`` is the top-K of the
 database.  With fewer than K covering curves everything is a candidate.
 
-**Range reading** (within a threshold ``c``).  Membership involves one
-curve at a time: ``max_o < c`` is in for its whole life in the slice,
-``min_o > c`` is out, and only the curves that straddle ``c`` are swept
-against its sentinel.
+A range reading is not planned at all: its membership involves one
+curve at a time, and :class:`~repro.sweep.within.RangeSweep` keeps each
+curve's own next crossing instead of an order (it borrows this
+module's margin to skip the crossing of a curve whose bounds lie on one
+side for the rest of a bounded window).
 
 **The margin.**  Bounds are floats, each within a few ulps of the
 *magnitude* ``bounds`` reports (not of the value: a squared distance is
@@ -41,12 +42,12 @@ way; the cut would only re-initialise them).  When nothing prunes, the
 plan is one slice holding every object: today's one engine over the
 window.
 
-Live sessions and engine-pool slots prune too, one horizon of
+Live rank sessions and engine-pool slots prune too, one horizon of
 their clock at a time: :mod:`repro.sweep.live` bounds every curve over
-``[tau, tau + H]`` with this module's ``_classify`` / ``_reaches`` /
-``_side`` and margin, orders ``candidate_mod`` of the survivors, re-tests
-a non-candidate's bound when it updates and re-plans when the horizon
-or a witness of ``T`` lapses.  What keeps the full order is the generic
+``[tau, tau + H]`` with this module's ``_classify`` / ``_reaches`` and
+margin, orders ``candidate_mod`` of the survivors, re-tests a
+non-candidate's bound when it updates and re-plans when the horizon or
+a witness of ``T`` lapses.  What keeps the full order is the generic
 FO(f) evaluator, whose formulas may read any rank, and the window
 merge's second-level sweep, whose input is a candidate set already.  A
 ``cache=`` caller is in scope: the cache holds answers, never an
@@ -73,15 +74,12 @@ _REL_MARGIN = 1e-9
 
 #: Building one more engine — its candidate MOD, queue, order and view —
 #: in the unit of Theorem 4's bound, one queue or order step: measured
-#: at 60-100 us against 2-4 us a step (EXPERIMENTS.md).  Without it the
-#: bound alone would cut a range reading into one slice per straddler.
+#: at 60-100 us against 2-4 us a step (EXPERIMENTS.md).
 _ENGINE_STEPS = 32
 
 #: One curve a slice may have to sweep (unbuilt only in the plan that
 #: bounds nothing).  Lists of them stay in database insertion order.
 _Item = Tuple[ObjectId, Optional[PiecewiseFunction]]
-#: Memberships the bounds settle without a sweep: ``(oid, lo, hi)``.
-Segment = Tuple[ObjectId, float, float]
 
 
 class Slice(NamedTuple):
@@ -110,12 +108,10 @@ class Slice(NamedTuple):
 
 class Plan(NamedTuple):
     """What :func:`plan_sweep` decided.  ``objects`` counts the curves
-    that meet the window; ``settled`` holds the range reading's
-    memberships no engine has to find."""
+    that meet the window."""
 
     objects: int
     slices: List[Slice]
-    settled: List[Segment]
 
     @property
     def candidates(self) -> int:
@@ -181,72 +177,33 @@ def _reaches(bound, bar: float, slack: float) -> bool:
     return bound[0] <= bar + _REL_MARGIN * (slack + bound[2])
 
 
-def _side(bound, threshold: float) -> int:
-    """Where a curve bounded by ``bound`` lies against the range
-    threshold: ``-1`` below it throughout (in), ``1`` above it
-    throughout (out), ``0`` straddling (or within the margin)."""
-    vmin, vmax, magnitude = bound
-    margin = _REL_MARGIN * (magnitude + abs(threshold))
-    if vmax < threshold - margin:
-        return -1
-    return 0 if vmin <= threshold + margin else 1
-
-
 def _classify(
-    k: Optional[int],
-    threshold: Optional[float],
-    items: Sequence[_Item],
-    a: float,
-    b: float,
-) -> Tuple[Slice, List[Segment], Optional[Tuple[float, float]]]:
-    """The slice ``[a, b]`` read off the bounds of ``items`` — at rank
-    ``k``, or (``k`` None) against the range ``threshold`` — with the
-    memberships a range reading settles outright and the rank
-    reading's ``(T, margin scale)`` where it has one."""
+    k: int, items: Sequence[_Item], a: float, b: float
+) -> Tuple[Slice, Optional[Tuple[float, float]]]:
+    """The slice ``[a, b]`` read off the bounds of ``items`` at rank
+    ``k``, with the reading's ``(T, margin scale)`` where it has one."""
     rows = []
     for item in items:
         found = item[1].bounds(a, b)
         if found is not None:
             rows.append((item, found))
-    settled: List[Segment] = []
-    bar = None
-    if k is not None:
-        bar = _rank_bar(rows, k, a, b)
-        if bar is not None:
-            rows = [row for row in rows if _reaches(row[1], *bar)]
-        pairs = 0
-    else:
-        straddling = []
-        for row in rows:
-            side = _side(row[1], threshold)
-            if side < 0:
-                item = row[0]
-                domain = item[1].domain
-                settled.append(
-                    (item[0], max(a, domain.lo), min(b, domain.hi))
-                )
-            elif side == 0:
-                straddling.append(row)
-        rows = straddling
-        pairs = len(rows)  # each straddler against the sentinel
-    pairs += _overlap_pairs([(vmin, vmax) for _, (vmin, vmax, _) in rows])
-    return Slice(a, b, [item for item, _ in rows], pairs), settled, bar
+    bar = _rank_bar(rows, k, a, b)
+    if bar is not None:
+        rows = [row for row in rows if _reaches(row[1], *bar)]
+    pairs = _overlap_pairs([(vmin, vmax) for _, (vmin, vmax, _) in rows])
+    return Slice(a, b, [item for item, _ in rows], pairs), bar
 
 
-def _halve(k, threshold, piece: Slice, settled: List[Segment]) -> List[Slice]:
-    """``piece`` or, while it pays, the leaves of its halves;
-    memberships a kept half settles join ``settled``."""
+def _halve(k: int, piece: Slice) -> List[Slice]:
+    """``piece`` or, while it pays, the leaves of its halves."""
     mid = piece.lo + (piece.hi - piece.lo) / 2.0
     if not piece.overlap_pairs or not piece.lo < mid < piece.hi:
         return [piece]
-    left, left_settled, _ = _classify(k, threshold, piece.items, piece.lo, mid)
-    right, right_settled, _ = _classify(k, threshold, piece.items, mid, piece.hi)
+    left, _ = _classify(k, piece.items, piece.lo, mid)
+    right, _ = _classify(k, piece.items, mid, piece.hi)
     if left.cost + right.cost >= piece.cost:
         return [piece]
-    settled += left_settled + right_settled
-    return _halve(k, threshold, left, settled) + _halve(
-        k, threshold, right, settled
-    )
+    return _halve(k, left) + _halve(k, right)
 
 
 def plan_sweep(
@@ -257,7 +214,7 @@ def plan_sweep(
     _slices: int = 1,
 ) -> Plan:
     """Cut ``window`` into slices and pick each slice's candidates for
-    ``spec`` (a :class:`~repro.core.spec.QuerySpec`) over ``db``.
+    ``spec`` (a rank :class:`~repro.core.spec.QuerySpec`) over ``db``.
 
     Curves are built through ``curve_store``, which the slices' engines
     must share: a curve is built once however many slices hold it.
@@ -267,9 +224,7 @@ def plan_sweep(
     if not (window.is_bounded and spec.gdistance.is_polynomial):
         # Nothing to bound — and the engine refuses both; let it.
         everything = [(oid, None) for oid, _ in db.all_items()]
-        return Plan(
-            len(everything), [Slice(window.lo, window.hi, everything, 0)], []
-        )
+        return Plan(len(everything), [Slice(window.lo, window.hi, everything, 0)])
     # ``curve_store.curve`` is ``tail`` from ``-inf``: called straight,
     # one call less per object.
     tail, gdistance, lo, hi = curve_store.tail, spec.gdistance, window.lo, window.hi
@@ -281,13 +236,11 @@ def plan_sweep(
         items.append((oid, tail(gdistance, oid, trajectory, -math.inf)))
     cuts = [window.lo + i * window.length / _slices for i in range(_slices)]
     cuts.append(window.hi)
-    settled: List[Segment] = []
     slices: List[Slice] = []
-    k = spec.maintained_k if spec.ranks else None
+    k = spec.maintained_k
     for a, b in zip(cuts, cuts[1:]):
-        piece, fixed, _ = _classify(k, spec.threshold, items, a, b)
-        settled += fixed
-        for leaf in _halve(k, spec.threshold, piece, settled):
+        piece, _ = _classify(k, items, a, b)
+        for leaf in _halve(k, piece):
             last = slices[-1] if slices else None
             if last is not None and last.candidates == leaf.candidates:
                 slices[-1] = last._replace(
@@ -296,4 +249,4 @@ def plan_sweep(
                 )
             else:
                 slices.append(leaf)
-    return Plan(len(items), slices, settled)
+    return Plan(len(items), slices)

@@ -566,7 +566,6 @@ class _Traced(LiveSweep):
                 self._start,
                 self._end,
                 frozenset(self._candidates),
-                frozenset(self._settled),
                 frozenset(self._witnesses),
             )
         )
@@ -610,32 +609,22 @@ def _scaled_world(seed, space, time):
 
 
 def _plan_trace(seed, space, time):
-    traces = []
-    for make in (
-        lambda: QuerySpec.knn(SquaredEuclideanDistance([0.0, 0.0]), 3),
-        lambda: QuerySpec(
-            SquaredEuclideanDistance([0.0, 0.0]), "within",
-            threshold=(40.0 * space) ** 2,
-        ),
-    ):
-        spec = make()
-        db, updates = _scaled_world(seed, space, time)
-        host = _Traced(
-            db, spec.gdistance, Interval.at_least(db.last_update_time),
-            constants=spec.constants,
-        )
-        host.attach(spec)
-        db.subscribe(host.on_update)
-        for update in updates:
-            db.apply(update)
-        host.advance_to(db.last_update_time + 1.0 * time)
-        traces.append(
-            [
-                (reason, lo / time, hi / time, cands, settled, witnesses)
-                for reason, lo, hi, cands, settled, witnesses in host.plans
-            ]
-        )
-    return traces
+    # A rank reading's plans (a range reading has none: its host is one
+    # record per curve).
+    spec = QuerySpec.knn(SquaredEuclideanDistance([0.0, 0.0]), 3)
+    db, updates = _scaled_world(seed, space, time)
+    host = _Traced(db, spec.gdistance, Interval.at_least(db.last_update_time))
+    host.attach(spec)
+    db.subscribe(host.on_update)
+    for update in updates:
+        db.apply(update)
+    host.advance_to(db.last_update_time + 1.0 * time)
+    return [
+        [
+            (reason, lo / time, hi / time, cands, witnesses)
+            for reason, lo, hi, cands, witnesses in host.plans
+        ]
+    ]
 
 
 def _same_plans(got, want):
@@ -651,7 +640,7 @@ def _same_plans(got, want):
 @pytest.mark.parametrize("seed", range(4))
 def test_live_plan_does_not_depend_on_the_unit(monkeypatch, seed):
     """Coordinates x1e-6 ... x1e6, instants x1e-3 / x1e3: the same
-    candidates, settled members and witnesses at the same (scaled)
+    candidates and witnesses at the same (scaled)
     re-plan instants — the margin is relative and the first horizon is
     a ratio of the curves' own values and rates."""
     monkeypatch.undo()  # the real first horizon

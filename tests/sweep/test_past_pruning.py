@@ -41,6 +41,7 @@ from repro.mod.updates import New
 from repro.obs import Instrumentation, explain
 from repro.sweep.engine import SweepEngine
 from repro.sweep.prune import candidate_mod, plan_sweep
+from repro.sweep.within import ContinuousWithin, RangeSweep
 from repro.trajectory.builder import from_waypoints, linear_from, stationary
 from repro.workloads.generator import crossing_rich_mod, random_linear_mod
 from tests._oracle import (
@@ -68,7 +69,10 @@ def full_order(db, spec, window):
     """The answer of one full-order engine over ``window``: what the
     one-shot path was before it pruned."""
     engine = SweepEngine(db, spec.gdistance, window, constants=spec.constants)
-    view = spec.view(engine)
+    if spec.ranks:
+        view = spec.view(engine)
+    else:  # the range reading's sentinel view
+        view = ContinuousWithin(engine, spec.threshold)
     engine.run_to_end()
     return spec.answer(view), engine
 
@@ -242,10 +246,10 @@ class TestHandBuiltEdges:
         assert expected.objects == {"rim", "inside"}
         for got in _all_slicings(db, spec, window):
             assert got == expected
-        # ``inside`` is settled by its bounds, ``rim`` left to the engine.
-        plan = plan_sweep(db, spec, window, CurveStore())
-        assert [s.candidates for s in plan.slices] == [("rim",)]
-        assert plan.settled == [("inside", 0.0, 6.0)]
+        # ``inside`` and the crowd are decided by their bounds; only
+        # ``rim``'s crossing is computed (and there is none).
+        host = RangeSweep(db, spec.gdistance, window, spec.threshold)
+        assert host.bound_checks == 10 and host.stats.flip_computations == 1
 
     def test_tangent_to_the_threshold(self):
         # Passes the query at closest distance exactly 5, at t = 4.
@@ -405,26 +409,16 @@ def mods_and_windows(draw):
 @given(mods_and_windows())
 def test_every_answer_object_is_a_candidate_of_its_slice(case):
     db, window, k, extent = case
-    for spec in (QuerySpec.knn(ORIGIN, k), QuerySpec.within(ORIGIN, extent**2)):
-        expected, _ = full_order(db, spec, window)
-        for slices in (1, 4):
-            plan = plan_sweep(db, spec, window, CurveStore(), slices)
-            settled = {}
-            for oid, lo, hi in plan.settled:
-                settled.setdefault(oid, []).append((lo, hi))
-            for piece in plan.slices:
-                here = expected.restrict(Interval(piece.lo, piece.hi))
-                for oid in here.objects:
-                    if here.intervals_for(oid).total_length <= 1e-9:
-                        continue  # touches the slice in one instant
-                    # Settled stretches touch end to end (one per
-                    # slice the planner looked at, merged or not).
-                    reach = piece.lo
-                    for lo, hi in sorted(settled.get(oid, ())):
-                        if lo <= reach:
-                            reach = max(reach, hi)
-                    held = oid in piece.candidates or reach >= piece.hi
-                    assert held, (oid, piece)
+    spec = QuerySpec.knn(ORIGIN, k)  # a range reading has no plan
+    expected, _ = full_order(db, spec, window)
+    for slices in (1, 4):
+        plan = plan_sweep(db, spec, window, CurveStore(), slices)
+        for piece in plan.slices:
+            here = expected.restrict(Interval(piece.lo, piece.hi))
+            for oid in here.objects:
+                if here.intervals_for(oid).total_length <= 1e-9:
+                    continue  # touches the slice in one instant
+                assert oid in piece.candidates, (oid, piece)
 
 
 @st.composite
@@ -507,22 +501,20 @@ def _scale_base(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_candidates_do_not_depend_on_the_unit(seed):
-    """Coordinates x1e-6 ... x1e6: the same slices, candidates and
-    settled objects at every scale — the margin is relative."""
+    """Coordinates x1e-6 ... x1e6: the same slices and candidates, and
+    the same curves whose crossing the range host computes, at every
+    scale — the margin is relative."""
     base = _scale_base(seed)
     seen = {}
     for factor in SCALES:
         db = _scaled(base, factor)
-        seen[factor] = [
-            (
-                [(s.lo, s.hi, s.candidates) for s in plan.slices],
-                sorted(oid for oid, _, _ in plan.settled),
-            )
-            for plan in (
-                plan_sweep(db, spec, SCALE_WINDOW, CurveStore())
-                for spec in _scale_specs(factor)
-            )
-        ]
+        knn, within = _scale_specs(factor)
+        plan = plan_sweep(db, knn, SCALE_WINDOW, CurveStore())
+        host = RangeSweep(db, within.gdistance, SCALE_WINDOW, within.threshold)
+        seen[factor] = (
+            [(s.lo, s.hi, s.candidates) for s in plan.slices],
+            host.stats.flip_computations,
+        )
     for factor in SCALES:
         assert seen[factor] == seen[1.0], factor
 

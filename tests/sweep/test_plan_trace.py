@@ -5,9 +5,10 @@ The op-count gates see sums.  This test sees each plan: one row per
 ``serve_crossing``'s eight sessions through the first 600 updates of its
 stream, with a fresh-point knn session opened every ten updates and
 closed ten later — the reason, ``tau``, the horizon, the candidates, the
-witnesses, the settled range members and the bound checks the plan
-spent — plus :func:`plan_sweep`'s slices for ``past_sweep``'s three
-one-shot queries.  Floats are compared by their IEEE-754 bits.
+witnesses and the bound checks the plan spent — plus
+:func:`plan_sweep`'s slices for ``past_sweep``'s two rank one-shot
+queries.  Floats are compared by their IEEE-754 bits.  A range reading
+has no plan: its sessions build no host that plans.
 
 ``plan_trace_pin.json`` was recorded before the plan pass's kernels
 were rewritten (closed-form Taylor keys, the lean curve store).
@@ -82,7 +83,6 @@ def live_trace():
                 bits(self._end),
                 sorted(self._candidates),
                 sorted(self._witnesses),
-                sorted(self._settled),
                 self.bound_checks - checks,
                 built,
             ]
@@ -111,13 +111,13 @@ def live_trace():
 
 
 def past_trace():
-    """``plan_sweep``'s decision for each of ``past_sweep``'s queries."""
+    """``plan_sweep``'s decision for each of ``past_sweep``'s rank
+    queries."""
     db = random_linear_mod(400, seed=1)
     window = Interval(0.0, 2.0)
     out = []
     for spec in (
         QuerySpec.knn([0.0, 0.0], 5),
-        QuerySpec.within([0.0, 0.0], 50.0),
         QuerySpec.multiknn([0.0, 0.0], (1, 5, 10)),
     ):
         plan = plan_sweep(db, spec, window, CurveStore())
@@ -129,7 +129,6 @@ def past_trace():
                     [bits(s.lo), bits(s.hi), list(s.candidates), s.overlap_pairs]
                     for s in plan.slices
                 ],
-                "settled": [[oid, bits(lo), bits(hi)] for oid, lo, hi in plan.settled],
             }
         )
     return out
@@ -149,12 +148,11 @@ def test_every_plan_is_the_pinned_plan():
         assert row == want, f"plan {i} moved"
 
 
-def test_the_pin_covers_rank_and_range_plans():
+def test_the_pin_covers_rank_plans():
     with open(PIN, encoding="utf-8") as handle:
         live = json.load(handle)["live"]
     assert {row[1] for row in live} >= {"tenant", "horizon"}
     assert any(row[6] for row in live), "rank plans drew a bar"
-    assert any(row[7] for row in live), "range plans settled members"
 
 
 if __name__ == "__main__":
