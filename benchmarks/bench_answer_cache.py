@@ -117,7 +117,7 @@ def test_cache_speedup_on_repeated_queries(benchmark):
     )
 
     # Answer hits dominate; the curve store is fully populated (its
-    # own hits only recur on re-initializations — rebuilds, shards —
+    # own hits only recur on re-initializations — rebuilds, new groups —
     # which this repeated-query workload deliberately avoids).
     assert stats["answer_hits"] > 0
     assert stats["curve_entries"] == POINTS * N

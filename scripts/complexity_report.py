@@ -10,9 +10,6 @@ computations) — never wall-clock time:
 - **Corollary 6 (updates)** — with bounded support changes between
   updates, per-update maintenance performs O(log N) amortized
   primitive operations;
-- **Sharded maintenance** — hash partitioning across S shards keeps
-  the banded per-update envelope at O(log N) (each update touches one
-  shard's order of size N/S);
 - **Cached lookups** — a warm answer cache serves an exact repeat
   with O(1) sweep work: the hit path must count *zero* new primitive
   operations regardless of N.
@@ -106,44 +103,6 @@ def audit_corollary6_updates(audit: ComplexityAudit, sizes, updates=50) -> None:
             n,
             (engine.primitive_ops() - before) / updates,
         )
-
-
-def audit_sharded_updates(audit: ComplexityAudit, sizes, updates=50, shards=4) -> None:
-    """Record sharded per-update op counts per N (O(log N) envelope).
-
-    Same banded workload as the Corollary 6 audit, driven through a
-    :class:`ShardedSweepEvaluator` with per-update flushes: partitioning
-    must not break the amortized bound.
-    """
-    from repro.parallel.evaluator import ShardedSweepEvaluator
-
-    for n in sizes:
-        db = banded_mod(n, seed=n + 1, band_gap=5.0, jitter_speed=0.2)
-        evaluator = ShardedSweepEvaluator.knn(
-            db,
-            SquaredEuclideanDistance([0.0, 0.0]),
-            k=1,
-            until=300.0,
-            shards=shards,
-            batch_size=1,
-        )
-        db.subscribe(evaluator.on_update)
-        stream = UpdateStream(
-            db,
-            seed=n + 2,
-            mean_gap=0.25,
-            periodic=True,
-            speed=0.2,
-            weights=(0.0, 0.0, 1.0),
-        )
-        before = evaluator.primitive_ops()
-        stream.run(updates)
-        audit.record(
-            "Sharded per-update ops",
-            n,
-            (evaluator.primitive_ops() - before) / updates,
-        )
-        evaluator.shutdown()
 
 
 def audit_cached_hits(sizes) -> list:
@@ -369,10 +328,8 @@ def main(argv=None) -> int:
     audit = ComplexityAudit()
     audit_theorem5_init(audit, init_sizes)
     audit_corollary6_updates(audit, update_sizes, updates=updates)
-    audit_sharded_updates(audit, update_sizes, updates=updates)
     init_result = audit.check("Thm 5 init ops", "n log n")
     update_result = audit.check("Cor 6 per-update ops", "log n")
-    sharded_result = audit.check("Sharded per-update ops", "log n")
     pruned_rows = audit_pruned_one_shot(audit, init_sizes)
     pruned_result = audit.check(PRUNED_QUANTITY, "n")
     live_rows = audit_live_updates(audit)
@@ -447,7 +404,6 @@ def main(argv=None) -> int:
         print()
         print(init_result.describe())
         print(update_result.describe())
-        print(sharded_result.describe())
         print(pruned_result.describe())
         print(
             "one-shot knn over "

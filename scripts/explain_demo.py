@@ -2,7 +2,7 @@
 """CI smoke for the query profiler and EXPLAIN pipeline.
 
 Runs :func:`repro.obs.explain` across the configuration matrix — all
-three query kinds, sharded evaluation, and a warm answer cache —
+three query kinds and a warm answer cache —
 printing each EXPLAIN report and asserting the profiler's core
 invariants:
 
@@ -62,19 +62,12 @@ def main() -> int:
             lambda: evaluate_knn(db, [0.0, 0.0], WINDOW, k=3),
         ),
         (
-            "within, 4 shards",
+            "within, one range host",
             lambda: explain(
                 db, [5.0, -5.0], WINDOW, "within", distance=25.0,
-                shards=4, profiler=profiler,
+                profiler=profiler,
             ),
             lambda: evaluate_within(db, [5.0, -5.0], WINDOW, distance=25.0),
-        ),
-        (
-            "knn, 2 shards",
-            lambda: explain(
-                db, [0.0, 0.0], WINDOW, "knn", k=2, shards=2, profiler=profiler
-            ),
-            lambda: evaluate_knn(db, [0.0, 0.0], WINDOW, k=2),
         ),
         (
             "multiknn, cold cache",

@@ -1,13 +1,10 @@
 #!/usr/bin/env python
 """CI perf-regression gate over deterministic cost measures.
 
-Re-measures three headline experiments at CI-friendly scale and
+Re-measures the headline experiments at CI-friendly scale and
 compares each metric against the committed baselines under
 ``benchmarks/baselines/`` with per-metric tolerance bands:
 
-- **E-SH** (``BENCH_ESH.json``) — sharded vs single-engine per-update
-  primitive ops on a crossing-rich chdir stream (Theorem 5
-  maintenance, hash-partitioned);
 - **E-AC** (``BENCH_EAC.json``) — answer-cache hit rate and the
   cached-pass op fraction on a repeated/overlapping kNN workload.
   Both passes run the one pruned one-shot body
@@ -62,7 +59,6 @@ from repro.cache import QueryCache
 from repro.geometry.intervals import Interval
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.obs.explain import explain
-from repro.parallel.evaluator import ShardedSweepEvaluator
 from repro.sweep.engine import SweepEngine
 from repro.workloads.generator import (
     UpdateStream,
@@ -77,15 +73,6 @@ BASELINE_DIR = os.path.join(
 )
 
 ORIGIN = SquaredEuclideanDistance([0.0, 0.0])
-
-# E-SH at gate scale: large enough that sharding's 1 - 1/S event
-# reduction shows, small enough for seconds-not-minutes CI runs.
-ESH_N = 1000
-ESH_UPDATES = 60
-ESH_SHARDS = 4
-ESH_BATCH = 16
-ESH_MEAN_GAP = 0.003
-ESH_HORIZON = 500.0
 
 EAC_N = 120
 EAC_WINDOW = Interval(0.0, 12.0)
@@ -146,56 +133,6 @@ def _stage_ops(report, *names):
             yield from walk(stage.get("children", []))
 
     return sum(walk(report.to_dict()["stages"]))
-
-
-def measure_esh() -> dict:
-    """Sharded vs single per-update maintenance ops (E-SH)."""
-
-    def mod():
-        return random_linear_mod(
-            ESH_N, seed=ESH_N, extent=300.0, speed=2.0
-        )
-
-    def stream(db):
-        return UpdateStream(
-            db,
-            seed=97,
-            mean_gap=ESH_MEAN_GAP,
-            periodic=True,
-            extent=300.0,
-            speed=2.0,
-            weights=(0.0, 0.0, 1.0),
-        )
-
-    db = mod()
-    engine = SweepEngine(db, ORIGIN, Interval(0.0, ESH_HORIZON))
-    db.subscribe(engine.on_update)
-    before = engine.primitive_ops()
-    stream(db).run(ESH_UPDATES)
-    engine.advance_to(db.last_update_time + ESH_MEAN_GAP)
-    single = (engine.primitive_ops() - before) / ESH_UPDATES
-
-    db = mod()
-    evaluator = ShardedSweepEvaluator.knn(
-        db,
-        ORIGIN,
-        k=1,
-        until=ESH_HORIZON,
-        shards=ESH_SHARDS,
-        batch_size=ESH_BATCH,
-    )
-    db.subscribe(evaluator.on_update)
-    before = evaluator.primitive_ops()
-    stream(db).run(ESH_UPDATES)
-    evaluator.advance_to(db.last_update_time + ESH_MEAN_GAP)
-    sharded = (evaluator.primitive_ops() - before) / ESH_UPDATES
-    evaluator.shutdown()
-
-    return {
-        "single_ops_per_update": single,
-        "sharded_ops_per_update": sharded,
-        "ops_ratio": sharded / single,
-    }
 
 
 def measure_eac() -> dict:
@@ -580,7 +517,6 @@ def measure_erec() -> dict:
 
 
 SUITES = {
-    "esh": (measure_esh, "BENCH_ESH.json"),
     "eac": (measure_eac, "BENCH_EAC.json"),
     "t5": (measure_t5, "BENCH_T5.json"),
     "emq": (measure_emq, "BENCH_EMQ.json"),
@@ -592,11 +528,6 @@ SUITES = {
 # exceeds baseline * (1 + tolerance) — lower is better; "min" fails
 # below baseline * (1 - tolerance) — higher is better.
 POLICY = {
-    "esh": {
-        "single_ops_per_update": ("max", 0.15),
-        "sharded_ops_per_update": ("max", 0.15),
-        "ops_ratio": ("max", 0.15),
-    },
     "eac": {
         "answer_hit_rate": ("min", 0.05),
         "cold_ops": ("max", 0.15),

@@ -4,8 +4,8 @@
 The acceptance bar for the observability layer is that the *disabled*
 path stays free: every hook resolves to a null stage/counter, so an
 unobserved evaluation must cost what it cost before the profiler
-existed.  This script measures the E-SH-style maintenance workload
-(single engine + sharded evaluator driving a chdir stream) three ways:
+existed.  This script measures a maintenance workload (a single engine
+and a live session driving a chdir stream) three ways:
 
 - ``disabled`` — current tree, ``observe=None`` (median of repeats);
 - ``baseline`` — the same workload run in a *different source tree*
@@ -31,8 +31,6 @@ import time
 
 N = 1000
 UPDATES = 60
-SHARDS = 4
-BATCH = 16
 MEAN_GAP = 0.003
 HORIZON = 500.0
 REPEATS = 5
@@ -46,10 +44,10 @@ RESULTS = os.path.join(
 
 
 def run_workload(observe=None) -> float:
-    """One E-SH-style pass: single + sharded maintenance, wall seconds."""
+    """One pass: single-engine + live-session maintenance, wall seconds."""
+    from repro.core.api import ContinuousQuerySession
     from repro.geometry.intervals import Interval
     from repro.gdist.euclidean import SquaredEuclideanDistance
-    from repro.parallel.evaluator import ShardedSweepEvaluator
     from repro.sweep.engine import SweepEngine
     from repro.workloads.generator import UpdateStream, random_linear_mod
 
@@ -76,19 +74,11 @@ def run_workload(observe=None) -> float:
     engine.advance_to(db.last_update_time + MEAN_GAP)
 
     db = random_linear_mod(N, seed=N, extent=300.0, speed=2.0)
-    evaluator = ShardedSweepEvaluator.knn(
-        db,
-        origin,
-        k=1,
-        until=HORIZON,
-        shards=SHARDS,
-        batch_size=BATCH,
-        observe=observe,
+    session = ContinuousQuerySession.knn(
+        db, origin, k=1, until=HORIZON, observe=observe
     )
-    db.subscribe(evaluator.on_update)
     stream(db).run(UPDATES)
-    evaluator.advance_to(db.last_update_time + MEAN_GAP)
-    evaluator.shutdown()
+    session.close(at=db.last_update_time + MEAN_GAP)
     return time.perf_counter() - started
 
 
@@ -164,8 +154,6 @@ def main(argv=None) -> int:
         "workload": {
             "n": N,
             "updates": UPDATES,
-            "shards": SHARDS,
-            "batch": BATCH,
             "repeats": args.repeats,
         },
         "disabled_seconds": disabled,

@@ -70,7 +70,6 @@ from repro.query.query import Query, knn_query, within_query
 from repro.resilience.ingest import IngestPipeline, IngestStats, RejectedUpdate
 from repro.resilience.supervisor import SupervisedQuerySession, SupervisorStats
 from repro.resilience.wal import WriteAheadLog, recover
-from repro.parallel.evaluator import ShardedSweepEvaluator
 from repro.server import (
     AdmissionError,
     QueryServer,
@@ -123,7 +122,6 @@ __all__ = [
     "SessionQuarantinedError",
     "SessionQueuedError",
     "SessionShedError",
-    "ShardedSweepEvaluator",
     "SlowQueryLog",
     "SnapshotAnswer",
     "SquaredArrivalTimeGDistance",

@@ -39,32 +39,10 @@ def open_engine(
     spec: QuerySpec,
     observe=None,
     curve_store=None,
-    shards: Optional[int] = None,
-    **sharding,
 ):
     """A live ``(engine, view)`` pair maintaining ``spec`` over its
-    window on ``db``.
-
-    One live host (:func:`_live_host`) with ``spec`` attached; with
-    ``shards``, a
-    :class:`~repro.parallel.evaluator.ShardedSweepEvaluator` (which
-    speaks the engine facade and reads as its own view) built with the
-    remaining ``sharding`` options.  Imported lazily so ``repro.core``
-    has no hard dependency on ``repro.parallel`` (which itself imports
-    this module).
-    """
-    if shards is not None:
-        from repro.parallel.evaluator import ShardedSweepEvaluator
-
-        evaluator = ShardedSweepEvaluator(
-            db,
-            spec,
-            shards=shards,
-            observe=observe,
-            curve_store=curve_store,
-            **sharding,
-        )
-        return evaluator, evaluator
+    window on ``db``: one live host (:func:`_live_host`) with ``spec``
+    attached."""
     host = _live_host(
         db,
         spec.gdistance,
@@ -87,39 +65,6 @@ def _live_host(db, gdistance, interval, constants, observe, curve_store):
         (threshold,) = constants
         return RangeSweep(db, gdistance, interval, threshold, observe, curve_store)
     return LiveSweep(db, gdistance, interval, observe, curve_store)
-
-
-def _sharded_sweep(
-    db: MovingObjectDatabase,
-    spec: QuerySpec,
-    interval: Interval,
-    observe,
-    curve_store,
-    shards: int,
-):
-    """One-shot evaluation on a sharded evaluator over ``interval``.
-
-    When the ``observe`` bundle carries a profile, the three phases
-    land in top-level stages (``shards.init`` / ``shards.sweep`` /
-    ``shards.finalize``) with the evaluator's per-shard and merge
-    stages nested inside.
-    """
-    profile = getattr(observe, "profile", None)
-    with _stage(profile, "shards.init"):
-        evaluator, _ = open_engine(
-            db,
-            spec.over(interval.lo, interval.hi),
-            observe,
-            curve_store,
-            shards=shards,
-        )
-    with _stage(profile, "shards.sweep"):
-        evaluator.advance_to(interval.hi)
-    with _stage(profile, "shards.finalize") as st:
-        evaluator.finalize()
-        if profile is not None:
-            st.annotate(ops=evaluator.primitive_ops())
-    return spec.answer(evaluator)
 
 
 def _single_sweep(
@@ -243,7 +188,6 @@ def _evaluate(
     spec: QuerySpec,
     interval: Interval,
     observe,
-    shards: Optional[int] = None,
     cache=None,
 ):
     """The one body behind :func:`evaluate_knn`, :func:`evaluate_within`
@@ -252,8 +196,8 @@ def _evaluate(
 
     The probe returns the cached answer over the longest covered prefix
     ``[lo, c]`` of ``interval``; the remainder ``[c, hi]`` — the whole
-    window on a miss, nothing on an exact hit — is a sharded or a
-    single sweep like any uncached call's, over the cache's curves.
+    window on a miss, nothing on an exact hit — is swept like any
+    uncached call's, over the cache's curves.
     Section 4's finite representation makes the answer over
     ``[lo, hi]`` the union of the two, and that union is what is
     stored: the cache holds answers, the engines die with the call.
@@ -263,9 +207,7 @@ def _evaluate(
     curves = None if cache is None else cache.curves
 
     def sweep(window: Interval):
-        if shards is None:
-            return _single_sweep(db, spec, window, observe, curves)
-        return _sharded_sweep(db, spec, window, observe, curves, shards)
+        return _single_sweep(db, spec, window, observe, curves)
 
     if cache is None or not interval.is_bounded:
         return sweep(interval)
@@ -301,7 +243,6 @@ def evaluate_knn(
     interval: Interval,
     k: int = 1,
     observe=None,
-    shards: Optional[int] = None,
     cache=None,
 ) -> SnapshotAnswer:
     """The k nearest objects to ``query`` over ``interval``.
@@ -311,10 +252,6 @@ def evaluate_knn(
     answer: per object, the exact time intervals during which it is
     among the k nearest.  ``observe`` optionally wires telemetry (see
     :func:`repro.obs.as_instrumentation`).
-
-    Pass ``shards`` to evaluate over a hash-partitioned
-    :class:`~repro.parallel.evaluator.ShardedSweepEvaluator` instead of
-    a single engine — same exact answer, smaller per-shard sweeps.
 
     Pass ``cache`` (a :class:`~repro.cache.QueryCache`) to serve
     repeated or overlapping-interval queries from cached answers:
@@ -328,8 +265,7 @@ def evaluate_knn(
         QuerySpec.knn(query, k),
         interval,
         observe,
-        shards,
-        cache,
+        cache=cache,
     )
 
 
@@ -339,7 +275,6 @@ def evaluate_within(
     interval: Interval,
     distance: float,
     observe=None,
-    shards: Optional[int] = None,
     cache=None,
 ) -> SnapshotAnswer:
     """Objects within Euclidean ``distance`` of ``query`` over ``interval``.
@@ -347,17 +282,15 @@ def evaluate_within(
     When ``query`` is a trajectory or point the threshold is squared
     internally (the g-distance is the squared Euclidean distance); a
     custom g-distance is compared against ``distance`` as-is.
-    ``shards`` selects sharded evaluation as in
-    :func:`evaluate_knn`; ``cache`` serves repeated and overlapping
-    queries as in :func:`evaluate_knn`.
+    ``cache`` serves repeated and overlapping queries as in
+    :func:`evaluate_knn`.
     """
     return _evaluate(
         db,
         QuerySpec.within(query, distance),
         interval,
         observe,
-        shards,
-        cache,
+        cache=cache,
     )
 
 
@@ -367,24 +300,21 @@ def evaluate_multiknn(
     interval: Interval,
     ks: Sequence[int],
     observe=None,
-    shards: Optional[int] = None,
     cache=None,
 ) -> Dict[int, SnapshotAnswer]:
     """k-NN answers for several k values from one sweep.
 
     Returns a dict keyed by k.  One sweep at ``max(ks)`` serves every
     requested k (the smaller answers are prefixes of the precedence
-    order).  ``shards`` selects sharded evaluation as in
-    :func:`evaluate_knn`; ``cache`` serves repeated and overlapping
-    queries as in :func:`evaluate_knn`.
+    order).  ``cache`` serves repeated and overlapping queries as in
+    :func:`evaluate_knn`.
     """
     return _evaluate(
         db,
         QuerySpec.multiknn(query, ks),
         interval,
         observe,
-        shards,
-        cache,
+        cache=cache,
     )
 
 
@@ -400,7 +330,7 @@ def serve(
     multiknn, mixed) and pay each update's Theorem 5 maintenance once
     per distinct engine group instead of once per session.  ``config``
     is a :class:`~repro.server.ServerConfig` (admission control, load
-    shedding, batching, default shards); ``observe`` and ``cache`` are
+    shedding, quarantine); ``observe`` and ``cache`` are
     shared by every engine the server hosts.  Imported lazily so
     ``repro.core`` has no hard dependency on ``repro.server`` (which
     imports this module).
@@ -498,7 +428,7 @@ class ContinuousQuerySession:
     # -- constructors -----------------------------------------------------
     @classmethod
     def _open(
-        cls, db, spec: QuerySpec, until, start, observe, cache, **sharding
+        cls, db, spec: QuerySpec, until, start, observe, cache
     ) -> "ContinuousQuerySession":
         if cache is not None:
             cache.bind(db)
@@ -508,7 +438,6 @@ class ContinuousQuerySession:
             spec.over(lo, until),
             observe,
             None if cache is None else cache.curves,
-            **sharding,
         )
         return cls(db, engine, view, cache, spec)
 
@@ -521,18 +450,13 @@ class ContinuousQuerySession:
         until: float = float("inf"),
         start: Optional[float] = None,
         observe=None,
-        shards: Optional[int] = None,
-        batch_size: int = 1,
         cache=None,
     ) -> "ContinuousQuerySession":
         """A continuous k-NN session starting now (or at ``start``).
 
         ``observe`` optionally wires telemetry into the underlying
         engine; several sessions may share one registry, in which case
-        their counters aggregate.  ``shards`` maintains the session
-        over a :class:`~repro.parallel.evaluator.ShardedSweepEvaluator`
-        instead of a single engine — identical answers, per-shard
-        maintenance.  ``cache`` (a :class:`~repro.cache.QueryCache`)
+        their counters aggregate.  ``cache`` (a :class:`~repro.cache.QueryCache`)
         builds the engine over shared memoized curves and deposits the
         session's final answer at :meth:`close` for later reuse.
         """
@@ -543,8 +467,6 @@ class ContinuousQuerySession:
             start,
             observe,
             cache,
-            shards=shards,
-            batch_size=batch_size,
         )
 
     @classmethod
@@ -556,14 +478,12 @@ class ContinuousQuerySession:
         until: float = float("inf"),
         start: Optional[float] = None,
         observe=None,
-        shards: Optional[int] = None,
-        batch_size: int = 1,
         cache=None,
     ) -> "ContinuousQuerySession":
         """A continuous within-range session starting now (or at
         ``start``).  ``observe`` optionally wires telemetry into the
-        underlying engine; ``shards`` selects sharded maintenance and
-        ``cache`` shared curve memoization as in :meth:`knn`."""
+        underlying engine; ``cache`` shares curve memoization as in
+        :meth:`knn`."""
         return cls._open(
             db,
             QuerySpec.within(query, distance),
@@ -571,8 +491,6 @@ class ContinuousQuerySession:
             start,
             observe,
             cache,
-            shards=shards,
-            batch_size=batch_size,
         )
 
     # -- live inspection ------------------------------------------------------
@@ -580,7 +498,7 @@ class ContinuousQuerySession:
     def engine(self) -> LiveSweep:
         """The session's live sweep: the candidate host (stats, op
         counts, re-plans; ``.engine`` is the candidate engine in force)
-        or, with ``shards=``, the sharded evaluator."""
+        or a range reading's :class:`~repro.sweep.within.RangeSweep`."""
         return self._engine
 
     @property

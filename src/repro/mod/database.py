@@ -11,12 +11,17 @@ enforces the paper's invariants:
   time.
 
 Listeners (the sweep engine) can subscribe to updates so future-query
-maintenance happens eagerly (Section 5's "external events").
+maintenance happens eagerly (Section 5's "external events").  One
+re-entrant :attr:`MovingObjectDatabase.lock` is held across each
+update's mutation *and* its listeners: a reader that takes it (a
+serving loop, say) never sees a half-applied update, and every
+listener sees the updates in the order they were applied.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -37,9 +42,14 @@ class MovingObjectDatabase:
     :func:`repro.obs.as_instrumentation`): applied updates count into
     ``mod_updates_total{kind=new|terminate|chdir}`` and gauges track
     the live object count and ``tau``.
+
+    ``lock`` is held by :meth:`apply` from validation through the last
+    listener, and by every other mutator; a thread that must see the
+    MOD and its listeners' state between updates takes it too.
     """
 
     def __init__(self, initial_time: float = 0.0, observe=None) -> None:
+        self.lock = threading.RLock()
         self._trajectories: Dict[ObjectId, Trajectory] = {}
         self._terminated: Dict[ObjectId, Trajectory] = {}
         self._last_update_time = initial_time
@@ -144,7 +154,8 @@ class MovingObjectDatabase:
     # -- update application -----------------------------------------------------
     def subscribe(self, listener: UpdateListener) -> None:
         """Register a callback invoked after each applied update."""
-        self._listeners.append(listener)
+        with self.lock:
+            self._listeners.append(listener)
 
     def unsubscribe(self, listener: UpdateListener) -> None:
         """Remove a previously registered callback.
@@ -153,13 +164,19 @@ class MovingObjectDatabase:
         teardown paths (session close, supervisor rebuilds) can always
         unsubscribe defensively.
         """
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
+        with self.lock:
+            try:
+                self._listeners.remove(listener)
+            except ValueError:
+                pass
 
     def apply(self, update: Update) -> None:
-        """Apply one update, enforcing chronological order and validity."""
+        """Apply one update, enforcing chronological order and validity,
+        then hand it to every listener — all under :attr:`lock`."""
+        with self.lock:
+            self._apply(update)
+
+    def _apply(self, update: Update) -> None:
         if update.time <= self._last_update_time:
             raise ValueError(
                 f"updates must be chronological: {update.time} <= "
@@ -243,6 +260,10 @@ class MovingObjectDatabase:
         treats pre-existing turns as past updates (Section 5: "for past
         queries, a turn in the MOD is treated as an update operation").
         """
+        with self.lock:
+            self._install(oid, trajectory)
+
+    def _install(self, oid: ObjectId, trajectory: Trajectory) -> None:
         if oid in self._trajectories or oid in self._terminated:
             raise ValueError(f"object {oid!r} already exists")
         if self._dimension is None:
@@ -271,10 +292,11 @@ class MovingObjectDatabase:
         hypothetical update to the clone, query the clone; the real
         database is untouched.
         """
-        copy = MovingObjectDatabase(initial_time=self._last_update_time)
-        copy._trajectories = dict(self._trajectories)
-        copy._terminated = dict(self._terminated)
-        copy._dimension = self._dimension
+        with self.lock:  # one consistent state, never half an update
+            copy = MovingObjectDatabase(initial_time=self._last_update_time)
+            copy._trajectories = dict(self._trajectories)
+            copy._terminated = dict(self._terminated)
+            copy._dimension = self._dimension
         return copy
 
     def advance_clock(self, time: float) -> None:
@@ -283,6 +305,7 @@ class MovingObjectDatabase:
         Section 5 notes a MOD may "keep a clock" to spread maintenance
         cost across ticks; the sweep engine uses this entry point.
         """
-        if time < self._last_update_time:
-            raise ValueError("the clock cannot move backwards")
-        self._last_update_time = time
+        with self.lock:
+            if time < self._last_update_time:
+                raise ValueError("the clock cannot move backwards")
+            self._last_update_time = time

@@ -517,13 +517,9 @@ class RemoteQueryClient:
         return drained
 
     # -- session verbs -----------------------------------------------------
-    def _open(
-        self, args: dict, priority: int, shards: Optional[int]
-    ) -> "RemoteQuerySession":
+    def _open(self, args: dict, priority: int) -> "RemoteQuerySession":
         if priority:
             args["priority"] = int(priority)
-        if shards is not None:
-            args["shards"] = int(shards)
         result = self.request("open", args)
         return RemoteQuerySession(
             self,
@@ -538,12 +534,11 @@ class RemoteQueryClient:
         query: Sequence[float],
         k: int = 1,
         priority: int = 0,
-        shards: Optional[int] = None,
     ) -> "RemoteQuerySession":
         """Register a continuous k-NN query at the fixed point
         ``query`` (coordinates)."""
         args = {"kind": "knn", "query": list(query), "k": int(k)}
-        return self._open(args, priority, shards)
+        return self._open(args, priority)
 
     def open_within(
         self,
@@ -551,7 +546,6 @@ class RemoteQueryClient:
         distance: Optional[float] = None,
         threshold: Optional[float] = None,
         priority: int = 0,
-        shards: Optional[int] = None,
     ) -> "RemoteQuerySession":
         """Register a continuous within-range query.
 
@@ -566,14 +560,13 @@ class RemoteQueryClient:
             args["distance"] = float(distance)
         else:
             args["threshold"] = float(threshold)
-        return self._open(args, priority, shards)
+        return self._open(args, priority)
 
     def open_multiknn(
         self,
         query: Sequence[float],
         ks: Sequence[int],
         priority: int = 0,
-        shards: Optional[int] = None,
     ) -> "RemoteQuerySession":
         """Register a multi-k k-NN query (per-k answers, one sweep)."""
         args = {
@@ -581,7 +574,7 @@ class RemoteQueryClient:
             "query": list(query),
             "ks": [int(k) for k in ks],
         }
-        return self._open(args, priority, shards)
+        return self._open(args, priority)
 
     # -- service verbs -----------------------------------------------------
     def ping(self) -> float:

@@ -57,9 +57,9 @@ __all__ = [
 
 PROTOCOL_VERSION = 1
 MAX_FRAME = 8 * 1024 * 1024
-# An ``open`` may ask for its own shard count; each shard is a MOD and a
-# live sweep per engine group, so the request is bounded like a frame is
-# (measured useful to 8: EXPERIMENTS.md, "What shards= is for").
+# An ``open`` may still carry the shard count older clients sent: it is
+# checked against this bound, journaled with the session and otherwise
+# ignored (every session of a query class shares one engine group).
 MAX_OPEN_SHARDS = 64
 HEADER = struct.Struct(">I")
 

@@ -2,19 +2,25 @@
 
 :class:`QueryNetServer` puts a wire on PR 6's multi-tenant
 :class:`~repro.server.QueryServer`: a single asyncio event loop (run on
-a dedicated daemon thread) accepts length-prefixed JSON connections,
+a dedicated daemon thread) accepts length-prefixed JSON connections and
 speaks the :mod:`repro.net.protocol` verbs — ``hello`` / ``open`` /
 ``advance`` / ``members`` / ``close`` / ``explain`` / ``subscribe`` /
-``unsubscribe`` / ``ping`` / ``stats`` — and serializes **all** access
-to the query server on that loop thread, so the engine groups never
-see concurrent mutation.
+``unsubscribe`` / ``ping`` / ``stats``.
 
-Update ingestion is marshaled the same way: the frontend replaces the
-query server's database subscription with one that blocks the applying
-thread until the loop thread has fanned the update out and pushed
-answer-change events to subscribed connections.  ``db.apply(update)``
-therefore keeps its synchronous contract — when it returns, every
-session (local or remote) reflects the update.
+One lock serializes the serving state: the MOD's own
+:attr:`~repro.mod.database.MovingObjectDatabase.lock`, which
+``db.apply`` holds across the update and every listener.  The loop
+thread takes it around each dispatch and every other touch of server
+state; an update is ingested *on the applying thread*, under the same
+lock: the query server's engine groups sweep it, subscribed
+connections' answer changes are queued and the journal records it
+produced are streamed — and only the frame writes cross to the loop
+(one wake-up callback per update, none when nothing was queued).
+``db.apply(update)`` therefore keeps its synchronous contract — when it
+returns, every session (local or remote) reflects the update — and,
+under synchronous replication, returns only once every standby
+acknowledged it: the applying thread waits for the acks with the lock
+released, so the loop can read them.
 
 Robustness is built in rather than bolted on:
 
@@ -27,15 +33,14 @@ Robustness is built in rather than bolted on:
   through the query server's admission controller (the same typed
   degradation as op-rate shedding) and a ``shed`` notice is delivered;
 - **graceful drain** — :meth:`QueryNetServer.drain` stops accepting,
-  flushes the shared applier, closes every live session, pushes each
-  final answer to its owning connection, and only then shuts the query
-  server down — no write or answer is dropped silently.
+  closes every live session, pushes each final answer to its owning
+  connection, and only then shuts the query server down — no write or
+  answer is dropped silently.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import json
 import logging
 import threading
@@ -188,6 +193,7 @@ class QueryNetServer:
         self._replies: "OrderedDict[str, dict]" = OrderedDict()
         self._next_cid = count(1)
         self._closed = False
+        self._killed = False
         self._draining = False
         self._heartbeat_task = None
         # Sync-replication reconnect grace: when a replica drops, the
@@ -195,8 +201,12 @@ class QueryNetServer:
         # degrading to async (loop clock; 0.0 = no grace pending).
         self._repl_grace_until = 0.0
         self._repl_attach_event = asyncio.Event()
-        # Ack barriers of in-flight ingests (the loop holds tasks weakly).
-        self._ingest_barriers: Set[asyncio.Task] = set()
+        # The serving lock (the MOD's), the condition an applying thread
+        # waits on for replica acks, and the connections whose writers
+        # frames queued off the loop still have to wake.
+        self._lock = server.db.lock
+        self._acks = threading.Condition(self._lock)
+        self._wakes: Set[_Connection] = set()
         self.stats = NetStats()
         self._bind_instruments()
 
@@ -253,17 +263,18 @@ class QueryNetServer:
         )
         self._thread.start()
         self._call(self._start_async(host, port))
-        # A recovered (or replicated) query server already carries
-        # sessions and journaled idempotent replies: adopt them so
-        # reconnecting clients find their session ids and retried
-        # request ids exactly where they left them.
-        self._adopt_server_state()
-        # Updates now route through the loop thread: the applying
-        # thread blocks until fan-out + pushes are done, keeping
-        # db.apply's synchronous contract for remote consumers too.
         db = self._server.db
-        db.unsubscribe(self._server._on_update)
-        db.subscribe(self._ingest)
+        with self._lock:
+            # A recovered (or replicated) query server already carries
+            # sessions and journaled idempotent replies: adopt them so
+            # reconnecting clients find their session ids and retried
+            # request ids exactly where they left them.
+            self._adopt_server_state()
+            # Updates now reach remote consumers too: the applying
+            # thread fans out, queues pushes and streams the journal
+            # before db.apply returns.
+            db.unsubscribe(self._server._on_update)
+            db.subscribe(self._ingest)
         return self
 
     def _adopt_server_state(self) -> None:
@@ -314,12 +325,13 @@ class QueryNetServer:
         interval = self._config.heartbeat_interval
         while not (self._closed or self._draining):
             await asyncio.sleep(interval)
-            tau = self._server.db.last_update_time
-            for conn in list(self._connections):
-                if conn.subscriptions or conn.replica:
-                    self._send(
-                        conn, {"event": "heartbeat", "tau": tau}, force=True
-                    )
+            with self._lock:
+                tau = self._server.db.last_update_time
+                for conn in list(self._connections):
+                    if conn.subscriptions or conn.replica:
+                        self._send(
+                            conn, {"event": "heartbeat", "tau": tau}, force=True
+                        )
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -365,15 +377,16 @@ class QueryNetServer:
         return self
 
     async def _promote_async(self) -> None:
-        self._standby = False
-        self._adopt_server_state()
-        self._c_event("promote").inc()
-        journal = self._journal_of()
-        _LOG.warning(
-            "standby promoted to primary at journal seq %s with %d session(s)",
-            None if journal is None else journal.seq,
-            len(self._sessions),
-        )
+        with self._lock:
+            self._standby = False
+            self._adopt_server_state()
+            self._c_event("promote").inc()
+            journal = self._journal_of()
+            _LOG.warning(
+                "standby promoted to primary at journal seq %s with %d session(s)",
+                None if journal is None else journal.seq,
+                len(self._sessions),
+            )
 
     def __enter__(self) -> "QueryNetServer":
         return self
@@ -381,56 +394,49 @@ class QueryNetServer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
 
-    # -- ingestion (any thread -> loop thread) ----------------------------
+    # -- ingestion (on the applying thread) --------------------------------
     def _ingest(self, update) -> None:
-        if self._closed:
-            raise ServerClosedError(
-                f"update at t={update.time} reached a closed net server"
-            )
+        """The MOD's listener, run by ``db.apply`` on the applying thread
+        with the serving lock held: fan the update out, queue the answer
+        changes it caused and stream its journal records, then wake the
+        writers it queued frames for — the only step that crosses to the
+        loop — and, under synchronous replication, wait for the acks."""
+        with self._lock:
+            if self._closed:
+                raise ServerClosedError(
+                    f"update at t={update.time} reached a closed net server"
+                )
+            try:
+                self._server._on_update(update)
+                self._push_answer_changes()
+                self._flush_repl()
+            finally:
+                self._wake_writers()
+            if threading.get_ident() != self._thread_ident:
+                # The loop cannot wait on itself: an update applied on
+                # the loop thread streams without the barrier.
+                try:
+                    self._await_replicas()
+                finally:
+                    self._wake_writers()
+
+    def _wake(self, conn: _Connection) -> None:
+        """Wake ``conn``'s writer: at once on the loop thread, at the end
+        of the update (:meth:`_wake_writers`) off it."""
         if threading.get_ident() == self._thread_ident:
-            self._ingest_on_loop(update)
-            return
-        # One plain callback across the thread hop; the applying thread
-        # parks on ``done`` until the loop thread settles it.
-        done: concurrent.futures.Future = concurrent.futures.Future()
-        self._loop.call_soon_threadsafe(self._ingest_then_settle, update, done)
-        done.result(30.0)
+            conn.wake.set()
+        else:
+            self._wakes.add(conn)
 
-    def _ingest_then_settle(self, update, done) -> None:
-        try:
-            self._ingest_on_loop(update)
-        except BaseException as exc:
-            done.set_exception(exc)
-            if not isinstance(exc, Exception):
-                raise
-            return
-        if self._journal_of() is None or not self._config.repl_sync:
-            done.set_result(None)
-            return
-        # db.apply's synchronous contract extends to replicas: the
-        # applying thread only unblocks once every standby acknowledged
-        # the journal records this update produced.
-        barrier = self._loop.create_task(self._repl_barrier())
-        self._ingest_barriers.add(barrier)
-
-        def settle(barrier) -> None:
-            self._ingest_barriers.discard(barrier)
-            if barrier.cancelled():
-                done.cancel()
-            elif barrier.exception() is not None:
-                done.set_exception(barrier.exception())
-            else:
-                done.set_result(None)
-
-        barrier.add_done_callback(settle)
-
-    def _ingest_on_loop(self, update) -> None:
-        self._server._on_update(update)
-        if self._server.applier.pending == 0:
-            # The batch flushed: subscribed connections see the world
-            # move.  (Buffered updates push at their flush instead.)
-            self._push_answer_changes()
-        self._flush_repl()
+    def _wake_writers(self) -> None:
+        """Wake every writer frames were queued for off the loop, in one
+        loop callback (none when nothing was queued)."""
+        if self._wakes:
+            conns, self._wakes = self._wakes, set()
+            try:
+                self._loop.call_soon_threadsafe(_set_wakes, conns)
+            except RuntimeError:
+                pass  # the loop is gone (killed): no writer is left
 
     # -- replication stream -------------------------------------------------
     def _journal_of(self):
@@ -473,14 +479,18 @@ class QueryNetServer:
 
     def _update_retain_floor(self) -> None:
         """Pin the journal's in-memory retention at the slowest live
-        replica's streamed position, so checkpoints never evict records
-        a standby could still resume from."""
+        replica's acknowledged position, so checkpoints never evict
+        records a standby could still resume from (a standby resumes
+        from what it applied, which a record streamed into a link that
+        is being cut may never reach)."""
         journal = self._journal_of()
         if journal is None:
             return
-        replicas = self._replica_conns()
-        if replicas:
-            journal.set_retain_floor(min(c.sent_seq for c in replicas))
+        # A closing link still counts until its close opens the grace
+        # window (both under the lock), so the floor never drops between.
+        acked = [c.acked_seq for c in self._connections if c.replica]
+        if acked:
+            journal.set_retain_floor(min(acked))
             return
         if (
             self._loop is not None
@@ -492,60 +502,88 @@ class QueryNetServer:
             return
         journal.set_retain_floor(None)
 
-    async def _repl_barrier(self) -> None:
-        """Block (on the loop, never the loop thread's callers) until
-        every replica acknowledged the journal's current sequence, or
-        its ack timeout expires and it is dropped as dead.
+    def _barrier_steps(self):
+        """The sync-replication ack barrier, as the waits it makes.
 
+        It holds until every replica acknowledged the journal's current
+        sequence, or its ack timeout expires and it is dropped as dead.
         A replica that dropped moments ago is expected back: with no
-        replica attached, the barrier holds through the reconnect
-        grace window (one ack timeout from the drop) and re-runs
-        against whatever re-subscribes, instead of silently degrading
-        to async replication — so a primary kill inside a standby's
-        reconnect window cannot lose an acknowledged write no standby
-        ever saw."""
+        replica attached, the barrier holds through the reconnect grace
+        window (one ack timeout from the drop) and re-runs against
+        whatever re-subscribes, instead of silently degrading to async
+        replication — so a primary kill inside a standby's reconnect
+        window cannot lose an acknowledged write no standby ever saw.
+
+        Run under the serving lock; yields ``(seconds, conn)`` — wait up
+        to ``seconds`` for ``conn``'s next ack, or with ``conn`` None
+        for a replica to attach — and is sent whether the wait was
+        woken (False: it timed out).  :meth:`_repl_barrier` waits on
+        the loop, :meth:`_await_replicas` on an applying thread."""
         journal = self._journal_of()
         if journal is None or not self._config.repl_sync:
             return
         target = journal.seq
-        loop = asyncio.get_event_loop()
-        began = loop.time()
+        clock = self._loop.time
+        began = clock()
         deadline = began + self._config.repl_ack_timeout
         while True:
             replicas = self._replica_conns()
+            timed_out = False
             for conn in replicas:
-                while conn.acked_seq < target and not conn.closing:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
+                while (
+                    conn.acked_seq < target and conn.replica and not conn.closing
+                ):
+                    remaining = deadline - clock()
+                    if remaining <= 0 or not (yield remaining, conn):
                         self._drop_replica(conn, "ack timeout")
+                        timed_out = True
                         break
-                    conn.ack_event.clear()
-                    if conn.acked_seq >= target:
-                        break
-                    try:
-                        await asyncio.wait_for(
-                            conn.ack_event.wait(), remaining
-                        )
-                    except asyncio.TimeoutError:
-                        self._drop_replica(conn, "ack timeout")
-                        break
-            if replicas:
-                self._h_repl_ack.observe(loop.time() - began)
+            if timed_out or any(c.acked_seq >= target for c in replicas):
+                self._h_repl_ack.observe(clock() - began)
                 return
-            remaining = min(deadline, self._repl_grace_until) - loop.time()
-            if remaining <= 0:
+            # Every replica waited on left without acknowledging (a
+            # link cut under the write): hold for a re-attach instead.
+            remaining = min(deadline, self._repl_grace_until) - clock()
+            if remaining <= 0 or not (yield remaining, None):
                 self._note_barrier_degraded()
                 return
-            self._repl_attach_event.clear()
-            if self._replica_conns():
-                continue
+
+    async def _repl_barrier(self) -> None:
+        """The ack barrier on the loop (a verb that journaled, the
+        drain): each step under the lock, each wait on the replica's
+        ack event (or the attach event) with the lock released."""
+        steps = self._barrier_steps()
+        woken = None
+        while True:
+            with self._lock:
+                try:
+                    seconds, conn = steps.send(woken)
+                except StopIteration:
+                    return
+            event = self._repl_attach_event if conn is None else conn.ack_event
+            event.clear()
             try:
-                await asyncio.wait_for(
-                    self._repl_attach_event.wait(), remaining
-                )
+                await asyncio.wait_for(event.wait(), seconds)
+                woken = True
             except asyncio.TimeoutError:
-                self._note_barrier_degraded()
+                woken = False
+
+    def _await_replicas(self) -> None:
+        """The ack barrier on an applying thread: each wait releases the
+        serving lock (however deeply it is held) so the loop can take
+        it, read the acks and notify."""
+        steps = self._barrier_steps()
+        woken = None
+        while True:
+            try:
+                seconds, _ = steps.send(woken)
+            except StopIteration:
                 return
+            if self._killed:
+                raise ServerClosedError(
+                    "net server killed before its replicas acknowledged"
+                )
+            woken = self._acks.wait(seconds)
 
     def _note_barrier_degraded(self) -> None:
         """The barrier is returning with no replica attached.  Once per
@@ -570,8 +608,20 @@ class QueryNetServer:
                 self._loop.time() + self._config.repl_ack_timeout
             )
 
+    def _replica_left(self, conn: _Connection) -> None:
+        """Wake every ack barrier waiting on ``conn``: it will not ack."""
+        self._acks.notify_all()
+        if threading.get_ident() == self._thread_ident:
+            conn.ack_event.set()
+        else:
+            try:
+                self._loop.call_soon_threadsafe(conn.ack_event.set)
+            except RuntimeError:
+                pass  # the loop is gone (killed): no barrier waits on it
+
     def _drop_replica(self, conn: _Connection, reason: str) -> None:
         conn.replica = False
+        self._replica_left(conn)
         self._c_event("replica_drop").inc()
         _LOG.warning(
             "replica dropped (connection %d, acked seq %d): %s",
@@ -584,7 +634,7 @@ class QueryNetServer:
             force=True,
         )
         conn.closing = True
-        conn.wake.set()
+        self._wake(conn)
         self._update_retain_floor()
 
     # -- connection handling ----------------------------------------------
@@ -600,9 +650,10 @@ class QueryNetServer:
                 )
             except OSError:
                 pass
-        self.stats.connections += 1
-        self._c_event("connect").inc()
-        self._connections.add(conn)
+        with self._lock:
+            self.stats.connections += 1
+            self._c_event("connect").inc()
+            self._connections.add(conn)
         conn.writer_task = asyncio.get_event_loop().create_task(
             self._writer_loop(conn)
         )
@@ -616,7 +667,17 @@ class QueryNetServer:
         ):
             pass
         finally:
-            conn.closing = True
+            with self._lock:
+                conn.closing = True
+                if conn.replica:
+                    # A replica link died without a protocol-level drop
+                    # (EOF, reset): open the reconnect grace window so
+                    # the sync-ack barrier keeps holding while it comes
+                    # back.
+                    conn.replica = False
+                    self._replica_left(conn)
+                    self._arm_repl_grace()
+                    self._update_retain_floor()
             conn.wake.set()
             try:
                 await conn.writer_task
@@ -626,15 +687,9 @@ class QueryNetServer:
                 writer.close()
             except Exception:
                 pass
-            self._connections.discard(conn)
-            conn.subscriptions.clear()
-            if conn.replica:
-                # A replica link died without a protocol-level drop
-                # (EOF, reset): open the reconnect grace window so the
-                # sync-ack barrier keeps holding while it comes back.
-                conn.replica = False
-                self._arm_repl_grace()
-                self._update_retain_floor()
+            with self._lock:
+                self._connections.discard(conn)
+                conn.subscriptions.clear()
             # Sessions deliberately survive the connection: a client
             # that reconnects can resume (and retry) them by id.
 
@@ -669,7 +724,8 @@ class QueryNetServer:
                 self._read_frame(conn), self._config.handshake_timeout
             )
         except (asyncio.TimeoutError, ProtocolError):
-            self.stats.handshake_failures += 1
+            with self._lock:
+                self.stats.handshake_failures += 1
             return False
         rid = request.get("id")
         if request.get("verb") != "hello":
@@ -688,50 +744,57 @@ class QueryNetServer:
                 ),
             )
             return False
-        self._send(
-            conn,
-            {
-                "id": rid,
-                "ok": True,
-                "result": {
-                    "version": PROTOCOL_VERSION,
-                    "server": SERVER_SOFTWARE,
+        with self._lock:
+            self._send(
+                conn,
+                {
+                    "id": rid,
+                    "ok": True,
+                    "result": {
+                        "version": PROTOCOL_VERSION,
+                        "server": SERVER_SOFTWARE,
+                    },
                 },
-            },
-            force=True,
-        )
+                force=True,
+            )
         return True
 
     def _fail_handshake(self, conn, rid, exc) -> None:
-        self.stats.handshake_failures += 1
-        self._send(
-            conn,
-            {"id": rid, "ok": False, "error": error_to_wire(exc)},
-            force=True,
-        )
+        with self._lock:
+            self.stats.handshake_failures += 1
+            self._send(
+                conn,
+                {"id": rid, "ok": False, "error": error_to_wire(exc)},
+                force=True,
+            )
 
     async def _request_loop(self, conn: _Connection) -> None:
         while not conn.closing:
             try:
                 request = await self._read_frame(conn)
             except ProtocolError as exc:  # an oversized frame included
-                self._send(
-                    conn,
-                    {"id": None, "ok": False, "error": error_to_wire(exc)},
-                    force=True,
-                )
+                with self._lock:
+                    self._send(
+                        conn,
+                        {"id": None, "ok": False, "error": error_to_wire(exc)},
+                        force=True,
+                    )
                 continue
-            journal = self._journal_of()
-            seq_before = journal.seq if journal is not None else 0
-            response = self._dispatch(conn, request)
-            if journal is not None and journal.seq > seq_before:
+            with self._lock:
+                journal = self._journal_of()
+                seq_before = journal.seq if journal is not None else 0
+                response = self._dispatch(conn, request)
+                if journal is None or journal.seq == seq_before:
+                    self._send(conn, response, force=True)
+                    continue
                 # The verb journaled something: stream it to replicas
                 # and (under sync replication) hold the response until
                 # they acknowledge — a response the client saw is a
                 # response the promoted standby can replay.
                 self._flush_repl()
-                await self._repl_barrier()
-            self._send(conn, response, force=True)
+            await self._repl_barrier()
+            with self._lock:
+                self._send(conn, response, force=True)
 
     # -- dispatch ----------------------------------------------------------
     def _dispatch(self, conn: _Connection, request: dict) -> dict:
@@ -874,11 +937,7 @@ class QueryNetServer:
 
         session = self._get_session(conn, request)
         at = request.get("at")
-        meta = {
-            "session": session.session_id,
-            "shards": session.shards,
-            **session.query.params,
-        }
+        meta = {"session": session.session_id, **session.query.params}
         profiler = QueryProfiler()
         with profiler.profile(
             f"net.{session.kind}",
@@ -937,11 +996,8 @@ class QueryNetServer:
             },
             "groups": self._server.group_count,
             "applier": {
-                "applied": self._server.applier.stats.applied,
-                "fanout": self._server.applier.stats.fanout,
-                "pending_high_water": (
-                    self._server.applier.stats.pending_high_water
-                ),
+                "applied": server_stats.updates,
+                "fanout": server_stats.fanout,
             },
             "standby": self._standby,
         }
@@ -980,6 +1036,7 @@ class QueryNetServer:
         # Wake any sync-ack barrier holding through the reconnect
         # grace window: it re-runs against this replica's ack stream.
         self._repl_attach_event.set()
+        self._acks.notify_all()
         records = (
             journal.records_since(from_seq) if from_seq > 0 else None
         )
@@ -1004,6 +1061,7 @@ class QueryNetServer:
         if seq > conn.acked_seq:
             conn.acked_seq = seq
         conn.ack_event.set()
+        self._acks.notify_all()
         journal = self._journal_of()
         return {
             "acked": conn.acked_seq,
@@ -1130,7 +1188,7 @@ class QueryNetServer:
         # the counters stay deterministic regardless of writer timing.
         self.stats.bytes_out += len(frame)
         self._c_bytes("out").inc(len(frame))
-        conn.wake.set()
+        self._wake(conn)
         return True
 
     def _shed_slow_consumer(self, conn: _Connection) -> None:
@@ -1186,8 +1244,8 @@ class QueryNetServer:
     def drain(self) -> Dict[int, object]:
         """Gracefully wind the service down.
 
-        Stops accepting, flushes the shared applier, closes every live
-        session (queued ones are cancelled), pushes each final answer
+        Stops accepting, closes every live session (queued ones are
+        cancelled), pushes each final answer
         to the session's owning connection as a ``drain`` event, says
         ``goodbye``, and shuts the query server down.  Returns the
         final answers by session id.
@@ -1202,51 +1260,53 @@ class QueryNetServer:
             self._asyncio_server.close()
             await self._asyncio_server.wait_closed()
             self._asyncio_server = None
-        self._server.applier.flush()
-        drained: Dict[int, object] = {}
-        # Cancel the admission queue first: closing an active session
-        # below would otherwise promote a queued one mid-drain and
-        # hand it a zero-width answer window.
-        for session in sorted(
-            self._sessions.values(), key=lambda s: s.session_id
-        ):
-            if session.state == QUEUED:
-                session.close()  # cancel; it never had an answer window
-        for sid, session in sorted(self._sessions.items()):
-            if session.state != ACTIVE:
-                continue
-            answer = session.close()
-            drained[sid] = answer
-            self.stats.drained += 1
-            self._c_event("drain").inc()
-            owner = self._owners.get(sid)
-            if owner is not None and not owner.closing:
-                self._send(
-                    owner,
-                    {
-                        "event": "drain",
-                        "session": sid,
-                        "answer": answer_to_wire(answer),
-                    },
-                    force=True,
-                )
-        # Stream the drain's close records before saying goodbye, so a
-        # standby mirrors the drained (terminal) state.  Attached
-        # replicas must ack them; one that left cannot come back (the
-        # listener closed above), so its reconnect grace is over.
-        self._repl_grace_until = 0.0
-        self._flush_repl()
+        with self._lock:
+            drained: Dict[int, object] = {}
+            # Cancel the admission queue first: closing an active session
+            # below would otherwise promote a queued one mid-drain and
+            # hand it a zero-width answer window.
+            for session in sorted(
+                self._sessions.values(), key=lambda s: s.session_id
+            ):
+                if session.state == QUEUED:
+                    session.close()  # cancel; it never had an answer window
+            for sid, session in sorted(self._sessions.items()):
+                if session.state != ACTIVE:
+                    continue
+                answer = session.close()
+                drained[sid] = answer
+                self.stats.drained += 1
+                self._c_event("drain").inc()
+                owner = self._owners.get(sid)
+                if owner is not None and not owner.closing:
+                    self._send(
+                        owner,
+                        {
+                            "event": "drain",
+                            "session": sid,
+                            "answer": answer_to_wire(answer),
+                        },
+                        force=True,
+                    )
+            # Stream the drain's close records before saying goodbye, so a
+            # standby mirrors the drained (terminal) state.  Attached
+            # replicas must ack them; one that left cannot come back (the
+            # listener closed above), so its reconnect grace is over.
+            self._repl_grace_until = 0.0
+            self._flush_repl()
         await self._repl_barrier()
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
             self._heartbeat_task = None
-        for conn in list(self._connections):
-            self._send(
-                conn, {"event": "goodbye", "reason": "drain"}, force=True
-            )
-            conn.closing = True
-            conn.wake.set()
-        for conn in list(self._connections):
+        with self._lock:
+            conns = list(self._connections)
+            for conn in conns:
+                self._send(
+                    conn, {"event": "goodbye", "reason": "drain"}, force=True
+                )
+                conn.closing = True
+                conn.wake.set()
+        for conn in conns:
             if conn.writer_task is not None:
                 try:
                     await conn.writer_task
@@ -1256,7 +1316,8 @@ class QueryNetServer:
                 conn.writer.close()
             except Exception:
                 pass
-        self._server.shutdown()
+        with self._lock:
+            self._server.shutdown()
         return drained
 
     def close(self) -> None:
@@ -1266,10 +1327,11 @@ class QueryNetServer:
         through the frontend, the loop thread is joined, and the
         wrapped query server is shut down.
         """
-        if self._closed:
-            return
-        self._closed = True
-        self._server.db.unsubscribe(self._ingest)
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._server.db.unsubscribe(self._ingest)
         if self._loop is not None:
             try:
                 self._call(self._drain_async(), timeout=60.0)
@@ -1278,7 +1340,8 @@ class QueryNetServer:
             self._loop.call_soon_threadsafe(self._loop.stop)
             if self._thread is not None:
                 self._thread.join(timeout=10.0)
-        self._server.shutdown()
+        with self._lock:
+            self._server.shutdown()
 
     def kill(self) -> None:
         """Die abruptly — the chaos-testing crash.
@@ -1290,13 +1353,15 @@ class QueryNetServer:
         precisely the guarantee recovery and failover are tested
         against.  Idempotent; a killed frontend cannot be restarted.
         """
-        if self._closed:
-            return
-        self._closed = True
-        try:
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._killed = True
             self._server.db.unsubscribe(self._ingest)
-        except Exception:
-            pass
+            # An applying thread waiting for acks gives up: no replica
+            # can ack through a dead frontend.
+            self._acks.notify_all()
         if self._loop is not None:
             self._loop.call_soon_threadsafe(self._kill_on_loop)
             self._loop.call_soon_threadsafe(self._loop.stop)
@@ -1313,7 +1378,9 @@ class QueryNetServer:
         if self._asyncio_server is not None:
             self._asyncio_server.close()
             self._asyncio_server = None
-        for conn in list(self._connections):
+        with self._lock:
+            conns = list(self._connections)
+        for conn in conns:
             conn.closing = True
             conn.wake.set()
             transport = getattr(conn.writer, "transport", None)
@@ -1324,3 +1391,9 @@ class QueryNetServer:
                     pass
         for task in asyncio.all_tasks(self._loop):
             task.cancel()
+
+
+def _set_wakes(conns) -> None:
+    """Wake the writers of ``conns`` (one loop callback per update)."""
+    for conn in conns:
+        conn.wake.set()

@@ -21,7 +21,7 @@ package makes them *observable*:
   engine, resilience, and workload layers;
 - :mod:`repro.obs.profile` — :class:`QueryProfiler` /
   :class:`QueryProfile`, which assign every evaluation a ``query_id``,
-  propagate a :class:`TraceContext` across shards, caches, and the
+  propagate a :class:`TraceContext` across engines, caches, and the
   WAL, attribute wall time and primitive ops to a per-stage tree, and
   feed a :class:`SlowQueryLog` and :class:`WorkloadAttribution`;
 - :mod:`repro.obs.explain` — :func:`explain`, the EXPLAIN-style entry

@@ -5,8 +5,7 @@
 ``evaluate_multiknn`` path — same answers, same code — under a
 :class:`~repro.obs.profile.QueryProfile`, and returns an
 :class:`ExplainReport` pairing the answer with the per-stage cost
-breakdown: wall time, primitive-op counts, cache hit/miss, and
-per-shard skew.  The report renders as an ``EXPLAIN``-style text tree
+breakdown: wall time, primitive-op counts and cache hit/miss.  The report renders as an ``EXPLAIN``-style text tree
 (:meth:`ExplainReport.text`) or as JSON (:meth:`ExplainReport.to_json`).
 
 The stages map onto the paper's cost terms (see
@@ -21,8 +20,6 @@ stage                     paper cost term
 ``prune``                 one-shot queries: bound every curve, keep candidates
 ``init`` / ``curves``     Theorem 5 initialization: ``O(N log N)`` (per slice)
 ``sweep``                 Theorem 4 event loop: ``O((m + N) log N)``
-``shards.*`` / ``shard.*``  the same terms at shard size ``N/S``
-``merge``                 second-level sweep over accumulated candidates
 ``server.live``           a session's window off its group (the span before a
                           rebuild a past query); replans, candidates
 ``cache.store``           deposit for later reuse
@@ -151,7 +148,6 @@ def explain(
     k: int = 1,
     distance: Optional[float] = None,
     ks: Optional[Sequence[int]] = None,
-    shards: Optional[int] = None,
     cache=None,
     profiler: Optional[QueryProfiler] = None,
     query_id: Optional[str] = None,
@@ -175,7 +171,6 @@ def explain(
         profiler = QueryProfiler()
     meta = {
         "interval": [interval.lo, interval.hi],
-        "shards": shards,
         "cache": cache is not None,
     }
     if kind == KNN:
@@ -190,8 +185,6 @@ def explain(
     else:
         raise ValueError(f"unknown query kind {kind!r}")
     with profiler.profile(kind, query_id=query_id, **meta) as prof:
-        answer = _evaluate(
-            db, spec, interval, prof.observe, shards, cache
-        )
+        answer = _evaluate(db, spec, interval, prof.observe, cache=cache)
         prof.record_answer(answer)
     return ExplainReport(prof, answer)

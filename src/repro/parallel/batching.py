@@ -1,25 +1,19 @@
-"""Per-shard batching of update streams.
+"""Per-key batching of update streams.
 
 Applying a chronological update stream one update at a time makes every
-update pay its own event-queue drain and treap touch on the owning
-shard.  Batching amortizes that: updates are buffered as they arrive,
-grouped per owning shard, and each shard receives its sub-batch in one
-chronological pass — shards untouched by a batch do no work at all, and
-answer merges are deferred to batch boundaries instead of being
-recomputed per update.
+update pay its own pass over its destination.  Batching amortizes that:
+updates are buffered as they arrive, grouped per destination key, and
+each destination receives its sub-batch in one chronological pass —
+destinations a batch never touches do no work at all.
 
 The applier is deliberately dumb about *what* an application means: it
-routes and groups, and a callback applies one shard's chronological
-sub-batch.  :class:`~repro.parallel.evaluator.ShardedSweepEvaluator`
-owns the callback (and flushes implicitly before every read, so
-buffering never changes observable answers).
+routes and groups, and a callback applies one destination's
+chronological sub-batch.  A router may also *fan out*: returning a
+``list`` of keys sends the same update to several destinations in one
+buffered pass.  Keys are arbitrary sortable hashables.
 
-A router may also *fan out*: returning a ``list`` of keys sends the
-same update to several co-hosted destinations in one buffered pass —
-this is how :class:`~repro.server.QueryServer` feeds every engine
-group from a single database subscription.  Keys are then arbitrary
-sortable hashables (the server uses ``(group_id, shard)`` tuples), not
-just shard indices.
+No serving path batches any more (every engine group sweeps the source
+MOD as each update is applied); the applier stays a standalone utility.
 """
 
 from __future__ import annotations

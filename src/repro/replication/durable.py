@@ -164,7 +164,6 @@ class DurableQueryServer(QueryServer):
         recovered session's answer equals the original by the
         Theorem 4/5 equivalence.
         """
-        self._applier.flush()
         sessions: List[dict] = []
         terminal: List[dict] = []
         for session in self.sessions():
@@ -240,7 +239,6 @@ class DurableQueryServer(QueryServer):
             and session.state == ACTIVE
             and session.group is not None
         ):
-            self._applier.flush()
             resolved = session.group.current_time
         answer = super()._close(session, resolved)
         self._journal(
@@ -433,7 +431,7 @@ class DurableQueryServer(QueryServer):
         if snapshot is not None:
             db = database_from_dict(snapshot["db"])
             if config is None:
-                config = ServerConfig(**snapshot["config"])
+                config = ServerConfig.from_dict(snapshot["config"])
         else:
             db = MovingObjectDatabase(initial_time=float("-inf"))
         covered = 0 if snapshot is None else int(snapshot.get("seq", 0))

@@ -193,8 +193,8 @@ class ServerWal(Journal):
         the next checkpoint.  ``None`` (the default) means no
         replication consumer needs history: checkpoints trim
         everything the snapshot already covers.  The net frontend
-        advances this to the slowest replica's streamed position, so a
-        checkpoint never evicts records a live standby still needs.
+        advances this to the slowest replica's acknowledged position, so
+        a checkpoint never evicts records a live standby still needs.
         """
         self._retain_floor = None if seq is None else int(seq)
 

@@ -272,12 +272,10 @@ class StandbyReplica:
         return self._applied_seq > before
 
     def _apply(self, record: dict) -> None:
-        """Apply one primary record on the standby's loop thread (the
-        frontend owns the server once started)."""
-        self._net._call(self._apply_async(record))
-
-    async def _apply_async(self, record: dict) -> None:
-        self._server.apply_record(record)
+        """Apply one primary record on the pump thread, under the
+        serving lock the standby's frontend dispatches under."""
+        with self._server.db.lock:
+            self._server.apply_record(record)
 
     def _resume(self) -> None:
         """Re-attach the replication link after a drop.

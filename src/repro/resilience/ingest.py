@@ -194,7 +194,6 @@ class IngestPipeline:
         self._wal = wal
         self._checkpoint_every = checkpoint_every
         self._since_checkpoint = 0
-        self._flush_hooks: List = []
         self.stats = IngestStats()
         self.rejected: List[RejectedUpdate] = []
         self.observe = as_instrumentation(observe)
@@ -299,34 +298,12 @@ class IngestPipeline:
         """Submit a whole iterable; returns per-update dispositions."""
         return [self.submit(u) for u in updates]
 
-    def add_flush_hook(self, hook) -> None:
-        """Run ``hook()`` after every :meth:`flush`.
-
-        Downstream consumers with their own buffering — notably a
-        batched :class:`~repro.parallel.evaluator.ShardedSweepEvaluator`
-        — register their flush here so pipeline flush boundaries
-        propagate all the way to the shard engines.
-        """
-        self._flush_hooks.append(hook)
-
-    def attach_evaluator(self, evaluator) -> None:
-        """Front a sharded (or any engine-facade) evaluator.
-
-        Subscribes ``evaluator.on_update`` to the database, so admitted
-        updates flow into it, and chains its ``flush`` (when it has
-        one) to this pipeline's flush boundary.
-        """
-        self._db.subscribe(evaluator.on_update)
-        if hasattr(evaluator, "flush"):
-            self.add_flush_hook(evaluator.flush)
-
     def flush(self) -> int:
         """Drain the reorder buffer regardless of the watermark.
 
         Call at end-of-stream (or before closing) so updates younger
         than the window are not stranded.  Returns the number of
-        updates drained (applied or quarantined).  Registered flush
-        hooks (see :meth:`add_flush_hook`) run afterwards.
+        updates drained (applied or quarantined).
         """
         drained = 0
         while self._buffer:
@@ -334,8 +311,6 @@ class IngestPipeline:
             self._pending_keys.discard(_update_key(held))
             self._apply_checked(held)
             drained += 1
-        for hook in self._flush_hooks:
-            hook()
         return drained
 
     def close(self, checkpoint: bool = True) -> None:

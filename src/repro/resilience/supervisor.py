@@ -11,9 +11,9 @@ advanced sweep line — valid for the database, in the past for the
 engine.
 
 :class:`SupervisedQuerySession` is the one-tenant engine pool
-(:class:`~repro.server.group.EngineGroup`) behind a guard listener: the
-session — not the engine — subscribes to the database and hands each
-update to the pool, whose engine faults (the one rule,
+(:class:`~repro.server.group.EngineGroup`) as the listener: the pool —
+not the engine — subscribes to the database and sweeps each update,
+and its engine faults (the one rule,
 :func:`~repro.server.group.is_engine_fault`) the session answers by
 rebuilding the pool from current database state, at the last database
 timestamp (the broken engine is dropped whole — it advanced without the
@@ -37,9 +37,8 @@ from typing import Optional, Set
 
 from repro.core.spec import QueryLike, QuerySpec
 from repro.mod.database import MovingObjectDatabase
-from repro.mod.updates import ObjectId, Update
+from repro.mod.updates import ObjectId
 from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
-from repro.parallel.sharding import shard_of
 from repro.query.answers import SnapshotAnswer
 from repro.server.group import EngineGroup
 
@@ -57,10 +56,9 @@ class SupervisedQuerySession:
     failures by rebuilding from database state.
 
     Construct with :meth:`knn` or :meth:`within` (mirroring
-    :class:`~repro.core.api.ContinuousQuerySession`).  The session's
-    guard listener — not the engine — subscribes to the database;
-    engine faults are counted in :attr:`stats` and answered with a
-    rebuild.
+    :class:`~repro.core.api.ContinuousQuerySession`).  The pool — not
+    the engine — subscribes to the database; engine faults are counted
+    in :attr:`stats` and answered with a rebuild.
     """
 
     def __init__(
@@ -71,7 +69,6 @@ class SupervisedQuerySession:
         start: Optional[float] = None,
         observe=None,
         cache=None,
-        **sharding,
     ) -> None:
         self._db = db
         self.stats = SupervisorStats()
@@ -91,25 +88,17 @@ class SupervisedQuerySession:
         self._closed = False
         lo = db.last_update_time if start is None else start
         self._spec = spec.over(lo, until)
-        shards = sharding.get("shards")
         self._group = EngineGroup(
             0,
             db,
             spec.gdistance,
-            shards or 1,
             spec.constants,
             self.observe,
             None if cache is None else cache.curves,
             spec=self._spec,
         )
-        # ``self_heal`` (with ``shards``) rebuilds a failed shard alone,
-        # below the supervisor, as a self-healing evaluator does; every
-        # other engine fault is the supervisor's to heal.
-        if shards and sharding.get("self_heal"):
-            self._group.heal = lambda shard, exc: self._group.rebuild(shard)
-        else:
-            self._group.heal = self._heal
-        db.subscribe(self._guard)
+        self._group.heal = self._heal
+        db.subscribe(self._group.apply)
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -121,23 +110,12 @@ class SupervisedQuerySession:
         until: float = math.inf,
         start: Optional[float] = None,
         observe=None,
-        shards: Optional[int] = None,
-        batch_size: int = 1,
-        self_heal: bool = False,
         cache=None,
     ) -> "SupervisedQuerySession":
         """A supervised continuous k-NN session.
 
         ``observe`` is shared between the supervisor and every engine
         it builds, so counters keep aggregating across rebuilds.
-
-        ``shards`` partitions the session's pool into that many shard
-        engines (answers merged as a sharded evaluator merges them):
-        the supervisor's recovery rebuilds them all, unless
-        ``self_heal=True`` lets a failed shard rebuild alone without
-        involving the supervisor at all.  ``batch_size`` changes cost,
-        never answers; a supervised session applies each update as it
-        arrives.
 
         ``cache`` (a :class:`repro.cache.QueryCache`) shares its curve
         store with every engine the pool builds, so a rebuild's
@@ -151,9 +129,6 @@ class SupervisedQuerySession:
             start,
             observe,
             cache,
-            shards=shards,
-            batch_size=batch_size,
-            self_heal=self_heal,
         )
 
     @classmethod
@@ -165,16 +140,10 @@ class SupervisedQuerySession:
         until: float = math.inf,
         start: Optional[float] = None,
         observe=None,
-        shards: Optional[int] = None,
-        batch_size: int = 1,
-        self_heal: bool = False,
         cache=None,
     ) -> "SupervisedQuerySession":
-        """A supervised continuous within-range session.
-
-        ``shards`` partitions the pool and ``cache`` shares a curve
-        store across rebuilds, both as in :meth:`knn`.
-        """
+        """A supervised continuous within-range session; ``cache``
+        shares a curve store across rebuilds as in :meth:`knn`."""
         return cls(
             db,
             QuerySpec.within(query, distance),
@@ -182,17 +151,13 @@ class SupervisedQuerySession:
             start,
             observe,
             cache,
-            shards=shards,
-            batch_size=batch_size,
-            self_heal=self_heal,
         )
 
     # -- live inspection ----------------------------------------------------
     @property
     def engine(self):
-        """The live sweep in force (the first shard's with ``shards``;
-        changes across rebuilds)."""
-        return self._group.engines[0]
+        """The live sweep in force (changes across rebuilds)."""
+        return self._group.engine
 
     @property
     def current_time(self) -> float:
@@ -210,22 +175,17 @@ class SupervisedQuerySession:
 
     @property
     def _view(self):
-        return self._group._views[self._spec.view_key][0]
+        return self._group._views[self._spec.view_key]
 
     @_view.setter
     def _view(self, view) -> None:
-        self._group._views[self._spec.view_key][0] = view
+        self._group._views[self._spec.view_key] = view
 
-    # -- the guard and the heal -----------------------------------------------
-    def _guard(self, update: Update) -> None:
-        """The database listener: each update goes to its shard's slot
-        as it arrives (``batch_size`` changes cost, never answers)."""
-        self._group.apply(shard_of(update.oid, self._group.shards), [update])
-
-    def _heal(self, shard: int, exc: BaseException) -> None:
-        """The supervisor's rule for an engine fault in any shard: one
-        failure, one ``supervisor.rebuild`` span around the rebuild of
-        the whole pool at the database's ``tau``."""
+    # -- the heal -------------------------------------------------------------
+    def _heal(self, exc: BaseException) -> None:
+        """The supervisor's rule for an engine fault: one failure, one
+        ``supervisor.rebuild`` span around the rebuild of the pool at
+        the database's ``tau``."""
         self.stats.failures += 1
         self._c_failures.inc()
         with self._tracer.span(
@@ -277,5 +237,5 @@ class SupervisedQuerySession:
             group.finalize()
             return group.partial(self._spec, self._spec.lo, end)
         finally:
-            self._db.unsubscribe(self._guard)
+            self._db.unsubscribe(group.apply)
             group.shutdown()

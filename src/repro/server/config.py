@@ -35,14 +35,6 @@ class ServerConfig:
         does not trigger a shed.
     op_rate_window:
         Number of applied updates per shedding measurement window.
-    batch_size:
-        Shared-applier flush threshold (see
-        :class:`~repro.parallel.batching.BatchedUpdateApplier`).
-        Reads always flush first, so batching never changes answers.
-    shards:
-        Default shard count for new engine groups; per-session
-        ``shards=`` overrides it (sessions with different shard counts
-        land in different groups).
     quarantine_after:
         Consecutive engine-group failures tolerated (each healed by a
         Theorem 5 rebuild) before the group is quarantined and its
@@ -54,8 +46,6 @@ class ServerConfig:
     max_queued: int = 64
     op_rate_ceiling: Optional[float] = None
     op_rate_window: int = 16
-    batch_size: int = 1
-    shards: int = 1
     quarantine_after: int = 3
 
     def __post_init__(self) -> None:
@@ -72,9 +62,13 @@ class ServerConfig:
             raise ValueError("op_rate_ceiling must be positive (or None)")
         if self.op_rate_window < 1:
             raise ValueError("op_rate_window must be positive")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        if self.shards < 1:
-            raise ValueError("shards must be positive")
         if self.quarantine_after < 0:
             raise ValueError("quarantine_after cannot be negative")
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ServerConfig":
+        """The config a snapshot journaled.  Fields this build no longer
+        has (``batch_size`` and ``shards``, from before object sharding
+        was removed) are accepted and ignored."""
+        known = cls.__dataclass_fields__
+        return cls(**{k: v for k, v in data.items() if k in known})

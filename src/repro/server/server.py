@@ -3,15 +3,15 @@ per engine group per update.
 
 A standalone :class:`~repro.core.api.ContinuousQuerySession` pays
 Theorem 5's ``O(m log N)`` maintenance *per session* for every update.
-:class:`QueryServer` subscribes to the MOD exactly once and fans each
-update out through one shared
-:class:`~repro.parallel.batching.BatchedUpdateApplier` to one
+:class:`QueryServer` subscribes to the MOD exactly once and hands each
+update, on the applying thread and under the MOD's lock, to one
 :class:`~repro.server.group.EngineGroup` per distinct (g-distance
-fingerprint, shards, sentinel constants) class — so per-update cost
-scales with the number of *distinct engine groups*, not the number of
-registered sessions.  Sessions with identical query parameters go
-further and share the very same view timelines; their per-session
-answers are clipped out at read/close time.
+fingerprint, sentinel constants) class — every group sweeps that one
+MOD, so an update is applied once and per-update cost scales with the
+number of *distinct engine groups*, not the number of registered
+sessions.  Sessions with identical query parameters go further and
+share the very same view timelines; their per-session answers are
+clipped out at read/close time.
 
 Degradation is layered on top:
 
@@ -47,8 +47,6 @@ from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import Update
 from repro.obs.instrument import NULL_INSTRUMENTATION, as_instrumentation
 from repro.obs.profile import NULL_STAGE, _stage
-from repro.parallel.batching import BatchedUpdateApplier
-from repro.parallel.sharding import shard_of
 from repro.server.config import ServerConfig
 from repro.server.errors import (
     AdmissionError,
@@ -81,6 +79,7 @@ class ServerStats:
     shed: int = 0
     cancelled: int = 0
     updates: int = 0
+    fanout: int = 0  # (group, update) applications
     rebuilds: int = 0
     quarantines: int = 0
 
@@ -95,7 +94,7 @@ class QueryServer:
         fans updates out to its engine groups.
     config:
         A :class:`~repro.server.ServerConfig` (default: unbounded
-        admission, no shedding, one shard, unbatched).
+        admission, no shedding).
     observe:
         Optional instrumentation bundle shared by every engine the
         server hosts; adds ``server_*`` metrics and — when the bundle
@@ -125,17 +124,12 @@ class QueryServer:
             cache.bind(db)
         self._curve_store = None if cache is None else cache.curves
         self._groups: Dict[Tuple, EngineGroup] = {}
-        self._groups_by_id: Dict[int, EngineGroup] = {}
         self._sessions: Dict[int, ServerSession] = {}
         self._pending: deque = deque()
         self._pinned: Dict[Tuple, GDistance] = {}
         self._next_sid = 1
         self._next_gid = count(1)
-        self._applier = BatchedUpdateApplier(
-            self._route, self._apply_group, batch_size=self._config.batch_size
-        )
         self._ops_marker = 0
-        self._applied_marker = 0
         self._window: deque = deque(maxlen=self._config.op_rate_window)
         self._shutdown = False
         self.stats = ServerStats()
@@ -191,7 +185,11 @@ class QueryServer:
         priority: int = 0,
         shards: Optional[int] = None,
     ) -> ServerSession:
-        """Register a continuous k-NN session starting now."""
+        """Register a continuous k-NN session starting now.
+
+        ``shards`` is a journaled label and nothing more (the durable
+        formats keep the field; object sharding is gone): every session
+        of one query class shares one engine group."""
         return self._register(QuerySpec.knn(query, k), priority, shards)
 
     def register_within(
@@ -232,7 +230,7 @@ class QueryServer:
                 None,
                 spec,
                 priority,
-                self._config.shards if shards is None else int(shards),
+                1 if shards is None else int(shards),
             )
             budget = self._config.max_sessions
             if budget is None or self._active_count() < budget:
@@ -269,9 +267,6 @@ class QueryServer:
         self, sid: Optional[int], spec: QuerySpec, priority: int, shards: int
     ) -> ServerSession:
         """The one place a session is created (not yet admitted)."""
-        # New groups clone the MOD's *current* state, so nothing may
-        # still be buffered when one is built.
-        self._applier.flush()
         session = ServerSession(
             self, self._take_sid(sid), spec, priority, shards
         )
@@ -330,7 +325,7 @@ class QueryServer:
             # Identity fingerprints key on id(); pin the object so the
             # key cannot be recycled while the server lives.
             self._pinned[fp] = spec.gdistance
-        return (fp, session.shards, spec.constants)
+        return (fp, spec.constants)
 
     def _activate(
         self, session: ServerSession, start: Optional[float] = None
@@ -347,15 +342,13 @@ class QueryServer:
                 next(self._next_gid),
                 self._db,
                 session.query.gdistance,
-                session.shards,
                 constants=session.query.constants,
                 observe=self._observe,
                 curve_store=self._curve_store,
             )
             group.key = key
-            group.heal = lambda slot, exc: self._heal(group, exc)
+            group.heal = lambda exc: self._heal(group, exc)
             self._groups[key] = group
-            self._groups_by_id[group.gid] = group
         group.acquire(session.query)
         self._ops_marker += self._total_ops() - before
         session.group = group
@@ -384,20 +377,10 @@ class QueryServer:
         self._c_session("cancel").inc()
 
     # -- the single fan-out path ------------------------------------------
-    def _route(self, update: Update) -> List[Tuple[int, int]]:
-        return [
-            (group.gid, shard_of(update.oid, group.shards))
-            for group in self._groups.values()
-        ]
-
-    def _apply_group(self, key: Tuple[int, int], updates) -> None:
-        gid, shard = key
-        group = self._groups_by_id.get(gid)
-        if group is None:
-            return  # group retired between buffering and flush
-        group.apply(shard, updates)
-
     def _on_update(self, update: Update) -> None:
+        """Sweep one update of the MOD in every engine group, in group
+        order, on the applying thread (the MOD holds its lock across
+        its listeners, so nothing reads a group mid-update)."""
         if self._shutdown:
             # Never swallow a write: the database believes the update
             # was delivered, so dropping it silently would desynchronize
@@ -407,37 +390,35 @@ class QueryServer:
                 f"update at t={update.time} reached a shut-down server; "
                 f"no engine group will reflect it"
             )
+        groups = list(self._groups.values())
         self.stats.updates += 1
-        self._h_fanout.observe(len(self._groups))
+        self.stats.fanout += len(groups)
+        self._h_fanout.observe(len(groups))
         with _stage(self._profile, "server.fanout"):
-            flushed = self._applier.submit(update)
-        if flushed:
-            self._account_flush()
+            for group in groups:
+                group.apply(update)
+        self._account_update()
 
     def _total_ops(self) -> int:
         return sum(g.primitive_ops() for g in self._groups.values())
 
-    def _account_flush(self) -> None:
+    def _account_update(self) -> None:
+        """The op-rate controller's one measurement: the ops every group
+        spent on this update (an open's or a re-plan for a wider tenant
+        moved the marker past its own cost)."""
         ops = self._total_ops()
         delta = ops - self._ops_marker
         self._ops_marker = ops
         if delta < 0:
             delta = 0  # a rebuild reset some group's counters
-        applied = self._applier.stats.applied
-        batch = applied - self._applied_marker
-        self._applied_marker = applied
-        if batch <= 0:
-            return
-        self._h_update_ops.observe(delta / batch)
+        self._h_update_ops.observe(delta)
         ceiling = self._config.op_rate_ceiling
         if ceiling is None:
             return
-        self._window.append((batch, delta))
-        updates = sum(u for u, _ in self._window)
-        if updates < self._config.op_rate_window:
+        self._window.append(delta)
+        if len(self._window) < self._config.op_rate_window:
             return
-        total = sum(o for _, o in self._window)
-        if total / updates > ceiling:
+        if sum(self._window) / len(self._window) > ceiling:
             self._shed_lowest()
             self._window.clear()
             self._ops_marker = self._total_ops()
@@ -490,7 +471,6 @@ class QueryServer:
 
     def _retire(self, group: EngineGroup) -> None:
         self._groups.pop(group.key, None)
-        self._groups_by_id.pop(group.gid, None)
         group.shutdown()
         # The window stays: a tenant that opens and closes faster than
         # ``op_rate_window`` updates must not switch shedding off.
@@ -508,19 +488,16 @@ class QueryServer:
             raise
 
     def _members(self, session: ServerSession):
-        self._applier.flush()
         session._check_readable()
         return self._read(session, lambda group: group.members(session.query))
 
     def _advance(self, session: ServerSession, t: float):
-        self._applier.flush()
         session._check_readable()
         with _stage(self._profile, "server.advance"):
             self._read(session, lambda group: group.advance_to(t))
         return self._members(session)
 
     def _close(self, session: ServerSession, at: Optional[float]):
-        self._applier.flush()
         session._check_readable()
         with _stage(self._profile, "server.close") as st:
             group = session.group
@@ -681,13 +658,7 @@ class QueryServer:
 
     def primitive_ops(self) -> int:
         """Total primitive sweep ops across all hosted groups."""
-        self._applier.flush()
         return self._total_ops()
-
-    @property
-    def applier(self) -> BatchedUpdateApplier:
-        """The shared fan-out applier (stats carry fan-out counters)."""
-        return self._applier
 
     def explain_close(
         self,
@@ -705,11 +676,7 @@ class QueryServer:
 
         if profiler is None:
             profiler = QueryProfiler()
-        meta = {
-            "session": session.session_id,
-            "shards": session.shards,
-            **session.query.params,
-        }
+        meta = {"session": session.session_id, **session.query.params}
         with profiler.profile(
             f"server.{session.kind}", query_id=query_id, **meta
         ) as prof:
@@ -740,5 +707,4 @@ class QueryServer:
         # Detach before declaring down: once the flag is set, a stray
         # delivery raises ServerClosedError instead of dropping writes.
         self._db.unsubscribe(self._on_update)
-        self._applier.flush()
         self._shutdown = True

@@ -63,6 +63,8 @@ class ServerSession:
         self.query = query
         self.kind = query.kind if kind is None else kind
         self.priority = priority
+        # A journaled label the durable formats keep (``open`` records,
+        # snapshots, the wire ``open``); it selects no engine.
         self.shards = shards
         self.state = QUEUED
         self.start: Optional[float] = None

@@ -6,23 +6,20 @@ through these evaluation paths:
 
 - the **naive baseline** (O(N^2) recomputation from trajectories),
 - a **single** :class:`~repro.sweep.engine.SweepEngine`,
-- a :class:`~repro.parallel.evaluator.ShardedSweepEvaluator` at any
-  shard count / batch size,
 - a plain :class:`~repro.core.api.ContinuousQuerySession`
   (:func:`run_session`): one live candidate host
   (:class:`~repro.sweep.live.LiveSweep`) with nothing around it, which
   also reports what its planner did (plan windows, candidates,
   re-plans by reason) so a test can assert the edge it engineered
   really occurred,
-- a bare :class:`~repro.server.group.EngineGroup` (the server's shard
-  pool without the server around it), so both sharded pools are held
-  to the one shard merge they share,
+- a bare :class:`~repro.server.group.EngineGroup` (the server's
+  engine pool without the server around it),
 - a shared :class:`~repro.server.QueryServer` hosting the probed
   session *alongside co-tenant sessions of every other kind* (so the
   server path also checks that fan-out sharing never perturbs answers),
-- a :class:`~repro.resilience.supervisor.SupervisedQuerySession` (and a
-  bare self-healing sharded evaluator) hit by a forced probe/update
-  race mid-stream, so the heal path is held to the same answers,
+- a :class:`~repro.resilience.supervisor.SupervisedQuerySession` (and
+  a server session) hit by a forced probe/update race mid-stream, so
+  the heal path is held to the same answers,
 - the **one-shot past path** (:func:`run_past`): the stream replayed
   into a MOD first, then the whole session window evaluated at once
   through the pruned sweep of ``repro.core.api`` (final answer only —
@@ -59,7 +56,6 @@ from repro.geometry.vectors import Vector
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ChangeDirection, New, Terminate, Update
-from repro.parallel.evaluator import ShardedSweepEvaluator
 from repro.query.answers import SnapshotAnswer
 from repro.sweep.engine import SweepEngine
 from repro.sweep.knn import ContinuousKNN
@@ -338,85 +334,23 @@ def _scenario_spec(sc: Scenario, mode: str):
     return QuerySpec(sc.gdistance(), mode, **param)
 
 
-def run_sharded(
-    sc: Scenario,
-    mode: str,
-    shards: int,
-    batch_size: int = 1,
-) -> Tuple[
-    Union[SnapshotAnswer, Dict[int, SnapshotAnswer]], List[ProbeRecord]
-]:
-    """Final answer + probe answers from a ShardedSweepEvaluator."""
-    db = sc.build_db()
-    if mode == KNN:
-        evaluator = ShardedSweepEvaluator.knn(
-            db,
-            sc.gdistance(),
-            k=sc.k,
-            until=sc.horizon,
-            shards=shards,
-            batch_size=batch_size,
-        )
-    elif mode == WITHIN:
-        evaluator = ShardedSweepEvaluator.within(
-            db,
-            sc.gdistance(),
-            sc.threshold,
-            until=sc.horizon,
-            shards=shards,
-            batch_size=batch_size,
-        )
-    else:
-        evaluator = ShardedSweepEvaluator.multiknn(
-            db,
-            sc.gdistance(),
-            sc.ks,
-            until=sc.horizon,
-            shards=shards,
-            batch_size=batch_size,
-        )
-    db.subscribe(evaluator.on_update)
-    probes: List[ProbeRecord] = []
-    try:
-        for update, probe in sc.schedule():
-            db.apply(update)
-            if probe is not None:
-                members = evaluator.advance_to(probe)
-                if mode == MULTIKNN:
-                    probes.append(
-                        (probe, {k: evaluator.members_for(k) for k in sc.ks})
-                    )
-                else:
-                    probes.append((probe, set(members)))
-        evaluator.advance_to(sc.horizon)
-        evaluator.finalize()
-        final = evaluator.answers() if mode == MULTIKNN else evaluator.answer()
-    finally:
-        db.unsubscribe(evaluator.on_update)
-        evaluator.shutdown()
-    return final, probes
-
-
 def run_group(
-    sc: Scenario, mode: str, shards: int
+    sc: Scenario, mode: str
 ) -> Tuple[
     Union[SnapshotAnswer, Dict[int, SnapshotAnswer]], List[ProbeRecord]
 ]:
     """Final answer + probe answers from a bare EngineGroup: the
-    server's shard pool driven directly, one spec attached."""
-    from repro.parallel.sharding import shard_of
+    server's engine pool driven directly, one spec attached."""
     from repro.server.group import EngineGroup
 
     db = sc.build_db()
     spec = _scenario_spec(sc, mode)
-    group = EngineGroup(
-        1, db, spec.gdistance, shards, constants=spec.constants
-    )
+    group = EngineGroup(1, db, spec.gdistance, constants=spec.constants)
     group.acquire(spec)
     probes: List[ProbeRecord] = []
     for update, probe in sc.schedule():
         db.apply(update)
-        group.apply(shard_of(update.oid, shards), [update])
+        group.apply(update)
         if probe is not None:
             group.advance_to(probe)
             probes.append((probe, group.members(spec)))
@@ -482,14 +416,13 @@ def _run_raced(
 def run_supervised(
     sc: Scenario,
     mode: str,
-    shards: Optional[int] = None,
     stats_out: Optional[dict] = None,
     races: int = 1,
     break_view: bool = False,
 ) -> Tuple[SnapshotAnswer, List[ProbeRecord]]:
     """Final answer + probe answers from a SupervisedQuerySession that
-    is hit by forced probe/update races mid-stream (kNN and within;
-    ``shards`` fronts a sharded evaluator).  ``break_view`` swaps in a :class:`BrokenView` before the first
+    is hit by forced probe/update races mid-stream (kNN and within).
+    ``break_view`` swaps in a :class:`BrokenView` before the first
     race.  ``stats_out`` receives the session's ``failures`` /
     ``rebuilds``."""
     from repro.resilience.supervisor import SupervisedQuerySession
@@ -497,11 +430,11 @@ def run_supervised(
     db = sc.build_db()
     if mode == KNN:
         session = SupervisedQuerySession.knn(
-            db, sc.gdistance(), k=sc.k, until=sc.horizon, shards=shards
+            db, sc.gdistance(), k=sc.k, until=sc.horizon
         )
     else:
         session = SupervisedQuerySession.within(
-            db, sc.gdistance(), sc.threshold, until=sc.horizon, shards=shards
+            db, sc.gdistance(), sc.threshold, until=sc.horizon
         )
 
     def sabotage():
@@ -520,69 +453,9 @@ def run_supervised(
     return final, probes
 
 
-def run_self_healing_sharded(
-    sc: Scenario,
-    mode: str,
-    shards: int,
-    stats_out: Optional[dict] = None,
-    races: int = 1,
-    break_view: bool = False,
-) -> Tuple[
-    Union[SnapshotAnswer, Dict[int, SnapshotAnswer]], List[ProbeRecord]
-]:
-    """The same forced races against a bare ``self_heal=True`` sharded
-    evaluator: only the raced update's shard rebuilds.  ``break_view``
-    breaks every shard's view before the first race, so
-    the shards no update heals are healed by their own finalize.
-    ``stats_out`` receives the evaluator's ``rebuilds``."""
-    db = sc.build_db()
-    factory, param = {
-        KNN: (ShardedSweepEvaluator.knn, sc.k),
-        WITHIN: (ShardedSweepEvaluator.within, sc.threshold),
-        MULTIKNN: (ShardedSweepEvaluator.multiknn, sc.ks),
-    }[mode]
-    evaluator = factory(
-        db,
-        sc.gdistance(),
-        param,
-        until=sc.horizon,
-        shards=shards,
-        self_heal=True,
-    )
-    db.subscribe(evaluator.on_update)
-
-    def sabotage():
-        views = evaluator._group._views
-        for key in views:
-            views[key] = [BrokenView(view) for view in views[key]]
-
-    def advance(t: float):
-        members = evaluator.advance_to(t)
-        if mode == MULTIKNN:
-            return {k: evaluator.members_for(k) for k in sc.ks}
-        return members
-
-    def close(at: float):
-        evaluator.advance_to(at)
-        evaluator.finalize()
-        return evaluator.answers() if mode == MULTIKNN else evaluator.answer()
-
-    try:
-        final, probes = _run_raced(
-            sc, db, advance, close, races, sabotage if break_view else None
-        )
-    finally:
-        db.unsubscribe(evaluator.on_update)
-        evaluator.shutdown()
-    if stats_out is not None:
-        stats_out["rebuilds"] = evaluator.rebuilds
-    return final, probes
-
-
 def run_healed_server(
     sc: Scenario,
     mode: str,
-    shards: int = 1,
     stats_out: Optional[dict] = None,
     races: int = 1,
     break_view: bool = False,
@@ -594,16 +467,15 @@ def run_healed_server(
     heals.  ``break_view`` breaks the group's views before the first
     race.  ``stats_out`` receives the server's ``rebuilds``."""
     from repro.core.api import serve
-    from repro.server import ServerConfig
 
     db = sc.build_db()
-    server = serve(db, ServerConfig(shards=shards))
+    server = serve(db)
     session = server._register(_scenario_spec(sc, mode), 0, None)
 
     def sabotage():
         views = session.group._views
         for key in views:
-            views[key] = [BrokenView(view) for view in views[key]]
+            views[key] = BrokenView(views[key])
 
     try:
         final, probes = _run_raced(
@@ -624,8 +496,6 @@ def run_healed_server(
 def run_server(
     sc: Scenario,
     mode: str,
-    shards: int = 1,
-    batch_size: int = 1,
 ) -> Tuple[
     Union[SnapshotAnswer, Dict[int, SnapshotAnswer]], List[ProbeRecord]
 ]:
@@ -637,13 +507,10 @@ def run_server(
     sweep with unrelated tenants must never change the probed answers.
     """
     from repro.core.api import serve
-    from repro.server import ServerConfig
 
     db = sc.build_db()
     gd = sc.gdistance()
-    server = serve(
-        db, ServerConfig(shards=shards, batch_size=batch_size)
-    )
+    server = serve(db)
     sessions = {
         KNN: server.register_knn(gd, k=sc.k),
         # gd is a GDistance, so the threshold is compared as-is — the
@@ -676,8 +543,6 @@ def run_server(
 def run_netserve(
     sc: Scenario,
     mode: str,
-    shards: int = 1,
-    batch_size: int = 1,
     drop_every: Optional[int] = None,
     force_heal: bool = False,
     stats_out: Optional[dict] = None,
@@ -691,8 +556,8 @@ def run_netserve(
     wire: registration, probes, and the final close are issued by a
     :class:`~repro.net.RemoteQueryClient` against a
     :func:`~repro.core.api.serve_tcp` frontend, so this path also
-    checks the protocol's answer encodings and the loop-thread
-    ingestion marshaling.
+    checks the protocol's answer encodings and the applying-thread
+    ingestion under the serving lock.
 
     ``drop_every=n`` hard-closes the client's socket before every nth
     request — the client must reconnect and retry with the same
@@ -725,8 +590,6 @@ def run_netserve(
     # poison (its rebuilt clock stays past the MOD's), so the forced
     # heal run needs a budget that outlasts the stream.
     config = ServerConfig(
-        shards=shards,
-        batch_size=batch_size,
         quarantine_after=(
             len(sc.stream) + 1 if force_heal else ServerConfig.quarantine_after
         ),
@@ -786,9 +649,9 @@ def run_recovered_server(
     sc: Scenario,
     mode: str,
     crash_every: int = 3,
-    shards: int = 1,
     checkpoint_interval: int = 4,
     sync: str = "flush",
+    shards: Optional[int] = None,
 ) -> Tuple[
     Union[SnapshotAnswer, Dict[int, SnapshotAnswer]], List[ProbeRecord]
 ]:
@@ -803,19 +666,20 @@ def run_recovered_server(
     (checkpoint, WAL-tail) pair.  Sessions are re-fetched by id on the
     recovered server and the stream resumes against the recovered MOD.
     Theorem 5 equivalence demands bit-for-bit the same probe sets and
-    a final answer equal to the uninterrupted paths'.
+    a final answer equal to the uninterrupted paths'.  ``shards`` is
+    the sessions' journaled ``open`` label (kept for the durable
+    formats; it changes nothing), so recovery replays records that
+    carry it.
     """
     import tempfile
 
     from repro.replication import DurableQueryServer
-    from repro.server import ServerConfig
 
     with tempfile.TemporaryDirectory() as directory:
         db = sc.build_db()
         gd = sc.gdistance()
         server = DurableQueryServer(
             db,
-            config=ServerConfig(shards=shards),
             directory=directory,
             sync=sync,
             checkpoint_interval=checkpoint_interval,
@@ -824,9 +688,9 @@ def run_recovered_server(
         # recovery starts from a snapshot that carries it.
         server.checkpoint()
         sessions = {
-            KNN: server.register_knn(gd, k=sc.k),
-            WITHIN: server.register_within(gd, sc.threshold),
-            MULTIKNN: server.register_multiknn(gd, sc.ks),
+            KNN: server.register_knn(gd, k=sc.k, shards=shards),
+            WITHIN: server.register_within(gd, sc.threshold, shards=shards),
+            MULTIKNN: server.register_multiknn(gd, sc.ks, shards=shards),
         }
         sids = {kind: s.session_id for kind, s in sessions.items()}
         session = sessions[mode]
@@ -874,6 +738,34 @@ def answers_equal(a, b, atol: float = ANSWER_ATOL) -> bool:
             a[k].approx_equals(b[k], atol=atol) for k in a
         )
     return a.approx_equals(b, atol=atol)
+
+
+def sliced_sweeps(slices: Optional[int]):
+    """A context in which every sweep behind ``evaluate_*`` — a cold
+    window or a cache's gap — is cut into ``slices`` equal time slices,
+    each swept alone, and the slice answers stitched; ``None`` leaves
+    the sweeps whole.  One evaluation split across several engines
+    must leave no trace in its answer."""
+    import contextlib
+    from unittest import mock
+
+    from repro.core import api
+    from repro.parallel.merge import stitch_answers
+
+    if slices is None:
+        return contextlib.nullcontext()
+    whole = api._single_sweep
+
+    def sweep(db, spec, window, observe, curves=None):
+        cuts = [window.lo + i * window.length / slices for i in range(slices)]
+        cuts.append(window.hi)
+        parts = [
+            whole(db, spec, Interval(a, b), observe, curves)
+            for a, b in zip(cuts, cuts[1:])
+        ]
+        return stitch_answers(parts, window)
+
+    return mock.patch.object(api, "_single_sweep", sweep)
 
 
 def sweep_ops(report) -> int:

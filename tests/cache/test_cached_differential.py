@@ -21,6 +21,7 @@ from tests._oracle import (
     answers_equal,
     generate_scenario,
     run_naive,
+    sliced_sweeps,
     sweep_ops,
 )
 
@@ -112,8 +113,9 @@ def test_extension_across_growing_horizons(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_sharded_cached_matches_naive(seed):
-    from tests._oracle import run_naive
-
+    """A cold answer built by three engines — the window's sweep cut
+    into three time slices and stitched — is stored whole; the repeat,
+    swept whole, is served from it."""
     from repro.geometry.intervals import Interval
 
     sc = generate_scenario(seed)
@@ -123,11 +125,9 @@ def test_sharded_cached_matches_naive(seed):
         db.apply(update)
     cache = QueryCache()
     window = Interval(sc.start, sc.horizon)
-    got = evaluate_knn(
-        db, sc.gdistance(), window, k=sc.k, shards=3, cache=cache
-    )
+    with sliced_sweeps(3):
+        got = evaluate_knn(db, sc.gdistance(), window, k=sc.k, cache=cache)
     assert answers_equal(got, expected)
-    # The stored (engineless) answer serves the repeat without shards.
     again = evaluate_knn(db, sc.gdistance(), window, k=sc.k, cache=cache)
     assert answers_equal(again, expected)
     assert cache.answers.hits >= 1
@@ -175,15 +175,16 @@ def _dump(answer):
     return answer_to_dict(answer)
 
 
-@pytest.mark.parametrize("shards", [None, 3])
+@pytest.mark.parametrize("slices", [None, 3])
 @pytest.mark.parametrize("mode", [KNN, WITHIN, MULTIKNN])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_growing_horizons_across_updates(mode, seed, shards):
+def test_growing_horizons_across_updates(mode, seed, slices):
     """Growing windows with one scenario update applied between each
     pair: alternately just beyond the cached span (kept whole) and
     inside it (clipped to ``[start, t]``) — either way the next window
     is an extension hit, equal to an uncached evaluation on the same
-    state, and the last one equals the naive baseline."""
+    state, and the last one equals the naive baseline.  ``slices``
+    cuts every cached call's sweeps (see :func:`sliced_sweeps`)."""
     from repro.geometry.intervals import Interval
 
     sc = generate_scenario(seed)
@@ -196,12 +197,14 @@ def test_growing_horizons_across_updates(mode, seed, shards):
     ]
     for update, hi in zip(sc.stream, ends):
         window = Interval(sc.start, hi)
-        got = _evaluate(mode, db, sc, window, cache=cache, shards=shards)
+        with sliced_sweeps(slices):
+            got = _evaluate(mode, db, sc, window, cache=cache)
         want = _evaluate(mode, db, sc, window)
         assert answers_equal(got, want), f"{mode} seed {seed} hi {hi}"
         db.apply(update)
     window = Interval(sc.start, sc.horizon)
-    got = _evaluate(mode, db, sc, window, cache=cache, shards=shards)
+    with sliced_sweeps(slices):
+        got = _evaluate(mode, db, sc, window, cache=cache)
     assert answers_equal(got, expected), f"{mode} seed {seed}: final"
     assert _spans(cache, sc, mode) == [window]
     assert cache.answers.misses == 1
@@ -288,21 +291,22 @@ def _tie_db(twins):
     return db
 
 
-@pytest.mark.parametrize("shards", [None, 2])
+@pytest.mark.parametrize("slices", [None, 2])
 @pytest.mark.parametrize("twins,k", [(False, 1), (True, 1), (True, 2)])
-def test_swap_and_twins_tied_at_the_stitch_point(twins, k, shards):
+def test_swap_and_twins_tied_at_the_stitch_point(twins, k, slices):
     """The old ``hi`` is the instant the ranks swap (and, with twins,
     an exact three-way tie): the prefix ends in the tie, the gap sweep
     starts in it, and the union is still the cold answer and the naive
-    one."""
+    one — also with both cached calls' sweeps cut in two."""
     from repro.baselines.naive import naive_knn_answer
     from repro.geometry.intervals import Interval
 
     db = _tie_db(twins)
     cache = QueryCache()
     first, wider = Interval(0.5, 2.0), Interval(0.5, 4.0)
-    evaluate_knn(db, [0.0, 0.0], first, k=k, cache=cache, shards=shards)
-    got = evaluate_knn(db, [0.0, 0.0], wider, k=k, cache=cache, shards=shards)
+    with sliced_sweeps(slices):
+        evaluate_knn(db, [0.0, 0.0], first, k=k, cache=cache)
+        got = evaluate_knn(db, [0.0, 0.0], wider, k=k, cache=cache)
     assert cache.answers.hits == 1 and cache.answers.misses == 1
     assert _dump(got) == _dump(evaluate_knn(db, [0.0, 0.0], wider, k=k))
     from repro.gdist.euclidean import SquaredEuclideanDistance

@@ -69,18 +69,17 @@ class TestNetserveWithForcedHeal:
         assert answers_equal(net_final, naive_final)
         assert_probes_equal(net_probes, naive_probes, "forced heal")
 
-    def test_heal_with_drops_and_shards_changes_nothing(self):
+    def test_heal_with_drops_changes_nothing(self):
         sc = generate_scenario(32)
         naive_final, naive_probes = run_naive(sc, WITHIN)
         stats = {}
         net_final, net_probes = run_netserve(
             sc,
             WITHIN,
-            shards=2,
             drop_every=3,
             force_heal=True,
             stats_out=stats,
         )
         assert stats["rebuilds"] >= 1
         assert answers_equal(net_final, naive_final)
-        assert_probes_equal(net_probes, naive_probes, "heal+drops+shards")
+        assert_probes_equal(net_probes, naive_probes, "heal+drops")

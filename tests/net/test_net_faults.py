@@ -324,8 +324,8 @@ class TestLostNotice:
                 for session in (a, b, bystander):
                     session.subscribe()
                 group = net.server.session(a.session_id).group
-                for key, views in group._views.items():
-                    group._views[key] = [_FailingView(view) for view in views]
+                for key, view in group._views.items():
+                    group._views[key] = _FailingView(view)
                 self._turn(db, 1.0)  # group.apply is fine; the read is not
                 client.ping()
                 for session in (a, b):

@@ -34,7 +34,6 @@ on a 40-piece trajectory                             5,557      74  within 10 of
 """
 
 import sys
-import threading
 
 import pytest
 
@@ -147,8 +146,8 @@ def run_workload(workload, churn_every=0):
 
 def run_mixed(stream_of):
     """Two connections; a family shared across them (two sessions of one
-    spec, and one session watched from both); a sharded family; a
-    subscriber that joins an existing family mid-stream, a new family
+    spec, and one session watched from both); a family opened with the
+    legacy ``shards`` field (accepted and ignored); a subscriber that joins an existing family mid-stream, a new family
     mid-stream, and an unsubscribe."""
     base_db, stream, _, _ = stream_of
     db = base_db()
@@ -165,7 +164,7 @@ def run_mixed(stream_of):
             a_within = watch(a, kind="within", distance=40.0, **here)
             watch(a, kind="knn", k=3, shards=2, **here)
             watch(b, kind="knn", k=2, **here)  # a_knn's family
-            watch(b, kind="knn", k=3, shards=2, **here)  # the sharded one
+            watch(b, kind="knn", k=3, shards=2, **here)  # its family
             b.request("subscribe", session=a_within)  # one session, twice
             for i, update in enumerate(stream):
                 db.apply(update)
@@ -251,18 +250,6 @@ def test_joins_leaves_shared_and_sharded_families_push_the_same_frames(
 # ---------------------------------------------------------------------------
 # Cost gates
 # ---------------------------------------------------------------------------
-def on_loop(net, fn, *args):
-    """Run ``fn(*args)`` on the net server's loop thread."""
-    done = threading.Event()
-
-    def run():
-        fn(*args)
-        done.set()
-
-    net._loop.call_soon_threadsafe(run)
-    assert done.wait(5.0)
-
-
 def test_a_flush_reads_each_family_once_and_encodes_only_what_moved():
     base_db, stream, opens, _ = fanout_reads()
     counted = {EngineGroup.members.__code__: 0, members_to_wire.__code__: 0}
@@ -283,7 +270,8 @@ def test_a_flush_reads_each_family_once_and_encodes_only_what_moved():
             families = len(set(family_of.values()))
             assert (len(family_of), families) == (32, 4)
             quiet = moved = 0
-            on_loop(net, sys.setprofile, profile)
+            # The fan-out runs on the applying thread, under db.apply.
+            sys.setprofile(profile)
             try:
                 for update in stream[:120]:
                     before = len(client.events)
@@ -300,7 +288,48 @@ def test_a_flush_reads_each_family_once_and_encodes_only_what_moved():
                     quiet += not pushed
                     moved += bool(pushed)
             finally:
-                on_loop(net, sys.setprofile, None)
+                sys.setprofile(None)
+            assert quiet > 20 and moved > 5
+        finally:
+            client.close()
+
+
+def test_an_update_wakes_the_loop_once_if_it_pushed_and_never_if_not():
+    """A journal-less ``db.apply`` off the loop thread fans out, pushes
+    and queues its frames on the applying thread: the loop hears of it
+    through one callback (the writers' wake-up) when something was
+    pushed, and not at all when nothing was."""
+    base_db, stream, opens, _ = fanout_reads()
+    db = base_db()
+    with serve_tcp(db) as net:
+        client = RawClient(net.address)
+        try:
+            for request in opens:
+                sid = client.request("open", **request)["session"]
+                client.request("subscribe", session=sid)
+            loop = net._loop
+            schedule = loop.call_soon_threadsafe
+            scheduled = []
+
+            def counted(callback, *args, **kwargs):
+                scheduled.append(callback)
+                return schedule(callback, *args, **kwargs)
+
+            loop.call_soon_threadsafe = counted
+            quiet = moved = 0
+            try:
+                for update in stream[:120]:
+                    before = len(client.events)
+                    del scheduled[:]
+                    db.apply(update)
+                    callbacks = len(scheduled)
+                    client.request("ping")
+                    pushed = len(client.events) > before
+                    assert callbacks == (1 if pushed else 0)
+                    quiet += not pushed
+                    moved += pushed
+            finally:
+                del loop.call_soon_threadsafe
             assert quiet > 20 and moved > 5
         finally:
             client.close()

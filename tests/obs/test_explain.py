@@ -4,7 +4,7 @@ The contract under test: explain runs the *real* evaluation (answers
 equal the plain ``evaluate_*`` call), attributes nearly all wall time
 to stages, stamps every span and metric block with the query id, and
 does all of that across the full configuration matrix — three query
-kinds, sharded evaluation, and the answer cache.
+kinds and the answer cache.
 """
 
 import json
@@ -57,13 +57,6 @@ class TestAnswersMatchPlainEvaluation:
         plain = evaluate_multiknn(db, [0.0, 0.0], WINDOW, ks=[1, 3])
         assert report.answer == plain
 
-    def test_sharded_knn_matches_single(self):
-        db = _db()
-        report = explain(db, [0.0, 0.0], WINDOW, "knn", k=2, shards=3)
-        plain = evaluate_knn(db, [0.0, 0.0], WINDOW, k=2)
-        assert report.answer == plain
-
-
 class TestStageAttribution:
     def test_single_path_stages(self):
         report = explain(_db(), [0.0, 0.0], WINDOW, "knn", k=2)
@@ -75,16 +68,6 @@ class TestStageAttribution:
         assert init["attrs"]["ops"] > 0
         assert any(c["name"] == "curves" for c in init.get("children", []))
 
-    def test_sharded_path_stages(self):
-        report = explain(
-            _db(), [0.0, 0.0], WINDOW, "within", distance=20.0, shards=4
-        )
-        names = _stage_names(report)
-        assert {"shards.init", "shards.sweep", "shards.finalize"} <= names
-        skew = report.shard_skew()
-        assert skew is not None and skew["shards"] == 4
-        assert skew["skew"] >= 1.0
-
     def test_stage_walls_cover_total(self):
         # Acceptance criterion: per-stage wall-time sums within 5% of
         # the measured total, i.e. coverage >= 0.95.
@@ -92,37 +75,9 @@ class TestStageAttribution:
         assert report.coverage >= 0.95
         assert report.coverage <= 1.05
 
-    def test_sharded_stage_walls_cover_total(self):
-        report = explain(
-            _db(48, seed=5), [0.0, 0.0], WINDOW, "knn", k=3, shards=4
-        )
-        assert report.coverage >= 0.95
-
-    def test_shard_finalize_ops_match_evaluator_total(self):
-        report = explain(
-            _db(), [0.0, 0.0], WINDOW, "within", distance=20.0, shards=3
-        )
-        stages = report.to_dict()["stages"]
-        finalize = next(s for s in stages if s["name"] == "shards.finalize")
-        per_shard = sum(
-            c["attrs"]["ops"]
-            for c in finalize["children"]
-            if c["name"] == "shard.finalize"
-        )
-        assert per_shard == finalize["attrs"]["ops"]
-
-
 class TestCorrelation:
     def test_single_path(self):
         _assert_correlated(explain(_db(), [0.0, 0.0], WINDOW, "knn", k=2))
-
-    def test_sharded_sequential(self):
-        _assert_correlated(
-            explain(
-                _db(), [0.0, 0.0], WINDOW, "within", distance=20.0, shards=3
-            )
-        )
-
 
 class TestCacheStages:
     def test_miss_then_hit(self):
@@ -191,31 +146,12 @@ class TestCacheStages:
             c["name"] for c in extend["children"]
         }
 
-    def test_sharded_with_cache(self):
-        db = _db()
-        cache = QueryCache()
-        first = explain(
-            db, [0.0, 0.0], WINDOW, "multiknn", ks=[1, 2], cache=cache,
-            shards=3,
-        )
-        second = explain(
-            db, [0.0, 0.0], WINDOW, "multiknn", ks=[1, 2], cache=cache,
-            shards=3,
-        )
-        assert "cache.store" in _stage_names(first)
-        assert first.answer == second.answer
-
-
 class TestRendering:
     def test_text_mentions_stages_and_id(self):
-        report = explain(
-            _db(), [0.0, 0.0], WINDOW, "knn", k=2, shards=2
-        )
+        report = explain(_db(), [0.0, 0.0], WINDOW, "knn", k=2)
         text = report.text()
         assert report.query_id in text
-        assert "shards.sweep" in text
-        assert "shard.finalize[shard 1]" in text
-        assert "skew" in text
+        assert "prune" in text and "sweep" in text
         assert text == str(report)
 
     def test_json_round_trips(self):

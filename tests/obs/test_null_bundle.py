@@ -33,7 +33,6 @@ from repro.obs import (
     as_instrumentation,
 )
 from repro.obs.metrics import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM
-from repro.parallel import ShardedSweepEvaluator
 from repro.replication import DurableQueryServer, ServerWal
 from repro.resilience.ingest import IngestPipeline
 from repro.resilience.supervisor import SupervisedQuerySession
@@ -126,12 +125,6 @@ class TestOffStateBindsTheSameSingletons:
         assert server._h_fanout is NULL_HISTOGRAM
         net = QueryNetServer(server)
         assert net._c_request("ping") is NULL_COUNTER
-        sharded = ShardedSweepEvaluator.knn(
-            random_linear_mod(4, seed=3), [0.0, 0.0], k=1, until=5.0, shards=2
-        )
-        assert sharded._g_shards is NULL_GAUGE
-        assert sharded._g_shard_ops is NULL_GAUGE
-        sharded.shutdown()
         server.shutdown()
         wal.close()
         journal.close()
@@ -149,8 +142,8 @@ def scenario(directory):
     evaluate_knn(source, origin, window, k=2, observe=obs, cache=cache)
     evaluate_knn(source, origin, window, k=2, observe=obs, cache=cache)
     evaluate_within(source, origin, window, distance=15.0, observe=obs)
-    # A dirty feed through ingest + WAL into a supervised session, a
-    # sharded evaluator and a durable server.
+    # A dirty feed through ingest + WAL into a supervised session and a
+    # durable server.
     feed_db, _ = recorded_future_workload(
         8, 25, seed=3, extent=30.0, speed=3.0
     )
@@ -170,10 +163,6 @@ def scenario(directory):
     QueryNetServer(server)  # never started: binds the net_* families
     session = server.register_knn(origin, k=3)
     server.register_within([1.0, 1.0], 12.0)
-    sharded = ShardedSweepEvaluator.knn(
-        db, origin, k=2, until=40.0, shards=3, observe=obs
-    )
-    db.subscribe(sharded.on_update)
     injector = FaultInjector(
         seed=9, duplicate_rate=0.2, corrupt_rate=0.1, observe=obs
     )
@@ -183,9 +172,6 @@ def scenario(directory):
     pipeline.flush()
     session.advance_to(db.last_update_time)
     server.checkpoint()
-    sharded.advance_to(db.last_update_time)
-    sharded.finalize()
-    db.unsubscribe(sharded.on_update)
     supervised.close()
     server.shutdown()
     wal.close()
@@ -213,7 +199,7 @@ def test_instrumented_scenario_matches_the_pin(tmp_path):
     prefixes = {name.split("_")[0] for name in pin["families"]}
     assert prefixes >= {
         "wal", "repl", "sweep", "view", "server", "net", "cache",
-        "sharded", "ingest", "supervisor", "mod", "faults",
+        "ingest", "supervisor", "mod", "faults",
     }
 
 

@@ -1,45 +1,57 @@
-"""Shard-merge parity: the two sharded pools share one merge.
+"""Pool parity: the two shapes of the one engine pool read alike.
 
-The same spec through a bare :class:`~repro.server.group.EngineGroup`
-(the server's pool), a :class:`ShardedSweepEvaluator` (the evaluator's)
-and one single engine must give bitwise-equal instant answers at every
-probe and equal window answers, for all three kinds — both pools call
-``merge_members`` / ``merge_answers`` of :mod:`repro.parallel.merge`.
-A single-slot group reads its view directly and is held to the same
-answers.
+A server group is the many-tenant pool (born at the source's ``tau``,
+sweeping ``[birth, ∞)``, a spec attached with ``acquire``); a
+supervised session holds the one-tenant pool (``spec=``: the window
+``[lo, hi]``, the spec attached from birth, subscribed to the MOD
+through ``group.apply``).  The same spec through both and through one
+single engine must give equal instant answers at every probe and equal
+window answers, for all three kinds — the one-tenant pool for multiknn
+too, which no session class opens.
 """
 
 import pytest
 
-from repro.core.spec import QuerySpec
-from repro.gdist.euclidean import SquaredEuclideanDistance
-from repro.geometry.intervals import Interval
-from repro.parallel.merge import (
-    merge_knn_answers,
-    merge_members,
-    merge_multiknn_answers,
-)
 from repro.server.group import EngineGroup
-from repro.workloads.generator import random_linear_mod
 
 from tests._oracle import (
     KNN,
     MULTIKNN,
     WITHIN,
+    _scenario_spec,
     answers_equal,
     assert_probes_equal,
     generate_scenario,
     run_group,
-    run_sharded,
     run_single,
 )
 
-SHARDS = 3
 SEEDS = {
     KNN: range(0, 12),
     WITHIN: range(1000, 1012),
     MULTIKNN: range(2000, 2012),
 }
+
+
+def run_one_tenant_pool(sc, mode):
+    """Final answer + probe answers from a ``spec=`` pool subscribed to
+    the scenario's MOD, as a supervised session holds it."""
+    db = sc.build_db()
+    spec = _scenario_spec(sc, mode).over(sc.start, sc.horizon)
+    group = EngineGroup(0, db, spec.gdistance, spec.constants, spec=spec)
+    db.subscribe(group.apply)
+    probes = []
+    for update, probe in sc.schedule():
+        db.apply(update)
+        if probe is not None:
+            group.advance_to(probe)
+            probes.append((probe, group.members(spec)))
+    group.advance_to(sc.horizon)
+    group.finalize()
+    final = group.partial(spec, sc.start, sc.horizon)
+    db.unsubscribe(group.apply)
+    group.shutdown()
+    return final, probes
 
 
 @pytest.mark.parametrize(
@@ -50,37 +62,9 @@ def test_both_pools_agree_with_one_engine(mode, seed):
     sc = generate_scenario(seed)
     single_final, single_probes = run_single(sc, mode)
     paths = {
-        "group S=3": run_group(sc, mode, SHARDS),
-        "group S=1": run_group(sc, mode, 1),
-        "evaluator S=3": run_sharded(sc, mode, SHARDS),
+        "many-tenant pool": run_group(sc, mode),
+        "one-tenant pool": run_one_tenant_pool(sc, mode),
     }
     for label, (final, probes) in paths.items():
         assert_probes_equal(probes, single_probes, f"seed {seed} {mode} {label}")
         assert answers_equal(final, single_final), f"seed {seed} {mode} {label}"
-    # Both pools merged the same per-shard answers: exactly equal.
-    assert paths["group S=3"][0] == paths["evaluator S=3"][0]
-
-
-def test_knn_merge_is_the_one_k_case_of_the_multiknn_merge():
-    db = random_linear_mod(12, seed=5, extent=20.0, speed=3.0)
-    gd = SquaredEuclideanDistance([0.0, 0.0])
-    window = Interval(db.last_update_time, 8.0)
-    spec = QuerySpec.multiknn(gd, [2, 4])
-    group = EngineGroup(1, db, gd, SHARDS)
-    group.acquire(spec)
-    group.advance_to(window.hi)
-    merged = group.partial(spec, window.lo, window.hi)
-    widest = [
-        view.partial_answers(window.hi)[4]
-        for view in group._views[spec.view_key]
-    ]
-    assert merge_multiknn_answers(db, gd, window, [2, 4], widest) == merged
-    for k in (2, 4):
-        assert merge_knn_answers(db, gd, window, k, widest) == merged[k]
-
-
-def test_range_merge_reads_no_values():
-    """The within-range instant merge is the pooled oids as they are:
-    no selection, no candidate value read."""
-    spec = QuerySpec.within(SquaredEuclideanDistance([0.0, 0.0]), 9.0)
-    assert merge_members(spec, [("a", None), ("b", None)]) == {"a", "b"}

@@ -1,12 +1,11 @@
-"""One engine pool: every sharded and supervised live sweep is an
+"""One engine pool: every server and supervised live sweep is an
 :class:`~repro.server.group.EngineGroup`.
 
 Held here: the pool's one fault rule (a caller's bad argument is not an
 engine failure, on every owner), a supervised close that answers
-exactly ``[start, at]``, a self-healing shard rebuilt alone inside a
-supervised session, and the pool's window read — exact over
-``[lo, end]`` whatever slot was rebuilt when, byte-equal to the cold
-one-shot query.
+exactly ``[start, at]``, and the pool's window read — exact over
+``[lo, end]`` however often its engine was rebuilt, byte-equal to the
+cold one-shot query.
 """
 
 import logging
@@ -24,22 +23,13 @@ from repro.geometry.intervals import Interval
 from repro.geometry.vectors import Vector
 from repro.io import answer_to_dict
 from repro.mod.updates import ChangeDirection, New
-from repro.parallel.sharding import shard_of
-from repro.resilience.supervisor import SupervisedQuerySession, SupervisorStats
+from repro.resilience.supervisor import SupervisedQuerySession
 from repro.server.group import EngineGroup
 from repro.trajectory.builder import linear_from
 from repro.workloads.generator import random_linear_mod
 
-from tests._oracle import (
-    KNN,
-    RACE_FRACTION,
-    WITHIN,
-    answers_equal,
-    assert_probes_equal,
-    generate_scenario,
-    run_naive,
-    run_single,
-)
+from tests._oracle import KNN, WITHIN
+
 
 POINT = [0.0, 0.0]
 
@@ -64,9 +54,6 @@ def _server(db):
 
 OWNERS = {
     "supervised": _supervised,
-    "supervised shards=3 self_heal": lambda db: _supervised(
-        db, shards=3, self_heal=True
-    ),
     "server session": _server,
 }
 
@@ -85,11 +72,14 @@ def test_a_bad_argument_heals_nothing(owner, caplog):
 
 
 # -- a supervised close behind the clock answers [start, at] --------------
-@pytest.mark.parametrize("shards", [None, 3])
-def test_a_supervised_close_behind_the_clock_is_not_widened(shards):
+@pytest.mark.parametrize("start", [None, 3])
+def test_a_supervised_close_behind_the_clock_is_not_widened(start):
+    """Whether the session starts at the MOD's clock (``None``) or at a
+    given later instant."""
     db = random_linear_mod(20, seed=1)
-    start = db.last_update_time
-    session = SupervisedQuerySession.knn(db, POINT, k=2, shards=shards)
+    session = SupervisedQuerySession.knn(db, POINT, k=2, start=start)
+    if start is None:
+        start = db.last_update_time
     session.advance_to(10.0)
     got = session.close(at=4.0)
     assert got.interval == Interval(start, 4.0)
@@ -107,48 +97,7 @@ def test_a_supervised_close_before_its_start_is_refused():
     db.create("later", 2.0, position=[1.0, 1.0], velocity=[0.0, 0.0])
 
 
-# -- a self-healing shard inside a supervised session ---------------------
-@pytest.mark.parametrize("mode", (KNN, WITHIN))
-@pytest.mark.parametrize("seed", range(8))
-def test_a_poisoned_update_rebuilds_one_supervised_shard(seed, mode):
-    sc = generate_scenario(seed)
-    db = sc.build_db()
-    opener, param = {
-        KNN: (SupervisedQuerySession.knn, sc.k),
-        WITHIN: (SupervisedQuerySession.within, sc.threshold),
-    }[mode]
-    session = opener(
-        db, sc.gdistance(), param, until=sc.horizon, shards=3, self_heal=True
-    )
-    schedule = sc.schedule()
-    raced = len(schedule) // 2
-    probes = []
-    for i, (update, probe) in enumerate(schedule):
-        if i == raced:
-            nxt = schedule[i + 1][0].time if i + 1 < len(schedule) else sc.horizon
-            session.advance_to(update.time + RACE_FRACTION * (nxt - update.time))
-            before = session._group.engines
-        db.apply(update)
-        if i == raced:
-            victim = shard_of(update.oid, 3)
-            after = session._group.engines
-            for shard, (old, new) in enumerate(zip(before, after)):
-                assert (new is old) == (shard != victim), f"shard {shard}"
-            assert session.stats == SupervisorStats()
-        if probe is not None:
-            probes.append((probe, session.advance_to(probe)))
-    final = session.close(at=sc.horizon)
-    assert session.stats == SupervisorStats()
-    for name, (want, want_probes) in {
-        "single": run_single(sc, mode),
-        "naive": run_naive(sc, mode),
-    }.items():
-        assert answers_equal(final, want), f"seed {seed} {mode} vs {name}"
-        assert_probes_equal(probes, want_probes, f"seed {seed} {mode} vs {name}")
-
-
-# -- the pool's window read after per-slot rebuilds ------------------------
-SHARDS = 3
+# -- the pool's window read after rebuilds ----------------------------------
 # kind -> (spec, the cold one-shot, its nearest-one reading or None)
 SPECS = {
     KNN: (
@@ -196,18 +145,17 @@ def test_partial_after_slot_rebuilds_is_the_cold_query(kind):
     spec, cold, nearest = SPECS[kind]
     db = _twin_mod()
     lo = db.last_update_time
-    group = EngineGroup(1, db, spec.gdistance, SHARDS, constants=spec.constants)
+    group = EngineGroup(1, db, spec.gdistance, constants=spec.constants)
     group.acquire(spec)
-    births = {}
+    births = []
     for i, update in enumerate(_stream(db)):
         db.apply(update)
-        group.apply(shard_of(update.oid, SHARDS), [update])
-        if i in (1, 4):  # slot 0 at tau = 1.4, slot 1 at 3.5, slot 2 never
-            slot = len(births)
+        group.apply(update)
+        if i in (1, 4):  # rebuilt at tau = 1.4, then again at 3.5
             group.advance_to(update.time + 0.3)
-            group.rebuild(slot)
-            births[slot] = update.time
-    assert group.epoch_start == max(births.values())
+            group.rebuild()
+            births.append(update.time)
+    assert group.epoch_start == births[-1]
     end = db.last_update_time + 1.5
     group.advance_to(end)
     got = group.partial(spec, lo, end)
@@ -215,22 +163,4 @@ def test_partial_after_slot_rebuilds_is_the_cold_query(kind):
     assert _dump(got) == _dump(want)
     if nearest is not None:
         assert nearest(got).objects == {"z"}
-    group.shutdown()
-
-
-def test_a_slot_rebuild_moves_only_its_own_birth():
-    spec = QuerySpec.knn(POINT, 2)
-    db = _twin_mod()
-    lo = db.last_update_time
-    group = EngineGroup(1, db, spec.gdistance, SHARDS)
-    group.acquire(spec)
-    engines = group.engines
-    update = db.create("m", 1.0, position=[3.0, 3.0], velocity=[0.0, 0.0])
-    group.apply(shard_of("m", SHARDS), [update])
-    group.rebuild(1)
-    assert [e is old for e, old in zip(group.engines, engines)] == [True, False, True]
-    assert group.epoch_start == 1.0
-    group.advance_to(2.0)
-    got = group.partial(spec, lo, 2.0)
-    assert _dump(got) == _dump(evaluate_knn(db, POINT, Interval(lo, 2.0), k=2))
     group.shutdown()

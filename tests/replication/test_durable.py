@@ -53,6 +53,8 @@ class TestRecoveryDifferential:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_recovery_composes_with_shards(self, mode):
+        """Sessions opened with a ``shards`` label (journaled in their
+        ``open`` records, ignored by the engines) recover like any."""
         sc = generate_scenario(5)
         naive_final, naive_probes = run_naive(sc, mode)
         rec_final, rec_probes = run_recovered_server(sc, mode, shards=2)

@@ -47,12 +47,14 @@ def _stream(seed, n=36):
     ).run(n)
 
 
-def _register(server, kind):
+def _register(server, kind, shards=None):
+    """``shards`` is the journaled label the durable formats keep: it
+    rides the ``open`` record and the snapshot and selects nothing."""
     if kind == "knn":
-        return server.register_knn(POINT, k=2)
+        return server.register_knn(POINT, k=2, shards=shards)
     if kind == "within":
-        return server.register_within(POINT, 12.0)
-    return server.register_multiknn(POINT, [1, 3])
+        return server.register_within(POINT, 12.0, shards=shards)
+    return server.register_multiknn(POINT, [1, 3], shards=shards)
 
 
 def _dump(answer):
@@ -79,14 +81,14 @@ def _recover(server, directory):
 def _mirror_run(seed, kind, shards, updates):
     """The uninterrupted server: sessions, the two snapshot clocks."""
     db = _base(seed)
-    server = serve(db, ServerConfig(shards=shards))
-    sessions = [_register(server, kind)]
+    server = serve(db)
+    sessions = [_register(server, kind, shards)]
     clocks = {}
     for i, update in enumerate(updates):
         if i == LATE:
-            sessions.append(_register(server, kind))
+            sessions.append(_register(server, kind, shards))
         if i == TAIL_OPEN:
-            sessions.append(_register(server, _other(kind)))
+            sessions.append(_register(server, _other(kind), shards))
         db.apply(update)
         if i in (CKPT1, CKPT2):
             clocks[i] = db.last_update_time
@@ -98,16 +100,15 @@ def _recovered_run(seed, kind, shards, updates, directory):
     db = _base(seed)
     server = DurableQueryServer(
         db,
-        config=ServerConfig(shards=shards),
         directory=directory,
         checkpoint_interval=None,
     )
-    sids = [_register(server, kind).session_id]
+    sids = [_register(server, kind, shards).session_id]
     for i, update in enumerate(updates):
         if i == LATE:
-            sids.append(_register(server, kind).session_id)
+            sids.append(_register(server, kind, shards).session_id)
         if i == TAIL_OPEN:
-            sids.append(_register(server, _other(kind)).session_id)
+            sids.append(_register(server, _other(kind), shards).session_id)
         db.apply(update)
         if i in (CKPT1, CKPT2):
             server.checkpoint()
@@ -254,20 +255,18 @@ def test_a_tie_exactly_at_the_snapshot_clock(tmp_path, twins, shards):
         New("f1", 2.0, Vector.of(0.0, 1.0), Vector.of(60.0, 0.0)),  # the clock
         New("f2", 3.0, Vector.of(0.0, 1.0), Vector.of(70.0, 0.0)),
     ]
-    config = ServerConfig(shards=shards)
-
     live_db = _tied_db(twins)
-    live = serve(live_db, config)
-    twin = live.register_knn(POINT, k=1)
+    live = serve(live_db)
+    twin = live.register_knn(POINT, k=1, shards=shards)
     for update in far:
         live_db.apply(update)
     want = twin.close(at=4.0)
 
     db = _tied_db(twins)
     server = DurableQueryServer(
-        db, config=config, directory=str(tmp_path), checkpoint_interval=None
+        db, directory=str(tmp_path), checkpoint_interval=None
     )
-    sid = server.register_knn(POINT, k=1).session_id
+    sid = server.register_knn(POINT, k=1, shards=shards).session_id
     db.apply(far[0])
     db.apply(far[1])
     server.checkpoint()

@@ -12,7 +12,6 @@ import pytest
 
 from repro.cache import QueryCache
 from repro.replication import DurableQueryServer, recover_server
-from repro.server import ServerConfig
 
 from tests._oracle import sweep_ops
 from tests.replication.test_recover_at_clock import (
@@ -41,7 +40,6 @@ def _recovered(kind, updates, directory, cache):
     db = _base(SEED)
     server = DurableQueryServer(
         db,
-        config=ServerConfig(shards=1),
         directory=directory,
         checkpoint_interval=None,
     )

@@ -4,9 +4,9 @@ An engine is disposable: when one fails, its owner re-opens it at the
 database's ``tau`` and remembers ``tau``; the span before it is read
 back from the MOD's recorded history at close, never from the failed
 engine.  So a heal can lose nothing, whatever state the engine's view
-was in — held here on all three owners (a supervised session, a
-self-healing sharded evaluator, a ``QueryServer`` group) against the
-naive baseline, the clean single engine and the cold one-shot answer.
+was in — held here on both owners (a supervised session and a
+``QueryServer`` group) against the naive baseline, the clean single
+engine and the cold one-shot answer.
 """
 
 import logging
@@ -30,7 +30,6 @@ from repro.io import answer_to_dict
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import New
 from repro.obs.explain import explain
-from repro.parallel.evaluator import ShardedSweepEvaluator
 from repro.resilience.supervisor import SupervisedQuerySession
 from repro.server import ServerConfig
 from repro.trajectory.builder import linear_from
@@ -46,7 +45,6 @@ from tests._oracle import (
     generate_scenario,
     run_healed_server,
     run_naive,
-    run_self_healing_sharded,
     run_single,
     run_supervised,
     sweep_ops,
@@ -58,10 +56,6 @@ POINT = [0.0, 0.0]
 # owner -> (runner, the kinds that owner has)
 OWNERS = {
     "supervised": (run_supervised, (KNN, WITHIN)),
-    "self_heal shards=3": (
-        lambda sc, mode, **kw: run_self_healing_sharded(sc, mode, 3, **kw),
-        (KNN, WITHIN, MULTIKNN),
-    ),
     "server group": (run_healed_server, (KNN, WITHIN, MULTIKNN)),
 }
 CASES = [
@@ -122,31 +116,16 @@ def _open_supervised(db):
     return session.advance_to, session.close, lambda: session.stats.rebuilds
 
 
-def _open_self_healing(db):
-    evaluator = ShardedSweepEvaluator.knn(
-        db, POINT, k=1, shards=2, self_heal=True
-    )
-    db.subscribe(evaluator.on_update)
-
-    def close(at):
-        db.unsubscribe(evaluator.on_update)
-        evaluator.advance_to(at)
-        evaluator.finalize()
-        return evaluator.answer()
-
-    return evaluator.advance_to, close, lambda: evaluator.rebuilds
-
-
-def _open_server(db, shards=1):
-    server = serve(db, ServerConfig(shards=shards))
-    session = server.register_knn(POINT, k=1)
+def _open_server(db, shards=None):
+    server = serve(db)
+    session = server.register_knn(POINT, k=1, shards=shards)
     return session.advance_to, session.close, lambda: server.stats.rebuilds
 
 
 TIED_OWNERS = {
     "supervised": _open_supervised,
-    "self_heal shards=2": _open_self_healing,
     "server group": _open_server,
+    # ``shards`` is a journaled label: the same one engine group heals.
     "server group shards=2": lambda db: _open_server(db, shards=2),
 }
 
@@ -256,7 +235,7 @@ def test_every_kind_closes_equal_to_its_cold_one_shot():
     for session in sessions.values():
         views = session.group._views
         for key in views:
-            views[key] = [BrokenView(view) for view in views[key]]
+            views[key] = BrokenView(views[key])
         session.advance_to(6.0)
     db.create("late", 5.0, position=[1.0, 0.0], velocity=[0.0, 0.0])
     assert server.stats.rebuilds == 2  # the rank group and the range group

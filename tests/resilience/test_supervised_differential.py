@@ -1,21 +1,16 @@
 """Seeded differential for the heal path: a forced probe/update race.
 
 Every scenario drives one update stream through the naive baseline, a
-clean single :class:`SweepEngine`, and three healing paths that are
-each hit by the same race mid-stream (the sweep is advanced past the
-middle update's timestamp just before that update is applied):
+clean single :class:`SweepEngine`, and a
+:class:`SupervisedQuerySession` hit by a race mid-stream (the sweep is
+advanced past the middle update's timestamp just before that update
+is applied).
 
-- a :class:`SupervisedQuerySession` over one engine,
-- a :class:`SupervisedQuerySession` fronting a 3-shard evaluator
-  (whole-session rebuild),
-- a bare ``self_heal=True`` 3-shard evaluator (only the raced
-  update's shard rebuilds).
-
-All five must agree at every probe and at close — the stitched answer
-is indistinguishable from one that never failed — and every healing
-path must heal exactly once without losing a segment: the counts
-below are what the per-owner heal routines this host replaced
-produced on these seeds.
+All three must agree at every probe and at close — the stitched answer
+is indistinguishable from one that never failed — and the session
+must heal exactly once without losing a segment: the counts below are
+what the per-owner heal routines this host replaced produced on these
+seeds.
 """
 
 import pytest
@@ -27,7 +22,6 @@ from tests._oracle import (
     assert_probes_equal,
     generate_scenario,
     run_naive,
-    run_self_healing_sharded,
     run_single,
     run_supervised,
 )
@@ -37,7 +31,6 @@ SEEDS = range(48)
 # One race, one engine failure, one rebuild — on every seed and both
 # kinds.
 SUPERVISOR_STATS = {"failures": 1, "rebuilds": 1}
-SHARD_REBUILDS = {"rebuilds": 1}
 
 
 @pytest.mark.parametrize("mode", (KNN, WITHIN))
@@ -50,16 +43,6 @@ def test_raced_heal_paths_match_clean_and_naive(seed, mode):
         "supervised": (
             lambda stats: run_supervised(sc, mode, stats_out=stats),
             SUPERVISOR_STATS,
-        ),
-        "supervised shards=3": (
-            lambda stats: run_supervised(sc, mode, shards=3, stats_out=stats),
-            SUPERVISOR_STATS,
-        ),
-        "sharded self_heal": (
-            lambda stats: run_self_healing_sharded(
-                sc, mode, 3, stats_out=stats
-            ),
-            SHARD_REBUILDS,
         ),
     }
     for name, (run, pinned) in paths.items():

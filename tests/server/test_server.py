@@ -68,11 +68,11 @@ class TestGroupSharing:
         # within needs its threshold among the engine constants.
         assert server.group_count == 2
         server.register_knn(gd, k=2, shards=3)
-        # a different shard count is a different engine pool.
-        assert server.group_count == 3
+        # a shard count is a journaled label: the same engine pool.
+        assert server.group_count == 2
         server.register_knn(_gd(9.0, 9.0), k=1)
         # a different g-distance never shares sweep state.
-        assert server.group_count == 4
+        assert server.group_count == 3
         server.shutdown()
 
     def test_identical_sessions_share_the_same_views(self):
@@ -100,11 +100,8 @@ class TestGroupSharing:
         server.register_knn(gd, k=1)
         server.register_within(gd, 40.0)
         _stir(db, [1.0, 2.0, 3.0])
-        server.primitive_ops()  # flush
-        stats = server.applier.stats
-        assert stats.submitted == 3
-        # 3 updates x 2 groups = 6 (key, update) applications.
-        assert stats.fanout == 6
+        # 3 updates x 2 groups = 6 (group, update) applications.
+        assert server.stats.fanout == 6
         assert server.stats.updates == 3
         server.shutdown()
 
@@ -113,7 +110,7 @@ class TestAnswerEquivalence:
     def test_mixed_tenants_match_standalone_sessions(self):
         db = _db(10, seed=21)
         mirror_db = random_linear_mod(10, seed=21, extent=30.0, speed=3.0)
-        server = serve(db, ServerConfig(batch_size=2))
+        server = serve(db)
         gd = _gd(1.0, -2.0)
         specs = [
             ("knn", {"k": 2}),
@@ -164,21 +161,6 @@ class TestAnswerEquivalence:
         # at its registration time.
         assert answers_equal(late.close(at=5.0), mirror.close(at=5.0))
         early.close(at=5.0)
-        server.shutdown()
-
-    def test_reads_flush_buffered_updates(self):
-        db = _db()
-        server = serve(db, ServerConfig(batch_size=8))
-        gd = _gd()
-        session = server.register_knn(gd, k=1)
-        mirror_db = random_linear_mod(8, seed=7, extent=30.0, speed=3.0)
-        mirror = Mirror(mirror_db, "knn", gd, {"k": 1}, start=session.start)
-        _stir(db, [1.0, 2.0], seed=5)
-        _stir(mirror_db, [1.0, 2.0], seed=5)
-        assert server.applier.pending == 2  # buffered, not applied
-        assert session.advance_to(2.5) == mirror.advance_to(2.5)
-        assert server.applier.pending == 0  # the read flushed
-        assert answers_equal(session.close(at=3.0), mirror.close(at=3.0))
         server.shutdown()
 
 
@@ -274,8 +256,6 @@ class TestLifecycle:
             dict(max_queued=-1),
             dict(op_rate_ceiling=0.0),
             dict(op_rate_window=0),
-            dict(batch_size=0),
-            dict(shards=0),
             dict(quarantine_after=-1),
         ):
             with pytest.raises(ValueError):

@@ -28,7 +28,6 @@ from repro.geometry.vectors import Vector
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ChangeDirection, New, Terminate
-from repro.server import ServerConfig
 from tests._oracle import PROBE_FRACTION, answers_equal
 from tests.server._mirrors import Mirror
 
@@ -181,7 +180,7 @@ def test_soak(seed):
         db.apply(update)
         mirror_db.apply(update)
 
-    server = serve(db, ServerConfig(batch_size=1 + seed % 3))
+    server = serve(db)
     tenants = []
     try:
         for i, update in enumerate(stream):

@@ -1,8 +1,7 @@
 """Live engines order only their candidates: the edges of the planner.
 
 Every live construction site — a plain session, a supervised one, a
-sharded evaluator's shard hosts, a bare engine group, a query server's
-groups — builds one :class:`~repro.sweep.live.LiveSweep`.  Each test
+bare engine group, a query server's groups — builds one :class:`~repro.sweep.live.LiveSweep`.  Each test
 below engineers one edge of its plan / update / re-plan rules in a
 hand-built scenario, asserts on the plain session's own host that the
 edge really occurred (``tests/_oracle.py::run_session`` reports the
@@ -51,7 +50,6 @@ from tests._oracle import (
     run_past,
     run_server,
     run_session,
-    run_sharded,
     run_single,
     run_supervised,
 )
@@ -133,9 +131,7 @@ def _drivers(mode):
     if mode != MULTIKNN:
         yield "session", lambda sc: run_session(sc, mode)
         yield "supervised", lambda sc: run_supervised(sc, mode, races=0)
-    yield "sharded x3", lambda sc: run_sharded(sc, mode, 3)
-    yield "group x1", lambda sc: run_group(sc, mode, 1)
-    yield "group x2", lambda sc: run_group(sc, mode, 2)
+    yield "group", lambda sc: run_group(sc, mode)
     yield "server", lambda sc: run_server(sc, mode)
 
 

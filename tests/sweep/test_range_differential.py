@@ -1,9 +1,9 @@
 """Differential fuzz of the range host against the full order and naive.
 
 A within reading is served by :class:`~repro.sweep.within.RangeSweep`
-on every path: a live session (one host), a live session through the
-engine pool with ``shards=3`` (one host per slot, answers unioned), and
-the one-shot ``evaluate_within`` with and without ``shards=3``.  Over
+on every path: a live session (one host), a supervised session (the
+same host behind the engine pool), and the one-shot
+``evaluate_within``.  Over
 ``random_linear_mod``, ``crossing_rich_mod`` and
 ``banded_mod(band_gap=1.0)`` (whose ``o30`` sits on radius 40, the
 threshold) with a chdir-heavy update stream, every path must give
@@ -28,6 +28,7 @@ from repro.core.api import ContinuousQuerySession, evaluate_within
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.geometry.intervals import Interval
 from repro.io import answer_to_dict
+from repro.resilience.supervisor import SupervisedQuerySession
 from repro.sweep.engine import SweepEngine
 from repro.sweep.within import ContinuousWithin
 from repro.workloads.generator import (
@@ -71,7 +72,7 @@ def test_live_and_one_shot_equal_the_full_order_and_naive(family, seed):
     db.subscribe(engine.on_update)
     sessions = {
         "S=1": ContinuousQuerySession.within(db, ORIGIN, threshold),
-        "shards=3": ContinuousQuerySession.within(db, ORIGIN, threshold, shards=3),
+        "pool": SupervisedQuerySession.within(db, ORIGIN, threshold),
     }
     stream = UpdateStream(
         db, seed=seed + 100, mean_gap=GAP, periodic=True, weights=(0.1, 0.1, 0.8)
@@ -98,6 +99,5 @@ def test_live_and_one_shot_equal_the_full_order_and_naive(family, seed):
     past, past_view = _full(db, window, threshold)
     past.run_to_end()
     assert _memberships(past_view.answer()) == live
-    for shards in (None, 3):
-        got = evaluate_within(db, ORIGIN, window, threshold, shards=shards)
-        assert answer_to_dict(got) == answer_to_dict(past_view.answer()), shards
+    got = evaluate_within(db, ORIGIN, window, threshold)
+    assert answer_to_dict(got) == answer_to_dict(past_view.answer())

@@ -1,12 +1,17 @@
 """Edge-case tests locking in sweep tie-breaking behavior.
 
-Three families of adversarial timing that the sharded path must
-reproduce exactly, pinned here against the single engine first:
+Three families of adversarial timing, pinned against the single
+engine and the naive baseline (and a live pool for the first):
 
 - a ``chdir`` arriving at *exactly* an intersection-event time (the
   update and the order change share one timestamp);
 - duplicate curves (exact, persistent ties in the precedence order);
 - zero-length (point-interval) trajectory pieces.
+
+The ``sharded`` cases split one evaluation across S engines — the
+window cut into S time slices, each swept alone, the slice answers
+stitched (:func:`tests._oracle.sliced_sweeps`) — and must reproduce
+the single engine.
 """
 
 import math
@@ -18,11 +23,13 @@ from repro.geometry.vectors import Vector
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ChangeDirection, New
-from repro.parallel.evaluator import ShardedSweepEvaluator
+from repro.resilience.supervisor import SupervisedQuerySession
 from repro.sweep.engine import SweepEngine
 from repro.sweep.knn import ContinuousKNN
 from repro.trajectory.linearpiece import LinearPiece
 from repro.trajectory.trajectory import Trajectory
+
+from tests._oracle import sliced_sweeps
 
 ORIGIN = SquaredEuclideanDistance([0.0, 0.0])
 
@@ -65,26 +72,33 @@ class TestChdirAtIntersectionTime:
         truth = naive_knn_answer(db, ORIGIN, Interval(start, 12.0), 1)
         assert view.answer().approx_equals(truth, atol=1e-6)
 
+    def test_chdir_at_crossing_matches_the_pool(self):
+        db = self._db()
+        start = db.last_update_time
+        single_db = self._db()
+        engine, view = _single_knn(single_db, 1, start, 12.0)
+        session = SupervisedQuerySession.knn(db, ORIGIN, k=1, until=12.0)
+        update = ChangeDirection("o2", 5.0, Vector.of(2.0, 0.0))
+        db.apply(update)
+        single_db.apply(update)
+        engine.advance_to(12.0)
+        engine.finalize()
+        assert session.close(at=12.0).approx_equals(view.answer(), atol=1e-6)
+
     def test_chdir_at_crossing_matches_sharded(self):
+        single_db = self._db()
+        start = single_db.last_update_time
+        engine, view = _single_knn(single_db, 1, start, 12.0)
+        update = ChangeDirection("o2", 5.0, Vector.of(2.0, 0.0))
+        single_db.apply(update)
+        engine.advance_to(12.0)
+        engine.finalize()
         for shards in (1, 2, 7):
             db = self._db()
-            start = db.last_update_time
-            single_db = self._db()
-            engine, view = _single_knn(single_db, 1, start, 12.0)
-            evaluator = ShardedSweepEvaluator.knn(
-                db, ORIGIN, k=1, until=12.0, shards=shards, batch_size=2
-            )
-            db.subscribe(evaluator.on_update)
-            update = ChangeDirection("o2", 5.0, Vector.of(2.0, 0.0))
             db.apply(update)
-            single_db.apply(update)
-            engine.advance_to(12.0)
-            engine.finalize()
-            evaluator.advance_to(12.0)
-            evaluator.finalize()
-            assert evaluator.answer().approx_equals(
-                view.answer(), atol=1e-6
-            ), f"shards={shards}"
+            with sliced_sweeps(shards):
+                got = evaluate_knn(db, ORIGIN, Interval(start, 12.0), k=1)
+            assert got.approx_equals(view.answer(), atol=1e-6), f"shards={shards}"
 
     def test_chdir_at_crossing_then_more_events(self):
         """The post-update order must seed correct *new* intersection
@@ -179,9 +193,8 @@ class TestDuplicateCurves:
         for k in (1, 2):
             single = evaluate_knn(db, ORIGIN, Interval(0.3, 30.0), k=k)
             for shards in (2, 7):
-                sharded = evaluate_knn(
-                    db, ORIGIN, Interval(0.3, 30.0), k=k, shards=shards
-                )
+                with sliced_sweeps(shards):
+                    sharded = evaluate_knn(db, ORIGIN, Interval(0.3, 30.0), k=k)
                 assert sharded.approx_equals(
                     single, atol=1e-6
                 ), f"k={k} S={shards}"
@@ -236,7 +249,6 @@ class TestZeroLengthPieces:
         db.install("cruiser", self._cruiser())
         single = evaluate_knn(db, ORIGIN, Interval(0.5, 18.0), k=1)
         for shards in (2, 7):
-            sharded = evaluate_knn(
-                db, ORIGIN, Interval(0.5, 18.0), k=1, shards=shards
-            )
+            with sliced_sweeps(shards):
+                sharded = evaluate_knn(db, ORIGIN, Interval(0.5, 18.0), k=1)
             assert sharded.approx_equals(single, atol=1e-6), f"S={shards}"

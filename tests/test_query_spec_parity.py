@@ -1,4 +1,4 @@
-"""One QuerySpec from the front door to the shard.
+"""One QuerySpec from the front door to the engine.
 
 The same query, stated the ways a caller can state it — ``(point,
 distance)``, ``(GDistance, threshold)``, ``ks=[3, 1, 3]`` — goes
@@ -27,7 +27,6 @@ from repro.cache.fingerprint import query_fingerprint
 from repro.core.spec import QuerySpec
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.net import RemoteQueryClient
-from repro.parallel import ShardedSweepEvaluator
 from repro.resilience.supervisor import SupervisedQuerySession
 from repro.workloads.generator import random_linear_mod
 
@@ -98,14 +97,6 @@ def door_supervised(db, kind, query, kwargs, cache):
     return opener(db, query, cache=cache, **kwargs).close(at=END)
 
 
-def door_sharded(db, kind, query, kwargs, cache):
-    evaluator = getattr(ShardedSweepEvaluator, kind)(
-        db, query, until=END, shards=3, **kwargs
-    )
-    evaluator.run_to_end()
-    return evaluator.answers() if kind == "multiknn" else evaluator.answer()
-
-
 def door_server(db, kind, query, kwargs, cache):
     server = serve(db, cache=cache)
     try:
@@ -135,14 +126,12 @@ DOORS = {
     "explain": (door_explain, CASES, True),
     # Sessions have no multiknn constructor.
     "session": (door_session, [c for c in CASES if "multiknn" not in c], True),
-    # The supervisor and the bare evaluator share curves but deposit
-    # no answers.
+    # The supervisor shares curves but deposits no answers.
     "supervised": (
         door_supervised,
         [c for c in CASES if "multiknn" not in c],
         False,
     ),
-    "sharded": (door_sharded, CASES, False),
     "server": (door_server, CASES, True),
     "remote": (door_remote, CASES, True),
 }
