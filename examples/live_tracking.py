@@ -72,9 +72,9 @@ def randomized_stream(n_objects: int = 40, n_updates: int = 60) -> None:
     print(f"  support changes processed: {stats.support_changes} "
           f"(swaps={stats.swaps}, inserts={stats.insertions}, "
           f"removals={stats.removals})")
-    print(f"  candidates ordered at the close: {session.engine.candidates} "
+    print(f"  curves under the bar at the close: {session.engine.candidates} "
           f"of {db.object_count} objects, after {session.engine.replans} "
-          f"re-plans")
+          f"re-bars")
 
     exact = naive_knn_answer(
         db, SquaredEuclideanDistance(depot), Interval(0.0, end), 3

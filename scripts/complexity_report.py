@@ -14,9 +14,14 @@ computations) — never wall-clock time:
   with O(1) sweep work: the hit path must count *zero* new primitive
   operations regardless of N.
 - **Theorem 5 on the live path** — a session's host orders only the
-  candidates of a horizon (``repro.sweep.live``), so its per-update
-  primitive operations — every bound check of every re-plan included —
-  stay within O(log N) as the database grows at constant density;
+  curves under its bar (``repro.sweep.live``), so its per-update
+  primitive operations — every bound check of every re-bar included —
+  stay within O(log N) as the database grows at constant density, and
+  on ``serve_crossing``'s stream over a growing ``random_linear_mod``
+  (the live rank audit, k = 3, N up to 5000) its operations per
+  support change of the reading stay flat in N.  Its operations per
+  update do not: the space is fixed, so the reading's own support
+  changes per update grow with N, and that fit is printed, not gated;
 - **the live range reading** — a within session's host keeps one
   record per curve and no order (``repro.sweep.within``): an update
   touches one record, so at the same constant density its per-update
@@ -52,6 +57,7 @@ import time
 from repro.geometry.intervals import Interval
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.obs import ComplexityAudit, MetricsRegistry
+from repro.obs.audit import fit_envelope
 from repro.sweep.engine import SweepEngine
 from repro.workloads.generator import UpdateStream, banded_mod, random_linear_mod
 
@@ -194,12 +200,12 @@ LIVE_K = 3
 def audit_live_updates(audit: ComplexityAudit, sizes=LIVE_SIZES) -> list:
     """Record a live session's per-update ops per N (O(log N) envelope).
 
-    A session's host (``repro.sweep.live``) orders the candidates of a
-    horizon, so what an update costs follows the candidates, not the
+    A session's host (``repro.sweep.live``) orders the curves under its
+    bar, so what an update costs follows those members, not the
     database: N grows at constant density (extent ~ sqrt N) with every
     object reporting at one rate (N updates over ten time units), and
-    the count includes every bound check of every re-plan.  Returns
-    ``(n, mean candidates, re-plans, engine ops, bound checks)`` rows,
+    the count includes every bound check of every re-bar.  Returns
+    ``(n, mean members, re-bars, engine ops, bound checks)`` rows,
     the last two per update.
     """
     from repro.core.api import ContinuousQuerySession
@@ -219,6 +225,46 @@ def audit_live_updates(audit: ComplexityAudit, sizes=LIVE_SIZES) -> list:
         audit.record(LIVE_QUANTITY, n, ops / n)
         rows.append(
             (n, candidates / n, host.replans, (ops - checks) / n, checks / n)
+        )
+    return rows
+
+
+RANK_QUANTITY = "Live rank ops per support change (re-bars included)"
+RANK_SIZES = [200, 1000, 5000]
+RANK_UPDATES = 400
+
+
+def audit_live_rank(
+    audit: ComplexityAudit, sizes=RANK_SIZES, updates=RANK_UPDATES
+) -> list:
+    """Record a k = 3 session's ops per support change per N (flat).
+
+    ``serve_crossing``'s stream (seed 7, mean gap 0.05, chdir-heavy)
+    over ``random_linear_mod(N, seed=1)``, ``updates`` updates.  The
+    space stays the same, so the density grows with N and so do the
+    reading's own support changes per update (Theorem 5's ``m``: 0.16
+    at N=200, 1.1 at N=5000); what the host pays for each of them —
+    every re-bar's ``O(N)`` pass included — must not grow with N.
+    Returns ``(n, mean members, re-bars, ops, support changes)`` rows,
+    the last two per update."""
+    from repro.core.api import ContinuousQuerySession
+
+    rows = []
+    for n in sizes:
+        db = random_linear_mod(n, seed=1)
+        stream = UpdateStream(db, seed=7, mean_gap=0.05, weights=(0.1, 0.1, 0.8))
+        session = ContinuousQuerySession.knn(db, [0.0, 0.0], k=LIVE_K)
+        host = session.engine
+        ops, changes, members = host.primitive_ops(), host.stats.support_changes, 0
+        for _ in range(updates):
+            stream.step()
+            members += host.candidates
+        ops = host.primitive_ops() - ops
+        changes = host.stats.support_changes - changes
+        session.close()
+        audit.record(RANK_QUANTITY, n, ops / max(changes, 1))
+        rows.append(
+            (n, members / updates, host.replans, ops / updates, changes / updates)
         )
     return rows
 
@@ -336,6 +382,16 @@ def main(argv=None) -> int:
     live_result = audit.check(LIVE_QUANTITY, "log n")
     range_rows = audit_live_range(audit)
     range_result = audit.check(RANGE_QUANTITY, "1")
+    rank_rows = audit_live_rank(audit)
+    rank_result = audit.check(RANK_QUANTITY, "1")
+    # Flat ops per update is not met: the reading's own support changes
+    # per update grow with the density of this fixed-space stream.
+    rank_per_update = fit_envelope(
+        [n for n, *_ in rank_rows],
+        [ops for _, _, _, ops, _ in rank_rows],
+        "1",
+        quantity="Live rank ops per update (re-bars included)",
+    )
     cached_rows = audit_cached_hits(init_sizes)
     cached_ok = all(ops == 0 for _, ops in cached_rows)
 
@@ -394,6 +450,17 @@ def main(argv=None) -> int:
                 )
                 for row in range_rows
             ],
+            "live_rank": [
+                dict(
+                    zip(
+                        ("n", "mean_members", "rebars", "ops_per_update",
+                         "support_changes_per_update"),
+                        row,
+                    )
+                )
+                for row in rank_rows
+            ],
+            "live_rank_per_update_flat": rank_per_update.passed,
             "cached_hits_free": cached_ok,
             "overhead": overhead,
             "passed": not failed,
@@ -418,7 +485,7 @@ def main(argv=None) -> int:
         print(
             f"live knn session, k={LIVE_K}, N updates over ten time units: "
             + "; ".join(
-                f"N={n}: {c:.1f} candidates, {r} re-plans, "
+                f"N={n}: {c:.1f} members, {r} re-bars, "
                 f"{e:.1f} engine ops + {b:.1f} bound checks per update"
                 for n, c, r, e, b in live_rows
             )
@@ -430,6 +497,17 @@ def main(argv=None) -> int:
                 f"N={n}: {m:.1f} members, {x:.2f} crossings and "
                 f"{ops:.2f} ops per update"
                 for n, m, x, ops in range_rows
+            )
+        )
+        print(rank_result.describe())
+        print(rank_per_update.describe() + "  (reported, not gated)")
+        print(
+            f"live knn session, k={LIVE_K}, serve_crossing's stream "
+            f"({RANK_UPDATES} updates): "
+            + "; ".join(
+                f"N={n}: {m:.1f} members, {r} re-bars, {ops:.2f} ops and "
+                f"{x:.2f} support changes per update"
+                for n, m, r, ops, x in rank_rows
             )
         )
         print(

@@ -16,7 +16,7 @@ compares each metric against the committed baselines under
 - **T5** (``BENCH_T5.json``) — Theorem 5 initialization ops at fixed N
   and Corollary 6 per-update maintenance ops on a banded workload, for
   a bare full-order engine and for a live session (whose host orders
-  only the candidates of a horizon);
+  only the curves under its bar);
 - **E-MQ** (``BENCH_EMQ.json``) — multi-tenant server fan-out: the
   per-update primitive-op ratio of 32 independent sessions vs one
   :class:`~repro.server.QueryServer` sharing sweeps across engine
@@ -189,7 +189,7 @@ def measure_t5() -> dict:
     per_update = (engine.primitive_ops() - before) / T5_UPDATES
 
     # The same two terms on the live path, where a session's host
-    # orders the candidates of a horizon (bound checks included).
+    # orders the curves under its bar (bound checks included).
     from repro.core.api import ContinuousQuerySession
 
     db = random_linear_mod(T5_N, seed=T5_N, extent=200.0, speed=5.0)

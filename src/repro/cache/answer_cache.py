@@ -14,8 +14,7 @@ this exact):
 - **extension hit** — ``lo < c < hi``: the caller sweeps only the gap
   ``[c, hi]`` (Theorem 4 over the gap), unions it onto the prefix and
   :meth:`put`\\ s the longer span back.  Every entry extends this way,
-  whoever deposited it — a one-shot sweep, a sharded one, a closed
-  session;
+  whoever deposited it — a one-shot sweep or a closed session;
 - **miss** — nothing covers ``lo``: the caller sweeps the whole
   interval and :meth:`put`\\ s the result.
 

@@ -59,8 +59,8 @@ class CurveStore:
 
     Pass one instance to any number of :class:`~repro.sweep.engine.
     SweepEngine` constructions (``curve_store=``): engines over the
-    same database share curve work across re-initializations, sharded
-    merge layers, and recovery rebuilds.  Correctness never depends on
+    same database share curve work across re-initializations, one-shot
+    slices, and recovery rebuilds.  Correctness never depends on
     invalidation calls — a stale entry simply misses the identity check
     and is rebuilt.
 

@@ -7,10 +7,10 @@ the interval is already known, i.e. *past* queries); the session class
 subscribes to the database and maintains answers eagerly as updates
 arrive (*future* and *continuing* queries).  A rank reading orders only
 the curves it can reach: a one-shot sweep per slice of its window
-(:mod:`repro.sweep.prune`), a live one per horizon of its clock
-(:mod:`repro.sweep.live`).  A range reading orders nothing: one record
-per curve, each with its own next crossing (:mod:`repro.sweep.within`),
-live and one-shot alike.
+(:mod:`repro.sweep.prune`), a live one over the curves under a bar that
+a range reading keeps (:mod:`repro.sweep.live`).  A range reading
+orders nothing: one record per curve, each with its own next crossing
+(:mod:`repro.sweep.within`), live and one-shot alike.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ def _live_host(db, gdistance, interval, constants, observe, curve_store):
     nowhere else (sessions and every engine-pool slot).  A range reading
     (``constants`` holds its threshold) is one record per curve
     (:class:`~repro.sweep.within.RangeSweep`); a rank reading is the
-    candidate host (:class:`~repro.sweep.live.LiveSweep`: it orders only
-    the curves the reading can reach before its next re-plan)."""
+    bar host (:class:`~repro.sweep.live.LiveSweep`: the same records at
+    a bar ``T`` kept above ``K`` curves, and one engine over the curves
+    under it)."""
     if constants:
         (threshold,) = constants
         return RangeSweep(db, gdistance, interval, threshold, observe, curve_store)
@@ -402,8 +403,8 @@ class ContinuousQuerySession:
 
     Construct with one of :meth:`knn` or :meth:`within`; the session
     subscribes to the database, processes each update as it arrives
-    (Theorem 5's per-update maintenance, over the candidates of the
-    current horizon: most updates cost one bound check), and exposes
+    (Theorem 5's per-update maintenance over the curves under the
+    host's bar: most updates touch one record and no engine), and exposes
     the *current* answer at all times.  Call :meth:`close` to detach
     and obtain the accumulated snapshot answer.
     """
@@ -496,9 +497,9 @@ class ContinuousQuerySession:
     # -- live inspection ------------------------------------------------------
     @property
     def engine(self) -> LiveSweep:
-        """The session's live sweep: the candidate host (stats, op
-        counts, re-plans; ``.engine`` is the candidate engine in force)
-        or a range reading's :class:`~repro.sweep.within.RangeSweep`."""
+        """The session's live sweep: the bar host (stats, op counts,
+        re-bars; ``.engine`` is the engine over its members) or a range
+        reading's :class:`~repro.sweep.within.RangeSweep`."""
         return self._engine
 
     @property
@@ -550,12 +551,14 @@ class ContinuousQuerySession:
             self._engine.finalize()
         finally:
             self._db.unsubscribe(self._engine.on_update)
-        answer = self._view.answer()
         # The accumulated memberships only cover up to the sweep's end,
-        # so the cached span is [start, current_time] even when the
-        # session's nominal interval runs further.
+        # so the answer (and the cached span) is [start, current_time]
+        # even when the session's nominal interval runs further.
         end = self._engine.current_time
+        answer = self._view.answer()
         lo = answer.interval.lo
+        if answer.interval.hi > end:
+            answer = answer.restrict(Interval(lo, end))
         if self._cache is not None and math.isfinite(lo) and math.isfinite(end):
             spec = self._cache_query
             self._cache.store(

@@ -5,8 +5,8 @@ initialization plus per-update maintenance of one precedence order —
 and k-NN and multi-k are *readings* of that order, within-range
 (``f_o(t) <= c``) a reading of each curve on its own.
 :class:`QuerySpec` is that reading as a value: every front door
-(one-shot ``evaluate_*``, the session classes, the sharded evaluator,
-the query server, the wire ``open`` verb, EXPLAIN) builds one and
+(one-shot ``evaluate_*``, the session classes, the query server, the
+wire ``open`` verb, EXPLAIN) builds one and
 hands it down, so the layers below never re-decide how a threshold is
 squared, which view class answers, or what the cache and the journal
 call the parameters.
@@ -182,7 +182,7 @@ class QuerySpec:
         return view.members
 
     def answer(self, view) -> Answer:
-        """The finalized answer of a view (or sharded evaluator)."""
+        """The finalized answer of a view."""
         return view.answers() if self.multi else view.answer()
 
     def partial(self, view, time: float) -> Answer:

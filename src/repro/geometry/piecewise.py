@@ -322,6 +322,43 @@ class PiecewiseFunction:
                 magnitude = size
         return vmin, vmax, magnitude
 
+    def floor(self, lo: float) -> Optional[Tuple[float, float]]:
+        """``(minimum, magnitude)`` of the function from ``lo`` (inside
+        the domain) to the end of its domain, as :meth:`bounds` reads
+        them.  An unbounded end is read only where the last piece has a
+        closed-form minimum there — degree at most two with a
+        non-negative leading coefficient: a closest approach, or a curve
+        that never falls — and ``None`` is returned for any other
+        shape.  The magnitude is taken at the points evaluated (the
+        stretch's start and the vertex), never at infinity."""
+        domain = self._domain
+        if domain.hi < math.inf:
+            found = self.bounds(lo, domain.hi)
+            return None if found is None else (found[0], found[2])
+        iv, poly = self._pieces[-1]
+        coeffs = poly._coeffs
+        if len(coeffs) > 3 or coeffs[-1] < 0.0:
+            return None
+        start = lo if lo > iv.lo else iv.lo
+        if len(coeffs) == 3:
+            c0, c1, c2 = coeffs
+            turn = -c1 / (2.0 * c2)
+            if turn < start:
+                turn = start
+            value = (c2 * turn + c1) * turn + c0
+            reach = abs(turn) if abs(turn) > abs(start) else abs(start)
+            size = (abs(c2) * reach + abs(c1)) * reach + abs(c0)
+        elif len(coeffs) == 2:
+            c0, c1 = coeffs
+            value = c1 * start + c0
+            size = abs(c1) * abs(start) + abs(c0)
+        else:
+            value = size = coeffs[0]
+        if start > lo:  # the pieces before the last one
+            vmin, _, magnitude = self.bounds(lo, start)
+            return min(vmin, value), max(magnitude, size)
+        return value, size
+
     # -- restructuring ---------------------------------------------------
     def restrict(self, interval: Interval) -> "PiecewiseFunction":
         """Restriction to ``interval`` (must overlap the domain)."""

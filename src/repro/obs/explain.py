@@ -21,7 +21,7 @@ stage                     paper cost term
 ``init`` / ``curves``     Theorem 5 initialization: ``O(N log N)`` (per slice)
 ``sweep``                 Theorem 4 event loop: ``O((m + N) log N)``
 ``server.live``           a session's window off its group (the span before a
-                          rebuild a past query); replans, candidates
+                          rebuild a past query); re-bars, members
 ``cache.store``           deposit for later reuse
 ========================  ====================================================
 """
@@ -59,10 +59,6 @@ class ExplainReport:
         """Fraction of wall time the top-level stages account for."""
         return self.profile.coverage
 
-    def shard_skew(self) -> Optional[dict]:
-        """Per-shard primitive-op skew (None for unsharded queries)."""
-        return self.profile.shard_skew()
-
     def to_dict(self) -> dict:
         """The full JSON-ready report."""
         return self.profile.report()
@@ -94,10 +90,7 @@ def _meta_text(meta: dict) -> str:
 
 
 def _render(stage: dict, lines, depth: int) -> None:
-    label = stage["name"]
-    if stage.get("shard") is not None:
-        label += f"[shard {stage['shard']}]"
-    bits = [f"{'  ' * depth}-> {label}: {_ms(stage['wall_seconds'])}"]
+    bits = [f"{'  ' * depth}-> {stage['name']}: {_ms(stage['wall_seconds'])}"]
     if stage.get("count", 1) > 1:
         bits.append(f"x{stage['count']}")
     attrs = stage.get("attrs", {})
@@ -129,13 +122,6 @@ def render_report(report: dict) -> str:
     ]
     for stage in report.get("stages", ()):
         _render(stage, lines, depth=1)
-    skew = report.get("shard_skew")
-    if skew is not None:
-        lines.append(
-            f"shards: {skew['shards']}  max/mean ops "
-            f"{skew['max_ops']:.0f}/{skew['mean_ops']:.0f}  "
-            f"skew {skew['skew']:.2f}x"
-        )
     return "\n".join(lines)
 
 

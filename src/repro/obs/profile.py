@@ -18,7 +18,7 @@ just in global counters.  This module supplies the machinery:
   owns a fresh registry + ring-buffered context tracer (exposed as
   ``.observe``, an :class:`~repro.obs.instrument.Instrumentation`) and
   an aggregated **stage tree** built by :meth:`QueryProfile.stage`.
-  Stages merge by ``(name, shard)``: wall time sums, counts increment,
+  Stages merge by name: wall time sums, counts increment,
   numeric annotations add up — so N calls to ``stage("curves")`` from
   the sweep's inner loop collapse to one line in the report.
 - :class:`QueryProfiler` — the session-level factory: assigns query
@@ -27,8 +27,8 @@ just in global counters.  This module supplies the machinery:
 - :class:`SlowQueryLog` — threshold-triggered JSONL emission plus an
   algorithm-R reservoir over *all* finished queries, so the tail and a
   uniform sample are both available after a long run.
-- :class:`WorkloadAttribution` — top-K hot answer oids, hottest shards
-  by primitive ops, and cache-churn gauges.
+- :class:`WorkloadAttribution` — top-K hot answer oids and cache-churn
+  gauges.
 
 Disabled profiling costs nothing: code paths resolve their stage hook
 to :data:`NULL_STAGE` when the instrumentation bundle carries no
@@ -141,15 +141,13 @@ class ContextTracer:
 class Stage:
     """One aggregated node of the stage tree.
 
-    A stage re-entered with the same ``(name, shard)`` key under the
-    same parent merges: wall time sums, ``count`` increments, numeric
+    A stage re-entered with the same name under the same parent merges: wall time sums, ``count`` increments, numeric
     annotations add, non-numeric annotations last-write-wins.  Use as a
     context manager via :meth:`QueryProfile.stage`.
     """
 
     __slots__ = (
         "name",
-        "shard",
         "wall_seconds",
         "count",
         "attrs",
@@ -158,13 +156,12 @@ class Stage:
         "_start",
     )
 
-    def __init__(self, name: str, shard: Optional[int] = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.shard = shard
         self.wall_seconds = 0.0
         self.count = 0
         self.attrs: Dict[str, object] = {}
-        self.children: Dict[Tuple[str, Optional[int]], "Stage"] = {}
+        self.children: Dict[str, "Stage"] = {}
         self._profile: Optional["QueryProfile"] = None
         self._start = 0.0
 
@@ -190,13 +187,11 @@ class Stage:
         self.wall_seconds += float(seconds)
         self.count += 1
 
-    def child(self, name: str, shard: Optional[int] = None) -> "Stage":
-        """The (possibly pre-existing) child stage for this key."""
-        key = (name, shard)
-        node = self.children.get(key)
+    def child(self, name: str) -> "Stage":
+        """The (possibly pre-existing) child stage of this name."""
+        node = self.children.get(name)
         if node is None:
-            node = Stage(name, shard)
-            self.children[key] = node
+            node = self.children[name] = Stage(name)
         return node
 
     def __enter__(self) -> "Stage":
@@ -211,22 +206,17 @@ class Stage:
         return False
 
     def to_dict(self) -> dict:
-        """JSON-ready subtree, children sorted by (name, shard)."""
+        """JSON-ready subtree, children sorted by name."""
         out: dict = {
             "name": self.name,
             "wall_seconds": self.wall_seconds,
             "count": self.count,
         }
-        if self.shard is not None:
-            out["shard"] = self.shard
         if self.attrs:
             out["attrs"] = dict(self.attrs)
         if self.children:
             out["children"] = [
-                self.children[k].to_dict()
-                for k in sorted(
-                    self.children, key=lambda k: (k[0], k[1] is not None, k[1] or 0)
-                )
+                self.children[name].to_dict() for name in sorted(self.children)
             ]
         return out
 
@@ -249,12 +239,12 @@ class _NullStage:
 NULL_STAGE = _NullStage()
 
 
-def _stage(profile, name: str, shard: Optional[int] = None):
-    """Stage ``(name, shard)`` of ``profile`` (a :class:`QueryProfile`),
-    or the free null stage when the query is unprofiled."""
+def _stage(profile, name: str):
+    """Stage ``name`` of ``profile`` (a :class:`QueryProfile`), or the
+    free null stage when the query is unprofiled."""
     if profile is None:
         return NULL_STAGE
-    return profile.stage(name, shard=shard)
+    return profile.stage(name)
 
 
 class QueryProfile:
@@ -312,12 +302,10 @@ class QueryProfile:
             self.root.count = 1
 
     # -- stage attribution --------------------------------------------------
-    def stage(
-        self, name: str, shard: Optional[int] = None, **attrs: object
-    ) -> Stage:
-        """Open (or re-enter) the stage ``(name, shard)`` under the
-        innermost open stage.  Use as a context manager."""
-        node = self._stack[-1].child(name, shard)
+    def stage(self, name: str, **attrs: object) -> Stage:
+        """Open (or re-enter) the stage ``name`` under the innermost
+        open stage.  Use as a context manager."""
+        node = self._stack[-1].child(name)
         if attrs:
             node.annotate(**attrs)
         node._profile = self
@@ -354,33 +342,6 @@ class QueryProfile:
         )
         return attributed / self.total_seconds
 
-    def shard_ops(self) -> Dict[int, float]:
-        """Primitive ops per shard, from the per-shard stage
-        annotations (the skew input)."""
-        out: Dict[int, float] = {}
-        for stage in _walk(self.root):
-            if stage.shard is None:
-                continue
-            ops = stage.attrs.get("ops")
-            if isinstance(ops, (int, float)):
-                out[stage.shard] = out.get(stage.shard, 0.0) + float(ops)
-        return out
-
-    def shard_skew(self) -> Optional[dict]:
-        """Max/mean primitive-op skew across shards (``None`` when the
-        query did not shard)."""
-        ops = self.shard_ops()
-        if not ops:
-            return None
-        values = list(ops.values())
-        mean = sum(values) / len(values)
-        return {
-            "shards": len(values),
-            "max_ops": max(values),
-            "mean_ops": mean,
-            "skew": (max(values) / mean) if mean else 1.0,
-        }
-
     def report(self) -> dict:
         """The full JSON-ready profile."""
         self.finish()
@@ -391,11 +352,8 @@ class QueryProfile:
             "total_seconds": self.total_seconds,
             "coverage": self.coverage,
             "stages": [
-                self.root.children[k].to_dict()
-                for k in sorted(
-                    self.root.children,
-                    key=lambda k: (k[0], k[1] is not None, k[1] or 0),
-                )
+                self.root.children[name].to_dict()
+                for name in sorted(self.root.children)
             ],
             "metrics": {
                 "query_id": self.query_id,
@@ -403,9 +361,6 @@ class QueryProfile:
             },
             "spans": self.spans,
         }
-        skew = self.shard_skew()
-        if skew is not None:
-            out["shard_skew"] = skew
         return out
 
     def summary(self) -> dict:
@@ -418,13 +373,8 @@ class QueryProfile:
             "meta": dict(self.meta),
             "total_seconds": self.total_seconds,
             "stages": {
-                f"{name}" + (f"[{shard}]" if shard is not None else ""): round(
-                    stage.wall_seconds, 9
-                )
-                for (name, shard), stage in sorted(
-                    self.root.children.items(),
-                    key=lambda kv: (kv[0][0], kv[0][1] is not None, kv[0][1] or 0),
-                )
+                name: round(stage.wall_seconds, 9)
+                for name, stage in sorted(self.root.children.items())
             },
         }
 
@@ -433,12 +383,6 @@ class QueryProfile:
             f"QueryProfile({self.query_id!r}, kind={self.kind!r}, "
             f"{self.total_seconds * 1e3:.3f} ms)"
         )
-
-
-def _walk(stage: Stage):
-    yield stage
-    for child in stage.children.values():
-        yield from _walk(child)
 
 
 def _answer_oids(answer) -> List[object]:
@@ -535,7 +479,7 @@ class SlowQueryLog:
 
 
 class WorkloadAttribution:
-    """Workload-level accounting: hot objects, hot shards, cache churn.
+    """Workload-level accounting: hot objects, cache churn.
 
     ``note_query`` absorbs a finished :class:`QueryProfile`;
     ``watch_cache`` binds churn gauges to a
@@ -544,7 +488,6 @@ class WorkloadAttribution:
 
     def __init__(self) -> None:
         self._oid_hits: Dict[object, int] = {}
-        self._shard_ops: Dict[int, float] = {}
         self._kind_counts: Dict[str, int] = {}
         self._cache = None
         self.queries = 0
@@ -558,8 +501,6 @@ class WorkloadAttribution:
         for oid in profile._answer_oids:
             key = str(oid)
             self._oid_hits[key] = self._oid_hits.get(key, 0) + 1
-        for shard, ops in profile.shard_ops().items():
-            self._shard_ops[shard] = self._shard_ops.get(shard, 0.0) + ops
 
     def watch_cache(self, cache) -> None:
         """Attach a query cache whose stats feed :meth:`to_dict`."""
@@ -569,12 +510,6 @@ class WorkloadAttribution:
         """The ``top_k`` most-answered object ids."""
         return sorted(
             self._oid_hits.items(), key=lambda kv: (-kv[1], kv[0])
-        )[:top_k]
-
-    def hottest_shards(self, top_k: int = 10) -> List[Tuple[int, float]]:
-        """The ``top_k`` shards by cumulative primitive ops."""
-        return sorted(
-            self._shard_ops.items(), key=lambda kv: (-kv[1], kv[0])
         )[:top_k]
 
     def cache_churn(self) -> Optional[dict]:
@@ -591,10 +526,6 @@ class WorkloadAttribution:
             "by_kind": dict(sorted(self._kind_counts.items())),
             "hot_oids": [
                 {"oid": oid, "queries": n} for oid, n in self.hot_oids()
-            ],
-            "hottest_shards": [
-                {"shard": shard, "ops": ops}
-                for shard, ops in self.hottest_shards()
             ],
         }
         churn = self.cache_churn()

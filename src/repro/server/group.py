@@ -2,9 +2,9 @@
 
 A pool sweeps its *source* MOD directly — the MOD the caller applies
 updates to, never a copy — with one live host (``core.api._live_host``
-picks it: a :class:`~repro.sweep.live.LiveSweep` that orders the
-candidates of the widest k any attached rank reading needs, a horizon
-at a time, or for a range reading a
+picks it: for a rank reading a :class:`~repro.sweep.live.LiveSweep`,
+one engine over the curves under a bar drawn for the widest k any
+attached reading needs, or for a range reading a
 :class:`~repro.sweep.within.RangeSweep`, one record per curve), and
 hosts any number of view families on it.  The owner hands it each
 update once, after the source applied it and under the source's lock
@@ -147,8 +147,8 @@ class EngineGroup:
     # -- shared-view refcounting ------------------------------------------
     def acquire(self, spec: QuerySpec) -> None:
         """Attach one more session to ``spec``'s view family, building
-        its view (bootstrapped mid-sweep; a wider k than the host's plan
-        covers re-plans it) on first use."""
+        its view (bootstrapped mid-sweep; a wider k than the host's bar
+        re-bars it) on first use."""
         key = spec.view_key
         if key not in self._views:
             self._views[key] = self.engine.attach(spec)
@@ -293,19 +293,19 @@ class EngineGroup:
         self.rebuilds += 1
 
     def primitive_ops(self) -> int:
-        """Primitive operations — engine steps and the planner's bound
-        checks — of the host (resets on rebuild; consumers must clamp
+        """Primitive operations — engine steps and the bar's record
+        work — of the host (resets on rebuild; consumers must clamp
         deltas)."""
         return self.engine.primitive_ops()
 
     @property
     def replans(self) -> int:
-        """Re-plans the host has made since it was built."""
+        """Re-bars the host has made since it was built."""
         return self.engine.replans
 
     @property
     def candidates(self) -> int:
-        """Objects the host's engine in force orders."""
+        """Objects the host's engine orders."""
         return self.engine.candidates
 
     def shutdown(self) -> None:

@@ -331,8 +331,8 @@ class QueryServer:
         self, session: ServerSession, start: Optional[float] = None
     ) -> None:
         key = self._group_key(session)
-        # Whatever the acquire costs — a new group's first plan, or an
-        # existing group re-planning for a wider k — is set-up: the
+        # Whatever the acquire costs — a new group's open, or an
+        # existing group re-barring for a wider k — is set-up: the
         # op-rate controller measures maintenance, so the marker moves
         # past it and the next flush is billed for its updates only.
         before = self._total_ops()
@@ -404,7 +404,7 @@ class QueryServer:
 
     def _account_update(self) -> None:
         """The op-rate controller's one measurement: the ops every group
-        spent on this update (an open's or a re-plan for a wider tenant
+        spent on this update (an open's or a re-bar for a wider tenant
         moved the marker past its own cost)."""
         ops = self._total_ops()
         delta = ops - self._ops_marker

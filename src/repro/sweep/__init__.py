@@ -26,9 +26,9 @@ Modules:
   driven by support changes (Lemma 8);
 - :mod:`repro.sweep.prune` — which curves a sweep has to order at
   all: per-slice candidates from interval bounds;
-- :mod:`repro.sweep.live` — the live candidate host: one engine over
-  the candidates of a horizon, re-planned as the clock and the updates
-  require (what every session and engine-pool slot builds).
+- :mod:`repro.sweep.live` — the live rank host: a range reading at a
+  bar kept above ``K`` curves and one engine over the curves under it
+  (what every rank session and engine pool builds).
 """
 
 from repro.sweep.engine import SweepEngine

@@ -201,7 +201,7 @@ class SweepEngine:
         self._gdistance = gdistance
         self._curve_store = curve_store
         self._interval = interval
-        self._horizon = interval.hi
+        self._until = interval.hi
         self._time_terms: List[Polynomial] = (
             list(time_terms) if time_terms is not None else [Polynomial.identity()]
         )
@@ -325,7 +325,7 @@ class SweepEngine:
         births: List[_MembershipEvent] = []
         for oid in self._all_oids():
             traj = self._db.trajectory(oid)
-            if traj.domain.hi < t0 or traj.domain.lo > self._horizon:
+            if traj.domain.hi < t0 or traj.domain.lo > self._until:
                 continue
             entries = self._build_entries(oid)
             self._object_entries[oid] = entries
@@ -336,10 +336,10 @@ class SweepEngine:
                     self._order.insert(entry, t0)
                 else:
                     births.append(_MembershipEvent(dom.lo, "birth", entry))
-                if math.isfinite(dom.hi) and dom.hi <= self._horizon:
+                if math.isfinite(dom.hi) and dom.hi <= self._until:
                     births.append(_MembershipEvent(dom.hi, "death", entry))
                 for jump in entry.curve.discontinuities():
-                    if t0 < jump <= self._horizon:
+                    if t0 < jump <= self._until:
                         births.append(_MembershipEvent(jump, "reinsert", entry))
         for value in constants:
             entry = CurveEntry.for_constant(float(value))
@@ -461,7 +461,8 @@ class SweepEngine:
         )
 
     def all_entries(self) -> List[CurveEntry]:
-        """Every entry ever registered (including departed ones).
+        """Every entry registered (including departed ones; an object
+        that came back keeps only its latest).
 
         The generic evaluator replays answer segments after the sweep;
         it needs the curves of objects that were removed mid-interval.
@@ -593,7 +594,7 @@ class SweepEngine:
             raise ValueError(
                 f"cannot sweep backwards: {t} < {self.current_time}"
             )
-        t = min(t, self._horizon)
+        t = min(t, self._until)
         while True:
             queue_time = self._queue.peek_time()
             membership = self._membership[0] if self._membership else None
@@ -621,9 +622,9 @@ class SweepEngine:
 
     def run_to_end(self) -> None:
         """Sweep to the end of the query interval and finalize views."""
-        if not math.isfinite(self._horizon):
+        if not math.isfinite(self._until):
             raise ValueError("cannot run an unbounded interval to its end")
-        self.advance_to(self._horizon)
+        self.advance_to(self._until)
         self.finalize()
 
     def finalize(self) -> None:
@@ -670,6 +671,24 @@ class SweepEngine:
             outsiders, self._schedule_pair, self._drop_pair
         )
         return True
+
+    def widen_cap(self, cap: int) -> None:
+        """Order the ``cap`` lowest curves from now on, between instants
+        (a capped engine a wider reading is about to attach to; an
+        uncapped one orders them all already): the tournament's
+        champions join the order at its end, each keeping the
+        certificate it held with rank ``K - 1`` as its pair in the
+        order."""
+        if self._cap is None or cap <= self._cap:
+            return
+        tour = self._tour
+        while len(self._order) < cap and tour.champion is not None:
+            promoted = tour.champion
+            tour.remove(promoted, self.current_time)
+            self._order.append(promoted)
+            if tour.champion is not None:
+                self._schedule_pair(promoted, tour.champion)
+        self._cap = cap
 
     def _above(self, entry: CurveEntry) -> Optional[CurveEntry]:
         """The curve right above an entry of the order: its successor,
@@ -853,7 +872,7 @@ class SweepEngine:
         self.stats.flip_computations += 1
         self._c_flips.inc()
         flip = next_flip(
-            below.curve, above.curve, self.current_time, self._horizon, not just_swapped
+            below.curve, above.curve, self.current_time, self._until, not just_swapped
         )
         if flip is not None:
             self._queue.push(
@@ -887,10 +906,10 @@ class SweepEngine:
                 f"update at {update.time} is in the sweep's past "
                 f"(current time {self.current_time})"
             )
-        if update.time > self._horizon:
+        if update.time > self._until:
             # The update lies beyond the query interval: it cannot affect
             # the answer.  Drain remaining in-interval events and stop.
-            self.advance_to(self._horizon)
+            self.advance_to(self._until)
             return
         self.advance_to(update.time)
         if not self._cap_settled:
@@ -899,6 +918,22 @@ class SweepEngine:
         self._c_ev_update.inc()
         observed = self.observe is not None
         ops_before = self.primitive_ops() if observed else 0
+        self._apply(update)
+        if observed:
+            self._h_update_ops.observe(self.primitive_ops() - ops_before)
+
+    def apply(self, update: Update) -> None:
+        """:meth:`on_update`'s structural change — the events before it
+        first — without its accounting: what a host that books its own
+        updates hands its engine (a live rank host's curves entering and
+        leaving its bar, as a ``new`` and a ``terminate``, and its
+        members' ``chdir``)."""
+        self.advance_to(update.time)
+        if not self._cap_settled:
+            self._settle_cap()
+        self._apply(update)
+
+    def _apply(self, update: Update) -> None:
         if isinstance(update, New):
             self._apply_new(update)
         elif isinstance(update, Terminate):
@@ -907,12 +942,19 @@ class SweepEngine:
             self._apply_chdir(update)
         else:  # pragma: no cover - exhaustive over the Update union
             raise TypeError(f"unknown update: {update!r}")
-        if observed:
-            self._h_update_ops.observe(self.primitive_ops() - ops_before)
 
     def _apply_new(self, update: New) -> None:
-        if update.oid in self._object_entries:
+        # An object that left the order may come back (a live rank
+        # host's member engine: a curve re-entering the bar); one still
+        # in it may not.
+        departed = self._object_entries.get(update.oid, ())
+        if any(e.node is not None or e.leaf is not None for e in departed):
             raise ValueError(f"object {update.oid!r} already swept")
+        # The new entries replace the departed ones (whose pairs left
+        # the queue with them), so an engine holds one set per object
+        # however often its objects come back.
+        for entry in departed:
+            del self._entries_by_seq[entry.seq]
         entries = self._build_entries(update.oid)
         self._object_entries[update.oid] = entries
         for entry in entries:
@@ -966,7 +1008,7 @@ class SweepEngine:
             # Future discontinuities of the new curve need their own
             # re-insertion events.
             for jump in entry.curve.discontinuities():
-                if update.time < jump <= self._horizon:
+                if update.time < jump <= self._until:
                     heapq.heappush(
                         self._membership,
                         _MembershipEvent(jump, "reinsert", entry),
@@ -1009,7 +1051,7 @@ class SweepEngine:
                     below.curve,
                     above.curve,
                     self.current_time,
-                    self._horizon,
+                    self._until,
                     allow_immediate=False,
                 )
                 if flip is not None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
+from repro.geometry.intervals import Interval
 from repro.mod.updates import ObjectId
 from repro.obs.instrument import NULL_INSTRUMENTATION
 from repro.query.answers import AnswerTimeline, SnapshotAnswer
@@ -78,8 +79,11 @@ class RankView:
         # The (k, member set) pairs as a tuple: what the per-swap loop
         # walks, without a dict view per event.
         self._boundaries = tuple(self._members.items())
+        # The reading starts where it attaches: a view attached to a
+        # running engine answers from the engine's clock on.
+        window = Interval(engine.current_time, engine.interval.hi)
         self._timelines: Dict[int, AnswerTimeline] = {
-            k: AnswerTimeline(engine.interval) for k in ks
+            k: AnswerTimeline(window) for k in ks
         }
         self._results: Dict[int, SnapshotAnswer] = {}
         self._c_enter, self._c_leave = bind_support_counters(engine, label)

@@ -42,16 +42,14 @@ way; the cut would only re-initialise them).  When nothing prunes, the
 plan is one slice holding every object: today's one engine over the
 window.
 
-Live rank sessions and engine-pool slots prune too, one horizon of
-their clock at a time: :mod:`repro.sweep.live` bounds every curve over
-``[tau, tau + H]`` with this module's ``_classify`` / ``_reaches`` and
-margin, orders ``candidate_mod`` of the survivors, re-tests a
-non-candidate's bound when it updates and re-plans when the horizon or
-a witness of ``T`` lapses.  What keeps the full order is the generic
-FO(f) evaluator, whose formulas may read any rank, and the window
-merge's second-level sweep, whose input is a candidate set already.  A
-``cache=`` caller is in scope: the cache holds answers, never an
-engine, and sweeps what it lacks through this plan.
+This planner is the one-shot path's only.  A live rank reading plans
+nothing: :mod:`repro.sweep.live` keeps a bar ``T`` above ``K`` curves
+as a range reading (one record per curve, this module's margin) and
+orders only the curves under it, moving the bar when the count would
+fall under ``K`` or crowd it.  What keeps the full order is the generic
+FO(f) evaluator, whose formulas may read any rank.  A ``cache=`` caller
+is in scope: the cache holds answers, never an engine, and sweeps what
+it lacks through this plan.
 """
 
 from __future__ import annotations
@@ -128,8 +126,7 @@ def candidate_mod(
     source: MovingObjectDatabase, oids: Iterable[ObjectId]
 ) -> MovingObjectDatabase:
     """A MOD holding only ``oids`` of ``source`` — the database a
-    candidate sweep runs over (the shard merge's and the pruned
-    slices').
+    pruned slice's engine runs over.
 
     Objects are installed in *source insertion order* whatever order
     ``oids`` came in: an engine breaks exact ties (identical curves)
@@ -175,6 +172,13 @@ def _rank_bar(rows, k: int, a: float, b: float) -> Optional[Tuple[float, float]]
 def _reaches(bound, bar: float, slack: float) -> bool:
     """Whether a curve bounded by ``bound`` may dip to the rank bar."""
     return bound[0] <= bar + _REL_MARGIN * (slack + bound[2])
+
+
+def _raised(value: float, magnitude: float) -> float:
+    """``value`` raised by the relative margin at ``magnitude``: a
+    level that it, and every curve at or below it, lies strictly under
+    (a live rank host's bar)."""
+    return max(value + _REL_MARGIN * magnitude, math.nextafter(value, math.inf))
 
 
 def _classify(

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 from repro.geometry.intervals import Interval
 from repro.geometry.piecewise import PiecewiseFunction
@@ -47,17 +47,21 @@ _BIRTH, _CROSS, _JUMP, _DEATH = "birth", "cross", "jump", "death"
 
 class _Record:
     """One curve of a range host: the tail curve, whether it is in, its
-    value jumps still ahead, and the kind of its one queued event."""
+    value jumps still ahead, the kind of its one queued event, and —
+    when its bounds put it above the threshold for good — the
+    ``(minimum, magnitude)`` they read (a live rank host's re-bar keeps
+    the decision of a record whose minimum clears the new threshold)."""
 
-    __slots__ = ("oid", "seq", "curve", "inside", "jumps", "pending")
+    __slots__ = ("oid", "seq", "curve", "inside", "jumps", "pending", "floor")
 
     def __init__(self, oid: ObjectId, seq: int) -> None:
         self.oid = oid
         self.seq = seq
         self.curve: Optional[PiecewiseFunction] = None
         self.inside = False
-        self.jumps: List[float] = []
+        self.jumps: Tuple[float, ...] = ()
         self.pending: Optional[str] = None
+        self.floor: Optional[Tuple[float, float]] = None
 
 
 class RangeSweep:
@@ -71,7 +75,11 @@ class RangeSweep:
     rest of it lie strictly on one side of the threshold (beyond
     :mod:`repro.sweep.prune`'s relative margin) is decided by them, with
     no crossing computed and no jump queued: only its death can still
-    close it.
+    close it.  Over an open-ended window the same holds above the
+    threshold for a curve whose closest approach stays beyond it.
+
+    A live rank host (:class:`~repro.sweep.live.LiveSweep`) is these
+    records at a moving threshold, its bar.
     """
 
     #: A range reading has no plan: nothing to re-plan, nothing to
@@ -98,10 +106,7 @@ class RangeSweep:
         self._gdistance = gdistance
         self._interval = interval
         self._until = interval.hi
-        self.threshold = float(threshold)
-        self._line = CurveEntry.for_constant(self.threshold).curve
-        # The sentinel's order key: the same at every instant.
-        self._key = self._line.forward_taylor(0.0)
+        self._set_threshold(threshold)
         self._store = curve_store if curve_store is not None else CurveStore()
         self.observe = as_instrumentation(observe)
         self.current_time = interval.lo
@@ -133,19 +138,18 @@ class RangeSweep:
                 domain = trajectory.domain
                 if domain.hi < t or domain.lo > self._until:
                     continue
-                record = self._record(oid, trajectory, t)
-                if domain.lo <= t:
-                    self._place(record, t)
-                else:
-                    self._push(record, domain.lo, _BIRTH)
+                self._record(oid, trajectory, t)
+            self._place_all(t)
             span.set_attribute("queued_events", len(self._queue))
 
-    # -- inspection ---------------------------------------------------------
-    @property
-    def plan_window(self) -> Interval:
-        """The stretch the plan in force is valid over: the whole window."""
-        return self._interval
+    def _set_threshold(self, threshold: float) -> None:
+        self.threshold = float(threshold)
+        if self.threshold < math.inf:  # ``inf`` holds every curve: no crossing
+            self._line = CurveEntry.for_constant(self.threshold).curve
+            # The sentinel's order key: the same at every instant.
+            self._key = self._line.forward_taylor(0.0)
 
+    # -- inspection ---------------------------------------------------------
     @property
     def objects(self) -> int:
         """Curves the host holds a record of (met, not yet departed)."""
@@ -166,7 +170,15 @@ class RangeSweep:
 
     def primitive_ops(self) -> int:
         """Total primitive operations so far (see :meth:`operation_counts`)."""
-        return self.operation_counts()["total"]
+        queue = self._queue
+        return (
+            queue.pushes
+            + queue.pops
+            + queue.removes
+            + queue.sift_steps
+            + self.stats.flip_computations
+            + self.bound_checks
+        )
 
     def value(self, oid: ObjectId, t: float) -> float:
         """``oid``'s g-distance at ``t`` (at or after the clock)."""
@@ -270,23 +282,34 @@ class RangeSweep:
         the value jumps it has ahead in the window."""
         curve = self._store.tail(self._gdistance, record.oid, trajectory, t)
         record.curve = curve
-        record.jumps = []
+        record.jumps = ()
         if curve.piece_count > 1:
-            record.jumps = [
-                j for j in curve.discontinuities() if t < j <= self._until
-            ]
+            record.jumps = tuple(
+                [j for j in curve.discontinuities() if t < j <= self._until]
+            )
+
+    def _place_all(self, t: float) -> None:
+        """Decide every record met by ``t`` and queue its next event; a
+        record not yet born gets its birth."""
+        for record in self._records.values():
+            born = record.curve.domain.lo
+            if born > t:
+                self._push(record, born, _BIRTH)
+            else:
+                self._place(record, t)
 
     def _place(self, record: _Record, t: float) -> None:
         """Decide ``record`` at ``t`` and queue its next event.  A curve
         the bounds put on one side for the rest of the window is
         decided by them; any other by key — the order's closed
         comparison with the constant: in on a tie."""
-        side = self._side(record.curve, t)
+        side = self._side(record, t)
         if side:
             inside = side < 0
         else:
             inside = record.curve.forward_taylor(t) <= self._key
-        self._set(record, inside, t)
+        if inside != record.inside:
+            self._set(record, inside, t)
         self._schedule(record, t, side)
 
     def _set(self, record: _Record, inside: bool, t: float) -> None:
@@ -304,20 +327,42 @@ class RangeSweep:
         self._set(record, False, t)
         del self._records[record.oid]
 
-    def _side(self, curve: PiecewiseFunction, t: float) -> int:
-        """Where ``curve`` lies against the threshold over ``[t, until]``
-        by its bounds: ``-1`` below and ``1`` above it throughout, beyond
-        the relative margin; ``0`` when it may meet it — always, over an
-        open-ended window."""
-        if not -math.inf < t <= self._until < math.inf:
-            return 0
-        vmin, vmax, magnitude = curve.bounds(t, self._until)
-        self.bound_checks += 1
+    def _side(self, record: _Record, t: float) -> int:
+        """Where ``record``'s curve lies against the threshold over
+        ``[t, until]`` by its bounds: ``-1`` below and ``1`` above it
+        throughout, beyond the relative margin (then ``record.floor``
+        keeps what they read); ``0`` when it may meet it.  Over an
+        open-ended window only "above" is read, off the curve's closest
+        approach for the rest of its life
+        (:meth:`~repro.geometry.piecewise.PiecewiseFunction.floor`): a
+        shape without a closed-form minimum may meet it."""
+        record.floor = None
         c = self.threshold
-        margin = _REL_MARGIN * (magnitude + abs(c))
-        if vmax < c - margin:
+        if c == math.inf:
             return -1
-        return 0 if vmin <= c + margin else 1
+        if t == -math.inf:
+            return 0
+        curve = record.curve
+        if self._until < math.inf:
+            vmin, vmax, magnitude = curve.bounds(t, self._until)
+        else:
+            floor = curve.floor(t)
+            if floor is None:
+                return 0
+            (vmin, magnitude), vmax = floor, math.inf
+        self.bound_checks += 1
+        if vmax < c - _REL_MARGIN * (magnitude + abs(c)):
+            return -1
+        if not self._clears(vmin, magnitude):
+            return 0
+        record.floor = (vmin, magnitude)
+        return 1
+
+    def _clears(self, vmin: float, magnitude: float) -> bool:
+        """Whether a minimum read at ``magnitude`` lies above the
+        threshold beyond the relative margin."""
+        c = self.threshold
+        return vmin > c + _REL_MARGIN * (magnitude + abs(c))
 
     def _schedule(
         self, record: _Record, t: float, side: int, allow_immediate=True
@@ -374,7 +419,7 @@ class RangeSweep:
             self._depart(record, t)
             return
         if kind == _JUMP:
-            record.jumps.pop(0)
+            record.jumps = record.jumps[1:]
             self.stats.reinsertions += 1
         else:
             self.stats.insertions += 1
@@ -393,7 +438,9 @@ class ContinuousWithin:
         self._engine = engine
         self._sentinel = engine.sentinel_for(float(threshold))
         self._members: Set[ObjectId] = set()
-        self._timeline = AnswerTimeline(engine.interval)
+        self._timeline = AnswerTimeline(
+            Interval(engine.current_time, engine.interval.hi)
+        )
         self._result: Optional[SnapshotAnswer] = None
         self._c_enter, self._c_leave = bind_support_counters(engine, "within")
         engine.add_listener(self)

@@ -7,11 +7,11 @@ through these evaluation paths:
 - the **naive baseline** (O(N^2) recomputation from trajectories),
 - a **single** :class:`~repro.sweep.engine.SweepEngine`,
 - a plain :class:`~repro.core.api.ContinuousQuerySession`
-  (:func:`run_session`): one live candidate host
-  (:class:`~repro.sweep.live.LiveSweep`) with nothing around it, which
-  also reports what its planner did (plan windows, candidates,
-  re-plans by reason) so a test can assert the edge it engineered
-  really occurred,
+  (:func:`run_session`): one live host (a rank reading's
+  :class:`~repro.sweep.live.LiveSweep`, a range reading's
+  :class:`~repro.sweep.within.RangeSweep`) with nothing around it,
+  which also reports what its bar did (members, re-bars by reason) so a
+  test can assert the edge it engineered really occurred,
 - a bare :class:`~repro.server.group.EngineGroup` (the server's
   engine pool without the server around it),
 - a shared :class:`~repro.server.QueryServer` hosting the probed
@@ -253,9 +253,9 @@ def run_session(
 ) -> Tuple[SnapshotAnswer, List[ProbeRecord]]:
     """Final answer + probe answers from a plain ContinuousQuerySession
     (kNN and within: the kinds it opens).  ``facts_out`` receives what
-    the session's live host planned: ``windows`` (the plan window in
-    force at the open and after every update and probe), ``candidates``
-    (the engine's candidate count at the same points), ``replans`` (by
+    the session's live host did: ``candidates`` (the curves its engine
+    orders — a range host's: the curves with an event queued — at the
+    open and after every update and probe), ``replans`` (re-bars by
     reason, from ``sweep_replans_total``) and ``bound_checks``."""
     from repro.core.api import ContinuousQuerySession
     from repro.obs.metrics import MetricsRegistry
@@ -270,11 +270,9 @@ def run_session(
             db, sc.gdistance(), sc.threshold, **options
         )
     host = session.engine
-    windows, candidates = [], []
+    candidates = []
 
     def note():
-        window = host.plan_window
-        windows.append((window.lo, window.hi))
         candidates.append(host.candidates)
 
     note()
@@ -289,14 +287,13 @@ def run_session(
     if facts_out is not None:
         snapshot = registry.snapshot()
         facts_out.update(
-            windows=windows,
             candidates=candidates,
             bound_checks=host.bound_checks,
             replans={
                 reason: int(
                     snapshot.get(f'sweep_replans_total{{reason="{reason}"}}', 0)
                 )
-                for reason in ("horizon", "witness", "tenant")
+                for reason in ("raise", "lower", "tenant")
             },
         )
     return final, probes

@@ -113,3 +113,51 @@ def test_live_per_update_ops_follow_the_candidates_not_n():
     assert result.passed, result.describe()
     for n, candidates, _, engine_ops, bound_checks in rows:
         assert candidates < 40 and engine_ops + bound_checks < 40, (n, rows)
+
+
+def _live_rank_rows():
+    """``scripts/complexity_report.py::audit_live_rank``'s audit and rows:
+    a k=3 session on ``serve_crossing``'s stream at N = 200, 1000, 5000."""
+    import importlib.util
+    import os
+
+    path = os.path.join(
+        os.path.dirname(__file__), "..", "..", "scripts", "complexity_report.py"
+    )
+    spec = importlib.util.spec_from_file_location("complexity_report", path)
+    report = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report)
+    audit = ComplexityAudit()
+    rows = report.audit_live_rank(audit)
+    assert [n for n, *_ in rows] == [200, 1000, 5000]
+    return report, audit, rows
+
+
+def test_live_rank_ops_per_support_change_are_flat_in_n():
+    """The live rank host pays a flat number of primitive operations per
+    support change of the reading, every re-bar's O(N) pass included.
+    The horizon planner the bar replaced paid 58, 85 and 134 (it
+    bounded every curve two or three times per re-plan) and fails this
+    fit."""
+    report, audit, rows = _live_rank_rows()
+    result = audit.check(report.RANK_QUANTITY, "1")
+    assert result.passed, result.describe()
+    per_change = [ops / changes for _, _, _, ops, changes in rows]
+    assert max(per_change) < 2 * min(per_change), rows
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="not met: ops per update grow 3.3 -> 8.3 -> 17.4 from N=200 to "
+    "5000, with the reading's own support changes per update (0.16 -> 1.1)",
+)
+def test_live_rank_ops_per_update_are_flat_in_n():
+    """The per-update claim: a k=3 session's primitive operations per
+    update fit O(1) in N.  On this stream the space stays fixed, so the
+    density — and the top 3's own support changes per update, Theorem
+    5's ``m`` — grows with N; the horizon planner failed it too."""
+    _, _, rows = _live_rank_rows()
+    sizes = [n for n, *_ in rows]
+    per_update = [ops for _, _, _, ops, _ in rows]
+    result = fit_envelope(sizes, per_update, "1", quantity="live rank ops per update")
+    assert result.passed, result.describe()

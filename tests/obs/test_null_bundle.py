@@ -97,8 +97,8 @@ class TestOffStateBindsTheSameSingletons:
         host = LiveSweep(random_linear_mod(6, seed=1), gd, Interval.at_least(0.0))
         host.attach(QuerySpec.knn(gd, 2))
         assert host.observe is None and host.engine.observe is None
-        assert host._c_replans["horizon"] is NULL_COUNTER
-        assert host._c_updates is NULL_COUNTER
+        assert host._bar._c_replans["raise"] is NULL_COUNTER
+        assert host._bar._c_update is NULL_COUNTER
 
     def test_every_other_binder(self, tmp_path):
         db = MovingObjectDatabase()

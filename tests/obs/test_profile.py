@@ -75,17 +75,15 @@ class TestContextTracer:
 
 
 class TestStageTree:
-    def test_reentry_merges_by_name_and_shard(self):
+    def test_reentry_merges_by_name(self):
         prof = QueryProfile("q-1", "knn")
         for _ in range(3):
             with prof.stage("curves") as st:
                 st.annotate(curves=1)
-        with prof.stage("curves", shard=0) as st:
-            st.annotate(curves=1)
-        merged = prof.root.children[("curves", None)]
+        merged = prof.root.children["curves"]
+        assert list(prof.root.children) == ["curves"]
         assert merged.count == 3
         assert merged.attrs["curves"] == 3
-        assert prof.root.children[("curves", 0)].count == 1
 
     def test_numeric_annotations_accumulate_bools_do_not(self):
         stage = Stage("probe")
@@ -99,9 +97,9 @@ class TestStageTree:
         with prof.stage("outer"):
             with prof.stage("inner"):
                 pass
-        outer = prof.root.children[("outer", None)]
-        assert ("inner", None) in outer.children
-        assert ("inner", None) not in prof.root.children
+        outer = prof.root.children["outer"]
+        assert "inner" in outer.children
+        assert "inner" not in prof.root.children
 
     def test_pop_tolerates_crashed_inner_stage(self):
         prof = QueryProfile("q-1", "knn")
@@ -112,7 +110,7 @@ class TestStageTree:
         # The stack unwound past the abandoned stage.
         with prof.stage("next"):
             pass
-        assert ("next", None) in prof.root.children
+        assert "next" in prof.root.children
 
     def test_null_stage_is_inert(self):
         with NULL_STAGE as st:
@@ -121,11 +119,11 @@ class TestStageTree:
 
     def test_to_dict_shape(self):
         prof = QueryProfile("q-1", "knn")
-        with prof.stage("sweep", shard=2) as st:
+        with prof.stage("sweep") as st:
             st.annotate(ops=9)
-        node = prof.root.children[("sweep", 2)].to_dict()
+        node = prof.root.children["sweep"].to_dict()
         assert node["name"] == "sweep"
-        assert node["shard"] == 2
+        assert set(node) == {"name", "wall_seconds", "count", "attrs"}
         assert node["attrs"] == {"ops": 9}
         assert node["count"] == 1
 
@@ -151,20 +149,6 @@ class TestQueryProfile:
                     pass
         assert 0.0 < prof.coverage <= 1.05
 
-    def test_shard_skew_none_without_shards(self):
-        prof = QueryProfile("q-1", "knn")
-        assert prof.shard_skew() is None
-
-    def test_shard_skew_from_ops_annotations(self):
-        prof = QueryProfile("q-1", "knn")
-        for shard, ops in ((0, 30), (1, 10), (2, 20)):
-            with prof.stage("shard.finalize", shard=shard) as st:
-                st.annotate(ops=ops)
-        skew = prof.shard_skew()
-        assert skew["shards"] == 3
-        assert skew["max_ops"] == 30
-        assert skew["skew"] == pytest.approx(1.5)
-
     def test_report_is_json_ready(self):
         with QueryProfile("q-1", "knn", meta={"k": 2}) as prof:
             with prof.stage("init") as st:
@@ -177,12 +161,12 @@ class TestQueryProfile:
 
     def test_summary_flattens_top_level_stages(self):
         with QueryProfile("q-1", "knn") as prof:
-            with prof.stage("sweep", shard=0):
+            with prof.stage("sweep"):
                 pass
             with prof.stage("merge"):
                 pass
         summary = prof.summary()
-        assert set(summary["stages"]) == {"sweep[0]", "merge"}
+        assert set(summary["stages"]) == {"sweep", "merge"}
 
 
 class TestSlowQueryLog:
@@ -232,11 +216,8 @@ class TestSlowQueryLog:
 
 
 class TestWorkloadAttribution:
-    def _profile_with(self, kind="knn", oids=(), shard_ops=()):
+    def _profile_with(self, kind="knn", oids=()):
         prof = QueryProfile("q-1", kind)
-        for shard, ops in shard_ops:
-            with prof.stage("shard.finalize", shard=shard) as st:
-                st.annotate(ops=ops)
         prof._answer_oids = list(oids)
         prof.finish()
         return prof
@@ -246,12 +227,6 @@ class TestWorkloadAttribution:
         attribution.note_query(self._profile_with(oids=["a", "b"]))
         attribution.note_query(self._profile_with(oids=["a"]))
         assert attribution.hot_oids(top_k=1) == [("a", 2)]
-
-    def test_hottest_shards_accumulate_ops(self):
-        attribution = WorkloadAttribution()
-        attribution.note_query(self._profile_with(shard_ops=[(0, 10), (1, 30)]))
-        attribution.note_query(self._profile_with(shard_ops=[(1, 5)]))
-        assert attribution.hottest_shards(top_k=1) == [(1, 35.0)]
 
     def test_to_dict_includes_kind_counts(self):
         attribution = WorkloadAttribution()

@@ -1,19 +1,22 @@
-"""Live engines order only their candidates: the edges of the planner.
+"""Live engines order only the curves under a bar: the edges of the host.
 
 Every live construction site — a plain session, a supervised one, a
-bare engine group, a query server's groups — builds one :class:`~repro.sweep.live.LiveSweep`.  Each test
-below engineers one edge of its plan / update / re-plan rules in a
-hand-built scenario, asserts on the plain session's own host that the
-edge really occurred (``tests/_oracle.py::run_session`` reports the
-plan windows, candidate counts and re-plans by reason), and then holds
-every driver to the two oracles that share nothing with the host: one
-bare full-order :class:`~repro.sweep.engine.SweepEngine`
-(``run_single``) and the naive O(N^2) baseline (``run_naive``).
+bare engine group, a query server's groups — builds one
+:class:`~repro.sweep.live.LiveSweep` for a rank reading (a range
+reading's host is :class:`~repro.sweep.within.RangeSweep`).  Each test
+below engineers one edge in a hand-built scenario — swaps, ties and
+updates on binary-exact instants, members lost, a tenant raising K,
+k >= N, the bar's own raise / lower / tenant re-bars — asserts on the
+plain session's own host that the edge really occurred where it is a
+fact of the host (``tests/_oracle.py::run_session`` reports member
+counts and re-bars by reason), and then holds every driver to the two
+oracles that share nothing with the host: one bare full-order
+:class:`~repro.sweep.engine.SweepEngine` (``run_single``) and the naive
+O(N^2) baseline (``run_naive``).
 
-The first horizon is pinned (``_seed_horizon`` patched to 2.0, start
-0.5), and at a dozen objects halving never pays, so the plan windows
-are ``[0.5, 2.5]``, ``[2.5, 6.5]``, ``[6.5, 14.5]`` ... unless an edge
-re-plans in between — binary-exact instants an event can be put on.
+The scenarios start at 0.5 and put their events on binary-exact
+instants (2.5, 6.5, 14.5 ...), where ties and simultaneous events are
+exact.
 """
 
 import math
@@ -31,7 +34,9 @@ from repro.io import answer_to_dict
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ChangeDirection, New, Terminate
 from repro.obs.metrics import MetricsRegistry
-from repro.sweep.live import LiveSweep
+from repro.sweep.engine import SweepEngine
+from repro.sweep.knn import ContinuousKNN
+from repro.sweep.live import LiveSweep, _Bar
 from repro.trajectory.builder import linear_from
 from repro.workloads.generator import (
     UpdateStream,
@@ -55,15 +60,7 @@ from tests._oracle import (
 )
 
 START = 0.5
-FIRST_HORIZON = 2.0
 MODES = (KNN, WITHIN, MULTIKNN)
-
-
-@pytest.fixture(autouse=True)
-def pinned_first_horizon(monkeypatch):
-    monkeypatch.setattr(
-        LiveSweep, "_seed_horizon", lambda self, items, tau, k: FIRST_HORIZON
-    )
 
 
 def _crowd(count=12):
@@ -175,9 +172,6 @@ def swap_on_the_boundary():
 @pytest.mark.parametrize("mode", MODES)
 def test_swap_exactly_on_a_horizon_boundary(mode):
     sc = swap_on_the_boundary()
-    facts = session_facts(sc)
-    assert facts["windows"][0] == (0.5, 2.5)
-    assert (2.5, 6.5) in facts["windows"]
     final = hold_every_driver(sc, mode)
     if mode == KNN:
         assert final.intervals_for("a").intervals[0].approx_equals(Interval(0.5, 2.5))
@@ -207,8 +201,7 @@ def twins_at_a_replan():
 def test_twins_tied_across_rank_k_at_a_replan(mode):
     sc = twins_at_a_replan()
     facts = session_facts(sc)
-    at_open, after = facts["candidates"][0], facts["candidates"][-1]
-    assert (2.5, 6.5) in facts["windows"] and after != at_open, "engine rebuilt"
+    assert facts["candidates"][0] == 3, "K + 2 members: the twins and c"
     hold_every_driver(sc, mode)
     cold = run_past(sc, mode)
     for label, drive in _drivers(mode):
@@ -252,10 +245,6 @@ def updates_on_and_after_the_boundary():
 @pytest.mark.parametrize("mode", MODES)
 def test_updates_on_the_boundary_and_after_a_lapse(mode):
     sc = updates_on_and_after_the_boundary()
-    facts = session_facts(sc)
-    assert facts["windows"][0] == (0.5, 2.5)
-    assert facts["windows"][1] == (0.5, 2.5), "an update at tau + H is inside the plan"
-    assert facts["replans"]["horizon"] >= 3
     final = hold_every_driver(sc, mode)
     if mode == KNN:
         assert final.holds_at("n", 9.0), "born after a lapse, swept once"
@@ -286,8 +275,7 @@ def witnesses_lost():
 def test_witness_chdir_away_and_terminate(mode):
     sc = witnesses_lost()
     facts = session_facts(sc)
-    assert facts["replans"]["witness"] == 1
-    assert (1.7, 3.7) in facts["windows"], "re-planned at the update that broke T"
+    assert facts["replans"]["raise"] >= 1, "the bar rose as its members went"
     final = hold_every_driver(sc, mode)
     if mode == KNN:
         assert final.holds_at("e", 2.0), "the non-candidate the lost witnesses hid"
@@ -339,7 +327,7 @@ def test_host_attach_and_detach():
     assert host.engine is first, "an attached reading is attached once"
     host.advance_to(0.75)
     wide = host.attach(QuerySpec.multiknn(gd, (2, 5)))
-    assert host.replans == 1 and host.engine is not first
+    assert host.replans == 1 and host.engine is first, "a re-bar, one engine"
     assert wide.members(5) == {"a", "b", "c", "d", "e"}
     assert wide.partial_answers(0.75)[5].interval == Interval(0.75, 0.75)
     host.detach(QuerySpec.multiknn(gd, (2, 5)))
@@ -349,7 +337,7 @@ def test_host_attach_and_detach():
     host.finalize()
     assert answers_equal(narrow.answer(), _naive(db, gd, ("knn", 1), START, 8.0))
     host.detach(QuerySpec.knn(gd, 1))
-    assert host.engine is None
+    assert host.engine is first
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +352,8 @@ def test_k_at_least_n(mode):
     ]
     stream = [chdir("a", 1.0, 1.0, 0.0), Terminate("b", 3.0), new("n", 5.0, 1.0, 1.0)]
     sc = build(actors, stream, 7.0, k=5, ks=(2, 7), threshold=16.0, crowd=0)
-    assert max(session_facts(sc)["candidates"]) == 4, "every object is a candidate"
+    live = [3, 3, 3, 2, 2, 3, 3]  # at the open and after each update and probe
+    assert session_facts(sc)["candidates"] == live, "the bar is infinite"
     hold_every_driver(sc, mode)
 
 
@@ -435,13 +424,11 @@ def test_bare_tick_across_two_horizons(mode):
         ("e", (-8.0, 0.0), (0.0, 0.0)),
     ]
     # The probe after the first update sits at 13.0: the clock crosses
-    # 2.5 and 6.5 with no update in between.
+    # 4.0 and 8.0 with no update in between.
     stream = [chdir("c0", 1.0, 0.0, 0.05), chdir("c1", 30.0, 0.05, 0.0)]
     sc = build(actors, stream, 32.0, k=1, ks=(1, 2), threshold=16.0)
     facts = session_facts(sc)
-    assert facts["windows"][1] == (0.5, 2.5) and facts["windows"][2] == (6.5, 14.5)
-    # ... and 14.5 on the way to the last update, 30.5 on the way to the close.
-    assert facts["replans"] == {"horizon": 4, "witness": 0, "tenant": 0}
+    assert facts["replans"] == {"raise": 0, "lower": 0, "tenant": 0}
     hold_every_driver(sc, mode)
 
 
@@ -463,12 +450,213 @@ def test_value_jump_at_the_update_crosses_the_bar(mode):
         chdir("c0", 4.0, 0.0, 0.0),
     ]
     sc = build(actors, stream, 6.0, k=1, ks=(1, 2), threshold=-10.0, gd=gd)
-    facts = session_facts(sc)
-    assert facts["candidates"][1] == facts["candidates"][0] + 1, "j promoted at its jump"
+    db = sc.build_db()
+    host = LiveSweep(db, gd, Interval(START, 6.0))
+    host.attach(QuerySpec.knn(gd, 1))
+    db.subscribe(host.on_update)
+    assert "j" not in host._bar.member_ids()
+    db.apply(stream[0])
+    assert host.engine.objects_in_order()[0] == "j", "j entered at its jump"
     final = hold_every_driver(sc, mode)
     if mode == KNN:
         assert final.holds_at("m1", 1.4) and final.holds_at("j", 1.6)
         assert final.intervals_for("j").intervals[0].lo == 1.5
+
+
+# ---------------------------------------------------------------------------
+# (j) the bar: a raise at a crossing, ties at T, a member terminating as
+# the count hits K, births under T, a wider tenant mid-stream
+# ---------------------------------------------------------------------------
+def raise_at_a_crossing():
+    # k = 2: the bar is the 4th value, d's 16.  d and c leave first;
+    # then b crosses the bar at 4.5 (radius 4 = sqrt 16 ... plus the
+    # margin) with only a under it: the raise comes at b's crossing, as
+    # e crosses a (radius 2.5 at 2.5 + ...) on its way in.
+    actors = [
+        ("a", (1.0, 0.0), (0.0, 0.0)),
+        ("b", (0.0, 2.0), (0.0, 0.5)),
+        ("c", (3.0, 0.0), (1.0, 0.0)),
+        ("d", (0.0, -4.0), (0.0, -1.0)),
+        ("e", (0.0, 9.0), (0.0, -1.0)),
+        ("f", (-7.0, 0.0), (0.0, 0.0)),
+    ]
+    stream = [chdir("c0", 2.0, 0.0, 0.05), chdir("e", 6.0, 0.0, 0.0), chdir("c1", 7.0, 0.0, 0.0)]
+    return build(actors, stream, 9.0, k=2, ks=(1, 2), threshold=20.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_raise_at_a_crossing_of_the_bar(mode):
+    sc = raise_at_a_crossing()
+    facts = session_facts(sc)
+    assert facts["replans"]["raise"] >= 1
+    assert min(facts["candidates"]) >= sc.k, "never fewer than K where it shows"
+    hold_every_driver(sc, mode)
+
+
+def twins_tied_at_the_bar():
+    # k = 2: the twins are the two nearest and drift out together; c
+    # and d, the rest of the bar's four, leave first.  The twins reach
+    # the bar at one instant, and the raise must take both back with
+    # their places: t1 (inserted first) stays ahead of t0.
+    actors = [
+        ("t1", (2.0, 1.0), (0.5, 0.25)),
+        ("t0", (2.0, 1.0), (0.5, 0.25)),
+        ("c", (0.0, 3.5), (0.0, 2.0)),
+        ("d", (-3.8, 0.0), (-2.0, 0.0)),
+        ("e", (0.0, -9.0), (0.0, 0.0)),
+        ("f", (9.5, 0.0), (0.0, 0.0)),
+    ]
+    stream = [chdir("c0", 1.0, 0.0, 0.05), chdir("c1", 6.0, 0.0, 0.0)]
+    return build(actors, stream, 8.0, k=2, ks=(1, 2), threshold=30.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_k_curves_tied_at_the_bar(mode):
+    sc = twins_tied_at_the_bar()
+    facts = session_facts(sc)
+    assert facts["replans"]["raise"] >= 1
+    final = hold_every_driver(sc, mode)
+    if mode == KNN:
+        assert final.holds_at("t1", 3.0) and final.holds_at("t0", 3.0)
+    if mode == MULTIKNN:
+        assert final[1].holds_at("t1", 3.0) and not final[1].holds_at("t0", 3.0)
+
+
+@pytest.mark.parametrize("spread", [0.0, 1e-13, 1e-9, 1e-7])
+def test_curves_moving_out_together_hold_each_raise(spread):
+    """Four curves leave the bar together, exactly or nearly tied: a
+    raise clears every curve that left since the last re-bar, so the
+    bar lands above the whole group, not a margin above one of them
+    (where the group would reach it a moment later, raise after
+    raise)."""
+    db = MovingObjectDatabase(initial_time=0.0)
+    for i in range(4):
+        db.install(f"c{i}", linear_from(0.0, [3.0, 1.0 + i * spread], [0.5, 0.25]))
+    db.install("far", linear_from(0.0, [60.0, 0.0], [0.0, 0.0]))
+    db.install("far2", linear_from(0.0, [0.0, 70.0], [0.0, 0.0]))
+    gd = SquaredEuclideanDistance([0.0, 0.0])
+    session = ContinuousQuerySession.knn(db, gd, k=1, until=50.0)
+    answer = session.close(at=50.0)
+    assert session.engine.replans <= 2
+    engine = SweepEngine(db, gd, Interval(0.0, 50.0))
+    view = ContinuousKNN(engine, 1)
+    engine.run_to_end()
+    assert answers_equal(answer, view.answer())
+
+
+def member_terminates_at_k():
+    # k = 2: c and d leave the bar's four; then b terminates with the
+    # count at K, so a raise follows at that very instant.
+    actors = [
+        ("a", (1.0, 0.0), (0.0, 0.0)),
+        ("b", (0.0, 2.0), (0.0, 0.0)),
+        ("c", (3.0, 0.0), (2.0, 0.0)),
+        ("d", (0.0, -4.0), (0.0, -2.0)),
+        ("e", (6.0, 0.0), (0.0, 0.0)),
+        ("f", (0.0, 7.0), (0.0, 0.0)),
+    ]
+    stream = [
+        chdir("c0", 1.5, 0.0, 0.05),
+        Terminate("b", 2.5),
+        chdir("e", 3.0, -1.0, 0.0),
+        chdir("c1", 5.0, 0.0, 0.0),
+    ]
+    return build(actors, stream, 7.0, k=2, ks=(1, 2), threshold=20.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_member_terminating_as_the_count_hits_k(mode):
+    sc = member_terminates_at_k()
+    facts = session_facts(sc)
+    assert facts["replans"]["raise"] >= 1
+    final = hold_every_driver(sc, mode)
+    if mode == KNN:
+        assert final.holds_at("e", 3.5), "the raise found the next curve"
+
+
+def births_under_the_bar():
+    # k = 2, the bar near radius 4: n1 is born inside the top 2, n2
+    # under the bar but behind the top 2, n3 outside it, and enough of
+    # them (with the crowd kept near) to crowd the bar into a lower.
+    actors = [
+        ("a", (1.0, 0.0), (0.0, 0.0)),
+        ("b", (0.0, 2.0), (0.0, 0.0)),
+        ("c", (3.0, 0.0), (0.0, 0.0)),
+        ("d", (0.0, -4.0), (0.0, 0.0)),
+    ]
+    stream = [
+        new("n1", 1.0, 0.5, 0.5),
+        new("n2", 1.5, 0.0, -3.5, 0.0, 0.5),
+        new("n3", 2.0, 8.0, 8.0, -1.0, -1.0),
+    ] + [new(f"m{i}", 2.5 + 0.25 * i, 2.5 + 0.1 * i, -1.1) for i in range(12)] + [
+        chdir("a", 6.0, 1.0, 0.0),
+    ]
+    return build(actors, stream, 8.0, k=2, ks=(1, 2), threshold=10.0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_births_under_the_bar(mode):
+    sc = births_under_the_bar()
+    facts = session_facts(sc)
+    assert facts["candidates"][1] == facts["candidates"][0] + 1, "n1 entered"
+    assert facts["replans"]["lower"] >= 1, "the births crowded the bar"
+    final = hold_every_driver(sc, mode)
+    if mode == KNN:
+        assert final.holds_at("n1", 1.2)
+
+
+def test_curves_coming_back_hold_one_entry_each():
+    """The member engine lives as long as its host, and a curve that
+    crosses down through the bar enters it afresh each time: its
+    departed entries go as it comes back, so the engine holds at most
+    one entry per object however many crossings the stream makes."""
+    n = 20
+    db = random_linear_mod(n, seed=2, extent=10.0)
+    session = ContinuousQuerySession.knn(db, [0.0, 0.0], k=2)
+    stream = UpdateStream(db, seed=5, mean_gap=0.1, extent=10.0, weights=(0.0, 0.0, 1.0))
+    stream.run(2000)
+    engine = session.engine.engine
+    assert engine.stats.insertions > 3 * n, "curves came back many times"
+    assert len(engine.all_entries()) <= n
+    session.close(at=db.last_update_time)
+
+
+def test_a_wider_tenant_mid_stream_widens_the_engine():
+    """A k=1 group whose engine capped at 1; a k=4 tenant at the same
+    point widens the cap (the tournament's champions join the order)
+    and re-bars: one engine, no heal, no past query, and both answers
+    are the naive one's."""
+    db = random_linear_mod(60, seed=3, extent=40.0)
+    gd = SquaredEuclideanDistance([0.0, 0.0])
+    registry = MetricsRegistry()
+    server = serve(db, observe=registry)
+    narrow = server.register_knn(gd, k=1)
+    stream = UpdateStream(db, seed=4, mean_gap=0.05, weights=(0.1, 0.1, 0.8))
+    group = narrow.group
+    for _ in range(400):
+        stream.step()
+        if group.engine.engine.rank_cap is not None:
+            break
+    host = group.engine
+    engine, ops = host.engine, group.primitive_ops()
+    assert engine.rank_cap == 1, "the scenario capped the engine"
+    wide = server.register_knn(gd, k=4)
+    assert wide.group is group and group.engine is host and host.engine is engine
+    assert engine.rank_cap == 4 and len(engine.order) == 4
+    assert registry.snapshot()['sweep_replans_total{reason="tenant"}'] == 1
+    assert group.primitive_ops() > ops and group.epoch_start == 0.0
+    assert not any(
+        v for name, v in registry.snapshot().items() if name.startswith("server_heal")
+    )
+    stream.run(60)
+    end = db.last_update_time + 0.5
+    wide_answer = wide.close(at=end)
+    narrow_answer = narrow.close(at=end)
+    server.shutdown()
+    assert answers_equal(narrow_answer, naive_knn_answer(db, gd, Interval(0.0, end), 1))
+    assert answers_equal(
+        wide_answer, naive_knn_answer(db, gd, Interval(wide.start, end), 4)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +670,6 @@ def _with_history(turns):
 
 
 def test_open_cost_does_not_see_history(monkeypatch):
-    monkeypatch.undo()  # the real first horizon
     old = _with_history(20)
     tau = old.last_update_time
     young = MovingObjectDatabase(initial_time=tau)
@@ -508,8 +695,7 @@ def test_open_cost_does_not_see_history(monkeypatch):
     assert counts[0][0] == counts[0][1] == 60, "one piece per live object"
 
 
-def test_live_session_orders_candidates_not_the_database(monkeypatch):
-    monkeypatch.undo()
+def test_live_session_orders_candidates_not_the_database():
     db = random_linear_mod(1000, seed=1)
     session = ContinuousQuerySession.knn(db, [0.0, 0.0], k=5)
     answer = session.close(at=10.0)
@@ -520,13 +706,13 @@ def test_live_session_orders_candidates_not_the_database(monkeypatch):
     )
 
 
-def test_nothing_prunes_costs_what_it_cost(monkeypatch):
-    monkeypatch.undo()
+def test_nothing_prunes_costs_what_it_cost():
     # One full-order engine over crossing_rich_mod(120) and [0, 10] does
     # 104,815 ops: the parent's live session, and PR 17's stop rule.
     full = 104_815
-    # Every object is a candidate (k = N): the plan is that one engine,
-    # kept across every re-plan, plus N bound checks per re-plan.
+    # Every object is a member (k = N: fewer curves than K + 2, the bar
+    # is infinite): the host is that one engine and a bar that never
+    # computes a crossing.
     db = crossing_rich_mod(120, seed=1)
     session = ContinuousQuerySession.knn(db, [0.0, 0.0], k=120)
     session.close(at=10.0)
@@ -534,9 +720,8 @@ def test_nothing_prunes_costs_what_it_cost(monkeypatch):
     assert host.candidates == 120 and host.stats.swaps > 6000
     assert host.primitive_ops() - host.bound_checks == full
     assert host.bound_checks <= 0.05 * full
-    # At k = 5 the live planner does find horizons short enough to prune
-    # on (the one-shot planner, starting from the whole window, does not):
-    # the same answer for fewer ops, never more.
+    # At k = 5 the bar prunes (the one-shot planner, bounding the whole
+    # window, does not): the same answer for fewer ops, never more.
     db = crossing_rich_mod(120, seed=1)
     session = ContinuousQuerySession.knn(db, [0.0, 0.0], k=5)
     answer = session.close(at=10.0)
@@ -547,27 +732,6 @@ def test_nothing_prunes_costs_what_it_cost(monkeypatch):
 # ---------------------------------------------------------------------------
 # scale and margin
 # ---------------------------------------------------------------------------
-class _Traced(LiveSweep):
-    """A host that writes down every plan it makes."""
-
-    def __init__(self, *args, **kwargs):
-        self.plans = []
-        super().__init__(*args, **kwargs)
-
-    def _plan(self, tau, reason):
-        built = super()._plan(tau, reason)
-        self.plans.append(
-            (
-                reason,
-                self._start,
-                self._end,
-                frozenset(self._candidates),
-                frozenset(self._witnesses),
-            )
-        )
-        return built
-
-
 def _scaled_world(seed, space, time):
     """``random_linear_mod(80)`` and 150 of its stream's updates with
     every coordinate x ``space`` and every instant x ``time``."""
@@ -604,56 +768,62 @@ def _scaled_world(seed, space, time):
     return db, updates
 
 
-def _plan_trace(seed, space, time):
-    # A rank reading's plans (a range reading has none: its host is one
-    # record per curve).
-    spec = QuerySpec.knn(SquaredEuclideanDistance([0.0, 0.0]), 3)
+def _bar_trace(seed, space, time, monkeypatch):
+    """The members at the open and every re-bar — the reason, the
+    instant and the members it drew — of a k=3 host over a scaled
+    world, which a k=5 tenant joins at its last update (a range reading
+    has no bar: its host is one record per curve)."""
+    rebars = []
+    real = _Bar.rebar
+
+    def rebar(self, t, reason, k=None):
+        real(self, t, reason, k)
+        rebars.append((reason, t / time, frozenset(self.member_ids())))
+
+    monkeypatch.setattr(_Bar, "rebar", rebar)
+    gd = SquaredEuclideanDistance([0.0, 0.0])
     db, updates = _scaled_world(seed, space, time)
-    host = _Traced(db, spec.gdistance, Interval.at_least(db.last_update_time))
-    host.attach(spec)
+    host = LiveSweep(db, gd, Interval.at_least(db.last_update_time))
+    host.attach(QuerySpec.knn(gd, 3))
+    opened = frozenset(host._bar.member_ids())
     db.subscribe(host.on_update)
-    for update in updates:
+    for i, update in enumerate(updates):
+        if i == len(updates) - 1:
+            host.attach(QuerySpec.knn(gd, 5))
         db.apply(update)
     host.advance_to(db.last_update_time + 1.0 * time)
-    return [
-        [
-            (reason, lo / time, hi / time, cands, witnesses)
-            for reason, lo, hi, cands, witnesses in host.plans
-        ]
-    ]
+    monkeypatch.undo()
+    return [opened] + rebars
 
 
-def _same_plans(got, want):
-    assert len(got) == len(want)
-    for trace, trace1 in zip(got, want):
-        assert len(trace) == len(trace1), "the same number of re-plans"
-        for (reason, lo, hi, *sets), (reason1, lo1, hi1, *sets1) in zip(trace, trace1):
-            assert reason == reason1 and sets == sets1
-            assert lo == pytest.approx(lo1, rel=1e-9, abs=0.0)
-            assert hi == pytest.approx(hi1, rel=1e-9, abs=0.0)
+def _same_bars(got, want):
+    assert len(got) == len(want), "the same number of re-bars"
+    assert got[0] == want[0], "the same members at the open"
+    for (reason, t, members), (reason1, t1, members1) in zip(got[1:], want[1:]):
+        assert reason == reason1 and members == members1
+        assert t == pytest.approx(t1, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_live_plan_does_not_depend_on_the_unit(monkeypatch, seed):
     """Coordinates x1e-6 ... x1e6, instants x1e-3 / x1e3: the same
-    candidates and witnesses at the same (scaled)
-    re-plan instants — the margin is relative and the first horizon is
-    a ratio of the curves' own values and rates."""
-    monkeypatch.undo()  # the real first horizon
-    unit = _plan_trace(seed, 1.0, 1.0)
-    assert all(len(trace) > 3 for trace in unit), "the scenario re-plans"
+    members at the open and the same re-bars, at the same (scaled)
+    instants and drawing the same members — the margin is relative and
+    the bar a rank of the curves' own values."""
+    unit = _bar_trace(seed, 1.0, 1.0, monkeypatch)
+    assert len(unit) > 1, "the scenario re-bars"
     for space in (1e-6, 1e-3, 1e3, 1e6):
-        _same_plans(_plan_trace(seed, space, 1.0), unit)
+        _same_bars(_bar_trace(seed, space, 1.0, monkeypatch), unit)
     for time in (1e-3, 1e3):
-        _same_plans(_plan_trace(seed, 1.0, time), unit)
-    _same_plans(_plan_trace(seed, 1e3, 1e-3), unit)
+        _same_bars(_bar_trace(seed, 1.0, time, monkeypatch), unit)
+    _same_bars(_bar_trace(seed, 1e3, 1e-3, monkeypatch), unit)
 
 
 def test_the_host_adds_no_absolute_tolerance():
     """Every bound comparison of the host goes through
-    ``prune._REL_MARGIN`` x the operands' magnitudes: the only float
-    literals in its source are an exact zero and the small whole
-    numbers of "halve", "double" and the quadratic formula."""
+    ``prune._REL_MARGIN`` x the operands' magnitudes (through the bar's
+    records): its source holds no float literal but an exact zero or a
+    small whole number."""
     import io
     import tokenize
 
@@ -673,8 +843,7 @@ def test_the_host_adds_no_absolute_tolerance():
 # ---------------------------------------------------------------------------
 # a planner nobody can see is a planner nobody can tune
 # ---------------------------------------------------------------------------
-def test_replans_are_counted_logged_and_explained(monkeypatch, caplog):
-    monkeypatch.undo()
+def test_replans_are_counted_logged_and_explained(caplog):
     db = random_linear_mod(200, seed=1)
     registry = MetricsRegistry()
     server = serve(db, observe=registry)
@@ -683,33 +852,34 @@ def test_replans_are_counted_logged_and_explained(monkeypatch, caplog):
         UpdateStream(db, seed=2, mean_gap=0.05, weights=(0.1, 0.1, 0.8)).run(200)
         session.advance_to(db.last_update_time)
     snapshot = registry.snapshot()
-    replans = int(snapshot['sweep_replans_total{reason="horizon"}'])
+    replans = {
+        reason: int(snapshot[f'sweep_replans_total{{reason="{reason}"}}'])
+        for reason in ("raise", "lower", "tenant")
+    }
     group = session.group
-    candidates = group.candidates
-    assert replans == group.replans > 0
+    candidates, rebars = group.candidates, group.replans
+    assert sum(replans.values()) == rebars > 0
     assert snapshot["sweep_live_candidates"] == candidates < 40
-    lines = [r.getMessage() for r in caplog.records if "(horizon)" in r.getMessage()]
-    assert len(lines) == replans
-    assert "candidates of" in lines[0] and "H=" in lines[0] and "tau=" in lines[0]
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("re-bar")]
+    assert len(lines) == rebars
+    assert "members of" in lines[0] and "T=" in lines[0] and "tau=" in lines[0]
     report = server.explain_close(session).to_dict()
     close = next(s for s in report["stages"] if s["name"] == "server.close")
     live = next(s for s in close["children"] if s["name"] == "server.live")
-    assert live["attrs"] == {"replans": replans, "candidates": candidates}
+    assert live["attrs"] == {"replans": rebars, "candidates": candidates}
     server.shutdown()
 
 
-def test_a_session_opened_on_a_small_mod_prunes_once_it_can(monkeypatch):
-    """Two objects at the open — no bar to draw, every object a
-    candidate, no horizon to read off curves that are all at the bar —
-    then a population arrives: the plan ends as its candidates double,
-    and the next one prunes."""
-    monkeypatch.undo()
+def test_a_session_opened_on_a_small_mod_prunes_once_it_can():
+    """Two objects at the open — fewer than K + 2, so the bar is
+    infinite and every object a member — then a population arrives: the
+    members crowd the bar, it is lowered, and the engine prunes."""
     db = MovingObjectDatabase(initial_time=0.0)
     db.create("a", 0.1, position=[3.0, 0.0], velocity=[0.001, 0.0])
     db.create("b", 0.2, position=[0.0, 4.0], velocity=[0.0, 0.001])
     session = ContinuousQuerySession.knn(db, [0.0, 0.0], k=1)
     host = session.engine
-    assert host.candidates == 2 and host.plan_window.hi == math.inf
+    assert host.candidates == 2 and host._bar.threshold == math.inf
     for i in range(60):
         angle = 0.1 * i
         db.create(
@@ -719,7 +889,7 @@ def test_a_session_opened_on_a_small_mod_prunes_once_it_can(monkeypatch):
             velocity=[-2.0 * math.sin(angle), 2.0 * math.cos(angle)],
         )
     assert db.object_count == 62 and host.candidates <= 8
-    assert host.plan_window.hi < 100.0, "the horizon is the population's now"
+    assert host.replans >= 1 and host._bar.threshold < math.inf
     answer = session.close(at=5.0)
     gd = SquaredEuclideanDistance([0.0, 0.0])
     assert answer.approx_equals(naive_knn_answer(db, gd, Interval(0.2, 5.0), 1))

@@ -16,11 +16,13 @@ what                                                  parent   now     budget
 ``forward_taylor(t, 3)``, one quadratic cell              14       2       3
 one-piece ``CurveStore.tail`` miss                        21      10      12
 ``CurveStore.tail`` hit                                    4       1       1
-open at a fresh point after 300 updates, per object     53.7    19.5      32
+open at a fresh point after 300 updates, per object     53.7    26.4      32
 ``plan_sweep`` knn k=5, N=400, ``[0, 2]``, per object   29.5    11.4      18
 ==================================================  ========  =======  ======
 
-Every budget fails at the parent.
+Every budget fails at the parent.  The open's 26.4 is the bar host's
+(one record and one closest approach per object); the horizon planner
+it replaced made 19.5.
 """
 
 from repro.cache import CurveStore

@@ -1,18 +1,20 @@
 """The plan did not move: every decision of every plan, pinned.
 
-The op-count gates see sums.  This test sees each plan: one row per
-``LiveSweep._plan`` of an in-process :class:`QueryServer` carrying
-``serve_crossing``'s eight sessions through the first 600 updates of its
-stream, with a fresh-point knn session opened every ten updates and
-closed ten later — the reason, ``tau``, the horizon, the candidates, the
-witnesses and the bound checks the plan spent — plus
-:func:`plan_sweep`'s slices for ``past_sweep``'s two rank one-shot
-queries.  Floats are compared by their IEEE-754 bits.  A range reading
-has no plan: its sessions build no host that plans.
+The op-count gates see sums.  This test sees each decision: one row per
+re-bar of a live rank host (:class:`~repro.sweep.live.LiveSweep`) of an
+in-process :class:`QueryServer` carrying ``serve_crossing``'s eight
+sessions through the first 600 updates of its stream, with a
+fresh-point knn session opened every ten updates and closed ten later —
+the reason, ``tau``, the bar ``T``, the members and the bound checks
+the re-bar spent — plus :func:`plan_sweep`'s slices for
+``past_sweep``'s two rank one-shot queries.  Floats are compared by
+their IEEE-754 bits.  A range reading has no bar of its own: its
+sessions build no host that re-bars.
 
-``plan_trace_pin.json`` was recorded before the plan pass's kernels
-were rewritten (closed-form Taylor keys, the lean curve store).
-Regenerate with ``PYTHONPATH=src python tests/sweep/test_plan_trace.py >
+The one-shot rows were recorded before the plan pass's kernels were
+rewritten (closed-form Taylor keys, the lean curve store); the live
+rows when the bar replaced the horizon planner.  Regenerate with
+``PYTHONPATH=src python tests/sweep/test_plan_trace.py >
 tests/sweep/plan_trace_pin.json`` only for an intentional planner
 change.
 """
@@ -26,7 +28,7 @@ from repro.cache import CurveStore
 from repro.core.spec import QuerySpec
 from repro.geometry.intervals import Interval
 from repro.server import QueryServer
-from repro.sweep.live import LiveSweep
+from repro.sweep.live import _Bar
 from repro.sweep.prune import plan_sweep
 from repro.workloads.generator import UpdateStream, random_linear_mod
 
@@ -65,31 +67,28 @@ def _open(server, kind, param, point):
 
 
 def live_trace():
-    """One row per plan of every live host, in the order they ran."""
+    """One row per re-bar of every live rank host, in the order they
+    ran."""
     rows = []
-    hosts = {}  # id -> (number, host): held, so no id is reused
-    plan = LiveSweep._plan
+    hosts = {}  # id -> (number, bar): held, so no id is reused
+    rebar = _Bar.rebar
 
-    def recording(self, tau, reason):
+    def recording(self, tau, reason, k=None):
         checks = self.bound_checks
-        built = plan(self, tau, reason)
+        rebar(self, tau, reason, k)
         number = hosts.setdefault(id(self), (len(hosts), self))[0]
         rows.append(
             [
                 number,
                 reason,
                 bits(tau),
-                bits(self._horizon),
-                bits(self._end),
-                sorted(self._candidates),
-                sorted(self._witnesses),
+                bits(self.threshold),
+                self.member_ids(),
                 self.bound_checks - checks,
-                built,
             ]
         )
-        return built
 
-    LiveSweep._plan = recording
+    _Bar.rebar = recording
     try:
         db = random_linear_mod(200, seed=1)
         server = QueryServer(db)
@@ -106,7 +105,7 @@ def live_trace():
         for session in [*churn.values(), *held]:
             session.close()
     finally:
-        LiveSweep._plan = plan
+        _Bar.rebar = rebar
     return rows
 
 
@@ -151,8 +150,8 @@ def test_every_plan_is_the_pinned_plan():
 def test_the_pin_covers_rank_plans():
     with open(PIN, encoding="utf-8") as handle:
         live = json.load(handle)["live"]
-    assert {row[1] for row in live} >= {"tenant", "horizon"}
-    assert any(row[6] for row in live), "rank plans drew a bar"
+    assert {row[1] for row in live} >= {"tenant", "raise"}
+    assert all(row[4] for row in live), "every re-bar kept members"
 
 
 if __name__ == "__main__":

@@ -281,9 +281,12 @@ def test_c_below_every_curve():
     # crossing is computed at all.
     host = RangeSweep(build(), ORIGIN, Interval(0.0, 5.0), -1.0)
     assert host.stats.flip_computations == 0 and host.candidates == 0
-    # Open-ended, each curve costs one kernel call that finds nothing.
+    # Open-ended, each curve's closest approach lies above c: one bound
+    # check each and no kernel call (each cost one that found nothing
+    # before the closest-approach test).
     host = RangeSweep(build(), ORIGIN, Interval.at_least(0.0), -1.0)
-    assert host.stats.flip_computations == 30 and host.candidates == 0
+    assert host.stats.flip_computations == 0 and host.candidates == 0
+    assert host.bound_checks == 30
 
 
 # -- past mode: births, deaths, value jumps ------------------------------------------
@@ -376,3 +379,46 @@ def test_a_value_jump_landing_exactly_on_c():
         Interval(0.0, 10.0), [2.0, 7.0], naive_drops=_dropping("p"),
     )
     assert final.intervals_for("p").intervals == (Interval(5.0, 10.0),)
+
+
+# -- the closest approach over an open-ended window ----------------------------------
+def _one_mover(position, velocity):
+    def build():
+        db = MovingObjectDatabase(initial_time=0.0)
+        db.install("m", linear_from(0.0, position, velocity))
+        return db
+
+    return build
+
+
+def test_a_receding_curve_takes_no_kernel_call():
+    """Open-ended, a curve whose closest approach for the rest of its
+    life lies above ``c`` is decided out by it: one bound check, no
+    crossing computed, nothing queued — and still the full order's
+    answer."""
+    build = _one_mover([3.0, 4.0], [0.6, 0.8])  # squared distance 25 and rising
+    host = RangeSweep(build(), ORIGIN, Interval.at_least(0.0), 20.0)
+    assert host.stats.flip_computations == 0 and host.bound_checks == 1
+    assert host.candidates == 0 and host.members == set()
+    # ... and one that passes the query point first is no different once
+    # its closest approach stays above c: (3, 5) heading (-1, 0) comes
+    # no nearer than 25.
+    host = RangeSweep(_one_mover([3.0, 5.0], [-1.0, 0.0])(), ORIGIN, Interval.at_least(0.0), 20.0)
+    assert host.stats.flip_computations == 0 and host.candidates == 0
+    window = Interval(0.0, 10.0)
+    for gd_c, mover in ((20.0, build), (20.0, _one_mover([3.0, 5.0], [-1.0, 0.0]))):
+        (got, _), (full, _), _ = _drive(mover, ORIGIN, gd_c, window, [])
+        assert answer_to_dict(got) == answer_to_dict(full)
+
+
+def test_a_closest_approach_inside_the_margin_takes_the_kernel():
+    """A curve whose closest approach comes within the relative margin
+    of ``c`` — here it touches ``c`` exactly — is not decided by its
+    minimum: the kernel is asked, as before the closest-approach test."""
+    build = _one_mover([-10.0, 5.0], [1.0, 0.0])  # closest at t = 10: 25
+    host = RangeSweep(build(), ORIGIN, Interval.at_least(0.0), 25.0)
+    assert host.stats.flip_computations == 1 and host.bound_checks == 1
+    host = RangeSweep(build(), ORIGIN, Interval.at_least(0.0), 25.0 * (1.0 - 1e-12))
+    assert host.stats.flip_computations == 1
+    host = RangeSweep(build(), ORIGIN, Interval.at_least(0.0), 25.0 * (1.0 - 1e-6))
+    assert host.stats.flip_computations == 0, "beyond the margin: decided"

@@ -629,3 +629,41 @@ def test_fuzz_tournament_holds_under_updates(seed, k):
     with built_engines(full=True):
         full = run(False)
     assert audited == full
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    k=st.integers(min_value=1, max_value=4),
+    wider=st.integers(min_value=1, max_value=5),
+    jumps=st.booleans(),
+)
+def test_a_widened_cap_is_the_full_order(seed, k, wider, jumps):
+    """A capped engine widened mid-sweep for a wider reading
+    (``widen_cap``: the tournament's champions join the order) keeps the
+    tournament valid after every event and reads, old reading and new,
+    what the full order reads with the new reading attached at the same
+    instant."""
+    gd = ApproachRate(ORIGIN) if jumps else SquaredEuclideanDistance(ORIGIN)
+    window = Interval(0.0, 100.0)
+
+    def run(audit):
+        db = staggered_mod(16, seed)
+        engine = SweepEngine(db, gd, window)
+        narrow = ContinuousKNN(engine, k)
+        engine.advance_to(30.0)
+        if audit:
+            assert engine.rank_cap == k
+            engine.widen_cap(k + wider)
+            assert engine.rank_cap == k + wider
+            assert len(engine.order) == min(k + wider, 16 - len(engine._tour))
+        wide = ContinuousKNN(engine, k + wider)
+        if audit:
+            audited_sweep(engine, 100.0, lambda: 16)
+        engine.run_to_end()
+        return answer_to_dict(narrow.answer()), answer_to_dict(wide.answer())
+
+    audited = run(True)
+    with built_engines(full=True):
+        full = run(False)
+    assert audited == full
