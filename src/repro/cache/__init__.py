@@ -55,8 +55,9 @@ class QueryCache:
     """One cache object serving a whole query workload over one MOD.
 
     Pass it as ``cache=`` to :func:`repro.core.api.evaluate_knn` /
-    ``evaluate_within`` / ``evaluate_multiknn`` and to
-    :class:`~repro.core.api.ContinuousQuerySession` constructors; it
+    ``evaluate_within`` / ``evaluate_multiknn``, to the
+    :class:`~repro.core.api.ContinuousQuerySession` constructors (and
+    so the supervised session's) and to a query server; it
     binds to the database on first use and keeps itself consistent
     through every subsequent update.  ``max_bytes`` is a combined LRU
     budget, split between curves and answers; ``observe=`` exports all
@@ -174,6 +175,14 @@ class QueryCache:
             self._pinned[fp] = gdistance
         self.answers.put(fp, interval, payload)
         return fp
+
+    def deposit(self, spec, interval: Interval, payload: Payload) -> None:
+        """Store ``payload`` as the answer of ``spec`` (a
+        :class:`~repro.core.spec.QuerySpec`) over ``interval`` — the
+        one rule for a one-shot's answer and a closed session's: only a
+        finite window is stored."""
+        if interval.is_bounded:
+            self.store(spec.kind, spec.gdistance, interval, payload, **spec.params)
 
     # -- bookkeeping --------------------------------------------------------
     @property

@@ -4,13 +4,14 @@ These functions assemble the pieces — g-distance, sweep engine, view —
 so a caller only states the query.  The one-shot functions run the
 whole sweep immediately (appropriate when the trajectory history over
 the interval is already known, i.e. *past* queries); the session class
-subscribes to the database and maintains answers eagerly as updates
-arrive (*future* and *continuing* queries).  A rank reading orders only
-the curves it can reach: a one-shot sweep per slice of its window
-(:mod:`repro.sweep.prune`), a live one over the curves under a bar that
-a range reading keeps (:mod:`repro.sweep.live`).  A range reading
-orders nothing: one record per curve, each with its own next crossing
-(:mod:`repro.sweep.within`), live and one-shot alike.
+is a one-tenant engine pool (:class:`~repro.server.group.EngineGroup`)
+that subscribes to the database and maintains answers eagerly as
+updates arrive (*future* and *continuing* queries).  A rank reading
+orders only the curves it can reach: a one-shot sweep per slice of its
+window (:mod:`repro.sweep.prune`), a live one over the curves under a
+bar that a range reading keeps (:mod:`repro.sweep.live`).  A range
+reading orders nothing: one record per curve, each with its own next
+crossing (:mod:`repro.sweep.within`), live and one-shot alike.
 """
 
 from __future__ import annotations
@@ -34,30 +35,10 @@ from repro.sweep.prune import candidate_mod, plan_sweep
 from repro.sweep.within import RangeSweep
 
 
-def open_engine(
-    db: MovingObjectDatabase,
-    spec: QuerySpec,
-    observe=None,
-    curve_store=None,
-):
-    """A live ``(engine, view)`` pair maintaining ``spec`` over its
-    window on ``db``: one live host (:func:`_live_host`) with ``spec``
-    attached."""
-    host = _live_host(
-        db,
-        spec.gdistance,
-        Interval(spec.lo, spec.hi),
-        spec.constants,
-        observe,
-        curve_store,
-    )
-    return host, host.attach(spec)
-
-
 def _live_host(db, gdistance, interval, constants, observe, curve_store):
     """The live sweep a reading is maintained by — chosen here and
-    nowhere else (sessions and every engine-pool slot).  A range reading
-    (``constants`` holds its threshold) is one record per curve
+    nowhere else (every engine pool, and so every session).  A range
+    reading (``constants`` holds its threshold) is one record per curve
     (:class:`~repro.sweep.within.RangeSweep`); a rank reading is the
     bar host (:class:`~repro.sweep.live.LiveSweep`: the same records at
     a bar ``T`` kept above ``K`` curves, and one engine over the curves
@@ -234,7 +215,7 @@ def _evaluate(
                     ops=sum(c.attrs.get("ops", 0) for c in st.children.values())
                 )
     with _stage(profile, "cache.store"):
-        cache.store(spec.kind, spec.gdistance, interval, answer, **spec.params)
+        cache.deposit(spec, interval, answer)
     return answer
 
 
@@ -401,74 +382,72 @@ def evaluate_query(
 class ContinuousQuerySession:
     """Eager maintenance of a k-NN or within-range query on a live MOD.
 
-    Construct with one of :meth:`knn` or :meth:`within`; the session
-    subscribes to the database, processes each update as it arrives
-    (Theorem 5's per-update maintenance over the curves under the
-    host's bar: most updates touch one record and no engine), and exposes
-    the *current* answer at all times.  Call :meth:`close` to detach
-    and obtain the accumulated snapshot answer.
+    Construct with one of :meth:`knn` or :meth:`within`.  The session
+    holds a one-tenant engine pool
+    (:class:`~repro.server.group.EngineGroup`, ``spec=``): the pool —
+    not the engine — subscribes to the database and sweeps each update
+    as it arrives (Theorem 5's per-update maintenance over the curves
+    under the host's bar: most updates touch one record and no engine),
+    and the session exposes the *current* answer at all times.  The
+    pool has no heal, so an engine fault propagates out of the update
+    or probe that hit it; a
+    :class:`~repro.resilience.supervisor.SupervisedQuerySession` is
+    this session with one.  Call :meth:`close` to detach and obtain the
+    accumulated snapshot answer.
     """
 
     def __init__(
         self,
         db: MovingObjectDatabase,
-        engine: LiveSweep,
-        view,
+        spec: QuerySpec,
+        until: float = math.inf,
+        start: Optional[float] = None,
+        observe=None,
         cache=None,
-        cache_query=None,
     ) -> None:
-        self._db = db
-        self._engine = engine
-        self._view = view
-        self._closed = False
-        # The QuerySpec the final answer is deposited under at close.
-        self._cache = cache
-        self._cache_query = cache_query
-        db.subscribe(engine.on_update)
+        from repro.server.group import EngineGroup  # imports this module
 
-    # -- constructors -----------------------------------------------------
-    @classmethod
-    def _open(
-        cls, db, spec: QuerySpec, until, start, observe, cache
-    ) -> "ContinuousQuerySession":
         if cache is not None:
             cache.bind(db)
+        self._db = db
+        self._cache = cache
+        self._closed = False
         lo = db.last_update_time if start is None else start
-        engine, view = open_engine(
+        self._spec = spec.over(lo, until)
+        self._group = EngineGroup(
+            0,
             db,
-            spec.over(lo, until),
-            observe,
+            spec.gdistance,
+            spec.constants,
+            as_instrumentation(observe),
             None if cache is None else cache.curves,
+            spec=self._spec,
         )
-        return cls(db, engine, view, cache, spec)
+        db.subscribe(self._group.apply)
 
+    # -- constructors -----------------------------------------------------
     @classmethod
     def knn(
         cls,
         db: MovingObjectDatabase,
         query: QueryLike,
         k: int = 1,
-        until: float = float("inf"),
+        until: float = math.inf,
         start: Optional[float] = None,
         observe=None,
         cache=None,
     ) -> "ContinuousQuerySession":
         """A continuous k-NN session starting now (or at ``start``).
 
-        ``observe`` optionally wires telemetry into the underlying
-        engine; several sessions may share one registry, in which case
-        their counters aggregate.  ``cache`` (a :class:`~repro.cache.QueryCache`)
-        builds the engine over shared memoized curves and deposits the
-        session's final answer at :meth:`close` for later reuse.
+        ``observe`` optionally wires telemetry into every engine the
+        session builds; several sessions may share one registry, in
+        which case their counters aggregate.  ``cache`` (a
+        :class:`~repro.cache.QueryCache`) builds the engine over shared
+        memoized curves — a rebuild re-hits the curves of untouched
+        objects — and deposits the session's final answer at
+        :meth:`close` for later reuse.
         """
-        return cls._open(
-            db,
-            QuerySpec.knn(query, k),
-            until,
-            start,
-            observe,
-            cache,
-        )
+        return cls(db, QuerySpec.knn(query, k), until, start, observe, cache)
 
     @classmethod
     def within(
@@ -476,68 +455,78 @@ class ContinuousQuerySession:
         db: MovingObjectDatabase,
         query: QueryLike,
         distance: float,
-        until: float = float("inf"),
+        until: float = math.inf,
         start: Optional[float] = None,
         observe=None,
         cache=None,
     ) -> "ContinuousQuerySession":
         """A continuous within-range session starting now (or at
-        ``start``).  ``observe`` optionally wires telemetry into the
-        underlying engine; ``cache`` shares curve memoization as in
-        :meth:`knn`."""
-        return cls._open(
-            db,
-            QuerySpec.within(query, distance),
-            until,
-            start,
-            observe,
-            cache,
+        ``start``).  ``observe`` and ``cache`` as in :meth:`knn`."""
+        return cls(
+            db, QuerySpec.within(query, distance), until, start, observe, cache
         )
 
     # -- live inspection ------------------------------------------------------
     @property
     def engine(self) -> LiveSweep:
-        """The session's live sweep: the bar host (stats, op counts,
+        """The live sweep in force: the bar host (stats, op counts,
         re-bars; ``.engine`` is the engine over its members) or a range
-        reading's :class:`~repro.sweep.within.RangeSweep`."""
-        return self._engine
+        reading's :class:`~repro.sweep.within.RangeSweep`.  A rebuild
+        replaces it."""
+        return self._group.engine
+
+    # The engine and view in force live in the pool; the fault-injection
+    # tests reach them (and swap the view) under these names.
+    _engine = engine
+
+    @property
+    def _view(self):
+        return self._group._views[self._spec.view_key]
+
+    @_view.setter
+    def _view(self, view) -> None:
+        self._group._views[self._spec.view_key] = view
 
     @property
     def observe(self):
         """The engine's :class:`~repro.obs.instrument.Instrumentation`
         (None when telemetry is disabled)."""
-        return self._engine.observe
+        return self._group.engine.observe
 
     @property
     def metrics(self):
         """The session's metrics registry, or None when telemetry is
         disabled."""
-        observe = self._engine.observe
+        observe = self.observe
         return None if observe is None else observe.metrics
 
     @property
     def current_time(self) -> float:
         """The sweep's current position on the time line."""
-        return self._engine.current_time
+        return self._group.current_time
 
     @property
     def members(self) -> Set[ObjectId]:
         """The current answer set."""
-        return self._view.members
+        return self._group.members(self._spec)
 
     def advance_to(self, t: float) -> Set[ObjectId]:
         """Move the clock forward without an update (a MOD clock tick,
-        the paper's cost-spreading device) and return the answer at
-        ``t``."""
-        self._engine.advance_to(t)
+        the paper's cost-spreading device; never backwards) and return
+        the answer at ``t``."""
+        self._group.advance_to(t)
         return self.members
 
     def close(self, at: Optional[float] = None) -> SnapshotAnswer:
-        """Detach from the database and return the snapshot answer
-        accumulated from the session start to ``at`` (default: the
-        current sweep time).
+        """Detach from the database and return the snapshot answer over
+        exactly ``[session start, at]`` (default: the current sweep
+        time).
 
-        The session is guaranteed to be detached from the database when
+        ``at`` behind the sweep clips the answer to it — never silently
+        widened — and ``at`` before the session's start raises
+        :class:`ValueError`.  The span before the pool's last rebuild,
+        if any, is a past query over the database (Theorem 4).  The
+        session is guaranteed to be detached from the database when
         this returns or raises — even when advancing the sweep or
         finalizing the engine fails — so a broken engine can never keep
         receiving (and re-raising on) future updates.
@@ -545,23 +534,20 @@ class ContinuousQuerySession:
         if self._closed:
             raise RuntimeError("session already closed")
         self._closed = True
+        group = self._group
         try:
             if at is not None:
-                self._engine.advance_to(at)
-            self._engine.finalize()
+                group.advance_to(at)
+            end = group.current_time if at is None else at
+            if end < self._spec.lo:
+                raise ValueError(
+                    f"close(at={end}) precedes the session's start "
+                    f"({self._spec.lo})"
+                )
+            group.finalize()
+            answer = group.partial(self._spec, self._spec.lo, end)
         finally:
-            self._db.unsubscribe(self._engine.on_update)
-        # The accumulated memberships only cover up to the sweep's end,
-        # so the answer (and the cached span) is [start, current_time]
-        # even when the session's nominal interval runs further.
-        end = self._engine.current_time
-        answer = self._view.answer()
-        lo = answer.interval.lo
-        if answer.interval.hi > end:
-            answer = answer.restrict(Interval(lo, end))
-        if self._cache is not None and math.isfinite(lo) and math.isfinite(end):
-            spec = self._cache_query
-            self._cache.store(
-                spec.kind, spec.gdistance, Interval(lo, end), answer, **spec.params
-            )
+            self._db.unsubscribe(group.apply)
+        if self._cache is not None:
+            self._cache.deposit(self._spec, answer.interval, answer)
         return answer

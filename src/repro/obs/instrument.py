@@ -2,10 +2,10 @@
 layers.
 
 Every instrumentable component — :class:`~repro.sweep.engine.SweepEngine`,
-:class:`~repro.core.api.ContinuousQuerySession`,
+:class:`~repro.core.api.ContinuousQuerySession` (and its subclass
+:class:`~repro.resilience.supervisor.SupervisedQuerySession`),
 :class:`~repro.resilience.ingest.IngestPipeline`,
 :class:`~repro.resilience.wal.WriteAheadLog`,
-:class:`~repro.resilience.supervisor.SupervisedQuerySession`,
 :class:`~repro.workloads.faults.FaultInjector`,
 :class:`~repro.mod.database.MovingObjectDatabase` — takes an optional
 ``observe=`` argument.  ``None`` (the default) disables telemetry

@@ -11,9 +11,11 @@ every continuous query attached to it — alive through both:
   :meth:`~repro.mod.database.MovingObjectDatabase.apply`;
 - :mod:`repro.resilience.wal` — a JSONL write-ahead log with periodic
   checkpoints and crash :func:`~repro.resilience.wal.recover`;
-- :mod:`repro.resilience.supervisor` — continuous-query sessions that
-  survive engine failures by rebuilding from current database state
-  (the paper's Theorem 5 ``O(N log N)`` re-initialization step).
+- :mod:`repro.resilience.supervisor` — a continuous-query session (the
+  one-tenant engine pool of :class:`~repro.core.api.ContinuousQuerySession`)
+  with a heal: it survives engine failures by rebuilding from current
+  database state (the paper's Theorem 5 ``O(N log N)``
+  re-initialization step).
 
 Fault injection for exercising all of the above lives in
 :mod:`repro.workloads.faults`.

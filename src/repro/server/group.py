@@ -14,9 +14,11 @@ grouped by (g-distance fingerprint, range threshold) share *everything*
 below the answer-view layer, and sessions with identical
 ``(kind, params)`` share the views and answer timelines themselves, so
 each update is swept **once per group**, not once per session.  A
-one-tenant pool (``spec=``) is what a
-:class:`~repro.resilience.supervisor.SupervisedQuerySession` holds: the
-same host over that spec's window, with the spec attached from birth.
+one-tenant pool (``spec=``) is what every
+:class:`~repro.core.api.ContinuousQuerySession` holds — with no heal,
+or with a rebuild for a
+:class:`~repro.resilience.supervisor.SupervisedQuerySession`: the same
+host over that spec's window, with the spec attached from birth.
 
 Per-session answers fall out by clipping: a session that joined at
 ``t0`` owns the shared timeline restricted to ``[t0, close]``, which

@@ -1,8 +1,9 @@
 """The multi-tenant query server: many continuous queries, one sweep
 per engine group per update.
 
-A standalone :class:`~repro.core.api.ContinuousQuerySession` pays
-Theorem 5's ``O(m log N)`` maintenance *per session* for every update.
+A standalone :class:`~repro.core.api.ContinuousQuerySession` is a
+one-tenant engine pool: it pays Theorem 5's ``O(m log N)`` maintenance
+*per session* for every update.
 :class:`QueryServer` subscribes to the MOD exactly once and hands each
 update, on the applying thread and under the MOD's lock, to one
 :class:`~repro.server.group.EngineGroup` per distinct (g-distance
@@ -30,7 +31,6 @@ Degradation is layered on top:
 from __future__ import annotations
 
 import logging
-import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import count
@@ -539,26 +539,14 @@ class QueryServer:
                     session=session.session_id,
                     segments=1 if session.unswept is None else 2,
                 )
-        window = Interval(session.start, end)
         self._detach(session, CLOSED)
         session._answer = answer
         self.stats.closed += 1
         self._c_session("close").inc()
-        self._deposit(session, answer, window)
+        if self._cache is not None:
+            self._cache.deposit(session.query, Interval(session.start, end), answer)
         self._activate_pending()
         return answer
-
-    def _deposit(self, session, answer, window: Interval) -> None:
-        """Give the cache the closed session's swept span for one-shot
-        reuse (same contract as ContinuousQuerySession.close)."""
-        if self._cache is None:
-            return
-        if not (math.isfinite(window.lo) and math.isfinite(window.hi)):
-            return
-        spec = session.query
-        self._cache.store(
-            spec.kind, spec.gdistance, window, answer, **spec.params
-        )
 
     # -- heal path (the server's rule for its groups) ----------------------
     def _heal(self, group: EngineGroup, cause: BaseException) -> None:

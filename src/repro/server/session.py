@@ -43,8 +43,10 @@ class ServerSession:
     Obtained from :meth:`~repro.server.QueryServer.register_knn` /
     ``register_within`` / ``register_multiknn`` — never constructed
     directly.  ``members`` / :meth:`advance_to` mirror
-    :class:`~repro.core.api.ContinuousQuerySession`; multi-k sessions
-    return per-k dicts where single-k sessions return one set/answer.
+    :class:`~repro.core.api.ContinuousQuerySession` (a one-tenant pool
+    of the same :class:`~repro.server.group.EngineGroup`); multi-k
+    sessions return per-k dicts where single-k sessions return one
+    set/answer.
     """
 
     def __init__(

@@ -1,20 +1,22 @@
 """Per-session mirror evaluations for server differential tests.
 
-A :class:`Mirror` is the *unshared* twin of one server session: a
-standalone :class:`~repro.core.api.ContinuousQuerySession` (or a bare
-engine + MultiKNN view — there is no multiknn session constructor)
-over its own copy of the database, started at exactly the server
-session's ``start``.  Server answers must equal mirror answers at
-every probe and at close; since the mirror pays one full sweep per
-session, agreement proves the shared fan-out never perturbs answers.
+A :class:`Mirror` is the *unshared* twin of one server session: a bare
+full-order :class:`~repro.sweep.engine.SweepEngine` read by one
+``ContinuousKNN`` / ``ContinuousWithin`` / ``MultiKNN`` view over its
+own copy of the database, started at exactly the server session's
+``start``.  It shares nothing with the server's engine pool or its live
+host.  Server answers must equal mirror answers at every probe and at
+close; since the mirror pays one full sweep per session, agreement
+proves the shared fan-out never perturbs answers.
 """
 
 from __future__ import annotations
 
-from repro.core.api import ContinuousQuerySession
 from repro.geometry.intervals import Interval
 from repro.sweep.engine import SweepEngine
+from repro.sweep.knn import ContinuousKNN
 from repro.sweep.multiknn import MultiKNN
+from repro.sweep.within import ContinuousWithin
 
 __all__ = ["Mirror"]
 
@@ -30,34 +32,31 @@ class Mirror:
     def __init__(self, db, kind, gdistance, params, start):
         self.kind = kind
         self._db = db
+        constants = [params["threshold"]] if kind == "within" else []
+        self._engine = SweepEngine(
+            db, gdistance, Interval.at_least(start), constants=constants
+        )
         if kind == "multiknn":
             self.ks = list(params["ks"])
-            self._engine = SweepEngine(
-                db, gdistance, Interval.at_least(start)
-            )
             self._view = MultiKNN(self._engine, self.ks)
-            db.subscribe(self._engine.on_update)
         elif kind == "knn":
-            self._sess = ContinuousQuerySession.knn(
-                db, gdistance, k=params["k"], start=start
-            )
+            self._view = ContinuousKNN(self._engine, params["k"])
         elif kind == "within":
-            self._sess = ContinuousQuerySession.within(
-                db, gdistance, params["threshold"], start=start
-            )
+            self._view = ContinuousWithin(self._engine, params["threshold"])
         else:
             raise ValueError(f"unknown kind {kind!r}")
+        db.subscribe(self._engine.on_update)
 
     def advance_to(self, t):
+        self._engine.advance_to(t)
         if self.kind == "multiknn":
-            self._engine.advance_to(t)
             return {k: set(self._view.members(k)) for k in self.ks}
-        return set(self._sess.advance_to(t))
+        return set(self._view.members)
 
     def close(self, at):
+        self._db.unsubscribe(self._engine.on_update)
+        self._engine.advance_to(at)
+        self._engine.finalize()
         if self.kind == "multiknn":
-            self._db.unsubscribe(self._engine.on_update)
-            self._engine.advance_to(at)
-            self._engine.finalize()
             return self._view.answers()
-        return self._sess.close(at=at)
+        return self._view.answer()

@@ -184,3 +184,32 @@ class TestSessionTeardownRobustness:
             session.close(at=2.0)
         with pytest.raises(RuntimeError):
             session.close()
+
+
+class TestCloseBehindTheSweep:
+    """A close at a time the sweep has already passed answers exactly
+    ``[start, at]``, as a supervised or a server session's does."""
+
+    def test_close_behind_the_sweep_clips_to_at(self):
+        db = random_linear_mod(8, seed=7, extent=40.0, speed=5.0)
+        session = ContinuousQuerySession.knn(db, [0.0, 0.0], k=2)
+        UpdateStream(db, seed=8, mean_gap=1.0, extent=40.0, speed=5.0).run(10)
+        at = db.last_update_time / 2.0
+        session.advance_to(db.last_update_time + 3.0)
+        answer = session.close(at=at)
+        assert answer.interval == Interval(0.0, at)
+        want = evaluate_knn(db, [0.0, 0.0], Interval(0.0, at), k=2)
+        assert answer.approx_equals(want, atol=1e-9)
+        # The answer was returned, so the session is closed for good.
+        with pytest.raises(RuntimeError, match="already closed"):
+            session.close()
+
+    def test_close_before_the_start_names_the_start(self):
+        db = random_linear_mod(4, seed=2)
+        db.create("late", 5.0, position=[1.0, 0.0], velocity=[0.0, 0.0])
+        session = ContinuousQuerySession.within(db, [0.0, 0.0], 3.0)
+        session.advance_to(8.0)
+        with pytest.raises(ValueError, match=r"start \(5\.0\)"):
+            session.close(at=4.0)
+        db.create("later", 9.0, position=[0.5, 0.0], velocity=[0.0, 0.0])
+        assert session.engine.current_time == 8.0, "detached"
