@@ -2,8 +2,11 @@
 
 Building an object's curve — evaluating the g-distance on its
 trajectory — is the per-object unit of work in the Theorem 5
-initialization: a fresh engine pays it for all ``N`` objects.  The
-store memoizes curves keyed by ``(g-distance fingerprint, oid)`` and
+initialization; a pass over all ``N`` objects (a plan, a range host's
+records, a rank host's bar) pays it only for the curves its bounds
+cannot decide, and reads the rest through :meth:`CurveStore.read` — a
+held curve, else the g-distance's closed form.  The store memoizes
+curves keyed by ``(g-distance fingerprint, oid)`` and
 validates hits by *trajectory identity*: trajectories are immutable
 values that the database replaces wholesale on ``chdir``/``terminate``,
 so an update naturally invalidates only the touched object's entry —
@@ -170,14 +173,7 @@ class CurveStore:
             return entry[1]
         self.misses += 1
         pieces = trajectory._pieces
-        first = len(pieces) - 1
-        while first:
-            # Drop the pieces that end at or before ``since``; a piece of
-            # no length owns no stretch of the curve.
-            iv = pieces[first].interval
-            if not (pieces[first - 1].interval.hi > since or iv.lo == iv.hi):
-                break
-            first -= 1
+        first = _first_kept(pieces, since) if len(pieces) > 1 else 0
         if first:
             # Of a trajectory that ended by then, all but the last piece
             # go; the first one kept is not cut (a curve may start
@@ -196,6 +192,29 @@ class CurveStore:
         if self._books:
             self._book(oid, self._c_misses)
         return curve
+
+    def read(self, gdistance: GDistance, oid: ObjectId, trajectory: Trajectory, since: float):
+        """What to read ``tail(gdistance, oid, trajectory, since)``'s
+        ``domain``, ``bounds``, ``floor`` and ``forward_taylor`` off: the
+        curve where the store holds it, else the g-distance's
+        :class:`~repro.geometry.piecewise.ClosedForm` of the pieces it
+        would be built from (bit for bit the same reads), else the
+        curve, built now.  The one place a closed form is chosen over a
+        curve; a read books nothing."""
+        if gdistance is self._gdistance:
+            table = self._table
+        else:
+            table = self._select(gdistance)
+        entry = table.get(oid)
+        if entry is not None and entry[0] is trajectory and entry[2] <= since:
+            return entry[1]
+        pieces = trajectory._pieces
+        if len(pieces) > 1:
+            pieces = pieces[_first_kept(pieces, since):]
+        form = gdistance.closed_form(pieces)
+        if form is None:
+            return self.tail(gdistance, oid, trajectory, since)
+        return form
 
     def _select(self, gdistance: GDistance) -> Dict[ObjectId, _Entry]:
         """Make ``gdistance``'s table the one at hand."""
@@ -259,3 +278,15 @@ class CurveStore:
             self._drop(fp, self._tables[fp], oid)
             self.evictions += 1
             self._c_evictions.inc()
+
+
+def _first_kept(pieces: Tuple, since: float) -> int:
+    """The first of ``pieces`` a tail from ``since`` keeps: those that
+    end by ``since`` go, and a piece of no length owns no stretch."""
+    first = len(pieces) - 1
+    while first:
+        iv = pieces[first].interval
+        if not (pieces[first - 1].interval.hi > since or iv.lo == iv.hi):
+            break
+        first -= 1
+    return first

@@ -70,10 +70,12 @@ def _single_sweep(
     every membership; the slice answers are joined — touching closed
     intervals coalesce, so the cuts leave no trace.  "One slice, every
     object" is a value of the plan, not another path: it is the one
-    engine over the window this function used to be.  The engines
-    share one curve store (``curves``: a caller's cache's, else a
-    private one), so a curve is built once however many slices hold
-    it.  ``_slices`` is the planner's (tests only).
+    engine over the window this function used to be.  The plan reads
+    every object's bounds in closed form where it can and builds only
+    its candidates' curves, in one curve store the engines share
+    (``curves``: a caller's cache's, else a private one), so a curve is
+    built once however many slices hold it and never for an object the
+    bounds rule out.  ``_slices`` is the planner's (tests only).
 
     Stage attribution keeps ``init`` / ``sweep`` / ``answer`` (their
     ``ops`` summed over the slice engines) and adds ``prune``.

@@ -11,11 +11,12 @@ interface plus the MOD-extension helper.
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.geometry.piecewise import PiecewiseFunction
+from repro.geometry.piecewise import ClosedForm, PiecewiseFunction
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId
+from repro.trajectory.linearpiece import LinearPiece
 from repro.trajectory.trajectory import Trajectory
 
 
@@ -54,6 +55,13 @@ class GDistance(abc.ABC):
         instance so the id cannot be recycled.
         """
         return ("id", id(self))
+
+    def closed_form(self, pieces: Tuple[LinearPiece, ...]) -> Optional[ClosedForm]:
+        """The reads of the curve of the trajectory made of ``pieces``
+        (a validated one's, or a tail of them), without the curve;
+        ``None`` (the default) where only the curve gives them.  For
+        :meth:`~repro.cache.curve_store.CurveStore.read`."""
+        return None
 
     def extend_to_mod(self, db: MovingObjectDatabase) -> Dict[ObjectId, PiecewiseFunction]:
         """Definition 6's extension: ``{o -> f(T(o))}`` over live objects."""

@@ -52,6 +52,83 @@ def _probe_point(lo: float, hi: float) -> float:
     return (lo + hi) / 2.0
 
 
+# -- the per-piece arithmetic of the reads, on coefficient tuples ---------------
+# :class:`PiecewiseFunction` and :class:`ClosedForm` both read through
+# these, so a closed-form read is the curve's read bit for bit.
+
+
+def _low_taylor(coeffs: Sequence[float], t: float, terms: int) -> Tuple[float, ...]:
+    """:meth:`PiecewiseFunction.forward_taylor` of a piece of degree at
+    most two, for ``terms > 0``."""
+    z = 0.0 * t
+    degree = len(coeffs) - 1
+    if degree == 2:
+        c0, c1, c2 = coeffs
+        d2 = 2 * c2
+        head = (((z + c2) * t + c1) * t + c0, (z + d2) * t + c1, z + d2)
+    elif degree == 1:
+        c0, c1 = coeffs
+        head = ((z + c1) * t + c0, z + c1)
+    else:
+        head = (z + coeffs[0],)
+    if terms <= degree + 1:
+        return head[:terms]
+    return head + (z + 0.0,) * (terms - degree - 1)
+
+
+def _piece_bounds(coeffs, lo: float, hi: float, reach: float, vmin: float, vmax: float):
+    """One piece's share of :meth:`PiecewiseFunction.bounds`: ``vmin``
+    and ``vmax`` widened by its values at ``lo``, ``hi`` and the
+    stationary points strictly between, and its magnitude at ``reach``."""
+    degree = len(coeffs) - 1
+    if degree == 2:
+        c0, c1, c2 = coeffs
+        values = [(c2 * lo + c1) * lo + c0, (c2 * hi + c1) * hi + c0]
+        turn = -c1 / (2.0 * c2)
+        if lo < turn < hi:
+            values.append((c2 * turn + c1) * turn + c0)
+        size = (abs(c2) * reach + abs(c1)) * reach + abs(c0)
+    elif degree == 1:
+        c0, c1 = coeffs
+        values = [c1 * lo + c0, c1 * hi + c0]
+        size = abs(c1) * reach + abs(c0)
+    elif degree == 0:
+        values = [coeffs[0]]
+        size = abs(coeffs[0])
+    else:
+        values = [_horner(coeffs, lo), _horner(coeffs, hi)]
+        for turn in real_roots(Polynomial(_derivative(coeffs))):
+            if lo < turn < hi:
+                values.append(_horner(coeffs, turn))
+        size = _horner([abs(c) for c in coeffs], reach)
+    for v in values:
+        if v < vmin:
+            vmin = v
+        if v > vmax:
+            vmax = v
+    return vmin, vmax, size
+
+
+def _last_floor(coeffs, start: float) -> Optional[Tuple[float, float]]:
+    """:meth:`PiecewiseFunction.floor`'s last piece from ``start`` on:
+    ``(minimum, magnitude)``, ``None`` for a shape with no closed-form
+    minimum there."""
+    if len(coeffs) > 3 or coeffs[-1] < 0.0:
+        return None
+    if len(coeffs) == 3:
+        c0, c1, c2 = coeffs
+        turn = -c1 / (2.0 * c2)
+        if turn < start:
+            turn = start
+        value = (c2 * turn + c1) * turn + c0
+        reach = abs(turn) if abs(turn) > abs(start) else abs(start)
+        return value, (abs(c2) * reach + abs(c1)) * reach + abs(c0)
+    if len(coeffs) == 2:
+        c0, c1 = coeffs
+        return c1 * start + c0, abs(c1) * abs(start) + abs(c0)
+    return coeffs[0], coeffs[0]
+
+
 class PiecewiseFunction:
     """A piecewise polynomial function on a contiguous closed domain.
 
@@ -195,7 +272,8 @@ class PiecewiseFunction:
         holds just *after* ``t``, or the first-nonzero-sign convention
         used for intersection scheduling silently inverts.
 
-        Up to degree two the key is written out: ``z = 0.0 * t`` is the
+        Up to degree two the key is written out (:func:`_low_taylor`):
+        ``z = 0.0 * t`` is the
         first product of every Horner pass, the derivatives of a
         trimmed ``(c0, c1, c2)`` are ``(c1, 2 c2)`` and ``(2 c2,)`` —
         neither trims, because ``2 c2`` clears any threshold ``c2``
@@ -206,21 +284,8 @@ class PiecewiseFunction:
         the loop.
         """
         coeffs = self._forward_piece(t)[1]._coeffs
-        degree = len(coeffs) - 1
-        if degree < 3 and terms > 0:
-            z = 0.0 * t
-            if degree == 2:
-                c0, c1, c2 = coeffs
-                d2 = 2 * c2
-                head = (((z + c2) * t + c1) * t + c0, (z + d2) * t + c1, z + d2)
-            elif degree == 1:
-                c0, c1 = coeffs
-                head = ((z + c1) * t + c0, z + c1)
-            else:
-                head = (z + coeffs[0],)
-            if terms <= degree + 1:
-                return head[:terms]
-            return head + (z + 0.0,) * (terms - degree - 1)
+        if len(coeffs) < 4 and terms > 0:
+            return _low_taylor(coeffs, t, terms)
         out: List[float] = []
         for _ in range(terms):
             out.append(_horner(coeffs, t))
@@ -289,35 +354,10 @@ class PiecewiseFunction:
             iv, poly = pieces[index]
             if iv.lo > b:
                 break
-            coeffs = poly._coeffs
-            p_lo = a if a > iv.lo else iv.lo
-            p_hi = b if b < iv.hi else iv.hi
-            degree = len(coeffs) - 1
-            if degree == 2:
-                c0, c1, c2 = coeffs
-                values = [(c2 * p_lo + c1) * p_lo + c0, (c2 * p_hi + c1) * p_hi + c0]
-                turn = -c1 / (2.0 * c2)
-                if p_lo < turn < p_hi:
-                    values.append((c2 * turn + c1) * turn + c0)
-                size = (abs(c2) * reach + abs(c1)) * reach + abs(c0)
-            elif degree == 1:
-                c0, c1 = coeffs
-                values = [c1 * p_lo + c0, c1 * p_hi + c0]
-                size = abs(c1) * reach + abs(c0)
-            elif degree == 0:
-                values = [coeffs[0]]
-                size = abs(coeffs[0])
-            else:
-                values = [_horner(coeffs, p_lo), _horner(coeffs, p_hi)]
-                for turn in real_roots(Polynomial(_derivative(coeffs))):
-                    if p_lo < turn < p_hi:
-                        values.append(_horner(coeffs, turn))
-                size = _horner([abs(c) for c in coeffs], reach)
-            for v in values:
-                if v < vmin:
-                    vmin = v
-                if v > vmax:
-                    vmax = v
+            vmin, vmax, size = _piece_bounds(
+                poly._coeffs, a if a > iv.lo else iv.lo, b if b < iv.hi else iv.hi,
+                reach, vmin, vmax,
+            )
             if size > magnitude:
                 magnitude = size
         return vmin, vmax, magnitude
@@ -336,28 +376,12 @@ class PiecewiseFunction:
             found = self.bounds(lo, domain.hi)
             return None if found is None else (found[0], found[2])
         iv, poly = self._pieces[-1]
-        coeffs = poly._coeffs
-        if len(coeffs) > 3 or coeffs[-1] < 0.0:
-            return None
         start = lo if lo > iv.lo else iv.lo
-        if len(coeffs) == 3:
-            c0, c1, c2 = coeffs
-            turn = -c1 / (2.0 * c2)
-            if turn < start:
-                turn = start
-            value = (c2 * turn + c1) * turn + c0
-            reach = abs(turn) if abs(turn) > abs(start) else abs(start)
-            size = (abs(c2) * reach + abs(c1)) * reach + abs(c0)
-        elif len(coeffs) == 2:
-            c0, c1 = coeffs
-            value = c1 * start + c0
-            size = abs(c1) * abs(start) + abs(c0)
-        else:
-            value = size = coeffs[0]
-        if start > lo:  # the pieces before the last one
-            vmin, _, magnitude = self.bounds(lo, start)
-            return min(vmin, value), max(magnitude, size)
-        return value, size
+        found = _last_floor(poly._coeffs, start)
+        if found is None or not start > lo:
+            return found
+        vmin, _, magnitude = self.bounds(lo, start)  # the pieces before
+        return min(vmin, found[0]), max(magnitude, found[1])
 
     # -- restructuring ---------------------------------------------------
     def restrict(self, interval: Interval) -> "PiecewiseFunction":
@@ -545,6 +569,72 @@ class PiecewiseFunction:
             return False
         probe = list(times) if times is not None else domain.sample_points(17)
         return all(abs(self(t) - other(t)) <= atol for t in probe)
+
+
+class ClosedForm:
+    """The reads of a piecewise quadratic curve — ``domain``,
+    :meth:`~PiecewiseFunction.bounds`, :meth:`~PiecewiseFunction.floor`
+    and :meth:`~PiecewiseFunction.forward_taylor` — from its cells
+    ``(lo, hi, (c0, c1, c2))``: the pieces a :class:`PiecewiseFunction`
+    would hold, contiguous, with no leading coefficient that trims, and
+    no piece, interval or polynomial built.  Each read runs the curve's
+    own search and per-piece helpers, so it is the curve's bit for bit,
+    exceptions included (``tests/gdist/test_closed_form_reads.py``)."""
+
+    __slots__ = ("domain", "_cells", "_his")
+
+    def __init__(self, domain: Interval, cells) -> None:
+        self.domain = domain
+        self._cells = cells
+        # The key of the piece lookups, which one cell does without.
+        self._his = tuple([c[1] for c in cells]) if len(cells) > 1 else None
+
+    def bounds(self, lo: float, hi: float) -> Optional[Tuple[float, float, float]]:
+        domain = self.domain
+        a = lo if lo > domain.lo else domain.lo
+        b = hi if hi < domain.hi else domain.hi
+        if a > b:
+            return None
+        if math.isinf(a) or math.isinf(b):
+            raise ValueError(f"bounds need a bounded stretch, got [{a}, {b}]")
+        reach = abs(a) if abs(a) > abs(b) else abs(b)
+        his = self._his
+        if his is None:
+            # One cell, the domain: ``[a, b]`` is its stretch, and its
+            # magnitude (never negative) the largest.
+            return _piece_bounds(self._cells[0][2], a, b, reach, math.inf, -math.inf)
+        vmin, vmax, magnitude = math.inf, -math.inf, 0.0
+        for c_lo, c_hi, coeffs in self._cells[bisect_left(his, a, 0, len(his) - 1) :]:
+            if c_lo > b:
+                break
+            vmin, vmax, size = _piece_bounds(
+                coeffs, a if a > c_lo else c_lo, b if b < c_hi else c_hi, reach, vmin, vmax
+            )
+            if size > magnitude:
+                magnitude = size
+        return vmin, vmax, magnitude
+
+    def floor(self, lo: float) -> Optional[Tuple[float, float]]:
+        domain = self.domain
+        if domain.hi < math.inf:
+            found = self.bounds(lo, domain.hi)
+            return None if found is None else (found[0], found[2])
+        c_lo, _, coeffs = self._cells[-1]
+        start = lo if lo > c_lo else c_lo
+        found = _last_floor(coeffs, start)
+        if not start > lo:
+            return found
+        vmin, _, magnitude = self.bounds(lo, start)
+        return min(vmin, found[0]), max(magnitude, found[1])
+
+    def forward_taylor(self, t: float, terms: int = 8) -> Tuple[float, ...]:
+        cells, his = self._cells, self._his
+        cell = cells[0] if his is None else cells[bisect_right(his, t, 0, len(his) - 1)]
+        if not cell[0] - DEFAULT_ATOL <= t <= cell[1] + DEFAULT_ATOL:
+            if not self.domain.contains(t, atol=DEFAULT_ATOL):
+                raise ValueError(f"{t} outside domain {self.domain}")
+            cell = cells[0] if his is None else cells[bisect_left(his, t, 0, len(his) - 1)]
+        return _low_taylor(cell[2], t, terms) if terms > 0 else ()
 
 
 def _poly_sign_segments(poly: Polynomial, interval: Interval) -> List[Tuple[Interval, int]]:

@@ -51,7 +51,11 @@ one engine for its whole life.
 curve the host builds is the trajectory's image from the clock on
 (:meth:`~repro.cache.curve_store.CurveStore.tail`): an open at a fresh
 query point costs the same on a MOD with twenty turns of history per
-object as on one with none.
+object as on one with none.  And it builds few: the bar draws ``T`` and
+decides its records off reads of those tails in closed form
+(:meth:`~repro.cache.curve_store.CurveStore.read`), so a curve is built
+for a member the engine orders and a record the bounds leave
+undecided, not for every live object.
 """
 
 from __future__ import annotations

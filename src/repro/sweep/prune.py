@@ -60,7 +60,7 @@ from bisect import bisect_right
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.geometry.intervals import Interval
-from repro.geometry.piecewise import PiecewiseFunction
+from repro.geometry.piecewise import ClosedForm, PiecewiseFunction
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import ObjectId
 
@@ -77,6 +77,8 @@ _ENGINE_STEPS = 32
 
 #: One curve a slice may have to sweep (unbuilt only in the plan that
 #: bounds nothing).  Lists of them stay in database insertion order.
+#: The first classify reads ``(oid, what the store gave to read,
+#: trajectory)`` instead.
 _Item = Tuple[ObjectId, Optional[PiecewiseFunction]]
 
 
@@ -169,11 +171,6 @@ def _rank_bar(rows, k: int, a: float, b: float) -> Optional[Tuple[float, float]]
     return lowest[-1][0], max(magnitude for _, magnitude in lowest)
 
 
-def _reaches(bound, bar: float, slack: float) -> bool:
-    """Whether a curve bounded by ``bound`` may dip to the rank bar."""
-    return bound[0] <= bar + _REL_MARGIN * (slack + bound[2])
-
-
 def _raised(value: float, magnitude: float) -> float:
     """``value`` raised by the relative margin at ``magnitude``: a
     level that it, and every curve at or below it, lies strictly under
@@ -182,10 +179,11 @@ def _raised(value: float, magnitude: float) -> float:
 
 
 def _classify(
-    k: int, items: Sequence[_Item], a: float, b: float
+    k: int, items: Sequence, a: float, b: float
 ) -> Tuple[Slice, Optional[Tuple[float, float]]]:
     """The slice ``[a, b]`` read off the bounds of ``items`` at rank
-    ``k``, with the reading's ``(T, margin scale)`` where it has one."""
+    ``k``, with the reading's ``(T, margin scale)`` where it has one.
+    A curve whose bounds may dip to ``T`` is kept."""
     rows = []
     for item in items:
         found = item[1].bounds(a, b)
@@ -193,7 +191,8 @@ def _classify(
             rows.append((item, found))
     bar = _rank_bar(rows, k, a, b)
     if bar is not None:
-        rows = [row for row in rows if _reaches(row[1], *bar)]
+        level, slack = bar
+        rows = [r for r in rows if r[1][0] <= level + _REL_MARGIN * (slack + r[1][2])]
     pairs = _overlap_pairs([(vmin, vmax) for _, (vmin, vmax, _) in rows])
     return Slice(a, b, [item for item, _ in rows], pairs), bar
 
@@ -220,8 +219,11 @@ def plan_sweep(
     """Cut ``window`` into slices and pick each slice's candidates for
     ``spec`` (a rank :class:`~repro.core.spec.QuerySpec`) over ``db``.
 
-    Curves are built through ``curve_store``, which the slices' engines
-    must share: a curve is built once however many slices hold it.
+    Each object's bounds are read through ``curve_store.read`` (in
+    closed form where the g-distance has one); a candidate's curve is
+    built then, through ``curve_store``, which the slices' engines must
+    share: a curve is built once however many slices hold it, and not
+    at all for an object the bounds rule out.
     ``_slices`` is for tests: the planner starts from that many equal
     slices of the window instead of the window itself.
     """
@@ -229,21 +231,27 @@ def plan_sweep(
         # Nothing to bound — and the engine refuses both; let it.
         everything = [(oid, None) for oid, _ in db.all_items()]
         return Plan(len(everything), [Slice(window.lo, window.hi, everything, 0)])
-    # ``curve_store.curve`` is ``tail`` from ``-inf``: called straight,
-    # one call less per object.
-    tail, gdistance, lo, hi = curve_store.tail, spec.gdistance, window.lo, window.hi
-    items: List[_Item] = []
+    # A whole-history read and ``curve_store.curve`` are ``read`` and
+    # ``tail`` from ``-inf``: called straight, one call less per object.
+    read, tail = curve_store.read, curve_store.tail
+    gdistance, lo, hi = spec.gdistance, window.lo, window.hi
+    reads = []
     for oid, trajectory in db.all_items():
-        domain = trajectory.domain
+        domain = trajectory._domain  # the property, without its call
         if domain.hi < lo or domain.lo > hi:
             continue
-        items.append((oid, tail(gdistance, oid, trajectory, -math.inf)))
+        reads.append((oid, read(gdistance, oid, trajectory, -math.inf), trajectory))
     cuts = [window.lo + i * window.length / _slices for i in range(_slices)]
     cuts.append(window.hi)
     slices: List[Slice] = []
     k = spec.maintained_k
     for a, b in zip(cuts, cuts[1:]):
-        piece, _ = _classify(k, items, a, b)
+        piece, _ = _classify(k, reads, a, b)
+        # A candidate's engine orders its curve: built now, in the shared store.
+        piece = piece._replace(items=[
+            (oid, tail(gdistance, oid, t, -math.inf) if type(f) is ClosedForm else f)
+            for oid, f, t in piece.items
+        ])
         for leaf in _halve(k, piece):
             last = slices[-1] if slices else None
             if last is not None and last.candidates == leaf.candidates:
@@ -253,4 +261,4 @@ def plan_sweep(
                 )
             else:
                 slices.append(leaf)
-    return Plan(len(items), slices)
+    return Plan(len(reads), slices)

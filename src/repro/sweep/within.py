@@ -30,7 +30,7 @@ import math
 from typing import Dict, Optional, Set, Tuple
 
 from repro.geometry.intervals import Interval
-from repro.geometry.piecewise import PiecewiseFunction
+from repro.geometry.piecewise import ClosedForm, PiecewiseFunction
 from repro.gdist.base import GDistance
 from repro.mod.database import MovingObjectDatabase
 from repro.mod.updates import New, ObjectId, Terminate, Update
@@ -46,20 +46,25 @@ _BIRTH, _CROSS, _JUMP, _DEATH = "birth", "cross", "jump", "death"
 
 
 class _Record:
-    """One curve of a range host: the tail curve, whether it is in, its
-    value jumps still ahead, the kind of its one queued event, and —
-    when its bounds put it above the threshold for good — the
-    ``(minimum, magnitude)`` they read (a live rank host's re-bar keeps
-    the decision of a record whose minimum clears the new threshold)."""
+    """One curve of a range host: the trajectory and the instant
+    ``since`` it was (re)read at, its tail from then as the curve store
+    gave it to read (:meth:`~repro.cache.curve_store.CurveStore.read`),
+    whether it is in, its value jumps still ahead (``None`` until the
+    curve is built), the kind of its one queued event, and — when its
+    bounds put it above the threshold for good — the ``(minimum,
+    magnitude)`` they read (a live rank host's re-bar keeps the decision
+    of a record whose minimum clears the new threshold)."""
 
-    __slots__ = ("oid", "seq", "curve", "inside", "jumps", "pending", "floor")
+    __slots__ = ("oid", "seq", "trajectory", "since", "curve", "inside", "jumps", "pending", "floor")
 
-    def __init__(self, oid: ObjectId, seq: int) -> None:
+    def __init__(self, oid: ObjectId, seq: int, trajectory, since: float, curve) -> None:
         self.oid = oid
         self.seq = seq
-        self.curve: Optional[PiecewiseFunction] = None
+        self.trajectory = trajectory
+        self.since = since
+        self.curve = curve
         self.inside = False
-        self.jumps: Tuple[float, ...] = ()
+        self.jumps: Optional[Tuple[float, ...]] = None
         self.pending: Optional[str] = None
         self.floor: Optional[Tuple[float, float]] = None
 
@@ -77,6 +82,10 @@ class RangeSweep:
     no crossing computed and no jump queued: only its death can still
     close it.  Over an open-ended window the same holds above the
     threshold for a curve whose closest approach stays beyond it.
+    Those reads come from :meth:`~repro.cache.curve_store.CurveStore.
+    read` (in closed form where the g-distance has one), so a decided
+    curve is never built: a record builds its curve only for a
+    crossing, a jump or the order key.
 
     A live rank host (:class:`~repro.sweep.live.LiveSweep`) is these
     records at a moving threshold, its bar.
@@ -135,7 +144,7 @@ class RangeSweep:
         t = interval.lo
         with obs.tracer.span("sweep.init", objects=db.object_count) as span:
             for oid, trajectory in db.all_items():
-                domain = trajectory.domain
+                domain = trajectory._domain  # the property, without its call
                 if domain.hi < t or domain.lo > self._until:
                     continue
                 self._record(oid, trajectory, t)
@@ -273,20 +282,32 @@ class RangeSweep:
 
     # -- records ------------------------------------------------------------------
     def _record(self, oid: ObjectId, trajectory, t: float) -> _Record:
-        record = self._records[oid] = _Record(oid, next(self._seq))
-        self._reread(record, trajectory, t)
+        read = self._store.read(self._gdistance, oid, trajectory, t)
+        record = self._records[oid] = _Record(oid, next(self._seq), trajectory, t, read)
         return record
 
     def _reread(self, record: _Record, trajectory, t: float) -> None:
-        """Give ``record`` the image of ``trajectory`` from ``t`` on and
-        the value jumps it has ahead in the window."""
-        curve = self._store.tail(self._gdistance, record.oid, trajectory, t)
-        record.curve = curve
-        record.jumps = ()
-        if curve.piece_count > 1:
-            record.jumps = tuple(
-                [j for j in curve.discontinuities() if t < j <= self._until]
+        """Give ``record`` the image of ``trajectory`` from ``t`` on to
+        read."""
+        record.trajectory, record.since = trajectory, t
+        record.curve = self._store.read(self._gdistance, record.oid, trajectory, t)
+        record.jumps = None
+
+    def _curve(self, record: _Record) -> PiecewiseFunction:
+        """``record``'s curve, built on first need as ``tail`` from its
+        ``since``, and its value jumps ahead in the window from then."""
+        curve = record.curve
+        if type(curve) is ClosedForm:
+            curve = record.curve = self._store.tail(
+                self._gdistance, record.oid, record.trajectory, record.since
             )
+        if record.jumps is None:
+            record.jumps = ()
+            if curve.piece_count > 1:
+                record.jumps = tuple(
+                    [j for j in curve.discontinuities() if record.since < j <= self._until]
+                )
+        return curve
 
     def _place_all(self, t: float) -> None:
         """Decide every record met by ``t`` and queue its next event; a
@@ -307,7 +328,7 @@ class RangeSweep:
         if side:
             inside = side < 0
         else:
-            inside = record.curve.forward_taylor(t) <= self._key
+            inside = self._curve(record).forward_taylor(t) <= self._key
         if inside != record.inside:
             self._set(record, inside, t)
         self._schedule(record, t, side)
@@ -372,12 +393,12 @@ class RangeSweep:
         window — its next jump and its next crossing (a crossing first
         on a tie, as the full order swaps before it re-inserts or
         removes)."""
-        curve = record.curve
-        end = curve.domain.hi
+        end = record.curve.domain.hi
         when = kind = None
         if end <= self._until and end < math.inf:
             when, kind = end, _DEATH
         if not side:
+            curve = self._curve(record)
             if record.jumps:
                 when, kind = record.jumps[0], _JUMP
             self.stats.flip_computations += 1

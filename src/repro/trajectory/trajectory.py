@@ -177,7 +177,7 @@ class Trajectory:
 
         This is a scalar kernel: one walk over both piece lists finds
         the cells, three dot products on the component tuples
-        (:func:`_squared_gap`) give each cell's coefficients, and the
+        (:func:`_gap_coefficients`) give each cell's coefficients, and the
         result is assembled through the trusted constructors — no
         :class:`Vector`, no cut set, no probe and piece lookup per cell,
         and a cell that *is* a piece's interval (every cell, against a
@@ -213,9 +213,8 @@ class Trajectory:
             domain = Interval(lo, hi)
         if len(ps) == 1 and len(qs) == 1:
             # A live object from its last turn on, against a fixed point.
-            return PiecewiseFunction._trusted(
-                ((domain, _squared_gap(ps[0], qs[0])),), domain
-            )
+            cell = Polynomial._trusted(_gap_coefficients(ps[0], qs[0]))
+            return PiecewiseFunction._trusted(((domain, cell),), domain)
         # Each cell runs from ``a`` to the nearest piece end beyond it;
         # ``p`` and ``q`` are the pieces that reach past ``a`` (a piece
         # of no length never does).
@@ -240,7 +239,7 @@ class Trajectory:
                 cell = q_iv
             else:
                 cell = Interval(a, b)
-            cells.append((cell, _squared_gap(p, q)))
+            cells.append((cell, Polynomial._trusted(_gap_coefficients(p, q))))
             if b == hi:
                 return PiecewiseFunction._trusted(tuple(cells), domain)
             a = b
@@ -358,9 +357,11 @@ def _check_joint(a: LinearPiece, b: LinearPiece) -> None:
         )
 
 
-def _squared_gap(a: LinearPiece, b: LinearPiece) -> Polynomial:
-    """``|dv t + dp|^2 = (dv.dv) t^2 + 2 (dv.dp) t + dp.dp`` for two
-    linear laws of one dimension.
+def _gap_coefficients(a: LinearPiece, b: LinearPiece) -> Tuple[float, float, float]:
+    """``(c0, c1, c2)`` of ``|dv t + dp|^2 = (dv.dv) t^2 + 2 (dv.dp) t +
+    dp.dp`` for two linear laws of one dimension: a cell of the curve
+    kernel, and of :meth:`~repro.gdist.euclidean.
+    SquaredEuclideanDistance.closed_form`.
 
     The float operations of ``dv = a.velocity - b.velocity``,
     ``dp = a.offset - b.offset`` and ``Polynomial([dp.norm_squared(),
@@ -388,4 +389,4 @@ def _squared_gap(a: LinearPiece, b: LinearPiece) -> Polynomial:
         # A sum of squares is NaN exactly when a component is (``inf -
         # inf``): what ``Vector`` refuses.
         raise ValueError("vector components must not be NaN")
-    return Polynomial._trusted((c0, c1, c2))
+    return c0, c1, c2

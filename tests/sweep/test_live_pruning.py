@@ -692,7 +692,9 @@ def test_open_cost_does_not_see_history(monkeypatch):
         counts.append((sum(built), len(built), session.engine.primitive_ops()))
         session.close()
     assert counts[0] == counts[1]
-    assert counts[0][0] == counts[0][1] == 60, "one piece per live object"
+    # One piece per curve built, and not a curve per live object: the
+    # bar reads the rest in closed form.
+    assert counts[0][0] == counts[0][1] < 60, "one piece per curve built"
 
 
 def test_live_session_orders_candidates_not_the_database():
