@@ -41,17 +41,16 @@ class NetConfig:
         ``None`` (the default) disables heartbeats — clients relying on
         the heartbeat-stall watchdog for failure detection must run
         against a server with this set.
-    repl_sync:
-        When True (the default), a request whose dispatch appended
-        journal records — and every ingested update — only completes
-        after every connected replica acknowledged those records.  An
-        acknowledged write therefore survives a primary kill: it is
-        already applied on the standby.  False makes replication
-        asynchronous (the lag watermark still tracks it).
     repl_ack_timeout:
-        Seconds the synchronous barrier waits for a replica's ack
-        before dropping it as dead (the barrier must never wedge the
-        primary behind a crashed standby).
+        Seconds the ack barrier waits for a replica's ack before
+        dropping it as dead (the barrier must never wedge the primary
+        behind a crashed standby), and the reconnect grace a departed
+        replica gets.  On a journaled server a request whose dispatch
+        appended journal records — and every ingested update — only
+        completes after every attached replica acknowledged them, so an
+        acknowledged write survives a primary kill: it is already
+        applied on the standby.  The barrier returns within three of
+        these timeouts whatever the replicas do.
     """
 
     max_frame: int = MAX_FRAME
@@ -59,7 +58,6 @@ class NetConfig:
     handshake_timeout: float = 5.0
     idempotency_cache: int = 1024
     heartbeat_interval: Optional[float] = None
-    repl_sync: bool = True
     repl_ack_timeout: float = 5.0
 
     def __post_init__(self) -> None:

@@ -18,9 +18,11 @@ produced are streamed — and only the frame writes cross to the loop
 (one wake-up callback per update, none when nothing was queued).
 ``db.apply(update)`` therefore keeps its synchronous contract — when it
 returns, every session (local or remote) reflects the update — and,
-under synchronous replication, returns only once every standby
-acknowledged it: the applying thread waits for the acks with the lock
-released, so the loop can read them.
+on a journaled server, returns only once every standby acknowledged
+it: the applying thread waits in the one ack barrier with the lock
+released, so the loop can read the acks.  A request that journaled
+waits in the same barrier on one of the loop's executor workers, so
+the loop keeps serving while its response is held.
 
 Robustness is built in rather than bolted on:
 
@@ -136,7 +138,6 @@ class _Connection:
         "replica",
         "acked_seq",
         "sent_seq",
-        "ack_event",
     )
 
     def __init__(self, cid: int, reader, writer) -> None:
@@ -156,12 +157,10 @@ class _Connection:
         self.last_frame_bytes = 0
         self.last_decode_seconds = 0.0
         # Replication-link state (``repl.subscribe`` flips replica on):
-        # journal records already streamed / acknowledged, and the
-        # event the sync barrier parks on until the next ack.
+        # journal records already streamed / acknowledged.
         self.replica = False
         self.acked_seq = 0
         self.sent_seq = 0
-        self.ack_event = asyncio.Event()
 
 
 class QueryNetServer:
@@ -200,10 +199,9 @@ class QueryNetServer:
         # ack barrier holds through this window instead of silently
         # degrading to async (loop clock; 0.0 = no grace pending).
         self._repl_grace_until = 0.0
-        self._repl_attach_event = asyncio.Event()
-        # The serving lock (the MOD's), the condition an applying thread
-        # waits on for replica acks, and the connections whose writers
-        # frames queued off the loop still have to wake.
+        # The serving lock (the MOD's), the condition the ack barrier
+        # waits on, and the connections whose writers frames queued off
+        # the loop still have to wake.
         self._lock = server.db.lock
         self._acks = threading.Condition(self._lock)
         self._wakes: Set[_Connection] = set()
@@ -400,7 +398,7 @@ class QueryNetServer:
         with the serving lock held: fan the update out, queue the answer
         changes it caused and stream its journal records, then wake the
         writers it queued frames for — the only step that crosses to the
-        loop — and, under synchronous replication, wait for the acks."""
+        loop — and wait in the ack barrier."""
         with self._lock:
             if self._closed:
                 raise ServerClosedError(
@@ -415,10 +413,11 @@ class QueryNetServer:
             if threading.get_ident() != self._thread_ident:
                 # The loop cannot wait on itself: an update applied on
                 # the loop thread streams without the barrier.
-                try:
-                    self._await_replicas()
-                finally:
-                    self._wake_writers()
+                self._repl_barrier()
+                if self._killed:
+                    raise ServerClosedError(
+                        "net server killed before its replicas acknowledged"
+                    )
 
     def _wake(self, conn: _Connection) -> None:
         """Wake ``conn``'s writer: at once on the loop thread, at the end
@@ -502,132 +501,96 @@ class QueryNetServer:
             return
         journal.set_retain_floor(None)
 
-    def _barrier_steps(self):
-        """The sync-replication ack barrier, as the waits it makes.
+    def _repl_barrier(self) -> None:
+        """The sync-replication ack barrier, the one body both callers
+        share: ``_ingest`` on the applying thread, a verb that journaled
+        and the drain on a loop executor worker.  Every wait is on
+        ``self._acks``, which releases the serving lock however deeply
+        it is held; an ack, an attach, a departure and :meth:`kill`
+        notify it.
 
         It holds until every replica acknowledged the journal's current
-        sequence, or its ack timeout expires and it is dropped as dead.
-        A replica that dropped moments ago is expected back: with no
-        replica attached, the barrier holds through the reconnect grace
-        window (one ack timeout from the drop) and re-runs against
-        whatever re-subscribes, instead of silently degrading to async
-        replication — so a primary kill inside a standby's reconnect
-        window cannot lose an acknowledged write no standby ever saw.
-
-        Run under the serving lock; yields ``(seconds, conn)`` — wait up
-        to ``seconds`` for ``conn``'s next ack, or with ``conn`` None
-        for a replica to attach — and is sent whether the wait was
-        woken (False: it timed out).  :meth:`_repl_barrier` waits on
-        the loop, :meth:`_await_replicas` on an applying thread."""
-        journal = self._journal_of()
-        if journal is None or not self._config.repl_sync:
-            return
-        target = journal.seq
-        clock = self._loop.time
-        began = clock()
-        deadline = began + self._config.repl_ack_timeout
-        while True:
-            replicas = self._replica_conns()
-            timed_out = False
-            for conn in replicas:
-                while (
-                    conn.acked_seq < target and conn.replica and not conn.closing
-                ):
-                    remaining = deadline - clock()
-                    if remaining <= 0 or not (yield remaining, conn):
-                        self._drop_replica(conn, "ack timeout")
-                        timed_out = True
+        sequence, dropping one that has not within one ack timeout.  A
+        write no replica holds — every replica waited on left, or there
+        is none — holds through the reconnect grace the last departure
+        armed, and a replica that attaches in it gets a full ack timeout
+        from then, so a primary kill inside a standby's reconnect window
+        cannot lose an acknowledged write no standby ever saw.  Whatever
+        the replicas do, it returns within three ack timeouts; a write
+        it returns with no replica holding counts one degrade per
+        departure."""
+        with self._lock:
+            journal = self._journal_of()
+            if journal is None:
+                return
+            target = journal.seq
+            timeout = self._config.repl_ack_timeout
+            clock = self._loop.time
+            began = clock()
+            limit = began + 3 * timeout
+            deadline = began + timeout
+            held = replicated = False
+            try:
+                while not self._killed:
+                    replicas = self._replica_conns()
+                    pending = [c for c in replicas if c.acked_seq < target]
+                    held = held or any(c.acked_seq >= target for c in replicas)
+                    replicated = replicated or bool(replicas)
+                    now, grace = clock(), min(self._repl_grace_until, limit)
+                    if pending and now < deadline:
+                        self._acks.wait(deadline - now)
+                    elif pending:
+                        for conn in pending:
+                            self._drop_replica(conn, "ack timeout")
+                    elif held:
                         break
-            if timed_out or any(c.acked_seq >= target for c in replicas):
-                self._h_repl_ack.observe(clock() - began)
-                return
-            # Every replica waited on left without acknowledging (a
-            # link cut under the write): hold for a re-attach instead.
-            remaining = min(deadline, self._repl_grace_until) - clock()
-            if remaining <= 0 or not (yield remaining, None):
-                self._note_barrier_degraded()
-                return
+                    elif now < grace:
+                        # No replica holds the write: wait for one to
+                        # attach, then give it a full ack timeout.
+                        self._acks.wait(grace - now)
+                        deadline = min(clock() + timeout, limit)
+                    else:
+                        self._note_barrier_degraded(target)
+                        break
+                if replicated:
+                    self._h_repl_ack.observe(clock() - began)
+            finally:
+                self._wake_writers()
 
-    async def _repl_barrier(self) -> None:
-        """The ack barrier on the loop (a verb that journaled, the
-        drain): each step under the lock, each wait on the replica's
-        ack event (or the attach event) with the lock released."""
-        steps = self._barrier_steps()
-        woken = None
-        while True:
-            with self._lock:
-                try:
-                    seconds, conn = steps.send(woken)
-                except StopIteration:
-                    return
-            event = self._repl_attach_event if conn is None else conn.ack_event
-            event.clear()
-            try:
-                await asyncio.wait_for(event.wait(), seconds)
-                woken = True
-            except asyncio.TimeoutError:
-                woken = False
-
-    def _await_replicas(self) -> None:
-        """The ack barrier on an applying thread: each wait releases the
-        serving lock (however deeply it is held) so the loop can take
-        it, read the acks and notify."""
-        steps = self._barrier_steps()
-        woken = None
-        while True:
-            try:
-                seconds, _ = steps.send(woken)
-            except StopIteration:
-                return
-            if self._killed:
-                raise ServerClosedError(
-                    "net server killed before its replicas acknowledged"
-                )
-            woken = self._acks.wait(seconds)
-
-    def _note_barrier_degraded(self) -> None:
-        """The barrier is returning with no replica attached.  Once per
-        departure — when the reconnect grace it armed has run out — that
-        is the degrade to async replication; a server that never had a
-        replica (or already reported this one) has nothing to report."""
-        grace = self._repl_grace_until
-        if grace and self._loop.time() >= grace:
+    def _note_barrier_degraded(self, seq: int) -> None:
+        """The barrier is returning with no replica holding journal seq
+        ``seq``.  Once per departure that is the degrade to async
+        replication; a server that never had a replica (or already
+        reported this departure) has nothing to report."""
+        if self._repl_grace_until:
             self._repl_grace_until = 0.0
             self._c_repl_degraded.inc()
             _LOG.warning(
-                "sync replication degraded to async: no replica "
-                "re-attached within %.3gs of the last one leaving",
-                self._config.repl_ack_timeout,
+                "sync replication degraded to async: journal seq %d "
+                "acknowledged with no replica holding it",
+                seq,
             )
 
-    def _arm_repl_grace(self) -> None:
-        """A replica just went away: open the reconnect window the ack
-        barrier honors while no replica is attached."""
-        if self._loop is not None:
+    def _replica_departed(self, conn: _Connection) -> None:
+        """``conn`` stopped being a replica (dropped, or its link died):
+        wake every barrier waiting on its ack, open the reconnect grace
+        the barrier honors while no replica holds a write, and move the
+        retention floor.  A draining server's listener is closed, so no
+        replica can come back: it opens no grace."""
+        conn.replica = False
+        self._acks.notify_all()
+        if not self._draining:
             self._repl_grace_until = (
                 self._loop.time() + self._config.repl_ack_timeout
             )
-
-    def _replica_left(self, conn: _Connection) -> None:
-        """Wake every ack barrier waiting on ``conn``: it will not ack."""
-        self._acks.notify_all()
-        if threading.get_ident() == self._thread_ident:
-            conn.ack_event.set()
-        else:
-            try:
-                self._loop.call_soon_threadsafe(conn.ack_event.set)
-            except RuntimeError:
-                pass  # the loop is gone (killed): no barrier waits on it
+        self._update_retain_floor()
 
     def _drop_replica(self, conn: _Connection, reason: str) -> None:
-        conn.replica = False
-        self._replica_left(conn)
         self._c_event("replica_drop").inc()
         _LOG.warning(
             "replica dropped (connection %d, acked seq %d): %s",
             conn.cid, conn.acked_seq, reason,
         )
-        self._arm_repl_grace()
         self._send(
             conn,
             {"event": "repl.dropped", "reason": reason},
@@ -635,7 +598,7 @@ class QueryNetServer:
         )
         conn.closing = True
         self._wake(conn)
-        self._update_retain_floor()
+        self._replica_departed(conn)
 
     # -- connection handling ----------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
@@ -671,13 +634,9 @@ class QueryNetServer:
                 conn.closing = True
                 if conn.replica:
                     # A replica link died without a protocol-level drop
-                    # (EOF, reset): open the reconnect grace window so
-                    # the sync-ack barrier keeps holding while it comes
-                    # back.
-                    conn.replica = False
-                    self._replica_left(conn)
-                    self._arm_repl_grace()
-                    self._update_retain_floor()
+                    # (EOF, reset): the barrier holds through the grace
+                    # while it comes back.
+                    self._replica_departed(conn)
             conn.wake.set()
             try:
                 await conn.writer_task
@@ -788,11 +747,12 @@ class QueryNetServer:
                     self._send(conn, response, force=True)
                     continue
                 # The verb journaled something: stream it to replicas
-                # and (under sync replication) hold the response until
-                # they acknowledge — a response the client saw is a
-                # response the promoted standby can replay.
+                # and hold the response until they acknowledge — a
+                # response the client saw is a response the promoted
+                # standby can replay.  The barrier waits on an executor
+                # worker, so the loop keeps serving meanwhile.
                 self._flush_repl()
-            await self._repl_barrier()
+            await self._loop.run_in_executor(None, self._repl_barrier)
             with self._lock:
                 self._send(conn, response, force=True)
 
@@ -1033,12 +993,15 @@ class QueryNetServer:
         from_seq = int(request.get("from", 0))
         conn.replica = True
         self._c_event("replica_attach").inc()
-        # Wake any sync-ack barrier holding through the reconnect
-        # grace window: it re-runs against this replica's ack stream.
-        self._repl_attach_event.set()
+        # Wake any ack barrier holding through the reconnect grace
+        # window: it re-runs against this replica's ack stream.
         self._acks.notify_all()
+        # A resume from beyond the journal claims records this primary
+        # never wrote: a lost suffix, like one retention moved past.
         records = (
-            journal.records_since(from_seq) if from_seq > 0 else None
+            journal.records_since(from_seq)
+            if 0 < from_seq <= journal.seq
+            else None
         )
         if records is None:
             snapshot = self._server.snapshot_state()
@@ -1058,9 +1021,13 @@ class QueryNetServer:
         if not conn.replica:
             raise ProtocolError("repl.ack from a non-replica connection")
         seq = int(request["seq"])
+        if seq > conn.sent_seq:
+            raise ProtocolError(
+                f"repl.ack of seq {seq} is beyond the {conn.sent_seq} "
+                f"streamed to this replica"
+            )
         if seq > conn.acked_seq:
             conn.acked_seq = seq
-        conn.ack_event.set()
         self._acks.notify_all()
         journal = self._journal_of()
         return {
@@ -1294,7 +1261,7 @@ class QueryNetServer:
             # listener closed above), so its reconnect grace is over.
             self._repl_grace_until = 0.0
             self._flush_repl()
-        await self._repl_barrier()
+        await self._loop.run_in_executor(None, self._repl_barrier)
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
             self._heartbeat_task = None
@@ -1359,8 +1326,8 @@ class QueryNetServer:
             self._closed = True
             self._killed = True
             self._server.db.unsubscribe(self._ingest)
-            # An applying thread waiting for acks gives up: no replica
-            # can ack through a dead frontend.
+            # Every ack barrier gives up: no replica can ack through a
+            # dead frontend.
             self._acks.notify_all()
         if self._loop is not None:
             self._loop.call_soon_threadsafe(self._kill_on_loop)

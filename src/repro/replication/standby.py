@@ -5,9 +5,9 @@
 ``from=0`` returns a full server snapshot), rebuilds an equivalent
 :class:`~repro.replication.DurableQueryServer` locally, and then
 applies the primary's journal records as they stream in as
-``repl.append`` event batches — acknowledging each applied batch so a
-sync-replicating primary (``NetConfig.repl_sync``) can guarantee that
-every acknowledged write already lives on the standby.
+``repl.append`` event batches — acknowledging each applied batch so the
+primary's ack barrier can guarantee that every acknowledged write
+already lives on the standby.
 
 The standby fronts its mirror with its own
 :class:`~repro.net.QueryNetServer` in *standby mode*: clients may

@@ -23,7 +23,7 @@ def primary():
     # No heartbeats: nothing but journal records may wake the pump.
     db = random_linear_mod(6, seed=17, extent=20.0, speed=3.0)
     server = DurableQueryServer(db, checkpoint_interval=8)
-    net = QueryNetServer(server, NetConfig(repl_sync=True)).start(port=0)
+    net = QueryNetServer(server, NetConfig()).start(port=0)
     try:
         yield db, server, net
     finally:
