@@ -15,7 +15,11 @@ state; an update is ingested *on the applying thread*, under the same
 lock: the query server's engine groups sweep it, subscribed
 connections' answer changes are queued and the journal records it
 produced are streamed — and only the frame writes cross to the loop
-(one wake-up callback per update, none when nothing was queued).
+(one flush callback per update, none when nothing was queued).  There
+is no writer task: a frame reaches its transport as soon as the loop
+holds no lock, in the loop turn that queued it or in that callback.
+Each view family is read and encoded once per server state; the push
+fan-out and every ``members`` request share that read.
 ``db.apply(update)`` therefore keeps its synchronous contract — when it
 returns, every session (local or remote) reflects the update — and,
 on a journaled server, returns only once every standby acknowledged
@@ -120,19 +124,20 @@ class NetStats:
 
 
 class _Connection:
-    """One accepted TCP connection: framing state + push queue."""
+    """One accepted TCP connection: framing state + write queue (no
+    writer task: :meth:`QueryNetServer._flush` empties the queue)."""
 
     __slots__ = (
         "cid",
         "reader",
         "writer",
         "queue",
-        "wake",
         "subscriptions",
         "sessions",
         "closing",
-        "paused",
-        "writer_task",
+        "_paused",
+        "resume",
+        "waiter",
         "last_frame_bytes",
         "last_decode_seconds",
         "replica",
@@ -140,20 +145,22 @@ class _Connection:
         "sent_seq",
     )
 
-    def __init__(self, cid: int, reader, writer) -> None:
+    def __init__(self, cid: int, reader, writer, resume=None) -> None:
         self.cid = cid
         self.reader = reader
         self.writer = writer
         self.queue: deque = deque()
-        self.wake = asyncio.Event()
         # sid -> the members last sent (the change-detection baseline)
         self.subscriptions: Dict[int, object] = {}
         self.sessions: Set[int] = set()
         self.closing = False
-        # Test/flow-control hook: a paused connection's writer holds
-        # back, letting the push queue fill deterministically.
-        self.paused = False
-        self.writer_task = None
+        # Test/flow-control hook: a paused connection's frames stay
+        # queued, letting the push queue fill deterministically;
+        # unpausing hands the connection to ``resume`` (from any thread).
+        self._paused = False
+        self.resume = resume
+        # The drain waiter, while the transport is over high water.
+        self.waiter = None
         self.last_frame_bytes = 0
         self.last_decode_seconds = 0.0
         # Replication-link state (``repl.subscribe`` flips replica on):
@@ -161,6 +168,16 @@ class _Connection:
         self.replica = False
         self.acked_seq = 0
         self.sent_seq = 0
+
+    @property
+    def paused(self) -> bool:
+        return self._paused
+
+    @paused.setter
+    def paused(self, value: bool) -> None:
+        self._paused = value
+        if not value and self.resume is not None:
+            self.resume(self)
 
 
 class QueryNetServer:
@@ -200,11 +217,18 @@ class QueryNetServer:
         # degrading to async (loop clock; 0.0 = no grace pending).
         self._repl_grace_until = 0.0
         # The serving lock (the MOD's), the condition the ack barrier
-        # waits on, and the connections whose writers frames queued off
-        # the loop still have to wake.
+        # waits on, the connections frames were queued for that no
+        # flush has taken yet, and whether a flush callback is pending.
         self._lock = server.db.lock
         self._acks = threading.Condition(self._lock)
-        self._wakes: Set[_Connection] = set()
+        self._queued: Set[_Connection] = set()
+        self._flush_scheduled = False
+        # The member memo: view family -> [members, wire or None,
+        # rebuilds, clock] read in this server state, and the one before
+        # (``_ingest`` starts a new state); a session's family key.
+        self._reads: Dict[Tuple, list] = {}
+        self._last_reads: Dict[Tuple, list] = {}
+        self._families: Dict[int, Tuple] = {}
         self.stats = NetStats()
         self._bind_instruments()
 
@@ -330,6 +354,7 @@ class QueryNetServer:
                         self._send(
                             conn, {"event": "heartbeat", "tau": tau}, force=True
                         )
+            self._write_queued()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -396,20 +421,23 @@ class QueryNetServer:
     def _ingest(self, update) -> None:
         """The MOD's listener, run by ``db.apply`` on the applying thread
         with the serving lock held: fan the update out, queue the answer
-        changes it caused and stream its journal records, then wake the
-        writers it queued frames for — the only step that crosses to the
-        loop — and wait in the ack barrier."""
+        changes it caused and stream its journal records, then schedule
+        the one flush of what it queued — the only step that crosses to
+        the loop — and wait in the ack barrier."""
         with self._lock:
             if self._closed:
                 raise ServerClosedError(
                     f"update at t={update.time} reached a closed net server"
                 )
+            # A new server state: every member read so far is the last
+            # state's (the push compares against it), none is current.
+            self._last_reads, self._reads = self._reads, {}
             try:
                 self._server._on_update(update)
                 self._push_answer_changes()
                 self._flush_repl()
             finally:
-                self._wake_writers()
+                self._schedule_flush()
             if threading.get_ident() != self._thread_ident:
                 # The loop cannot wait on itself: an update applied on
                 # the loop thread streams without the barrier.
@@ -419,23 +447,15 @@ class QueryNetServer:
                         "net server killed before its replicas acknowledged"
                     )
 
-    def _wake(self, conn: _Connection) -> None:
-        """Wake ``conn``'s writer: at once on the loop thread, at the end
-        of the update (:meth:`_wake_writers`) off it."""
-        if threading.get_ident() == self._thread_ident:
-            conn.wake.set()
-        else:
-            self._wakes.add(conn)
-
-    def _wake_writers(self) -> None:
-        """Wake every writer frames were queued for off the loop, in one
-        loop callback (none when nothing was queued)."""
-        if self._wakes:
-            conns, self._wakes = self._wakes, set()
+    def _schedule_flush(self) -> None:
+        """Have the loop write what was queued off it: one callback,
+        pending until it runs (none when nothing was queued)."""
+        if self._queued and not self._flush_scheduled:
+            self._flush_scheduled = True
             try:
-                self._loop.call_soon_threadsafe(_set_wakes, conns)
+                self._loop.call_soon_threadsafe(self._write_queued)
             except RuntimeError:
-                pass  # the loop is gone (killed): no writer is left
+                pass  # the loop is gone (killed): no transport is left
 
     # -- replication stream -------------------------------------------------
     def _journal_of(self):
@@ -555,7 +575,7 @@ class QueryNetServer:
                 if replicated:
                     self._h_repl_ack.observe(clock() - began)
             finally:
-                self._wake_writers()
+                self._schedule_flush()
 
     def _note_barrier_degraded(self, seq: int) -> None:
         """The barrier is returning with no replica holding journal seq
@@ -597,12 +617,11 @@ class QueryNetServer:
             force=True,
         )
         conn.closing = True
-        self._wake(conn)
         self._replica_departed(conn)
 
     # -- connection handling ----------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
-        conn = _Connection(next(self._next_cid), reader, writer)
+        conn = _Connection(next(self._next_cid), reader, writer, self._resume)
         sock = writer.get_extra_info("socket")
         if sock is not None:
             try:
@@ -617,9 +636,6 @@ class QueryNetServer:
             self.stats.connections += 1
             self._c_event("connect").inc()
             self._connections.add(conn)
-        conn.writer_task = asyncio.get_event_loop().create_task(
-            self._writer_loop(conn)
-        )
         try:
             if await self._handshake(conn):
                 await self._request_loop(conn)
@@ -637,11 +653,7 @@ class QueryNetServer:
                     # (EOF, reset): the barrier holds through the grace
                     # while it comes back.
                     self._replica_departed(conn)
-            conn.wake.set()
-            try:
-                await conn.writer_task
-            except asyncio.CancelledError:
-                pass
+            self._flush(conn)  # closing: what is left, pause or not
             try:
                 writer.close()
             except Exception:
@@ -716,6 +728,7 @@ class QueryNetServer:
                 },
                 force=True,
             )
+        self._write_queued()
         return True
 
     def _fail_handshake(self, conn, rid, exc) -> None:
@@ -726,6 +739,7 @@ class QueryNetServer:
                 {"id": rid, "ok": False, "error": error_to_wire(exc)},
                 force=True,
             )
+        self._write_queued()
 
     async def _request_loop(self, conn: _Connection) -> None:
         while not conn.closing:
@@ -738,23 +752,30 @@ class QueryNetServer:
                         {"id": None, "ok": False, "error": error_to_wire(exc)},
                         force=True,
                     )
+                self._write_queued()
                 continue
             with self._lock:
                 journal = self._journal_of()
                 seq_before = journal.seq if journal is not None else 0
                 response = self._dispatch(conn, request)
-                if journal is None or journal.seq == seq_before:
+                journaled = journal is not None and journal.seq != seq_before
+                if journaled:
+                    # The verb journaled something: stream it to replicas
+                    # and hold the response until they acknowledge — a
+                    # response the client saw is a response the promoted
+                    # standby can replay.  The barrier waits on an
+                    # executor worker, so the loop keeps serving meanwhile.
+                    self._flush_repl()
+                else:
                     self._send(conn, response, force=True)
-                    continue
-                # The verb journaled something: stream it to replicas
-                # and hold the response until they acknowledge — a
-                # response the client saw is a response the promoted
-                # standby can replay.  The barrier waits on an executor
-                # worker, so the loop keeps serving meanwhile.
-                self._flush_repl()
-            await self._loop.run_in_executor(None, self._repl_barrier)
-            with self._lock:
-                self._send(conn, response, force=True)
+            # The lock is released: what the verb queued goes out now,
+            # in this loop turn (a push queued before it goes first).
+            self._write_queued()
+            if journaled:
+                await self._loop.run_in_executor(None, self._repl_barrier)
+                with self._lock:
+                    self._send(conn, response, force=True)
+                self._write_queued()
 
     # -- dispatch ----------------------------------------------------------
     def _dispatch(self, conn: _Connection, request: dict) -> dict:
@@ -881,8 +902,8 @@ class QueryNetServer:
         return {"members": members_to_wire(members)}
 
     def _verb_members(self, conn: _Connection, request: dict) -> dict:
-        session = self._get_session(conn, request)
-        return {"members": members_to_wire(session.members)}
+        read = self._read_family(self._get_session(conn, request))
+        return {"members": self._wire_of(read)}
 
     def _verb_close(self, conn: _Connection, request: dict) -> dict:
         session = self._get_session(conn, request)
@@ -928,12 +949,9 @@ class QueryNetServer:
 
     def _verb_subscribe(self, conn: _Connection, request: dict) -> dict:
         session = self._get_session(conn, request)
-        members = session.members
-        conn.subscriptions[session.session_id] = members
-        return {
-            "subscribed": session.session_id,
-            "members": members_to_wire(members),
-        }
+        read = self._read_family(session)
+        conn.subscriptions[session.session_id] = read[0]
+        return {"subscribed": session.session_id, "members": self._wire_of(read)}
 
     def _verb_unsubscribe(self, conn: _Connection, request: dict) -> dict:
         sid = self._session_id(request)
@@ -1049,35 +1067,73 @@ class QueryNetServer:
         "repl.ack": _verb_repl_ack,
     }
 
-    # -- push stream --------------------------------------------------------
+    # -- member reads and the push stream ----------------------------------
+    def _read_family(self, session) -> list:
+        """``[members, wire or None, rebuilds, clock]``: the read of
+        ``session``'s view family — ``(engine group, view key)``, the
+        sessions that read the very same timelines — in this server
+        state.
+
+        The session's gate runs on every read.  The group is read only
+        when the memo holds no read of this state stamped with the
+        group's engine — by its rebuild count (a read may heal it), so a
+        retired group's engine is not kept alive — and clock (an
+        ``advance`` or a ``close(at)`` moves it).  A fresh read equal to
+        the family's previous one keeps that one's set and wire, so a
+        subscriber holding it is current by identity.
+        """
+        session._check_readable()
+        group = session.group
+        family = self._families.get(session.session_id)
+        if family is None:  # once per session: ``view_key`` builds a tuple
+            family = (group.gid, session.view_key)
+            self._families[session.session_id] = family
+        read = self._reads.get(family)
+        if read is not None and read[2] == group.rebuilds and read[3] == group.clock:
+            return read
+        last = read or self._last_reads.get(family)
+        members = self._server._members(session)
+        if last is not None and last[0] == members:
+            members, wire = last[0], last[1]
+        else:
+            wire = None
+        read = self._reads[family] = [members, wire, group.rebuilds, group.clock]
+        return read
+
+    @staticmethod
+    def _wire_of(read: list):
+        """A family read's wire, encoded on first use."""
+        if read[1] is None:
+            read[1] = members_to_wire(read[0])
+        return read[1]
+
     def _push_answer_changes(self) -> None:
         """Tell every subscriber whose answer moved.
 
-        Each view family — ``(engine group, view key)``: the sessions
-        that read the very same timelines — is read once per flush and
-        encoded at most once, and only when some subscriber's answer
-        differs from the one it was last sent; a subscriber costs its
-        state gate and one set comparison.  (Object-id keys are
-        injective, so equal member sets are equal wires.)
+        Each view family is read once per update through the member
+        memo (:meth:`_read_family`: one set comparison with its previous
+        read) and encoded at most once, and only when some subscriber's
+        answer differs from the one it was last sent.  A subscriber
+        costs its state gate and an identity test — a set comparison
+        only when its family moved.  The reads stay in the memo, so the
+        first ``members`` request after the update is free.  (Object-id
+        keys are injective, so equal member sets are equal wires.)
         """
         if not any(conn.subscriptions for conn in self._connections):
             return
         tau = self._server.db.last_update_time
-        reads: Dict[Tuple, list] = {}  # family -> [members, wire or None]
         for conn in list(self._connections):
             if conn.closing:
                 continue
             for sid in list(conn.subscriptions):
                 session = self._sessions.get(sid)
-                read = self._family_answer(session, reads)
+                read = self._family_answer(session)
                 if read is None:
                     self._end_subscription(conn, sid, session)
                     continue
-                members = read[0]
-                if members == conn.subscriptions[sid]:
+                members, held = read[0], conn.subscriptions[sid]
+                if held is members or held == members:
                     continue
-                if read[1] is None:
-                    read[1] = members_to_wire(members)
                 conn.subscriptions[sid] = members
                 delivered = self._send(
                     conn,
@@ -1085,7 +1141,7 @@ class QueryNetServer:
                         "event": "answer_change",
                         "session": sid,
                         "time": tau,
-                        "members": read[1],
+                        "members": self._wire_of(read),
                     },
                 )
                 if delivered:
@@ -1094,21 +1150,16 @@ class QueryNetServer:
                 else:
                     break  # connection was just shed or closed
 
-    def _family_answer(self, session, reads: Dict[Tuple, list]):
-        """``[members, wire or None]`` of the session's view family,
-        read on first use in this flush; ``None`` when the session is
-        not active — or no longer: the read healed an engine fault by
+    def _family_answer(self, session):
+        """The session's family read; ``None`` when the session is not
+        active — or no longer: the read healed an engine fault by
         quarantining the group, and the session's own gate said so."""
-        if session is None or session.state != ACTIVE:
+        if session is None:
             return None
-        family = (session.group.gid, session.view_key)
-        read = reads.get(family)
-        if read is None:
-            try:
-                read = reads[family] = [self._server._members(session), None]
-            except ServerError:
-                return None
-        return read
+        try:
+            return self._read_family(session)
+        except ServerError:
+            return None
 
     def _end_subscription(self, conn: _Connection, sid: int, session) -> None:
         """A subscribed session stopped being readable.  One that was
@@ -1155,8 +1206,59 @@ class QueryNetServer:
         # the counters stay deterministic regardless of writer timing.
         self.stats.bytes_out += len(frame)
         self._c_bytes("out").inc(len(frame))
-        self._wake(conn)
+        self._queued.add(conn)
         return True
+
+    def _write_queued(self) -> None:
+        """Hand every queued frame to its transport: run on the loop
+        right after each of its locked sections, and as the one callback
+        an update (or an unpause) schedules."""
+        self._flush_scheduled = False
+        queued = self._queued
+        while queued:
+            self._flush(queued.pop())
+
+    def _resume(self, conn: _Connection) -> None:
+        """``conn`` was unpaused, on any thread: flush it on the loop."""
+        self._queued.add(conn)
+        self._schedule_flush()
+
+    def _flush(self, conn: _Connection) -> None:
+        """Write ``conn``'s queued frames to its transport, oldest first,
+        on the loop thread and never under the serving lock.  A frame
+        stays queued — counted against ``max_push_queue`` — only while
+        the transport is over its high-water mark (the drain waiter then
+        flushes on), while the connection is paused, or until the flush
+        after an off-loop enqueue; a closing connection hands over all
+        that is left, which the transport's close still sends."""
+        transport = conn.writer.transport
+        high = transport.get_write_buffer_limits()[1]
+        queue = conn.queue
+        while queue:
+            if transport.is_closing():  # the peer is gone
+                conn.closing = True
+                return
+            # Tested per frame: another thread may pause the connection
+            # or queue more frames while this loop runs.
+            if not conn.closing:
+                if conn.paused or conn.waiter is not None:
+                    return
+                if transport.get_write_buffer_size() > high:
+                    conn.waiter = self._loop.create_task(self._drained(conn))
+                    return
+            conn.writer.write(queue.popleft())
+
+    async def _drained(self, conn: _Connection) -> None:
+        """The drain waiter: wait for ``conn``'s transport to drain below
+        its low-water mark, then flush on."""
+        try:
+            await conn.writer.drain()
+        except (ConnectionError, OSError):
+            conn.closing = True
+            return
+        finally:
+            conn.waiter = None
+        self._flush(conn)
 
     def _shed_slow_consumer(self, conn: _Connection) -> None:
         """A full push queue means the consumer cannot keep up: shed
@@ -1187,25 +1289,6 @@ class QueryNetServer:
     def _drop_subscriptions(self, sid: int) -> None:
         for conn in self._connections:
             conn.subscriptions.pop(sid, None)
-
-    async def _writer_loop(self, conn: _Connection) -> None:
-        try:
-            while True:
-                while conn.paused and not conn.closing:
-                    await asyncio.sleep(0.005)
-                if conn.queue:
-                    frame = conn.queue.popleft()
-                    conn.writer.write(frame)
-                    await conn.writer.drain()
-                    continue
-                if conn.closing:
-                    return
-                conn.wake.clear()
-                if conn.queue or conn.closing:
-                    continue
-                await conn.wake.wait()
-        except (ConnectionError, OSError):
-            conn.closing = True
 
     # -- drain and close ----------------------------------------------------
     def drain(self) -> Dict[int, object]:
@@ -1261,6 +1344,7 @@ class QueryNetServer:
             # listener closed above), so its reconnect grace is over.
             self._repl_grace_until = 0.0
             self._flush_repl()
+        self._write_queued()
         await self._loop.run_in_executor(None, self._repl_barrier)
         if self._heartbeat_task is not None:
             self._heartbeat_task.cancel()
@@ -1272,13 +1356,12 @@ class QueryNetServer:
                     conn, {"event": "goodbye", "reason": "drain"}, force=True
                 )
                 conn.closing = True
-                conn.wake.set()
         for conn in conns:
-            if conn.writer_task is not None:
-                try:
-                    await conn.writer_task
-                except asyncio.CancelledError:
-                    pass
+            self._flush(conn)  # closing: all that is left, pause or not
+            try:
+                await (conn.waiter or conn.writer.drain())
+            except (ConnectionError, OSError):
+                pass
             try:
                 conn.writer.close()
             except Exception:
@@ -1349,7 +1432,6 @@ class QueryNetServer:
             conns = list(self._connections)
         for conn in conns:
             conn.closing = True
-            conn.wake.set()
             transport = getattr(conn.writer, "transport", None)
             if transport is not None:
                 try:
@@ -1359,8 +1441,3 @@ class QueryNetServer:
         for task in asyncio.all_tasks(self._loop):
             task.cancel()
 
-
-def _set_wakes(conns) -> None:
-    """Wake the writers of ``conns`` (one loop callback per update)."""
-    for conn in conns:
-        conn.wake.set()
