@@ -441,6 +441,9 @@ class ContinuousQuerySession:
     ) -> "ContinuousQuerySession":
         """A continuous k-NN session starting now (or at ``start``).
 
+        ``start`` only bounds the answer: the pool is born at the
+        database's ``tau`` (DESIGN decision 31), and :meth:`close`
+        answers a ``start`` before it as a past query up to ``tau``.
         ``observe`` optionally wires telemetry into every engine the
         session builds; several sessions may share one registry, in
         which case their counters aggregate.  ``cache`` (a
@@ -463,7 +466,8 @@ class ContinuousQuerySession:
         cache=None,
     ) -> "ContinuousQuerySession":
         """A continuous within-range session starting now (or at
-        ``start``).  ``observe`` and ``cache`` as in :meth:`knn`."""
+        ``start``).  ``start``, ``observe`` and ``cache`` as in
+        :meth:`knn`."""
         return cls(
             db, QuerySpec.within(query, distance), until, start, observe, cache
         )
@@ -526,9 +530,9 @@ class ContinuousQuerySession:
 
         ``at`` behind the sweep clips the answer to it — never silently
         widened — and ``at`` before the session's start raises
-        :class:`ValueError`.  The span before the pool's last rebuild,
-        if any, is a past query over the database (Theorem 4).  The
-        session is guaranteed to be detached from the database when
+        :class:`ValueError`.  The span before the pool's birth (at open
+        or at a rebuild) is a past query over the database (Theorem 4).
+        The session is guaranteed to be detached from the database when
         this returns or raises — even when advancing the sweep or
         finalizing the engine fails — so a broken engine can never keep
         receiving (and re-raising on) future updates.

@@ -15,14 +15,15 @@ set: its engine faults (the one rule,
 the pool from current database state, at the last database timestamp
 (the broken engine is dropped whole — it advanced without the update,
 so nothing it holds is trusted).  That rebuild is exactly the paper's
-Theorem 5 initialization step — ``O(N log N)`` — so a continuous query
-degrades to a re-initialization instead of dying.  At close the pool
-answers the span before the rebuild as a past query over the
-database's recorded history (Theorem 4) stitched to the live answer,
-so the session's final :class:`SnapshotAnswer` covers the whole
-session window as if nothing had failed.  The subclass adds only what
-an operator sees of a heal: the counters in :attr:`stats`, the
-``supervisor_*_total`` metrics and the ``supervisor.rebuild`` span.
+Theorem 5 initialization step — ``O(N log N)``, the pool's one birth
+run again (DESIGN decision 31) — so a continuous query degrades to a
+re-initialization instead of dying.  At close the pool answers the span
+before its birth as a past query over the database's recorded history
+(Theorem 4) stitched to the live answer, so the session's final
+:class:`SnapshotAnswer` covers the whole session window as if nothing
+had failed.  The subclass adds only what an operator sees of a heal:
+the counters in :attr:`stats`, the ``supervisor_*_total`` metrics and
+the ``supervisor.rebuild`` span.
 """
 
 from __future__ import annotations

@@ -18,7 +18,9 @@ one-tenant pool (``spec=``) is what every
 :class:`~repro.core.api.ContinuousQuerySession` holds — with no heal,
 or with a rebuild for a
 :class:`~repro.resilience.supervisor.SupervisedQuerySession`: the same
-host over that spec's window, with the spec attached from birth.
+host with the spec attached from birth.  Every pool has one birth, at
+the source ``tau`` (:meth:`EngineGroup._birth`, DESIGN decision 31): a
+spec's window only bounds the answer.
 
 Per-session answers fall out by clipping: a session that joined at
 ``t0`` owns the shared timeline restricted to ``[t0, close]``, which
@@ -27,13 +29,12 @@ open before ``t0`` clip to exactly the span a ``t0`` bootstrap would
 have opened.
 
 **A heal is Theorem-5 initialisation run again** (DESIGN decision 16):
-:meth:`EngineGroup.rebuild` re-opens the host from the source at its
-``tau`` and keeps nothing of the failed engine but its birth.  What
-precedes that birth is answered in one place, :meth:`EngineGroup.partial`,
-as one Theorem-4 past query over the source; the host answers the
-rest.  Which faults heal is one rule (:func:`is_engine_fault`); what a
-heal does — a rebuild, or nothing but a quarantine — is the owner's,
-set as :attr:`EngineGroup.heal`.
+:meth:`EngineGroup.rebuild` is that birth run again and keeps nothing
+of the failed engine.  What precedes a birth is answered in one place,
+:meth:`EngineGroup.partial`, as one Theorem-4 past query over the
+source; the host answers the rest.  Which faults heal is one rule
+(:func:`is_engine_fault`); what a heal does — a rebuild, or nothing but
+a quarantine — is the owner's, set as :attr:`EngineGroup.heal`.
 
 A range host reads one threshold, so the threshold (``constants``) is
 part of a server's group key: all rank queries (knn + multiknn, any k)
@@ -116,9 +117,7 @@ class EngineGroup:
         self._refs: Dict[Tuple, int] = {}
         self._specs: Dict[Tuple, QuerySpec] = {}
         if spec is None:
-            # A server group is born at the source ``tau`` (all turns
-            # are at or before it, so Theorem 5 initialization applies
-            # verbatim) and sweeps on for as long as it has tenants.
+            # A server group sweeps on for as long as it has tenants.
             self._window = Interval.at_least(source.last_update_time)
         else:
             self._window = Interval(spec.lo, spec.hi)
@@ -127,9 +126,20 @@ class EngineGroup:
         self.clock = self._window.lo
         self.failures = 0
         self.rebuilds = 0
-        self._open(self.clock)
+        self._birth()
 
     # -- construction -----------------------------------------------------
+    def _birth(self) -> None:
+        """The one birth of every pool, at open and at each rebuild: the
+        host opens at the source ``tau`` (all turns are at or before it,
+        so Theorem 5 initialization applies verbatim; never past the
+        window's end) and the clock rises to it.  :meth:`partial` answers
+        a window opening before it; a clock ahead of it catches the host
+        up on the next read, so an update in between is in its future."""
+        born = min(self._source.last_update_time, self._window.hi)
+        self._open(born)
+        self.clock = max(self.clock, born)
+
     def _open(self, start: float) -> None:
         """A live host over the source from ``start`` to the window's
         end, with every view family attached; ``start`` is its birth."""
@@ -238,8 +248,9 @@ class EngineGroup:
 
         The host is read at the clock — a timeline read before it could
         keep a membership open past it — from its birth on.  What
-        precedes that birth (a session older than its engine: a restore
-        or a heal came between) is one past query over the source,
+        precedes that birth (a session older than its engine: opened
+        with a ``start`` before ``tau``, or a restore or a heal came
+        between) is one past query over the source,
         Theorem 4's, through ``cache`` and under ``observe`` (default:
         the pool's) — never a piece of a failed engine, and shared by
         every session of one fingerprint through the cache.
@@ -273,25 +284,20 @@ class EngineGroup:
     # -- heal (Theorem 5 re-initialization) --------------------------------
     def rebuild(self) -> None:
         """Rebuild the host and its views from the source MOD's current
-        state: a heal step.
+        state: a heal step, and the pool's birth (:meth:`_birth`) run
+        again (``O(N log N)``).
 
-        The fresh host is born at the source ``tau`` (all turns are at
-        or before it, so Theorem 5 initialization applies verbatim;
-        ``O(N log N)``) and catches up with the group clock on the next
-        step that reads it, so tenants keep their monotone view of
-        time.  Nothing is read back from a failed engine: it may have
-        swept past ``tau`` without the update that broke it, and the
-        source — which is authoritative — still holds everything
-        before."""
-        now = min(self._source.last_update_time, self._window.hi)
+        The fresh host catches up with the group clock on the next step
+        that reads it, so tenants keep their monotone view of time.
+        Nothing is read back from a failed engine: it may have swept
+        past ``tau`` without the update that broke it, and the source —
+        which is authoritative — still holds everything before."""
+        self._birth()
         log.warning(
             "engine rebuilt at tau=%s over %d objects",
-            now,
+            self.epoch_start,
             self._source.object_count,
         )
-        self._open(now)
-        if self.clock < now:
-            self.clock = now
         self.rebuilds += 1
 
     def primitive_ops(self) -> int:

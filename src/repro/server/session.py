@@ -77,10 +77,11 @@ class ServerSession:
     def unswept(self) -> Optional[Interval]:
         """``[start, group.epoch_start]``: the part of the window no
         live engine covers — the session opened before its group's
-        engines were born (restored at a snapshot's clock, or rebuilt by
-        a heal) — answered as a past query at close (``None`` when the
-        engines cover it all).  The MOD keeps every trajectory's
-        history, so that span is never re-swept to recover."""
+        engine was born at its source's ``tau`` (restored at a
+        snapshot's clock, or rebuilt by a heal) — answered as a past
+        query at close (``None`` when the engine covers it all).  The
+        MOD keeps every trajectory's history, so that span is never
+        re-swept to recover."""
         if self.group is None or self.group.epoch_start <= self.start:
             return None
         return Interval(self.start, self.group.epoch_start)

@@ -776,20 +776,21 @@ class SweepEngine:
     def _process_membership(self, event: _MembershipEvent) -> None:
         self.current_time = max(self.current_time, event.time)
         self._c_ev_membership.inc()
+        entry = event.entry
         if event.kind == "birth":
-            self._insert_entry(event.entry, event.time)
+            self._insert_entry(entry, event.time)
+        elif entry.node is None and entry.leaf is None:
+            return  # already departed: it left before its death or jump
         elif event.kind == "death":
-            self._remove_entry(event.entry, event.time)
+            self._remove_entry(entry, event.time)
         else:
-            self._reinsert_entry(event.entry, event.time)
+            self._reinsert_entry(entry, event.time)
 
     def _reinsert_entry(self, entry: CurveEntry, t: float) -> None:
         """Handle a curve value jump: the entry may leap over
         non-neighbors, so remove it and re-insert at its right-limit
         value (the paper's 'propagate changes to the support' for the
         relaxed g-distance class)."""
-        if entry.node is None and entry.leaf is None:
-            return  # already departed (terminated before the jump)
         if abs(entry.curve.value_after(t) - entry.curve(t)) <= 1e-12:
             # Stale event: a chdir replaced the curve and it no longer
             # jumps here.  Nothing to propagate.
