@@ -326,7 +326,7 @@ class RemoteQueryClient:
         """Issue one verb; returns the ``result`` dict.
 
         Transport failures reconnect and resend the *same* request id
-        (bounded exponential backoff); the server's idempotency cache
+        (bounded exponential backoff); the server's reply table
         guarantees at-most-once application.  Application errors
         re-raise as their original exception class.
         """

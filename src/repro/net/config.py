@@ -1,4 +1,7 @@
-"""Tuning knobs for the networked serving frontend."""
+"""Tuning knobs for the networked serving frontend: wire, push queue,
+handshake, heartbeat and ack-barrier policy.  The frontend holds no
+serving state to bound — sessions and the reply table retried requests
+replay from are the query server's."""
 
 from __future__ import annotations
 
@@ -30,11 +33,6 @@ class NetConfig:
     handshake_timeout:
         Seconds a fresh connection gets to complete the ``hello``
         protocol-version handshake before it is dropped.
-    idempotency_cache:
-        How many request-id → response entries the server remembers
-        for retry deduplication (FIFO eviction).  Each retried request
-        with a remembered id replays the stored response without
-        re-applying the verb.
     heartbeat_interval:
         Seconds between server-pushed ``heartbeat`` events on
         connections with live subscriptions (and replication links).
@@ -56,7 +54,6 @@ class NetConfig:
     max_frame: int = MAX_FRAME
     max_push_queue: int = 64
     handshake_timeout: float = 5.0
-    idempotency_cache: int = 1024
     heartbeat_interval: Optional[float] = None
     repl_ack_timeout: float = 5.0
 
@@ -67,8 +64,6 @@ class NetConfig:
             raise ValueError("max_push_queue must be positive")
         if self.handshake_timeout <= 0:
             raise ValueError("handshake_timeout must be positive")
-        if self.idempotency_cache < 1:
-            raise ValueError("idempotency_cache must be positive")
         if self.heartbeat_interval is not None and self.heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive (or None)")
         if self.repl_ack_timeout <= 0:

@@ -30,10 +30,10 @@ the loop keeps serving while its response is held.
 
 Robustness is built in rather than bolted on:
 
-- **idempotent retries** — responses to mutating verbs are cached per
-  client-generated request id, so a client that resends after a lost
-  connection gets the stored response and the verb is applied at most
-  once;
+- **idempotent retries** — responses to mutating verbs are kept in the
+  query server's reply table per client-generated request id, so a
+  client that resends after a lost connection (or a failover) gets the
+  stored response and the verb is applied at most once;
 - **backpressure** — each connection's unsolicited push stream rides a
   bounded queue; a slow consumer's subscribed sessions are shed
   through the query server's admission controller (the same typed
@@ -51,7 +51,7 @@ import json
 import logging
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from itertools import count
 from typing import Dict, Optional, Set, Tuple
@@ -133,7 +133,6 @@ class _Connection:
         "writer",
         "queue",
         "subscriptions",
-        "sessions",
         "closing",
         "_paused",
         "resume",
@@ -152,7 +151,6 @@ class _Connection:
         self.queue: deque = deque()
         # sid -> the members last sent (the change-detection baseline)
         self.subscriptions: Dict[int, object] = {}
-        self.sessions: Set[int] = set()
         self.closing = False
         # Test/flow-control hook: a paused connection's frames stay
         # queued, letting the push queue fill deterministically;
@@ -204,9 +202,9 @@ class QueryNetServer:
         self._asyncio_server = None
         self._address: Optional[Tuple[str, int]] = None
         self._connections: Set[_Connection] = set()
-        self._sessions: Dict[int, object] = {}
+        # Sessions and replies are the query server's; this is only who
+        # receives a session's pushes and drain answer.
         self._owners: Dict[int, _Connection] = {}
-        self._replies: "OrderedDict[str, dict]" = OrderedDict()
         self._next_cid = count(1)
         self._closed = False
         self._killed = False
@@ -287,25 +285,12 @@ class QueryNetServer:
         self._call(self._start_async(host, port))
         db = self._server.db
         with self._lock:
-            # A recovered (or replicated) query server already carries
-            # sessions and journaled idempotent replies: adopt them so
-            # reconnecting clients find their session ids and retried
-            # request ids exactly where they left them.
-            self._adopt_server_state()
             # Updates now reach remote consumers too: the applying
             # thread fans out, queues pushes and streams the journal
             # before db.apply returns.
             db.unsubscribe(self._server._on_update)
             db.subscribe(self._ingest)
         return self
-
-    def _adopt_server_state(self) -> None:
-        for session in self._server.sessions():
-            self._sessions.setdefault(session.session_id, session)
-        replies = getattr(self._server, "replay_replies", None)
-        if replies:
-            for rid, response in replies.items():
-                self._remember(str(rid), response)
 
     def _run_loop(self) -> None:
         asyncio.set_event_loop(self._loop)
@@ -381,35 +366,26 @@ class QueryNetServer:
     def promote(self) -> "QueryNetServer":
         """Flip a warm standby into a serving primary.
 
-        Adopts every replicated session and journaled idempotent reply
-        into the frontend maps, so clients that fail over keep their
-        session ids and retried request ids transparently.  Idempotent
-        to call on the loop's schedule; raises
-        :class:`~repro.replication.PromotionError` when this frontend
-        was never a standby.
+        Lifts the standby gate: every replicated session and journaled
+        reply is already in the query server's tables, so clients that
+        fail over keep their session ids and retried request ids.
+        Raises :class:`~repro.replication.PromotionError` when this
+        frontend was never a standby.
         """
         from repro.replication.errors import PromotionError
 
         if not self._standby:
             raise PromotionError("this frontend is already a primary")
-        if self._loop is not None:
-            self._call(self._promote_async())
-        else:
-            self._standby = False
-            self._adopt_server_state()
-        return self
-
-    async def _promote_async(self) -> None:
         with self._lock:
             self._standby = False
-            self._adopt_server_state()
             self._c_event("promote").inc()
-            journal = self._journal_of()
+            journal = self._server.journal
             _LOG.warning(
                 "standby promoted to primary at journal seq %s with %d session(s)",
                 None if journal is None else journal.seq,
-                len(self._sessions),
+                len(self._server.sessions()),
             )
+        return self
 
     def __enter__(self) -> "QueryNetServer":
         return self
@@ -458,9 +434,6 @@ class QueryNetServer:
                 pass  # the loop is gone (killed): no transport is left
 
     # -- replication stream -------------------------------------------------
-    def _journal_of(self):
-        return getattr(self._server, "journal", None)
-
     def _replica_conns(self):
         return [
             conn
@@ -477,7 +450,7 @@ class QueryNetServer:
         atomic on the wire: a standby holds either both or neither, so
         a primary kill between them cannot strand a half-applied pair.
         """
-        journal = self._journal_of()
+        journal = self._server.journal
         if journal is None:
             return
         for conn in self._replica_conns():
@@ -502,7 +475,7 @@ class QueryNetServer:
         records a standby could still resume from (a standby resumes
         from what it applied, which a record streamed into a link that
         is being cut may never reach)."""
-        journal = self._journal_of()
+        journal = self._server.journal
         if journal is None:
             return
         # A closing link still counts until its close opens the grace
@@ -540,7 +513,7 @@ class QueryNetServer:
         it returns with no replica holding counts one degrade per
         departure."""
         with self._lock:
-            journal = self._journal_of()
+            journal = self._server.journal
             if journal is None:
                 return
             target = journal.seq
@@ -755,7 +728,7 @@ class QueryNetServer:
                 self._write_queued()
                 continue
             with self._lock:
-                journal = self._journal_of()
+                journal = self._server.journal
                 seq_before = journal.seq if journal is not None else 0
                 response = self._dispatch(conn, request)
                 journaled = journal is not None and journal.seq != seq_before
@@ -783,11 +756,13 @@ class QueryNetServer:
         verb = request.get("verb")
         self.stats.requests += 1
         self._c_request(verb if isinstance(verb, str) else "?").inc()
-        if rid is not None and rid in self._replies:
-            # Idempotent retry: replay without re-applying.
-            self.stats.replays += 1
-            self._c_event("replay").inc()
-            return self._replies[rid]
+        if rid is not None:
+            replayed = self._server.reply(str(rid))
+            if replayed is not None:
+                # Idempotent retry: replay without re-applying.
+                self.stats.replays += 1
+                self._c_event("replay").inc()
+                return replayed
         handler = self._VERBS.get(verb)
         try:
             if handler is None:
@@ -803,21 +778,11 @@ class QueryNetServer:
             self.stats.errors += 1
             self._c_event("error").inc()
             response = {"id": rid, "ok": False, "error": error_to_wire(exc)}
-        if rid is not None and verb in _MUTATING:
-            self._remember(str(rid), response)
-            if response.get("ok"):
-                # Journal the reply next to the ops it answered: after
-                # a failover, the promoted standby replays it verbatim
-                # to the retried request id instead of re-executing.
-                journal_reply = getattr(self._server, "journal_reply", None)
-                if journal_reply is not None:
-                    journal_reply(str(rid), response)
+        if rid is not None and verb in _MUTATING and not self._standby:
+            # A standby's refusal ran nothing: the id stays free for the
+            # retry its promotion will serve.
+            self._server.remember_reply(str(rid), response)
         return response
-
-    def _remember(self, rid: str, response: dict) -> None:
-        self._replies[rid] = response
-        while len(self._replies) > self._config.idempotency_cache:
-            self._replies.popitem(last=False)
 
     @staticmethod
     def _session_id(request: dict) -> int:
@@ -828,13 +793,10 @@ class QueryNetServer:
             raise ProtocolError("request needs an integer 'session'")
 
     def _get_session(self, conn: _Connection, request: dict):
-        sid = self._session_id(request)
-        session = self._sessions.get(sid)
-        if session is None:
-            raise KeyError(f"unknown session {sid}")
+        session = self._server.session(self._session_id(request))
         # The most recent connection to touch a session owns it for
         # push/drain delivery (reconnected clients take over).
-        self._owners[sid] = conn
+        self._owners[session.session_id] = conn
         return session
 
     # -- verbs -------------------------------------------------------------
@@ -885,12 +847,9 @@ class QueryNetServer:
             )
         else:
             raise ProtocolError(f"unknown query kind {kind!r}")
-        sid = session.session_id
-        self._sessions[sid] = session
-        self._owners[sid] = conn
-        conn.sessions.add(sid)
+        self._owners[session.session_id] = conn
         return {
-            "session": sid,
+            "session": session.session_id,
             "kind": kind,
             "state": session.state,
             "start": session.start,
@@ -979,7 +938,7 @@ class QueryNetServer:
             },
             "standby": self._standby,
         }
-        journal = self._journal_of()
+        journal = self._server.journal
         if journal is not None:
             acked = [c.acked_seq for c in self._replica_conns()]
             out["replication"] = {
@@ -1003,7 +962,7 @@ class QueryNetServer:
         way the response pins ``conn.sent_seq``, and every journal
         record after it streams as ``repl.append`` event batches.
         """
-        journal = self._journal_of()
+        journal = self._server.journal
         if journal is None:
             raise ProtocolError(
                 "this server has no journal; nothing to replicate"
@@ -1047,7 +1006,7 @@ class QueryNetServer:
         if seq > conn.acked_seq:
             conn.acked_seq = seq
         self._acks.notify_all()
-        journal = self._journal_of()
+        journal = self._server.journal
         return {
             "acked": conn.acked_seq,
             "seq": journal.seq if journal is not None else None,
@@ -1126,7 +1085,7 @@ class QueryNetServer:
             if conn.closing:
                 continue
             for sid in list(conn.subscriptions):
-                session = self._sessions.get(sid)
+                session = self._server.session(sid)
                 read = self._family_answer(session)
                 if read is None:
                     self._end_subscription(conn, sid, session)
@@ -1154,8 +1113,6 @@ class QueryNetServer:
         """The session's family read; ``None`` when the session is not
         active — or no longer: the read healed an engine fault by
         quarantining the group, and the session's own gate said so."""
-        if session is None:
-            return None
         try:
             return self._read_family(session)
         except ServerError:
@@ -1166,7 +1123,7 @@ class QueryNetServer:
         shed or quarantined is told so — one final typed ``lost``
         notice, then the stream ends; one its owner closed just ends."""
         del conn.subscriptions[sid]
-        if session is None or session.state == CLOSED:
+        if session.state == CLOSED:
             return
         try:
             session._check_readable()
@@ -1267,8 +1224,8 @@ class QueryNetServer:
         shed_sids = []
         for sid in list(conn.subscriptions):
             conn.subscriptions.pop(sid, None)
-            session = self._sessions.get(sid)
-            if session is not None and session.state == ACTIVE:
+            session = self._server.session(sid)
+            if session.state == ACTIVE:
                 self._server.shed(session, by="slow-consumer policy")
                 shed_sids.append(sid)
         self.stats.sheds += 1
@@ -1298,7 +1255,8 @@ class QueryNetServer:
         cancelled), pushes each final answer
         to the session's owning connection as a ``drain`` event, says
         ``goodbye``, and shuts the query server down.  Returns the
-        final answers by session id.
+        final answers by session id.  An unpromoted standby closes
+        none: its sessions are the primary's.
         """
         return self._call(self._drain_async(), timeout=60.0)
 
@@ -1312,17 +1270,19 @@ class QueryNetServer:
             self._asyncio_server = None
         with self._lock:
             drained: Dict[int, object] = {}
+            # A standby serves nothing of its own: its sessions are the
+            # primary's, and its journal stays the primary's record.
+            sessions = [] if self._standby else self._server.sessions()
             # Cancel the admission queue first: closing an active session
             # below would otherwise promote a queued one mid-drain and
             # hand it a zero-width answer window.
-            for session in sorted(
-                self._sessions.values(), key=lambda s: s.session_id
-            ):
+            for session in sessions:
                 if session.state == QUEUED:
                     session.close()  # cancel; it never had an answer window
-            for sid, session in sorted(self._sessions.items()):
+            for session in sessions:
                 if session.state != ACTIVE:
                     continue
+                sid = session.session_id
                 answer = session.close()
                 drained[sid] = answer
                 self.stats.drained += 1

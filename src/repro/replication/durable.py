@@ -24,7 +24,6 @@ at all times a recovered-equivalent mirror, promotable in O(1).
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence
 
@@ -49,20 +48,18 @@ from repro.replication.journal import (
 
 __all__ = ["DurableQueryServer", "recover_server"]
 
-# Replies retained for post-failover idempotent replay (mirrors the
-# net frontend's own cache bound; only recent in-flight requests ever
-# need replaying across a switch).
-REPLY_RETENTION = 512
 
-
-def _session_record(session: ServerSession) -> dict:
+def _session_record(
+    session: ServerSession, gd: Optional[dict] = None
+) -> dict:
     """What the journal's ``open`` record and a snapshot's session entry
-    both say about a live session (key order is part of the format)."""
+    both say about a live session (key order is part of the format);
+    ``gd`` is the g-distance's record when the caller already holds it."""
     spec = session.query
     return {
         "sid": session.session_id,
         "kind": spec.kind,
-        "gd": gdistance_to_record(spec.gdistance),
+        "gd": gdistance_to_record(spec.gdistance) if gd is None else gd,
         "params": spec.params,
         "constants": list(spec.constants),
         "priority": session.priority,
@@ -115,7 +112,6 @@ class DurableQueryServer(QueryServer):
         self._checkpoint_interval = checkpoint_interval
         self._recovering = False
         self._replaying = False
-        self._replies: "OrderedDict[str, dict]" = OrderedDict()
         self.recovered_tail = 0  # tail records replayed to build this server
         super().__init__(db, config, observe, cache)
         if (
@@ -196,7 +192,11 @@ class DurableQueryServer(QueryServer):
                 s.session_id for s in self._pending if s.state == QUEUED
             ],
             "terminal": terminal,
-            "replies": dict(self._replies),
+            "replies": {
+                rid: response
+                for rid, response in self._replies.items()
+                if response.get("ok")
+            },
         }
 
     # -- journaled overrides ------------------------------------------------
@@ -209,19 +209,18 @@ class DurableQueryServer(QueryServer):
         super()._on_update(update)
 
     def _register(self, spec, priority, shards) -> ServerSession:
-        replaying = self._recovering or self._replaying
-        if not replaying:
-            # Serialize first: a non-durable g-distance must fail
-            # before the server mutates anything.
-            gdistance_to_record(spec.gdistance)
+        if self._recovering or self._replaying:
+            return super()._register(spec, priority, shards)
+        # Serialize first: a non-durable g-distance must fail before
+        # the server mutates anything.
+        gd = gdistance_to_record(spec.gdistance)
         session = super()._register(spec, priority, shards)
-        if not replaying:
-            self._journal(
-                "open",
-                **_session_record(session),
-                state=session.state,
-                start=session.start,
-            )
+        self._journal(
+            "open",
+            **_session_record(session, gd),
+            state=session.state,
+            start=session.start,
+        )
         return session
 
     def _advance(self, session: ServerSession, t: float):
@@ -267,23 +266,13 @@ class DurableQueryServer(QueryServer):
             return
         super()._shed_lowest()
 
-    # -- idempotent-reply retention ----------------------------------------
-    def journal_reply(self, rid: str, response: dict) -> None:
-        """Journal one completed mutating reply so a promoted standby
-        can answer the retried request without re-executing it."""
-        self._remember_reply(rid, response)
-        self._journal("reply", rid=rid, response=response)
-
-    def _remember_reply(self, rid: str, response: dict) -> None:
-        self._replies[str(rid)] = response
-        while len(self._replies) > REPLY_RETENTION:
-            self._replies.popitem(last=False)
-
-    @property
-    def replay_replies(self) -> Dict[str, dict]:
-        """Journaled replies (rid -> response) a serving frontend
-        should seed its idempotency cache with."""
-        return dict(self._replies)
+    def remember_reply(self, rid: str, response: dict) -> None:
+        """Also journal an ``ok`` reply next to the ops it answered, so
+        a promoted standby replays it to the retried request id instead
+        of re-executing the verb."""
+        super().remember_reply(rid, response)
+        if response.get("ok"):
+            self._journal("reply", rid=rid, response=response)
 
     # -- record replay (recovery + standby streaming) -----------------------
     def apply_record(self, record: dict) -> None:
@@ -331,7 +320,7 @@ class DurableQueryServer(QueryServer):
         elif op == "shed":
             self.shed(self._sessions[int(record["sid"])], by="journal replay")
         elif op == "reply":
-            self._remember_reply(record["rid"], record["response"])
+            self.remember_reply(record["rid"], record["response"])
         else:
             raise ValueError(f"unknown journal op {op!r}")
 
@@ -398,7 +387,7 @@ class DurableQueryServer(QueryServer):
             session.state = stub["state"]
             self._sessions[session.session_id] = session
         for rid, response in snapshot.get("replies", {}).items():
-            self._remember_reply(rid, response)
+            self.remember_reply(rid, response)
 
     @classmethod
     def restore(

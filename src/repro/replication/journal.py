@@ -5,16 +5,16 @@ owns the files, the ``sync`` policy, the durability boundary and the
 tolerant reader).  Where :class:`repro.resilience.WriteAheadLog`
 journals the *database* (one update per line), :class:`ServerWal`
 journals the whole serving layer: applied updates **and** session
-lifecycle ops (open / advance / close / cancel / shed) plus the net
-frontend's idempotent-reply cache entries.  Every record carries a monotone ``seq``; a snapshot records
-the seq it covers, so recovery replays exactly the tail — Theorem 5's
-(checkpoint, suffix-of-updates) reconstruction discipline applied to
-the server's entire answer state.
+lifecycle ops (open / advance / close / cancel / shed) plus the query
+server's idempotent replies.  Every record carries a monotone ``seq``;
+a snapshot records the seq it covers, so recovery replays exactly the
+tail — Theorem 5's (checkpoint, suffix-of-updates) reconstruction
+discipline applied to the server's entire answer state.
 
-The journal doubles as the replication feed: listeners subscribe and
-see every appended record (the net frontend streams them to warm
-standbys as ``repl.append`` events), and :meth:`records_since` serves
-resume-after-reconnect without a fresh snapshot.
+The journal doubles as the replication feed: the net frontend reads
+:meth:`records_since` each replica's last streamed seq and sends the
+records to warm standbys as ``repl.append`` events — the same read
+serves resume-after-reconnect without a fresh snapshot.
 
 ``directory=None`` runs the journal memory-only — still sequenced,
 still streamable to replicas — for primaries that want warm-standby
@@ -23,7 +23,7 @@ replication without local disk.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.gdist.base import GDistance
 from repro.gdist.euclidean import SquaredEuclideanDistance
@@ -141,7 +141,6 @@ class ServerWal(Journal):
         self._snapshot_seq = 0
         self._records: List[dict] = []  # retained for replica resume
         self._retain_floor: Optional[int] = None
-        self._listeners: List[Callable[[dict], None]] = []
         m = (as_instrumentation(observe) or NULL_INSTRUMENTATION).metrics
         records = m.counter(
             "repl_journal_records_total",
@@ -199,18 +198,8 @@ class ServerWal(Journal):
         self._retain_floor = None if seq is None else int(seq)
 
     # -- writing ------------------------------------------------------------
-    def subscribe(self, listener: Callable[[dict], None]) -> None:
-        """Add a record listener (the replication feed)."""
-        self._listeners.append(listener)
-
-    def unsubscribe(self, listener: Callable[[dict], None]) -> None:
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
-
     def append(self, op: str, **fields) -> dict:
-        """Stamp, persist, retain, and broadcast one record."""
+        """Stamp, persist and retain one record."""
         if op not in RECORD_OPS:
             raise ValueError(f"unknown journal op {op!r}")
         record = {"seq": self._seq + 1, "op": op, **fields}
@@ -218,8 +207,6 @@ class ServerWal(Journal):
         self._seq += 1
         self._records.append(record)
         self._c_records(op).inc()
-        for listener in list(self._listeners):
-            listener(record)
         return record
 
     def write_snapshot(self, snapshot: dict) -> None:

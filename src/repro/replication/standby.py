@@ -360,7 +360,8 @@ class StandbyReplica:
 
     def close(self) -> None:
         """Stop replicating and shut the standby stack down cleanly
-        (final checkpoint included).  Idempotent."""
+        (final checkpoint included).  Unpromoted, it closes no session:
+        the mirror stays as the primary last left it.  Idempotent."""
         self._stop.set()
         if (
             self._pump is not None

@@ -31,7 +31,7 @@ Degradation is layered on top:
 from __future__ import annotations
 
 import logging
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from itertools import count
 from typing import Dict, List, Optional, Tuple
@@ -65,6 +65,13 @@ from repro.server.session import (
 __all__ = ["QueryServer", "ServerStats"]
 
 log = logging.getLogger(__name__)
+
+# Mutating responses kept for request-id replay, counted across all
+# clients: a client resends only after its timeout plus backoff, so the
+# bound must outlast every mutating request the server takes meanwhile.
+# A durable server's snapshot carries the ``ok`` ones: a standby keeps
+# as many as the primary.
+REPLY_RETENTION = 1024
 
 
 @dataclass
@@ -104,7 +111,14 @@ class QueryServer:
         shared across all groups (one curve build per object per
         g-distance, server-wide) and closing sessions deposit their
         final answers for later one-shot reuse.
+
+    The server owns the serving state a frontend reads: its session
+    table (:meth:`session`) and the request-id reply table
+    (:meth:`reply` / :meth:`remember_reply`).
     """
+
+    # The server journal; a journaling subclass sets it.
+    journal = None
 
     def __init__(
         self,
@@ -125,6 +139,7 @@ class QueryServer:
         self._curve_store = None if cache is None else cache.curves
         self._groups: Dict[Tuple, EngineGroup] = {}
         self._sessions: Dict[int, ServerSession] = {}
+        self._replies: "OrderedDict[str, dict]" = OrderedDict()
         self._pending: deque = deque()
         self._pinned: Dict[Tuple, GDistance] = {}
         self._next_sid = 1
@@ -636,7 +651,21 @@ class QueryServer:
 
     def session(self, sid: int) -> ServerSession:
         """Look up one session by id (KeyError when unknown)."""
-        return self._sessions[sid]
+        try:
+            return self._sessions[sid]
+        except KeyError:
+            raise KeyError(f"unknown session {sid}") from None
+
+    def reply(self, rid: str) -> Optional[dict]:
+        """The response remembered for request id ``rid``, if any."""
+        return self._replies.get(rid)
+
+    def remember_reply(self, rid: str, response: dict) -> None:
+        """Keep one mutating response for request-id replay (the last
+        :data:`REPLY_RETENTION`, oldest evicted first)."""
+        self._replies[rid] = response
+        while len(self._replies) > REPLY_RETENTION:
+            self._replies.popitem(last=False)
 
     @property
     def group_count(self) -> int:

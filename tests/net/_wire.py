@@ -99,7 +99,8 @@ class RawClient:
 # compares the *wire* with the last one it sent.  One departure: the
 # subscription now holds the member set ``subscribe`` answered with, not
 # its wire, so the wires this loop compares live beside it, on the net
-# server, seeded from that set.  ``tests/net/test_push_fanout.py`` holds
+# server, seeded from that set.  The session table it reads is the query
+# server's, the only one.  ``tests/net/test_push_fanout.py`` holds
 # the fan-out to the same frames, in the same order, for the same bytes.
 
 
@@ -112,7 +113,7 @@ def reference_push_answer_changes(self) -> None:
         if conn.closing:
             continue
         for sid in list(conn.subscriptions):
-            session = self._sessions.get(sid)
+            session = self._server._sessions.get(sid)
             if session is None or session.state != ACTIVE:
                 conn.subscriptions.pop(sid, None)
                 continue

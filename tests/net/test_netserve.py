@@ -281,5 +281,3 @@ class TestNetConfigValidation:
             NetConfig(max_push_queue=0)
         with pytest.raises(ValueError):
             NetConfig(handshake_timeout=0.0)
-        with pytest.raises(ValueError):
-            NetConfig(idempotency_cache=0)

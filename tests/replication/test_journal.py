@@ -38,16 +38,6 @@ class TestAppend:
         with pytest.raises(RuntimeError):
             journal.append("update")
 
-    def test_listeners_see_every_record(self, tmp_path):
-        journal = ServerWal(str(tmp_path))
-        seen = []
-        journal.subscribe(seen.append)
-        _fill(journal, 2)
-        assert [r["seq"] for r in seen] == [1, 2]
-        journal.unsubscribe(seen.append)
-        _fill(journal, 1)
-        assert len(seen) == 2
-
 
 class TestRoundTrip:
     def test_snapshot_plus_tail_round_trips(self, tmp_path):
