@@ -21,11 +21,12 @@ class Vector:
     __slots__ = ("_components",)
 
     def __init__(self, components: Iterable[Number]) -> None:
-        comps = tuple(float(c) for c in components)
+        comps = tuple(map(float, components))
         if not comps:
             raise ValueError("vectors must have at least one component")
-        if any(math.isnan(c) for c in comps):
-            raise ValueError("vector components must not be NaN")
+        for c in comps:
+            if c != c:  # NaN is the one float unequal to itself
+                raise ValueError("vector components must not be NaN")
         self._components = comps
 
     # -- constructors -----------------------------------------------------

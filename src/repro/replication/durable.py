@@ -10,9 +10,12 @@ equivalent server from (checkpoint, WAL tail): restore the MOD and the
 live sessions (each engine group is initialized *at the snapshot's
 clock* — Theorem 5 — and no history is re-swept), then re-apply the
 tail records in journal order.  Recovery cost is snapshot + one
-initialization per group + the *tail*, never the full history: what a
-restored session's window holds before the snapshot's clock is a past
-query over the MOD's kept trajectories (Theorem 4), answered once, by
+initialization per group + the *tail*, never the full history: each
+snapshot cuts the journal records it covers
+(:meth:`~repro.replication.journal.ServerWal.write_snapshot`), so the
+log recovery reads holds the tail alone, and what a restored session's
+window holds before the snapshot's clock is a past query over the
+MOD's kept trajectories (Theorem 4), answered once, by
 :meth:`~repro.server.QueryServer._close`, if that session closes.
 
 The same :meth:`~DurableQueryServer.apply_record` entry point feeds a

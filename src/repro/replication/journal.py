@@ -7,9 +7,10 @@ journals the *database* (one update per line), :class:`ServerWal`
 journals the whole serving layer: applied updates **and** session
 lifecycle ops (open / advance / close / cancel / shed) plus the query
 server's idempotent replies.  Every record carries a monotone ``seq``;
-a snapshot records the seq it covers, so recovery replays exactly the
-tail — Theorem 5's (checkpoint, suffix-of-updates) reconstruction
-discipline applied to the server's entire answer state.
+a snapshot records the seq it covers and then cuts those records from
+the log, so recovery reads and replays exactly the tail — Theorem 5's
+(checkpoint, suffix-of-updates) reconstruction discipline applied to
+the server's entire answer state.
 
 The journal doubles as the replication feed: the net frontend reads
 :meth:`records_since` each replica's last streamed seq and sends the
@@ -107,6 +108,12 @@ def _decode_record(data: dict) -> dict:
 
 class ServerWal(Journal):
     """Sequenced server journal with atomic snapshot checkpoints.
+
+    Between snapshots the log is append-only; each snapshot that
+    covers every record cuts it to zero bytes (see
+    :meth:`write_snapshot`), so ``server_wal.jsonl`` holds at most
+    ``checkpoint_interval`` records and recovery reads the tail, not
+    the history.
 
     Parameters
     ----------
@@ -210,12 +217,18 @@ class ServerWal(Journal):
         return record
 
     def write_snapshot(self, snapshot: dict) -> None:
-        """Atomically persist one server snapshot (fsync-at-checkpoint).
+        """Atomically persist one server snapshot (fsync-at-checkpoint),
+        then cut the log records it covers.
 
         The snapshot must carry the ``seq`` it covers.  The WAL handle
         is flushed and fsynced first, so the (snapshot, WAL-tail) pair
         on disk is always consistent; the snapshot itself lands via a
-        temporary file and ``os.replace``.
+        temporary file and ``os.replace``.  A snapshot that covers every
+        appended record — what :meth:`DurableQueryServer.checkpoint`
+        always writes, reading :attr:`seq` under the MOD's lock — then
+        empties the log (:meth:`Journal._cut_log`: directory fsync, cut,
+        log fsync), so the log never holds more than the records since
+        the last snapshot.
         """
         self._snapshot_seq = int(snapshot.get("seq", self._seq))
         # Trim in-memory retention: everything the snapshot covers is
@@ -230,6 +243,8 @@ class ServerWal(Journal):
             return
         self._write_checkpoint(snapshot)
         self._c_checkpoints.inc()
+        if self._snapshot_seq >= self._seq:
+            self._cut_log()
 
 
 def load_server_state(
@@ -242,6 +257,9 @@ def load_server_state(
     snapshot's (all records when there is no snapshot), in order.  A
     crash-truncated journal tail is skipped — and truncated away under
     ``repair`` — by the same tolerant reader the database WAL uses.
+    Each snapshot cuts the records it covers, so the log read here is
+    the tail alone — except after a crash between a snapshot's rename
+    and its cut, whose stale prefix the ``seq`` filter skips.
     """
     snapshot, records = ServerWal.load(directory, repair, _decode_record)
     covered = 0 if snapshot is None else int(snapshot.get("seq", 0))

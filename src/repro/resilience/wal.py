@@ -2,11 +2,13 @@
 for a MOD.
 
 :class:`Journal` is the one class that knows the on-disk layout of a
-durability directory: an append-only JSONL log, one checkpoint file
-replaced atomically, the per-append ``sync`` policy, and the tolerant
-reader :meth:`Journal.load`.  This module also holds its *database*
-reading, :class:`WriteAheadLog`; the serving layer's sequenced reading
-is :class:`repro.replication.ServerWal`.
+durability directory: a JSONL log that only grows between checkpoints,
+one checkpoint file replaced atomically, the per-append ``sync``
+policy, the cut that empties the log once a checkpoint covers it
+(:meth:`Journal._cut_log`, called only by the server journal), and the
+tolerant reader :meth:`Journal.load`.  This module also holds its
+*database* reading, :class:`WriteAheadLog`; the serving layer's
+sequenced reading is :class:`repro.replication.ServerWal`.
 
 Database layout (one directory per database):
 
@@ -89,6 +91,18 @@ class Journal:
       lands via a temporary file and ``os.replace`` — so the
       (checkpoint, log tail) pair on disk is always consistent and a
       crash mid-checkpoint leaves the previous one intact;
+    - **a covered log may be cut** (:meth:`_cut_log`): between
+      checkpoints the log is append-only; once a checkpoint covering
+      every record has landed, the log can be emptied in place, in this
+      order — (1) fsync the log, (2) write, fsync and ``os.replace``
+      the checkpoint (both :meth:`_write_checkpoint`), (3) fsync the
+      directory so the rename is durable, (4) truncate the log to zero
+      bytes and fsync it.  A crash before (3) leaves the old checkpoint
+      and the whole log; one between (3) and (4) leaves the new
+      checkpoint beside a stale prefix its reader skips by ``seq``.
+      Without (3) a power loss could keep the cut and lose the rename.
+      Only the server journal cuts: the database reading's ``recover``
+      promises every intact entry, covered or not;
     - ``directory=None`` keeps nothing on disk (appends and checkpoints
       only run the subclass's bookkeeping);
     - :meth:`load` is the one tolerant reader of the pair.
@@ -149,6 +163,18 @@ class Journal:
             self._handle.flush()
             os.fsync(self._handle.fileno())
         replace_json(self.checkpoint_path, data)
+
+    def _cut_log(self) -> None:
+        """Empty the log in place — steps (3) and (4) of the cut: the
+        caller has just landed a checkpoint covering every record.  The
+        append handle stays open (``O_APPEND`` writes land at the new
+        end)."""
+        if self._handle is None:
+            return
+        fsync_directory(self._directory)
+        self._handle.flush()
+        os.ftruncate(self._handle.fileno(), 0)
+        os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         """Close the log's file handle (idempotent)."""
@@ -287,6 +313,16 @@ def replace_json(path: str, data: dict) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)
+
+
+def fsync_directory(path: str) -> None:
+    """Force ``path``'s directory entries (a rename into it) to stable
+    storage."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # What a line that is not one intact record raises: undecodable bytes

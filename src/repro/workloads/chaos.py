@@ -409,11 +409,13 @@ def run_truncation_chaos(
     The tear removes a byte suffix, so the surviving records are a
     prefix of the journal; the recovered history is then exactly
     (updates the last checkpoint covers) + (update records in the
-    surviving WAL tail) — a prefix of the applied update stream.  The
-    mirror registers its session up front (same back-dated window) and
+    surviving WAL tail) — a prefix of the applied update stream.  Each
+    checkpoint cuts the records it covers from the log, so the run
+    notes the ``seq`` of the ``open`` and of every update as it
+    journals them and counts survivors from those.  The mirror
+    registers its session up front (same back-dated window) and
     applies only that prefix.
     """
-    import json as _json
     import os
 
     from repro.core.api import serve
@@ -434,21 +436,19 @@ def run_truncation_chaos(
         WITHIN: lambda: server.register_within(gd, sc.threshold),
         MULTIKNN: lambda: server.register_multiknn(gd, sc.ks),
     }[sc.mode]()
+    open_seq = server.journal.seq
+    update_seqs = []
     for update, probe in sc.schedule()[: sc.kill_after]:
         db.apply(update)
+        update_seqs.append(server.journal.seq)
         if probe is not None:
             session.advance_to(probe)
     # Crash: close the journal handle (no flush owed under
-    # sync="flush"), read the intact journal for accounting, then tear
-    # the on-disk tail at a seeded byte offset.
+    # sync="flush"), then tear the on-disk tail at a seeded byte offset.
     wal_path = server.journal.wal_path
     snapshot_seq = server.journal.snapshot_seq
     journal_seq = server.journal.seq
     server.journal.close()
-    with open(wal_path, "r", encoding="utf-8") as handle:
-        all_records = [
-            _json.loads(line) for line in handle if line.strip()
-        ]
     size = os.path.getsize(wal_path)
     cut = rng.randint(0, min(size, 160)) if size else 0
     with open(wal_path, "ab") as handle:
@@ -472,17 +472,12 @@ def run_truncation_chaos(
     # plus intact tail records past it.
     covered = 0 if snapshot is None else int(snapshot.get("seq", 0))
     tail_seqs = {record["seq"] for record in tail}
-    survivors = sum(
-        1
-        for record in all_records
-        if record["op"] == "update"
-        and (record["seq"] <= covered or record["seq"] in tail_seqs)
-    )
-    open_survived = any(
-        record["op"] == "open"
-        and (record["seq"] <= covered or record["seq"] in tail_seqs)
-        for record in all_records
-    ) or (
+
+    def survived(seq: int) -> bool:
+        return seq <= covered or seq in tail_seqs
+
+    survivors = sum(1 for seq in update_seqs if survived(seq))
+    open_survived = survived(open_seq) or (
         snapshot is not None and bool(snapshot.get("sessions"))
     )
     try:
