@@ -582,7 +582,8 @@ class RemoteQueryClient:
         return self.request("ping")["tau"]
 
     def stats(self) -> dict:
-        """Server + net + applier counters, as one dict."""
+        """Server + net counters (and, on a replicated server, the
+        replica feed's `replication` section), as one dict."""
         return self.request("stats")
 
     def close(self) -> None:

@@ -43,8 +43,8 @@ class NetConfig:
         Seconds the ack barrier waits for a replica's ack before
         dropping it as dead (the barrier must never wedge the primary
         behind a crashed standby), and the reconnect grace a departed
-        replica gets.  On a journaled server a request whose dispatch
-        appended journal records — and every ingested update — only
+        replica gets.  On a replicated server a request whose dispatch
+        appended replication records — and every ingested update — only
         completes after every attached replica acknowledged them, so an
         acknowledged write survives a primary kill: it is already
         applied on the standby.  The barrier returns within three of

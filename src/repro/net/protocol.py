@@ -58,7 +58,7 @@ __all__ = [
 PROTOCOL_VERSION = 1
 MAX_FRAME = 8 * 1024 * 1024
 # An ``open`` may still carry the shard count older clients sent: it is
-# checked against this bound, journaled with the session and otherwise
+# checked against this bound, recorded with the session and otherwise
 # ignored (every session of a query class shares one engine group).
 MAX_OPEN_SHARDS = 64
 HEADER = struct.Struct(">I")

@@ -13,8 +13,8 @@ One lock serializes the serving state: the MOD's own
 thread takes it around each dispatch and every other touch of server
 state; an update is ingested *on the applying thread*, under the same
 lock: the query server's engine groups sweep it, subscribed
-connections' answer changes are queued and the journal records it
-produced are streamed — and only the frame writes cross to the loop
+connections' answer changes are queued and so are the replication
+batches it produced — and only the frame writes cross to the loop
 (one flush callback per update, none when nothing was queued).  There
 is no writer task: a frame reaches its transport as soon as the loop
 holds no lock, in the loop turn that queued it or in that callback.
@@ -22,11 +22,19 @@ Each view family is read and encoded once per server state; the push
 fan-out and every ``members`` request share that read.
 ``db.apply(update)`` therefore keeps its synchronous contract — when it
 returns, every session (local or remote) reflects the update — and,
-on a journaled server, returns only once every standby acknowledged
-it: the applying thread waits in the one ack barrier with the lock
-released, so the loop can read the acks.  A request that journaled
-waits in the same barrier on one of the loop's executor workers, so
-the loop keeps serving while its response is held.
+on a replicated server, returns only once every standby acknowledged
+it: the applying thread waits in the ack barrier with the lock
+released, so the loop can read the acks.  A request that appended
+replication records waits in the same barrier on one of the loop's
+executor workers, so the loop keeps serving while its response is held.
+
+The primary's half of the replication link — the replica table, the
+``repl.subscribe`` / ``repl.ack`` bodies, batching, the ack barrier and
+the retention floor — is the query server's replica feed
+(``server.feed``, a :class:`~repro.replication.feed.ReplicaFeed`; none
+on a plain :class:`~repro.server.QueryServer`).  This module keeps the
+transport: it queues the frames the feed hands it, drops a link the
+feed gives up on, and tells the feed when a link dies.
 
 Robustness is built in rather than bolted on:
 
@@ -49,12 +57,13 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import count
-from typing import Dict, Optional, Set, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Set, Tuple
 
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.net.config import NetConfig
@@ -88,23 +97,51 @@ _LOG = logging.getLogger(__name__)
 
 SERVER_SOFTWARE = "repro-net/1"
 
-# Verbs whose responses are remembered for request-id replay; the
-# read-only verbs are safe to re-execute.
-_MUTATING = frozenset({"open", "advance", "close", "explain"})
+_REQUIRED = object()
 
-# Verbs a warm standby refuses until promotion (service verbs — ping /
-# stats / repl.* — keep working so health checks and replication run).
-_SESSION_VERBS = frozenset(
-    {
-        "open",
-        "advance",
-        "members",
-        "close",
-        "explain",
-        "subscribe",
-        "unsubscribe",
-    }
-)
+
+def _field(request: dict, name: str, kind=int, default=_REQUIRED):
+    """``request[name]`` read as ``kind`` — ``int``, ``float``, or
+    ``(float,)`` / ``(int,)`` for a non-empty list of them: the one
+    reader every verb takes its fields through.  A missing field
+    without a ``default``, or one ``kind`` cannot read, is a
+    :class:`ProtocolError` that names it; an absent field (or a null
+    one, when the default is ``None``) reads as ``default``."""
+    value = request.get(name)
+    if value is None and (name not in request or default is None):
+        if default is _REQUIRED:
+            raise ProtocolError(f"request needs {_KINDS[kind]} '{name}'")
+        return default
+    try:
+        if isinstance(kind, tuple):
+            if not isinstance(value, list) or not value:
+                raise TypeError(name)
+            return [kind[0](item) for item in value]
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ProtocolError(
+            f"request needs {_KINDS[kind]} '{name}', got {value!r}"
+        ) from None
+
+
+_KINDS = {
+    int: "an integer",
+    float: "a number",
+    (int,): "a list of integers",
+    (float,): "a list of numbers",
+}
+
+
+class _Verb(NamedTuple):
+    """One wire verb: its handler, whether its response is remembered
+    for request-id replay (read-only verbs are safe to re-execute), and
+    whether a warm standby refuses it until promotion (service verbs —
+    ping / stats / repl.* — keep working so health checks and
+    replication run)."""
+
+    handler: Callable
+    remembered: bool = False
+    primary_only: bool = False
 
 
 @dataclass
@@ -139,9 +176,6 @@ class _Connection:
         "waiter",
         "last_frame_bytes",
         "last_decode_seconds",
-        "replica",
-        "acked_seq",
-        "sent_seq",
     )
 
     def __init__(self, cid: int, reader, writer, resume=None) -> None:
@@ -161,11 +195,6 @@ class _Connection:
         self.waiter = None
         self.last_frame_bytes = 0
         self.last_decode_seconds = 0.0
-        # Replication-link state (``repl.subscribe`` flips replica on):
-        # journal records already streamed / acknowledged.
-        self.replica = False
-        self.acked_seq = 0
-        self.sent_seq = 0
 
     @property
     def paused(self) -> bool:
@@ -210,15 +239,12 @@ class QueryNetServer:
         self._killed = False
         self._draining = False
         self._heartbeat_task = None
-        # Sync-replication reconnect grace: when a replica drops, the
-        # ack barrier holds through this window instead of silently
-        # degrading to async (loop clock; 0.0 = no grace pending).
-        self._repl_grace_until = 0.0
-        # The serving lock (the MOD's), the condition the ack barrier
-        # waits on, the connections frames were queued for that no
-        # flush has taken yet, and whether a flush callback is pending.
+        # The replica feed whose frames this frontend carries (None: the
+        # server replicates nothing), the serving lock (the MOD's), the
+        # connections frames were queued for that no flush has taken
+        # yet, and whether a flush callback is pending.
+        self._feed = server.feed
         self._lock = server.db.lock
-        self._acks = threading.Condition(self._lock)
         self._queued: Set[_Connection] = set()
         self._flush_scheduled = False
         # The member memo: view family -> [members, wire or None,
@@ -250,17 +276,6 @@ class QueryNetServer:
             labels=("direction",),
         )
         self._c_bytes = lambda direction: nbytes.labels(direction=direction)
-        self._h_repl_ack = m.histogram(
-            "repl_ack_seconds",
-            "Sync-replication barrier: journal flush to the last "
-            "attached replica's ack (or to the ack timeout that dropped "
-            "it), per barrier that waited on a replica.",
-        )
-        self._c_repl_degraded = m.counter(
-            "repl_barrier_degraded_total",
-            "Times the sync barrier stopped waiting for a departed "
-            "replica to re-attach and fell back to async replication.",
-        )
         m.gauge(
             "net_connections_open", "Currently accepted connections."
         ).set_function(lambda: len(self._connections))
@@ -286,7 +301,7 @@ class QueryNetServer:
         db = self._server.db
         with self._lock:
             # Updates now reach remote consumers too: the applying
-            # thread fans out, queues pushes and streams the journal
+            # thread fans out, queues pushes and replication batches
             # before db.apply returns.
             db.unsubscribe(self._server._on_update)
             db.subscribe(self._ingest)
@@ -334,8 +349,9 @@ class QueryNetServer:
             await asyncio.sleep(interval)
             with self._lock:
                 tau = self._server.db.last_update_time
+                replicas = self._feed.replicas() if self._feed is not None else ()
                 for conn in list(self._connections):
-                    if conn.subscriptions or conn.replica:
+                    if conn.subscriptions or conn in replicas:
                         self._send(
                             conn, {"event": "heartbeat", "tau": tau}, force=True
                         )
@@ -366,9 +382,9 @@ class QueryNetServer:
     def promote(self) -> "QueryNetServer":
         """Flip a warm standby into a serving primary.
 
-        Lifts the standby gate: every replicated session and journaled
-        reply is already in the query server's tables, so clients that
-        fail over keep their session ids and retried request ids.
+        Lifts the standby gate: every replicated session and reply is
+        already in the query server's tables, so clients that fail over
+        keep their session ids and retried request ids.
         Raises :class:`~repro.replication.PromotionError` when this
         frontend was never a standby.
         """
@@ -379,10 +395,9 @@ class QueryNetServer:
         with self._lock:
             self._standby = False
             self._c_event("promote").inc()
-            journal = self._server.journal
             _LOG.warning(
-                "standby promoted to primary at journal seq %s with %d session(s)",
-                None if journal is None else journal.seq,
+                "standby promoted to primary at seq %s with %d session(s)",
+                None if self._feed is None else self._feed.seq,
                 len(self._server.sessions()),
             )
         return self
@@ -397,9 +412,9 @@ class QueryNetServer:
     def _ingest(self, update) -> None:
         """The MOD's listener, run by ``db.apply`` on the applying thread
         with the serving lock held: fan the update out, queue the answer
-        changes it caused and stream its journal records, then schedule
-        the one flush of what it queued — the only step that crosses to
-        the loop — and wait in the ack barrier."""
+        changes it caused and its replication batches, then schedule the
+        one flush of what it queued — the only step that crosses to the
+        loop — and wait in the ack barrier."""
         with self._lock:
             if self._closed:
                 raise ServerClosedError(
@@ -433,164 +448,62 @@ class QueryNetServer:
             except RuntimeError:
                 pass  # the loop is gone (killed): no transport is left
 
-    # -- replication stream -------------------------------------------------
-    def _replica_conns(self):
-        return [
-            conn
-            for conn in self._connections
-            if conn.replica and not conn.closing
-        ]
-
+    # -- the replica feed's transport ---------------------------------------
     def _flush_repl(self) -> None:
-        """Stream journal records appended since each replica's last
-        flush, one batch frame per flush boundary.
-
-        Batching at flush boundaries (not per append) keeps compound
-        operations — a ``close`` record and its ``reply`` record, say —
-        atomic on the wire: a standby holds either both or neither, so
-        a primary kill between them cannot strand a half-applied pair.
-        """
-        journal = self._server.journal
-        if journal is None:
+        """Queue the batches the replica feed hands over at this flush
+        boundary, one ``repl.append`` frame per replica; a replica whose
+        suffix fell off retention is dropped instead (it must re-sync
+        from scratch)."""
+        if self._feed is None:
             return
-        for conn in self._replica_conns():
-            records = journal.records_since(conn.sent_seq)
+        for conn, records in self._feed.batches():
             if records is None:
-                # The suffix fell off retention (journal handover after
-                # a recovery); the replica must re-sync from scratch.
                 self._drop_replica(conn, "resume window lost")
-                continue
-            if records:
-                conn.sent_seq = records[-1]["seq"]
-                self._send(
-                    conn,
-                    {"event": "repl.append", "records": records},
-                    force=True,
-                )
-        self._update_retain_floor()
-
-    def _update_retain_floor(self) -> None:
-        """Pin the journal's in-memory retention at the slowest live
-        replica's acknowledged position, so checkpoints never evict
-        records a standby could still resume from (a standby resumes
-        from what it applied, which a record streamed into a link that
-        is being cut may never reach)."""
-        journal = self._server.journal
-        if journal is None:
-            return
-        # A closing link still counts until its close opens the grace
-        # window (both under the lock), so the floor never drops between.
-        acked = [c.acked_seq for c in self._connections if c.replica]
-        if acked:
-            journal.set_retain_floor(min(acked))
-            return
-        if (
-            self._loop is not None
-            and self._loop.time() < self._repl_grace_until
-        ):
-            # A replica dropped moments ago and may resume: keep the
-            # floor pinned where it was so its suffix outlives the
-            # reconnect window instead of falling to a checkpoint.
-            return
-        journal.set_retain_floor(None)
+            else:
+                frame = {"event": "repl.append", "records": records}
+                self._send(conn, frame, force=True)
 
     def _repl_barrier(self) -> None:
-        """The sync-replication ack barrier, the one body both callers
-        share: ``_ingest`` on the applying thread, a verb that journaled
-        and the drain on a loop executor worker.  Every wait is on
-        ``self._acks``, which releases the serving lock however deeply
-        it is held; an ack, an attach, a departure and :meth:`kill`
-        notify it.
-
-        It holds until every replica acknowledged the journal's current
-        sequence, dropping one that has not within one ack timeout.  A
-        write no replica holds — every replica waited on left, or there
-        is none — holds through the reconnect grace the last departure
-        armed, and a replica that attaches in it gets a full ack timeout
-        from then, so a primary kill inside a standby's reconnect window
-        cannot lose an acknowledged write no standby ever saw.  Whatever
-        the replicas do, it returns within three ack timeouts; a write
-        it returns with no replica holding counts one degrade per
-        departure."""
+        """Wait in the replica feed's ack barrier — ``_ingest`` on the
+        applying thread, a verb that streamed and the drain on a loop
+        executor worker — then have the loop write what was queued
+        meanwhile.  A kill ends the wait; the degrade to async the feed
+        reports is logged here, with the drops and the promotion."""
         with self._lock:
-            journal = self._server.journal
-            if journal is None:
-                return
-            target = journal.seq
-            timeout = self._config.repl_ack_timeout
-            clock = self._loop.time
-            began = clock()
-            limit = began + 3 * timeout
-            deadline = began + timeout
-            held = replicated = False
             try:
-                while not self._killed:
-                    replicas = self._replica_conns()
-                    pending = [c for c in replicas if c.acked_seq < target]
-                    held = held or any(c.acked_seq >= target for c in replicas)
-                    replicated = replicated or bool(replicas)
-                    now, grace = clock(), min(self._repl_grace_until, limit)
-                    if pending and now < deadline:
-                        self._acks.wait(deadline - now)
-                    elif pending:
-                        for conn in pending:
-                            self._drop_replica(conn, "ack timeout")
-                    elif held:
-                        break
-                    elif now < grace:
-                        # No replica holds the write: wait for one to
-                        # attach, then give it a full ack timeout.
-                        self._acks.wait(grace - now)
-                        deadline = min(clock() + timeout, limit)
-                    else:
-                        self._note_barrier_degraded(target)
-                        break
-                if replicated:
-                    self._h_repl_ack.observe(clock() - began)
+                if self._feed is None:
+                    return
+                seq = self._feed.barrier(
+                    self._config.repl_ack_timeout,
+                    lambda: self._killed,
+                    self._drop_replica,
+                )
+                if seq is not None:
+                    _LOG.warning(
+                        "sync replication degraded to async: seq %d "
+                        "acknowledged with no replica holding it",
+                        seq,
+                    )
             finally:
                 self._schedule_flush()
 
-    def _note_barrier_degraded(self, seq: int) -> None:
-        """The barrier is returning with no replica holding journal seq
-        ``seq``.  Once per departure that is the degrade to async
-        replication; a server that never had a replica (or already
-        reported this departure) has nothing to report."""
-        if self._repl_grace_until:
-            self._repl_grace_until = 0.0
-            self._c_repl_degraded.inc()
-            _LOG.warning(
-                "sync replication degraded to async: journal seq %d "
-                "acknowledged with no replica holding it",
-                seq,
-            )
-
-    def _replica_departed(self, conn: _Connection) -> None:
-        """``conn`` stopped being a replica (dropped, or its link died):
-        wake every barrier waiting on its ack, open the reconnect grace
-        the barrier honors while no replica holds a write, and move the
-        retention floor.  A draining server's listener is closed, so no
-        replica can come back: it opens no grace."""
-        conn.replica = False
-        self._acks.notify_all()
-        if not self._draining:
-            self._repl_grace_until = (
-                self._loop.time() + self._config.repl_ack_timeout
-            )
-        self._update_retain_floor()
-
-    def _drop_replica(self, conn: _Connection, reason: str) -> None:
+    def _drop_replica(self, conn: _Connection, reason: Optional[str] = None) -> None:
+        """``conn`` stops being a replica: its link died (no ``reason``),
+        or the feed gave up on it — it is told why and closed.  The feed
+        opens the reconnect grace, unless this server is draining: its
+        listener is closed, so no replica can come back."""
+        acked = self._feed.depart(
+            conn, 0.0 if self._draining else self._config.repl_ack_timeout
+        )
+        if reason is None or acked is None:
+            return
         self._c_event("replica_drop").inc()
         _LOG.warning(
             "replica dropped (connection %d, acked seq %d): %s",
-            conn.cid, conn.acked_seq, reason,
+            conn.cid, acked, reason,
         )
-        self._send(
-            conn,
-            {"event": "repl.dropped", "reason": reason},
-            force=True,
-        )
+        self._send(conn, {"event": "repl.dropped", "reason": reason}, force=True)
         conn.closing = True
-        self._replica_departed(conn)
 
     # -- connection handling ----------------------------------------------
     async def _handle_connection(self, reader, writer) -> None:
@@ -598,11 +511,7 @@ class QueryNetServer:
         sock = writer.get_extra_info("socket")
         if sock is not None:
             try:
-                import socket as _socket
-
-                sock.setsockopt(
-                    _socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1
-                )
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             except OSError:
                 pass
         with self._lock:
@@ -612,20 +521,16 @@ class QueryNetServer:
         try:
             if await self._handshake(conn):
                 await self._request_loop(conn)
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionError,
-            OSError,
-        ):
+        except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass
         finally:
             with self._lock:
                 conn.closing = True
-                if conn.replica:
+                if self._feed is not None:
                     # A replica link died without a protocol-level drop
                     # (EOF, reset): the barrier holds through the grace
                     # while it comes back.
-                    self._replica_departed(conn)
+                    self._drop_replica(conn)
             self._flush(conn)  # closing: what is left, pause or not
             try:
                 writer.close()
@@ -672,47 +577,26 @@ class QueryNetServer:
                 self.stats.handshake_failures += 1
             return False
         rid = request.get("id")
-        if request.get("verb") != "hello":
-            self._fail_handshake(
-                conn, rid, ProtocolError("first frame must be 'hello'")
-            )
-            return False
         version = request.get("version")
-        if version != PROTOCOL_VERSION:
-            self._fail_handshake(
-                conn,
-                rid,
-                VersionMismatchError(
-                    f"server speaks protocol {PROTOCOL_VERSION}, "
-                    f"client sent {version!r}"
-                ),
+        if request.get("verb") != "hello":
+            error = ProtocolError("first frame must be 'hello'")
+        elif version != PROTOCOL_VERSION:
+            error = VersionMismatchError(
+                f"server speaks protocol {PROTOCOL_VERSION}, "
+                f"client sent {version!r}"
             )
-            return False
+        else:
+            error = None
         with self._lock:
-            self._send(
-                conn,
-                {
-                    "id": rid,
-                    "ok": True,
-                    "result": {
-                        "version": PROTOCOL_VERSION,
-                        "server": SERVER_SOFTWARE,
-                    },
-                },
-                force=True,
-            )
+            if error is None:
+                result = {"version": PROTOCOL_VERSION, "server": SERVER_SOFTWARE}
+                response = {"id": rid, "ok": True, "result": result}
+            else:
+                self.stats.handshake_failures += 1
+                response = {"id": rid, "ok": False, "error": error_to_wire(error)}
+            self._send(conn, response, force=True)
         self._write_queued()
-        return True
-
-    def _fail_handshake(self, conn, rid, exc) -> None:
-        with self._lock:
-            self.stats.handshake_failures += 1
-            self._send(
-                conn,
-                {"id": rid, "ok": False, "error": error_to_wire(exc)},
-                force=True,
-            )
-        self._write_queued()
+        return error is None
 
     async def _request_loop(self, conn: _Connection) -> None:
         while not conn.closing:
@@ -727,16 +611,16 @@ class QueryNetServer:
                     )
                 self._write_queued()
                 continue
+            feed = self._feed
             with self._lock:
-                journal = self._server.journal
-                seq_before = journal.seq if journal is not None else 0
+                before = feed.seq if feed is not None else 0
                 response = self._dispatch(conn, request)
-                journaled = journal is not None and journal.seq != seq_before
-                if journaled:
-                    # The verb journaled something: stream it to replicas
-                    # and hold the response until they acknowledge — a
-                    # response the client saw is a response the promoted
-                    # standby can replay.  The barrier waits on an
+                streamed = feed is not None and feed.seq != before
+                if streamed:
+                    # The verb appended replication records: stream them
+                    # and hold the response until the replicas acknowledge
+                    # — a response the client saw is a response the
+                    # promoted standby can replay.  The barrier waits on an
                     # executor worker, so the loop keeps serving meanwhile.
                     self._flush_repl()
                 else:
@@ -744,7 +628,7 @@ class QueryNetServer:
             # The lock is released: what the verb queued goes out now,
             # in this loop turn (a push queued before it goes first).
             self._write_queued()
-            if journaled:
+            if streamed:
                 await self._loop.run_in_executor(None, self._repl_barrier)
                 with self._lock:
                     self._send(conn, response, force=True)
@@ -763,37 +647,29 @@ class QueryNetServer:
                 self.stats.replays += 1
                 self._c_event("replay").inc()
                 return replayed
-        handler = self._VERBS.get(verb)
+        entry = _VERBS.get(verb) if isinstance(verb, str) else None
         try:
-            if handler is None:
+            if entry is None:
                 raise ProtocolError(f"unknown verb {verb!r}")
-            if self._standby and verb in _SESSION_VERBS:
+            if self._standby and entry.primary_only:
                 raise NotPrimaryError(
                     "this server is a warm standby; retry against the "
                     "primary (or wait for promotion)"
                 )
-            result = handler(self, conn, request)
+            result = entry.handler(self, conn, request)
             response = {"id": rid, "ok": True, "result": result}
         except Exception as exc:  # typed over the wire, never fatal
             self.stats.errors += 1
             self._c_event("error").inc()
             response = {"id": rid, "ok": False, "error": error_to_wire(exc)}
-        if rid is not None and verb in _MUTATING and not self._standby:
+        if rid is not None and entry and entry.remembered and not self._standby:
             # A standby's refusal ran nothing: the id stays free for the
             # retry its promotion will serve.
             self._server.remember_reply(str(rid), response)
         return response
 
-    @staticmethod
-    def _session_id(request: dict) -> int:
-        """The session id every session verb must carry."""
-        try:
-            return int(request["session"])
-        except (KeyError, TypeError, ValueError):
-            raise ProtocolError("request needs an integer 'session'")
-
     def _get_session(self, conn: _Connection, request: dict):
-        session = self._server.session(self._session_id(request))
+        session = self._server.session(_field(request, "session"))
         # The most recent connection to touch a session owns it for
         # push/drain delivery (reconnected clients take over).
         self._owners[session.session_id] = conn
@@ -802,12 +678,7 @@ class QueryNetServer:
     # -- verbs -------------------------------------------------------------
     def _verb_open(self, conn: _Connection, request: dict) -> dict:
         kind = request.get("kind")
-        coords = request.get("query")
-        if not isinstance(coords, (list, tuple)) or not coords:
-            raise ProtocolError(
-                "open needs 'query': the fixed query point's coordinates"
-            )
-        point = [float(c) for c in coords]
+        point = _field(request, "query", (float,))
         shards = request.get("shards")
         if shards is not None and (
             isinstance(shards, bool)
@@ -818,23 +689,23 @@ class QueryNetServer:
                 f"'shards' must be an integer from 1 to {MAX_OPEN_SHARDS} "
                 f"(or absent), got {shards!r}"
             )
-        options = {"priority": int(request.get("priority", 0)), "shards": shards}
+        options = {"priority": _field(request, "priority", int, 0), "shards": shards}
         server = self._server
         if kind == "knn":
             session = server.register_knn(
-                point, k=int(request.get("k", 1)), **options
+                point, k=_field(request, "k", int, 1), **options
             )
         elif kind == "within":
             if "threshold" in request:
                 # g-distance units: a GDistance query compares as-is.
                 session = server.register_within(
                     SquaredEuclideanDistance(point),
-                    float(request["threshold"]),
+                    _field(request, "threshold", float),
                     **options,
                 )
             elif "distance" in request:
                 session = server.register_within(
-                    point, float(request["distance"]), **options
+                    point, _field(request, "distance", float), **options
                 )
             else:
                 raise ProtocolError(
@@ -843,7 +714,7 @@ class QueryNetServer:
                 )
         elif kind == "multiknn":
             session = server.register_multiknn(
-                point, [int(k) for k in request.get("ks", ())], **options
+                point, _field(request, "ks", (int,), ()), **options
             )
         else:
             raise ProtocolError(f"unknown query kind {kind!r}")
@@ -857,7 +728,7 @@ class QueryNetServer:
 
     def _verb_advance(self, conn: _Connection, request: dict) -> dict:
         session = self._get_session(conn, request)
-        members = session.advance_to(float(request["to"]))
+        members = session.advance_to(_field(request, "to", float))
         return {"members": members_to_wire(members)}
 
     def _verb_members(self, conn: _Connection, request: dict) -> dict:
@@ -866,8 +737,7 @@ class QueryNetServer:
 
     def _verb_close(self, conn: _Connection, request: dict) -> dict:
         session = self._get_session(conn, request)
-        at = request.get("at")
-        answer = session.close(at=None if at is None else float(at))
+        answer = session.close(at=_field(request, "at", float, None))
         self._drop_subscriptions(session.session_id)
         return {"state": session.state, "answer": answer_to_wire(answer)}
 
@@ -876,7 +746,7 @@ class QueryNetServer:
         from repro.obs.profile import QueryProfiler
 
         session = self._get_session(conn, request)
-        at = request.get("at")
+        at = _field(request, "at", float, None)
         meta = {"session": session.session_id, **session.query.params}
         profiler = QueryProfiler()
         with profiler.profile(
@@ -891,9 +761,7 @@ class QueryNetServer:
             decode.add_time(conn.last_decode_seconds)
             decode.annotate(bytes=conn.last_frame_bytes)
             with prof.stage("net.dispatch"):
-                answer = self._server.close_with_profile(
-                    session, None if at is None else float(at), prof
-                )
+                answer = self._server.close_with_profile(session, at, prof)
             with prof.stage("net.encode") as stage:
                 wire = answer_to_wire(answer)
                 stage.annotate(bytes=len(json.dumps(wire)))
@@ -913,7 +781,7 @@ class QueryNetServer:
         return {"subscribed": session.session_id, "members": self._wire_of(read)}
 
     def _verb_unsubscribe(self, conn: _Connection, request: dict) -> dict:
-        sid = self._session_id(request)
+        sid = _field(request, "session")
         conn.subscriptions.pop(sid, None)
         return {"unsubscribed": sid}
 
@@ -921,110 +789,33 @@ class QueryNetServer:
         return {"pong": True, "tau": self._server.db.last_update_time}
 
     def _verb_stats(self, conn: _Connection, request: dict) -> dict:
-        server_stats = self._server.stats
         out = {
-            "server": {
-                field: getattr(server_stats, field)
-                for field in server_stats.__dataclass_fields__
-            },
-            "net": {
-                field: getattr(self.stats, field)
-                for field in self.stats.__dataclass_fields__
-            },
+            "server": asdict(self._server.stats),
+            "net": asdict(self.stats),
             "groups": self._server.group_count,
-            "applier": {
-                "applied": server_stats.updates,
-                "fanout": server_stats.fanout,
-            },
             "standby": self._standby,
         }
-        journal = self._server.journal
-        if journal is not None:
-            acked = [c.acked_seq for c in self._replica_conns()]
-            out["replication"] = {
-                "seq": journal.seq,
-                "snapshot_seq": journal.snapshot_seq,
-                "replicas": len(acked),
-                "min_acked": min(acked) if acked else None,
-                # The staleness watermark: journal records a freshly
-                # promoted laggard replica would still be missing.
-                "lag": journal.seq - min(acked) if acked else None,
-            }
+        if self._feed is not None:
+            out["replication"] = self._feed.stats()
         return out
 
     def _verb_repl_subscribe(self, conn: _Connection, request: dict) -> dict:
-        """Attach this connection as a replica.
-
-        ``from`` names the last journal seq the replica already holds:
-        ``0`` (a cold standby) receives a full snapshot to bootstrap
-        from; a resuming replica receives the missed record suffix when
-        the journal still retains it, and a snapshot otherwise.  Either
-        way the response pins ``conn.sent_seq``, and every journal
-        record after it streams as ``repl.append`` event batches.
-        """
-        journal = self._server.journal
-        if journal is None:
+        """Attach this connection to the replica feed: ``from`` names
+        the last seq the replica already holds (see
+        :meth:`~repro.replication.feed.ReplicaFeed.attach`)."""
+        since = _field(request, "from", int, 0)
+        if self._feed is None:
             raise ProtocolError(
-                "this server has no journal; nothing to replicate"
+                "this server keeps no replica feed; nothing to replicate"
             )
-        from_seq = int(request.get("from", 0))
-        conn.replica = True
         self._c_event("replica_attach").inc()
-        # Wake any ack barrier holding through the reconnect grace
-        # window: it re-runs against this replica's ack stream.
-        self._acks.notify_all()
-        # A resume from beyond the journal claims records this primary
-        # never wrote: a lost suffix, like one retention moved past.
-        records = (
-            journal.records_since(from_seq)
-            if 0 < from_seq <= journal.seq
-            else None
-        )
-        if records is None:
-            snapshot = self._server.snapshot_state()
-            conn.sent_seq = conn.acked_seq = int(snapshot["seq"])
-            self._update_retain_floor()
-            return {
-                "mode": "snapshot",
-                "snapshot": snapshot,
-                "seq": journal.seq,
-            }
-        conn.sent_seq = journal.seq if not records else records[-1]["seq"]
-        conn.acked_seq = from_seq
-        self._update_retain_floor()
-        return {"mode": "records", "records": records, "seq": journal.seq}
+        return self._feed.attach(conn, since)
 
     def _verb_repl_ack(self, conn: _Connection, request: dict) -> dict:
-        if not conn.replica:
+        seq = _field(request, "seq")
+        if self._feed is None:
             raise ProtocolError("repl.ack from a non-replica connection")
-        seq = int(request["seq"])
-        if seq > conn.sent_seq:
-            raise ProtocolError(
-                f"repl.ack of seq {seq} is beyond the {conn.sent_seq} "
-                f"streamed to this replica"
-            )
-        if seq > conn.acked_seq:
-            conn.acked_seq = seq
-        self._acks.notify_all()
-        journal = self._server.journal
-        return {
-            "acked": conn.acked_seq,
-            "seq": journal.seq if journal is not None else None,
-        }
-
-    _VERBS = {
-        "open": _verb_open,
-        "advance": _verb_advance,
-        "members": _verb_members,
-        "close": _verb_close,
-        "explain": _verb_explain,
-        "subscribe": _verb_subscribe,
-        "unsubscribe": _verb_unsubscribe,
-        "ping": _verb_ping,
-        "stats": _verb_stats,
-        "repl.subscribe": _verb_repl_subscribe,
-        "repl.ack": _verb_repl_ack,
-    }
+        return self._feed.ack(conn, seq)
 
     # -- member reads and the push stream ----------------------------------
     def _read_family(self, session) -> list:
@@ -1086,8 +877,12 @@ class QueryNetServer:
                 continue
             for sid in list(conn.subscriptions):
                 session = self._server.session(sid)
-                read = self._family_answer(session)
-                if read is None:
+                try:
+                    read = self._read_family(session)
+                except ServerError:
+                    # Not active, or no longer: the read healed an engine
+                    # fault by quarantining the group, and the session's
+                    # own gate said so.
                     self._end_subscription(conn, sid, session)
                     continue
                 members, held = read[0], conn.subscriptions[sid]
@@ -1108,15 +903,6 @@ class QueryNetServer:
                     self._c_event("push").inc()
                 else:
                     break  # connection was just shed or closed
-
-    def _family_answer(self, session):
-        """The session's family read; ``None`` when the session is not
-        active — or no longer: the read healed an engine fault by
-        quarantining the group, and the session's own gate said so."""
-        try:
-            return self._read_family(session)
-        except ServerError:
-            return None
 
     def _end_subscription(self, conn: _Connection, sid: int, session) -> None:
         """A subscribed session stopped being readable.  One that was
@@ -1271,7 +1057,7 @@ class QueryNetServer:
         with self._lock:
             drained: Dict[int, object] = {}
             # A standby serves nothing of its own: its sessions are the
-            # primary's, and its journal stays the primary's record.
+            # primary's, and so is its record of them.
             sessions = [] if self._standby else self._server.sessions()
             # Cancel the admission queue first: closing an active session
             # below would otherwise promote a queued one mid-drain and
@@ -1289,20 +1075,15 @@ class QueryNetServer:
                 self._c_event("drain").inc()
                 owner = self._owners.get(sid)
                 if owner is not None and not owner.closing:
-                    self._send(
-                        owner,
-                        {
-                            "event": "drain",
-                            "session": sid,
-                            "answer": answer_to_wire(answer),
-                        },
-                        force=True,
-                    )
+                    wire = answer_to_wire(answer)
+                    event = {"event": "drain", "session": sid, "answer": wire}
+                    self._send(owner, event, force=True)
             # Stream the drain's close records before saying goodbye, so a
             # standby mirrors the drained (terminal) state.  Attached
             # replicas must ack them; one that left cannot come back (the
             # listener closed above), so its reconnect grace is over.
-            self._repl_grace_until = 0.0
+            if self._feed is not None:
+                self._feed.end_grace()
             self._flush_repl()
         self._write_queued()
         await self._loop.run_in_executor(None, self._repl_barrier)
@@ -1358,10 +1139,11 @@ class QueryNetServer:
 
         No drain, no goodbye, no final checkpoint, no session closes:
         sockets are aborted and the loop stops, exactly as if the
-        process had been SIGKILLed mid-flight.  Whatever the journal
-        (and any acked replica) holds is all that survives — which is
-        precisely the guarantee recovery and failover are tested
-        against.  Idempotent; a killed frontend cannot be restarted.
+        process had been SIGKILLed mid-flight.  Whatever the server's
+        durable log (and any acked replica) holds is all that survives —
+        which is precisely the guarantee recovery and failover are
+        tested against.  Idempotent; a killed frontend cannot be
+        restarted.
         """
         with self._lock:
             if self._closed:
@@ -1371,7 +1153,8 @@ class QueryNetServer:
             self._server.db.unsubscribe(self._ingest)
             # Every ack barrier gives up: no replica can ack through a
             # dead frontend.
-            self._acks.notify_all()
+            if self._feed is not None:
+                self._feed.notify()
         if self._loop is not None:
             self._loop.call_soon_threadsafe(self._kill_on_loop)
             self._loop.call_soon_threadsafe(self._loop.stop)
@@ -1401,3 +1184,17 @@ class QueryNetServer:
         for task in asyncio.all_tasks(self._loop):
             task.cancel()
 
+
+_VERBS = {
+    "open": _Verb(QueryNetServer._verb_open, remembered=True, primary_only=True),
+    "advance": _Verb(QueryNetServer._verb_advance, remembered=True, primary_only=True),
+    "members": _Verb(QueryNetServer._verb_members, primary_only=True),
+    "close": _Verb(QueryNetServer._verb_close, remembered=True, primary_only=True),
+    "explain": _Verb(QueryNetServer._verb_explain, remembered=True, primary_only=True),
+    "subscribe": _Verb(QueryNetServer._verb_subscribe, primary_only=True),
+    "unsubscribe": _Verb(QueryNetServer._verb_unsubscribe, primary_only=True),
+    "ping": _Verb(QueryNetServer._verb_ping),
+    "stats": _Verb(QueryNetServer._verb_stats),
+    "repl.subscribe": _Verb(QueryNetServer._verb_repl_subscribe),
+    "repl.ack": _Verb(QueryNetServer._verb_repl_ack),
+}

@@ -8,8 +8,12 @@ snapshots its state, so a crashed server rebuilds from (checkpoint,
 WAL tail) with replay cost proportional to the tail:
 
 - :mod:`repro.replication.journal` — :class:`ServerWal`, the
-  sequenced server journal + atomic snapshot checkpoints, doubling as
-  the replication feed;
+  sequenced server journal + atomic snapshot checkpoints;
+- :mod:`repro.replication.feed` — :class:`ReplicaFeed`, the primary's
+  half of the replication link over that journal: the replica table,
+  the ``repl.subscribe`` / ``repl.ack`` bodies, stream batching, the
+  ack barrier and the retention floor (a transport such as
+  :class:`~repro.net.QueryNetServer` only moves its frames);
 - :mod:`repro.replication.durable` — :class:`DurableQueryServer`
   (a :class:`~repro.server.QueryServer` that journals itself) and
   :func:`recover_server` (crash recovery);
@@ -24,6 +28,7 @@ from repro.replication.errors import (
     PromotionError,
     ReplicationError,
 )
+from repro.replication.feed import ReplicaFeed
 from repro.replication.journal import (
     SERVER_CHECKPOINT_FILENAME,
     SERVER_WAL_FILENAME,
@@ -36,6 +41,7 @@ __all__ = [
     "DurableQueryServer",
     "recover_server",
     "StandbyReplica",
+    "ReplicaFeed",
     "ServerWal",
     "load_server_state",
     "SERVER_WAL_FILENAME",

@@ -41,6 +41,7 @@ from repro.mod.updates import Update
 from repro.server.config import ServerConfig
 from repro.server.server import QueryServer
 from repro.server.session import ACTIVE, QUEUED, ServerSession
+from repro.replication.feed import ReplicaFeed
 from repro.replication.journal import (
     SNAPSHOT_FORMAT,
     ServerWal,
@@ -88,6 +89,10 @@ class DurableQueryServer(QueryServer):
         Pre-built :class:`ServerWal` (recovery hands over the journal
         it already sequenced); overrides ``directory``/``sync``.
 
+    :attr:`feed` is the :class:`~repro.replication.feed.ReplicaFeed`
+    over the journal: the primary's half of the replication link, which
+    a frontend such as :class:`~repro.net.QueryNetServer` carries.
+
     Only sessions whose g-distance serializes (point / trajectory
     squared-Euclidean queries) are admitted — an opaque callable raises
     :class:`~repro.replication.NotDurableError` *before* any state
@@ -117,6 +122,7 @@ class DurableQueryServer(QueryServer):
         self._replaying = False
         self.recovered_tail = 0  # tail records replayed to build this server
         super().__init__(db, config, observe, cache)
+        self.feed = ReplicaFeed(self._wal, db.lock, self.snapshot_state, observe)
         if (
             journal is None
             and directory is not None

@@ -12,10 +12,12 @@ the log, so recovery reads and replays exactly the tail — Theorem 5's
 (checkpoint, suffix-of-updates) reconstruction discipline applied to
 the server's entire answer state.
 
-The journal doubles as the replication feed: the net frontend reads
-:meth:`records_since` each replica's last streamed seq and sends the
-records to warm standbys as ``repl.append`` events — the same read
-serves resume-after-reconnect without a fresh snapshot.
+The journal is what a warm standby replicates: its
+:class:`~repro.replication.feed.ReplicaFeed` reads :meth:`records_since`
+each replica's last streamed seq and hands the records to the
+transport — the same read serves resume-after-reconnect without a
+fresh snapshot — and a snapshot trims the retained records only down
+to the floor that feed derives from its replica table.
 
 ``directory=None`` runs the journal memory-only — still sequenced,
 still streamable to replicas — for primaries that want warm-standby
@@ -120,7 +122,7 @@ class ServerWal(Journal):
     directory:
         Durability directory (``server_wal.jsonl`` +
         ``server_checkpoint.json``), or ``None`` for a memory-only
-        journal (replication feed without local durability).
+        journal (replicated without local durability).
     sync:
         Per-append policy for the JSONL file: ``none`` / ``flush`` /
         ``fsync`` (see :class:`repro.resilience.WriteAheadLog`).  The
@@ -135,6 +137,9 @@ class ServerWal(Journal):
     log_filename = SERVER_WAL_FILENAME
     checkpoint_filename = SERVER_CHECKPOINT_FILENAME
     not_durable = NotDurableError
+    # The ReplicaFeed streaming this journal (it registers itself): its
+    # replicas' positions are the floor a snapshot trims retention to.
+    feed = None
 
     def __init__(
         self,
@@ -147,7 +152,6 @@ class ServerWal(Journal):
         self._seq = int(start_seq)
         self._snapshot_seq = 0
         self._records: List[dict] = []  # retained for replica resume
-        self._retain_floor: Optional[int] = None
         m = (as_instrumentation(observe) or NULL_INSTRUMENTATION).metrics
         records = m.counter(
             "repl_journal_records_total",
@@ -192,18 +196,6 @@ class ServerWal(Journal):
             return None
         return [r for r in self._records if r["seq"] > seq]
 
-    def set_retain_floor(self, seq: Optional[int]) -> None:
-        """Pin in-memory record retention for replication resume.
-
-        Records with ``seq`` at or below the floor may be discarded at
-        the next checkpoint.  ``None`` (the default) means no
-        replication consumer needs history: checkpoints trim
-        everything the snapshot already covers.  The net frontend
-        advances this to the slowest replica's acknowledged position, so
-        a checkpoint never evicts records a live standby still needs.
-        """
-        self._retain_floor = None if seq is None else int(seq)
-
     # -- writing ------------------------------------------------------------
     def append(self, op: str, **fields) -> dict:
         """Stamp, persist and retain one record."""
@@ -232,11 +224,11 @@ class ServerWal(Journal):
         """
         self._snapshot_seq = int(snapshot.get("seq", self._seq))
         # Trim in-memory retention: everything the snapshot covers is
-        # recoverable from disk, so only the suffix a live replica may
-        # still resume from (the retain floor) must stay resident.
+        # recoverable from disk, so only the suffix a replica may still
+        # resume from (the feed's floor) must stay resident.
         floor = self._snapshot_seq
-        if self._retain_floor is not None:
-            floor = min(floor, self._retain_floor)
+        if self.feed is not None:
+            floor = self.feed.floor(floor)
         if self._records and self._records[0]["seq"] <= floor:
             self._records = [r for r in self._records if r["seq"] > floor]
         if self._directory is None:

@@ -117,8 +117,8 @@ class QueryServer:
     (:meth:`reply` / :meth:`remember_reply`).
     """
 
-    # The server journal; a journaling subclass sets it.
-    journal = None
+    # The replica feed a frontend carries; a journaling subclass sets it.
+    feed = None
 
     def __init__(
         self,

@@ -102,7 +102,7 @@ class TestVerbSurface:
             assert stats["server"]["registered"] == 1
             assert stats["net"]["requests"] >= 3
             assert stats["groups"] == 1
-            assert stats["applier"] == {"applied": 0, "fanout": 0}
+            assert "applier" not in stats
 
     def test_typed_errors_cross_the_wire(self):
         db = _db()

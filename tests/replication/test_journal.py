@@ -2,12 +2,14 @@
 
 import json
 import os
+import threading
 
 import pytest
 
 from repro.replication import (
     SERVER_WAL_FILENAME,
     NotDurableError,
+    ReplicaFeed,
     ServerWal,
     load_server_state,
 )
@@ -94,7 +96,8 @@ class TestRetention:
     def test_retain_floor_pins_records_past_checkpoint(self, tmp_path):
         journal = ServerWal(str(tmp_path))
         _fill(journal, 5)
-        journal.set_retain_floor(2)  # a replica has streamed through 2
+        feed = ReplicaFeed(journal, threading.RLock(), snapshot=None)
+        feed.attach("replica", 2)  # a replica has acknowledged through 2
         journal.write_snapshot({"seq": 4})
         # Everything past the slowest replica survives the trim.
         assert [r["seq"] for r in journal.records_since(2)] == [3, 4, 5]
@@ -102,9 +105,10 @@ class TestRetention:
     def test_clearing_the_floor_releases_history(self, tmp_path):
         journal = ServerWal(str(tmp_path))
         _fill(journal, 5)
-        journal.set_retain_floor(2)
+        feed = ReplicaFeed(journal, threading.RLock(), snapshot=None)
+        feed.attach("replica", 2)
         journal.write_snapshot({"seq": 4})
-        journal.set_retain_floor(None)
+        feed.depart("replica", grace=0.0)  # gone, with no reconnect grace
         journal.write_snapshot({"seq": 5})
         assert journal.records_since(5) == []
         assert journal.records_since(4) is None

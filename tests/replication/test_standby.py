@@ -186,7 +186,7 @@ class TestDrainAfterStandbyLeft:
                     stream.step()
                 assert sb.applied_seq == server.journal.seq
             # The standby closed: the reconnect grace is armed.
-            assert _wait(lambda: not net._replica_conns())
+            assert _wait(lambda: not server.feed.replicas())
             started = time.monotonic()
             net.close()
             assert time.monotonic() - started < 1.0
