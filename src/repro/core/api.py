@@ -336,10 +336,10 @@ def serve_tcp(
     """Serve ``db`` to remote clients over TCP.
 
     Builds a :func:`serve` query server and wraps it in a
-    :class:`~repro.net.QueryNetServer`: an asyncio frontend speaking
-    the length-prefixed JSON protocol of :mod:`repro.net.protocol`,
-    with idempotent request retries, per-connection push backpressure,
-    and graceful drain.  ``port=0`` binds an ephemeral port — read the
+    :class:`~repro.net.QueryNetServer`: a one-thread ``selectors``
+    frontend speaking the length-prefixed JSON protocol of
+    :mod:`repro.net.protocol`, with idempotent request retries,
+    per-connection push backpressure, and graceful drain.  ``port=0`` binds an ephemeral port — read the
     actual address from ``.address``.  ``config`` is the
     :class:`~repro.server.ServerConfig`; ``net_config`` the
     :class:`~repro.net.NetConfig` wire policy.

@@ -6,9 +6,9 @@ The package splits along the protocol boundary:
   oid-faithful answer encodings shared by both ends;
 - :mod:`repro.net.errors` — transport errors plus the wire registry
   that lets the server's typed exceptions re-raise client-side;
-- :mod:`repro.net.server` — :class:`QueryNetServer`, the asyncio
-  frontend (loop on a dedicated thread, idempotent retries, bounded
-  push queues with slow-consumer shedding, graceful drain);
+- :mod:`repro.net.server` — :class:`QueryNetServer`, the frontend
+  (one ``selectors`` loop on a dedicated thread, idempotent retries,
+  bounded push queues with slow-consumer shedding, graceful drain);
 - :mod:`repro.net.client` — :class:`RemoteQueryClient` /
   :class:`RemoteQuerySession`, the synchronous client with timeouts
   and reconnecting retries.

@@ -1,11 +1,14 @@
-"""The networked serving frontend: asyncio TCP over a QueryServer.
+"""The networked serving frontend: TCP over a QueryServer.
 
 :class:`QueryNetServer` puts a wire on PR 6's multi-tenant
-:class:`~repro.server.QueryServer`: a single asyncio event loop (run on
-a dedicated daemon thread) accepts length-prefixed JSON connections and
+:class:`~repro.server.QueryServer`: one ``selectors`` loop, on a
+dedicated daemon thread, accepts length-prefixed JSON connections and
 speaks the :mod:`repro.net.protocol` verbs — ``hello`` / ``open`` /
 ``advance`` / ``members`` / ``close`` / ``explain`` / ``subscribe`` /
-``unsubscribe`` / ``ping`` / ``stats``.
+``unsubscribe`` / ``ping`` / ``stats``.  The loop watches a
+non-blocking listener, every connection (whole frames are parsed from
+its receive buffer and dispatched inline) and a wake-up socket pair —
+the one way another thread reaches it.
 
 One lock serializes the serving state: the MOD's own
 :attr:`~repro.mod.database.MovingObjectDatabase.lock`, which
@@ -15,18 +18,19 @@ state; an update is ingested *on the applying thread*, under the same
 lock: the query server's engine groups sweep it, subscribed
 connections' answer changes are queued and so are the replication
 batches it produced — and only the frame writes cross to the loop
-(one flush callback per update, none when nothing was queued).  There
-is no writer task: a frame reaches its transport as soon as the loop
-holds no lock, in the loop turn that queued it or in that callback.
-Each view family is read and encoded once per server state; the push
-fan-out and every ``members`` request share that read.
+(one wake-up per update, none when nothing was queued).  There is no
+writer task: a frame reaches its socket as soon as the loop holds no
+lock, at the end of the loop turn that queued it or of the turn that
+wake-up starts.  Each view family is read and encoded once per server
+state; the push fan-out and every ``members`` request share that read.
 ``db.apply(update)`` therefore keeps its synchronous contract — when it
 returns, every session (local or remote) reflects the update — and,
 on a replicated server, returns only once every standby acknowledged
 it: the applying thread waits in the ack barrier with the lock
 released, so the loop can read the acks.  A request that appended
-replication records waits in the same barrier on one of the loop's
-executor workers, so the loop keeps serving while its response is held.
+replication records waits in the same barrier on a worker thread; the
+loop reads nothing more from its connection until the response is
+queued, and keeps serving the others meanwhile.
 
 The primary's half of the replication link — the replica table, the
 ``repl.subscribe`` / ``repl.ack`` bodies, batching, the ack barrier and
@@ -54,9 +58,9 @@ Robustness is built in rather than bolted on:
 
 from __future__ import annotations
 
-import asyncio
 import json
 import logging
+import selectors
 import socket
 import threading
 import time
@@ -96,6 +100,17 @@ __all__ = ["NetStats", "QueryNetServer"]
 _LOG = logging.getLogger(__name__)
 
 SERVER_SOFTWARE = "repro-net/1"
+
+# A connection with this many bytes its socket has not taken yet takes
+# no more frames from its queue, so ``max_push_queue`` keeps governing
+# slow consumers.
+HIGH_WATER = 64 * 1024
+# Bytes asked of a readable socket at once: an oversized request body
+# is discarded as it arrives, so no more than this of it is ever held.
+RECV_CHUNK = 1 << 16
+# How long ``drain()`` waits for the last connection to close.
+DRAIN_TIMEOUT = 60.0
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
 
 _REQUIRED = object()
 
@@ -161,28 +176,43 @@ class NetStats:
 
 
 class _Connection:
-    """One accepted TCP connection: framing state + write queue (no
-    writer task: :meth:`QueryNetServer._flush` empties the queue)."""
+    """One accepted TCP connection: its non-blocking socket, the receive
+    buffer whole frames are parsed from, and the frame queue with the
+    bytes the socket has not taken yet (:meth:`QueryNetServer._flush`
+    moves one into the other)."""
 
     __slots__ = (
         "cid",
-        "reader",
-        "writer",
+        "sock",
+        "inbuf",
+        "skip",
+        "oversized",
         "queue",
+        "out",
+        "events",
+        "held",
         "subscriptions",
         "closing",
         "_paused",
         "resume",
-        "waiter",
         "last_frame_bytes",
         "last_decode_seconds",
     )
 
-    def __init__(self, cid: int, reader, writer, resume=None) -> None:
+    def __init__(self, cid: int, sock, resume=None) -> None:
         self.cid = cid
-        self.reader = reader
-        self.writer = writer
+        self.sock = sock  # None once closed
+        self.inbuf = bytearray()
+        # The bytes of an oversized request body still to discard, and
+        # the length its header announced.
+        self.skip = 0
+        self.oversized = 0
         self.queue: deque = deque()
+        self.out = bytearray()
+        # The selector events registered for the socket (0: none).
+        self.events = 0
+        # A response waits in the ack barrier: no request is read.
+        self.held = False
         # sid -> the members last sent (the change-detection baseline)
         self.subscriptions: Dict[int, object] = {}
         self.closing = False
@@ -191,8 +221,6 @@ class _Connection:
         # unpausing hands the connection to ``resume`` (from any thread).
         self._paused = False
         self.resume = resume
-        # The drain waiter, while the transport is over high water.
-        self.waiter = None
         self.last_frame_bytes = 0
         self.last_decode_seconds = 0.0
 
@@ -225,10 +253,18 @@ class QueryNetServer:
         self._server = server
         self._config = config if config is not None else NetConfig()
         self._standby = bool(standby)
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        # The loop: its thread, selector, listener, wake-up pair and the
+        # calls other threads posted to it; when the next heartbeat is
+        # due, and each connection still owing its ``hello`` by when.
         self._thread: Optional[threading.Thread] = None
         self._thread_ident: Optional[int] = None
-        self._asyncio_server = None
+        self._running = False
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._listener: Optional[socket.socket] = None
+        self._wakeup: Tuple[socket.socket, ...] = ()
+        self._calls: deque = deque()
+        self._next_beat: Optional[float] = None
+        self._hellos: Dict[_Connection, float] = {}
         self._address: Optional[Tuple[str, int]] = None
         self._connections: Set[_Connection] = set()
         # Sessions and replies are the query server's; this is only who
@@ -238,13 +274,14 @@ class QueryNetServer:
         self._closed = False
         self._killed = False
         self._draining = False
-        self._heartbeat_task = None
         # The replica feed whose frames this frontend carries (None: the
-        # server replicates nothing), the serving lock (the MOD's), the
-        # connections frames were queued for that no flush has taken
-        # yet, and whether a flush callback is pending.
+        # server replicates nothing), the serving lock (the MOD's) and a
+        # condition on it the drain waits on for the sockets to close,
+        # the connections frames were queued for that no flush has
+        # taken yet, and whether a wake-up to flush them is pending.
         self._feed = server.feed
         self._lock = server.db.lock
+        self._settled = threading.Condition(self._lock)
         self._queued: Set[_Connection] = set()
         self._flush_scheduled = False
         # The member memo: view family -> [members, wire or None,
@@ -290,14 +327,27 @@ class QueryNetServer:
         self, host: str = "127.0.0.1", port: int = 0
     ) -> "QueryNetServer":
         """Bind, start the loop thread, and take over update ingestion."""
-        if self._loop is not None:
+        if self._thread is not None:
             raise NetError("net server already started")
-        self._loop = asyncio.new_event_loop()
+        self._listener = socket.create_server((host, port), backlog=100)
+        self._address = self._listener.getsockname()[:2]
+        self._wakeup = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        for sock, handler in zip(
+            (self._listener, self._wakeup[0]), (self._accept, self._on_wake)
+        ):
+            sock.setblocking(False)
+            self._selector.register(sock, _READ, handler)
+        self._wakeup[1].setblocking(False)
+        interval = self._config.heartbeat_interval
+        if interval is not None:
+            self._next_beat = time.monotonic() + interval
+        self._running = True
         self._thread = threading.Thread(
-            target=self._run_loop, name="repro-net", daemon=True
+            target=self._serve, name="repro-net", daemon=True
         )
         self._thread.start()
-        self._call(self._start_async(host, port))
+        self._thread_ident = self._thread.ident
         db = self._server.db
         with self._lock:
             # Updates now reach remote consumers too: the applying
@@ -307,55 +357,120 @@ class QueryNetServer:
             db.subscribe(self._ingest)
         return self
 
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._thread_ident = threading.get_ident()
-        self._loop.run_forever()
-        # Retire whatever the stop left behind (a kill cancels tasks
-        # without waiting) so the loop closes without leaking them.
-        pending = asyncio.all_tasks(self._loop)
-        for task in pending:
-            task.cancel()
-        if pending:
-            self._loop.run_until_complete(
-                asyncio.gather(*pending, return_exceptions=True)
-            )
-        self._loop.close()
+    # -- the loop (the ``repro-net`` thread) -------------------------------
+    def _serve(self) -> None:
+        """One ``select`` per turn over the listener, the wake-up pair
+        and every connection; the turn ends by writing what it queued,
+        when the loop holds no lock.  The select times out at the next
+        heartbeat or handshake deadline."""
+        select = self._selector.select
+        timeout = self._timers()
+        while self._running:
+            for key, events in select(timeout):
+                conn = key.data
+                if conn.__class__ is not _Connection:
+                    conn()  # the listener's accept or the wake-up
+                    continue
+                if events & _READ and not self._on_readable(conn):
+                    conn.closing = True  # end of stream: the rest goes out
+                self._queued.add(conn)  # flush it, and re-watch it
+            timeout = self._timers()
+            if self._queued or self._flush_scheduled:
+                self._write_queued()
+        # Stopped (a close after its drain, or a kill): every socket
+        # closes at once, what is still queued with it.
+        for conn in list(self._connections):
+            self._close(conn)
+        self._close_listener()
+        self._selector.close()
+        for sock in self._wakeup:
+            sock.close()
 
-    def _call(self, coro, timeout: float = 30.0):
-        """Run a coroutine on the loop thread and wait for it."""
-        if self._loop is None:
-            raise NetError("net server is not running")
-        if threading.get_ident() == self._thread_ident:
-            raise NetError("cannot block on the loop thread")
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result(timeout)
+    def _wake(self) -> None:
+        """Wake the loop: one byte down the wake-up pair."""
+        try:
+            self._wakeup[1].send(b"\0")
+        except OSError:
+            pass  # full (a wake-up is pending anyway) or closed (no loop)
 
-    async def _start_async(self, host: str, port: int) -> None:
-        self._asyncio_server = await asyncio.start_server(
-            self._handle_connection, host=host, port=port
-        )
-        self._address = self._asyncio_server.sockets[0].getsockname()[:2]
-        if self._config.heartbeat_interval is not None:
-            self._heartbeat_task = asyncio.get_event_loop().create_task(
-                self._heartbeat_loop()
-            )
+    def _post(self, call: Callable[[], None]) -> None:
+        """Have the loop run ``call`` (from any thread), then flush."""
+        self._calls.append(call)
+        self._wake()
 
-    async def _heartbeat_loop(self) -> None:
-        """Periodically push ``heartbeat`` events so subscribed clients
-        (and replicas) can detect a stalled or dead server by silence."""
-        interval = self._config.heartbeat_interval
-        while not (self._closed or self._draining):
-            await asyncio.sleep(interval)
+    def _on_wake(self) -> None:
+        try:
+            while self._wakeup[0].recv(4096):
+                pass
+        except OSError:
+            pass  # drained
+        calls = self._calls
+        while calls:
+            calls.popleft()()
+
+    def _timers(self) -> Optional[float]:
+        """Close each connection whose handshake is overdue and push
+        ``heartbeat`` events when due; return the seconds to the next
+        deadline (``None``: there is none)."""
+        if not self._hellos and self._next_beat is None:
+            return None
+        now = time.monotonic()
+        for conn, deadline in list(self._hellos.items()):
+            if deadline <= now:
+                del self._hellos[conn]
+                with self._lock:
+                    self.stats.handshake_failures += 1
+                conn.closing = True
+                self._queued.add(conn)
+        if self._next_beat is not None and now >= self._next_beat:
+            self._next_beat = None
+            if not (self._closed or self._draining):
+                self._beat()
+                self._next_beat = now + self._config.heartbeat_interval
+        due = list(self._hellos.values())
+        if self._next_beat is not None:
+            due.append(self._next_beat)
+        return max(0.0, min(due) - now) if due else None
+
+    def _beat(self) -> None:
+        """Push a ``heartbeat`` to every subscribed connection and
+        replica, so they can detect a stalled or dead server by silence."""
+        with self._lock:
+            tau = self._server.db.last_update_time
+            replicas = self._feed.replicas() if self._feed is not None else ()
+            for conn in self._connections:
+                if conn.subscriptions or conn in replicas:
+                    self._send(conn, {"event": "heartbeat", "tau": tau}, force=True)
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:
+            return  # the peer gave up before the accept
+        if self._draining:
+            sock.close()
+            return
+        sock.setblocking(False)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError:
+            pass
+        conn = _Connection(next(self._next_cid), sock, self._resume)
+        self._hellos[conn] = time.monotonic() + self._config.handshake_timeout
+        with self._lock:
+            self.stats.connections += 1
+            self._c_event("connect").inc()
+            self._connections.add(conn)
+        self._watch(conn)
+
+    def _close_listener(self) -> None:
+        """Stop accepting (on the loop)."""
+        listener, self._listener = self._listener, None
+        if listener is not None:
+            self._selector.unregister(listener)
+            listener.close()
             with self._lock:
-                tau = self._server.db.last_update_time
-                replicas = self._feed.replicas() if self._feed is not None else ()
-                for conn in list(self._connections):
-                    if conn.subscriptions or conn in replicas:
-                        self._send(
-                            conn, {"event": "heartbeat", "tau": tau}, force=True
-                        )
-            self._write_queued()
+                self._settled.notify_all()
 
     @property
     def address(self) -> Tuple[str, int]:
@@ -439,14 +554,11 @@ class QueryNetServer:
                     )
 
     def _schedule_flush(self) -> None:
-        """Have the loop write what was queued off it: one callback,
-        pending until it runs (none when nothing was queued)."""
+        """Have the loop write what was queued off it: one wake-up,
+        pending until the loop flushes (none when nothing was queued)."""
         if self._queued and not self._flush_scheduled:
             self._flush_scheduled = True
-            try:
-                self._loop.call_soon_threadsafe(self._write_queued)
-            except RuntimeError:
-                pass  # the loop is gone (killed): no transport is left
+            self._wake()
 
     # -- the replica feed's transport ---------------------------------------
     def _flush_repl(self) -> None:
@@ -465,8 +577,8 @@ class QueryNetServer:
 
     def _repl_barrier(self) -> None:
         """Wait in the replica feed's ack barrier — ``_ingest`` on the
-        applying thread, a verb that streamed and the drain on a loop
-        executor worker — then have the loop write what was queued
+        applying thread, a verb that streamed on a worker thread, the
+        drain on its caller's — then have the loop write what was queued
         meanwhile.  A kill ends the wait; the degrade to async the feed
         reports is logged here, with the drops and the promotion."""
         with self._lock:
@@ -505,77 +617,81 @@ class QueryNetServer:
         self._send(conn, {"event": "repl.dropped", "reason": reason}, force=True)
         conn.closing = True
 
-    # -- connection handling ----------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        conn = _Connection(next(self._next_cid), reader, writer, self._resume)
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            except OSError:
-                pass
-        with self._lock:
-            self.stats.connections += 1
-            self._c_event("connect").inc()
-            self._connections.add(conn)
+    # -- connection handling (on the loop) ----------------------------------
+    def _on_readable(self, conn: _Connection) -> bool:
+        """Read what ``conn``'s socket holds and handle every whole
+        frame it completes; False at the end of the stream."""
         try:
-            if await self._handshake(conn):
-                await self._request_loop(conn)
-        except (asyncio.IncompleteReadError, ConnectionError, OSError):
-            pass
-        finally:
-            with self._lock:
+            data = conn.sock.recv(RECV_CHUNK)
+        except (BlockingIOError, InterruptedError):
+            return True
+        except OSError:
+            return False
+        if not data:
+            return False
+        conn.inbuf += data
+        self._parse(conn)
+        return True
+
+    def _parse(self, conn: _Connection) -> None:
+        """Handle the whole frames in ``conn``'s receive buffer, in
+        order, until it runs dry, the connection closes, or a response
+        is held in the ack barrier.  An oversized body is discarded as
+        it arrives, then reported; the connection keeps working."""
+        buf = conn.inbuf
+        cap = self._config.max_frame
+        while not (conn.closing or conn.held):
+            if conn.skip:
+                cut = min(conn.skip, len(buf))
+                del buf[:cut]
+                conn.skip -= cut
+                if conn.skip:
+                    return
+                frame = FrameTooLargeError(
+                    f"request frame of {conn.oversized} bytes exceeds the "
+                    f"{cap}-byte cap"
+                )
+            else:
+                if len(buf) < HEADER.size:
+                    return
+                (length,) = HEADER.unpack_from(buf)
+                if length > cap:
+                    del buf[: HEADER.size]
+                    conn.skip = conn.oversized = length
+                    continue
+                end = HEADER.size + length
+                if len(buf) < end:
+                    return
+                body = buf[HEADER.size : end]
+                del buf[:end]
+                self.stats.bytes_in += end
+                self._c_bytes("in").inc(end)
+                started = time.perf_counter()
+                try:
+                    frame = decode_payload(body)
+                except ProtocolError as exc:
+                    frame = exc
+                conn.last_decode_seconds = time.perf_counter() - started
+                conn.last_frame_bytes = length
+            try:
+                if conn in self._hellos:
+                    self._greet(conn, frame)
+                else:
+                    self._request(conn, frame)
+            except Exception:  # e.g. a response past ``max_frame``
+                _LOG.exception("connection %d ends: a frame failed", conn.cid)
                 conn.closing = True
-                if self._feed is not None:
-                    # A replica link died without a protocol-level drop
-                    # (EOF, reset): the barrier holds through the grace
-                    # while it comes back.
-                    self._drop_replica(conn)
-            self._flush(conn)  # closing: what is left, pause or not
-            try:
-                writer.close()
-            except Exception:
-                pass
-            with self._lock:
-                self._connections.discard(conn)
-                conn.subscriptions.clear()
-            # Sessions deliberately survive the connection: a client
-            # that reconnects can resume (and retry) them by id.
 
-    async def _read_frame(self, conn: _Connection) -> dict:
-        header = await conn.reader.readexactly(HEADER.size)
-        (length,) = HEADER.unpack(header)
-        if length > self._config.max_frame:
-            # Skip the announced body so framing stays intact, then
-            # report; the connection keeps working.
-            remaining = length
-            while remaining > 0:
-                chunk = await conn.reader.read(min(remaining, 1 << 16))
-                if not chunk:
-                    raise asyncio.IncompleteReadError(b"", remaining)
-                remaining -= len(chunk)
-            raise FrameTooLargeError(
-                f"request frame of {length} bytes exceeds the "
-                f"{self._config.max_frame}-byte cap"
-            )
-        body = await conn.reader.readexactly(length)
-        self.stats.bytes_in += HEADER.size + length
-        self._c_bytes("in").inc(HEADER.size + length)
-        started = time.perf_counter()
-        payload = decode_payload(body)
-        conn.last_decode_seconds = time.perf_counter() - started
-        conn.last_frame_bytes = length
-        return payload
-
-    async def _handshake(self, conn: _Connection) -> bool:
-        try:
-            request = await asyncio.wait_for(
-                self._read_frame(conn), self._config.handshake_timeout
-            )
-        except (asyncio.TimeoutError, ProtocolError):
+    def _greet(self, conn: _Connection, request) -> None:
+        """``conn``'s first frame: a ``hello`` of this protocol version,
+        or the connection closes — answered first when the frame was
+        readable."""
+        del self._hellos[conn]
+        if isinstance(request, ProtocolError):
             with self._lock:
                 self.stats.handshake_failures += 1
-            return False
+            conn.closing = True
+            return
         rid = request.get("id")
         version = request.get("version")
         if request.get("verb") != "hello":
@@ -595,44 +711,85 @@ class QueryNetServer:
                 self.stats.handshake_failures += 1
                 response = {"id": rid, "ok": False, "error": error_to_wire(error)}
             self._send(conn, response, force=True)
-        self._write_queued()
-        return error is None
+        conn.closing = error is not None
 
-    async def _request_loop(self, conn: _Connection) -> None:
-        while not conn.closing:
-            try:
-                request = await self._read_frame(conn)
-            except ProtocolError as exc:  # an oversized frame included
-                with self._lock:
-                    self._send(
-                        conn,
-                        {"id": None, "ok": False, "error": error_to_wire(exc)},
-                        force=True,
-                    )
-                self._write_queued()
-                continue
-            feed = self._feed
+    def _request(self, conn: _Connection, request) -> None:
+        if isinstance(request, ProtocolError):  # an oversized frame included
             with self._lock:
-                before = feed.seq if feed is not None else 0
-                response = self._dispatch(conn, request)
-                streamed = feed is not None and feed.seq != before
-                if streamed:
-                    # The verb appended replication records: stream them
-                    # and hold the response until the replicas acknowledge
-                    # — a response the client saw is a response the
-                    # promoted standby can replay.  The barrier waits on an
-                    # executor worker, so the loop keeps serving meanwhile.
-                    self._flush_repl()
-                else:
-                    self._send(conn, response, force=True)
-            # The lock is released: what the verb queued goes out now,
-            # in this loop turn (a push queued before it goes first).
-            self._write_queued()
-            if streamed:
-                await self._loop.run_in_executor(None, self._repl_barrier)
-                with self._lock:
-                    self._send(conn, response, force=True)
-                self._write_queued()
+                self._send(
+                    conn,
+                    {"id": None, "ok": False, "error": error_to_wire(request)},
+                    force=True,
+                )
+            return
+        feed = self._feed
+        with self._lock:
+            before = feed.seq if feed is not None else 0
+            response = self._dispatch(conn, request)
+            if feed is None or feed.seq == before:
+                self._send(conn, response, force=True)
+                return
+            # The verb appended replication records: stream them and
+            # hold the response until the replicas acknowledge — a
+            # response the client saw is a response the promoted standby
+            # can replay.  The barrier waits on a worker thread, so the
+            # loop keeps serving the other connections meanwhile.
+            self._flush_repl()
+            conn.held = True
+        threading.Thread(
+            target=self._release, args=(conn, response),
+            name="repro-net-barrier", daemon=True,
+        ).start()
+
+    def _release(self, conn: _Connection, response: dict) -> None:
+        """A held response, on a worker thread: wait in the barrier,
+        queue the response, and have the loop read ``conn`` on."""
+        self._repl_barrier()
+        with self._lock:
+            self._send(conn, response, force=True)
+        self._post(lambda: self._unhold(conn))
+
+    def _unhold(self, conn: _Connection) -> None:
+        conn.held = False
+        self._parse(conn)  # what arrived meanwhile
+        self._queued.add(conn)
+
+    def _close(self, conn: _Connection) -> None:
+        """Close ``conn``'s socket and forget the connection.  Sessions
+        deliberately survive it: a client that reconnects can resume
+        (and retry) them by id."""
+        if conn.events:
+            self._selector.unregister(conn.sock)
+            conn.events = 0
+        conn.sock.close()
+        conn.sock = None
+        self._hellos.pop(conn, None)
+        with self._lock:
+            conn.closing = True
+            if self._feed is not None:
+                # A replica link died without a protocol-level drop (EOF,
+                # reset): the barrier holds through the grace while it
+                # comes back.
+                self._drop_replica(conn)
+            self._connections.discard(conn)
+            conn.subscriptions.clear()
+            self._settled.notify_all()
+
+    def _watch(self, conn: _Connection) -> None:
+        """Register the events ``conn`` waits for: reads unless it is
+        closing or holds a response, writes while the socket has not
+        taken all its bytes."""
+        want = (0 if conn.closing or conn.held else _READ) | (
+            _WRITE if conn.out else 0
+        )
+        if want != conn.events:
+            if not want:
+                self._selector.unregister(conn.sock)
+            elif conn.events:
+                self._selector.modify(conn.sock, want, conn)
+            else:
+                self._selector.register(conn.sock, want, conn)
+            conn.events = want
 
     # -- dispatch ----------------------------------------------------------
     def _dispatch(self, conn: _Connection, request: dict) -> dict:
@@ -953,9 +1110,9 @@ class QueryNetServer:
         return True
 
     def _write_queued(self) -> None:
-        """Hand every queued frame to its transport: run on the loop
-        right after each of its locked sections, and as the one callback
-        an update (or an unpause) schedules."""
+        """Hand every queued frame to its socket: run on the loop at the
+        end of each turn (after its locked sections), the turn an
+        update's (or an unpause's) wake-up starts included."""
         self._flush_scheduled = False
         queued = self._queued
         while queued:
@@ -967,41 +1124,40 @@ class QueryNetServer:
         self._schedule_flush()
 
     def _flush(self, conn: _Connection) -> None:
-        """Write ``conn``'s queued frames to its transport, oldest first,
+        """Write ``conn``'s queued frames to its socket, oldest first,
         on the loop thread and never under the serving lock.  A frame
         stays queued — counted against ``max_push_queue`` — only while
-        the transport is over its high-water mark (the drain waiter then
-        flushes on), while the connection is paused, or until the flush
-        after an off-loop enqueue; a closing connection hands over all
-        that is left, which the transport's close still sends."""
-        transport = conn.writer.transport
-        high = transport.get_write_buffer_limits()[1]
-        queue = conn.queue
-        while queue:
-            if transport.is_closing():  # the peer is gone
-                conn.closing = True
-                return
-            # Tested per frame: another thread may pause the connection
-            # or queue more frames while this loop runs.
-            if not conn.closing:
-                if conn.paused or conn.waiter is not None:
-                    return
-                if transport.get_write_buffer_size() > high:
-                    conn.waiter = self._loop.create_task(self._drained(conn))
-                    return
-            conn.writer.write(queue.popleft())
-
-    async def _drained(self, conn: _Connection) -> None:
-        """The drain waiter: wait for ``conn``'s transport to drain below
-        its low-water mark, then flush on."""
-        try:
-            await conn.writer.drain()
-        except (ConnectionError, OSError):
-            conn.closing = True
+        more than ``HIGH_WATER`` bytes wait for the socket
+        (``EVENT_WRITE`` flushes on), while the connection is paused, or
+        until the flush after an off-loop enqueue; a closing connection hands over all
+        that is left, pause or not, and closes once its socket took it."""
+        sock = conn.sock
+        if sock is None:
             return
-        finally:
-            conn.waiter = None
-        self._flush(conn)
+        queue, out = conn.queue, conn.out
+        try:
+            while True:
+                # Tested per frame: another thread may pause the
+                # connection or queue more frames while this runs.
+                while queue and len(out) <= HIGH_WATER and (
+                    conn.closing or not conn._paused
+                ):
+                    out += queue.popleft()
+                if not out:
+                    break
+                del out[: sock.send(out)]
+                if out:
+                    break
+        except (BlockingIOError, InterruptedError):
+            pass
+        except OSError:  # the peer is gone
+            conn.closing = True
+            queue.clear()
+            out.clear()
+        if conn.closing and not out and not queue:
+            self._close(conn)
+        else:
+            self._watch(conn)
 
     def _shed_slow_consumer(self, conn: _Connection) -> None:
         """A full push queue means the consumer cannot keep up: shed
@@ -1044,17 +1200,16 @@ class QueryNetServer:
         final answers by session id.  An unpromoted standby closes
         none: its sessions are the primary's.
         """
-        return self._call(self._drain_async(), timeout=60.0)
-
-    async def _drain_async(self) -> Dict[int, object]:
-        if self._draining:
-            return {}
-        self._draining = True
-        if self._asyncio_server is not None:
-            self._asyncio_server.close()
-            await self._asyncio_server.wait_closed()
-            self._asyncio_server = None
+        if self._thread is None:
+            raise NetError("net server is not running")
+        if threading.get_ident() == self._thread_ident:
+            raise NetError("cannot block on the loop thread")
+        deadline = time.monotonic() + DRAIN_TIMEOUT
         with self._lock:
+            if self._draining:
+                return {}
+            self._draining = True
+            self._post(self._close_listener)
             drained: Dict[int, object] = {}
             # A standby serves nothing of its own: its sessions are the
             # primary's, and so is its record of them.
@@ -1081,33 +1236,25 @@ class QueryNetServer:
             # Stream the drain's close records before saying goodbye, so a
             # standby mirrors the drained (terminal) state.  Attached
             # replicas must ack them; one that left cannot come back (the
-            # listener closed above), so its reconnect grace is over.
+            # listener is closing), so its reconnect grace is over.
             if self._feed is not None:
                 self._feed.end_grace()
             self._flush_repl()
-        self._write_queued()
-        await self._loop.run_in_executor(None, self._repl_barrier)
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            self._heartbeat_task = None
+        self._repl_barrier()
         with self._lock:
-            conns = list(self._connections)
-            for conn in conns:
-                self._send(
-                    conn, {"event": "goodbye", "reason": "drain"}, force=True
-                )
-                conn.closing = True
-        for conn in conns:
-            self._flush(conn)  # closing: all that is left, pause or not
-            try:
-                await (conn.waiter or conn.writer.drain())
-            except (ConnectionError, OSError):
-                pass
-            try:
-                conn.writer.close()
-            except Exception:
-                pass
-        with self._lock:
+            for conn in self._connections:
+                self._send(conn, {"event": "goodbye", "reason": "drain"}, force=True)
+                conn.closing = True  # all that is left goes, pause or not
+                self._queued.add(conn)
+            self._schedule_flush()
+            while self._connections or self._listener is not None:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TimeoutError(
+                        f"drain left {len(self._connections)} connection(s) "
+                        f"open after {DRAIN_TIMEOUT:g} s"
+                    )
+                self._settled.wait(left)
             self._server.shutdown()
         return drained
 
@@ -1123,14 +1270,12 @@ class QueryNetServer:
                 return
             self._closed = True
             self._server.db.unsubscribe(self._ingest)
-        if self._loop is not None:
+        if self._thread is not None:
             try:
-                self._call(self._drain_async(), timeout=60.0)
+                self.drain()
             except Exception:
                 pass
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            if self._thread is not None:
-                self._thread.join(timeout=10.0)
+            self._stop()
         with self._lock:
             self._server.shutdown()
 
@@ -1138,12 +1283,12 @@ class QueryNetServer:
         """Die abruptly — the chaos-testing crash.
 
         No drain, no goodbye, no final checkpoint, no session closes:
-        sockets are aborted and the loop stops, exactly as if the
-        process had been SIGKILLed mid-flight.  Whatever the server's
-        durable log (and any acked replica) holds is all that survives —
-        which is precisely the guarantee recovery and failover are
-        tested against.  Idempotent; a killed frontend cannot be
-        restarted.
+        the listener and every socket close at once and the loop stops,
+        exactly as if the process had been SIGKILLed mid-flight.
+        Whatever the server's durable log (and any acked replica) holds
+        is all that survives — which is precisely the guarantee recovery
+        and failover are tested against.  Idempotent; a killed frontend
+        cannot be restarted.
         """
         with self._lock:
             if self._closed:
@@ -1155,35 +1300,16 @@ class QueryNetServer:
             # dead frontend.
             if self._feed is not None:
                 self._feed.notify()
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self._kill_on_loop)
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            if self._thread is not None:
-                self._thread.join(timeout=10.0)
+        if self._thread is not None:
+            self._stop()
 
-    def _kill_on_loop(self) -> None:
-        # A simulated crash is deliberately ungraceful: suppress the
-        # loop's complaints about the tasks we are about to tear down.
-        self._loop.set_exception_handler(lambda loop, context: None)
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            self._heartbeat_task = None
-        if self._asyncio_server is not None:
-            self._asyncio_server.close()
-            self._asyncio_server = None
-        with self._lock:
-            conns = list(self._connections)
-        for conn in conns:
-            conn.closing = True
-            transport = getattr(conn.writer, "transport", None)
-            if transport is not None:
-                try:
-                    transport.abort()
-                except Exception:
-                    pass
-        for task in asyncio.all_tasks(self._loop):
-            task.cancel()
-
+    def _stop(self) -> None:
+        """Stop the loop, which closes every socket on its way out, and
+        join it."""
+        self._running = False
+        self._wake()
+        if threading.get_ident() != self._thread_ident:
+            self._thread.join(timeout=10.0)
 
 _VERBS = {
     "open": _Verb(QueryNetServer._verb_open, remembered=True, primary_only=True),

@@ -306,10 +306,13 @@ def append_jsonl(handle, record: dict, sync: str) -> None:
 def replace_json(path: str, data: dict) -> None:
     """Atomically replace ``path`` with ``data`` as JSON: written to a
     temporary file, fsynced, then ``os.replace``d, so a crash
-    mid-checkpoint leaves the previous file intact."""
+    mid-checkpoint leaves the previous file intact.  One ``dumps``
+    call, one write: only a one-shot ``dumps`` runs the C encoder
+    (``json.dump`` streams through the pure-Python one), and the bytes
+    are the same."""
     tmp_path = path + ".tmp"
     with open(tmp_path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle)
+        handle.write(json.dumps(data))
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp_path, path)

@@ -297,8 +297,8 @@ def test_a_flush_reads_each_family_once_and_encodes_only_what_moved():
 def test_an_update_wakes_the_loop_once_if_it_pushed_and_never_if_not():
     """A journal-less ``db.apply`` off the loop thread fans out, pushes
     and queues its frames on the applying thread: the loop hears of it
-    through one callback (the writers' wake-up) when something was
-    pushed, and not at all when nothing was."""
+    through one wake-up (for the flush) when something was pushed, and
+    not at all when nothing was."""
     base_db, stream, opens, _ = fanout_reads()
     db = base_db()
     with serve_tcp(db) as net:
@@ -307,29 +307,28 @@ def test_an_update_wakes_the_loop_once_if_it_pushed_and_never_if_not():
             for request in opens:
                 sid = client.request("open", **request)["session"]
                 client.request("subscribe", session=sid)
-            loop = net._loop
-            schedule = loop.call_soon_threadsafe
-            scheduled = []
+            wake = net._wake
+            wakes = []
 
-            def counted(callback, *args, **kwargs):
-                scheduled.append(callback)
-                return schedule(callback, *args, **kwargs)
+            def counted():
+                wakes.append(1)
+                return wake()
 
-            loop.call_soon_threadsafe = counted
+            net._wake = counted
             quiet = moved = 0
             try:
                 for update in stream[:120]:
                     before = len(client.events)
-                    del scheduled[:]
+                    del wakes[:]
                     db.apply(update)
-                    callbacks = len(scheduled)
+                    woken = len(wakes)
                     client.request("ping")
                     pushed = len(client.events) > before
-                    assert callbacks == (1 if pushed else 0)
+                    assert woken == (1 if pushed else 0)
                     quiet += not pushed
                     moved += pushed
             finally:
-                del loop.call_soon_threadsafe
+                del net._wake
             assert quiet > 20 and moved > 5
         finally:
             client.close()

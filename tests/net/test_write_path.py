@@ -12,7 +12,6 @@ queued it, or in the one callback an update schedules.  So:
   on the applying thread before it.
 """
 
-import asyncio
 import sys
 import threading
 import time
@@ -63,25 +62,25 @@ def test_a_paused_connection_is_not_polled(monkeypatch):
     with serve_tcp(_db()) as net:
         client, conn = _watching(net)
         try:
-            sleep = asyncio.sleep
-            short = []
+            time.sleep(0.05)  # the loop is idle in its select
+            timers = net._timers
+            turns = []
 
-            def counted(delay, *args, **kwargs):
-                if delay < 0.1:
-                    short.append(delay)
-                return sleep(delay, *args, **kwargs)
+            def counted():  # once per loop turn
+                turns.append(time.monotonic())
+                return timers()
 
-            monkeypatch.setattr(asyncio, "sleep", counted)
+            monkeypatch.setattr(net, "_timers", counted)
             conn.paused = True
             net.server.db.apply(_closer(0))
             assert len(conn.queue) == 1  # the push waits in the queue
             time.sleep(0.2)
-            polls = len(short)
+            polls = len(turns)
             conn.paused = False
             client.sock.settimeout(0.5)
             frame = recv_frame(client.sock)  # within 0.5 s of the unpause
             assert frame["event"] == "answer_change"
-            assert polls == 0
+            assert polls == 1  # the update's one wake-up, then no poll
         finally:
             client.close()
 
