@@ -156,10 +156,10 @@ class SquaredArrivalTimeGDistance(GDistance):
         pieces: List[Tuple[Interval, Polynomial]] = []
         for lo, hi in zip(bounds, bounds[1:]):
             probe = _probe(lo, hi)
-            o_piece = trajectory.piece_at(probe)
-            q_piece = self._query.piece_at(probe)
-            v_q = q_piece.velocity
-            v_o = o_piece.velocity
+            piece_o = trajectory.piece_at(probe)
+            piece_q = self._query.piece_at(probe)
+            v_q = piece_q.velocity
+            v_o = piece_o.velocity
             speed_sq = v_o.norm_squared()
             gap = speed_sq - v_q.norm_squared()
             if gap <= 0.0:
@@ -167,8 +167,8 @@ class SquaredArrivalTimeGDistance(GDistance):
                     "perpendicular configuration requires the object to be "
                     f"strictly faster than the query on [{lo}, {hi}]"
                 )
-            w0 = q_piece.offset - o_piece.offset
-            dv = q_piece.velocity - o_piece.velocity
+            w0 = piece_q.offset - piece_o.offset
+            dv = piece_q.velocity - piece_o.velocity
             # w(t) . v_q must vanish identically: both the constant and
             # the linear coefficient of the dot product must be ~0.
             lin = dv.dot(v_q)

@@ -13,18 +13,15 @@ a squared threshold) is unaffected.
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Sequence, Tuple, Union
 
-from repro.geometry.intervals import Interval
+from repro.geometry.intervals import INF, Interval
 from repro.geometry.piecewise import ClosedForm, PiecewiseFunction
 from repro.geometry.poly import _TRIM_EPS
 from repro.gdist.base import GDistance
 from repro.trajectory.builder import stationary
 from repro.trajectory.linearpiece import LinearPiece
-from repro.trajectory.trajectory import Trajectory, _gap_coefficients
-
-_INF = math.inf
+from repro.trajectory.trajectory import Trajectory, _gap_cells, _gap_coefficients
 
 
 class SquaredEuclideanDistance(GDistance):
@@ -41,10 +38,7 @@ class SquaredEuclideanDistance(GDistance):
         else:
             self._query = stationary(query)
         self._fingerprint = None
-        pieces = self._query.pieces
-        # A point query, or one linear law: what :meth:`closed_form` reads.
-        self._piece = pieces[0] if len(pieces) == 1 else None
-        self._dimension = len(pieces[0].velocity._components)
+        self._dimension = len(self._query._pieces[0].velocity._components)
 
     @property
     def query_trajectory(self) -> Trajectory:
@@ -55,44 +49,30 @@ class SquaredEuclideanDistance(GDistance):
         return trajectory.squared_distance_to(self._query)
 
     def closed_form(self, pieces: Tuple[LinearPiece, ...]) -> Optional[ClosedForm]:
-        """The curve kernel's cells against a one-piece query — the walk
-        and :func:`~repro.trajectory.trajectory._gap_coefficients` of
-        ``Trajectory.squared_distance_to`` — as coefficient tuples.
-        ``None``, the curve, for another query or dimension, domains
-        meeting in one instant or none, and a cell whose coefficients
-        are not all finite or whose leading one trims."""
-        q = self._piece
-        if q is None or len(pieces[0].velocity._components) != self._dimension:
+        """The curve kernel's cells — the walk :func:`~repro.trajectory.
+        trajectory._gap_cells` of ``Trajectory.squared_distance_to`` — as
+        coefficient tuples.  ``None``, the curve, for another dimension,
+        domains meeting in one instant or none, and a cell whose
+        coefficients are not all finite or whose leading one trims."""
+        if len(pieces[0].velocity._components) != self._dimension:
             return None
-        first, last, q_iv = pieces[0].interval, pieces[-1].interval, q.interval
+        qs = self._query._pieces
+        first, last, q_iv = pieces[0].interval, pieces[-1].interval, qs[0].interval
         if first is last and q_iv.lo <= first.lo and first.hi <= q_iv.hi:
-            # One piece the query covers: one cell, the piece's interval.
+            # One piece inside the query's first: one cell, the piece's interval.
             if not first.lo < first.hi:
                 return None
-            c0, c1, c2 = coeffs = _gap_coefficients(pieces[0], q)
-            if not (_TRIM_EPS < c2 < _INF and -_INF < c1 < _INF and c0 < _INF):
+            c0, c1, c2 = coeffs = _gap_coefficients(pieces[0], qs[0])
+            if not (_TRIM_EPS < c2 < INF and -INF < c1 < INF and c0 < INF):
                 return None
             return ClosedForm(first, ((first.lo, first.hi, coeffs),))
-        lo = q_iv.lo if q_iv.lo > first.lo else first.lo
-        hi = q_iv.hi if q_iv.hi < last.hi else last.hi
+        theirs = self._query._domain
+        lo = theirs.lo if theirs.lo > first.lo else first.lo
+        hi = theirs.hi if theirs.hi < last.hi else last.hi
         if not lo < hi:
             return None
-        cells = []
-        a = lo
-        for p in pieces:
-            b = p.interval.hi
-            if b <= a:  # behind the cell, or of no length
-                continue
-            if b > hi:
-                b = hi
-            c0, c1, c2 = coeffs = _gap_coefficients(p, q)
-            if not (_TRIM_EPS < c2 < _INF and -_INF < c1 < _INF and c0 < _INF):
-                return None
-            cells.append((a, b, coeffs))
-            if b == hi:
-                break
-            a = b
-        return ClosedForm(Interval(lo, hi), cells)
+        cells = _gap_cells(pieces, qs, lo, hi, True)
+        return None if cells is None else ClosedForm(Interval(lo, hi), cells)
 
     def cache_fingerprint(self) -> tuple:
         # The query never changes: built once, the same tuple per lookup.

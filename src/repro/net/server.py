@@ -1112,9 +1112,14 @@ class QueryNetServer:
     def _write_queued(self) -> None:
         """Hand every queued frame to its socket: run on the loop at the
         end of each turn (after its locked sections), the turn an
-        update's (or an unpause's) wake-up starts included."""
+        update's (or an unpause's) wake-up starts included.  Replica
+        links go first: the ack barrier waits on them alone."""
         self._flush_scheduled = False
         queued = self._queued
+        for conn in self._feed.replicas() if self._feed is not None else ():
+            if conn in queued:
+                queued.discard(conn)
+                self._flush(conn)
         while queued:
             self._flush(queued.pop())
 

@@ -84,8 +84,9 @@ class ReplicaFeed:
         return self._journal.seq
 
     def replicas(self) -> List[object]:
-        """The attached links."""
-        return [link for link, row in self._links.items() if row[_UNTIL] is None]
+        """The attached links (a copy of the table is read first, so the
+        loop may ask without the serving lock)."""
+        return [link for link, row in list(self._links.items()) if row[_UNTIL] is None]
 
     def floor(self, seq: int) -> int:
         """The lowest seq at or below ``seq`` whose successors a replica

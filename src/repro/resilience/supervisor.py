@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 from repro.core.api import ContinuousQuerySession
 from repro.obs.instrument import NULL_INSTRUMENTATION
+from repro.server.group import EngineGroup
 
 
 @dataclass
@@ -67,7 +68,7 @@ class SupervisedQuerySession(ContinuousQuerySession):
         )
         self._group.heal = self._heal
 
-    def _heal(self, exc: BaseException) -> None:
+    def _heal(self, group: EngineGroup, exc: BaseException) -> None:
         """The supervisor's rule for an engine fault: one failure, one
         ``supervisor.rebuild`` span around the rebuild of the pool at
         the database's ``tau``."""
@@ -78,6 +79,6 @@ class SupervisedQuerySession(ContinuousQuerySession):
             at=self._db.last_update_time,
             objects=self._db.object_count,
         ):
-            self._group.rebuild()
+            group.rebuild()
         self.stats.rebuilds += 1
         self._c_rebuilds.inc()

@@ -85,7 +85,7 @@ class EngineGroup:
     equivalence class — or for one spec (``spec=``).
 
     ``heal`` is the owner's rule for an engine fault (see
-    :func:`is_engine_fault`): ``heal(exc)`` rebuilds or retires the
+    :func:`is_engine_fault`): ``heal(group, exc)`` rebuilds or retires the
     pool as the owner decides, and the failed step runs once more on
     what the heal left — unless the heal retired the pool, when the
     fault propagates.  ``None`` (the default) lets every fault
@@ -105,7 +105,8 @@ class EngineGroup:
         self.gid = gid
         self.key = None  # set by the owning server (its group-map key)
         self.gdistance = gdistance
-        self.heal: Optional[Callable[[BaseException], None]] = None
+        # Called with the group: a closure over it here would be a cycle.
+        self.heal: Optional[Callable[["EngineGroup", BaseException], None]] = None
         self._source = source
         self._constants = tuple(float(c) for c in constants)
         self._observe = observe
@@ -193,7 +194,7 @@ class EngineGroup:
         """Hand ``exc`` to the owner's heal; whether it took it."""
         if self.heal is None or not is_engine_fault(exc):
             return False
-        self.heal(exc)
+        self.heal(self, exc)
         return True
 
     def _at_clock(self, read=None, *args):

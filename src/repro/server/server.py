@@ -362,7 +362,7 @@ class QueryServer:
                 curve_store=self._curve_store,
             )
             group.key = key
-            group.heal = lambda exc: self._heal(group, exc)
+            group.heal = self._heal
             self._groups[key] = group
         group.acquire(session.query)
         self._ops_marker += self._total_ops() - before

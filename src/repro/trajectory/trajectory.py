@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Tuple
 
-from repro.geometry.intervals import Interval
+from repro.geometry.intervals import INF, Interval
 from repro.geometry.piecewise import PiecewiseFunction
-from repro.geometry.poly import Polynomial
+from repro.geometry.poly import _TRIM_EPS, Polynomial
 from repro.geometry.tolerance import DEFAULT_ATOL, approx_eq
 from repro.geometry.vectors import Vector
 from repro.trajectory.linearpiece import LinearPiece
@@ -176,10 +176,11 @@ class Trajectory:
         result lives on the intersection.
 
         This is a scalar kernel: one walk over both piece lists finds
-        the cells, three dot products on the component tuples
-        (:func:`_gap_coefficients`) give each cell's coefficients, and the
-        result is assembled through the trusted constructors — no
-        :class:`Vector`, no cut set, no probe and piece lookup per cell,
+        the cells (:func:`_gap_cells`), three dot products on the
+        component tuples (:func:`_gap_coefficients`) give each cell's
+        coefficients, and the result is assembled through the trusted
+        constructors — no :class:`Vector`, no cut set, no probe and
+        piece lookup per cell,
         and a cell that *is* a piece's interval (every cell, against a
         fixed query point) reuses that :class:`Interval`.  For
         trajectories whose pieces meet exactly (all that the update
@@ -215,34 +216,7 @@ class Trajectory:
             # A live object from its last turn on, against a fixed point.
             cell = Polynomial._trusted(_gap_coefficients(ps[0], qs[0]))
             return PiecewiseFunction._trusted(((domain, cell),), domain)
-        # Each cell runs from ``a`` to the nearest piece end beyond it;
-        # ``p`` and ``q`` are the pieces that reach past ``a`` (a piece
-        # of no length never does).
-        cells: List[Tuple[Interval, Polynomial]] = []
-        i = j = 0
-        a = lo
-        while True:
-            while ps[i].interval.hi <= a:
-                i += 1
-            while qs[j].interval.hi <= a:
-                j += 1
-            p, q = ps[i], qs[j]
-            p_iv, q_iv = p.interval, q.interval
-            b = hi
-            if p_iv.hi < b:
-                b = p_iv.hi
-            if q_iv.hi < b:
-                b = q_iv.hi
-            if p_iv.lo == a and p_iv.hi == b:
-                cell = p_iv
-            elif q_iv.lo == a and q_iv.hi == b:
-                cell = q_iv
-            else:
-                cell = Interval(a, b)
-            cells.append((cell, Polynomial._trusted(_gap_coefficients(p, q))))
-            if b == hi:
-                return PiecewiseFunction._trusted(tuple(cells), domain)
-            a = b
+        return PiecewiseFunction._trusted(_gap_cells(ps, qs, lo, hi, False), domain)
 
     def distance_at(self, other: "Trajectory", t: float) -> float:
         """Euclidean distance between the objects at one instant."""
@@ -390,3 +364,47 @@ def _gap_coefficients(a: LinearPiece, b: LinearPiece) -> Tuple[float, float, flo
         # inf``): what ``Vector`` refuses.
         raise ValueError("vector components must not be NaN")
     return c0, c1, c2
+
+
+def _gap_cells(ps, qs, lo: float, hi: float, form: bool):
+    """The cells of ``|p - q|^2`` over ``[lo, hi]``, which both piece
+    lists cover (``lo < hi``): the curve kernel's ``(Interval,
+    Polynomial)`` cells, the interval a piece's own where it can be, or
+    with ``form`` :meth:`~repro.gdist.euclidean.SquaredEuclideanDistance.
+    closed_form`'s ``(a, b, (c0, c1, c2))`` — ``None`` at a cell whose
+    coefficients are not all finite or whose leading one trims.  A cell
+    runs from ``a`` to the nearest piece end past it, so a piece of no
+    length owns none; each is wrapped as it is found, so a curve raises
+    where its first bad cell is."""
+    cells = []
+    j = -1
+    q_hi = -INF
+    a = lo
+    for p in ps:
+        p_iv = p.interval
+        p_hi = p_iv.hi
+        end = p_hi if p_hi < hi else hi
+        while a < p_hi:
+            while q_hi <= a:
+                j += 1
+                q = qs[j]
+                q_iv = q.interval
+                q_hi = q_iv.hi
+            b = q_hi if q_hi < end else end
+            coeffs = _gap_coefficients(p, q)
+            if form:
+                c0, c1, c2 = coeffs
+                if not (_TRIM_EPS < c2 < INF and -INF < c1 < INF and c0 < INF):
+                    return None
+                cells.append((a, b, coeffs))
+            else:
+                if p_iv.lo == a and p_hi == b:
+                    cell = p_iv
+                elif q_iv.lo == a and q_hi == b:
+                    cell = q_iv
+                else:
+                    cell = Interval(a, b)
+                cells.append((cell, Polynomial._trusted(coeffs)))
+            if b == hi:
+                return tuple(cells)
+            a = b

@@ -2,17 +2,19 @@
 
 A plan, a range record and a rank host's bar read an object's curve
 before they know they need it: its domain, ``bounds``, ``floor`` and
-the value just after an instant (``forward_taylor``).  For a point
-query, :meth:`SquaredEuclideanDistance.closed_form` answers those reads
-from the trajectory's pieces, and :meth:`CurveStore.read` hands out
-that closed form where it holds no curve.  Every decision the sweep
+the value just after an instant (``forward_taylor``).  For a query
+trajectory of any piece count — a fixed point or a moving query object
+— :meth:`SquaredEuclideanDistance.closed_form` answers those reads from
+both trajectories' pieces, through the curve kernel's own cell walk,
+and :meth:`CurveStore.read` hands out that closed form where it holds
+no curve.  Every decision the sweep
 takes from a read is a strict float comparison, so the closed form
 must read the curve *bit for bit* — a ``-0.0`` against a ``0.0``
 counts — and raise the same exception with the same message.
 
 The strategies are the curve kernel's (``tests/trajectory/
-test_curve_kernel.py``): multi-piece trajectories on a shared grid of
-breakpoints, zero relative velocity now and then, ``-0.0`` and
+test_curve_kernel.py``): multi-piece trajectories — objects and
+queries — on a shared grid of breakpoints, zero relative velocity now and then, ``-0.0`` and
 ``1e200`` coordinates.  The suite-wide hypothesis profile is
 derandomized, so each property states its own example budget.
 """
@@ -101,9 +103,14 @@ def point_queries(draw, dimension):
 
 @st.composite
 def cases(draw):
+    """An object against a fixed point or a moving query of 1-6 pieces
+    (which may offer the object's velocities back)."""
     dimension = draw(st.integers(1, 3))
     trajectory = draw(trajectories(dimension))
-    query = draw(point_queries(dimension))
+    if draw(st.booleans()):
+        query = draw(point_queries(dimension))
+    else:
+        query = draw(trajectories(dimension, like=trajectory))
     return trajectory, query
 
 
@@ -206,11 +213,24 @@ class TestClosedFormCases:
         assert read_error is not None
         assert read_error == outcome(gd, a)[1]
 
-    def test_a_moving_query_of_more_than_one_piece_is_the_curve(self):
+    def test_a_moving_query_of_more_than_one_piece_is_read(self):
         query = from_waypoints([(0.0, [0.0, 0.0]), (1.0, [1.0, 1.0]), (2.0, [0.0, 2.0])])
         assert len(query.pieces) > 1
         a = linear_from(0.0, [3.0, 0.0], [0.0, 1.0])
-        reads_everywhere(a, query, closed=False)
+        reads_everywhere(a, query)
+
+    def test_two_turning_trajectories_interleave_their_cells(self):
+        # Breakpoints of both, none shared: three cells, none of them
+        # either trajectory's piece.
+        query = from_waypoints(
+            [(0.0, [0.0, 0.0]), (1.0, [1.0, 1.0]), (2.5, [0.0, 2.0]), (4.0, [2.0, 2.0])]
+        )
+        a = from_waypoints(
+            [(-0.5, [3.0, 0.0]), (0.5, [3.0, 2.0]), (2.0, [1.0, 2.0])], extend=False
+        )
+        reads_everywhere(a, query)
+        assert len(SquaredEuclideanDistance(query).closed_form(a.pieces)._cells) == 3
+        reads_everywhere(query, a)
 
     def test_a_one_piece_moving_query_is_read(self):
         query = Trajectory(

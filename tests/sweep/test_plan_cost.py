@@ -27,7 +27,10 @@ Every budget of the last column fails where it was set, and the first
 three and the 32 / 18 budgets below fail at "first".  Curves built,
 "curves" -> now: the knn plan 400 -> 9 (its candidates), the within
 400 -> 9 (the records its bounds leave undecided), the open 198 -> 10
-of 197 live objects.
+of 197 live objects.  A query moving through four waypoints had no
+closed form until it walked both piece lists: after 50 updates to 200
+objects its knn 3 and within 40 opens built all 197 live curves,
+against 30 and 65 for a point query; now 21 and 58.
 """
 
 import math
@@ -38,6 +41,7 @@ from repro.core.spec import QuerySpec
 from repro.gdist.euclidean import SquaredEuclideanDistance
 from repro.geometry.intervals import Interval
 from repro.server import QueryServer
+from repro.trajectory.builder import from_waypoints
 from repro.sweep.prune import _REL_MARGIN, plan_sweep
 from repro.workloads.generator import UpdateStream, random_linear_mod
 from tests.gdist.test_curve_cost import make, python_calls
@@ -130,6 +134,27 @@ def test_an_open_builds_a_tenth_of_the_live_curves_at_most(monkeypatch):
     built = counting_builds(monkeypatch)
     server.register_knn([13.0, 5.0], 2)
     assert len(built) <= len(db.object_ids) / 10, len(built)
+
+
+def test_a_moving_query_opens_like_a_point(monkeypatch):
+    db = random_linear_mod(200, seed=1)
+    server = QueryServer(db)
+    UpdateStream(db, seed=7, mean_gap=0.05, weights=(0.1, 0.1, 0.8)).run(50)
+    tau = db.last_update_time
+    moving = from_waypoints(
+        [(tau - 1.0, [0.0, 0.0]), (tau, [5.0, 5.0]), (tau + 1.0, [10.0, 0.0]), (tau + 2.0, [5.0, -5.0])]
+    )
+    assert len(moving.pieces) == 3
+    built = counting_builds(monkeypatch)
+    opens = {}
+    for name, query in (("point", [5.0, 5.0]), ("moving", moving)):
+        for kind, open_ in (("knn", server.register_knn), ("within", server.register_within)):
+            del built[:]
+            open_(query, 3 if kind == "knn" else 40.0)
+            opens[name, kind] = len(built)
+    for kind in ("knn", "within"):
+        assert opens["moving", kind] <= 2 * opens["point", kind], opens
+    assert opens["point", "within"] < len(db.object_ids) / 2, opens
 
 
 # -- calls per object, reading bounds in closed form -------------------------------
